@@ -106,7 +106,7 @@ main(int argc, char **argv)
                 "tracks the best of the 8 combinations closely on most "
                 "benchmarks.\n");
     std::printf("distance matrices computed across all maps: %zu\n",
-                engine.distance_cache().computation_count());
+                engine.distance_cache().stats().computations);
     write_csv(args.csv, csv);
     return 0;
 }

@@ -220,7 +220,7 @@ main(int argc, char **argv)
                 report.used_service ? "parallel+dedup" : "parallel");
     std::printf("distance matrices computed: %zu (cache hits: %zu)\n",
                 report.distance_computations,
-                engine.distance_cache().hit_count());
+                engine.distance_cache().stats().hits);
     std::printf("full routing passes: %ld (%zu job(s) reused the "
                 "winning layout trial's routed pass)\n",
                 report.full_route_passes, report.num_route_reused);

@@ -11,7 +11,7 @@
  * rd84_253, co14_215, sym9_193, mod5mils_65, mod5d2_64, decod24-v2_43)
  * are not redistributable, so deterministic synthetic multi-controlled-
  * Toffoli networks of matching width and CNOT scale stand in for them;
- * see DESIGN.md ("Substitutions").
+ * see the "Substitutions" section of README.md.
  */
 
 #include <cstdint>

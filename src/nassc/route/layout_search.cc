@@ -83,28 +83,6 @@ struct LayoutSearch::WorkerCtx
 
 LayoutSearch::LayoutSearch(const QuantumCircuit &logical,
                            const CouplingMap &coupling,
-                           const DistanceMatrix &dist,
-                           const RoutingOptions &opts, int iterations)
-    : coupling_(coupling),
-      borrowed_(std::make_unique<DenseDistanceProvider>(
-          DenseDistanceProvider::borrowed(dist))),
-      dist_(borrowed_.get()), opts_(mapping_options(opts)),
-      retain_(opts.reuse_routing &&
-              opts.algorithm == RoutingAlgorithm::kSabre),
-      trials_requested_(opts.layout_trials), iterations_(iterations),
-      num_logical_(logical.num_qubits()),
-      fwd_(logical.without_non_unitary()), rev_(reversed(fwd_)),
-      fwd_dag_(fwd_), rev_dag_(rev_)
-{
-    // The refinement passes route the stripped circuit (historical,
-    // bit-compatible); the scoring pass must route what route_circuit()
-    // would see, so a second DAG exists exactly when they differ.
-    if (logical.size() != fwd_.size())
-        full_dag_.emplace(logical);
-}
-
-LayoutSearch::LayoutSearch(const QuantumCircuit &logical,
-                           const CouplingMap &coupling,
                            const DistanceProvider &dist,
                            const RoutingOptions &opts, int iterations)
     : coupling_(coupling), dist_(&dist), opts_(mapping_options(opts)),
@@ -115,6 +93,9 @@ LayoutSearch::LayoutSearch(const QuantumCircuit &logical,
       fwd_(logical.without_non_unitary()), rev_(reversed(fwd_)),
       fwd_dag_(fwd_), rev_dag_(rev_)
 {
+    // The refinement passes route the stripped circuit (historical,
+    // bit-compatible); the scoring pass must route what route_circuit()
+    // would see, so a second DAG exists exactly when they differ.
     if (logical.size() != fwd_.size())
         full_dag_.emplace(logical);
 }
@@ -172,11 +153,12 @@ LayoutSearch::embedding_seed_layout() const
     }
 
     // Rows of the already-placed interaction neighbours are fetched
-    // once per logical qubit (row-oriented for the sparse provider).
-    // Per-candidate accumulation keeps the historical m-order, and
-    // D(mp, p) == D(p, mp) exactly under both metrics (BFS trivially;
-    // Floyd-Warshall preserves symmetry), so the dense path picks the
-    // same best_p bit-for-bit as the old column-wise reads.
+    // once per logical qubit, and per-candidate accumulation keeps the
+    // historical m-order.  The cost is D(mp, p): hop distances are
+    // exactly symmetric, noise distances only up to rounding (each
+    // Dijkstra row sums its paths from its own source), and dense and
+    // sparse providers serve identical rows, so best_p never depends
+    // on the storage shape.
     std::vector<DistanceRow> placed_rows;
     for (int l = 0; l < num_logical_; ++l) {
         if (l2p[static_cast<std::size_t>(l)] >= 0)
@@ -423,15 +405,6 @@ LayoutSearch::run(Scheduler *scheduler)
     res.trials = std::move(trials_);
     trials_.clear();
     return res;
-}
-
-LayoutSearchResult
-search_and_route(const QuantumCircuit &logical, const CouplingMap &coupling,
-                 const DistanceMatrix &dist, const RoutingOptions &opts,
-                 int iterations, Scheduler *scheduler)
-{
-    LayoutSearch search(logical, coupling, dist, opts, iterations);
-    return search.run(scheduler);
 }
 
 LayoutSearchResult

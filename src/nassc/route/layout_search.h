@@ -63,7 +63,6 @@
 #include "nassc/route/layout.h"
 #include "nassc/route/sabre.h"
 #include "nassc/topo/coupling_map.h"
-#include "nassc/topo/distance_matrix.h"
 #include "nassc/topo/distance_provider.h"
 
 namespace nassc {
@@ -134,17 +133,10 @@ class LayoutSearch
 {
   public:
     /**
-     * Binds the inputs; `coupling`, and `dist` must outlive the search
+     * Binds the inputs; `coupling` and `dist` must outlive the search
      * (`logical` is copied).  Gate widths are validated by the Routers.
-     */
-    LayoutSearch(const QuantumCircuit &logical, const CouplingMap &coupling,
-                 const DistanceMatrix &dist, const RoutingOptions &opts,
-                 int iterations = 3);
-
-    /**
-     * Provider overload: trials score through DistanceProvider rows.
-     * Dense providers reproduce the matrix overload bit-for-bit (same
-     * flat storage); sparse providers only touch visited rows.
+     * Trials score through `dist` rows; a sparse provider only touches
+     * the rows the trials visit.
      */
     LayoutSearch(const QuantumCircuit &logical, const CouplingMap &coupling,
                  const DistanceProvider &dist, const RoutingOptions &opts,
@@ -173,9 +165,7 @@ class LayoutSearch
     Layout degree_seed_layout() const;
 
     const CouplingMap &coupling_;
-    /** Wraps the matrix-ctor argument so both ctors share one path. */
-    std::unique_ptr<DenseDistanceProvider> borrowed_;
-    const DistanceProvider *dist_; ///< never null after construction
+    const DistanceProvider *dist_; ///< never null
     RoutingOptions opts_; ///< routing options with algorithm forced to SABRE
     const bool retain_;   ///< keep the winner's scoring pass for reuse
     const int trials_requested_;
@@ -209,14 +199,6 @@ class LayoutSearch
  * including the retained routed pass when reuse is legal.  transpile()
  * drives this; sabre_initial_layout() remains the layout-only wrapper.
  */
-LayoutSearchResult search_and_route(const QuantumCircuit &logical,
-                                    const CouplingMap &coupling,
-                                    const DistanceMatrix &dist,
-                                    const RoutingOptions &opts,
-                                    int iterations = 3,
-                                    Scheduler *scheduler = nullptr);
-
-/** Provider overload of search_and_route (same contract). */
 LayoutSearchResult search_and_route(const QuantumCircuit &logical,
                                     const CouplingMap &coupling,
                                     const DistanceProvider &dist,

@@ -87,27 +87,10 @@ gather_swapped_dists(const int *ks, int m, const int *pa_arr,
 #endif // __AVX2__
 
 Router::Router(const DagCircuit &dag, const CouplingMap &coupling,
-               const DistanceMatrix &dist, const RoutingOptions &opts)
-    : dag_(dag), coupling_(coupling),
-      borrowed_(std::make_unique<DenseDistanceProvider>(
-          DenseDistanceProvider::borrowed(dist))),
-      prov_(borrowed_.get()), flat_(dist.data()), opts_(opts),
-      num_phys_(coupling.num_qubits())
-{
-    init();
-}
-
-Router::Router(const DagCircuit &dag, const CouplingMap &coupling,
                const DistanceProvider &dist, const RoutingOptions &opts)
     : dag_(dag), coupling_(coupling), prov_(&dist),
       flat_(dist.dense_data()), opts_(opts),
       num_phys_(coupling.num_qubits())
-{
-    init();
-}
-
-void
-Router::init()
 {
     for (int id = 0; id < dag_.num_nodes(); ++id) {
         const Gate &g = dag_.gate(id);
@@ -594,10 +577,11 @@ Router::apply_forced_swap()
     int pb = layout_.phys_of(g.qubits[1]);
     int best_nbr = -1;
     double best = std::numeric_limits<double>::infinity();
-    // One row fetch instead of one per neighbor: D is exactly
-    // symmetric under both metrics (BFS trivially; Floyd-Warshall
-    // preserves symmetry because both orders relax with the same
-    // commutative sums), so rb[nbr] == D(nbr, pb) bit-for-bit.
+    // One row fetch instead of one per neighbor: the cost is
+    // D(pb, nbr).  Hop distances are exactly symmetric, noise
+    // distances only up to rounding (each Dijkstra row sums its paths
+    // from its own source); dense and sparse providers serve identical
+    // rows, so the choice never depends on the storage shape.
     const double *rb = row(pb);
     for (int nbr : coupling_.neighbors(pa)) {
         if (rb[nbr] < best) {

@@ -5,7 +5,7 @@
  * @file
  * The routing engine behind route_circuit()/sabre_initial_layout().
  *
- * A Router binds an immutable (DagCircuit, CouplingMap, DistanceMatrix,
+ * A Router binds an immutable (DagCircuit, CouplingMap, DistanceProvider,
  * RoutingOptions) tuple and can run many passes over it: reset() rewinds
  * every piece of mutable state, so sabre_initial_layout() builds the
  * forward and reversed DAGs and Routers once and reuses them across all
@@ -42,7 +42,6 @@
 #include "nassc/route/layout.h"
 #include "nassc/route/sabre.h"
 #include "nassc/topo/coupling_map.h"
-#include "nassc/topo/distance_matrix.h"
 #include "nassc/topo/distance_provider.h"
 
 namespace nassc {
@@ -56,18 +55,11 @@ class Router
   public:
     /**
      * Binds the inputs and validates gate widths (<= 2 qubits except
-     * barriers).  The dag, coupling, dist, and opts references must
-     * outlive the Router.
-     */
-    Router(const DagCircuit &dag, const CouplingMap &coupling,
-           const DistanceMatrix &dist, const RoutingOptions &opts);
-
-    /**
-     * Provider-backed router.  A dense provider exposes its flat
-     * storage, putting the router on the exact historical fast path
-     * (AVX2 gathers over row-major doubles); a sparse provider is read
-     * through pinned rows fetched on first touch and cached for the
-     * Router's lifetime.  `dist` must outlive the Router.
+     * barriers).  The dag, coupling, and dist references must outlive
+     * the Router.  A dense provider exposes its flat storage, putting
+     * the router on the AVX2 gather fast path over row-major doubles;
+     * a sparse provider is read through pinned rows fetched on first
+     * touch and cached for the Router's lifetime.
      */
     Router(const DagCircuit &dag, const CouplingMap &coupling,
            const DistanceProvider &dist, const RoutingOptions &opts);
@@ -120,7 +112,6 @@ class Router
     const RoutingStats &stats() const { return stats_; }
 
   private:
-    void init();
     void run_loop();
     int emit(Gate g);
     void execute_node(int id);
@@ -195,9 +186,7 @@ class Router
     // ---- immutable bindings ------------------------------------------------
     const DagCircuit &dag_;
     const CouplingMap &coupling_;
-    /** Wraps the matrix-ctor argument so both ctors share one path. */
-    std::unique_ptr<DenseDistanceProvider> borrowed_;
-    const DistanceProvider *prov_;   ///< never null after construction
+    const DistanceProvider *prov_;   ///< never null
     const double *flat_;             ///< dense storage; null when sparse
     const RoutingOptions opts_;
     const int num_phys_;

@@ -10,18 +10,6 @@ namespace nassc {
 
 RoutingResult
 route_circuit(const QuantumCircuit &logical, const CouplingMap &coupling,
-              const DistanceMatrix &dist, const Layout &initial,
-              const RoutingOptions &opts)
-{
-    if (logical.num_qubits() > coupling.num_qubits())
-        throw std::invalid_argument("circuit larger than device");
-    DagCircuit dag(logical);
-    Router r(dag, coupling, dist, opts);
-    return r.run(initial);
-}
-
-RoutingResult
-route_circuit(const QuantumCircuit &logical, const CouplingMap &coupling,
               const DistanceProvider &dist, const Layout &initial,
               const RoutingOptions &opts)
 {
@@ -34,7 +22,8 @@ route_circuit(const QuantumCircuit &logical, const CouplingMap &coupling,
 
 Layout
 sabre_initial_layout(const QuantumCircuit &logical,
-                     const CouplingMap &coupling, const DistanceMatrix &dist,
+                     const CouplingMap &coupling,
+                     const DistanceProvider &dist,
                      const RoutingOptions &opts, int iterations)
 {
     // The whole search lives in LayoutSearch (route/layout_search.h):
@@ -45,18 +34,6 @@ sabre_initial_layout(const QuantumCircuit &logical,
     // so retention is disabled: racing trials still score (the arg-min
     // needs the key) but nothing is kept alive, and the single-trial
     // path skips the scoring pass entirely — the historical cost.
-    RoutingOptions lopts = opts;
-    lopts.reuse_routing = false;
-    LayoutSearch search(logical, coupling, dist, lopts, iterations);
-    return search.run().initial;
-}
-
-Layout
-sabre_initial_layout(const QuantumCircuit &logical,
-                     const CouplingMap &coupling,
-                     const DistanceProvider &dist,
-                     const RoutingOptions &opts, int iterations)
-{
     RoutingOptions lopts = opts;
     lopts.reuse_routing = false;
     LayoutSearch search(logical, coupling, dist, lopts, iterations);

@@ -25,7 +25,6 @@
 #include "nassc/ir/circuit.h"
 #include "nassc/route/layout.h"
 #include "nassc/topo/coupling_map.h"
-#include "nassc/topo/distance_matrix.h"
 #include "nassc/topo/distance_provider.h"
 
 namespace nassc {
@@ -113,19 +112,10 @@ struct RoutingResult
 /**
  * Route `logical` (gates must act on <= 2 qubits) onto the device.
  *
- * @param dist    distance matrix (hop_distance or noise_aware_distance)
+ * @param dist    distance provider (hop_distance, noise_aware_distance,
+ *                or a sparse provider, which only touches the rows the
+ *                routing decisions visit)
  * @param initial initial layout (e.g. from sabre_initial_layout)
- */
-RoutingResult route_circuit(const QuantumCircuit &logical,
-                            const CouplingMap &coupling,
-                            const DistanceMatrix &dist, const Layout &initial,
-                            const RoutingOptions &opts);
-
-/**
- * Provider overload: scores through DistanceProvider rows.  With a
- * dense provider this is bit-identical to the matrix overload (the
- * router reads the same flat storage); a sparse provider only touches
- * the rows the routing decisions actually visit.
  */
 RoutingResult route_circuit(const QuantumCircuit &logical,
                             const CouplingMap &coupling,
@@ -145,12 +135,6 @@ RoutingResult route_circuit(const QuantumCircuit &logical,
  * thread count, and layout_trials = 1 reproduces the historical
  * single-seed search exactly.
  */
-Layout sabre_initial_layout(const QuantumCircuit &logical,
-                            const CouplingMap &coupling,
-                            const DistanceMatrix &dist,
-                            const RoutingOptions &opts, int iterations = 3);
-
-/** Provider overload of sabre_initial_layout (same contract). */
 Layout sabre_initial_layout(const QuantumCircuit &logical,
                             const CouplingMap &coupling,
                             const DistanceProvider &dist,

@@ -85,7 +85,8 @@ BatchTranspiler::run_direct(const std::vector<TranspileJob> &jobs) const
     BatchReport report;
     report.results.resize(jobs.size());
 
-    const std::size_t cache_computations_before = cache_->computation_count();
+    const std::size_t cache_computations_before =
+        cache_->stats().computations;
 
     // Each job writes into its own submission-index slot, so results
     // land in submission order no matter which worker stole them, and
@@ -127,7 +128,7 @@ BatchTranspiler::run_direct(const std::vector<TranspileJob> &jobs) const
         report.full_route_passes += r.result.full_route_passes;
     }
     report.distance_computations =
-        cache_->computation_count() - cache_computations_before;
+        cache_->stats().computations - cache_computations_before;
     return report;
 }
 
@@ -141,7 +142,7 @@ BatchTranspiler::run_service(const std::vector<TranspileJob> &jobs) const
 
     const ServiceStats before = service.stats();
     const std::size_t distance_before =
-        service.distance_cache().computation_count();
+        service.distance_cache().stats().computations;
     // +1: ensure_workers counts a parallel_for caller slot, but service
     // jobs run entirely on pool workers (the submitter only waits), so
     // --threads N needs N actual pool threads for N-way concurrency.
@@ -198,7 +199,7 @@ BatchTranspiler::run_service(const std::vector<TranspileJob> &jobs) const
         (after.evictions_capacity + after.evictions_invalidated) -
         (before.evictions_capacity + before.evictions_invalidated);
     report.distance_computations =
-        service.distance_cache().computation_count() - distance_before;
+        service.distance_cache().stats().computations - distance_before;
     return report;
 }
 

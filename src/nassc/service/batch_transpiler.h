@@ -23,7 +23,7 @@
  *
  * Since the scheduler is multi-job, concurrent BatchTranspiler::run()
  * calls from distinct threads interleave on the same workers instead
- * of serializing (the old ThreadPool submit-mutex behavior).
+ * of serializing behind each other.
  *
  * Dedup/caching: with BatchOptions::service set, jobs are submitted
  * through a TranspileService instead of calling transpile() directly —

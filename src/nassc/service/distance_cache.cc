@@ -115,45 +115,12 @@ DistanceCache::provider(const Backend &backend,
     return future.get();
 }
 
-SharedDistanceMatrix
-DistanceCache::get(const Backend &backend, const DistanceRequest &request)
-{
-    DistanceRequest dense_request = request;
-    dense_request.sparse = false;
-    dense_request.row_budget_bytes = 0;
-    SharedDistanceProvider p = provider(backend, dense_request);
-    // Non-sparse requests always construct a DenseDistanceProvider.
-    auto dense = std::static_pointer_cast<const DenseDistanceProvider>(p);
-    return SharedDistanceMatrix(dense, &dense->matrix());
-}
-
 void
 DistanceCache::invalidate_backend(const std::string &backend_name)
 {
     std::lock_guard<std::mutex> lock(mu_);
     invalidate_locked(backend_name);
     generation_.erase(backend_name);
-}
-
-std::size_t
-DistanceCache::computation_count() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return computations_;
-}
-
-std::size_t
-DistanceCache::hit_count() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return hits_;
-}
-
-std::size_t
-DistanceCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size();
 }
 
 DistanceCache::Stats

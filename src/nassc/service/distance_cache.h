@@ -14,10 +14,10 @@
  * shared_future and computes, everyone else blocks on that future and
  * shares the finished read-only provider.
  *
- * Dense providers (small devices) materialize the historical flat
- * DistanceMatrix up front; sparse providers (large devices) compute
- * per-source rows lazily, so the cache's memory footprint scales with
- * the rows workloads actually touch — the row-level counters in Stats
+ * Dense providers (small devices) materialize a flat DistanceMatrix up
+ * front; sparse providers (large devices) compute per-source rows
+ * lazily, so the cache's memory footprint scales with the rows
+ * workloads actually touch — the row-level counters in Stats
  * (rows_computed / row_hits / rows_evicted / row_bytes) make that
  * pressure observable per cache, and through the nasscd stats verb,
  * per shard.
@@ -42,13 +42,9 @@
 #include <vector>
 
 #include "nassc/topo/backends.h"
-#include "nassc/topo/distance_matrix.h"
 #include "nassc/topo/distance_provider.h"
 
 namespace nassc {
-
-/** Read-only handle to a cached flat distance matrix. */
-using SharedDistanceMatrix = std::shared_ptr<const DistanceMatrix>;
 
 /** Read-only handle to a cached distance provider. */
 using SharedDistanceProvider = SharedDistanceProviderPtr;
@@ -114,34 +110,15 @@ class DistanceCache
                                     const DistanceRequest &request = {});
 
     /**
-     * Dense-matrix compatibility shim: serves the request through a
-     * dense provider (the sparse flag is ignored — a matrix must be
-     * fully materialized) and returns the matrix aliased into it.
-     * Existing callers and tests keep working unchanged.
-     */
-    SharedDistanceMatrix get(const Backend &backend,
-                             const DistanceRequest &request = {});
-
-    /**
      * Drop every entry belonging to `backend_name` (any generation),
      * counting them in evictions_invalidated.
      */
     void invalidate_backend(const std::string &backend_name);
 
-    /** Providers actually computed (not served from cache). */
-    std::size_t computation_count() const;
-
-    /** Requests served from an existing or in-flight entry. */
-    std::size_t hit_count() const;
-
-    /** Distinct keys currently cached. */
-    std::size_t size() const;
-
-    /** One-lock snapshot of all counters (the individual getters above
-     *  can tear against concurrent gets when read one by one).  Row
-     *  counters aggregate over all resident providers plus every
-     *  provider retired by rotation/invalidation, so they are monotone
-     *  across generations (except row_bytes, which is resident-only). */
+    /** One-lock snapshot of all counters.  Row counters aggregate over
+     *  all resident providers plus every provider retired by
+     *  rotation/invalidation, so they are monotone across generations
+     *  (except row_bytes, which is resident-only). */
     struct Stats
     {
         std::size_t computations = 0; ///< providers actually computed

@@ -3,19 +3,19 @@
 
 /**
  * @file
- * Work-stealing job scheduler: the multi-job successor of ThreadPool.
+ * Work-stealing multi-job scheduler.
  *
- * ThreadPool (service/thread_pool.h) runs ONE parallel_for at a time —
- * top-level submissions from distinct threads serialize on a submit
- * mutex, so a serving process with concurrent independent batches
- * degrades to lock-step.  Scheduler generalizes the same worker model
- * to PER-JOB task queues: every submitted job owns its own index
- * counter and slot table, the shared workers scan the active-job list
- * round-robin and steal one task at a time from whichever job has work
- * and a free slot, and distinct submitters therefore interleave on the
- * same workers instead of queueing behind each other.
+ * A pool that runs ONE parallel_for at a time serializes top-level
+ * submissions from distinct threads on a submit mutex, so a serving
+ * process with concurrent independent batches degrades to lock-step.
+ * Scheduler instead keeps PER-JOB task queues: every submitted job
+ * owns its own index counter and slot table, the shared workers scan
+ * the active-job list round-robin and steal one task at a time from
+ * whichever job has work and a free slot, and distinct submitters
+ * therefore interleave on the same workers instead of queueing behind
+ * each other.
  *
- * Everything the single-job pool guaranteed is preserved:
+ * Guarantees:
  *
  *  - fn(index, slot) runs for every index in [0, count) exactly once;
  *    any worker may execute any index, so callers write results into
@@ -37,7 +37,7 @@
  *    rethrown after the job completes, identically for every schedule;
  *    sibling indices still run.
  *
- * New in the scheduler: submit() enqueues a job WITHOUT blocking and
+ * Async submission: submit() enqueues a job WITHOUT blocking and
  * returns a JobHandle future — the serving layer (TranspileService)
  * uses it to run whole transpile requests asynchronously while the
  * submitting thread keeps accepting work.  A submitted job has no

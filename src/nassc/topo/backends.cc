@@ -261,44 +261,4 @@ noise_edge_weights(const Backend &backend, double alpha1, double alpha2,
     return w;
 }
 
-DistanceMatrix
-noise_aware_distance(const Backend &backend, double alpha1, double alpha2,
-                     double alpha3)
-{
-    const CouplingMap &cm = backend.coupling;
-    int n = cm.num_qubits();
-
-    std::vector<double> weights = noise_edge_weights(backend, alpha1, alpha2,
-                                                     alpha3);
-
-    const double inf = 1e18;
-    DistanceMatrix d(n, inf);
-    for (int i = 0; i < n; ++i)
-        d(i, i) = 0.0;
-    for (std::size_t k = 0; k < cm.edges().size(); ++k) {
-        auto e = cm.edges()[k];
-        double w = weights[k];
-        d(e.first, e.second) = std::min(d(e.first, e.second), w);
-        d(e.second, e.first) = d(e.first, e.second);
-    }
-    // Floyd-Warshall over the flat rows (device sizes are small).
-    for (int k = 0; k < n; ++k) {
-        const double *row_k = d[k];
-        for (int i = 0; i < n; ++i) {
-            double *row_i = d[i];
-            const double d_ik = row_i[k];
-            for (int j = 0; j < n; ++j)
-                if (d_ik + row_k[j] < row_i[j])
-                    row_i[j] = d_ik + row_k[j];
-        }
-    }
-    return d;
-}
-
-DistanceMatrix
-hop_distance(const CouplingMap &cm)
-{
-    return cm.distance_matrix_double();
-}
-
 } // namespace nassc

@@ -10,8 +10,8 @@
  * Real calibration data is not redistributable, so each backend carries a
  * deterministic synthetic calibration whose ranges mimic published
  * Falcon-generation numbers (CX error 0.5-3%, 1q error 0.02-0.1%,
- * readout 1-4%).  The HA noise-aware distance matrix (paper eq. 3) is
- * derived from it.
+ * readout 1-4%).  The HA noise-aware distances (paper eq. 3,
+ * topo/distance_provider.h) are derived from it.
  */
 
 #include <map>
@@ -87,24 +87,10 @@ Backend grid_of_grids_backend(int tiles_r, int tiles_c, int tile_rows,
                               int tile_cols);
 
 /**
- * Noise-aware all-pairs distance matrix (paper eq. 3):
- * edge weight alpha1 * eps_hat + alpha2 * T_hat + alpha3, with eps/T
- * normalized by their maxima, expanded to all pairs by shortest path.
- * With (alpha1, alpha2, alpha3) = (0, 0, 1) this reduces to hop distance.
- */
-DistanceMatrix noise_aware_distance(const Backend &backend,
-                                    double alpha1 = 0.5, double alpha2 = 0.0,
-                                    double alpha3 = 0.5);
-
-/** Plain hop-distance matrix as doubles (the SABRE default). */
-DistanceMatrix hop_distance(const CouplingMap &cm);
-
-/**
  * Per-edge HA weights (paper eq. 3) in coupling.edges() order:
  * alpha1 * eps_hat + alpha2 * T_hat + alpha3 with eps/T normalized by
- * their maxima.  This is the single source of edge weights for both
- * the dense Floyd-Warshall expansion above and the sparse per-source
- * Dijkstra rows, so the two metrics agree on every edge bit-for-bit.
+ * their maxima.  The per-source Dijkstra rows of the noise metric
+ * (topo/distance_provider.h) expand these to all pairs.
  */
 std::vector<double> noise_edge_weights(const Backend &backend, double alpha1,
                                        double alpha2, double alpha3);

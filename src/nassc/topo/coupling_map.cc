@@ -39,24 +39,9 @@ CouplingMap::CouplingMap(int num_qubits,
         for (auto [a, b] : edges_)
             adj_[a][b] = adj_[b][a] = true;
 
-        // BFS all-pairs distances.
-        const int inf = num_qubits + 1;
-        dist_.assign(num_qubits, std::vector<int>(num_qubits, inf));
-        for (int s = 0; s < num_qubits; ++s) {
-            dist_[s][s] = 0;
-            std::queue<int> q;
-            q.push(s);
-            while (!q.empty()) {
-                int u = q.front();
-                q.pop();
-                for (int v : nbrs_[u]) {
-                    if (dist_[s][v] > dist_[s][u] + 1) {
-                        dist_[s][v] = dist_[s][u] + 1;
-                        q.push(v);
-                    }
-                }
-            }
-        }
+        dist_.reserve(num_qubits);
+        for (int s = 0; s < num_qubits; ++s)
+            dist_.push_back(hop_row(s));
     }
 }
 
@@ -107,34 +92,6 @@ CouplingMap::distance(int a, int b) const
         }
     }
     return inf;
-}
-
-const std::vector<std::vector<int>> &
-CouplingMap::distance_matrix() const
-{
-    if (dist_.empty())
-        throw std::logic_error(
-            "dense distance table not materialized above "
-            "CouplingMap dense limit; use hop_row()/DistanceProvider");
-    return dist_;
-}
-
-DistanceMatrix
-CouplingMap::distance_matrix_double() const
-{
-    DistanceMatrix d(num_qubits_);
-    if (!dist_.empty()) {
-        for (int i = 0; i < num_qubits_; ++i)
-            for (int j = 0; j < num_qubits_; ++j)
-                d(i, j) = dist_[i][j];
-        return d;
-    }
-    for (int i = 0; i < num_qubits_; ++i) {
-        std::vector<int> row = hop_row(i);
-        for (int j = 0; j < num_qubits_; ++j)
-            d(i, j) = row[j];
-    }
-    return d;
 }
 
 std::uint64_t

@@ -21,8 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "nassc/topo/distance_matrix.h"
-
 namespace nassc {
 
 /** Qubit connectivity of a backend. */
@@ -67,16 +65,6 @@ class CouplingMap
 
     /** True when the eager dense distance table was built. */
     bool has_dense_distances() const { return !dist_.empty(); }
-
-    /**
-     * All-pairs hop distance table; only available in dense mode
-     * (throws std::logic_error above the dense limit — large-n callers
-     * go through DistanceProvider rows instead).
-     */
-    const std::vector<std::vector<int>> &distance_matrix() const;
-
-    /** All-pairs hop distances widened to double (the router's format). */
-    DistanceMatrix distance_matrix_double() const;
 
     /**
      * Longest shortest path.  Exact in dense mode; above the dense

@@ -17,21 +17,6 @@ DenseDistanceProvider::DenseDistanceProvider(DistanceMatrix matrix)
 {
 }
 
-DenseDistanceProvider::DenseDistanceProvider(
-    std::shared_ptr<const DistanceMatrix> matrix)
-    : matrix_(std::move(matrix))
-{
-}
-
-DenseDistanceProvider
-DenseDistanceProvider::borrowed(const DistanceMatrix &matrix)
-{
-    // Empty-deleter alias: the caller owns the matrix and guarantees
-    // it outlives the provider.
-    return DenseDistanceProvider(std::shared_ptr<const DistanceMatrix>(
-        &matrix, [](const DistanceMatrix *) {}));
-}
-
 DistanceRow
 DenseDistanceProvider::row(int src) const
 {
@@ -219,6 +204,38 @@ SparseDistanceProvider::stats() const
 }
 
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/** Every row of `rows`, laid out flat: one algorithm per metric for
+ *  both storage shapes, so dense and sparse agree bit for bit. */
+DenseDistanceProvider
+materialize(const SparseDistanceProvider &rows)
+{
+    const int n = rows.num_qubits();
+    DistanceMatrix d(n);
+    for (int i = 0; i < n; ++i) {
+        const std::vector<double> r = rows.compute_row(i);
+        std::copy(r.begin(), r.end(), d[i]);
+    }
+    return DenseDistanceProvider(std::move(d));
+}
+
+} // namespace
+
+DenseDistanceProvider
+noise_aware_distance(const Backend &backend, double alpha1, double alpha2,
+                     double alpha3)
+{
+    return materialize(
+        SparseDistanceProvider(backend, alpha1, alpha2, alpha3));
+}
+
+DenseDistanceProvider
+hop_distance(const CouplingMap &cm)
+{
+    return materialize(SparseDistanceProvider(cm));
+}
 
 SharedDistanceProviderPtr
 make_distance_provider(const Backend &backend, bool noise_aware,

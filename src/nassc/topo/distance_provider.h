@@ -5,15 +5,15 @@
  * @file
  * Row-oriented access to all-pairs distances, dense or sparse.
  *
- * Every router layer historically scored through a fully materialized
- * DistanceMatrix — O(n^2) doubles per (backend, metric) pair, which is
- * ~8 MB at 1k qubits and 128 MB at 4k, recomputed in full on every
- * calibration rotation.  DistanceProvider abstracts the storage:
+ * DistanceProvider is the only distance type the routing layers
+ * accept.  A fully materialized matrix costs O(n^2) doubles per
+ * (backend, metric) pair — ~8 MB at 1k qubits and 128 MB at 4k,
+ * recomputed in full on every calibration rotation — so the provider
+ * abstracts the storage:
  *
- *  - DenseDistanceProvider wraps the existing flat DistanceMatrix.
- *    dense_data() exposes the contiguous n*n block, so the router's
- *    AVX2 gather kernels run verbatim on the dense path — bit-identical
- *    to passing the matrix directly, zero new branches per element.
+ *  - DenseDistanceProvider owns a flat DistanceMatrix.  dense_data()
+ *    exposes the contiguous n*n block, so the router's AVX2 gather
+ *    kernels read it directly, with no per-element branches.
  *  - SparseDistanceProvider computes per-source rows on demand (BFS for
  *    hop distances, Dijkstra for the HA noise-aware metric of paper
  *    eq. 3) and caches them with thread-safe publish and byte-bounded
@@ -24,14 +24,12 @@
  * keeps the row alive for the holder even after the provider evicts it
  * from its own cache, so a router mid-pass can never read freed memory.
  *
- * Numerical contract: sparse hop rows are bit-identical to the dense
- * hop matrix (both are BFS over the same adjacency, including the
- * num_qubits + 1 unreachable sentinel).  Sparse noise rows agree with
- * the dense Floyd-Warshall matrix only to ~1 ulp per path hop (the two
- * algorithms associate the path sums differently); callers that need
- * exact dense reproduction use the dense provider, which is why
- * provider selection is thresholded on qubit count rather than always
- * sparse.
+ * Numerical contract: dense and sparse providers are bit-identical for
+ * both metrics.  The dense builders below fill every row from the same
+ * per-source routine the sparse provider runs lazily (BFS for hops,
+ * including the num_qubits + 1 unreachable sentinel; Dijkstra over
+ * noise_edge_weights() for eq. 3), so the choice between them trades
+ * memory for speed and never changes a routing decision.
  */
 
 #include <cstddef>
@@ -104,25 +102,9 @@ using SharedDistanceProviderPtr = std::shared_ptr<const DistanceProvider>;
 class DenseDistanceProvider final : public DistanceProvider
 {
   public:
-    /** Owning: moves the matrix in. */
     explicit DenseDistanceProvider(DistanceMatrix matrix);
 
-    /** Shared: aliases an already-shared matrix (no copy). */
-    explicit DenseDistanceProvider(
-        std::shared_ptr<const DistanceMatrix> matrix);
-
-    /**
-     * Non-owning view; the caller guarantees `matrix` outlives the
-     * provider.  Used by the compatibility constructors that accept a
-     * bare DistanceMatrix reference.
-     */
-    static DenseDistanceProvider borrowed(const DistanceMatrix &matrix);
-
     const DistanceMatrix &matrix() const { return *matrix_; }
-    std::shared_ptr<const DistanceMatrix> shared_matrix() const
-    {
-        return matrix_;
-    }
 
     int num_qubits() const override { return matrix_->num_qubits(); }
     const double *dense_data() const override { return matrix_->data(); }
@@ -131,6 +113,8 @@ class DenseDistanceProvider final : public DistanceProvider
     DistanceProviderStats stats() const override;
 
   private:
+    /** Shared so row() pins can outlive the provider (and copies of a
+     *  provider share one matrix). */
     std::shared_ptr<const DistanceMatrix> matrix_;
 };
 
@@ -171,11 +155,17 @@ class SparseDistanceProvider final : public DistanceProvider
         return static_cast<std::size_t>(n_) * sizeof(double);
     }
 
+    /**
+     * Uncached distance row from `src`: the routine behind row(), also
+     * what the dense builders run for every source.  Touches no cache
+     * state or counters.
+     */
+    std::vector<double> compute_row(int src) const;
+
   private:
     using RowStorage = std::shared_ptr<const std::vector<double>>;
 
     void init_adjacency(const CouplingMap &cm);
-    std::vector<double> compute_row(int src) const;
     DistanceRow publish(int src, std::vector<double> values) const;
 
     int n_ = 0;
@@ -196,9 +186,26 @@ class SparseDistanceProvider final : public DistanceProvider
 };
 
 /**
+ * Noise-aware all-pairs distances (paper eq. 3): edge weight
+ * alpha1 * eps_hat + alpha2 * T_hat + alpha3, with eps/T normalized by
+ * their maxima, expanded to all pairs by shortest path.  Every row is
+ * SparseDistanceProvider::compute_row(), so the result is bitwise equal
+ * to the sparse noise provider.  With (alpha1, alpha2, alpha3) =
+ * (0, 0, 1) this reduces to hop distance.
+ */
+DenseDistanceProvider noise_aware_distance(const Backend &backend,
+                                           double alpha1 = 0.5,
+                                           double alpha2 = 0.0,
+                                           double alpha3 = 0.5);
+
+/** Hop distances as doubles (the SABRE default), one
+ *  SparseDistanceProvider::compute_row() BFS per source. */
+DenseDistanceProvider hop_distance(const CouplingMap &cm);
+
+/**
  * Build the provider a (backend, metric) pair calls for: dense wraps
- * hop_distance()/noise_aware_distance() exactly as the historical
- * pipeline computed them; sparse builds the lazy row provider.
+ * hop_distance()/noise_aware_distance(); sparse builds the lazy row
+ * provider.
  */
 SharedDistanceProviderPtr
 make_distance_provider(const Backend &backend, bool noise_aware,

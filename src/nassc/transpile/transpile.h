@@ -97,13 +97,12 @@ struct TranspileOptions
     /**
      * Device size above which distances are served through the sparse
      * per-row provider instead of a dense all-pairs matrix.  At the
-     * default (256) every Table-I-class device stays on the historical
-     * dense path — bit-identical output — while 1k+-qubit heavy-hex /
-     * grid-of-grids devices allocate distance rows on demand.  Set to a
-     * huge value to force dense everywhere, or 0 to force sparse (the
-     * equivalence tests do both).  Note the sparse noise-aware metric
-     * (per-source Dijkstra) can differ from the dense Floyd-Warshall
-     * expansion by ~1 ulp per path; hop distances are bit-identical.
+     * default (256) every Table-I-class device stays dense while
+     * 1k+-qubit heavy-hex / grid-of-grids devices allocate distance
+     * rows on demand.  Dense and sparse distances are bit-identical
+     * for both metrics, so this only trades memory for speed; set it
+     * to a huge value to force dense everywhere, or 0 to force sparse
+     * (the equivalence tests do both).
      */
     int sparse_distance_threshold = 256;
     /**

@@ -190,13 +190,21 @@ TEST(BatchTranspiler, DistanceCacheComputesOncePerBackend)
     EXPECT_EQ(report.num_ok, jobs.size());
     // 12 jobs, 2 distinct (backend, metric) keys -> exactly 2 computations.
     EXPECT_EQ(report.distance_computations, 2u);
-    EXPECT_EQ(engine.distance_cache().computation_count(), 2u);
-    EXPECT_EQ(engine.distance_cache().hit_count(), jobs.size() - 2);
+    const DistanceCache::Stats cache_stats = engine.distance_cache().stats();
+    EXPECT_EQ(cache_stats.computations, 2u);
+    EXPECT_EQ(cache_stats.hits, jobs.size() - 2);
 
     // A second batch on the same engine is served entirely from cache.
     BatchReport again = engine.run(jobs);
     EXPECT_EQ(again.num_ok, jobs.size());
     EXPECT_EQ(again.distance_computations, 0u);
+}
+
+/** Flat matrix of a dense provider (throws std::bad_cast if sparse). */
+const DistanceMatrix &
+dense_matrix(const DistanceProvider &p)
+{
+    return dynamic_cast<const DenseDistanceProvider &>(p).matrix();
 }
 
 TEST(DistanceCache, KeysSeparateBackendsAndMetrics)
@@ -205,29 +213,30 @@ TEST(DistanceCache, KeysSeparateBackendsAndMetrics)
     Backend linear = linear_backend(25);
 
     DistanceCache cache;
-    SharedDistanceMatrix hops1 = cache.get(montreal);
-    SharedDistanceMatrix hops2 = cache.get(montreal);
-    EXPECT_EQ(hops1.get(), hops2.get()); // same shared matrix
-    EXPECT_EQ(cache.computation_count(), 1u);
-    EXPECT_EQ(cache.hit_count(), 1u);
+    SharedDistanceProvider hops1 = cache.provider(montreal);
+    SharedDistanceProvider hops2 = cache.provider(montreal);
+    EXPECT_EQ(hops1.get(), hops2.get()); // same shared provider
+    EXPECT_EQ(cache.stats().computations, 1u);
+    EXPECT_EQ(cache.stats().hits, 1u);
 
-    SharedDistanceMatrix noise = cache.get(montreal, DistanceRequest::noise());
+    SharedDistanceProvider noise =
+        cache.provider(montreal, DistanceRequest::noise());
     EXPECT_NE(noise.get(), hops1.get());
-    SharedDistanceMatrix other = cache.get(linear);
+    SharedDistanceProvider other = cache.provider(linear);
     EXPECT_NE(other.get(), hops1.get());
-    EXPECT_EQ(cache.computation_count(), 3u);
-    EXPECT_EQ(cache.size(), 3u);
+    EXPECT_EQ(cache.stats().computations, 3u);
+    EXPECT_EQ(cache.stats().entries, 3u);
 
-    // The cached hop matrix matches a direct computation.
-    EXPECT_EQ(*hops1, hop_distance(montreal.coupling));
-    EXPECT_EQ(*noise, noise_aware_distance(montreal));
+    // The cached dense providers match a direct computation.
+    EXPECT_EQ(dense_matrix(*hops1), hop_distance(montreal.coupling).matrix());
+    EXPECT_EQ(dense_matrix(*noise), noise_aware_distance(montreal).matrix());
 
     cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    // Cleared entries recompute, but handed-out matrices stay valid.
-    SharedDistanceMatrix hops3 = cache.get(montreal);
-    EXPECT_EQ(*hops3, *hops1);
-    EXPECT_EQ(cache.computation_count(), 4u);
+    EXPECT_EQ(cache.stats().entries, 0u);
+    // Cleared entries recompute, but handed-out providers stay valid.
+    SharedDistanceProvider hops3 = cache.provider(montreal);
+    EXPECT_EQ(dense_matrix(*hops3), dense_matrix(*hops1));
+    EXPECT_EQ(cache.stats().computations, 4u);
 }
 
 TEST(BatchTranspiler, DerivedSeedsAreOrderIndependent)

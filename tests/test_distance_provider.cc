@@ -3,11 +3,10 @@
 //
 //  (a) metric equivalence — sparse hop rows are bit-identical to the
 //      dense BFS matrix on every seed backend and on randomized graphs;
-//      sparse noise rows (per-source Dijkstra) agree with the dense
-//      Floyd-Warshall expansion to 1e-12;
+//      sparse noise rows are bitwise equal to the dense noise matrix;
 //  (b) routing equivalence — transpiling through a forced-sparse
 //      provider reproduces the dense pipeline's circuit fingerprint and
-//      RoutingStats bit for bit on the hop metric;
+//      RoutingStats bit for bit, on both metrics;
 //  (c) provider mechanics — row caching, LRU byte-budget eviction,
 //      pinned rows surviving eviction, thread-safe concurrent fetch;
 //  (d) cache integration — calibration rotation drops exactly the old
@@ -20,6 +19,7 @@
 #include <algorithm>
 #include <atomic>
 #include <climits>
+#include <cstring>
 #include <numeric>
 #include <random>
 #include <thread>
@@ -42,17 +42,20 @@ namespace {
 void
 expect_hop_rows_bit_identical(const CouplingMap &cm)
 {
-    const DistanceMatrix dense = hop_distance(cm);
+    const DistanceMatrix dense = hop_distance(cm).matrix();
     const SparseDistanceProvider sparse(cm);
     const int n = cm.num_qubits();
     ASSERT_EQ(sparse.num_qubits(), n);
     for (int i = 0; i < n; ++i) {
         const DistanceRow r = sparse.row(i);
         ASSERT_TRUE(static_cast<bool>(r));
+        // CouplingMap's own BFS is the independent reference.
+        const std::vector<int> ref = cm.hop_row(i);
         for (int j = 0; j < n; ++j) {
             // Bitwise: both sides are BFS hop counts stored as double.
             EXPECT_EQ(r[j], dense(i, j)) << "(" << i << "," << j << ")";
             EXPECT_EQ(sparse.at(i, j), dense(i, j));
+            EXPECT_EQ(dense(i, j), ref[j]) << "(" << i << "," << j << ")";
         }
     }
 }
@@ -100,25 +103,27 @@ TEST(SparseHops, BitIdenticalOnRandomGraphs)
     }
 }
 
-TEST(SparseNoise, MatchesDenseFloydWarshallTo1e12)
+TEST(SparseNoise, RowsBitwiseEqualDense)
 {
-    // Dijkstra associates path sums differently from Floyd-Warshall, so
-    // the contract is 1e-12 agreement, not bitwise (see the provider
-    // header).  Both consume noise_edge_weights(), so edge weights are
-    // identical by construction.
+    // The dense builder fills every row with the sparse provider's own
+    // Dijkstra, so the two storage shapes agree bit for bit and
+    // sparse_distance_threshold never changes a routing decision.
     for (const Backend &b : {montreal_backend(), heavy_hex_backend(3)}) {
         for (auto [a1, a2, a3] :
              {std::tuple{0.5, 0.0, 0.5}, std::tuple{1.0, 0.0, 0.0},
               std::tuple{0.3, 0.3, 0.4}}) {
-            const DistanceMatrix dense =
-                noise_aware_distance(b, a1, a2, a3);
+            const DenseDistanceProvider dense(
+                noise_aware_distance(b, a1, a2, a3));
             const SparseDistanceProvider sparse(b, a1, a2, a3);
             const int n = b.coupling.num_qubits();
+            const std::size_t bytes = static_cast<std::size_t>(n) *
+                                      sizeof(double);
             for (int i = 0; i < n; ++i) {
-                const DistanceRow r = sparse.row(i);
-                for (int j = 0; j < n; ++j)
-                    EXPECT_NEAR(r[j], dense(i, j), 1e-12)
-                        << b.name << " (" << i << "," << j << ")";
+                EXPECT_EQ(std::memcmp(sparse.row(i).data,
+                                      dense.row(i).data, bytes),
+                          0)
+                    << b.name << " alphas (" << a1 << "," << a2 << ","
+                    << a3 << ") row " << i;
             }
         }
     }
@@ -169,21 +174,21 @@ TEST(ProviderRouting, SparseReproducesDenseBitForBit)
 
 TEST(ProviderRouting, SparseNoiseMetricReproducesDense)
 {
-    // The noise metrics differ by ~1 ulp per path, but routing decisions
-    // go through a 1e-12 epsilon (router.cc), so the routed output is
-    // still expected to match.  layout_trials stays 1: the embedding
-    // seed layout's argmin has no epsilon, and this test pins the
-    // default-trials configuration only.
+    // Dense and sparse noise distances are bitwise equal, so every
+    // layout-search configuration routes identically through either.
     const Backend montreal = montreal_backend();
-    TranspileOptions dense;
-    dense.noise_aware = true;
-    dense.layout_trials = 1;
-    dense.sparse_distance_threshold = INT_MAX;
-    TranspileOptions sparse = dense;
-    sparse.sparse_distance_threshold = 0;
-    for (const QuantumCircuit &qc : {qft(8), ghz(10)}) {
-        EXPECT_EQ(transpile_fingerprint(qc, montreal, dense),
-                  transpile_fingerprint(qc, montreal, sparse));
+    for (int trials : {1, 4}) {
+        TranspileOptions dense;
+        dense.noise_aware = true;
+        dense.layout_trials = trials;
+        dense.sparse_distance_threshold = INT_MAX;
+        TranspileOptions sparse = dense;
+        sparse.sparse_distance_threshold = 0;
+        for (const QuantumCircuit &qc : {qft(8), ghz(10)}) {
+            EXPECT_EQ(transpile_fingerprint(qc, montreal, dense),
+                      transpile_fingerprint(qc, montreal, sparse))
+                << "layout_trials " << trials;
+        }
     }
 }
 
@@ -273,7 +278,7 @@ TEST(SparseProvider, ByteBudgetEvictsLeastRecentlyUsed)
 TEST(SparseProvider, PinnedRowSurvivesEviction)
 {
     const CouplingMap cm = grid_backend(4, 4).coupling;
-    const DistanceMatrix dense = hop_distance(cm);
+    const DistanceMatrix dense = hop_distance(cm).matrix();
     // Budget of ONE row: every new row evicts the previous one.
     const SparseDistanceProvider p(cm, 16 * sizeof(double));
 
@@ -290,7 +295,7 @@ TEST(SparseProvider, PinnedRowSurvivesEviction)
 TEST(SparseProvider, ConcurrentRowFetchIsSafeAndPublishesOnce)
 {
     const CouplingMap cm = grid_backend(5, 5).coupling;
-    const DistanceMatrix dense = hop_distance(cm);
+    const DistanceMatrix dense = hop_distance(cm).matrix();
     const SparseDistanceProvider p(cm);
     const int n = cm.num_qubits();
 

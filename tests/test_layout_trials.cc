@@ -80,7 +80,7 @@ routing_fingerprint(const RoutingResult &res)
 Layout
 reference_single_seed_layout(const QuantumCircuit &logical,
                              const CouplingMap &coupling,
-                             const DistanceMatrix &dist,
+                             const DistanceProvider &dist,
                              const RoutingOptions &opts, int iterations = 3)
 {
     std::mt19937 rng(opts.seed);
@@ -128,8 +128,8 @@ TEST(LayoutTrials, SingleTrialMatchesHistoricalSearchOnTableI)
 {
     Backend dev = montreal_backend();
     for (bool noise : {false, true}) {
-        const DistanceMatrix dist = noise ? noise_aware_distance(dev)
-                                          : hop_distance(dev.coupling);
+        const DenseDistanceProvider dist =
+            noise ? noise_aware_distance(dev) : hop_distance(dev.coupling);
         for (const BenchmarkCase &bc : table_benchmarks()) {
             QuantumCircuit logical = decompose_to_2q(bc.circuit);
             RoutingOptions opts;
@@ -151,7 +151,7 @@ TEST(LayoutTrials, SingleTrialOutcomesAreScored)
     // exactly like the racing path: one forward full-circuit routing
     // pass from the refined layout, with the SABRE mapping options.
     Backend dev = montreal_backend();
-    const DistanceMatrix dist = hop_distance(dev.coupling);
+    const DenseDistanceProvider dist = hop_distance(dev.coupling);
     QuantumCircuit logical = decompose_to_2q(benchmark_by_name("qft_n15"));
 
     RoutingOptions opts;
@@ -207,7 +207,7 @@ TEST(LayoutTrials, SingleTrialOutcomesAreScored)
 TEST(LayoutTrials, MultiTrialBitIdenticalAcrossThreadCounts)
 {
     Backend dev = montreal_backend();
-    const DistanceMatrix dist = hop_distance(dev.coupling);
+    const DenseDistanceProvider dist = hop_distance(dev.coupling);
 
     for (const char *name : {"qft_n15", "adder_n10", "grover_n8"}) {
         QuantumCircuit logical = decompose_to_2q(benchmark_by_name(name));
@@ -285,7 +285,7 @@ TEST(LayoutTrials, ReuseEquivalenceGoldens)
     // threads in {1, 8}, on plain-unitary circuits and on circuits with
     // measures and barriers (the seam the scoring pass now routes).
     Backend dev = montreal_backend();
-    const DistanceMatrix dist = hop_distance(dev.coupling);
+    const DenseDistanceProvider dist = hop_distance(dev.coupling);
 
     for (const char *name : {"qft_n15", "adder_n10"}) {
         for (bool measured : {false, true}) {
@@ -358,7 +358,7 @@ TEST(LayoutTrials, ReuseEquivalenceFullTableI)
     // winner selection is thread-invariant, so every reuse fingerprint
     // must match it.
     Backend dev = montreal_backend();
-    const DistanceMatrix dist = hop_distance(dev.coupling);
+    const DenseDistanceProvider dist = hop_distance(dev.coupling);
 
     for (const BenchmarkCase &bc : table_benchmarks()) {
         QuantumCircuit logical = decompose_to_2q(bc.circuit);
@@ -448,7 +448,7 @@ TEST(LayoutTrials, TrialDiversityHeuristicSeeds)
     // the embedding-seeded trial must score zero SWAPs and the race
     // must return a zero-SWAP winner.
     Backend dev = montreal_backend();
-    const DistanceMatrix dist = hop_distance(dev.coupling);
+    const DenseDistanceProvider dist = hop_distance(dev.coupling);
     QuantumCircuit chain(10);
     for (int q = 0; q + 1 < 10; ++q)
         chain.cx(q, q + 1);
@@ -474,7 +474,7 @@ TEST(LayoutTrials, MultiTrialNeverWorseThanItsOwnTrials)
 {
     // The arg-min must actually pick the (swaps, depth)-minimal trial.
     Backend dev = montreal_backend();
-    const DistanceMatrix dist = hop_distance(dev.coupling);
+    const DenseDistanceProvider dist = hop_distance(dev.coupling);
     QuantumCircuit logical = decompose_to_2q(benchmark_by_name("qft_n15"));
 
     RoutingOptions opts;
@@ -567,7 +567,7 @@ TEST(LayoutTrials, MoreTrialsNotWorseOnAggregate)
     // the 4-trial winner must not lose to the single seed in total
     // routed SWAPs (that is the whole point of the knob).
     Backend dev = montreal_backend();
-    const DistanceMatrix dist = hop_distance(dev.coupling);
+    const DenseDistanceProvider dist = hop_distance(dev.coupling);
     long swaps1 = 0, swaps4 = 0;
     for (const char *name : {"qft_n15", "adder_n10", "grover_n8"}) {
         QuantumCircuit logical = decompose_to_2q(benchmark_by_name(name));

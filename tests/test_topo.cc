@@ -4,6 +4,7 @@
 
 #include "nassc/topo/backends.h"
 #include "nassc/topo/coupling_map.h"
+#include "nassc/topo/distance_provider.h"
 
 namespace nassc {
 namespace {
@@ -151,14 +152,6 @@ TEST(CouplingMap, SparseModeMatchesDenseTwin)
             EXPECT_EQ(sparse.distance(i, j), dense.distance(i, j));
         }
     }
-    // The all-pairs table is a dense-only affordance.
-    EXPECT_THROW(sparse.distance_matrix(), std::logic_error);
-    // The double-precision matrix still materializes (per-row BFS).
-    const DistanceMatrix dd = dense.distance_matrix_double();
-    const DistanceMatrix sd = sparse.distance_matrix_double();
-    for (int i = 0; i < n; ++i)
-        for (int j = 0; j < n; ++j)
-            EXPECT_EQ(sd(i, j), dd(i, j));
 }
 
 TEST(Calibration, DeterministicAndInRange)
@@ -182,7 +175,7 @@ TEST(Calibration, DeterministicAndInRange)
 TEST(Distance, HopMatrixMatchesCoupling)
 {
     Backend b = grid_backend(3, 3);
-    auto d = hop_distance(b.coupling);
+    const DistanceMatrix d = hop_distance(b.coupling).matrix();
     for (int i = 0; i < 9; ++i)
         for (int j = 0; j < 9; ++j)
             EXPECT_DOUBLE_EQ(d[i][j], b.coupling.distance(i, j));
@@ -191,7 +184,7 @@ TEST(Distance, HopMatrixMatchesCoupling)
 TEST(Distance, NoiseAwareReducesToHopsWhenAlphaDistance)
 {
     Backend b = linear_backend(6);
-    auto d = noise_aware_distance(b, 0.0, 0.0, 1.0);
+    const DistanceMatrix d = noise_aware_distance(b, 0.0, 0.0, 1.0).matrix();
     for (int i = 0; i < 6; ++i)
         for (int j = 0; j < 6; ++j)
             EXPECT_NEAR(d[i][j], b.coupling.distance(i, j), 1e-9);
@@ -214,18 +207,18 @@ TEST(Distance, NoiseAwarePrefersGoodEdges)
     b.calibration.duration_cx[{0, 2}] = 400;
     // With the error term dominating, the two-hop detour through the good
     // edges beats the direct terrible edge.
-    auto d = noise_aware_distance(b, 1.0, 0.0, 0.0);
+    const DistanceMatrix d = noise_aware_distance(b, 1.0, 0.0, 0.0).matrix();
     EXPECT_LT(d[0][1], 0.99); // detour used, not the weight-1.0 edge
     EXPECT_NEAR(d[0][1], d[0][2] + d[2][1], 1e-9);
     // With pure hop weighting the direct edge wins again.
-    auto dh = noise_aware_distance(b, 0.0, 0.0, 1.0);
+    const DistanceMatrix dh = noise_aware_distance(b, 0.0, 0.0, 1.0).matrix();
     EXPECT_NEAR(dh[0][1], 1.0, 1e-9);
 }
 
 TEST(Distance, NoiseAwareSymmetric)
 {
     Backend b = montreal_backend();
-    auto d = noise_aware_distance(b);
+    const DistanceMatrix d = noise_aware_distance(b).matrix();
     for (int i = 0; i < 27; ++i) {
         EXPECT_DOUBLE_EQ(d[i][i], 0.0);
         for (int j = 0; j < 27; ++j)
