@@ -5,7 +5,6 @@
 //   $ ./batch_transpile                                   # defaults
 //   $ ./batch_transpile --backend grid --router both --seeds 5 --threads 8
 //   $ ./batch_transpile --benchmarks qft_n15,vqe_n8 --noise-aware --csv out.csv
-//   $ ./batch_transpile --benchmarks qft_n15 --repeat 4   # dedup demo
 //
 // Options:
 //   --backend montreal|linear|grid   target device (default montreal)
@@ -15,11 +14,6 @@
 //   --threads N                      worker threads (default: hardware)
 //   --noise-aware                    HA noise-aware distance matrix
 //   --derive-seeds                   decorrelate seeds from the batch seed
-//   --repeat N                       submit the whole job list N times;
-//                                    duplicates dedupe through the
-//                                    TranspileService (implies --service)
-//   --service                        route jobs through a TranspileService
-//                                    (in-flight coalescing + result cache)
 //   --csv PATH                       also write per-job results as CSV
 
 #include <cstdio>
@@ -65,10 +59,8 @@ main(int argc, char **argv)
     std::string csv_path;
     int seeds = 1;
     int threads = 0;
-    int repeat = 1;
     bool noise_aware = false;
     bool derive_seeds = false;
-    bool use_service = false;
 
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--backend") && i + 1 < argc)
@@ -81,10 +73,6 @@ main(int argc, char **argv)
             seeds = std::atoi(argv[++i]);
         else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc)
             threads = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--repeat") && i + 1 < argc)
-            repeat = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--service"))
-            use_service = true;
         else if (!std::strcmp(argv[i], "--noise-aware"))
             noise_aware = true;
         else if (!std::strcmp(argv[i], "--derive-seeds"))
@@ -98,10 +86,6 @@ main(int argc, char **argv)
     }
     if (seeds < 1)
         seeds = 1;
-    if (repeat < 1)
-        repeat = 1;
-    if (repeat > 1)
-        use_service = true; // duplicates only pay off with dedup
 
     auto device = std::make_shared<Backend>(
         backend_name == "linear" ? linear_backend(25)
@@ -154,25 +138,10 @@ main(int argc, char **argv)
             }
         }
     }
-    if (repeat > 1) {
-        // Whole-list rounds with unchanged tags: repeats are IDENTICAL
-        // requests (derive_seeds mixes the tag, so same tag = same
-        // derived seed) and dedupe through the service.
-        const std::size_t round = jobs.size();
-        jobs.reserve(round * static_cast<std::size_t>(repeat));
-        for (int r = 1; r < repeat; ++r)
-            for (std::size_t i = 0; i < round; ++i)
-                jobs.push_back(jobs[i]);
-    }
 
     BatchOptions opts;
     opts.num_threads = threads;
     opts.derive_seeds = derive_seeds;
-    if (use_service) {
-        ServiceOptions sopts;
-        sopts.num_threads = threads;
-        opts.service = std::make_shared<TranspileService>(sopts);
-    }
     BatchTranspiler engine(opts);
 
     std::printf("batch: %zu jobs on %s, %d thread(s)\n\n", jobs.size(),
@@ -210,28 +179,17 @@ main(int argc, char **argv)
         csv.push_back(line);
     }
 
-    // On the service path duplicates report their original transpile's
-    // seconds, so the ratio measures parallelism AND dedup together.
     std::printf("\n%zu ok, %zu failed in %.3fs wall "
-                "(%.1f jobs/s, %.2fx %s speedup)\n",
+                "(%.1f jobs/s, %.2fx parallel speedup)\n",
                 report.num_ok, report.num_failed, report.seconds,
                 report.results.size() / report.seconds,
-                cpu_seconds / report.seconds,
-                report.used_service ? "parallel+dedup" : "parallel");
+                cpu_seconds / report.seconds);
     std::printf("distance matrices computed: %zu (cache hits: %zu)\n",
                 report.distance_computations,
                 engine.distance_cache().stats().hits);
     std::printf("full routing passes: %ld (%zu job(s) reused the "
                 "winning layout trial's routed pass)\n",
                 report.full_route_passes, report.num_route_reused);
-    if (report.used_service)
-        std::printf("service: %llu cache hit(s) + %llu coalesced of %zu "
-                    "jobs; %llu transpile(s) executed, %llu eviction(s)\n",
-                    static_cast<unsigned long long>(report.cache_hits),
-                    static_cast<unsigned long long>(report.coalesced),
-                    report.results.size(),
-                    static_cast<unsigned long long>(report.transpiles),
-                    static_cast<unsigned long long>(report.cache_evictions));
 
     if (!csv_path.empty()) {
         std::ofstream f(csv_path);

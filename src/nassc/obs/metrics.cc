@@ -99,31 +99,6 @@ Gauge::reset()
     v_.store(0, std::memory_order_relaxed);
 }
 
-std::uint64_t
-HistogramSnapshot::quantile_us(double q) const
-{
-    if (count == 0)
-        return 0;
-    if (q < 0.0)
-        q = 0.0;
-    if (q > 1.0)
-        q = 1.0;
-    // Rank of the target observation (1-based, ceil) in cumulative
-    // bucket order; the bucket edge is the quantile estimate, which
-    // is exact up to the log2 bucket width.
-    std::uint64_t rank = static_cast<std::uint64_t>(q * static_cast<double>(count));
-    if (rank == 0)
-        rank = 1;
-    std::uint64_t seen = 0;
-    for (int i = 0; i < kHistogramBuckets; ++i) {
-        seen += buckets[static_cast<std::size_t>(i)];
-        if (seen >= rank)
-            return i < kFiniteBuckets ? bucket_bound(i)
-                                      : bucket_bound(kFiniteBuckets);
-    }
-    return bucket_bound(kFiniteBuckets);
-}
-
 HistogramSnapshot
 Histogram::snapshot() const
 {

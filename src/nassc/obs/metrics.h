@@ -141,11 +141,6 @@ struct HistogramSnapshot
     std::array<std::uint64_t, kHistogramBuckets> buckets{};
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
-
-    /** Upper bucket edge containing quantile `q` in [0,1]; the +Inf
-     *  bucket reports 2^26 (one doubling past the last finite edge).
-     *  0 when empty. */
-    std::uint64_t quantile_us(double q) const;
 };
 
 /** Fixed log2-bucket latency histogram (microseconds). */

@@ -49,7 +49,7 @@
  *     span <name> <us>         (trace=1 only: one per recorded stage,
  *                               e.g. decode, admission, queue_wait,
  *                               layout_trial, routing, cache_insert)
- *     stat <key>=<value>       (ServiceStats snapshot; stats+transpile)
+ *     stat <key>=<value>       (ServiceStats snapshot; stats only)
  *     metrics                  (metrics verb only)
  *     <Prometheus text exposition, verbatim to end of payload>
  *     qasm                     (transpile only)
@@ -62,8 +62,9 @@
  * pure).
  *
  * `source` is the per-request delta (what this request cost the
- * service); the `stat` lines are a point-in-time snapshot of the whole
- * service, so concurrent clients see interleaved counter motion.
+ * service).  The `stats` verb's `stat` lines are a point-in-time
+ * snapshot of the whole service, so concurrent clients see interleaved
+ * counter motion; transpile responses carry none.
  *
  * The routed QASM body is produced by ir/qasm.h's to_qasm() on the
  * exact TranspileResult the in-process API would hand back, so a
@@ -117,7 +118,8 @@ struct ServeResponse
     std::string trace_id;
     /** Per-stage spans, wire order: (stage name, microseconds). */
     std::vector<std::pair<std::string, std::uint64_t>> spans;
-    /** ServiceStats snapshot as key=value pairs, in wire order. */
+    /** ServiceStats snapshot as key=value pairs, in wire order (stats
+     *  verb only). */
     std::vector<std::pair<std::string, std::string>> stats;
     /** Prometheus text exposition body (metrics verb only). */
     std::string metrics;

@@ -329,7 +329,6 @@ struct NasscServer::Impl
         response.degraded = result->degraded;
         if (result->degraded)
             response.trials_consumed = result->layout_trials_consumed;
-        response.stats = stats_pairs(*service);
         response.status = "ok";
         return response;
     }

@@ -232,8 +232,7 @@ namespace {
 
 /** Strict decimal-integer parse for stat merging: digits only, no
  *  sign/whitespace/trailing junk, must fit uint64.  stoull is too
- *  permissive ("12abc" parses) and throwing it inside the shard-fatal
- *  try used to mark a HEALTHY shard dead over one odd row. */
+ *  permissive ("12abc" parses). */
 bool
 parse_stat_u64(const std::string &text, std::uint64_t &value)
 {
@@ -253,6 +252,35 @@ parse_stat_u64(const std::string &text, std::uint64_t &value)
 
 } // namespace
 
+std::vector<std::pair<int, ServeResponse>>
+ShardRouter::scrape(const std::string &verb)
+{
+    ServeRequest request;
+    request.verb = verb;
+    const std::string payload = encode_request(request);
+    std::vector<std::pair<int, ServeResponse>> answers;
+    for (int shard = 0; shard < shard_count(); ++shard) {
+        ShardState &state = *states_[static_cast<std::size_t>(shard)];
+        if (!state.live.load(std::memory_order_acquire))
+            continue;
+        try {
+            ServeClient client = acquire(state);
+            ServeResponse resp = parse_response(roundtrip(client, payload));
+            if (resp.status != "ok")
+                throw std::runtime_error("shard " + verb + " error: " +
+                                         resp.error);
+            release(state, std::move(client));
+            answers.emplace_back(shard, std::move(resp));
+        } catch (const std::exception &) {
+            // Monitoring must never change serving: a slow or failed
+            // read only drops this shard from this scrape.  Liveness
+            // belongs to forward() and the supervisor's health checks.
+            scrape_errors_.fetch_add(1, std::memory_order_relaxed);
+        }
+    }
+    return answers;
+}
+
 std::vector<std::pair<std::string, std::string>>
 ShardRouter::merged_stats()
 {
@@ -264,31 +292,8 @@ ShardRouter::merged_stats()
     // dropped — and merge_skipped counts how many there were.
     std::vector<std::pair<std::string, std::string>> passthrough;
     std::uint64_t merge_skipped = 0;
-    ServeRequest stats_req;
-    stats_req.verb = "stats";
-    const std::string stats_payload = encode_request(stats_req);
-    for (int shard = 0; shard < shard_count(); ++shard) {
-        ShardState &state = *states_[static_cast<std::size_t>(shard)];
-        if (!state.live.load(std::memory_order_acquire))
-            continue;
-        std::vector<std::pair<std::string, std::string>> rows;
-        try {
-            ServeClient client = acquire(state);
-            ServeResponse resp =
-                parse_response(roundtrip(client, stats_payload));
-            if (resp.status != "ok")
-                throw std::runtime_error("shard stats error: " + resp.error);
-            release(state, std::move(client));
-            rows = std::move(resp.stats);
-        } catch (const std::exception &) {
-            forward_errors_.fetch_add(1, std::memory_order_relaxed);
-            mark_dead(shard);
-            continue;
-        }
-        // Row interpretation happens OUTSIDE the shard-fatal try: a
-        // non-numeric value is a presentation problem, not a transport
-        // fault, and must never kill the shard.
-        for (auto &kv : rows) {
+    for (auto &[shard, resp] : scrape("stats")) {
+        for (auto &kv : resp.stats) {
             std::uint64_t value = 0;
             if (parse_stat_u64(kv.second, value)) {
                 sums[kv.first] += value;
@@ -301,7 +306,7 @@ ShardRouter::merged_stats()
         }
     }
     std::vector<std::pair<std::string, std::string>> out;
-    out.reserve(sums.size() + passthrough.size() + 9);
+    out.reserve(sums.size() + passthrough.size() + 10);
     for (const auto &kv : sums)
         out.emplace_back(kv.first, std::to_string(kv.second));
     for (auto &kv : passthrough)
@@ -316,6 +321,9 @@ ShardRouter::merged_stats()
     out.emplace_back("forward_errors",
                      std::to_string(forward_errors_.load(
                          std::memory_order_relaxed)));
+    out.emplace_back("scrape_errors",
+                     std::to_string(scrape_errors_.load(
+                         std::memory_order_relaxed)));
     for (int shard = 0; shard < shard_count(); ++shard)
         out.emplace_back("shard" + std::to_string(shard) + "_live",
                          is_live(shard) ? "1" : "0");
@@ -329,26 +337,8 @@ std::string
 ShardRouter::merged_metrics()
 {
     std::vector<std::string> bodies;
-    ServeRequest metrics_req;
-    metrics_req.verb = "metrics";
-    const std::string metrics_payload = encode_request(metrics_req);
-    for (int shard = 0; shard < shard_count(); ++shard) {
-        ShardState &state = *states_[static_cast<std::size_t>(shard)];
-        if (!state.live.load(std::memory_order_acquire))
-            continue;
-        try {
-            ServeClient client = acquire(state);
-            ServeResponse resp =
-                parse_response(roundtrip(client, metrics_payload));
-            if (resp.status != "ok")
-                throw std::runtime_error("shard metrics error: " + resp.error);
-            release(state, std::move(client));
-            bodies.push_back(std::move(resp.metrics));
-        } catch (const std::exception &) {
-            forward_errors_.fetch_add(1, std::memory_order_relaxed);
-            mark_dead(shard);
-        }
-    }
+    for (auto &answer : scrape("metrics"))
+        bodies.push_back(std::move(answer.second.metrics));
     return obs::merge_prometheus(bodies);
 }
 

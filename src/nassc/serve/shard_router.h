@@ -43,9 +43,14 @@
  * ping health checks and SIGCHLD exit notifications drive the same
  * mark_live()/mark_dead() edges from outside.
  *
- * Thread safety: forward() and merged_stats() are safe from any number
- * of connection threads; per-shard connection pools are mutex'd and
- * liveness is atomics.
+ * Monitoring never changes liveness: merged_stats() and
+ * merged_metrics() skip a shard whose scrape fails and count it in
+ * `scrape_errors`, so a slow monitoring read cannot eject a healthy
+ * shard from the ring.
+ *
+ * Thread safety: forward(), merged_stats() and merged_metrics() are
+ * safe from any number of connection threads; per-shard connection
+ * pools are mutex'd and liveness is atomics.
  */
 
 #include <atomic>
@@ -163,12 +168,13 @@ class ShardRouter
     /**
      * `stats` fanned out to every live shard and summed per key, plus
      * the front door's own rows: shards, shards_live, forwards,
-     * failovers, forward_errors, shard<i>_live, and the options'
-     * extra_stats.  A shard that faults mid-fan-out is marked dead and
-     * skipped — stats never fail, they narrow.  Worker rows whose
-     * values are not decimal integers cannot be summed; they pass
-     * through per-shard as `shard<i>_<key>` and are counted in a
-     * `merge_skipped` row instead of being silently dropped.
+     * failovers, forward_errors, scrape_errors, shard<i>_live, and the
+     * options' extra_stats.  A shard whose scrape fails is skipped and
+     * counted in scrape_errors; it stays live — stats never fail, they
+     * narrow.  Worker rows whose values are not decimal integers cannot
+     * be summed; they pass through per-shard as `shard<i>_<key>` and
+     * are counted in a `merge_skipped` row instead of being silently
+     * dropped.
      */
     std::vector<std::pair<std::string, std::string>> merged_stats();
 
@@ -176,8 +182,8 @@ class ShardRouter
      * `metrics` fanned out to every live shard, merged bucket-wise with
      * obs::merge_prometheus (exact: every histogram in the fleet shares
      * one fixed bucket-bound table).  The front door's own registry is
-     * NOT mixed in, mirroring merged_stats' worker-only sums.  Faulting
-     * shards are marked dead and skipped.
+     * NOT mixed in, mirroring merged_stats' worker-only sums.  Failed
+     * scrapes are skipped and counted as in merged_stats().
      */
     std::string merged_metrics();
 
@@ -218,6 +224,10 @@ class ShardRouter
     /** Pick the live owner for `point`, allowing a rate-limited
      *  half-open probe of dead shards; -1 when nothing is eligible. */
     int pick_shard(std::uint64_t point);
+    /** Send `verb` to every live shard; returns (shard, response) for
+     *  each `ok` answer.  A failed scrape bumps scrape_errors_ and
+     *  leaves liveness and forward_errors_ alone. */
+    std::vector<std::pair<int, ServeResponse>> scrape(const std::string &verb);
 
     ShardRouterOptions options_;
     HashRing ring_;
@@ -225,6 +235,7 @@ class ShardRouter
     std::atomic<std::uint64_t> forwards_{0};
     std::atomic<std::uint64_t> failovers_{0};
     std::atomic<std::uint64_t> forward_errors_{0};
+    std::atomic<std::uint64_t> scrape_errors_{0};
 };
 
 } // namespace nassc

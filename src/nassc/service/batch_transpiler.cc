@@ -32,15 +32,13 @@ BatchTranspiler::BatchTranspiler(BatchOptions options)
 Scheduler &
 BatchTranspiler::scheduler() const
 {
-    if (options_.service)
-        return options_.service->scheduler();
     return scheduler_ ? *scheduler_ : Scheduler::shared();
 }
 
 DistanceCache &
 BatchTranspiler::distance_cache() const
 {
-    return options_.service ? options_.service->distance_cache() : *cache_;
+    return *cache_;
 }
 
 int
@@ -70,18 +68,6 @@ BatchReport
 BatchTranspiler::run(const std::vector<TranspileJob> &jobs) const
 {
     auto t0 = std::chrono::steady_clock::now();
-    BatchReport report = options_.service ? run_service(jobs)
-                                          : run_direct(jobs);
-    for (const JobResult &r : report.results)
-        (r.ok ? report.num_ok : report.num_failed)++;
-    auto t1 = std::chrono::steady_clock::now();
-    report.seconds = std::chrono::duration<double>(t1 - t0).count();
-    return report;
-}
-
-BatchReport
-BatchTranspiler::run_direct(const std::vector<TranspileJob> &jobs) const
-{
     BatchReport report;
     report.results.resize(jobs.size());
 
@@ -121,6 +107,7 @@ BatchTranspiler::run_direct(const std::vector<TranspileJob> &jobs) const
     scheduler().parallel_for(jobs.size(), run_job, cap);
 
     for (const JobResult &r : report.results) {
+        (r.ok ? report.num_ok : report.num_failed)++;
         if (!r.ok)
             continue;
         if (r.result.reused_search_route)
@@ -129,77 +116,8 @@ BatchTranspiler::run_direct(const std::vector<TranspileJob> &jobs) const
     }
     report.distance_computations =
         cache_->stats().computations - cache_computations_before;
-    return report;
-}
-
-BatchReport
-BatchTranspiler::run_service(const std::vector<TranspileJob> &jobs) const
-{
-    TranspileService &service = *options_.service;
-    BatchReport report;
-    report.used_service = true;
-    report.results.resize(jobs.size());
-
-    const ServiceStats before = service.stats();
-    const std::size_t distance_before =
-        service.distance_cache().stats().computations;
-    // +1: ensure_workers counts a parallel_for caller slot, but service
-    // jobs run entirely on pool workers (the submitter only waits), so
-    // --threads N needs N actual pool threads for N-way concurrency.
-    service.scheduler().ensure_workers(num_threads_for(jobs.size()) + 1);
-
-    // Submit everything first (so duplicates overlap and coalesce),
-    // then collect in submission order.  Tickets hold shared results;
-    // each JobResult copies its own so the report stays self-contained.
-    std::vector<TranspileTicket> tickets(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const TranspileJob &job = jobs[i];
-        JobResult &out = report.results[i];
-        out.index = i;
-        out.tag = job.tag;
-        if (!job.backend) {
-            out.error = "job has no backend";
-            continue;
-        }
-        TranspileOptions opts = effective_options(job);
-        out.seed_used = opts.seed;
-        tickets[i] = service.submit(job.circuit, job.backend, opts);
-    }
-
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        JobResult &out = report.results[i];
-        if (!tickets[i].valid())
-            continue; // null backend, error already recorded
-        try {
-            out.result = *tickets[i].get();
-            out.ok = true;
-            // Route-pass accounting counts work PERFORMED, so only the
-            // ticket that owned the transpile contributes; coalesced
-            // and cache-hit duplicates carry a copy of the owner's
-            // result but executed nothing.
-            if (tickets[i].source() == TicketSource::kScheduled ||
-                tickets[i].source() == TicketSource::kInline) {
-                if (out.result.reused_search_route)
-                    ++report.num_route_reused;
-                report.full_route_passes += out.result.full_route_passes;
-            }
-        } catch (const std::exception &e) {
-            out.error = e.what();
-        } catch (...) {
-            out.error = "unknown exception";
-        }
-    }
-
-    const ServiceStats after = service.stats();
-    report.cache_hits = after.cache_hits - before.cache_hits;
-    report.coalesced = after.coalesced - before.coalesced;
-    report.transpiles = (after.transpiles_ok + after.transpiles_failed) -
-                        (before.transpiles_ok + before.transpiles_failed);
-    report.cache_evictions =
-        (after.evictions_capacity + after.evictions_invalidated) -
-        (before.evictions_capacity + before.evictions_invalidated);
-    report.distance_computations =
-        service.distance_cache().stats().computations - distance_before;
+    auto t1 = std::chrono::steady_clock::now();
+    report.seconds = std::chrono::duration<double>(t1 - t0).count();
     return report;
 }
 

@@ -7,7 +7,7 @@
  *
  * BatchTranspiler runs many (circuit, backend, TranspileOptions) jobs
  * across the work-stealing Scheduler.  Three properties the bench/
- * sweeps and the serving layer rely on:
+ * table and figure binaries rely on:
  *
  *  - Determinism: a job's result depends only on the job itself (the
  *    routers take explicit seeds and share no mutable state), and
@@ -25,14 +25,9 @@
  * calls from distinct threads interleave on the same workers instead
  * of serializing behind each other.
  *
- * Dedup/caching: with BatchOptions::service set, jobs are submitted
- * through a TranspileService instead of calling transpile() directly —
- * identical jobs (same circuit, backend, and effective options,
- * including the derived seed) coalesce to one transpile or hit the
- * service's LRU result cache, and the BatchReport carries the
- * hit/coalesce/eviction deltas.  Results stay bit-identical either
- * way; only TranspileResult's timing fields describe the original
- * computation on a hit.
+ * Every job is transpiled; nothing is deduplicated.  Callers that want
+ * identical requests coalesced or served from a result cache submit
+ * them to a TranspileService (service/transpile_service.h) instead.
  */
 
 #include <memory>
@@ -41,7 +36,6 @@
 
 #include "nassc/service/distance_cache.h"
 #include "nassc/service/scheduler.h"
-#include "nassc/service/transpile_service.h"
 #include "nassc/transpile/transpile.h"
 
 namespace nassc {
@@ -72,8 +66,7 @@ struct BatchOptions
 {
     /**
      * Concurrent jobs cap; 0 picks std::thread::hardware_concurrency().
-     * This caps the worker slots taken from the scheduler per run (the
-     * direct path); the service path runs at the service's concurrency.
+     * This caps the worker slots taken from the scheduler per run.
      */
     int num_threads = 0;
     /**
@@ -84,8 +77,7 @@ struct BatchOptions
      */
     bool derive_seeds = false;
     unsigned base_seed = 0;
-    /** Cache shared by all jobs; defaults to a fresh private cache.
-     *  Ignored on the service path (the service owns one). */
+    /** Cache shared by all jobs; defaults to a fresh private cache. */
     std::shared_ptr<DistanceCache> cache;
     /**
      * Scheduler to run on; defaults to Scheduler::shared(), which
@@ -94,13 +86,6 @@ struct BatchOptions
      * oversubscribing (see scheduler.h).
      */
     std::shared_ptr<Scheduler> scheduler;
-    /**
-     * When set, jobs go through this TranspileService: in-flight
-     * duplicates coalesce, repeats hit its result cache, and the
-     * report carries the service-stat deltas.  The service's scheduler
-     * wins over `scheduler` for job execution.
-     */
-    std::shared_ptr<TranspileService> service;
 };
 
 /** Aggregate outcome of BatchTranspiler::run(). */
@@ -112,23 +97,13 @@ struct BatchReport
     double seconds = 0.0; ///< wall-clock for the whole batch
     /** Distance matrices computed (vs served from cache) by this run. */
     std::size_t distance_computations = 0;
-    /** Transpiles THIS RUN executed that reused the winning layout
-     *  trial's routed pass (no separate post-search routing step).
-     *  On the service path, coalesced/cache-hit duplicates carry the
-     *  owner's result but performed no work, so they don't count. */
+    /** Transpiles this run executed that reused the winning layout
+     *  trial's routed pass (no separate post-search routing step). */
     std::size_t num_route_reused = 0;
-    /** Full-circuit routing passes THIS RUN performed (sum of
-     *  TranspileResult::full_route_passes over executed transpiles;
-     *  deduped jobs contribute nothing).  With reuse every kSabre
-     *  transpile contributes one pass fewer. */
+    /** Full-circuit routing passes this run performed (sum of
+     *  TranspileResult::full_route_passes over successful jobs).  With
+     *  reuse every kSabre transpile contributes one pass fewer. */
     long full_route_passes = 0;
-    /** @name Service-path deltas (all zero on the direct path). @{ */
-    bool used_service = false;
-    std::uint64_t cache_hits = 0;    ///< jobs served from the result cache
-    std::uint64_t coalesced = 0;     ///< jobs joining an in-flight twin
-    std::uint64_t transpiles = 0;    ///< transpiles actually executed
-    std::uint64_t cache_evictions = 0;
-    /** @} */
 };
 
 /**
@@ -156,8 +131,6 @@ class BatchTranspiler
     Scheduler &scheduler() const;
 
   private:
-    BatchReport run_direct(const std::vector<TranspileJob> &jobs) const;
-    BatchReport run_service(const std::vector<TranspileJob> &jobs) const;
     TranspileOptions effective_options(const TranspileJob &job) const;
 
     BatchOptions options_;

@@ -2,9 +2,9 @@
 // their serving-stack integration):
 //
 //  (a) histogram bucketing — the fixed log2 bounds place values in the
-//      right buckets, snapshots and quantiles agree, and
-//      merge_prometheus of N separately-rendered registries is
-//      BUCKET-EXACT (equal to one registry that observed the union);
+//      right buckets, snapshots count them, and merge_prometheus of N
+//      separately-rendered registries is BUCKET-EXACT (equal to one
+//      registry that observed the union);
 //  (b) span lifecycle — nested TraceSpans close (open_spans back to 0)
 //      while unwinding failpoint-injected throws and deadline expiry,
 //      through the real TranspileService/Scheduler propagation seam;
@@ -20,7 +20,9 @@
 //  (f) merged_stats hardening — a shard reporting a non-numeric stat
 //      row stays LIVE, the row passes through as shard<i>_<key>, and
 //      merge_skipped counts it (the old stoull path marked the shard
-//      dead and silently dropped the row);
+//      dead and silently dropped the row); a shard that never answers
+//      a scrape is skipped and counted in scrape_errors but stays LIVE
+//      (monitoring never changes serving);
 //  (g) the bounded event log — drop-oldest with a visible dropped
 //      counter, and JSON escaping in format_event.
 
@@ -108,11 +110,6 @@ TEST(ObsHistogram, LogBucketsPlaceValuesExactly)
     EXPECT_EQ(s.buckets[25], 1u);
     EXPECT_EQ(s.buckets[obs::kFiniteBuckets], 1u);
     EXPECT_EQ(s.count, 9u);
-    // Quantiles walk cumulative rank over the shared edges.
-    EXPECT_EQ(s.quantile_us(0.0), obs::bucket_bound(0));
-    EXPECT_EQ(s.quantile_us(1.0), obs::bucket_bound(26));
-    obs::Histogram &empty = reg.histogram("e_us", "test");
-    EXPECT_EQ(empty.snapshot().quantile_us(0.5), 0u);
 }
 
 TEST(ObsHistogram, MergePrometheusIsBucketExact)
@@ -434,14 +431,15 @@ TEST(ObsFleet, FrontMetricsEqualsMergedWorkerScrapes)
 
 /** A protocol-speaking fake shard whose stats include a row no
  *  integer parser can sum.  Real workers never do this today; the
- *  front must stay correct when one does tomorrow. */
+ *  front must stay correct when one does tomorrow.  A `stalled` fake
+ *  reads every request frame and never answers, like a wedged worker. */
 struct FakeStatsShard
 {
     std::string path = socket_path("fake");
     int listen_fd = -1;
     std::thread th;
 
-    FakeStatsShard()
+    explicit FakeStatsShard(bool stalled = false)
     {
         ::unlink(path.c_str());
         listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -453,7 +451,7 @@ struct FakeStatsShard
                    sizeof(addr)) != 0 ||
             ::listen(listen_fd, 4) != 0)
             throw std::runtime_error("fake shard: bind/listen failed");
-        th = std::thread([this] {
+        th = std::thread([this, stalled] {
             for (;;) {
                 const int fd = ::accept(listen_fd, nullptr, nullptr);
                 if (fd < 0)
@@ -461,6 +459,8 @@ struct FakeStatsShard
                 try {
                     std::string payload;
                     while (read_frame(fd, payload)) {
+                        if (stalled)
+                            continue; // until the client hangs up
                         ServeResponse resp;
                         resp.status = "ok";
                         resp.stats = {{"requests", "5"},
@@ -507,6 +507,38 @@ TEST(ObsMergedStats, NonNumericRowsPassThroughWithoutKillingTheShard)
     EXPECT_EQ(rows.at("merge_skipped"), "1");
     EXPECT_EQ(rows.at("shards_live"), "1");
     EXPECT_TRUE(router.is_live(0));
+}
+
+TEST(ObsMergedStats, StalledScrapeSkipsTheShardButLeavesItLive)
+{
+    FakeStatsShard fake(/*stalled=*/true);
+    ShardRouterOptions ropts;
+    ServeEndpoint endpoint;
+    endpoint.unix_path = fake.path;
+    ropts.shards.push_back(endpoint);
+    ropts.io_timeout_ms = 100;
+    ShardRouter router(std::move(ropts));
+
+    auto scrape_stats = [&router] {
+        std::map<std::string, std::string> rows;
+        for (const auto &kv : router.merged_stats())
+            rows[kv.first] = kv.second;
+        return rows;
+    };
+
+    // The read times out: the shard's rows are missing from this
+    // scrape, which counts as a scrape error, not a forwarding fault.
+    const auto rows = scrape_stats();
+    EXPECT_TRUE(router.is_live(0));
+    EXPECT_EQ(rows.count("requests"), 0u);
+    EXPECT_EQ(rows.at("shards_live"), "1");
+    EXPECT_EQ(rows.at("scrape_errors"), "1");
+    EXPECT_EQ(rows.at("forward_errors"), "0");
+
+    router.merged_metrics();
+    EXPECT_TRUE(router.is_live(0));
+    EXPECT_EQ(router.stats_snapshot().forward_errors, 0u);
+    EXPECT_EQ(scrape_stats().at("scrape_errors"), "3");
 }
 
 // ------------------------------------------------------------ event log

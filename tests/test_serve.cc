@@ -411,6 +411,63 @@ TEST(NasscServer, TcpTransportServesPingStatsAndTranspile)
     server.stop();
 }
 
+TEST(NasscServer, StatRowsRideOnTheStatsVerbOnly)
+{
+    ServerOptions options;
+    options.unix_path = socket_path("statrows");
+    NasscServer server(options);
+    server.start();
+    ServeClient client = ServeClient::connect_unix(options.unix_path);
+
+    // A miss and a hit: neither response carries a `stat` line.
+    const std::string qasm = to_qasm(ghz(4));
+    for (const char *source : {"transpiled", "cache_hit"}) {
+        const ServeResponse resp = client.transpile_qasm(qasm, "grid_5x5");
+        EXPECT_EQ(resp.status, "ok");
+        EXPECT_EQ(resp.source, source);
+        EXPECT_TRUE(resp.stats.empty()) << source;
+    }
+
+    // The stats verb still serves every row, in wire order.
+    ServeRequest stats_req;
+    stats_req.verb = "stats";
+    const ServeResponse stats = client.request(stats_req);
+    EXPECT_EQ(stats.status, "ok");
+    std::vector<std::string> keys;
+    for (const auto &kv : stats.stats)
+        keys.push_back(kv.first);
+    const std::vector<std::string> want = {
+        "requests",
+        "cache_hits",
+        "coalesced",
+        "misses",
+        "evictions_capacity",
+        "evictions_invalidated",
+        "cancelled",
+        "shed",
+        "deadline_exceeded",
+        "transpiles_ok",
+        "transpiles_failed",
+        "cache_size",
+        "cache_bytes",
+        "inflight",
+        "distance_entries",
+        "distance_computations",
+        "distance_hits",
+        "distance_evictions_invalidated",
+        "distance_rows_computed",
+        "distance_row_hits",
+        "distance_rows_evicted",
+        "distance_row_bytes",
+        "distance_row_bytes_peak",
+    };
+    EXPECT_EQ(keys, want);
+    EXPECT_EQ(stats.stats[0].second, "2"); // requests
+    EXPECT_EQ(stats.stats[1].second, "1"); // cache_hits
+    EXPECT_EQ(stats.stats[9].second, "1"); // transpiles_ok
+    server.stop();
+}
+
 TEST(NasscServer, BadRequestsGetErrorStatusAndConnectionSurvives)
 {
     ServerOptions options;

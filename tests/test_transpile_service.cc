@@ -9,10 +9,7 @@
 //  (c) the LRU result cache is bounded, evicts least-recently-USED, and
 //      its hit/miss/eviction/coalesce stats add up;
 //  (d) failures propagate to every waiter and are never cached;
-//  (e) BatchTranspiler through a service: submission-order results and
-//      failed-job isolation preserved, duplicates dedupe, report deltas
-//      match;
-//  (f) concurrent mixed-workload clients: every key transpiles exactly
+//  (e) concurrent mixed-workload clients: every key transpiles exactly
 //      once, every client sees the right result.
 
 #include <atomic>
@@ -26,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "nassc/circuits/library.h"
-#include "nassc/service/batch_transpiler.h"
 #include "nassc/service/errors.h"
 #include "nassc/service/failpoint.h"
 #include "nassc/service/scheduler.h"
@@ -277,72 +273,6 @@ TEST(TranspileService, RequestKeySeparatesEveryComponent)
     TranspileOptions other;
     other.seed = 3;
     EXPECT_NE(TranspileService::request_key(qc, montreal, other), base);
-}
-
-TEST(TranspileService, BatchThroughServiceKeepsGoldensAndDedupes)
-{
-    auto backend = shared_montreal();
-
-    // A mixed batch with an embedded failure and two duplicate pairs.
-    std::vector<TranspileJob> jobs;
-    auto add = [&](const std::string &tag, QuantumCircuit qc, unsigned seed,
-                   RoutingAlgorithm router) {
-        TranspileJob j;
-        j.tag = tag;
-        j.circuit = std::move(qc);
-        j.backend = backend;
-        j.options.router = router;
-        j.options.seed = seed;
-        jobs.push_back(std::move(j));
-    };
-    add("qft5", qft(5), 1, RoutingAlgorithm::kNassc);
-    add("ghz6", ghz(6), 2, RoutingAlgorithm::kSabre);
-    add("qft5-dup", qft(5), 1, RoutingAlgorithm::kNassc); // dup of 0
-    add("wide", ghz(40), 1, RoutingAlgorithm::kSabre);    // fails
-    add("ghz6-dup", ghz(6), 2, RoutingAlgorithm::kSabre); // dup of 1
-    {
-        TranspileJob no_backend;
-        no_backend.tag = "nobackend";
-        no_backend.circuit = ghz(3);
-        jobs.push_back(std::move(no_backend));
-    }
-
-    // Reference: the direct (service-less) engine.
-    BatchOptions direct;
-    direct.num_threads = 2;
-    const BatchReport want = BatchTranspiler(direct).run(jobs);
-
-    ServiceOptions sopts;
-    sopts.scheduler = std::make_shared<Scheduler>(2);
-    BatchOptions via;
-    via.num_threads = 2;
-    via.service = std::make_shared<TranspileService>(sopts);
-    const BatchReport got = BatchTranspiler(via).run(jobs);
-
-    ASSERT_EQ(got.results.size(), jobs.size());
-    EXPECT_TRUE(got.used_service);
-    EXPECT_EQ(got.num_ok, want.num_ok);
-    EXPECT_EQ(got.num_failed, want.num_failed);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const JobResult &w = want.results[i];
-        const JobResult &g = got.results[i];
-        EXPECT_EQ(g.index, i);        // submission order preserved
-        EXPECT_EQ(g.tag, w.tag);
-        EXPECT_EQ(g.ok, w.ok);
-        if (w.ok)
-            expect_identical(g.result, w.result, "batch job " + w.tag);
-        else
-            EXPECT_FALSE(g.error.empty()) << w.tag;
-    }
-    // Both duplicate pairs dedupe (coalesce or cache-hit, depending on
-    // timing); the two distinct successes and the failure each ran once.
-    EXPECT_EQ(got.cache_hits + got.coalesced, 2u);
-    EXPECT_EQ(got.transpiles, 3u); // qft5, ghz6, wide(failed)
-    // Route-pass counters measure work PERFORMED: the direct engine ran
-    // both members of each duplicate pair, the service ran one owner —
-    // so the direct report shows exactly double.
-    EXPECT_EQ(want.full_route_passes, 2 * got.full_route_passes);
-    EXPECT_EQ(want.num_route_reused, 2 * got.num_route_reused);
 }
 
 TEST(TranspileService, ConcurrentMixedClientsTranspileEachKeyOnce)
