@@ -9,7 +9,10 @@
 // Other modes:
 //
 //   --builtin NAME   transpile a library benchmark circuit by name
-//   --stats          print the daemon's ServiceStats snapshot
+//   --stats          print the counter/gauge rows of the metrics scrape
+//                    as `<row> <value>` lines (ServiceStats and
+//                    distance-cache rows; a front adds its router and
+//                    supervisor rows)
 //   --metrics        scrape the daemon's Prometheus text exposition
 //                    (a sharded front door answers with the fleet's
 //                    bucket-exact histogram merge)
@@ -374,6 +377,8 @@ main(int argc, char **argv)
                 "[--builtin NAME | --stats | --metrics | --smoke N "
                 "[--repeat R] [--tolerate-faults] [--tolerate-restarts] "
                 "| FILE|-]\n"
+                "  --stats    print the counter/gauge rows of the metrics "
+                "scrape\n"
                 "  --metrics  scrape the daemon's Prometheus exposition\n"
                 "  --option trace=1  print per-stage span lines (stderr)\n");
             return 0;

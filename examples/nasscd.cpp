@@ -15,7 +15,8 @@
 // request keyspace; the front forwards frames to the owning shard
 // (serve/shard_router.h) and the supervisor (serve/supervisor.h)
 // restarts crashed workers with backoff, quarantines flappers, and
-// SIGKILLs hung ones.  `stats` answers with the fleet-merged snapshot.
+// SIGKILLs hung ones.  `metrics` answers with the fleet-merged scrape
+// plus the router's and supervisor's rows.
 //
 //   nasscd --unix /tmp/nassc.sock --shards 3
 //
@@ -279,18 +280,17 @@ main(int argc, char **argv)
                 ropts.shards.push_back(endpoint);
             }
             ropts.io_timeout_ms = shard_timeout_ms;
-            ropts.extra_stats =
+            ropts.extra_counters =
                 [&supervisor_raw]()
-                -> std::vector<std::pair<std::string, std::string>> {
+                -> std::vector<std::pair<std::string, std::uint64_t>> {
                 if (!supervisor_raw)
                     return {};
                 const nassc::SupervisorStats s = supervisor_raw->stats();
                 return {
-                    {"supervisor_spawns", std::to_string(s.spawns)},
-                    {"supervisor_restarts", std::to_string(s.restarts)},
-                    {"supervisor_quarantines",
-                     std::to_string(s.quarantines)},
-                    {"supervisor_hang_kills", std::to_string(s.hang_kills)},
+                    {"supervisor_spawns", s.spawns},
+                    {"supervisor_restarts", s.restarts},
+                    {"supervisor_quarantines", s.quarantines},
+                    {"supervisor_hang_kills", s.hang_kills},
                 };
             };
             router = std::make_shared<nassc::ShardRouter>(std::move(ropts));

@@ -1,7 +1,6 @@
 #include "nassc/obs/metrics.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 namespace nassc {
@@ -26,36 +25,71 @@ stripe()
 namespace {
 
 void
-append_u64(std::string &out, std::uint64_t v)
+append_header(std::string &out, const std::string &name,
+              const std::string &help, const char *type)
 {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-    out += buf;
+    out += "# HELP ";
+    out += name;
+    out += ' ';
+    out += help;
+    out += "\n# TYPE ";
+    out += name;
+    out += ' ';
+    out += type;
+    out += '\n';
 }
 
+/** The one writer of an unlabeled metric: header plus its sample. */
 void
-append_i64(std::string &out, std::int64_t v)
+append_scalar(std::string &out, const std::string &name,
+              const std::string &help, const char *type,
+              const std::string &value)
 {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%" PRId64, v);
-    out += buf;
+    append_header(out, name, help, type);
+    out += name;
+    out += ' ';
+    out += value;
+    out += '\n';
+}
+
+/** Strict decimal-integer parse of a sample value: digits only (no
+ *  sign, whitespace or trailing junk) and the value must fit uint64.
+ *  strtoull and an unchecked `v * 10 + d` are both too permissive
+ *  ("12abc" parses; a 21-digit value silently wraps). */
+bool
+parse_u64(const std::string &text, std::uint64_t &value)
+{
+    if (text.empty())
+        return false;
+    value = 0;
+    for (char c : text) {
+        if (c < '0' || c > '9')
+            return false;
+        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+        if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
+            return false;
+        value = value * 10 + digit;
+    }
+    return true;
+}
+
+/** Call `fn(line)` for each non-empty line of a text body. */
+template <typename Fn>
+void
+for_each_line(const std::string &body, Fn fn)
+{
+    std::size_t pos = 0;
+    while (pos < body.size()) {
+        std::size_t eol = body.find('\n', pos);
+        if (eol == std::string::npos)
+            eol = body.size();
+        if (eol > pos)
+            fn(body.substr(pos, eol - pos));
+        pos = eol + 1;
+    }
 }
 
 } // namespace
-
-void
-Metric::header(std::string &out) const
-{
-    out += "# HELP ";
-    out += name_;
-    out += ' ';
-    out += help_;
-    out += "\n# TYPE ";
-    out += name_;
-    out += ' ';
-    out += type_;
-    out += '\n';
-}
 
 std::uint64_t
 Counter::value() const
@@ -69,34 +103,13 @@ Counter::value() const
 void
 Counter::render(std::string &out) const
 {
-    header(out);
-    out += name_;
-    out += ' ';
-    append_u64(out, value());
-    out += '\n';
-}
-
-void
-Counter::reset()
-{
-    for (Cell &c : cells_)
-        c.v.store(0, std::memory_order_relaxed);
+    append_scalar(out, name_, help_, type_, std::to_string(value()));
 }
 
 void
 Gauge::render(std::string &out) const
 {
-    header(out);
-    out += name_;
-    out += ' ';
-    append_i64(out, value());
-    out += '\n';
-}
-
-void
-Gauge::reset()
-{
-    v_.store(0, std::memory_order_relaxed);
+    append_scalar(out, name_, help_, type_, std::to_string(value()));
 }
 
 HistogramSnapshot
@@ -119,39 +132,29 @@ void
 Histogram::render(std::string &out) const
 {
     const HistogramSnapshot snap = snapshot();
-    header(out);
+    append_header(out, name_, help_, type_);
     std::uint64_t cumulative = 0;
     for (int i = 0; i < kFiniteBuckets; ++i) {
         cumulative += snap.buckets[static_cast<std::size_t>(i)];
         out += name_;
         out += "_bucket{le=\"";
-        append_u64(out, bucket_bound(i));
+        out += std::to_string(bucket_bound(i));
         out += "\"} ";
-        append_u64(out, cumulative);
+        out += std::to_string(cumulative);
         out += '\n';
     }
     out += name_;
     out += "_bucket{le=\"+Inf\"} ";
-    append_u64(out, snap.count);
+    out += std::to_string(snap.count);
     out += '\n';
     out += name_;
     out += "_sum ";
-    append_u64(out, snap.sum);
+    out += std::to_string(snap.sum);
     out += '\n';
     out += name_;
     out += "_count ";
-    append_u64(out, snap.count);
+    out += std::to_string(snap.count);
     out += '\n';
-}
-
-void
-Histogram::reset()
-{
-    for (Stripe &s : stripes_) {
-        for (auto &b : s.buckets)
-            b.store(0, std::memory_order_relaxed);
-        s.sum.store(0, std::memory_order_relaxed);
-    }
 }
 
 MetricsRegistry &
@@ -216,14 +219,6 @@ MetricsRegistry::render() const
     return out;
 }
 
-void
-MetricsRegistry::reset()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &m : metrics_)
-        m->reset();
-}
-
 std::string
 merge_prometheus(const std::vector<std::string> &bodies)
 {
@@ -239,46 +234,21 @@ merge_prometheus(const std::vector<std::string> &bodies)
     std::unordered_map<std::string, bool> seen_comment;
 
     for (const std::string &body : bodies) {
-        std::size_t pos = 0;
-        while (pos < body.size()) {
-            std::size_t eol = body.find('\n', pos);
-            if (eol == std::string::npos)
-                eol = body.size();
-            const std::string line = body.substr(pos, eol - pos);
-            pos = eol + 1;
-            if (line.empty())
-                continue;
-            if (line[0] == '#') {
-                if (!seen_comment.emplace(line, true).second)
-                    continue;
-                Entry e;
-                e.line = line;
-                order.push_back(std::move(e));
-                continue;
-            }
+        for_each_line(body, [&](const std::string &line) {
             // Sample line: "<key> <value>".  Values are unsigned
             // integers by construction (counts, bucket counts, sums of
-            // microseconds); anything else passes through once.
+            // microseconds); comments and anything else pass through
+            // once.
             const std::size_t sp = line.rfind(' ');
-            bool numeric = sp != std::string::npos && sp + 1 < line.size();
             std::uint64_t value = 0;
-            if (numeric) {
-                for (std::size_t i = sp + 1; i < line.size(); ++i) {
-                    const char c = line[i];
-                    if (c < '0' || c > '9') {
-                        numeric = false;
-                        break;
-                    }
-                    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+            if (line[0] == '#' || sp == std::string::npos ||
+                !parse_u64(line.substr(sp + 1), value)) {
+                if (seen_comment.emplace(line, true).second) {
+                    Entry e;
+                    e.line = line;
+                    order.push_back(std::move(e));
                 }
-            }
-            if (!numeric) {
-                if (!seen_comment.emplace(line, true).second)
-                    continue;
-                Entry e;
-                e.line = line;
-                order.push_back(std::move(e));
-                continue;
+                return;
             }
             const std::string key = line.substr(0, sp);
             auto it = by_key.find(key);
@@ -292,7 +262,7 @@ merge_prometheus(const std::vector<std::string> &bodies)
                 by_key.emplace(key, order.size());
                 order.push_back(std::move(e));
             }
-        }
+        });
     }
 
     std::string out;
@@ -300,7 +270,7 @@ merge_prometheus(const std::vector<std::string> &bodies)
         if (e.is_sample) {
             out += e.key;
             out += ' ';
-            append_u64(out, e.value);
+            out += std::to_string(e.value);
         } else {
             out += e.line;
         }
@@ -309,23 +279,47 @@ merge_prometheus(const std::vector<std::string> &bodies)
     return out;
 }
 
+void
+render_row(std::string &out, const char *type, const std::string &row,
+           const std::string &help, std::uint64_t value)
+{
+    const bool counter = std::string(type) == "counter";
+    append_scalar(out, "nassc_" + row + (counter ? "_total" : ""), help, type,
+                  std::to_string(value));
+}
+
+std::map<std::string, std::uint64_t>
+stats_from_metrics(const std::string &body)
+{
+    std::unordered_map<std::string, std::string> types; // from # TYPE
+    std::map<std::string, std::uint64_t> rows;
+    for_each_line(body, [&](const std::string &line) {
+        const std::size_t sp = line.rfind(' ');
+        if (sp == std::string::npos)
+            return;
+        if (line.rfind("# TYPE ", 0) == 0) {
+            types[line.substr(7, sp - 7)] = line.substr(sp + 1);
+            return;
+        }
+        // Only a counter or gauge sample is named exactly as its TYPE
+        // line; labeled samples and histogram _sum/_count lines are not.
+        std::string name = line.substr(0, sp);
+        const auto type = types.find(name);
+        std::uint64_t value = 0;
+        if (type == types.end() || name.rfind("nassc_", 0) != 0 ||
+            (type->second != "counter" && type->second != "gauge") ||
+            !parse_u64(line.substr(sp + 1), value))
+            return;
+        if (type->second == "counter" && name.size() > 6 &&
+            name.compare(name.size() - 6, 6, "_total") == 0)
+            name.resize(name.size() - 6);
+        rows[name.substr(6)] = value;
+    });
+    return rows;
+}
+
 StackMetrics::StackMetrics(MetricsRegistry &reg)
-    : requests_total(reg.counter("nassc_requests_total",
-                                 "Transpile requests admitted to submit()")),
-      cache_hits_total(
-          reg.counter("nassc_cache_hits_total", "Result-cache hits")),
-      coalesced_total(reg.counter("nassc_coalesced_total",
-                                  "Requests coalesced onto in-flight work")),
-      shed_total(reg.counter("nassc_shed_total",
-                             "Requests shed by admission control")),
-      deadline_exceeded_total(
-          reg.counter("nassc_deadline_exceeded_total",
-                      "Requests settled past their deadline")),
-      transpiles_ok_total(
-          reg.counter("nassc_transpiles_ok_total", "Transpiles completed")),
-      transpiles_failed_total(
-          reg.counter("nassc_transpiles_failed_total", "Transpiles failed")),
-      slow_requests_total(
+    : slow_requests_total(
           reg.counter("nassc_slow_requests_total",
                       "Requests over the slow-request threshold")),
       decode_us(reg.histogram("nassc_decode_us",

@@ -3,7 +3,9 @@
 
 /**
  * @file
- * Counters, gauges, and fixed-bucket histograms for the serving stack.
+ * Counters, gauges, and fixed-bucket histograms for the serving stack,
+ * and the Prometheus text exposition every `metrics` body is written
+ * and read in.
  *
  * Design constraints, in order:
  *
@@ -21,7 +23,11 @@
  *     merge_prometheus() rely on this.
  *  3. Exposure is Prometheus text exposition (render()): `# TYPE`
  *     headers, cumulative `_bucket{le="N"}` samples, `_sum`/`_count`.
- *     The nasscd `metrics` verb returns exactly this body.
+ *
+ * The registry holds only what has no other owner (latency histograms,
+ * slow requests).  Service and router counts live once, in their
+ * owners, and are rendered at scrape time as stat rows (render_row());
+ * stats_from_metrics() reads those rows back.
  *
  * MetricsRegistry::global() is the process-wide registry every
  * built-in instrument (StackMetrics) lives in; local registries are
@@ -32,6 +38,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -61,7 +68,7 @@ namespace detail {
 int stripe();
 } // namespace detail
 
-/** Base of every registered metric; named, typed, resettable. */
+/** Base of every registered metric; named and typed. */
 class Metric
 {
   public:
@@ -70,15 +77,12 @@ class Metric
     const char *type() const { return type_; }
     /** Append this metric's exposition block (TYPE header + samples). */
     virtual void render(std::string &out) const = 0;
-    /** Zero every value (tests; scrape deltas are the production way). */
-    virtual void reset() = 0;
 
   protected:
     Metric(std::string name, std::string help, const char *type)
         : name_(std::move(name)), help_(std::move(help)), type_(type)
     {
     }
-    void header(std::string &out) const;
 
     std::string name_;
     std::string help_;
@@ -98,7 +102,6 @@ class Counter : public Metric
     std::uint64_t value() const;
 
     void render(std::string &out) const override;
-    void reset() override;
 
   private:
     friend class MetricsRegistry;
@@ -123,7 +126,6 @@ class Gauge : public Metric
     std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
 
     void render(std::string &out) const override;
-    void reset() override;
 
   private:
     friend class MetricsRegistry;
@@ -168,7 +170,6 @@ class Histogram : public Metric
     HistogramSnapshot snapshot() const;
 
     void render(std::string &out) const override;
-    void reset() override;
 
   private:
     friend class MetricsRegistry;
@@ -208,9 +209,6 @@ class MetricsRegistry
     /** Prometheus text exposition of every registered metric. */
     std::string render() const;
 
-    /** Zero every registered value (tests). */
-    void reset();
-
   private:
     Metric &find_or_create(const std::string &name, const std::string &help,
                            const char *type);
@@ -227,9 +225,29 @@ class MetricsRegistry
  * cumulative histogram buckets — and `#` header lines are kept once.
  * Line order follows first appearance, so merging per-shard scrapes of
  * identically-registered registries preserves their layout.
- * Non-numeric sample lines pass through from their first body.
+ * Sample lines whose value is not a decimal integer that fits uint64
+ * pass through verbatim from their first body.
  */
 std::string merge_prometheus(const std::vector<std::string> &bodies);
+
+/**
+ * Append one stat row as an unlabeled Prometheus metric: a "counter"
+ * row `x` is named `nassc_x_total`, a "gauge" row `nassc_x`.  Counter
+ * and Gauge render through the same sample writer, so the exposition
+ * format has one writer.
+ */
+void render_row(std::string &out, const char *type, const std::string &row,
+                const std::string &help, std::uint64_t value);
+
+/**
+ * The stat-row view of a `metrics` body: every unlabeled counter or
+ * gauge sample `nassc_<x>[_total]` becomes row `<x>`.  Histogram lines
+ * are skipped, and so are samples whose value is not a decimal integer
+ * that fits uint64 (a negative gauge, a passthrough line) — one odd
+ * row must not fail the whole read.
+ */
+std::map<std::string, std::uint64_t>
+stats_from_metrics(const std::string &body);
 
 /**
  * The stack's built-in instruments, registered in the global registry
@@ -238,13 +256,6 @@ std::string merge_prometheus(const std::vector<std::string> &bodies);
  */
 struct StackMetrics
 {
-    Counter &requests_total;           ///< TranspileService::submit calls
-    Counter &cache_hits_total;
-    Counter &coalesced_total;
-    Counter &shed_total;               ///< admission-control rejections
-    Counter &deadline_exceeded_total;  ///< requests settled past budget
-    Counter &transpiles_ok_total;
-    Counter &transpiles_failed_total;
     Counter &slow_requests_total;      ///< over EventLog's slow threshold
     Histogram &decode_us;              ///< wire payload -> ServeRequest
     Histogram &admission_us;           ///< submit() critical section

@@ -15,6 +15,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "nassc/obs/metrics.h"
+
 namespace nassc {
 
 namespace {
@@ -24,31 +26,6 @@ sys_fail(const std::string &what)
 {
     throw std::runtime_error("nassc client: " + what + ": " +
                              std::strerror(errno));
-}
-
-/** Stat rows to a numeric map, skipping rows that are not plain
- *  decimal integers (a sharded front door passes some worker rows
- *  through verbatim) — one odd row must not fail the whole fetch. */
-std::map<std::string, std::uint64_t>
-stats_to_map(const std::vector<std::pair<std::string, std::string>> &rows)
-{
-    std::map<std::string, std::uint64_t> out;
-    for (const auto &kv : rows) {
-        if (kv.second.empty() || kv.second.size() > 20)
-            continue;
-        std::uint64_t value = 0;
-        bool numeric = true;
-        for (char c : kv.second) {
-            if (c < '0' || c > '9') {
-                numeric = false;
-                break;
-            }
-            value = value * 10 + static_cast<std::uint64_t>(c - '0');
-        }
-        if (numeric)
-            out[kv.first] = value;
-    }
-    return out;
 }
 
 } // namespace
@@ -150,13 +127,7 @@ ServeClient::transpile_qasm(
 std::map<std::string, std::uint64_t>
 ServeClient::stats()
 {
-    ServeRequest req;
-    req.verb = "stats";
-    ServeResponse resp = request(req);
-    if (resp.status != "ok")
-        throw std::runtime_error("nassc client: server error: " +
-                                 resp.error);
-    return stats_to_map(resp.stats);
+    return obs::stats_from_metrics(metrics());
 }
 
 std::string
@@ -301,13 +272,7 @@ RetryingServeClient::transpile_qasm(
 std::map<std::string, std::uint64_t>
 RetryingServeClient::stats()
 {
-    ServeRequest req;
-    req.verb = "stats";
-    ServeResponse resp = request(req);
-    if (resp.status != "ok")
-        throw std::runtime_error("nassc client: server error: " +
-                                 resp.error);
-    return stats_to_map(resp.stats);
+    return obs::stats_from_metrics(metrics());
 }
 
 std::string

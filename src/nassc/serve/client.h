@@ -72,9 +72,10 @@ class ServeClient
                    const std::vector<std::pair<std::string, std::string>>
                        &options = {});
 
-    /** Fetch the daemon's ServiceStats snapshot as a name->value map.
-     *  Rows whose values are not decimal integers (a front door passes
-     *  some through verbatim) are skipped, not fatal. */
+    /** The counter/gauge rows of the daemon's `metrics` scrape as a
+     *  name->value map (obs::stats_from_metrics): ServiceStats and
+     *  distance-cache rows, plus a front door's router rows.  Samples
+     *  that are not decimal integers are skipped, not fatal. */
     std::map<std::string, std::uint64_t> stats();
 
     /** Fetch the daemon's metrics as Prometheus text exposition (a
@@ -179,7 +180,7 @@ class RetryingServeClient
                    const std::vector<std::pair<std::string, std::string>>
                        &options = {});
 
-    /** Retrying stats fetch (see ServeClient::stats). */
+    /** Retrying stats view (see ServeClient::stats). */
     std::map<std::string, std::uint64_t> stats();
 
     /** Retrying metrics scrape (see ServeClient::metrics). */

@@ -121,8 +121,7 @@ parse_request(const std::string &payload)
     ServeRequest request;
     std::size_t pos = 0;
     request.verb = next_line(payload, pos);
-    if (request.verb == "stats" || request.verb == "ping" ||
-        request.verb == "metrics")
+    if (request.verb == "ping" || request.verb == "metrics")
         return request;
     if (request.verb != "transpile")
         bad_payload("unknown verb '" + request.verb + "'");
@@ -161,8 +160,6 @@ encode_response(const ServeResponse &response)
     for (const auto &span : response.spans)
         out += "span " + span.first + " " + std::to_string(span.second) +
                "\n";
-    for (const auto &kv : response.stats)
-        out += "stat " + kv.first + "=" + kv.second + "\n";
     // Body sections are terminal and mutually exclusive by verb.
     if (!response.metrics.empty()) {
         out += "metrics\n";
@@ -215,8 +212,6 @@ parse_response(const std::string &payload)
             response.spans.emplace_back(
                 body.substr(0, sp),
                 static_cast<std::uint64_t>(parse_frame_length(us_text)));
-        } else if (line.rfind("stat ", 0) == 0) {
-            response.stats.push_back(split_kv(line.substr(5), "stat"));
         } else {
             bad_payload("unexpected response line '" + line + "'");
         }

@@ -23,7 +23,7 @@
  *
  * Request payload — verb line, then verb-specific lines:
  *
- *     transpile            |  stats  |  ping  |  metrics
+ *     transpile            |  ping  |  metrics
  *     backend <name>
  *     option <key>=<value>     (zero or more; TranspileOptions fields,
  *                               plus trace=0|1 — protocol-level: opt
@@ -32,10 +32,15 @@
  *     qasm
  *     <OpenQASM 2.0 body, verbatim to end of payload>
  *
- * `metrics` returns the process's MetricsRegistry as Prometheus text
- * exposition; a sharded front door returns the bucket-exact merge of
- * its live workers' registries instead (obs::merge_prometheus — legal
- * because every histogram shares one fixed bucket-bound table).
+ * `metrics` returns Prometheus text exposition: the process's
+ * MetricsRegistry histograms plus the service's stat rows
+ * (ServiceStats and distance-cache counts as `nassc_<x>_total`
+ * counters and `nassc_<x>` gauges).  A sharded front door returns the
+ * bucket-exact merge of its live workers' bodies instead
+ * (obs::merge_prometheus — legal because every histogram shares one
+ * fixed bucket-bound table), followed by its router rows.  It is the
+ * only monitoring verb: ServeClient::stats() is a client-side view of
+ * the same body (obs::stats_from_metrics).
  *
  * Response payload:
  *
@@ -49,7 +54,6 @@
  *     span <name> <us>         (trace=1 only: one per recorded stage,
  *                               e.g. decode, admission, queue_wait,
  *                               layout_trial, routing, cache_insert)
- *     stat <key>=<value>       (ServiceStats snapshot; stats only)
  *     metrics                  (metrics verb only)
  *     <Prometheus text exposition, verbatim to end of payload>
  *     qasm                     (transpile only)
@@ -62,9 +66,9 @@
  * pure).
  *
  * `source` is the per-request delta (what this request cost the
- * service).  The `stats` verb's `stat` lines are a point-in-time
- * snapshot of the whole service, so concurrent clients see interleaved
- * counter motion; transpile responses carry none.
+ * service).  The `metrics` body is a point-in-time snapshot of the
+ * whole service, so concurrent clients see interleaved counter motion;
+ * transpile responses carry none.
  *
  * The routed QASM body is produced by ir/qasm.h's to_qasm() on the
  * exact TranspileResult the in-process API would hand back, so a
@@ -92,7 +96,7 @@ inline constexpr const char *kFrameMagic = "NASSC/1";
 /** One parsed request payload. */
 struct ServeRequest
 {
-    std::string verb;    ///< "transpile", "stats", "ping", or "metrics"
+    std::string verb;    ///< "transpile", "ping", or "metrics"
     std::string backend; ///< backend name (transpile)
     /** Raw key=value option lines, in wire order. */
     std::vector<std::pair<std::string, std::string>> options;
@@ -118,9 +122,6 @@ struct ServeResponse
     std::string trace_id;
     /** Per-stage spans, wire order: (stage name, microseconds). */
     std::vector<std::pair<std::string, std::uint64_t>> spans;
-    /** ServiceStats snapshot as key=value pairs, in wire order (stats
-     *  verb only). */
-    std::vector<std::pair<std::string, std::string>> stats;
     /** Prometheus text exposition body (metrics verb only). */
     std::string metrics;
     std::string qasm; ///< routed OpenQASM 2.0 body

@@ -58,42 +58,71 @@ source_name(TicketSource source)
     return "unknown";
 }
 
-std::vector<std::pair<std::string, std::string>>
-stats_pairs(const TranspileService &service)
+/** Append the service's stat rows to a `metrics` body: ServiceStats
+ *  and its distance cache's Stats, read once under their own locks at
+ *  scrape time.  These are the only copies of the counts — the
+ *  registry holds none of them — so each event is rendered once, per
+ *  service, and a front's merge sums exactly one row per worker. */
+void
+append_service_rows(std::string &out, const TranspileService &service)
 {
     const ServiceStats s = service.stats();
     const DistanceCache::Stats d = service.distance_cache().stats();
-    auto u = [](std::uint64_t v) { return std::to_string(v); };
-    auto z = [](std::size_t v) { return std::to_string(v); };
-    return {
-        {"requests", u(s.requests)},
-        {"cache_hits", u(s.cache_hits)},
-        {"coalesced", u(s.coalesced)},
-        {"misses", u(s.misses)},
-        {"evictions_capacity", u(s.evictions_capacity)},
-        {"evictions_invalidated", u(s.evictions_invalidated)},
-        {"cancelled", u(s.cancelled)},
-        {"shed", u(s.shed)},
-        {"deadline_exceeded", u(s.deadline_exceeded)},
-        {"transpiles_ok", u(s.transpiles_ok)},
-        {"transpiles_failed", u(s.transpiles_failed)},
-        {"cache_size", std::to_string(s.cache_size)},
-        {"cache_bytes", std::to_string(s.cache_bytes)},
-        {"inflight", std::to_string(s.inflight)},
+    struct Row
+    {
+        const char *type;
+        const char *name;
+        const char *help;
+        std::uint64_t value;
+    };
+    const Row rows[] = {
+        {"counter", "requests", "Transpile requests admitted to submit()",
+         s.requests},
+        {"counter", "cache_hits", "Result-cache hits", s.cache_hits},
+        {"counter", "coalesced", "Requests coalesced onto in-flight work",
+         s.coalesced},
+        {"counter", "misses", "Requests that owned a fresh transpile",
+         s.misses},
+        {"counter", "evictions_capacity",
+         "Result-cache entries evicted to fit capacity",
+         s.evictions_capacity},
+        {"counter", "evictions_invalidated",
+         "Result-cache entries dropped by rotation or TTL",
+         s.evictions_invalidated},
+        {"counter", "cancelled", "Requests cancelled before a worker ran",
+         s.cancelled},
+        {"counter", "shed", "Requests shed by admission control", s.shed},
+        {"counter", "deadline_exceeded",
+         "Requests settled past their deadline", s.deadline_exceeded},
+        {"counter", "transpiles_ok", "Transpiles completed", s.transpiles_ok},
+        {"counter", "transpiles_failed", "Transpiles failed",
+         s.transpiles_failed},
+        {"gauge", "cache_size", "Result-cache entries resident", s.cache_size},
+        {"gauge", "cache_bytes", "Result-cache bytes resident", s.cache_bytes},
+        {"gauge", "inflight", "Keys being transpiled", s.inflight},
         // Distance-cache rows: provider-level compute/hit counts plus
         // the sparse providers' per-row counters, so operators can see
         // lazy-row pressure (and rotation invalidations) per shard.
-        // All numeric, so ShardRouter::merged_stats() sums them.
-        {"distance_entries", z(d.entries)},
-        {"distance_computations", z(d.computations)},
-        {"distance_hits", z(d.hits)},
-        {"distance_evictions_invalidated", z(d.evictions_invalidated)},
-        {"distance_rows_computed", z(d.rows_computed)},
-        {"distance_row_hits", z(d.row_hits)},
-        {"distance_rows_evicted", z(d.rows_evicted)},
-        {"distance_row_bytes", z(d.row_bytes)},
-        {"distance_row_bytes_peak", z(d.row_bytes_peak)},
+        {"gauge", "distance_entries", "Distance providers cached", d.entries},
+        {"counter", "distance_computations", "Distance providers built",
+         d.computations},
+        {"counter", "distance_hits", "Distance provider cache hits", d.hits},
+        {"counter", "distance_evictions_invalidated",
+         "Distance providers dropped by calibration rotation",
+         d.evictions_invalidated},
+        {"counter", "distance_rows_computed", "Sparse distance rows computed",
+         d.rows_computed},
+        {"counter", "distance_row_hits", "Sparse distance row cache hits",
+         d.row_hits},
+        {"counter", "distance_rows_evicted", "Sparse distance rows evicted",
+         d.rows_evicted},
+        {"gauge", "distance_row_bytes", "Distance row bytes resident",
+         d.row_bytes},
+        {"gauge", "distance_row_bytes_peak", "Distance row bytes high-water",
+         d.row_bytes_peak},
     };
+    for (const Row &row : rows)
+        obs::render_row(out, row.type, row.name, row.help, row.value);
 }
 
 /** Did the client opt into span response lines?  `trace` is a
@@ -279,22 +308,18 @@ struct NasscServer::Impl
             response.status = "ok";
             return response;
         }
-        if (request.verb == "stats") {
-            response.status = "ok";
-            response.stats = options.shard_router
-                                 ? options.shard_router->merged_stats()
-                                 : stats_pairs(*service);
-            return response;
-        }
         if (request.verb == "metrics") {
-            // Prometheus text exposition.  A front door answers with
-            // the bucket-exact merge of its live workers' registries
-            // (the front's own registry sees no transpiles, mirroring
-            // merged_stats' worker-only sums).
+            // Prometheus text exposition: the registry's histograms
+            // plus this service's stat rows.  A front door answers with
+            // the bucket-exact merge of its live workers' bodies plus
+            // its router rows (its own service sees no transpiles).
             response.status = "ok";
-            response.metrics = options.shard_router
-                                   ? options.shard_router->merged_metrics()
-                                   : obs::MetricsRegistry::global().render();
+            if (options.shard_router) {
+                response.metrics = options.shard_router->merged_metrics();
+            } else {
+                response.metrics = obs::MetricsRegistry::global().render();
+                append_service_rows(response.metrics, *service);
+            }
             return response;
         }
         const std::shared_ptr<const Backend> backend =

@@ -87,11 +87,12 @@ struct ServerOptions
     /**
      * Non-null: front-door mode (nasscd --shards N).  transpile frames
      * are forwarded RAW to the shard owning their request key
-     * (serve/shard_router.h) and `stats` answers with the fleet-merged
-     * snapshot; only `ping` stays local.  The local service still
-     * exists but sees no traffic.  Sharded requests do NOT get
-     * default_deadline_ms applied at the front — workers apply their
-     * own default, so a deadline is charged once, not twice.
+     * (serve/shard_router.h) and `metrics` answers with the
+     * fleet-merged scrape plus the router's own rows; only `ping` stays
+     * local.  The local service still exists but sees no traffic.
+     * Sharded requests do NOT get default_deadline_ms applied at the
+     * front — workers apply their own default, so a deadline is
+     * charged once, not twice.
      */
     std::shared_ptr<ShardRouter> shard_router;
 };

@@ -228,37 +228,13 @@ ShardRouter::forward(const std::string &key, const std::string &payload,
                               " attempts; last error: " + last_error);
 }
 
-namespace {
-
-/** Strict decimal-integer parse for stat merging: digits only, no
- *  sign/whitespace/trailing junk, must fit uint64.  stoull is too
- *  permissive ("12abc" parses). */
-bool
-parse_stat_u64(const std::string &text, std::uint64_t &value)
-{
-    if (text.empty() || text.size() > 20)
-        return false;
-    value = 0;
-    for (char c : text) {
-        if (c < '0' || c > '9')
-            return false;
-        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-        if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
-            return false;
-        value = value * 10 + digit;
-    }
-    return true;
-}
-
-} // namespace
-
-std::vector<std::pair<int, ServeResponse>>
-ShardRouter::scrape(const std::string &verb)
+std::string
+ShardRouter::merged_metrics()
 {
     ServeRequest request;
-    request.verb = verb;
+    request.verb = "metrics";
     const std::string payload = encode_request(request);
-    std::vector<std::pair<int, ServeResponse>> answers;
+    std::vector<std::string> bodies;
     for (int shard = 0; shard < shard_count(); ++shard) {
         ShardState &state = *states_[static_cast<std::size_t>(shard)];
         if (!state.live.load(std::memory_order_acquire))
@@ -267,10 +243,10 @@ ShardRouter::scrape(const std::string &verb)
             ServeClient client = acquire(state);
             ServeResponse resp = parse_response(roundtrip(client, payload));
             if (resp.status != "ok")
-                throw std::runtime_error("shard " + verb + " error: " +
+                throw std::runtime_error("shard metrics error: " +
                                          resp.error);
             release(state, std::move(client));
-            answers.emplace_back(shard, std::move(resp));
+            bodies.push_back(std::move(resp.metrics));
         } catch (const std::exception &) {
             // Monitoring must never change serving: a slow or failed
             // read only drops this shard from this scrape.  Liveness
@@ -278,68 +254,33 @@ ShardRouter::scrape(const std::string &verb)
             scrape_errors_.fetch_add(1, std::memory_order_relaxed);
         }
     }
-    return answers;
-}
 
-std::vector<std::pair<std::string, std::string>>
-ShardRouter::merged_stats()
-{
-    // Sum per-key over every shard that answers.  std::map keeps the
-    // output ordering deterministic for tests and humans.
-    std::map<std::string, std::uint64_t> sums;
-    // Rows a shard reports that we cannot sum (non-numeric values).
-    // They pass through namespaced per-shard — visibly, not silently
-    // dropped — and merge_skipped counts how many there were.
-    std::vector<std::pair<std::string, std::string>> passthrough;
-    std::uint64_t merge_skipped = 0;
-    for (auto &[shard, resp] : scrape("stats")) {
-        for (auto &kv : resp.stats) {
-            std::uint64_t value = 0;
-            if (parse_stat_u64(kv.second, value)) {
-                sums[kv.first] += value;
-            } else {
-                ++merge_skipped;
-                passthrough.emplace_back("shard" + std::to_string(shard) +
-                                             "_" + kv.first,
-                                         std::move(kv.second));
-            }
-        }
-    }
-    std::vector<std::pair<std::string, std::string>> out;
-    out.reserve(sums.size() + passthrough.size() + 10);
-    for (const auto &kv : sums)
-        out.emplace_back(kv.first, std::to_string(kv.second));
-    for (auto &kv : passthrough)
-        out.push_back(std::move(kv));
-    out.emplace_back("merge_skipped", std::to_string(merge_skipped));
-    out.emplace_back("shards", std::to_string(shard_count()));
-    out.emplace_back("shards_live", std::to_string(live_count()));
-    out.emplace_back("forwards", std::to_string(forwards_.load(
-                                     std::memory_order_relaxed)));
-    out.emplace_back("failovers", std::to_string(failovers_.load(
-                                      std::memory_order_relaxed)));
-    out.emplace_back("forward_errors",
-                     std::to_string(forward_errors_.load(
-                         std::memory_order_relaxed)));
-    out.emplace_back("scrape_errors",
-                     std::to_string(scrape_errors_.load(
-                         std::memory_order_relaxed)));
+    std::string out = obs::merge_prometheus(bodies);
+    obs::render_row(out, "gauge", "shards", "Worker shards configured",
+                    static_cast<std::uint64_t>(shard_count()));
+    obs::render_row(out, "gauge", "shards_live", "Worker shards live",
+                    static_cast<std::uint64_t>(live_count()));
     for (int shard = 0; shard < shard_count(); ++shard)
-        out.emplace_back("shard" + std::to_string(shard) + "_live",
-                         is_live(shard) ? "1" : "0");
-    if (options_.extra_stats)
-        for (auto &kv : options_.extra_stats())
-            out.push_back(std::move(kv));
+        obs::render_row(out, "gauge",
+                        "shard" + std::to_string(shard) + "_live",
+                        "Whether this worker shard is live",
+                        is_live(shard) ? 1u : 0u);
+    const ShardRouterStats rs = stats_snapshot();
+    obs::render_row(out, "counter", "forwards",
+                    "Frames forwarded to shards, retries included",
+                    rs.forwards);
+    obs::render_row(out, "counter", "failovers",
+                    "Forwards re-routed after a fault", rs.failovers);
+    obs::render_row(out, "counter", "forward_errors",
+                    "Faults observed talking to shards", rs.forward_errors);
+    obs::render_row(out, "counter", "scrape_errors",
+                    "Shard metrics scrapes that failed",
+                    scrape_errors_.load(std::memory_order_relaxed));
+    if (options_.extra_counters)
+        for (const auto &kv : options_.extra_counters())
+            obs::render_row(out, "counter", kv.first, "Front-door counter",
+                            kv.second);
     return out;
-}
-
-std::string
-ShardRouter::merged_metrics()
-{
-    std::vector<std::string> bodies;
-    for (auto &answer : scrape("metrics"))
-        bodies.push_back(std::move(answer.second.metrics));
-    return obs::merge_prometheus(bodies);
 }
 
 void

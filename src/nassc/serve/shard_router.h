@@ -43,20 +43,23 @@
  * ping health checks and SIGCHLD exit notifications drive the same
  * mark_live()/mark_dead() edges from outside.
  *
- * Monitoring never changes liveness: merged_stats() and
- * merged_metrics() skip a shard whose scrape fails and count it in
+ * Monitoring: the front answers `metrics` with merged_metrics() — the
+ * bucket-exact merge of its workers' scrapes followed by the router's
+ * own rows (shard liveness, forwards, failovers, errors) — so one
+ * scrape shows both fleet load and fleet health, and a client's
+ * `stats()` view of it reads both.  Monitoring never changes liveness:
+ * merged_metrics() skips a shard whose scrape fails and counts it in
  * `scrape_errors`, so a slow monitoring read cannot eject a healthy
  * shard from the ring.
  *
- * Thread safety: forward(), merged_stats() and merged_metrics() are
- * safe from any number of connection threads; per-shard connection
- * pools are mutex'd and liveness is atomics.
+ * Thread safety: forward() and merged_metrics() are safe from any
+ * number of connection threads; per-shard connection pools are mutex'd
+ * and liveness is atomics.
  */
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -123,12 +126,11 @@ struct ShardRouterOptions
     int probe_interval_ms = 250;
     /** Idle pooled connections kept per shard. */
     std::size_t pool_cap_per_shard = 8;
-    /** Extra rows appended to merged_stats() — the supervisor hooks
-     *  its restart/quarantine counters in here.  Numeric values sum
-     *  across scrapes like any other stat; non-numeric values pass
-     *  through verbatim (merged_stats only sums worker rows). */
-    std::function<std::vector<std::pair<std::string, std::string>>()>
-        extra_stats;
+    /** Extra (name, value) counters appended to merged_metrics() as
+     *  `nassc_<name>_total` — the supervisor hooks its
+     *  restart/quarantine counters in here. */
+    std::function<std::vector<std::pair<std::string, std::uint64_t>>()>
+        extra_counters;
 };
 
 /** Monotonic counters for the front door's own behaviour. */
@@ -166,24 +168,15 @@ class ShardRouter
                         const std::string &trace_id = std::string());
 
     /**
-     * `stats` fanned out to every live shard and summed per key, plus
-     * the front door's own rows: shards, shards_live, forwards,
-     * failovers, forward_errors, scrape_errors, shard<i>_live, and the
-     * options' extra_stats.  A shard whose scrape fails is skipped and
-     * counted in scrape_errors; it stays live — stats never fail, they
-     * narrow.  Worker rows whose values are not decimal integers cannot
-     * be summed; they pass through per-shard as `shard<i>_<key>` and
-     * are counted in a `merge_skipped` row instead of being silently
-     * dropped.
-     */
-    std::vector<std::pair<std::string, std::string>> merged_stats();
-
-    /**
      * `metrics` fanned out to every live shard, merged bucket-wise with
      * obs::merge_prometheus (exact: every histogram in the fleet shares
-     * one fixed bucket-bound table).  The front door's own registry is
-     * NOT mixed in, mirroring merged_stats' worker-only sums.  Failed
-     * scrapes are skipped and counted as in merged_stats().
+     * one fixed bucket-bound table), then the front door's own rows:
+     * gauges shards, shards_live and shard<i>_live; counters forwards,
+     * failovers, forward_errors, scrape_errors and the options'
+     * extra_counters.  The front's own registry and service are NOT
+     * mixed in (they see no transpiles).  A shard whose scrape fails is
+     * skipped and counted in scrape_errors; it stays live — monitoring
+     * never fails, it narrows.
      */
     std::string merged_metrics();
 
@@ -224,11 +217,6 @@ class ShardRouter
     /** Pick the live owner for `point`, allowing a rate-limited
      *  half-open probe of dead shards; -1 when nothing is eligible. */
     int pick_shard(std::uint64_t point);
-    /** Send `verb` to every live shard; returns (shard, response) for
-     *  each `ok` answer.  A failed scrape bumps scrape_errors_ and
-     *  leaves liveness and forward_errors_ alone. */
-    std::vector<std::pair<int, ServeResponse>> scrape(const std::string &verb);
-
     ShardRouterOptions options_;
     HashRing ring_;
     std::vector<std::unique_ptr<ShardState>> states_;

@@ -19,8 +19,8 @@
  * lazily, so the cache's memory footprint scales with the rows
  * workloads actually touch — the row-level counters in Stats
  * (rows_computed / row_hits / rows_evicted / row_bytes) make that
- * pressure observable per cache, and through the nasscd stats verb,
- * per shard.
+ * pressure observable per cache, and through the nasscd `metrics`
+ * verb's nassc_distance_* rows, per shard.
  *
  * Calibration rotation: entries are keyed by Backend::cache_key(),
  * which fingerprints topology and calibration.  The cache additionally

@@ -248,7 +248,6 @@ TranspileService::run_request(
         std::lock_guard<std::mutex> lk(mu_);
         if (result) {
             ++stats_.transpiles_ok;
-            om.transpiles_ok_total.inc();
             // Insert BEFORE dropping the in-flight entry: a concurrent
             // submit always finds the key in one table or the other,
             // never recomputes a result that is already known.  Except
@@ -262,14 +261,12 @@ TranspileService::run_request(
             }
         } else if (missed_deadline) {
             ++stats_.deadline_exceeded;
-            om.deadline_exceeded_total.inc();
             const obs::SharedTracer t = obs::current_tracer();
             obs::EventLog::global().append(obs::format_event(
                 "deadline", {{"key", key}, {"trace", t ? t->id() : ""}},
                 {{"queue_wait_us", queue_wait_us}}));
         } else {
             ++stats_.transpiles_failed;
-            om.transpiles_failed_total.inc();
         }
         inflight_.erase(key);
     }
@@ -310,7 +307,6 @@ TranspileService::submit(const QuantumCircuit &circuit,
     const bool inline_run = Scheduler::in_task();
 
     obs::StackMetrics &om = obs::StackMetrics::get();
-    om.requests_total.inc();
     const Clock::time_point submitted = Clock::now();
 
     auto promise = std::make_shared<std::promise<SharedTranspileResult>>();
@@ -331,7 +327,6 @@ TranspileService::submit(const QuantumCircuit &circuit,
         }
         if (hit != cache_.end()) {
             ++stats_.cache_hits;
-            om.cache_hits_total.inc();
             lru_.splice(lru_.begin(), lru_, hit->second);
             promise->set_value(hit->second->result);
             ticket.source_ = TicketSource::kCacheHit;
@@ -342,7 +337,6 @@ TranspileService::submit(const QuantumCircuit &circuit,
         auto flight = inflight_.find(ticket.key_);
         if (flight != inflight_.end()) {
             ++stats_.coalesced;
-            om.coalesced_total.inc();
             ++flight->second.waiters;
             ticket.source_ = TicketSource::kCoalesced;
             ticket.future_ = flight->second.future;
@@ -360,7 +354,6 @@ TranspileService::submit(const QuantumCircuit &circuit,
         if (options_.max_queued != 0 && !inline_run &&
             queued_ >= options_.max_queued) {
             ++stats_.shed;
-            om.shed_total.inc();
             const obs::SharedTracer t = obs::current_tracer();
             obs::EventLog::global().append(obs::format_event(
                 "shed",

@@ -89,7 +89,8 @@ class TranspileContext
     /** One-lock snapshot of the context's distance-cache counters —
      *  provider computations/hits plus the per-row lazy-provider stats
      *  (rows computed, row cache hits, evictions, resident/peak bytes).
-     *  What the nasscd stats verb reports as the distance_* rows. */
+     *  What the nasscd `metrics` verb reports as the nassc_distance_*
+     *  rows. */
     DistanceCache::Stats distance_stats() const
     {
         return distances_->stats();

@@ -16,11 +16,11 @@
 //      cache-insert on a miss, and a decode/admission hit-path trace
 //      on `status cache_hit`; untraced requests carry no span lines;
 //  (e) fleet merge — a 3-worker front door's `metrics` verb equals
-//      merge_prometheus of the individual worker scrapes;
-//  (f) merged_stats hardening — a shard reporting a non-numeric stat
-//      row stays LIVE, the row passes through as shard<i>_<key>, and
-//      merge_skipped counts it (the old stoull path marked the shard
-//      dead and silently dropped the row); a shard that never answers
+//      merge_prometheus of the individual worker scrapes plus the
+//      router's rows, and counts each request once;
+//  (f) merged_metrics hardening — a shard reporting a non-numeric
+//      sample stays LIVE and the line passes through the merge
+//      verbatim (the stats view skips it); a shard that never answers
 //      a scrape is skipped and counted in scrape_errors but stays LIVE
 //      (monitoring never changes serving);
 //  (g) the bounded event log — drop-oldest with a visible dropped
@@ -149,8 +149,12 @@ TEST(ObsHistogram, MergePrometheusIsBucketExact)
 
 TEST(ObsHistogram, MergePassesNonNumericLinesOnce)
 {
-    const std::string a = "# TYPE x counter\nx 3\nbuild_info version=1\n";
-    const std::string b = "# TYPE x counter\nx 4\nbuild_info version=1\n";
+    // y's value does not fit uint64: it must pass through verbatim,
+    // not wrap and sum.
+    const std::string a = "# TYPE x counter\nx 3\nbuild_info version=1\n"
+                          "y 99999999999999999999\n";
+    const std::string b = "# TYPE x counter\nx 4\nbuild_info version=1\n"
+                          "y 99999999999999999999\n";
     const std::string merged = obs::merge_prometheus({a, b});
     EXPECT_NE(merged.find("x 7\n"), std::string::npos);
     // Comments and unparsable lines are kept first-seen, not summed or
@@ -159,6 +163,31 @@ TEST(ObsHistogram, MergePassesNonNumericLinesOnce)
               merged.rfind("# TYPE x counter"));
     EXPECT_EQ(merged.find("build_info version=1"),
               merged.rfind("build_info version=1"));
+    EXPECT_NE(merged.find("\ny 99999999999999999999\n"), std::string::npos);
+    EXPECT_EQ(merged.find("y 9"), merged.rfind("y 9"));
+}
+
+TEST(ObsMetrics, StatsViewReadsUnlabeledCounterAndGaugeRows)
+{
+    obs::MetricsRegistry reg;
+    reg.counter("nassc_a_total", "registry counter").inc(4);
+    reg.gauge("nassc_b", "registry gauge").set(6);
+    reg.gauge("nassc_negative", "registry gauge").set(-1);
+    reg.histogram("nassc_h_us", "histogram").observe(3);
+    reg.counter("other_total", "no nassc_ prefix").inc();
+    std::string body = reg.render();
+    obs::render_row(body, "counter", "requests", "row counter", 2);
+    obs::render_row(body, "gauge", "cache_bytes", "row gauge", 9);
+    EXPECT_NE(body.find("\nnassc_requests_total 2\n"), std::string::npos);
+    EXPECT_NE(body.find("\nnassc_cache_bytes 9\n"), std::string::npos);
+    body += "# TYPE nassc_huge_total counter\n"
+            "nassc_huge_total 99999999999999999999\n";
+
+    // Histogram _bucket/_sum/_count lines, the negative gauge, the
+    // unprefixed counter and the overflowing sample are not rows.
+    const std::map<std::string, std::uint64_t> want = {
+        {"a", 4}, {"b", 6}, {"requests", 2}, {"cache_bytes", 9}};
+    EXPECT_EQ(obs::stats_from_metrics(body), want);
 }
 
 TEST(ObsRegistry, TypeMismatchThrows)
@@ -347,18 +376,29 @@ TEST(ObsWire, MetricsVerbRendersGlobalRegistry)
     server.start();
     ServeClient client = ServeClient::connect_unix(server.unix_path());
 
-    const std::uint64_t before =
-        obs::StackMetrics::get().requests_total.value();
     client.transpile_qasm(to_qasm(ghz(5)), "ibmq_montreal",
                           {{"router", "sabre"}});
     const std::string body = client.metrics();
     EXPECT_NE(body.find("# TYPE nassc_requests_total counter"),
               std::string::npos);
     EXPECT_NE(body.find("nassc_requests_total " +
-                        std::to_string(before + 1)),
+                        std::to_string(server.service().stats().requests) +
+                        "\n"),
               std::string::npos);
     EXPECT_NE(body.find("nassc_queue_wait_us_bucket{le=\"+Inf\"}"),
               std::string::npos);
+
+    // Each metric is written once: one `# TYPE` line per name.
+    std::map<std::string, int> type_lines;
+    std::size_t pos = 0;
+    while ((pos = body.find("# TYPE ", pos)) != std::string::npos) {
+        const std::size_t end = body.find(' ', pos + 7);
+        ++type_lines[body.substr(pos + 7, end - pos - 7)];
+        pos = end;
+    }
+    EXPECT_GT(type_lines.size(), 23u);
+    for (const auto &kv : type_lines)
+        EXPECT_EQ(kv.second, 1) << kv.first;
     server.stop();
 }
 
@@ -391,13 +431,15 @@ TEST(ObsFleet, FrontMetricsEqualsMergedWorkerScrapes)
         client.transpile_qasm(to_qasm(benchmark_by_name(name)),
                               "ibmq_montreal", {{"router", "sabre"}});
 
-    // Scrape each worker directly, then the front.  All four registries
-    // are THE process-global one here (in-process fleet), so the only
-    // drift between scrapes is the decode histogram each scrape itself
-    // feeds — strip its lines and demand byte equality on the rest,
-    // which pins the whole socket path: verb handling on the workers,
-    // fan-out, and bucket-wise merge on the front.
-    auto strip_decode = [](const std::string &body) {
+    // Scrape each worker directly, then the front.  The registries are
+    // THE process-global one here (in-process fleet), so the only drift
+    // between scrapes is the decode histogram each scrape itself feeds;
+    // the front also appends its router rows after the merge.  Strip
+    // those lines and demand byte equality on the rest, which pins the
+    // whole socket path: verb handling on the workers, fan-out, and
+    // bucket-wise merge on the front.
+    auto strip = [](const std::string &body,
+                    std::initializer_list<const char *> names) {
         std::string out;
         std::size_t pos = 0;
         while (pos < body.size()) {
@@ -405,7 +447,10 @@ TEST(ObsFleet, FrontMetricsEqualsMergedWorkerScrapes)
             if (end == std::string::npos)
                 end = body.size();
             const std::string line = body.substr(pos, end - pos);
-            if (line.find("nassc_decode_us") == std::string::npos)
+            bool drop = false;
+            for (const char *name : names)
+                drop = drop || line.find(name) != std::string::npos;
+            if (!drop)
                 out += line + "\n";
             pos = end + 1;
         }
@@ -417,9 +462,15 @@ TEST(ObsFleet, FrontMetricsEqualsMergedWorkerScrapes)
         scrapes.push_back(wc.metrics());
     }
     const std::string front_body = client.metrics();
-    EXPECT_EQ(strip_decode(front_body),
-              strip_decode(obs::merge_prometheus(scrapes)));
-    EXPECT_NE(front_body.find("nassc_requests_total"), std::string::npos);
+    EXPECT_EQ(strip(front_body, {"nassc_decode_us", "nassc_shard",
+                                 "nassc_forward", "nassc_failovers",
+                                 "nassc_scrape_errors"}),
+              strip(obs::merge_prometheus(scrapes), {"nassc_decode_us"}));
+    // Each worker renders its own service's count, so the fleet sum is
+    // the three requests driven, not three copies of a process total.
+    EXPECT_NE(front_body.find("\nnassc_requests_total 3\n"),
+              std::string::npos);
+    EXPECT_NE(front_body.find("\nnassc_shards_live 3\n"), std::string::npos);
 
     front.stop();
     router->close_pools();
@@ -427,9 +478,9 @@ TEST(ObsFleet, FrontMetricsEqualsMergedWorkerScrapes)
         worker->stop();
 }
 
-// ---------------------------------------------- merged_stats hardening
+// ------------------------------------------- merged_metrics hardening
 
-/** A protocol-speaking fake shard whose stats include a row no
+/** A protocol-speaking fake shard whose metrics include a sample no
  *  integer parser can sum.  Real workers never do this today; the
  *  front must stay correct when one does tomorrow.  A `stalled` fake
  *  reads every request frame and never answers, like a wedged worker. */
@@ -463,9 +514,13 @@ struct FakeStatsShard
                             continue; // until the client hangs up
                         ServeResponse resp;
                         resp.status = "ok";
-                        resp.stats = {{"requests", "5"},
-                                      {"uptime", "3h17m"},
-                                      {"transpiles_ok", "2"}};
+                        resp.metrics = "# TYPE nassc_requests_total counter\n"
+                                       "nassc_requests_total 5\n"
+                                       "# TYPE nassc_uptime gauge\n"
+                                       "nassc_uptime 3h17m\n"
+                                       "# TYPE nassc_transpiles_ok_total "
+                                       "counter\n"
+                                       "nassc_transpiles_ok_total 2\n";
                         write_frame(fd, encode_response(resp));
                     }
                 } catch (const std::exception &) {
@@ -493,19 +548,19 @@ TEST(ObsMergedStats, NonNumericRowsPassThroughWithoutKillingTheShard)
     ropts.shards.push_back(endpoint);
     ShardRouter router(std::move(ropts));
 
-    std::map<std::string, std::string> rows;
-    for (const auto &kv : router.merged_stats())
-        rows[kv.first] = kv.second;
+    const std::string body = router.merged_metrics();
+    const std::map<std::string, std::uint64_t> rows =
+        obs::stats_from_metrics(body);
 
-    // Numeric rows summed normally; the odd row namespaced through and
-    // counted — and the shard is still LIVE (the old stoull-in-the-try
-    // marked it dead over a presentation problem).
-    EXPECT_EQ(rows.at("requests"), "5");
-    EXPECT_EQ(rows.at("transpiles_ok"), "2");
+    // Numeric samples summed normally; the odd one passes through the
+    // merge verbatim and the stats view skips it — and the shard is
+    // still LIVE (a presentation problem is not a shard fault).
+    EXPECT_NE(body.find("\nnassc_uptime 3h17m\n"), std::string::npos);
+    EXPECT_EQ(rows.at("requests"), 5u);
+    EXPECT_EQ(rows.at("transpiles_ok"), 2u);
     EXPECT_EQ(rows.count("uptime"), 0u);
-    EXPECT_EQ(rows.at("shard0_uptime"), "3h17m");
-    EXPECT_EQ(rows.at("merge_skipped"), "1");
-    EXPECT_EQ(rows.at("shards_live"), "1");
+    EXPECT_EQ(rows.at("shards_live"), 1u);
+    EXPECT_EQ(rows.at("scrape_errors"), 0u);
     EXPECT_TRUE(router.is_live(0));
 }
 
@@ -520,10 +575,7 @@ TEST(ObsMergedStats, StalledScrapeSkipsTheShardButLeavesItLive)
     ShardRouter router(std::move(ropts));
 
     auto scrape_stats = [&router] {
-        std::map<std::string, std::string> rows;
-        for (const auto &kv : router.merged_stats())
-            rows[kv.first] = kv.second;
-        return rows;
+        return obs::stats_from_metrics(router.merged_metrics());
     };
 
     // The read times out: the shard's rows are missing from this
@@ -531,14 +583,14 @@ TEST(ObsMergedStats, StalledScrapeSkipsTheShardButLeavesItLive)
     const auto rows = scrape_stats();
     EXPECT_TRUE(router.is_live(0));
     EXPECT_EQ(rows.count("requests"), 0u);
-    EXPECT_EQ(rows.at("shards_live"), "1");
-    EXPECT_EQ(rows.at("scrape_errors"), "1");
-    EXPECT_EQ(rows.at("forward_errors"), "0");
+    EXPECT_EQ(rows.at("shards_live"), 1u);
+    EXPECT_EQ(rows.at("scrape_errors"), 1u);
+    EXPECT_EQ(rows.at("forward_errors"), 0u);
 
     router.merged_metrics();
     EXPECT_TRUE(router.is_live(0));
     EXPECT_EQ(router.stats_snapshot().forward_errors, 0u);
-    EXPECT_EQ(scrape_stats().at("scrape_errors"), "3");
+    EXPECT_EQ(scrape_stats().at("scrape_errors"), 3u);
 }
 
 // ------------------------------------------------------------ event log

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -93,12 +94,10 @@ TEST(ServeProtocol, ResponseRoundTrip)
     ServeResponse resp;
     resp.status = "ok";
     resp.source = "cache_hit";
-    resp.stats = {{"requests", "7"}, {"cache_bytes", "123"}};
     resp.qasm = "OPENQASM 2.0;\nqreg q[1];\nx q[0];\n";
     const ServeResponse back = parse_response(encode_response(resp));
     EXPECT_EQ(back.status, resp.status);
     EXPECT_EQ(back.source, resp.source);
-    EXPECT_EQ(back.stats, resp.stats);
     EXPECT_EQ(back.qasm, resp.qasm);
 
     ServeResponse err;
@@ -399,7 +398,7 @@ TEST(NasscServer, TcpTransportServesPingStatsAndTranspile)
     const auto stats = client.stats();
     EXPECT_GE(stats.at("requests"), 1u);
     EXPECT_EQ(stats.at("transpiles_ok"), 1u);
-    // Distance-cache observability rides on the same verb: the one
+    // Distance-cache observability rides on the same scrape: the one
     // transpile above computed grid_5x5's dense hop matrix (25 qubits
     // is below the sparse threshold, so every row materializes).
     EXPECT_GE(stats.at("distance_entries"), 1u);
@@ -411,7 +410,7 @@ TEST(NasscServer, TcpTransportServesPingStatsAndTranspile)
     server.stop();
 }
 
-TEST(NasscServer, StatRowsRideOnTheStatsVerbOnly)
+TEST(NasscServer, StatsViewCoversEveryServiceRowAndTheVerbIsRetired)
 {
     ServerOptions options;
     options.unix_path = socket_path("statrows");
@@ -419,52 +418,59 @@ TEST(NasscServer, StatRowsRideOnTheStatsVerbOnly)
     server.start();
     ServeClient client = ServeClient::connect_unix(options.unix_path);
 
-    // A miss and a hit: neither response carries a `stat` line.
     const std::string qasm = to_qasm(ghz(4));
     for (const char *source : {"transpiled", "cache_hit"}) {
         const ServeResponse resp = client.transpile_qasm(qasm, "grid_5x5");
         EXPECT_EQ(resp.status, "ok");
         EXPECT_EQ(resp.source, source);
-        EXPECT_TRUE(resp.stats.empty()) << source;
     }
 
-    // The stats verb still serves every row, in wire order.
+    // stats() is the row view of the metrics body: every ServiceStats
+    // and DistanceCache::Stats field, equal to the in-process snapshot.
+    const std::map<std::string, std::uint64_t> rows = client.stats();
+    const ServiceStats s = server.service().stats();
+    const DistanceCache::Stats d = server.service().distance_cache().stats();
+    const std::map<std::string, std::uint64_t> want = {
+        {"requests", s.requests},
+        {"cache_hits", s.cache_hits},
+        {"coalesced", s.coalesced},
+        {"misses", s.misses},
+        {"evictions_capacity", s.evictions_capacity},
+        {"evictions_invalidated", s.evictions_invalidated},
+        {"cancelled", s.cancelled},
+        {"shed", s.shed},
+        {"deadline_exceeded", s.deadline_exceeded},
+        {"transpiles_ok", s.transpiles_ok},
+        {"transpiles_failed", s.transpiles_failed},
+        {"cache_size", s.cache_size},
+        {"cache_bytes", s.cache_bytes},
+        {"inflight", s.inflight},
+        {"distance_entries", d.entries},
+        {"distance_computations", d.computations},
+        {"distance_hits", d.hits},
+        {"distance_evictions_invalidated", d.evictions_invalidated},
+        {"distance_rows_computed", d.rows_computed},
+        {"distance_row_hits", d.row_hits},
+        {"distance_rows_evicted", d.rows_evicted},
+        {"distance_row_bytes", d.row_bytes},
+        {"distance_row_bytes_peak", d.row_bytes_peak},
+    };
+    ASSERT_EQ(want.size(), 23u);
+    for (const auto &kv : want) {
+        ASSERT_TRUE(rows.count(kv.first)) << kv.first;
+        EXPECT_EQ(rows.at(kv.first), kv.second) << kv.first;
+    }
+    EXPECT_EQ(rows.at("requests"), 2u);
+    EXPECT_EQ(rows.at("cache_hits"), 1u);
+    EXPECT_EQ(rows.at("transpiles_ok"), 1u);
+
+    // The `stats` wire verb is gone: an unknown verb, answered with
+    // status error on a connection that keeps serving.
     ServeRequest stats_req;
     stats_req.verb = "stats";
-    const ServeResponse stats = client.request(stats_req);
-    EXPECT_EQ(stats.status, "ok");
-    std::vector<std::string> keys;
-    for (const auto &kv : stats.stats)
-        keys.push_back(kv.first);
-    const std::vector<std::string> want = {
-        "requests",
-        "cache_hits",
-        "coalesced",
-        "misses",
-        "evictions_capacity",
-        "evictions_invalidated",
-        "cancelled",
-        "shed",
-        "deadline_exceeded",
-        "transpiles_ok",
-        "transpiles_failed",
-        "cache_size",
-        "cache_bytes",
-        "inflight",
-        "distance_entries",
-        "distance_computations",
-        "distance_hits",
-        "distance_evictions_invalidated",
-        "distance_rows_computed",
-        "distance_row_hits",
-        "distance_rows_evicted",
-        "distance_row_bytes",
-        "distance_row_bytes_peak",
-    };
-    EXPECT_EQ(keys, want);
-    EXPECT_EQ(stats.stats[0].second, "2"); // requests
-    EXPECT_EQ(stats.stats[1].second, "1"); // cache_hits
-    EXPECT_EQ(stats.stats[9].second, "1"); // transpiles_ok
+    const ServeResponse retired = client.request(stats_req);
+    EXPECT_EQ(retired.status, "error");
+    EXPECT_TRUE(client.ping());
     server.stop();
 }
 

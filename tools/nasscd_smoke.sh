@@ -11,9 +11,9 @@
 #      workload and verify every response is bit-identical to an
 #      in-process transpile() AND that the daemon transpiled each
 #      distinct request exactly once (dedup invariant);
-#   3. scrape `--metrics` and check nassc_requests_total agrees with
-#      the stats verb and the driven load, then drive one traced
-#      request (`--option trace=1`) and check its span lines;
+#   3. scrape `--metrics` and check nassc_requests_total against the
+#      driven load, then drive one traced request (`--option trace=1`)
+#      and check its span lines;
 #   4. one more single-shot request (--builtin) over a fresh connection;
 #   5. SIGTERM: the daemon must drain and exit 0.
 #
@@ -131,7 +131,8 @@ if [ "$SHARDS" -gt 0 ]; then
     fi
 
     # The supervisor restarted the shard and the fleet is whole again:
-    # merged stats must show the restart and all shards live.
+    # the --stats view of the front's metrics scrape must show the
+    # restart and all shards live.
     STATS=$("$BUILD_DIR/nassc_client" --unix "$SOCK" --stats)
     RESTARTS=$(printf '%s\n' "$STATS" |
                awk '$1 == "supervisor_restarts" { print $2 }')
@@ -153,27 +154,19 @@ else
         ${CLIENT_FLAG:+$CLIENT_FLAG}
 fi
 
-# Observability: the Prometheus scrape must exist and agree with the
-# stats verb — both count one increment per accepted transpile request,
-# and in sharded mode both are worker-only merges, so they move in
-# lockstep.  The smoke drove 16 transpile requests per pass (4 circuits
+# Observability: the Prometheus scrape must count one increment per
+# accepted transpile request (in sharded mode, summed over the
+# workers).  The smoke drove 16 transpile requests per pass (4 circuits
 # x 2 routers x 2 duplicates); retries (fault mode) and long repeats
 # with a crash-reset shard (sharded mode) can only leave the counter at
 # or above one clean pass.
 METRICS=$("$BUILD_DIR/nassc_client" --unix "$SOCK" --metrics)
 REQ_TOTAL=$(printf '%s\n' "$METRICS" |
             awk '$1 == "nassc_requests_total" { print $2 }')
-STATS_REQ=$("$BUILD_DIR/nassc_client" --unix "$SOCK" --stats |
-            awk '$1 == "requests" { print $2 }')
 DRIVEN=16
 if [ -z "${REQ_TOTAL:-}" ]; then
     echo "nasscd_smoke: metrics scrape has no nassc_requests_total" >&2
     printf '%s\n' "$METRICS" >&2
-    exit 1
-fi
-if [ "$REQ_TOTAL" -ne "${STATS_REQ:-0}" ]; then
-    echo "nasscd_smoke: nassc_requests_total ($REQ_TOTAL) disagrees with" \
-         "stats requests row (${STATS_REQ:-missing})" >&2
     exit 1
 fi
 if [ "$SHARDS" -gt 0 ] || [ -n "$CLIENT_FLAG" ]; then
