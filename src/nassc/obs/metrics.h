@@ -155,7 +155,7 @@ class Histogram : public Metric
         // ceil(log2(us)) clamps into [0, kFiniteBuckets]: us in
         // (2^(k-1), 2^k] lands in finite bucket k, anything past the
         // last edge in the +Inf bucket.  __builtin_clzll is fine here:
-        // the tree is gcc/clang-only (see the AVX2 kernels).
+        // the tree builds with gcc and clang only (see CMakeLists.txt).
         int k = us <= 1
                     ? 0
                     : 64 - __builtin_clzll(us - 1);

@@ -4,93 +4,15 @@
 #include <limits>
 #include <stdexcept>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 #include "nassc/obs/trace.h"
 #include "nassc/route/nassc_router.h"
 
 namespace nassc {
 
-#if defined(__AVX2__)
-namespace {
-
-/**
- * Gather wrappers using the explicitly masked intrinsic forms: GCC
- * implements the unmasked ones via a masked call with an uninitialized
- * pass-through vector, which -Wmaybe-uninitialized (and -Werror CI)
- * rejects.  All-ones masks make them plain full gathers.
- */
-inline __m256d
-gather_pd(const double *base, __m128i idx)
-{
-    return _mm256_mask_i32gather_pd(
-        _mm256_setzero_pd(), base, idx,
-        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
-}
-
-inline __m128i
-gather_epi32(const int *base, __m128i idx)
-{
-    return _mm_mask_i32gather_epi32(_mm_setzero_si128(), base, idx,
-                                    _mm_set1_epi32(-1), 4);
-}
-
-/**
- * nd[i] = D[pa'][pb'] for the four entries ks[i..i+3], where pa'/pb'
- * are score_pa_/score_pb_ relabeled through a SWAP on (p, q).  The
- * relabel (two compare/blend pairs per operand) and the row-major
- * distance load are the vector part; callers do the (order-sensitive)
- * summation over nd in scalar code.
- */
-inline void
-gather_swapped_dists(const int *ks, int m, const int *pa_arr,
-                     const int *pb_arr, const double *dm, int n, int p,
-                     int q, double *nd)
-{
-    const __m128i vp = _mm_set1_epi32(p);
-    const __m128i vq = _mm_set1_epi32(q);
-    const __m128i vn = _mm_set1_epi32(n);
-    auto relabel = [&](__m128i v) {
-        __m128i eqp = _mm_cmpeq_epi32(v, vp);
-        __m128i eqq = _mm_cmpeq_epi32(v, vq);
-        __m128i r = _mm_blendv_epi8(v, vq, eqp);
-        return _mm_blendv_epi8(r, vp, eqq);
-    };
-    int i = 0;
-    for (; i + 4 <= m; i += 4) {
-        __m128i k =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(ks + i));
-        __m128i pa = gather_epi32(pa_arr, k);
-        __m128i pb = gather_epi32(pb_arr, k);
-        __m128i idx =
-            _mm_add_epi32(_mm_mullo_epi32(relabel(pa), vn), relabel(pb));
-        _mm256_storeu_pd(nd + i, gather_pd(dm, idx));
-    }
-    for (; i < m; ++i) {
-        int pa = pa_arr[ks[i]];
-        int pb = pb_arr[ks[i]];
-        if (pa == p)
-            pa = q;
-        else if (pa == q)
-            pa = p;
-        if (pb == p)
-            pb = q;
-        else if (pb == q)
-            pb = p;
-        nd[i] = dm[static_cast<std::size_t>(pa) * n + pb];
-    }
-}
-
-} // namespace
-#endif // __AVX2__
-
 Router::Router(const DagCircuit &dag, const CouplingMap &coupling,
                const DistanceProvider &dist, const RoutingOptions &opts)
     : dag_(dag), coupling_(coupling), prov_(&dist),
-      flat_(dist.dense_data()), opts_(opts),
-      num_phys_(coupling.num_qubits())
+      opts_(opts), num_phys_(coupling.num_qubits())
 {
     for (int id = 0; id < dag_.num_nodes(); ++id) {
         const Gate &g = dag_.gate(id);
@@ -107,8 +29,7 @@ Router::Router(const DagCircuit &dag, const CouplingMap &coupling,
     remaining_.resize(dag_.num_nodes());
     out_.reserve(dag_.num_nodes() + 64);
     dead_.reserve(dag_.num_nodes() + 64);
-    if (!flat_)
-        row_cache_.resize(num_phys_);
+    row_cache_.resize(num_phys_);
     if (opts_.region_radius > 0)
         phys_stamp_.assign(num_phys_, 0);
 }
@@ -370,33 +291,6 @@ Router::extended_set()
 }
 
 void
-Router::fill_terms(int begin, int end, double coeff)
-{
-#if defined(__AVX2__)
-    if (flat_) {
-        const double *dm = flat_;
-        const __m128i vn = _mm_set1_epi32(num_phys_);
-        const __m256d vc = _mm256_set1_pd(coeff);
-        int k = begin;
-        for (; k + 4 <= end; k += 4) {
-            __m128i pa = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(score_pa_.data() + k));
-            __m128i pb = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(score_pb_.data() + k));
-            __m128i idx = _mm_add_epi32(_mm_mullo_epi32(pa, vn), pb);
-            _mm256_storeu_pd(score_term_.data() + k,
-                             _mm256_mul_pd(vc, gather_pd(dm, idx)));
-        }
-        for (; k < end; ++k)
-            score_term_[k] = coeff * dist_at(score_pa_[k], score_pb_[k]);
-        return;
-    }
-#endif
-    for (int k = begin; k < end; ++k)
-        score_term_[k] = coeff * dist_at(score_pa_[k], score_pb_[k]);
-}
-
-void
 Router::build_score_base()
 {
     for (int p : touched_phys_)
@@ -404,11 +298,21 @@ Router::build_score_base()
     touched_phys_.clear();
     score_pa_.clear();
     score_pb_.clear();
+    score_term_.clear();
 
-    auto add_entry = [this](int pa, int pb) {
-        int k = static_cast<int>(score_pa_.size());
+    // One entry per front/extended gate: its physical operands, its
+    // weighted distance term, and its slot in both qubits' touch lists.
+    // Each base sum accumulates its terms in index order.
+    auto add_entry = [this](int id, double coeff, double &base) {
+        const Gate &g = dag_.gate(id);
+        const int pa = layout_.phys_of(g.qubits[0]);
+        const int pb = layout_.phys_of(g.qubits[1]);
+        const int k = static_cast<int>(score_pa_.size());
+        const double term = coeff * dist_at(pa, pb);
         score_pa_.push_back(pa);
         score_pb_.push_back(pb);
+        score_term_.push_back(term);
+        base += term;
         if (by_phys_[pa].empty())
             touched_phys_.push_back(pa);
         by_phys_[pa].push_back(k);
@@ -419,67 +323,19 @@ Router::build_score_base()
         }
     };
 
-    // Pass 1 (scalar): operand -> physical translation plus the
-    // per-qubit touch lists.  Pass 2 (vectorizable): the distance terms
-    // over the now-contiguous (pa, pb) arrays.  The base sums are
-    // accumulated in index order — the exact order of the historical
-    // one-pass loop.
-    for (int id : front_) {
-        const Gate &g = dag_.gate(id);
-        add_entry(layout_.phys_of(g.qubits[0]),
-                  layout_.phys_of(g.qubits[1]));
-    }
-    score_front_count_ = static_cast<int>(score_pa_.size());
-    for (int id : ext_) {
-        const Gate &g = dag_.gate(id);
-        add_entry(layout_.phys_of(g.qubits[0]),
-                  layout_.phys_of(g.qubits[1]));
-    }
-
-    const int total = static_cast<int>(score_pa_.size());
-    score_term_.resize(total);
-    fill_terms(0, score_front_count_, 3.0);
-    fill_terms(score_front_count_, total, 1.0);
-
     front_base_ = 0.0;
-    for (int k = 0; k < score_front_count_; ++k)
-        front_base_ += score_term_[k];
+    for (int id : front_)
+        add_entry(id, 3.0, front_base_);
+    score_front_count_ = static_cast<int>(score_pa_.size());
     ext_base_ = 0.0;
-    for (int k = score_front_count_; k < total; ++k)
-        ext_base_ += score_term_[k];
+    for (int id : ext_)
+        add_entry(id, 1.0, ext_base_);
 }
 
 void
 Router::accumulate_delta(const std::vector<int> &ks, bool skip_p, int p,
                          int q, double &dfront, double &dext) const
 {
-#if defined(__AVX2__)
-    if (flat_) {
-        // Block-wise: vector-gather the relabeled distances into
-        // nd_buf, then accumulate in list order with the same skip
-        // logic as the scalar path — sums stay ordered, results stay
-        // bit-identical.
-        constexpr int kBlock = 256;
-        double nd_buf[kBlock];
-        const int m = static_cast<int>(ks.size());
-        for (int off = 0; off < m; off += kBlock) {
-            const int len = std::min(kBlock, m - off);
-            gather_swapped_dists(ks.data() + off, len, score_pa_.data(),
-                                 score_pb_.data(), flat_, num_phys_, p, q,
-                                 nd_buf);
-            for (int j = 0; j < len; ++j) {
-                const int k = ks[off + j];
-                if (skip_p && (score_pa_[k] == p || score_pb_[k] == p))
-                    continue;
-                if (k < score_front_count_)
-                    dfront += 3.0 * nd_buf[j] - score_term_[k];
-                else
-                    dext += nd_buf[j] - score_term_[k];
-            }
-        }
-        return;
-    }
-#endif
     for (int k : ks) {
         if (skip_p && (score_pa_[k] == p || score_pb_[k] == p))
             continue;

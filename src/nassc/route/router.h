@@ -21,7 +21,9 @@
  *  - scoring is incremental: the front/extended distance sums are
  *    computed once per decision, and each candidate SWAP (p, q) only
  *    re-evaluates the gates with an endpoint on p or q — O(sum of
- *    degrees) per decision instead of O(|cands| * (|F| + |E|)).
+ *    degrees) per decision instead of O(|cands| * (|F| + |E|));
+ *  - every distance is read through a pinned DistanceProvider::row(),
+ *    cached per Router, the same way for dense and sparse providers.
  *
  * The incremental sums are bit-identical to the naive per-candidate
  * loop for integer-valued (hop) distances; the golden-metrics suite in
@@ -56,10 +58,8 @@ class Router
     /**
      * Binds the inputs and validates gate widths (<= 2 qubits except
      * barriers).  The dag, coupling, and dist references must outlive
-     * the Router.  A dense provider exposes its flat storage, putting
-     * the router on the AVX2 gather fast path over row-major doubles;
-     * a sparse provider is read through pinned rows fetched on first
-     * touch and cached for the Router's lifetime.
+     * the Router.  Distances are read through the provider's pinned
+     * rows, dense and sparse alike (see row()).
      */
     Router(const DagCircuit &dag, const CouplingMap &coupling,
            const DistanceProvider &dist, const RoutingOptions &opts);
@@ -120,17 +120,15 @@ class Router
     void reset_decay();
 
     /**
-     * Distance row of physical qubit `i`.  Dense: a pointer into the
-     * flat matrix, no per-row state.  Sparse: the pinned row handle is
-     * fetched on first touch and cached for the Router's lifetime, so
-     * repeat reads are one array index — and provider-side eviction
-     * cannot invalidate a row this Router still scores through.
+     * Distance row of physical qubit `i`.  The pinned row handle is
+     * fetched from the provider on first touch and cached for the
+     * Router's lifetime, so repeat reads are one array index — and
+     * provider-side eviction cannot invalidate a row this Router still
+     * scores through.
      */
     const double *
     row(int i) const
     {
-        if (flat_)
-            return flat_ + static_cast<std::size_t>(i) * num_phys_;
         DistanceRow &r = row_cache_[i];
         if (!r.data)
             r = prov_->row(i);
@@ -157,25 +155,18 @@ class Router
     /** Mark physical qubits within opts_.region_radius of the front. */
     void mark_region();
 
-    /** Build the base sums and per-qubit touch lists for one decision. */
-    void build_score_base();
-
     /**
-     * score_term_[k] = coeff * D[score_pa_[k]][score_pb_[k]] for k in
-     * [begin, end).  AVX2 builds the flat row-major indices and gathers
-     * four distances per step when available; the scalar fallback
-     * computes the identical products, and the base sums are always
-     * accumulated afterwards in index order, so both paths are
-     * bit-identical (scoring never reassociates floating-point sums).
+     * Build the per-entry terms (3*D for front gates, D for extended
+     * ones), the base sums and the per-qubit touch lists for one
+     * decision.
      */
-    void fill_terms(int begin, int end, double coeff);
+    void build_score_base();
 
     /**
      * Accumulate the score adjustments of the entries listed in `ks`
      * for a candidate SWAP on (p, q).  When skip_p is set, entries with
      * an endpoint on p are skipped (they were accumulated from p's own
-     * list already).  Same AVX2/scalar contract as fill_terms: the
-     * relabel + distance gather is vectorized, the sums stay ordered.
+     * list already).  The sums follow list order.
      */
     void accumulate_delta(const std::vector<int> &ks, bool skip_p, int p,
                           int q, double &dfront, double &dext) const;
@@ -187,11 +178,10 @@ class Router
     const DagCircuit &dag_;
     const CouplingMap &coupling_;
     const DistanceProvider *prov_;   ///< never null
-    const double *flat_;             ///< dense storage; null when sparse
     const RoutingOptions opts_;
     const int num_phys_;
     int force_limit_ = 50;
-    /** Sparse-provider pinned rows, fetched lazily (see row()). */
+    /** Pinned provider rows, fetched lazily (see row()). */
     mutable std::vector<DistanceRow> row_cache_;
 
     // ---- per-pass state ----------------------------------------------------

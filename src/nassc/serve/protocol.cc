@@ -1,6 +1,7 @@
 #include "nassc/serve/protocol.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -14,6 +15,14 @@
 namespace nassc {
 
 namespace {
+
+/**
+ * Largest layout search a wire request may ask for.  The deadline is
+ * polled only between layout trials, so these caps are what bounds the
+ * trial allocation and the work of one trial.
+ */
+constexpr int kMaxWireLayoutTrials = 256;
+constexpr int kMaxWireLayoutIterations = 64;
 
 [[noreturn]] void
 bad_payload(const std::string &what)
@@ -83,6 +92,31 @@ parse_int(const std::string &key, const std::string &value)
     }
     bad_payload("option " + key + ": expected an integer, got '" + value +
                 "'");
+}
+
+/** Full-range unsigned parse: digits only, so "-1" cannot wrap. */
+unsigned
+parse_unsigned(const std::string &key, const std::string &value)
+{
+    unsigned v = 0;
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec == std::errc() && ptr == end)
+        return v;
+    bad_payload("option " + key + ": expected an integer in [0, " +
+                std::to_string(std::numeric_limits<unsigned>::max()) +
+                "], got '" + value + "'");
+}
+
+/** parse_int() capped at `max`: bounds a client-sized search. */
+int
+parse_int_at_most(const std::string &key, const std::string &value, int max)
+{
+    const int v = parse_int(key, value);
+    if (v > max)
+        bad_payload("option " + key + ": must be <= " + std::to_string(max) +
+                    ", got '" + value + "'");
+    return v;
 }
 
 double
@@ -235,7 +269,7 @@ parse_transpile_options(
                 bad_payload("option router: expected nassc|sabre, got '" +
                             value + "'");
         } else if (key == "seed") {
-            opts.seed = static_cast<unsigned>(parse_int(key, value));
+            opts.seed = parse_unsigned(key, value);
         } else if (key == "noise_aware") {
             opts.noise_aware = parse_bool(key, value);
         } else if (key == "enable_c2q") {
@@ -249,9 +283,11 @@ parse_transpile_options(
         } else if (key == "extended_weight") {
             opts.extended_weight = parse_double(key, value);
         } else if (key == "layout_iterations") {
-            opts.layout_iterations = parse_int(key, value);
+            opts.layout_iterations =
+                parse_int_at_most(key, value, kMaxWireLayoutIterations);
         } else if (key == "layout_trials") {
-            opts.layout_trials = parse_int(key, value);
+            opts.layout_trials =
+                parse_int_at_most(key, value, kMaxWireLayoutTrials);
         } else if (key == "layout_threads") {
             opts.layout_threads = parse_int(key, value);
         } else if (key == "opt_loop_rounds") {

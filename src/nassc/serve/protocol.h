@@ -138,10 +138,11 @@ ServeResponse parse_response(const std::string &payload);
 
 /**
  * Interpret wire `option` pairs as a TranspileOptions.  Every public
- * field is addressable by its struct name (router=nassc|sabre, seed=N,
- * noise_aware=0|1, …, priority=N, cache_ttl_seconds=X).
+ * field is addressable by its struct name (router=nassc|sabre,
+ * seed=0..2^32-1, noise_aware=0|1, …, priority=N, cache_ttl_seconds=X).
  * @throws std::runtime_error on unknown keys or unparsable values, so
- * a typo'd request fails loudly instead of transpiling with defaults.
+ * a typo'd request fails loudly instead of transpiling with defaults,
+ * and on layout_trials > 256 or layout_iterations > 64.
  */
 TranspileOptions parse_transpile_options(
     const std::vector<std::pair<std::string, std::string>> &options);

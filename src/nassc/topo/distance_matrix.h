@@ -41,8 +41,6 @@ class DistanceMatrix
     const double *operator[](int i) const { return data_.data() + idx(i, 0); }
     double *operator[](int i) { return data_.data() + idx(i, 0); }
 
-    const double *data() const { return data_.data(); }
-
     /** Exact element-wise equality (used by cache tests). */
     friend bool
     operator==(const DistanceMatrix &a, const DistanceMatrix &b)

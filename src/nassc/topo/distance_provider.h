@@ -11,9 +11,8 @@
  * recomputed in full on every calibration rotation — so the provider
  * abstracts the storage:
  *
- *  - DenseDistanceProvider owns a flat DistanceMatrix.  dense_data()
- *    exposes the contiguous n*n block, so the router's AVX2 gather
- *    kernels read it directly, with no per-element branches.
+ *  - DenseDistanceProvider owns a flat DistanceMatrix, computed in full
+ *    up front; row() hands out pointers into it.
  *  - SparseDistanceProvider computes per-source rows on demand (BFS for
  *    hop distances, Dijkstra for the HA noise-aware metric of paper
  *    eq. 3) and caches them with thread-safe publish and byte-bounded
@@ -78,14 +77,6 @@ class DistanceProvider
 
     virtual int num_qubits() const = 0;
 
-    /**
-     * Flat row-major n*n storage when the provider is fully
-     * materialized, nullptr otherwise.  The router keys its fast path
-     * off this once per pass: non-null means the AVX2 gather kernels
-     * (and the historical scalar loops) read it directly.
-     */
-    virtual const double *dense_data() const = 0;
-
     /** Pinned distance row from `src` to every physical qubit. */
     virtual DistanceRow row(int src) const = 0;
 
@@ -107,7 +98,6 @@ class DenseDistanceProvider final : public DistanceProvider
     const DistanceMatrix &matrix() const { return *matrix_; }
 
     int num_qubits() const override { return matrix_->num_qubits(); }
-    const double *dense_data() const override { return matrix_->data(); }
     DistanceRow row(int src) const override;
     double at(int i, int j) const override { return (*matrix_)(i, j); }
     DistanceProviderStats stats() const override;
@@ -144,7 +134,6 @@ class SparseDistanceProvider final : public DistanceProvider
                            std::size_t row_budget_bytes = 0);
 
     int num_qubits() const override { return n_; }
-    const double *dense_data() const override { return nullptr; }
     DistanceRow row(int src) const override;
     double at(int i, int j) const override { return row(i)[j]; }
     DistanceProviderStats stats() const override;

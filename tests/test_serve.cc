@@ -149,6 +149,43 @@ TEST(ServeProtocol, OptionParsingIsStrictAndComplete)
                  std::runtime_error);
 }
 
+TEST(ServeProtocol, SeedCoversTheFullUnsignedRange)
+{
+    EXPECT_EQ(parse_transpile_options({{"seed", "4294967295"}}).seed,
+              4294967295u);
+    EXPECT_EQ(parse_transpile_options({{"seed", "2147483648"}}).seed,
+              2147483648u);
+    EXPECT_EQ(parse_transpile_options({{"seed", "0"}}).seed, 0u);
+    // Negative seeds used to wrap silently to 2^32 - 1.
+    EXPECT_THROW(parse_transpile_options({{"seed", "-1"}}),
+                 std::runtime_error);
+    EXPECT_THROW(parse_transpile_options({{"seed", "4294967296"}}),
+                 std::runtime_error);
+    EXPECT_THROW(parse_transpile_options({{"seed", ""}}),
+                 std::runtime_error);
+    EXPECT_THROW(parse_transpile_options({{"seed", "12x"}}),
+                 std::runtime_error);
+}
+
+TEST(ServeProtocol, LayoutSearchSizesAreBounded)
+{
+    // Parse-level only: at an unbounded parser these requests would
+    // allocate 2^31 trials or run ~2^32 routing passes.
+    const TranspileOptions at_cap = parse_transpile_options(
+        {{"layout_trials", "256"}, {"layout_iterations", "64"}});
+    EXPECT_EQ(at_cap.layout_trials, 256);
+    EXPECT_EQ(at_cap.layout_iterations, 64);
+    EXPECT_THROW(parse_transpile_options({{"layout_trials", "257"}}),
+                 std::runtime_error);
+    EXPECT_THROW(parse_transpile_options({{"layout_trials", "2147483647"}}),
+                 std::runtime_error);
+    EXPECT_THROW(parse_transpile_options({{"layout_iterations", "65"}}),
+                 std::runtime_error);
+    EXPECT_THROW(
+        parse_transpile_options({{"layout_iterations", "2147483647"}}),
+        std::runtime_error);
+}
+
 TEST(ServeProtocol, ResponseRoundTripsRetryHintAndDegraded)
 {
     ServeResponse resp;

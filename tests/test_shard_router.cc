@@ -7,7 +7,8 @@
 //      in-process worker servers: responses BIT-IDENTICAL to a local
 //      transpile, the dedup invariant fleet-wide (transpiles ==
 //      distinct keys summed across shards, exercised on Table I
-//      circuits), and merged `stats`;
+//      circuits), and the front's merged `metrics` scrape read
+//      through the client-side `stats` view;
 //  (c) failover — a stopped shard's keys transparently re-route to a
 //      live shard; a HUNG shard (armed sleep failpoint) trips the
 //      router's I/O timeout and fails over the same way;
@@ -249,8 +250,8 @@ TEST(ShardRouter, FleetBitIdenticalWithFleetWideDedup)
     EXPECT_EQ(transpiles, distinct);
     EXPECT_EQ(requests, jobs.size());
 
-    // merged `stats` through the front reports the same sums plus the
-    // router's own health rows.
+    // The stats view of the front's merged `metrics` scrape reports the
+    // same sums plus the router's own health rows.
     std::map<std::string, std::uint64_t> merged = client.stats();
     EXPECT_EQ(merged.at("transpiles_ok"), distinct);
     EXPECT_EQ(merged.at("requests"), jobs.size());

@@ -107,14 +107,27 @@ if [ "$SHARDS" -gt 0 ]; then
         exit 1
     }
 
+    # One row of the front's --stats view (its metrics scrape).
+    stat_row() {
+        "$BUILD_DIR/nassc_client" --unix "$SOCK" --stats |
+            awk -v k="$1" '$1 == k { print $2 }'
+    }
+
     # Long restart-tolerant smoke load in the background, then murder
     # shard 1 mid-run.  Failover must make the load finish with ZERO
     # failures and bit-identical responses; the supervisor must bring
-    # the shard back.
+    # the shard back.  The kill waits for the load to reach the shards
+    # (the front's `forwards` counter moves), not for a fixed sleep: a
+    # fast host can finish the whole load inside any fixed delay.
+    FORWARDS_BEFORE=$(stat_row forwards)
     "$BUILD_DIR/nassc_client" --unix "$SOCK" --smoke 4 --repeat 1000 \
         --tolerate-restarts &
     SMOKE_PID=$!
-    sleep 1.5
+    while kill -0 "$SMOKE_PID" 2>/dev/null; do
+        FORWARDS=$(stat_row forwards)
+        [ "${FORWARDS:-0}" -gt "${FORWARDS_BEFORE:-0}" ] && break
+        sleep 0.01
+    done
     if ! kill -0 "$SMOKE_PID" 2>/dev/null; then
         echo "nasscd_smoke: smoke load finished before the crash" \
              "(machine too fast — raise --repeat)" >&2
@@ -132,11 +145,16 @@ if [ "$SHARDS" -gt 0 ]; then
 
     # The supervisor restarted the shard and the fleet is whole again:
     # the --stats view of the front's metrics scrape must show the
-    # restart and all shards live.
-    STATS=$("$BUILD_DIR/nassc_client" --unix "$SOCK" --stats)
-    RESTARTS=$(printf '%s\n' "$STATS" |
-               awk '$1 == "supervisor_restarts" { print $2 }')
-    LIVE=$(printf '%s\n' "$STATS" | awk '$1 == "shards_live" { print $2 }')
+    # restart and all shards live.  A restarted shard counts as live
+    # only after its next forward or health check, so shards_live is
+    # polled for up to 10 s rather than read once.
+    RESTARTS=$(stat_row supervisor_restarts)
+    LIVE=$(stat_row shards_live)
+    for _ in $(seq 1 100); do
+        [ "${LIVE:-0}" -eq "$SHARDS" ] && break
+        sleep 0.1
+        LIVE=$(stat_row shards_live)
+    done
     if [ "${RESTARTS:-0}" -lt 1 ]; then
         echo "nasscd_smoke: expected >=1 supervisor restart, got" \
              "'${RESTARTS:-}'" >&2
