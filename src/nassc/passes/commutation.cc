@@ -175,6 +175,19 @@ analyze_commutation(const QuantumCircuit &qc)
     info.set_index.resize(n);
     info.wire_gates.resize(n);
 
+    // One pass over the circuit files every gate under each wire it acts
+    // on (once per wire, even if a wire repeats in its operand list), so
+    // the cost follows the gates, not qubits x gates.  Each wire's list
+    // is in circuit order, as a per-wire scan would produce it.
+    for (size_t i = 0; i < qc.size(); ++i) {
+        const int idx = static_cast<int>(i);
+        for (int w : qc.gate(i).qubits) {
+            std::vector<int> &on_wire = info.wire_gates[w];
+            if (on_wire.empty() || on_wire.back() != idx)
+                on_wire.push_back(idx);
+        }
+    }
+
     for (int w = 0; w < n; ++w) {
         std::vector<int> current;
         auto close = [&]() {
@@ -183,11 +196,8 @@ analyze_commutation(const QuantumCircuit &qc)
                 current.clear();
             }
         };
-        for (size_t i = 0; i < qc.size(); ++i) {
+        for (int i : info.wire_gates[w]) {
             const Gate &g = qc.gate(i);
-            if (!g.acts_on(w))
-                continue;
-            info.wire_gates[w].push_back(static_cast<int>(i));
             bool fits = true;
             for (int j : current) {
                 if (!gates_commute(qc.gate(j), g)) {
@@ -197,7 +207,7 @@ analyze_commutation(const QuantumCircuit &qc)
             }
             if (!fits)
                 close();
-            current.push_back(static_cast<int>(i));
+            current.push_back(i);
             info.set_index[w].push_back(
                 static_cast<int>(info.wire_sets[w].size()));
         }

@@ -1,6 +1,8 @@
 #include "nassc/route/nassc_router.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "nassc/ir/matrices.h"
 #include "nassc/math/weyl.h"
@@ -21,31 +23,40 @@ lift_1q(const Mat2 &m, bool on_min)
 
 } // namespace
 
-OptAwareTracker::OptAwareTracker(int num_physical, const RoutingOptions &opts)
-    : opts_(opts), num_physical_(num_physical), partner_(num_physical, -1),
-      block_u_(num_physical, Mat4::identity()),
-      pending_mat_(num_physical, Mat2::identity()), window_(num_physical),
-      trailing_(num_physical),
+OptAwareTracker::OptAwareTracker(const CouplingMap &coupling,
+                                 const RoutingOptions &opts)
+    : coupling_(coupling), opts_(opts),
+      partner_(coupling.num_qubits(), -1),
+      block_u_(coupling.num_qubits(), Mat4::identity()),
+      pending_mat_(coupling.num_qubits(), Mat2::identity()),
+      window_(coupling.num_qubits()), trailing_(coupling.num_qubits()),
+      dirty_(coupling.num_qubits(), false),
       // Versions start at 1 so default-constructed (version 0) cache
       // entries can never be mistaken for valid ones.
-      wire_version_(num_physical, 1),
-      eval_cache_(static_cast<std::size_t>(num_physical) * num_physical)
+      wire_version_(coupling.num_qubits(), 1),
+      eval_cache_(2 * coupling.edges().size())
 {
 }
 
 void
 OptAwareTracker::reset()
 {
-    for (int p = 0; p < num_physical_; ++p) {
+    // Every state change goes through touch_wire() on the changed wire,
+    // except break_block() resetting the old partner's link and block,
+    // and that partner was touched when the block opened.  So the
+    // listed wires are the only ones away from their fresh state.
+    for (int p : touched_) {
         partner_[p] = -1;
         block_u_[p] = Mat4::identity();
         pending_mat_[p] = Mat2::identity();
         window_[p].clear();
         trailing_[p].clear();
-        // Bumping every wire version invalidates every cached (p, q)
-        // evaluation without touching the O(n^2) cache array.
-        touch_wire(p);
+        // The version bump invalidates every cached evaluation that
+        // read this wire.
+        ++wire_version_[p];
+        dirty_[p] = false;
     }
+    touched_.clear();
 }
 
 void
@@ -159,11 +170,12 @@ OptAwareTracker::on_gate(const Gate &g, int out_idx)
 }
 
 void
-OptAwareTracker::consume_record(int out_idx)
+OptAwareTracker::consume_record(const Gate &g, int out_idx)
 {
     if (out_idx < 0)
         return;
-    for (int w = 0; w < num_physical_; ++w) {
+    // on_gate() files a record only in the windows of its gate's wires.
+    for (int w : g.qubits) {
         auto &win = window_[w];
         for (auto it = win.begin(); it != win.end();) {
             if (it->out_idx == out_idx) {
@@ -190,13 +202,34 @@ OptAwareTracker::take_trailing_1q(int p, std::vector<int> &out)
     break_block(p);
 }
 
+std::size_t
+OptAwareTracker::memory_bytes() const
+{
+    std::size_t bytes = partner_.capacity() * sizeof(int) +
+                        block_u_.capacity() * sizeof(Mat4) +
+                        pending_mat_.capacity() * sizeof(Mat2) +
+                        (window_.capacity() + trailing_.capacity()) *
+                            sizeof(std::vector<Rec>) +
+                        dirty_.capacity() / 8 +
+                        touched_.capacity() * sizeof(int) +
+                        wire_version_.capacity() * sizeof(std::uint64_t) +
+                        eval_cache_.capacity() * sizeof(CachedEval);
+    for (const auto &recs : {&window_, &trailing_})
+        for (const std::vector<Rec> &r : *recs)
+            bytes += r.capacity() * sizeof(Rec);
+    return bytes;
+}
+
 SwapReduction
 OptAwareTracker::evaluate_swap(int p, int q) const
 {
-    // Keyed by ordered (p, q): the orientation flags in the result
-    // depend on the argument order.
+    const int edge = coupling_.edge_index(p, q);
+    if (edge < 0)
+        throw std::invalid_argument("evaluate_swap: (" + std::to_string(p) +
+                                    ", " + std::to_string(q) +
+                                    ") is not a coupling edge");
     CachedEval &slot =
-        eval_cache_[static_cast<std::size_t>(p) * num_physical_ + q];
+        eval_cache_[2 * static_cast<std::size_t>(edge) + (p > q ? 1 : 0)];
     if (slot.version_a == wire_version_[p] &&
         slot.version_b == wire_version_[q])
         return slot.red;

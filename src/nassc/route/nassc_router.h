@@ -21,12 +21,14 @@
  *    through a flagged SWAP so they cannot block the cancellation.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "nassc/ir/gate.h"
 #include "nassc/math/complex_mat.h"
 #include "nassc/route/sabre.h"
+#include "nassc/topo/coupling_map.h"
 
 namespace nassc {
 
@@ -44,18 +46,25 @@ struct SwapReduction
     int used_record_idx = -1;
 };
 
-/** Routing-time optimization tracker (one per NASSC routing run). */
+/** Routing-time optimization tracker (one per NASSC Router, rewound by
+ *  reset() between routing passes). */
 class OptAwareTracker
 {
   public:
-    OptAwareTracker(int num_physical, const RoutingOptions &opts);
+    /**
+     * Tracks every physical qubit of `coupling`, which must outlive the
+     * tracker.  Candidate SWAPs are scored only on its edges.
+     */
+    OptAwareTracker(const CouplingMap &coupling, const RoutingOptions &opts);
 
     /**
      * Rewind to the freshly constructed state while keeping every
      * buffer's capacity (windows, trailing lists, evaluation cache), so
      * a reused Router re-enters NASSC routing without reallocating.
-     * Wire versions keep counting up, which atomically invalidates all
-     * cached evaluations.
+     * Only the wires touched since the last reset are rewound, and their
+     * versions keep counting up, which invalidates every cached
+     * evaluation that read them.  An untouched wire is still in its
+     * fresh state, so evaluations over untouched wires stay exact.
      */
     void reset();
 
@@ -63,24 +72,28 @@ class OptAwareTracker
     void on_gate(const Gate &g, int out_idx);
 
     /**
-     * Score a candidate SWAP on physical edge (p, q).
+     * Score a candidate SWAP on physical edge (p, q); throws
+     * std::invalid_argument when (p, q) is not a coupling edge.
      *
-     * Results are memoized per edge: an evaluation only reads the block,
-     * window, and trailing state of wires p and q, so a cached result
-     * stays exact until one of those wires is touched (a gate lands on
-     * it, its trailing gates are taken, or a consume_record() erases one
-     * of its window records).  Consecutive SWAP decisions share most of
-     * their candidate edges, which makes the hit rate high while the
-     * front layer is blocked.
+     * Results are memoized in one slot per (edge, orientation), since
+     * the orientation flags depend on the argument order.  An
+     * evaluation only reads the block, window, and trailing state of
+     * wires p and q, so a cached result stays exact until one of those
+     * wires is touched (a gate lands on it, its trailing gates are
+     * taken, or a consume_record() erases one of its window records).
+     * Consecutive SWAP decisions share most of their candidate edges,
+     * which makes the hit rate high while the front layer is blocked.
      */
     SwapReduction evaluate_swap(int p, int q) const;
 
     /**
-     * Mark the record at out-circuit index `out_idx` as consumed by a
-     * flagged SWAP: a cancellation partner can serve only one SWAP, so
-     * later candidates must not claim it again.
+     * Mark the record of gate `g`, emitted at out-circuit index
+     * `out_idx`, as consumed by a flagged SWAP: a cancellation partner
+     * can serve only one SWAP, so later candidates must not claim it
+     * again.  Only g's own wires can hold the record, so only their
+     * windows are searched.  A negative or unknown index is a no-op.
      */
-    void consume_record(int out_idx);
+    void consume_record(const Gate &g, int out_idx);
 
     /**
      * Appends the out-circuit indices of the trailing 1q gates of wire p
@@ -90,6 +103,9 @@ class OptAwareTracker
      * hot path stays allocation-free.
      */
     void take_trailing_1q(int p, std::vector<int> &out);
+
+    /** Heap bytes held: O(qubits + coupling edges), never O(qubits^2). */
+    std::size_t memory_bytes() const;
 
   private:
     struct Rec
@@ -101,17 +117,24 @@ class OptAwareTracker
     void break_block(int p);
     void fold_trailing_into_window(int p);
 
-    /** Invalidate cached evaluations involving wire p. */
+    /**
+     * Invalidate cached evaluations involving wire p, and list p for
+     * the next reset().
+     */
     void
     touch_wire(int p)
     {
         ++wire_version_[p];
+        if (!dirty_[p]) {
+            dirty_[p] = true;
+            touched_.push_back(p);
+        }
     }
 
     SwapReduction evaluate_swap_uncached(int p, int q) const;
 
+    const CouplingMap &coupling_;
     const RoutingOptions &opts_;
-    int num_physical_;
 
     // --- two-qubit block state (C2q) ---
     std::vector<int> partner_;      ///< open-block partner wire or -1
@@ -124,6 +147,10 @@ class OptAwareTracker
     // --- trailing 1q gates per wire (movement through SWAPs) ---
     std::vector<std::vector<Rec>> trailing_;
 
+    // --- wires touched since the last reset (see reset) ---
+    std::vector<bool> dirty_;
+    std::vector<int> touched_;
+
     // --- per-edge evaluation cache (see evaluate_swap) ---
     struct CachedEval
     {
@@ -132,7 +159,8 @@ class OptAwareTracker
         SwapReduction red;
     };
     std::vector<std::uint64_t> wire_version_;
-    mutable std::vector<CachedEval> eval_cache_; ///< indexed p*n + q
+    /** Slot 2*e + (p > q) for coupling edge e = edge_index(p, q). */
+    mutable std::vector<CachedEval> eval_cache_;
 };
 
 } // namespace nassc

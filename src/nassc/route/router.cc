@@ -30,6 +30,7 @@ Router::Router(const DagCircuit &dag, const CouplingMap &coupling,
     out_.reserve(dag_.num_nodes() + 64);
     dead_.reserve(dag_.num_nodes() + 64);
     row_cache_.resize(num_phys_);
+    decay_.assign(num_phys_, 1.0);
     if (opts_.region_radius > 0)
         phys_stamp_.assign(num_phys_, 0);
 }
@@ -45,11 +46,10 @@ Router::reset(const Layout &initial)
     front_.assign(dag_.initial_front().begin(), dag_.initial_front().end());
     out_.clear();
     dead_.clear();
-    decay_.assign(num_phys_, 1.0);
+    reset_decay();
     stats_ = RoutingStats{};
     last_swap_ = {-1, -1};
     swaps_since_progress_ = 0;
-    swaps_since_decay_reset_ = 0;
     ext_valid_ = false;
     if (opts_.algorithm == RoutingAlgorithm::kNassc) {
         // Reuse the tracker across passes: reset() keeps its window /
@@ -57,7 +57,7 @@ Router::reset(const Layout &initial)
         if (tracker_)
             tracker_->reset();
         else
-            tracker_ = std::make_unique<OptAwareTracker>(num_phys_, opts_);
+            tracker_ = std::make_unique<OptAwareTracker>(coupling_, opts_);
     }
 }
 
@@ -175,22 +175,17 @@ Router::swap_candidates()
 {
     ++stamp_;
     cand_.clear();
-    const auto &edges = coupling_.edges();
     for (int id : front_) {
         const Gate &g = dag_.gate(id);
         for (int lq : g.qubits) {
             int p = layout_.phys_of(lq);
             for (int nbr : coupling_.neighbors(p)) {
-                int a = std::min(p, nbr);
-                int b = std::max(p, nbr);
                 // Dedup mark lives at the edge's index in the sorted
                 // edge list (always present: nbr came from neighbors()).
-                auto it = std::lower_bound(edges.begin(), edges.end(),
-                                           std::pair<int, int>(a, b));
-                std::uint64_t &st = edge_stamp_[it - edges.begin()];
+                std::uint64_t &st = edge_stamp_[coupling_.edge_index(p, nbr)];
                 if (st != stamp_) {
                     st = stamp_;
-                    cand_.emplace_back(a, b);
+                    cand_.emplace_back(std::min(p, nbr), std::max(p, nbr));
                 }
             }
         }
@@ -480,10 +475,13 @@ Router::apply_swap(int p, int q, const SwapReduction &red)
             ++stats_.moved_1q;
         }
         if (red.partner_swap_out_idx >= 0) {
-            out_[red.partner_swap_out_idx].swap_orient = red.orient;
-            tracker_->consume_record(red.partner_swap_out_idx);
+            Gate &partner = out_[red.partner_swap_out_idx];
+            partner.swap_orient = red.orient;
+            tracker_->consume_record(partner, red.partner_swap_out_idx);
         }
-        tracker_->consume_record(red.used_record_idx);
+        if (red.used_record_idx >= 0)
+            tracker_->consume_record(out_[red.used_record_idx],
+                                     red.used_record_idx);
         ++stats_.flagged_swaps;
     } else {
         // Pure-C2q (or unflagged) swaps keep the default
@@ -510,6 +508,8 @@ Router::apply_swap(int p, int q, const SwapReduction &red)
         } else {
             decay_[p] += opts_.decay_delta;
             decay_[q] += opts_.decay_delta;
+            decayed_.push_back(p);
+            decayed_.push_back(q);
         }
     }
 }
@@ -517,7 +517,12 @@ Router::apply_swap(int p, int q, const SwapReduction &red)
 void
 Router::reset_decay()
 {
-    std::fill(decay_.begin(), decay_.end(), 1.0);
+    // Only the listed qubits can be away from 1.0.  The list holds at
+    // most two entries per SWAP since the last reset, so a reset costs
+    // O(decay_reset_interval), not O(device).
+    for (int p : decayed_)
+        decay_[p] = 1.0;
+    decayed_.clear();
     swaps_since_decay_reset_ = 0;
 }
 

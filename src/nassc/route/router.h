@@ -192,6 +192,7 @@ class Router
     std::vector<Gate> out_;
     std::vector<bool> dead_;
     std::vector<double> decay_;
+    std::vector<int> decayed_; ///< qubits bumped since the last decay reset
     RoutingStats stats_;
     std::pair<int, int> last_swap_{-1, -1};
     int swaps_since_progress_ = 0;

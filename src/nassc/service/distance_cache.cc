@@ -63,7 +63,14 @@ SharedDistanceProvider
 DistanceCache::provider(const Backend &backend,
                         const DistanceRequest &request)
 {
-    const std::string bkey = backend.cache_key();
+    return provider(backend, request, backend.cache_key());
+}
+
+SharedDistanceProvider
+DistanceCache::provider(const Backend &backend,
+                        const DistanceRequest &request,
+                        const std::string &bkey)
+{
     const std::string key = bkey + "|" + request.key();
 
     std::promise<SharedDistanceProvider> promise;

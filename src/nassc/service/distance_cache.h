@@ -109,6 +109,12 @@ class DistanceCache
     SharedDistanceProvider provider(const Backend &backend,
                                     const DistanceRequest &request = {});
 
+    /** provider() for a caller that already holds
+     *  `backend_key` == backend.cache_key(), which is O(device) to hash. */
+    SharedDistanceProvider provider(const Backend &backend,
+                                    const DistanceRequest &request,
+                                    const std::string &backend_key);
+
     /**
      * Drop every entry belonging to `backend_name` (any generation),
      * counting them in evictions_invalidated.

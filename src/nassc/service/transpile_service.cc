@@ -59,6 +59,14 @@ TranspileService::request_key(const QuantumCircuit &circuit,
                               const Backend &backend,
                               const TranspileOptions &options)
 {
+    return request_key(circuit, backend.cache_key(), options);
+}
+
+std::string
+TranspileService::request_key(const QuantumCircuit &circuit,
+                              const std::string &backend_key,
+                              const TranspileOptions &options)
+{
     // The circuit and options fingerprints are 64-bit FNV-1a values;
     // the backend contributes its own cache_key(), which already
     // fingerprints topology + calibration.  '|' never appears inside
@@ -67,7 +75,7 @@ TranspileService::request_key(const QuantumCircuit &circuit,
     // it would split coalescing/caching across equal circuits.
     TranspileOptions keyed = options;
     keyed.deadline_ms = 0;
-    return hex64(circuit.fingerprint()) + "|" + backend.cache_key() + "|" +
+    return hex64(circuit.fingerprint()) + "|" + backend_key + "|" +
            hex64(keyed.fingerprint());
 }
 
@@ -117,18 +125,19 @@ TranspileService::cache_erase(std::list<CacheEntry>::iterator it)
 }
 
 std::size_t
-TranspileService::note_backend_generation(const Backend &backend)
+TranspileService::note_backend_generation(const std::string &backend_name,
+                                          const std::string &backend_key)
 {
-    const std::string current = backend.cache_key();
-    auto inserted = generation_.try_emplace(backend.name, current);
-    if (inserted.second || inserted.first->second == current)
+    auto inserted = generation_.try_emplace(backend_name, backend_key);
+    if (inserted.second || inserted.first->second == backend_key)
         return 0;
     // First contact with a rotated calibration: drop the stale
     // generation NOW instead of letting it ride the LRU tail.
-    inserted.first->second = current;
+    inserted.first->second = backend_key;
     std::size_t dropped = 0;
     for (auto it = lru_.begin(); it != lru_.end();) {
-        if (it->backend_name == backend.name && it->backend_key != current) {
+        if (it->backend_name == backend_name &&
+            it->backend_key != backend_key) {
             it = cache_erase(it);
             ++stats_.evictions_invalidated;
             ++dropped;
@@ -142,7 +151,8 @@ TranspileService::note_backend_generation(const Backend &backend)
 void
 TranspileService::cache_insert(const std::string &key,
                                SharedTranspileResult result,
-                               const Backend &backend,
+                               const std::string &backend_name,
+                               const std::string &backend_key,
                                const TranspileOptions &options)
 {
     if (options_.cache_capacity == 0)
@@ -157,8 +167,8 @@ TranspileService::cache_insert(const std::string &key,
     {
         // A result computed against a generation that rotated while it
         // was in flight is stale on arrival: never insert it.
-        auto gen = generation_.find(backend.name);
-        if (gen != generation_.end() && gen->second != backend.cache_key()) {
+        auto gen = generation_.find(backend_name);
+        if (gen != generation_.end() && gen->second != backend_key) {
             ++stats_.evictions_invalidated;
             return;
         }
@@ -167,8 +177,8 @@ TranspileService::cache_insert(const std::string &key,
     CacheEntry entry;
     entry.key = key;
     entry.result = std::move(result);
-    entry.backend_name = backend.name;
-    entry.backend_key = backend.cache_key();
+    entry.backend_name = backend_name;
+    entry.backend_key = backend_key;
     entry.expiry = entry_expiry(options);
     // Cost = what the entry actually keeps resident: the routed
     // circuit's heap footprint plus the entry/index bookkeeping (the
@@ -203,8 +213,9 @@ TranspileService::cache_insert(const std::string &key,
 
 void
 TranspileService::run_request(
-    const std::string &key, const QuantumCircuit &circuit,
-    const Backend &backend, const TranspileOptions &options,
+    const std::string &key, const std::string &backend_key,
+    const QuantumCircuit &circuit, const Backend &backend,
+    const TranspileOptions &options,
     const std::shared_ptr<std::promise<SharedTranspileResult>> &promise,
     Clock::time_point deadline, Clock::time_point submitted, bool dequeue)
 {
@@ -236,7 +247,7 @@ TranspileService::run_request(
         obs::TraceSpan span("transpile", &om.transpile_us);
         failpoint::hit("service.transpile");
         result = std::make_shared<TranspileResult>(
-            transpile(circuit, backend, options, *distances_));
+            transpile(circuit, backend, options, *distances_, backend_key));
     } catch (const TranspileDeadlineExceeded &) {
         error = std::current_exception();
         missed_deadline = true;
@@ -257,7 +268,8 @@ TranspileService::run_request(
             if (!result->degraded) {
                 obs::TraceSpan insert_span("cache_insert",
                                            &om.cache_insert_us);
-                cache_insert(key, result, backend, options);
+                cache_insert(key, result, backend.name, backend_key,
+                             options);
             }
         } else if (missed_deadline) {
             ++stats_.deadline_exceeded;
@@ -296,8 +308,12 @@ TranspileService::submit(const QuantumCircuit &circuit,
     if (!backend)
         throw std::invalid_argument("submit: null backend");
 
+    // The backend's key hashes its whole coupling map and calibration,
+    // O(device) on a large backend: compute it once per request and
+    // pass it down to every consumer.
+    const std::string backend_key = backend->cache_key();
     TranspileTicket ticket;
-    ticket.key_ = request_key(circuit, *backend, options);
+    ticket.key_ = request_key(circuit, backend_key, options);
 
     // Absolute budget, stamped NOW so queue delay counts against it.
     const Clock::time_point deadline =
@@ -316,7 +332,7 @@ TranspileService::submit(const QuantumCircuit &circuit,
         // probe, coalesce probe, shed check, in-flight filing.
         obs::TraceSpan admission("admission", &om.admission_us);
         ++stats_.requests;
-        note_backend_generation(*backend);
+        note_backend_generation(backend->name, backend_key);
 
         auto hit = cache_.find(ticket.key_);
         if (hit != cache_.end() && Clock::now() >= hit->second->expiry) {
@@ -380,8 +396,8 @@ TranspileService::submit(const QuantumCircuit &circuit,
         // run inline so a saturated pool cannot deadlock behind its own
         // queue.  Dedup above still applied.
         ticket.source_ = TicketSource::kInline;
-        run_request(ticket.key_, circuit, *backend, options, promise,
-                    deadline, submitted, /*dequeue=*/false);
+        run_request(ticket.key_, backend_key, circuit, *backend, options,
+                    promise, deadline, submitted, /*dequeue=*/false);
         return ticket;
     }
 
@@ -390,10 +406,11 @@ TranspileService::submit(const QuantumCircuit &circuit,
     // stays valid because the destructor drains in-flight requests.
     Scheduler::JobHandle handle = scheduler().submit(
         1,
-        [this, key = ticket.key_, circuit, backend = std::move(backend),
-         options, promise, deadline, submitted](std::size_t, int) {
-            run_request(key, circuit, *backend, options, promise, deadline,
-                        submitted, /*dequeue=*/true);
+        [this, key = ticket.key_, backend_key, circuit,
+         backend = std::move(backend), options, promise, deadline,
+         submitted](std::size_t, int) {
+            run_request(key, backend_key, circuit, *backend, options,
+                        promise, deadline, submitted, /*dequeue=*/true);
         },
         /*max_slots=*/1, options.priority, deadline);
     {

@@ -311,6 +311,11 @@ class TranspileService
   private:
     using Clock = std::chrono::steady_clock;
 
+    /** request_key() with `backend_key` == Backend::cache_key(). */
+    static std::string request_key(const QuantumCircuit &circuit,
+                                   const std::string &backend_key,
+                                   const TranspileOptions &options);
+
     struct CacheEntry
     {
         std::string key;
@@ -331,29 +336,35 @@ class TranspileService
     };
 
     /** Run one owned request and settle its promise.  Any thread.
+     *  `backend_key` is backend.cache_key(), hashed once by submit();
      *  `deadline` is the request's absolute budget (max() = none);
      *  `submitted` is when submit() accepted it (queue-wait metric);
      *  `dequeue` says whether this request was counted in queued_. */
-    void run_request(const std::string &key, const QuantumCircuit &circuit,
-                     const Backend &backend, const TranspileOptions &options,
+    void run_request(const std::string &key, const std::string &backend_key,
+                     const QuantumCircuit &circuit, const Backend &backend,
+                     const TranspileOptions &options,
                      const std::shared_ptr<std::promise<SharedTranspileResult>>
                          &promise,
                      Clock::time_point deadline, Clock::time_point submitted,
                      bool dequeue);
 
-    /** Insert into the cache, evicting to fit both bounds.  Under mu_. */
+    /** Insert into the cache, evicting to fit both bounds.  Under mu_.
+     *  `backend_key` is the request backend's cache_key(). */
     void cache_insert(const std::string &key, SharedTranspileResult result,
-                      const Backend &backend,
+                      const std::string &backend_name,
+                      const std::string &backend_key,
                       const TranspileOptions &options);
 
     /** Erase one entry by its LRU iterator.  Under mu_. */
     std::list<CacheEntry>::iterator
     cache_erase(std::list<CacheEntry>::iterator it);
 
-    /** Record `backend`'s current generation; if its name was last seen
-     *  under a DIFFERENT cache_key, sweep that stale generation.  Under
-     *  mu_.  Returns entries dropped. */
-    std::size_t note_backend_generation(const Backend &backend);
+    /** Record that `backend_name` is now at generation `backend_key`
+     *  (its cache_key()); if the name was last seen under a DIFFERENT
+     *  key, sweep that stale generation.  Under mu_.  Returns entries
+     *  dropped. */
+    std::size_t note_backend_generation(const std::string &backend_name,
+                                        const std::string &backend_key);
 
     /** TTL deadline for an entry inserted now under `options`. */
     Clock::time_point entry_expiry(const TranspileOptions &options) const;

@@ -46,6 +46,16 @@ class CouplingMap
     /** Unique undirected edges with a < b. */
     const std::vector<std::pair<int, int>> &edges() const { return edges_; }
 
+    /** Index of edge {a, b} (either order) in edges(), or -1. */
+    int edge_index(int a, int b) const
+    {
+        const std::pair<int, int> e(std::min(a, b), std::max(a, b));
+        auto it = std::lower_bound(edges_.begin(), edges_.end(), e);
+        if (it == edges_.end() || *it != e)
+            return -1;
+        return static_cast<int>(it - edges_.begin());
+    }
+
     bool connected(int a, int b) const
     {
         if (!adj_.empty())

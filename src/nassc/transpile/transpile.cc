@@ -74,6 +74,14 @@ TranspileResult
 transpile(const QuantumCircuit &qc, const Backend &backend,
           const TranspileOptions &opts, DistanceCache &cache)
 {
+    return transpile(qc, backend, opts, cache, backend.cache_key());
+}
+
+TranspileResult
+transpile(const QuantumCircuit &qc, const Backend &backend,
+          const TranspileOptions &opts, DistanceCache &cache,
+          const std::string &backend_key)
+{
     auto t0 = std::chrono::steady_clock::now();
 
     // Install the request budget for this thread (and, through
@@ -106,7 +114,7 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
     SharedDistanceProvider dist_shared = [&] {
         obs::TraceSpan span("distance_resolve",
                             &obs::StackMetrics::get().distance_resolve_us);
-        return cache.provider(backend, dreq);
+        return cache.provider(backend, dreq, backend_key);
     }();
     const DistanceProvider &dist = *dist_shared;
 

@@ -177,6 +177,13 @@ struct TranspileResult
 TranspileResult transpile(const QuantumCircuit &qc, const Backend &backend,
                           const TranspileOptions &opts, DistanceCache &cache);
 
+/** As above, for a caller that already holds `backend_key` ==
+ *  backend.cache_key(), which is O(device) to hash (the service hashes
+ *  each request's backend once and passes the key down). */
+TranspileResult transpile(const QuantumCircuit &qc, const Backend &backend,
+                          const TranspileOptions &opts, DistanceCache &cache,
+                          const std::string &backend_key);
+
 /** Full pipeline through TranspileContext::global() (the process-wide
  *  DistanceCache) — a shim kept for call-site brevity; see
  *  transpile/context.h for the bundled entry point. */

@@ -18,7 +18,8 @@ TEST(RouterGuards, ReductionCappedAtSwapCost)
 {
     RoutingOptions opts;
     opts.algorithm = RoutingAlgorithm::kNassc;
-    OptAwareTracker tracker(4, opts);
+    CouplingMap line(4, {{0, 1}, {1, 2}, {2, 3}});
+    OptAwareTracker tracker(line, opts);
     // Rich block (C2q = 3) plus a cancellable CX (Ccommute1 = 2): the
     // combined claim must still be <= 3.
     tracker.on_gate(Gate::two_q(OpKind::kCX, 0, 1), 0);
@@ -34,12 +35,14 @@ TEST(RouterGuards, ConsumedRecordNotReused)
     RoutingOptions opts;
     opts.algorithm = RoutingAlgorithm::kNassc;
     opts.enable_c2q = false;
-    OptAwareTracker tracker(3, opts);
-    tracker.on_gate(Gate::two_q(OpKind::kCX, 0, 1), 0);
+    CouplingMap line(3, {{0, 1}, {1, 2}});
+    OptAwareTracker tracker(line, opts);
+    const Gate cx = Gate::two_q(OpKind::kCX, 0, 1);
+    tracker.on_gate(cx, 0);
     SwapReduction first = tracker.evaluate_swap(0, 1);
     ASSERT_TRUE(first.commute1);
     EXPECT_EQ(first.used_record_idx, 0);
-    tracker.consume_record(first.used_record_idx);
+    tracker.consume_record(cx, first.used_record_idx);
     SwapReduction second = tracker.evaluate_swap(0, 1);
     EXPECT_FALSE(second.commute1);
 }
@@ -47,9 +50,11 @@ TEST(RouterGuards, ConsumedRecordNotReused)
 TEST(RouterGuards, ConsumeUnknownIndexIsNoop)
 {
     RoutingOptions opts;
-    OptAwareTracker tracker(2, opts);
-    EXPECT_NO_THROW(tracker.consume_record(-1));
-    EXPECT_NO_THROW(tracker.consume_record(999));
+    CouplingMap pair(2, {{0, 1}});
+    OptAwareTracker tracker(pair, opts);
+    const Gate cx = Gate::two_q(OpKind::kCX, 0, 1);
+    EXPECT_NO_THROW(tracker.consume_record(cx, -1));
+    EXPECT_NO_THROW(tracker.consume_record(cx, 999));
 }
 
 TEST(RouterGuards, RoutingTerminatesOnAdversarialCircuit)

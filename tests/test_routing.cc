@@ -270,7 +270,8 @@ TEST(Nassc, TrackerC2qDetectsRichBlock)
 {
     RoutingOptions opts;
     opts.algorithm = RoutingAlgorithm::kNassc;
-    OptAwareTracker tracker(4, opts);
+    CouplingMap line(4, {{0, 1}, {1, 2}, {2, 3}});
+    OptAwareTracker tracker(line, opts);
     // Build a 3-CNOT-rich block on wires (0,1): a SWAP there is free.
     tracker.on_gate(Gate::two_q(OpKind::kCX, 0, 1), 0);
     tracker.on_gate(Gate::one_q(OpKind::kRY, 0, 0.3), 1);
@@ -290,7 +291,8 @@ TEST(Nassc, TrackerC2qSingleCx)
     RoutingOptions opts;
     opts.algorithm = RoutingAlgorithm::kNassc;
     opts.enable_commute1 = false; // isolate C2q
-    OptAwareTracker tracker(2, opts);
+    CouplingMap line(2, {{0, 1}});
+    OptAwareTracker tracker(line, opts);
     tracker.on_gate(Gate::two_q(OpKind::kCX, 0, 1), 0);
     SwapReduction red = tracker.evaluate_swap(0, 1);
     // SWAP * CX needs 2 CNOTs: C2q = 3 + 1 - 2 = 2.
@@ -302,7 +304,8 @@ TEST(Nassc, TrackerCommute1FindsCancellableCnot)
     RoutingOptions opts;
     opts.algorithm = RoutingAlgorithm::kNassc;
     opts.enable_c2q = false;
-    OptAwareTracker tracker(3, opts);
+    CouplingMap line(3, {{0, 1}, {1, 2}});
+    OptAwareTracker tracker(line, opts);
     tracker.on_gate(Gate::two_q(OpKind::kCX, 1, 0), 0);
     // A commuting CX in between (shared target with the first).
     tracker.on_gate(Gate::two_q(OpKind::kCX, 2, 0), 1);
@@ -316,7 +319,8 @@ TEST(Nassc, TrackerCommute1BlockedByH)
 {
     RoutingOptions opts;
     opts.algorithm = RoutingAlgorithm::kNassc;
-    OptAwareTracker tracker(3, opts);
+    CouplingMap line(3, {{0, 1}, {1, 2}});
+    OptAwareTracker tracker(line, opts);
     tracker.on_gate(Gate::two_q(OpKind::kCX, 1, 0), 0);
     tracker.on_gate(Gate::one_q(OpKind::kH, 0), 1);
     // The H becomes interior once another 2q gate lands on wire 0.
@@ -331,7 +335,8 @@ TEST(Nassc, TrackerCommute2Sandwich)
     opts.algorithm = RoutingAlgorithm::kNassc;
     opts.enable_c2q = false;
     opts.enable_commute1 = false;
-    OptAwareTracker tracker(3, opts);
+    CouplingMap line(3, {{0, 1}, {1, 2}});
+    OptAwareTracker tracker(line, opts);
     Gate sw = Gate::two_q(OpKind::kSwap, 0, 1);
     tracker.on_gate(sw, 0);
     // Commuting middle: cx sharing structure that commutes with cx(0,1).
@@ -339,6 +344,110 @@ TEST(Nassc, TrackerCommute2Sandwich)
     SwapReduction red = tracker.evaluate_swap(0, 1);
     EXPECT_TRUE(red.commute2);
     EXPECT_EQ(red.partner_swap_out_idx, 0);
+}
+
+TEST(Nassc, TrackerRejectsNonEdgeCandidates)
+{
+    RoutingOptions opts;
+    opts.algorithm = RoutingAlgorithm::kNassc;
+    CouplingMap line(3, {{0, 1}, {1, 2}});
+    OptAwareTracker tracker(line, opts);
+    EXPECT_THROW(tracker.evaluate_swap(0, 2), std::invalid_argument);
+}
+
+/** Emit `count` random 1q/2q gates on coupling edges into `tracker`,
+ *  flagging a few records consumed the way the router does. */
+void
+feed_random_gates(OptAwareTracker &tracker, const CouplingMap &cm,
+                  std::mt19937 &rng, int count)
+{
+    const auto &edges = cm.edges();
+    std::uniform_int_distribution<std::size_t> pick(0, edges.size() - 1);
+    for (int i = 0; i < count; ++i) {
+        auto [a, b] = edges[pick(rng)];
+        if (rng() % 2)
+            std::swap(a, b);
+        Gate g = Gate::two_q(OpKind::kCX, a, b);
+        switch (rng() % 6) {
+          case 0: g = Gate::one_q(OpKind::kRZ, a, 0.1 * (rng() % 30)); break;
+          case 1: g = Gate::one_q(OpKind::kSX, a); break;
+          case 2: g = Gate::two_q(OpKind::kSwap, a, b); break;
+          default: break;
+        }
+        tracker.on_gate(g, i);
+        if (g.num_qubits() == 2 && rng() % 9 == 0)
+            tracker.consume_record(g, i);
+    }
+}
+
+TEST(Nassc, TrackerResetMatchesFreshTracker)
+{
+    // reset() rewinds only the wires touched since the previous reset,
+    // and cached evaluations of untouched wires survive it: every edge,
+    // in both orientations, must still score exactly like a freshly
+    // built tracker fed the same gates.
+    Backend dev = montreal_backend();
+    const CouplingMap &cm = dev.coupling;
+    RoutingOptions opts;
+    opts.algorithm = RoutingAlgorithm::kNassc;
+    OptAwareTracker reused(cm, opts);
+    for (unsigned seed = 1; seed <= 6; ++seed) {
+        // Warm every slot, then reset and replay a second workload.
+        std::mt19937 warm(seed * 101);
+        feed_random_gates(reused, cm, warm, 10 + 15 * seed);
+        for (auto [p, q] : cm.edges()) {
+            (void)reused.evaluate_swap(p, q);
+            (void)reused.evaluate_swap(q, p);
+        }
+        reused.reset();
+
+        OptAwareTracker fresh(cm, opts);
+        std::mt19937 a(seed), b(seed);
+        const int count = 5 + 9 * static_cast<int>(seed);
+        feed_random_gates(reused, cm, a, count);
+        feed_random_gates(fresh, cm, b, count);
+        for (auto [p, q] : cm.edges()) {
+            for (auto [x, y] : {std::pair{p, q}, std::pair{q, p}}) {
+                const SwapReduction got = reused.evaluate_swap(x, y);
+                const SwapReduction want = fresh.evaluate_swap(x, y);
+                EXPECT_EQ(got.total, want.total) << x << "," << y;
+                EXPECT_EQ(got.c2q, want.c2q);
+                EXPECT_EQ(got.commute1, want.commute1);
+                EXPECT_EQ(got.commute2, want.commute2);
+                EXPECT_EQ(got.orient, want.orient);
+                EXPECT_EQ(got.partner_swap_out_idx,
+                          want.partner_swap_out_idx);
+                EXPECT_EQ(got.used_record_idx, want.used_record_idx);
+            }
+        }
+        reused.reset();
+    }
+}
+
+TEST(NasscScale, TrackerBytesFollowEdgesNotQubitsSquared)
+{
+    // The tracker keeps O(1) state per wire plus one evaluation slot
+    // per (coupling edge, orientation).  A dense per-(p, q) cache would
+    // be ~14x larger on the 4243-qubit lattice than on the 1123-qubit
+    // one, and hundreds of MB outright.
+    RoutingOptions opts;
+    opts.algorithm = RoutingAlgorithm::kNassc;
+    auto bytes_of = [&](int distance) {
+        const Backend dev = heavy_hex_backend(distance);
+        OptAwareTracker tracker(dev.coupling, opts);
+        const std::size_t n = dev.coupling.num_qubits();
+        const std::size_t e = dev.coupling.edges().size();
+        // O(qubits + edges) with a per-item constant under 512 bytes.
+        EXPECT_LT(tracker.memory_bytes(), 512 * (n + e));
+        return std::pair{tracker.memory_bytes(), n};
+    };
+    const auto [bytes_1k, n_1k] = bytes_of(21);
+    const auto [bytes_4k, n_4k] = bytes_of(41);
+    ASSERT_EQ(n_4k, 4243u);
+    EXPECT_LT(bytes_4k, 8u << 20); // the dense cache was ~720 MB
+    // Linear growth across the 3.8x device-size jump.
+    EXPECT_LT(static_cast<double>(bytes_4k) / bytes_1k,
+              1.1 * static_cast<double>(n_4k) / n_1k);
 }
 
 TEST(Nassc, EndToEndFlaggedSwapsDecomposeCorrectly)
