@@ -81,8 +81,23 @@ BM_Synth2q(benchmark::State &state)
 }
 BENCHMARK(BM_Synth2q);
 
+// rz/sx on one wire is the bulk of commutation traffic in the
+// {rz, sx, x, cx} basis; it takes the 2x2 commutator path.
 void
-BM_GatesCommute(benchmark::State &state)
+BM_GatesCommuteOneWire(benchmark::State &state)
+{
+    Gate a(OpKind::kRZ, {0}, {0.37});
+    Gate b(OpKind::kSX, {0});
+    for (auto _ : state) {
+        bool r = gates_commute(a, b);
+        benchmark::DoNotOptimize(r);
+    }
+}
+BENCHMARK(BM_GatesCommuteOneWire);
+
+// A 3-wire pair misses every fast path: the exact matrix check.
+void
+BM_GatesCommuteExact(benchmark::State &state)
 {
     Gate a = Gate::two_q(OpKind::kCX, 0, 1);
     Gate b = Gate::two_q(OpKind::kCRX, 0, 2, 0.7);
@@ -91,7 +106,7 @@ BM_GatesCommute(benchmark::State &state)
         benchmark::DoNotOptimize(r);
     }
 }
-BENCHMARK(BM_GatesCommute);
+BENCHMARK(BM_GatesCommuteExact);
 
 // ---- router hot kernels -----------------------------------------------------
 //

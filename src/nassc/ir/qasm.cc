@@ -310,8 +310,14 @@ from_qasm(const std::string &text)
                 throw std::runtime_error("qasm: missing ')' in " + stmt);
             for (const std::string &p :
                  split(stmt.substr(rest_begin + 1, close - rest_begin - 1),
-                       ','))
-                params.push_back(eval_expr(p));
+                       ',')) {
+                const double v = eval_expr(p);
+                if (!std::isfinite(v))
+                    throw std::runtime_error("qasm: non-finite parameter '" +
+                                             trim(p) + "' of gate '" + name +
+                                             "' in '" + stmt + "'");
+                params.push_back(v);
+            }
             rest_begin = close + 1;
         }
         std::vector<int> qs;

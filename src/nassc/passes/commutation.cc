@@ -1,10 +1,6 @@
 #include "nassc/passes/commutation.h"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
-#include <shared_mutex>
-#include <sstream>
 
 #include "nassc/ir/matrices.h"
 #include "nassc/sim/unitary.h"
@@ -46,40 +42,10 @@ matrix_commute(const Gate &a, const Gate &b)
     return frobenius_distance(uab, uba) < 1e-9;
 }
 
-/** Cache key: structural description with quantized parameters. */
-std::string
-commute_key(const Gate &a, const Gate &b)
-{
-    // Relabel shared wires to canonical small integers.
-    std::map<int, int> label;
-    auto lab = [&](int q) {
-        auto it = label.find(q);
-        if (it != label.end())
-            return it->second;
-        int v = static_cast<int>(label.size());
-        label[q] = v;
-        return v;
-    };
-    std::ostringstream os;
-    os << static_cast<int>(a.kind);
-    for (int q : a.qubits)
-        os << "." << lab(q);
-    for (double p : a.params)
-        os << "," << static_cast<long long>(p * 1e9);
-    os << "|" << static_cast<int>(b.kind);
-    for (int q : b.qubits)
-        os << "." << lab(q);
-    for (double p : b.params)
-        os << "," << static_cast<long long>(p * 1e9);
-    return os.str();
-}
-
 bool
 is_z_axis_1q(OpKind k)
 {
-    return k == OpKind::kZ || k == OpKind::kS || k == OpKind::kSdg ||
-           k == OpKind::kT || k == OpKind::kTdg || k == OpKind::kRZ ||
-           k == OpKind::kP || k == OpKind::kId;
+    return is_one_qubit(k) && is_diagonal(k);
 }
 
 bool
@@ -133,27 +99,13 @@ gates_commute(const Gate &a, const Gate &b)
     if (is_diagonal(a.kind) && is_diagonal(b.kind))
         return true;
 
-    // Exact fallback with memoization.  The memo is process-wide and
-    // read by every concurrent transpile (batch workers, the async
-    // service), so it is guarded by a shared_mutex: reads dominate
-    // after warm-up and take the shared lock; a miss computes OUTSIDE
-    // any lock (matrix_commute is pure) and publishes under the
-    // exclusive lock.  Two racing computations of one key agree, so
-    // last-writer-wins is harmless.
-    static std::shared_mutex cache_mu;
-    static std::map<std::string, bool> cache;
-    std::string key = commute_key(a, b);
-    {
-        std::shared_lock<std::shared_mutex> lock(cache_mu);
-        auto it = cache.find(key);
-        if (it != cache.end())
-            return it->second;
+    // Two 1q gates that overlap share their one wire: compare the 2x2
+    // products directly, on the same space matrix_commute would build.
+    if (is_one_qubit(a.kind) && is_one_qubit(b.kind)) {
+        const Mat2 ma = gate_matrix1(a), mb = gate_matrix1(b);
+        return frobenius_distance(mul(ma, mb), mul(mb, ma)) < 1e-9;
     }
-    bool r = matrix_commute(a, b);
-    std::unique_lock<std::shared_mutex> lock(cache_mu);
-    if (cache.size() < 200000)
-        cache[key] = r;
-    return r;
+    return matrix_commute(a, b);
 }
 
 int

@@ -18,8 +18,10 @@ namespace nassc {
 
 /**
  * Do two gates commute as operators?  Fast paths cover the common
- * CX/rotation cases; everything else falls back to an exact (cached)
- * matrix check on the union of their wires.
+ * CX/rotation cases; two 1q gates on one wire compare their 2x2
+ * products, and everything else falls back to an exact matrix check on
+ * the union of their wires.  Pure: the answer depends only on the two
+ * gates, never on earlier calls, and it is safe to call concurrently.
  */
 bool gates_commute(const Gate &a, const Gate &b);
 

@@ -127,6 +127,46 @@ TEST(CommutationExhaustive, RandomAnglesAgree)
     }
 }
 
+TEST(CommutationExhaustive, OneWireAngleTable)
+{
+    // z-axis rotations at special, tiny and huge angles against the
+    // non-diagonal 1q gates; 0.5e-9 vs 0.9e-9 straddles the 1e-9
+    // threshold and 1e12 overflows any fixed-point angle key.
+    const double angles[] = {0.0,    1e-12,  -1e-12, 0.5e-9, 0.9e-9, M_PI,
+                             2 * M_PI, -2 * M_PI, 4 * M_PI, 1e12};
+    const Gate others[] = {Gate(OpKind::kSX, {0}), Gate(OpKind::kX, {0}),
+                           Gate(OpKind::kH, {0}),
+                           Gate(OpKind::kRY, {0}, {0.37}),
+                           Gate(OpKind::kU, {0}, {0.37, 0.58, 0.79})};
+    for (OpKind kz : {OpKind::kRZ, OpKind::kP}) {
+        for (double theta : angles) {
+            Gate z(kz, {0}, {theta});
+            for (const Gate &o : others) {
+                EXPECT_EQ(gates_commute(z, o), matrix_truth(z, o, 1))
+                    << op_name(kz) << "(" << theta << ") vs "
+                    << op_name(o.kind);
+                EXPECT_EQ(gates_commute(o, z), matrix_truth(o, z, 1))
+                    << op_name(o.kind) << " vs " << op_name(kz) << "("
+                    << theta << ")";
+            }
+        }
+    }
+}
+
+TEST(CommutationExhaustive, AnswerIgnoresCallHistory)
+{
+    // rz(0.5e-9) commutes with x within the 1e-9 threshold and
+    // rz(0.9e-9) does not; asking in this order must not let the first
+    // answer stand in for the second.
+    Gate x(OpKind::kX, {0});
+    Gate near(OpKind::kRZ, {0}, {0.5e-9});
+    Gate far(OpKind::kRZ, {0}, {0.9e-9});
+    ASSERT_TRUE(matrix_truth(x, near, 1));
+    ASSERT_FALSE(matrix_truth(x, far, 1));
+    EXPECT_EQ(gates_commute(x, near), matrix_truth(x, near, 1));
+    EXPECT_EQ(gates_commute(x, far), matrix_truth(x, far, 1));
+}
+
 TEST(CommutationExhaustive, DisjointAlwaysCommute)
 {
     for (OpKind ka : kTwoQ) {

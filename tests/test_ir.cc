@@ -291,6 +291,25 @@ TEST(Qasm, RejectsUnknownGate)
     EXPECT_THROW(from_qasm("qreg q[1]; h q[5];"), std::runtime_error);
 }
 
+TEST(Qasm, RejectsNonFiniteParameters)
+{
+    for (const char *param : {"0/0", "pi/0", "-pi/0", "1e308*10"}) {
+        const std::string text = std::string("qreg q[1]; h q[0]; rz(") +
+                                 param + ") q[0]; h q[0];";
+        try {
+            from_qasm(text);
+            ADD_FAILURE() << param << " parsed";
+        } catch (const std::runtime_error &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("non-finite"), std::string::npos) << what;
+            EXPECT_NE(what.find("'rz'"), std::string::npos) << what;
+        }
+    }
+    // Large but finite angles still parse.
+    EXPECT_EQ(from_qasm("qreg q[1]; rz(1e12) q[0];").gate(0).params[0],
+              1e12);
+}
+
 TEST(Qasm, IgnoresComments)
 {
     QuantumCircuit qc = from_qasm(

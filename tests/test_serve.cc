@@ -537,8 +537,20 @@ TEST(NasscServer, BadRequestsGetErrorStatusAndConnectionSurvives)
     resp = client.request(req);
     EXPECT_EQ(resp.status, "error");
 
+    // A NaN angle would otherwise flow through the passes and come back
+    // "ok" as a wrong circuit.
+    req.qasm = "OPENQASM 2.0;\nqreg q[1];\nh q[0];\nrz(0/0) q[0];\n"
+               "h q[0];\n";
+    resp = client.request(req);
+    EXPECT_EQ(resp.status, "error");
+    EXPECT_NE(resp.error.find("'rz'"), std::string::npos) << resp.error;
+
+    // Every bad request failed before submit() admitted it, so none
+    // reached a worker.
+    EXPECT_EQ(server.service().stats().requests, 0u);
+
     // The connection survives application errors: a good request after
-    // three bad ones still works.
+    // four bad ones still works.
     req.qasm = to_qasm(ghz(3));
     resp = client.request(req);
     EXPECT_EQ(resp.status, "ok");
