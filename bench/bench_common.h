@@ -9,12 +9,13 @@
  *   --seeds N    number of layout seeds averaged per cell (default 3;
  *                the paper averages 10 — pass --seeds 10 to match)
  *   --csv PATH   also write the table as CSV
- *   --threads N  batch worker threads (default: hardware concurrency).
+ *   --threads N  sweep worker threads (default: hardware concurrency).
  *                Per-cell t(s) columns are measured per job, so under
  *                parallel contention they run higher than a sequential
  *                sweep; pass --threads 1 for paper-comparable timings.
  */
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "nassc/circuits/library.h"
-#include "nassc/service/batch_transpiler.h"
 #include "nassc/transpile/context.h"
 
 namespace nassc::bench {
@@ -33,16 +33,8 @@ namespace nassc::bench {
 struct Args
 {
     int seeds = 3;
-    int threads = 0; ///< batch workers; 0 = hardware concurrency
+    int threads = 0; ///< sweep workers; 0 = hardware concurrency
     std::string csv;
-
-    /** BatchTranspiler options honouring --threads. */
-    BatchOptions batch() const
-    {
-        BatchOptions opts;
-        opts.num_threads = threads;
-        return opts;
-    }
 };
 
 inline Args
@@ -97,66 +89,82 @@ struct Cell
     }
 };
 
-inline Cell
-run_cell(const QuantumCircuit &circuit, const Backend &backend,
-         RoutingAlgorithm router, int seeds, int base_cx, int base_depth,
-         bool noise_aware = false)
-{
-    Cell cell;
-    for (int s = 0; s < seeds; ++s) {
-        TranspileOptions opts;
-        opts.router = router;
-        opts.seed = static_cast<unsigned>(s);
-        opts.noise_aware = noise_aware;
-        cell.accumulate(
-            TranspileContext::global().transpile(circuit, backend, opts));
-    }
-    cell.finish(seeds, base_cx, base_depth);
-    return cell;
-}
-
 /**
- * Queue `seeds` jobs for one (benchmark, router) cell onto a batch.
- * Pair with cell_from_results() after BatchTranspiler::run(); jobs are
- * consumed in submission order, so queue and fold in the same sequence.
+ * One in-process sweep: every job is a ticket on a private
+ * TranspileContext, so the whole sweep shares one DistanceCache (one
+ * matrix per backend) and runs on `threads` private workers (0 =
+ * Scheduler::shared()).  Queue cells with add_cell() and fold them back
+ * with next_cell() in the same order; each job's result depends only on
+ * the job, so the folded metrics are the same for every thread count.
  */
-inline void
-queue_cell_jobs(std::vector<TranspileJob> &jobs, const std::string &tag,
-                const QuantumCircuit &circuit,
-                const std::shared_ptr<const Backend> &backend,
-                RoutingAlgorithm router, int seeds,
-                bool noise_aware = false,
-                const TranspileOptions &base_opts = {})
+class Sweep
 {
-    for (int s = 0; s < seeds; ++s) {
-        TranspileJob job;
-        job.tag = tag + "/s" + std::to_string(s);
-        job.circuit = circuit;
-        job.backend = backend;
-        job.options = base_opts;
-        job.options.router = router;
-        job.options.noise_aware = noise_aware;
-        job.options.seed = static_cast<unsigned>(s);
-        jobs.push_back(std::move(job));
+  public:
+    explicit Sweep(int threads)
+        : ctx_(TranspileContext::Config{
+              std::make_shared<DistanceCache>(),
+              threads > 0 ? std::make_shared<Scheduler>(threads) : nullptr,
+              {}})
+    {
     }
-}
 
-/** Fold the next `seeds` batch results (submission order) into a Cell. */
-inline Cell
-cell_from_results(const std::vector<JobResult> &results, std::size_t &idx,
-                  int seeds, int base_cx, int base_depth)
-{
-    Cell cell;
-    for (int s = 0; s < seeds; ++s) {
-        const JobResult &jr = results.at(idx++);
-        if (!jr.ok)
-            throw std::runtime_error("batch job '" + jr.tag +
-                                     "' failed: " + jr.error);
-        cell.accumulate(jr.result);
+    /** Submit `seeds` jobs (seeds 0..seeds-1) for one cell. */
+    void
+    add_cell(const std::string &tag, const QuantumCircuit &circuit,
+             const std::shared_ptr<const Backend> &backend,
+             RoutingAlgorithm router, int seeds, TranspileOptions opts = {})
+    {
+        if (tickets_.empty())
+            t0_ = std::chrono::steady_clock::now();
+        opts.router = router;
+        for (int s = 0; s < seeds; ++s) {
+            opts.seed = static_cast<unsigned>(s);
+            tags_.push_back(tag + "/s" + std::to_string(s));
+            tickets_.push_back(ctx_.submit(circuit, backend, opts));
+        }
     }
-    cell.finish(seeds, base_cx, base_depth);
-    return cell;
-}
+
+    /** Fold the next `seeds` tickets (submission order) into a Cell. */
+    Cell
+    next_cell(int seeds, int base_cx, int base_depth)
+    {
+        Cell cell;
+        for (int s = 0; s < seeds; ++s, ++next_) {
+            try {
+                cell.accumulate(*tickets_.at(next_).get());
+            } catch (const std::exception &e) {
+                throw std::runtime_error("batch job '" + tags_.at(next_) +
+                                         "' failed: " + e.what());
+            }
+        }
+        cell.finish(seeds, base_cx, base_depth);
+        return cell;
+    }
+
+    std::size_t jobs() const { return tickets_.size(); }
+
+    /** Wall seconds since the first submit. */
+    double
+    seconds() const
+    {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0_)
+            .count();
+    }
+
+    std::size_t
+    distance_computations() const
+    {
+        return ctx_.distances().stats().computations;
+    }
+
+  private:
+    TranspileContext ctx_;
+    std::vector<std::string> tags_;
+    std::vector<TranspileTicket> tickets_;
+    std::size_t next_ = 0;
+    std::chrono::steady_clock::time_point t0_;
+};
 
 /** Geometric mean of ratios 1 - nassc/sabre, reported as percent. */
 class GeoMean

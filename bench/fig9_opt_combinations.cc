@@ -4,23 +4,13 @@
 // (paper Sec. IV-F).
 //
 // Each coupling map's full sweep — SABRE baseline plus all 8 optimization
-// masks for every benchmark and seed — runs as one BatchTranspiler batch.
+// masks for every benchmark and seed — is submitted as tickets on one
+// shared Sweep.
 
 #include "bench_common.h"
 
 using namespace nassc;
 using namespace nassc::bench;
-
-namespace {
-
-/** Average cx_total of the next `seeds` results (submission order). */
-double
-mean_cx(const std::vector<JobResult> &results, std::size_t &idx, int seeds)
-{
-    return cell_from_results(results, idx, seeds, 0, 0).cx_total;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -38,7 +28,7 @@ main(int argc, char **argv)
     csv.push_back("map,benchmark,sabre_cx,best_mask,best_cx,all_cx,"
                   "best_reduction_pct,all_reduction_pct");
 
-    BatchTranspiler engine(args.batch());
+    Sweep sweep(args.threads);
     const std::vector<BenchmarkCase> benchmarks = table_benchmarks();
 
     for (const auto &dev : devices) {
@@ -51,35 +41,31 @@ main(int argc, char **argv)
         // Queue the device's whole sweep: per benchmark, the SABRE
         // baseline followed by the 8 optimization-mask configurations.
         // mask bit0 = C2q, bit1 = Ccommute1, bit2 = Ccommute2.
-        std::vector<TranspileJob> jobs;
         std::vector<const BenchmarkCase *> cases;
         for (const BenchmarkCase &bc : benchmarks) {
             if (bc.circuit.num_qubits() > dev->coupling.num_qubits())
                 continue;
             cases.push_back(&bc);
-            queue_cell_jobs(jobs, bc.name + "/sabre", bc.circuit, dev,
-                            RoutingAlgorithm::kSabre, args.seeds);
+            sweep.add_cell(bc.name + "/sabre", bc.circuit, dev,
+                           RoutingAlgorithm::kSabre, args.seeds);
             for (int mask = 0; mask < 8; ++mask) {
                 TranspileOptions base;
                 base.enable_c2q = mask & 1;
                 base.enable_commute1 = mask & 2;
                 base.enable_commute2 = mask & 4;
-                queue_cell_jobs(jobs,
-                                bc.name + "/m" + std::to_string(mask),
-                                bc.circuit, dev, RoutingAlgorithm::kNassc,
-                                args.seeds, /*noise_aware=*/false, base);
+                sweep.add_cell(bc.name + "/m" + std::to_string(mask),
+                               bc.circuit, dev, RoutingAlgorithm::kNassc,
+                               args.seeds, base);
             }
         }
-        BatchReport report = engine.run(jobs);
 
-        std::size_t idx = 0;
         for (const BenchmarkCase *bc : cases) {
-            double sabre = mean_cx(report.results, idx, args.seeds);
+            double sabre = sweep.next_cell(args.seeds, 0, 0).cx_total;
             double best = 1e30;
             int best_mask = 0;
             double all = 0.0;
             for (int mask = 0; mask < 8; ++mask) {
-                double cx = mean_cx(report.results, idx, args.seeds);
+                double cx = sweep.next_cell(args.seeds, 0, 0).cx_total;
                 if (cx < best) {
                     best = cx;
                     best_mask = mask;
@@ -106,7 +92,7 @@ main(int argc, char **argv)
                 "tracks the best of the 8 combinations closely on most "
                 "benchmarks.\n");
     std::printf("distance matrices computed across all maps: %zu\n",
-                engine.distance_cache().stats().computations);
+                sweep.distance_computations());
     write_csv(args.csv, csv);
     return 0;
 }

@@ -2,8 +2,8 @@
 // Qiskit+SABRE on the ibmq_montreal coupling map, plus transpile-time
 // ratios (paper Sec. VI-A / VI-B).
 //
-// The whole sweep — every (benchmark, router, seed) triple — is queued
-// as one batch on the parallel BatchTranspiler, so all cells share a
+// The whole sweep — every (benchmark, router, seed) triple — is submitted
+// up front as tickets on one TranspileContext, so all cells share a
 // single cached distance matrix and saturate the machine.
 
 #include "bench_common.h"
@@ -31,29 +31,24 @@ main(int argc, char **argv)
 
     const std::vector<BenchmarkCase> benchmarks = table_benchmarks();
 
-    // Queue everything, then run one batch.
-    std::vector<TranspileJob> jobs;
+    // Submit everything, then fold cells back in submission order.
+    Sweep sweep(args.threads);
     for (const BenchmarkCase &bc : benchmarks) {
-        queue_cell_jobs(jobs, bc.name + "/sabre", bc.circuit, dev,
-                        RoutingAlgorithm::kSabre, args.seeds);
-        queue_cell_jobs(jobs, bc.name + "/nassc", bc.circuit, dev,
-                        RoutingAlgorithm::kNassc, args.seeds);
+        sweep.add_cell(bc.name + "/sabre", bc.circuit, dev,
+                       RoutingAlgorithm::kSabre, args.seeds);
+        sweep.add_cell(bc.name + "/nassc", bc.circuit, dev,
+                       RoutingAlgorithm::kNassc, args.seeds);
     }
-    BatchTranspiler engine(args.batch());
-    BatchReport report = engine.run(jobs);
 
     GeoMean gm_total, gm_add;
     double time_ratio_log = 0.0;
     int time_n = 0;
 
-    std::size_t idx = 0;
     for (const BenchmarkCase &bc : benchmarks) {
         TranspileResult base =
             TranspileContext::global().optimize_only(bc.circuit);
-        Cell sabre = cell_from_results(report.results, idx, args.seeds,
-                                       base.cx_total, base.depth);
-        Cell nassc = cell_from_results(report.results, idx, args.seeds,
-                                       base.cx_total, base.depth);
+        Cell sabre = sweep.next_cell(args.seeds, base.cx_total, base.depth);
+        Cell nassc = sweep.next_cell(args.seeds, base.cx_total, base.depth);
 
         double d_total = 100.0 * (1.0 - nassc.cx_total / sabre.cx_total);
         double d_add =
@@ -93,8 +88,8 @@ main(int argc, char **argv)
                 std::exp(time_ratio_log / time_n));
     std::printf("batch: %zu jobs in %.2fs wall, %zu distance matrix "
                 "computation(s)\n",
-                report.results.size(), report.seconds,
-                report.distance_computations);
+                sweep.jobs(), sweep.seconds(),
+                sweep.distance_computations());
 
     write_csv(args.csv, csv);
     return 0;

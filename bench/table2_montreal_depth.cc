@@ -10,11 +10,11 @@ int
 main(int argc, char **argv)
 {
     Args args = parse_args(argc, argv);
-    Backend dev = montreal_backend();
+    auto dev = std::make_shared<Backend>(montreal_backend());
 
     std::printf("Table II: circuit depth, SABRE vs NASSC on %s "
                 "(%d seeds/cell)\n\n",
-                dev.name.c_str(), args.seeds);
+                dev->name.c_str(), args.seeds);
     std::printf("%-15s %4s %9s | %9s %9s | %9s %9s | %9s %9s\n", "name",
                 "#q", "Dorig", "Dsabre", "Dadd", "Dnassc", "Dadd",
                 "dTotal", "dAdd");
@@ -25,13 +25,20 @@ main(int argc, char **argv)
 
     GeoMean gm_total, gm_add;
 
-    for (const BenchmarkCase &bc : table_benchmarks()) {
+    const std::vector<BenchmarkCase> benchmarks = table_benchmarks();
+    Sweep sweep(args.threads);
+    for (const BenchmarkCase &bc : benchmarks) {
+        sweep.add_cell(bc.name + "/sabre", bc.circuit, dev,
+                       RoutingAlgorithm::kSabre, args.seeds);
+        sweep.add_cell(bc.name + "/nassc", bc.circuit, dev,
+                       RoutingAlgorithm::kNassc, args.seeds);
+    }
+
+    for (const BenchmarkCase &bc : benchmarks) {
         TranspileResult base =
             TranspileContext::global().optimize_only(bc.circuit);
-        Cell sabre = run_cell(bc.circuit, dev, RoutingAlgorithm::kSabre,
-                              args.seeds, base.cx_total, base.depth);
-        Cell nassc = run_cell(bc.circuit, dev, RoutingAlgorithm::kNassc,
-                              args.seeds, base.cx_total, base.depth);
+        Cell sabre = sweep.next_cell(args.seeds, base.cx_total, base.depth);
+        Cell nassc = sweep.next_cell(args.seeds, base.cx_total, base.depth);
 
         double d_total =
             100.0 * (1.0 - nassc.depth_total / sabre.depth_total);

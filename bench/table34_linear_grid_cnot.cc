@@ -35,32 +35,27 @@ main(int argc, char **argv)
 
     GeoMean gm_total, gm_add;
 
-    // Queue the full sweep as one parallel batch sharing a cached
-    // distance matrix, then fold cells back in submission order.
+    // Submit the full sweep sharing a cached distance matrix, then fold
+    // cells back in submission order.
     const std::vector<BenchmarkCase> benchmarks = table_benchmarks();
-    std::vector<TranspileJob> jobs;
+    Sweep sweep(args.threads);
     std::vector<const BenchmarkCase *> cases;
     for (const BenchmarkCase &bc : benchmarks) {
         if (bc.circuit.num_qubits() > dev->coupling.num_qubits())
             continue;
         cases.push_back(&bc);
-        queue_cell_jobs(jobs, bc.name + "/sabre", bc.circuit, dev,
-                        RoutingAlgorithm::kSabre, args.seeds);
-        queue_cell_jobs(jobs, bc.name + "/nassc", bc.circuit, dev,
-                        RoutingAlgorithm::kNassc, args.seeds);
+        sweep.add_cell(bc.name + "/sabre", bc.circuit, dev,
+                       RoutingAlgorithm::kSabre, args.seeds);
+        sweep.add_cell(bc.name + "/nassc", bc.circuit, dev,
+                       RoutingAlgorithm::kNassc, args.seeds);
     }
-    BatchTranspiler engine(args.batch());
-    BatchReport report = engine.run(jobs);
 
-    std::size_t idx = 0;
     for (const BenchmarkCase *bcp : cases) {
         const BenchmarkCase &bc = *bcp;
         TranspileResult base =
             TranspileContext::global().optimize_only(bc.circuit);
-        Cell sabre = cell_from_results(report.results, idx, args.seeds,
-                                       base.cx_total, base.depth);
-        Cell nassc = cell_from_results(report.results, idx, args.seeds,
-                                       base.cx_total, base.depth);
+        Cell sabre = sweep.next_cell(args.seeds, base.cx_total, base.depth);
+        Cell nassc = sweep.next_cell(args.seeds, base.cx_total, base.depth);
 
         double d_total = 100.0 * (1.0 - nassc.cx_total / sabre.cx_total);
         double d_add =

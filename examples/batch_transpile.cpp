@@ -1,6 +1,6 @@
-// Batch transpilation CLI: sweep the paper's benchmark circuits through
-// the parallel BatchTranspiler and report per-job metrics, throughput,
-// and distance-cache reuse.
+// Batch transpilation CLI: sweep the paper's benchmark circuits as
+// tickets on one TranspileContext and report per-job metrics,
+// throughput, and distance-cache reuse.
 //
 //   $ ./batch_transpile                                   # defaults
 //   $ ./batch_transpile --backend grid --router both --seeds 5 --threads 8
@@ -16,6 +16,7 @@
 //   --derive-seeds                   decorrelate seeds from the batch seed
 //   --csv PATH                       also write per-job results as CSV
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -23,7 +24,7 @@
 #include <vector>
 
 #include "nassc/circuits/library.h"
-#include "nassc/service/batch_transpiler.h"
+#include "nassc/transpile/context.h"
 
 using namespace nassc;
 
@@ -120,76 +121,97 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::vector<TranspileJob> jobs;
+    // Every job is a ticket on one private context: the tickets share
+    // its distance cache and run on its workers, and results are folded
+    // back in submission order.
+    TranspileContext ctx(TranspileContext::Config{
+        std::make_shared<DistanceCache>(),
+        threads > 0 ? std::make_shared<Scheduler>(threads) : nullptr, {}});
+    struct Job
+    {
+        std::string tag;
+        unsigned seed = 0;
+        TranspileTicket ticket;
+    };
+    std::vector<Job> jobs;
+    const auto t0 = std::chrono::steady_clock::now();
     for (const BenchmarkCase &bc : cases) {
         for (RoutingAlgorithm router : routers) {
             for (int s = 0; s < seeds; ++s) {
-                TranspileJob job;
+                Job job;
                 job.tag = bc.name +
                           (router == RoutingAlgorithm::kNassc ? "/nassc"
                                                               : "/sabre") +
                           "/s" + std::to_string(s);
-                job.circuit = bc.circuit;
-                job.backend = device;
-                job.options.router = router;
-                job.options.noise_aware = noise_aware;
-                job.options.seed = static_cast<unsigned>(s);
+                TranspileOptions opts;
+                opts.router = router;
+                opts.noise_aware = noise_aware;
+                opts.seed = derive_seeds
+                                ? derive_job_seed(0, job.tag,
+                                                  static_cast<unsigned>(s))
+                                : static_cast<unsigned>(s);
+                job.seed = opts.seed;
+                job.ticket = ctx.submit(bc.circuit, device, opts);
                 jobs.push_back(std::move(job));
             }
         }
     }
 
-    BatchOptions opts;
-    opts.num_threads = threads;
-    opts.derive_seeds = derive_seeds;
-    BatchTranspiler engine(opts);
-
     std::printf("batch: %zu jobs on %s, %d thread(s)\n\n", jobs.size(),
-                device->name.c_str(), engine.num_threads_for(jobs.size()));
-    BatchReport report = engine.run(jobs);
-
+                device->name.c_str(), ctx.scheduler().num_threads());
     std::printf("%-28s %6s %6s %6s %6s %8s\n", "job", "ok", "cx", "depth",
                 "swaps", "t(s)");
     std::vector<std::string> csv;
     csv.push_back("tag,ok,seed,cx_total,depth,swaps,seconds,error");
     double cpu_seconds = 0.0;
-    for (const JobResult &jr : report.results) {
-        if (jr.ok) {
-            std::printf("%-28s %6s %6d %6d %6d %8.3f\n", jr.tag.c_str(),
-                        "yes", jr.result.cx_total, jr.result.depth,
-                        jr.result.routing_stats.num_swaps,
-                        jr.result.seconds);
-            cpu_seconds += jr.result.seconds;
+    std::size_t num_failed = 0, num_route_reused = 0;
+    long full_route_passes = 0;
+    for (const Job &job : jobs) {
+        SharedTranspileResult r;
+        std::string error;
+        try {
+            r = job.ticket.get();
+        } catch (const std::exception &e) {
+            error = e.what();
+        }
+        if (r) {
+            std::printf("%-28s %6s %6d %6d %6d %8.3f\n", job.tag.c_str(),
+                        "yes", r->cx_total, r->depth,
+                        r->routing_stats.num_swaps, r->seconds);
+            cpu_seconds += r->seconds;
+            num_route_reused += r->reused_search_route ? 1 : 0;
+            full_route_passes += r->full_route_passes;
         } else {
-            std::printf("%-28s %6s  FAILED: %s\n", jr.tag.c_str(), "no",
-                        jr.error.c_str());
+            ++num_failed;
+            std::printf("%-28s %6s  FAILED: %s\n", job.tag.c_str(), "no",
+                        error.c_str());
         }
         // Error text is arbitrary; keep the CSV column count stable.
-        std::string safe_error = jr.error;
-        for (char &c : safe_error)
+        for (char &c : error)
             if (c == ',' || c == '\n')
                 c = ';';
         char line[256];
         std::snprintf(line, sizeof(line), "%s,%d,%u,%d,%d,%d,%.4f,%s",
-                      jr.tag.c_str(), jr.ok ? 1 : 0, jr.seed_used,
-                      jr.ok ? jr.result.cx_total : -1,
-                      jr.ok ? jr.result.depth : -1,
-                      jr.ok ? jr.result.routing_stats.num_swaps : -1,
-                      jr.ok ? jr.result.seconds : 0.0, safe_error.c_str());
+                      job.tag.c_str(), r ? 1 : 0, job.seed,
+                      r ? r->cx_total : -1, r ? r->depth : -1,
+                      r ? r->routing_stats.num_swaps : -1,
+                      r ? r->seconds : 0.0, error.c_str());
         csv.push_back(line);
     }
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
 
     std::printf("\n%zu ok, %zu failed in %.3fs wall "
                 "(%.1f jobs/s, %.2fx parallel speedup)\n",
-                report.num_ok, report.num_failed, report.seconds,
-                report.results.size() / report.seconds,
-                cpu_seconds / report.seconds);
+                jobs.size() - num_failed, num_failed, wall,
+                jobs.size() / wall, cpu_seconds / wall);
+    const DistanceCache::Stats dstats = ctx.distances().stats();
     std::printf("distance matrices computed: %zu (cache hits: %zu)\n",
-                report.distance_computations,
-                engine.distance_cache().stats().hits);
+                dstats.computations, dstats.hits);
     std::printf("full routing passes: %ld (%zu job(s) reused the "
                 "winning layout trial's routed pass)\n",
-                report.full_route_passes, report.num_route_reused);
+                full_route_passes, num_route_reused);
 
     if (!csv_path.empty()) {
         std::ofstream f(csv_path);
@@ -197,5 +219,5 @@ main(int argc, char **argv)
             f << line << "\n";
         std::printf("csv written to %s\n", csv_path.c_str());
     }
-    return report.num_failed == 0 ? 0 : 1;
+    return num_failed == 0 ? 0 : 1;
 }

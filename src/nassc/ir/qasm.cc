@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -103,7 +104,17 @@ class ExprParser
             ++pos_;
         if (pos_ == start)
             fail("expected number");
-        return std::stod(s_.substr(start, pos_ - start));
+        // strtod, not stod: overflow becomes inf (rejected with the
+        // gate's name by the caller's finiteness check) and underflow a
+        // subnormal or zero, where stod throws a bare out_of_range.
+        // The whole token must be consumed, so "1e" is malformed rather
+        // than silently read as 1.
+        const std::string token = s_.substr(start, pos_ - start);
+        char *end = nullptr;
+        const double v = std::strtod(token.c_str(), &end);
+        if (end != token.c_str() + token.size())
+            fail("malformed number '" + token + "'");
+        return v;
     }
 
     char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }

@@ -48,7 +48,6 @@
 #include "nassc/passes/commutation.h"
 #include "nassc/passes/decompose_swaps.h"
 #include "nassc/passes/optimize_1q.h"
-#include "nassc/passes/pass_manager.h"
 #include "nassc/passes/scheduling.h"
 
 #include "nassc/route/layout.h"
@@ -64,7 +63,6 @@
 #include "nassc/sim/unitary.h"
 #include "nassc/sim/verify.h"
 
-#include "nassc/service/batch_transpiler.h"
 #include "nassc/service/distance_cache.h"
 #include "nassc/service/scheduler.h"
 #include "nassc/service/transpile_service.h"

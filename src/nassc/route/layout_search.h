@@ -48,7 +48,7 @@
  * service/scheduler.h), so the table can never be contended.
  *
  * The engine runs on Scheduler::shared() by default.  When the caller
- * is itself a scheduler task (a BatchTranspiler job mid-sweep), the
+ * is itself a scheduler task (a TranspileService request mid-sweep), the
  * nested-parallelism guard runs the trials inline — one saturated level
  * of parallelism, never two.
  */

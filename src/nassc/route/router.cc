@@ -1,6 +1,7 @@
 #include "nassc/route/router.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -20,6 +21,11 @@ Router::Router(const DagCircuit &dag, const CouplingMap &coupling,
             throw std::invalid_argument(
                 "route_circuit: decompose to <= 2q gates first");
     }
+    // A NaN or infinite weight poisons every lookahead score, so no
+    // candidate compares best and the SWAP choice degenerates.
+    if (!std::isfinite(opts_.extended_weight))
+        throw std::invalid_argument(
+            "route_circuit: extended_weight must be finite");
     force_limit_ = 3 * std::max(coupling_.diameter(), 2) + 8;
     // Candidate dedup marks, one per coupling edge (the historical
     // n*n table was 144 MB at 4k qubits for the same information).

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -119,18 +120,19 @@ parse_int_at_most(const std::string &key, const std::string &value, int max)
     return v;
 }
 
+/** Finite numbers only: "nan", "inf" and overflowing literals fail. */
 double
 parse_double(const std::string &key, const std::string &value)
 {
     try {
         std::size_t used = 0;
         const double v = std::stod(value, &used);
-        if (used == value.size())
+        if (used == value.size() && std::isfinite(v))
             return v;
     } catch (const std::exception &) {
     }
-    bad_payload("option " + key + ": expected a number, got '" + value +
-                "'");
+    bad_payload("option " + key + ": expected a finite number, got '" +
+                value + "'");
 }
 
 } // namespace
@@ -302,6 +304,9 @@ parse_transpile_options(
             opts.priority = parse_int(key, value);
         } else if (key == "cache_ttl_seconds") {
             opts.cache_ttl_seconds = parse_double(key, value);
+            if (opts.cache_ttl_seconds < 0)
+                bad_payload("option cache_ttl_seconds: must be >= 0, got '" +
+                            value + "'");
         } else if (key == "deadline_ms") {
             opts.deadline_ms = parse_int(key, value);
             if (opts.deadline_ms < 0)

@@ -142,6 +142,7 @@ ServeResponse parse_response(const std::string &payload);
  * seed=0..2^32-1, noise_aware=0|1, …, priority=N, cache_ttl_seconds=X).
  * @throws std::runtime_error on unknown keys or unparsable values, so
  * a typo'd request fails loudly instead of transpiling with defaults,
+ * on non-finite numbers, on negative deadline_ms or cache_ttl_seconds,
  * and on layout_trials > 256 or layout_iterations > 64.
  */
 TranspileOptions parse_transpile_options(

@@ -20,9 +20,8 @@
  *  - fn(index, slot) runs for every index in [0, count) exactly once;
  *    any worker may execute any index, so callers write results into
  *    per-index slots and derive any randomness from the index — which
- *    is exactly how LayoutSearch (derive_trial_seed) and
- *    BatchTranspiler (derive_job_seed) keep their output bit-identical
- *    for every worker count and every steal schedule.
+ *    is exactly how LayoutSearch (derive_trial_seed) keeps its output
+ *    bit-identical for every worker count and every steal schedule.
  *  - `slot` is a stable per-JOB scratch id in [0, max_workers): a job
  *    capped at K slots never sees a slot >= K, no two tasks of one job
  *    run concurrently under the same slot, and the parallel_for caller
@@ -188,9 +187,9 @@ class Scheduler
 
     /**
      * Process-wide scheduler (hardware-concurrency sized, lazily
-     * created).  BatchTranspiler, LayoutSearch, and TranspileService
-     * all default to it, which is what makes the nested-parallelism
-     * guard effective end to end.
+     * created).  LayoutSearch and TranspileService both default to it,
+     * which is what makes the nested-parallelism guard effective end to
+     * end.
      */
     static Scheduler &shared();
 

@@ -110,10 +110,18 @@ TranspileService::entry_expiry(const TranspileOptions &options) const
     const double ttl = options.cache_ttl_seconds > 0.0
                            ? options.cache_ttl_seconds
                            : options_.default_ttl_seconds;
-    if (ttl <= 0.0)
+    if (!(ttl > 0.0)) // NaN included
         return Clock::time_point::max();
-    return Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(ttl));
+    // Saturate: a TTL past the clock's range (about 292 years of
+    // nanoseconds) never expires.  Compared in floating ticks, so the
+    // integer cast below only ever sees a value that fits.
+    const Clock::time_point now = Clock::now();
+    const std::chrono::duration<double, Clock::period> ticks =
+        std::chrono::duration<double>(ttl);
+    if (ticks.count() >=
+        static_cast<double>((Clock::time_point::max() - now).count()))
+        return Clock::time_point::max();
+    return now + std::chrono::duration_cast<Clock::duration>(ticks);
 }
 
 std::list<TranspileService::CacheEntry>::iterator
@@ -392,7 +400,7 @@ TranspileService::submit(const QuantumCircuit &circuit,
     }
 
     if (inline_run) {
-        // Nested submitter (e.g. a batch job consulting the service):
+        // Nested submitter (e.g. a task consulting the service):
         // run inline so a saturated pool cannot deadlock behind its own
         // queue.  Dedup above still applied.
         ticket.source_ = TicketSource::kInline;

@@ -52,7 +52,7 @@
  *    TranspileCancelled.
  *
  * Nesting: a submit() issued from inside a scheduler task (e.g. a
- * batch job that consults the service) runs the transpile inline on
+ * request that consults the service) runs the transpile inline on
  * the issuing thread — dedup and caching still apply, and a saturated
  * pool can never deadlock behind its own queue.
  *
@@ -258,15 +258,6 @@ class TranspileService
     TranspileTicket submit_qasm(const std::string &qasm,
                                 std::shared_ptr<const Backend> backend,
                                 const TranspileOptions &options = {});
-
-    /** Convenience: submit + get. */
-    SharedTranspileResult
-    transpile_sync(const QuantumCircuit &circuit,
-                   std::shared_ptr<const Backend> backend,
-                   const TranspileOptions &options = {})
-    {
-        return submit(circuit, std::move(backend), options).get();
-    }
 
     /**
      * Abandon `ticket`'s request if (a) it owns a scheduled transpile,

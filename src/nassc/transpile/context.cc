@@ -1,5 +1,7 @@
 #include "nassc/transpile/context.h"
 
+#include "nassc/ir/fnv1a.h"
+
 namespace nassc {
 
 TranspileContext::TranspileContext(Config config)
@@ -67,6 +69,18 @@ TranspileContext::global()
 {
     static TranspileContext *ctx = new TranspileContext(Config{});
     return *ctx;
+}
+
+unsigned
+derive_job_seed(unsigned base_seed, const std::string &tag, unsigned job_seed)
+{
+    // FNV-1a over (base_seed, tag, job_seed), folded to 32 bits.  Cheap,
+    // stable across platforms, and independent of submission order.
+    Fnv1a mix;
+    mix.u32(base_seed);
+    mix.str(tag);
+    mix.u32(job_seed);
+    return mix.fold32();
 }
 
 } // namespace nassc

@@ -86,16 +86,6 @@ class TranspileContext
 
     DistanceCache &distances() const { return *distances_; }
 
-    /** One-lock snapshot of the context's distance-cache counters —
-     *  provider computations/hits plus the per-row lazy-provider stats
-     *  (rows computed, row cache hits, evictions, resident/peak bytes).
-     *  What the nasscd `metrics` verb reports as the nassc_distance_*
-     *  rows. */
-    DistanceCache::Stats distance_stats() const
-    {
-        return distances_->stats();
-    }
-
     Scheduler &scheduler() const;
 
     /** The context's TranspileService, created on first call. */
@@ -115,6 +105,15 @@ class TranspileContext
     mutable std::mutex service_mu_; ///< guards lazy service creation
     std::unique_ptr<TranspileService> service_;
 };
+
+/**
+ * Deterministic per-job seed for sweeps that want decorrelated layouts
+ * without hand-numbering seeds: a stable mix of a sweep-wide base seed,
+ * the job's tag, and the job's own option seed.  A pure function of its
+ * arguments, so a job's seed never depends on its submission order.
+ */
+unsigned derive_job_seed(unsigned base_seed, const std::string &tag,
+                         unsigned job_seed);
 
 } // namespace nassc
 

@@ -171,8 +171,8 @@ struct TranspileResult
 
 /**
  * Full pipeline against a backend, resolving the distance matrix through
- * `cache`.  Concurrent callers sharing a cache (e.g. BatchTranspiler
- * workers) compute each backend's matrix exactly once.
+ * `cache`.  Concurrent callers sharing a cache (e.g. the requests of one
+ * TranspileContext) compute each backend's matrix exactly once.
  */
 TranspileResult transpile(const QuantumCircuit &qc, const Backend &backend,
                           const TranspileOptions &opts, DistanceCache &cache);

@@ -1,18 +1,19 @@
-// Tests for the parallel batch-transpilation engine: results must be
-// bit-identical regardless of thread count and job submission order, a
-// throwing job must surface as a failed result without poisoning its
-// batch, and the shared DistanceCache must compute each backend's
-// matrix exactly once.
+// Tests for in-process batch sweeps — every job a ticket on a
+// TranspileContext: results must be bit-identical regardless of thread
+// count and submission order, a throwing job must fail only its own
+// ticket, and the context's shared DistanceCache must compute each
+// backend's matrix exactly once.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <random>
+#include <stdexcept>
 #include <tuple>
 
 #include "nassc/circuits/library.h"
-#include "nassc/service/batch_transpiler.h"
+#include "nassc/transpile/context.h"
 
 namespace nassc {
 namespace {
@@ -37,32 +38,55 @@ metrics_of(const TranspileResult &r)
             r.initial_l2p};
 }
 
-std::map<std::string, Metrics>
-metrics_by_tag(const BatchReport &report)
+/** A context with a private distance cache and `threads` private
+ *  workers — what the bench binaries and the batch CLI build. */
+TranspileContext
+private_context(int threads)
 {
+    return TranspileContext(TranspileContext::Config{
+        std::make_shared<DistanceCache>(),
+        std::make_shared<Scheduler>(threads), {}});
+}
+
+struct Job
+{
+    std::string tag;
+    QuantumCircuit circuit;
+    TranspileOptions options;
+};
+
+/** Submit every job, then fold the tickets back by tag.  Every ticket
+ *  must own a fresh transpile: a cache hit would make the comparison
+ *  vacuous. */
+std::map<std::string, Metrics>
+run_sweep(TranspileContext &ctx, const std::vector<Job> &jobs,
+          const std::shared_ptr<const Backend> &dev)
+{
+    std::vector<TranspileTicket> tickets;
+    for (const Job &job : jobs)
+        tickets.push_back(ctx.submit(job.circuit, dev, job.options));
     std::map<std::string, Metrics> m;
-    for (const JobResult &jr : report.results) {
-        EXPECT_TRUE(jr.ok) << jr.tag << ": " << jr.error;
-        if (jr.ok)
-            m[jr.tag] = metrics_of(jr.result);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(tickets[i].source(), TicketSource::kScheduled)
+            << jobs[i].tag;
+        m[jobs[i].tag] = metrics_of(*tickets[i].get());
     }
     return m;
 }
 
 /** One NASSC + one SABRE job per Table I benchmark. */
-std::vector<TranspileJob>
-table1_jobs(const std::shared_ptr<const Backend> &dev)
+std::vector<Job>
+table1_jobs()
 {
-    std::vector<TranspileJob> jobs;
+    std::vector<Job> jobs;
     for (const BenchmarkCase &bc : table_benchmarks()) {
         for (RoutingAlgorithm router :
              {RoutingAlgorithm::kSabre, RoutingAlgorithm::kNassc}) {
-            TranspileJob job;
+            Job job;
             job.tag = bc.name + (router == RoutingAlgorithm::kNassc
                                      ? "/nassc"
                                      : "/sabre");
             job.circuit = bc.circuit;
-            job.backend = dev;
             job.options.router = router;
             job.options.seed = 0;
             jobs.push_back(std::move(job));
@@ -79,125 +103,106 @@ class BatchTable1 : public ::testing::Test
     SetUpTestSuite()
     {
         dev_ = std::make_shared<Backend>(montreal_backend());
-        jobs_ = table1_jobs(dev_);
-        BatchOptions opts;
-        opts.num_threads = 1;
-        reference_ = metrics_by_tag(BatchTranspiler(opts).run(jobs_));
+        jobs_ = table1_jobs();
+        TranspileContext ctx = private_context(1);
+        reference_ = run_sweep(ctx, jobs_, dev_);
         ASSERT_EQ(reference_.size(), jobs_.size());
     }
 
     static std::shared_ptr<const Backend> dev_;
-    static std::vector<TranspileJob> jobs_;
+    static std::vector<Job> jobs_;
     static std::map<std::string, Metrics> reference_;
 };
 
 std::shared_ptr<const Backend> BatchTable1::dev_;
-std::vector<TranspileJob> BatchTable1::jobs_;
+std::vector<Job> BatchTable1::jobs_;
 std::map<std::string, Metrics> BatchTable1::reference_;
 
 TEST_F(BatchTable1, IdenticalAcrossThreadCounts)
 {
     for (int threads : {2, 8}) {
-        BatchOptions opts;
-        opts.num_threads = threads;
-        BatchReport report = BatchTranspiler(opts).run(jobs_);
-        EXPECT_EQ(metrics_by_tag(report), reference_)
+        TranspileContext ctx = private_context(threads);
+        EXPECT_EQ(run_sweep(ctx, jobs_, dev_), reference_)
             << "metrics diverged at " << threads << " threads";
-        // Submission order must be preserved in the results.
-        for (std::size_t i = 0; i < report.results.size(); ++i) {
-            EXPECT_EQ(report.results[i].index, i);
-            EXPECT_EQ(report.results[i].tag, jobs_[i].tag);
-        }
     }
 }
 
 TEST_F(BatchTable1, IdenticalAcrossSubmissionOrders)
 {
-    std::vector<TranspileJob> shuffled = jobs_;
+    std::vector<Job> shuffled = jobs_;
     std::mt19937 rng(42);
     std::shuffle(shuffled.begin(), shuffled.end(), rng);
 
-    BatchOptions opts;
-    opts.num_threads = 4;
-    BatchReport report = BatchTranspiler(opts).run(shuffled);
-    EXPECT_EQ(metrics_by_tag(report), reference_);
+    TranspileContext ctx = private_context(4);
+    EXPECT_EQ(run_sweep(ctx, shuffled, dev_), reference_);
 }
 
-TEST(BatchTranspiler, FailedJobDoesNotPoisonBatch)
+TEST(BatchSweep, FailedJobDoesNotPoisonBatch)
 {
     auto dev = std::make_shared<Backend>(montreal_backend());
+    TranspileContext ctx = private_context(2);
 
-    TranspileJob good;
-    good.tag = "good";
-    good.circuit = ghz(5);
-    good.backend = dev;
+    TranspileOptions first, second;
+    second.seed = 1;
+    TranspileTicket good1 = ctx.submit(ghz(5), dev, first);
+    // 40 logical qubits on a 27-qubit device.
+    TranspileTicket too_wide = ctx.submit(ghz(40), dev);
+    TranspileTicket good2 = ctx.submit(ghz(5), dev, second);
+    // A job without a backend is refused before anything is queued.
+    EXPECT_THROW(ctx.submit(ghz(3), nullptr), std::invalid_argument);
 
-    TranspileJob too_wide; // 40 logical qubits on a 27-qubit device
-    too_wide.tag = "too_wide";
-    too_wide.circuit = ghz(40);
-    too_wide.backend = dev;
+    try {
+        too_wide.get();
+        ADD_FAILURE() << "too-wide circuit transpiled";
+    } catch (const std::exception &e) {
+        EXPECT_NE(std::string(e.what()).find("more logical than physical"),
+                  std::string::npos)
+            << e.what();
+    }
 
-    TranspileJob no_backend;
-    no_backend.tag = "no_backend";
-    no_backend.circuit = ghz(3);
-
-    BatchOptions opts;
-    opts.num_threads = 2;
-    BatchTranspiler engine(opts);
-    BatchReport report = engine.run({good, too_wide, no_backend, good});
-
-    ASSERT_EQ(report.results.size(), 4u);
-    EXPECT_EQ(report.num_ok, 2u);
-    EXPECT_EQ(report.num_failed, 2u);
-
-    EXPECT_TRUE(report.results[0].ok);
-    EXPECT_FALSE(report.results[1].ok);
-    EXPECT_NE(report.results[1].error.find("more logical than physical"),
-              std::string::npos)
-        << report.results[1].error;
-    EXPECT_FALSE(report.results[2].ok);
-    EXPECT_FALSE(report.results[2].error.empty());
-    EXPECT_TRUE(report.results[3].ok);
-
-    // Jobs around the failures are unaffected: same result as a solo run.
-    TranspileResult solo = transpile(good.circuit, *dev, good.options);
-    EXPECT_EQ(metrics_of(report.results[0].result), metrics_of(solo));
-    EXPECT_EQ(metrics_of(report.results[3].result), metrics_of(solo));
+    // Jobs around the failure are unaffected: same result as a solo run.
+    EXPECT_EQ(metrics_of(*good1.get()),
+              metrics_of(transpile(ghz(5), *dev, first)));
+    EXPECT_EQ(metrics_of(*good2.get()),
+              metrics_of(transpile(ghz(5), *dev, second)));
+    const ServiceStats stats = ctx.service().stats();
+    EXPECT_EQ(stats.transpiles_ok, 2u);
+    EXPECT_EQ(stats.transpiles_failed, 1u);
 }
 
-TEST(BatchTranspiler, DistanceCacheComputesOncePerBackend)
+TEST(BatchSweep, DistanceCacheComputesOncePerBackend)
 {
     auto montreal = std::make_shared<Backend>(montreal_backend());
     auto grid = std::make_shared<Backend>(grid_backend(5, 5));
+    TranspileContext ctx = private_context(8);
 
-    std::vector<TranspileJob> jobs;
-    for (int s = 0; s < 6; ++s) {
-        TranspileJob job;
-        job.tag = "m" + std::to_string(s);
-        job.circuit = qft(6);
-        job.backend = montreal;
-        job.options.seed = static_cast<unsigned>(s);
-        jobs.push_back(job);
-        job.tag = "g" + std::to_string(s);
-        job.backend = grid;
-        jobs.push_back(job);
-    }
+    // Seeds [first, first + 6) on both backends: 12 fresh transpiles.
+    auto sweep = [&](unsigned first) {
+        std::vector<TranspileTicket> tickets;
+        for (unsigned s = first; s < first + 6; ++s) {
+            TranspileOptions opts;
+            opts.seed = s;
+            tickets.push_back(ctx.submit(qft(6), montreal, opts));
+            tickets.push_back(ctx.submit(qft(6), grid, opts));
+        }
+        for (const TranspileTicket &t : tickets) {
+            EXPECT_EQ(t.source(), TicketSource::kScheduled);
+            EXPECT_FALSE(t.get()->circuit.empty());
+        }
+        return tickets.size();
+    };
 
-    BatchOptions opts;
-    opts.num_threads = 8;
-    BatchTranspiler engine(opts);
-    BatchReport report = engine.run(jobs);
-    EXPECT_EQ(report.num_ok, jobs.size());
+    const std::size_t jobs = sweep(0);
     // 12 jobs, 2 distinct (backend, metric) keys -> exactly 2 computations.
-    EXPECT_EQ(report.distance_computations, 2u);
-    const DistanceCache::Stats cache_stats = engine.distance_cache().stats();
+    DistanceCache::Stats cache_stats = ctx.distances().stats();
     EXPECT_EQ(cache_stats.computations, 2u);
-    EXPECT_EQ(cache_stats.hits, jobs.size() - 2);
+    EXPECT_EQ(cache_stats.hits, jobs - 2);
 
-    // A second batch on the same engine is served entirely from cache.
-    BatchReport again = engine.run(jobs);
-    EXPECT_EQ(again.num_ok, jobs.size());
-    EXPECT_EQ(again.distance_computations, 0u);
+    // A second sweep of new seeds on the same context computes nothing.
+    sweep(6);
+    cache_stats = ctx.distances().stats();
+    EXPECT_EQ(cache_stats.computations, 2u);
+    EXPECT_EQ(cache_stats.hits, 2 * jobs - 2);
 }
 
 /** Flat matrix of a dense provider (throws std::bad_cast if sparse). */
@@ -239,34 +244,32 @@ TEST(DistanceCache, KeysSeparateBackendsAndMetrics)
     EXPECT_EQ(cache.stats().computations, 4u);
 }
 
-TEST(BatchTranspiler, DerivedSeedsAreOrderIndependent)
+TEST(BatchSweep, DerivedSeedsAreOrderIndependent)
 {
     EXPECT_EQ(derive_job_seed(7, "qft_n15", 2), derive_job_seed(7, "qft_n15", 2));
     EXPECT_NE(derive_job_seed(7, "qft_n15", 2), derive_job_seed(7, "qft_n15", 3));
     EXPECT_NE(derive_job_seed(7, "qft_n15", 2), derive_job_seed(8, "qft_n15", 2));
     EXPECT_NE(derive_job_seed(7, "qft_n15", 2), derive_job_seed(7, "qft_n20", 2));
+    // Pinned: `batch_transpile --derive-seeds` seeds must not drift.
+    EXPECT_EQ(derive_job_seed(0, "qft_n15/sabre/s0", 0), 4103136734u);
+    EXPECT_EQ(derive_job_seed(0, "qft_n15/sabre/s1", 1), 2433676515u);
 
+    // Derived-seed jobs give the same per-tag results in either
+    // submission order.
     auto dev = std::make_shared<Backend>(montreal_backend());
-    std::vector<TranspileJob> jobs;
-    for (int s = 0; s < 3; ++s) {
-        TranspileJob job;
+    std::vector<Job> jobs;
+    for (unsigned s = 0; s < 3; ++s) {
+        Job job;
         job.tag = "bv/s" + std::to_string(s);
         job.circuit = bernstein_vazirani(10, 0x2bd);
-        job.backend = dev;
-        job.options.seed = static_cast<unsigned>(s);
+        job.options.seed = derive_job_seed(99, job.tag, s);
         jobs.push_back(std::move(job));
     }
-
-    BatchOptions opts;
-    opts.num_threads = 2;
-    opts.derive_seeds = true;
-    opts.base_seed = 99;
-    BatchReport report = BatchTranspiler(opts).run(jobs);
-    for (const JobResult &jr : report.results) {
-        EXPECT_TRUE(jr.ok);
-        EXPECT_EQ(jr.seed_used,
-                  derive_job_seed(99, jr.tag, static_cast<unsigned>(jr.index)));
-    }
+    TranspileContext forward = private_context(2);
+    const std::map<std::string, Metrics> a = run_sweep(forward, jobs, dev);
+    std::reverse(jobs.begin(), jobs.end());
+    TranspileContext backward = private_context(2);
+    EXPECT_EQ(run_sweep(backward, jobs, dev), a);
 }
 
 } // namespace

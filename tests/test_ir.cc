@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "nassc/ir/circuit.h"
 #include "nassc/ir/dag.h"
 #include "nassc/ir/qasm.h"
@@ -308,6 +310,45 @@ TEST(Qasm, RejectsNonFiniteParameters)
     // Large but finite angles still parse.
     EXPECT_EQ(from_qasm("qreg q[1]; rz(1e12) q[0];").gate(0).params[0],
               1e12);
+}
+
+TEST(Qasm, NumbersOutOfDoubleRange)
+{
+    // An overflowing literal is inf, rejected like any non-finite angle
+    // and naming the gate (not a bare out_of_range from the parser).
+    try {
+        from_qasm("qreg q[1]; rz(1e400) q[0];");
+        ADD_FAILURE() << "1e400 parsed";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("non-finite"), std::string::npos) << what;
+        EXPECT_NE(what.find("'rz'"), std::string::npos) << what;
+    }
+    // An underflowing literal is a subnormal or zero, never an error...
+    EXPECT_EQ(from_qasm("qreg q[1]; rz(1e-400) q[0];").gate(0).params[0],
+              0.0);
+    // ...so the smallest subnormal survives a round trip.
+    QuantumCircuit qc(1);
+    qc.rz(std::numeric_limits<double>::denorm_min(), 0);
+    EXPECT_EQ(from_qasm(to_qasm(qc)).gate(0).params[0],
+              std::numeric_limits<double>::denorm_min());
+}
+
+TEST(Qasm, RejectsMalformedNumbers)
+{
+    // Each used to parse as its longest numeric prefix ("1e" as 1).
+    for (const char *param : {"1e", "1e+", "1.2.3", "2e-"}) {
+        const std::string text =
+            std::string("qreg q[1]; rz(") + param + ") q[0];";
+        try {
+            from_qasm(text);
+            ADD_FAILURE() << param << " parsed";
+        } catch (const std::runtime_error &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("malformed number"), std::string::npos)
+                << what;
+        }
+    }
 }
 
 TEST(Qasm, IgnoresComments)

@@ -33,10 +33,9 @@
 #include "nassc/route/layout_search.h"
 #include "nassc/route/router.h"
 #include "nassc/route/sabre.h"
-#include "nassc/service/batch_transpiler.h"
 #include "nassc/service/scheduler.h"
 #include "nassc/topo/backends.h"
-#include "nassc/transpile/transpile.h"
+#include "nassc/transpile/context.h"
 
 namespace nassc {
 namespace {
@@ -517,48 +516,43 @@ TEST(LayoutTrials, TrialSeedDerivationIsPureAndStable)
 
 TEST(LayoutTrials, NestedInBatchRunsInlineAndMatchesSerial)
 {
-    // A batch whose jobs each race 4 layout trials: the inner searches
-    // hit the pool's nested-parallelism guard and run inline, and the
-    // metrics must match a fully serial batch bit for bit.
-    Backend shared_dev = montreal_backend();
-    auto dev = std::make_shared<Backend>(shared_dev);
+    // A sweep whose jobs each race 4 layout trials: as tickets on an
+    // 8-worker context the inner searches hit the pool's
+    // nested-parallelism guard and run inline, and the metrics must
+    // match direct calls (trials on the shared pool) bit for bit.
+    auto dev = std::make_shared<Backend>(montreal_backend());
+    TranspileOptions opts;
+    opts.layout_trials = 4;
+    opts.layout_threads = 0; // whole pool, when available
 
-    std::vector<TranspileJob> jobs;
-    for (const char *name : {"qft_n15", "adder_n10", "bv_n19"}) {
-        TranspileJob job;
-        job.tag = name;
-        job.circuit = benchmark_by_name(name);
-        job.backend = dev;
-        job.options.layout_trials = 4;
-        job.options.layout_threads = 0; // whole pool, when available
-        jobs.push_back(std::move(job));
+    TranspileContext ctx(TranspileContext::Config{
+        std::make_shared<DistanceCache>(), std::make_shared<Scheduler>(8),
+        {}});
+    const std::vector<const char *> names = {"qft_n15", "adder_n10",
+                                             "bv_n19"};
+    std::vector<TranspileTicket> tickets;
+    for (const char *name : names)
+        tickets.push_back(ctx.submit(benchmark_by_name(name), dev, opts));
+
+    long passes_serial = 0, passes_nested = 0;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        SCOPED_TRACE(names[i]);
+        const TranspileResult a = transpile(benchmark_by_name(names[i]),
+                                            *dev, opts);
+        const SharedTranspileResult b = tickets[i].get();
+        EXPECT_EQ(a.cx_total, b->cx_total);
+        EXPECT_EQ(a.depth, b->depth);
+        EXPECT_EQ(a.initial_l2p, b->initial_l2p);
+        EXPECT_EQ(a.routing_stats.num_swaps, b->routing_stats.num_swaps);
+        // The default router is kNassc, so nothing reuses; every job
+        // reports its per-trial scoring passes plus the final route.
+        EXPECT_FALSE(a.reused_search_route);
+        EXPECT_FALSE(b->reused_search_route);
+        passes_serial += a.full_route_passes;
+        passes_nested += b->full_route_passes;
     }
-
-    BatchOptions serial;
-    serial.num_threads = 1;
-    BatchOptions parallel;
-    parallel.num_threads = 8;
-
-    BatchReport a = BatchTranspiler(serial).run(jobs);
-    BatchReport b = BatchTranspiler(parallel).run(jobs);
-    ASSERT_EQ(a.results.size(), b.results.size());
-    for (std::size_t i = 0; i < a.results.size(); ++i) {
-        ASSERT_TRUE(a.results[i].ok) << a.results[i].error;
-        ASSERT_TRUE(b.results[i].ok) << b.results[i].error;
-        EXPECT_EQ(a.results[i].result.cx_total, b.results[i].result.cx_total);
-        EXPECT_EQ(a.results[i].result.depth, b.results[i].result.depth);
-        EXPECT_EQ(a.results[i].result.initial_l2p,
-                  b.results[i].result.initial_l2p);
-        EXPECT_EQ(a.results[i].result.routing_stats.num_swaps,
-                  b.results[i].result.routing_stats.num_swaps);
-    }
-    // Per-job reuse stats aggregate deterministically too (default
-    // router is kNassc, so nothing reuses; every job still reports its
-    // per-trial scoring passes plus the final route).
-    EXPECT_EQ(a.num_route_reused, b.num_route_reused);
-    EXPECT_EQ(a.full_route_passes, b.full_route_passes);
-    EXPECT_EQ(a.full_route_passes,
-              static_cast<long>(jobs.size()) * (4 + 1));
+    EXPECT_EQ(passes_serial, passes_nested);
+    EXPECT_EQ(passes_nested, static_cast<long>(names.size()) * (4 + 1));
 }
 
 TEST(LayoutTrials, MoreTrialsNotWorseOnAggregate)

@@ -36,8 +36,8 @@
 #include "nassc/circuits/library.h"
 #include "nassc/passes/basis_translation.h"
 #include "nassc/route/sabre.h"
-#include "nassc/service/batch_transpiler.h"
 #include "nassc/topo/backends.h"
+#include "nassc/transpile/context.h"
 
 namespace nassc {
 namespace {
@@ -331,30 +331,25 @@ TEST(RouterEquivalence, TableIFinalOutputsMatchGoldens)
     auto suite = table_benchmarks();
     auto dev = std::make_shared<const Backend>(montreal_backend());
 
-    // BatchTranspiler results are bit-identical across thread counts,
-    // so the 60 full transpiles run in parallel.
-    std::vector<TranspileJob> jobs;
+    // Transpile results are bit-identical across thread counts, so the
+    // 60 full transpiles run in parallel as tickets on one context.
+    TranspileContext ctx;
+    std::vector<TranspileTicket> tickets;
     for (const auto &bench : suite) {
         for (const FinalConfig &cfg : kFinalConfigs) {
-            TranspileJob job;
-            job.tag = bench.name + " / " + cfg.tag;
-            job.circuit = bench.circuit;
-            job.backend = dev;
-            job.options.router = cfg.router;
-            job.options.noise_aware = cfg.noise_aware;
-            jobs.push_back(std::move(job));
+            TranspileOptions opts;
+            opts.router = cfg.router;
+            opts.noise_aware = cfg.noise_aware;
+            tickets.push_back(ctx.submit(bench.circuit, dev, opts));
         }
     }
-    const BatchReport report = BatchTranspiler().run(jobs);
-    ASSERT_EQ(report.results.size(), jobs.size());
 
     std::size_t golden_idx = 0;
     for (std::size_t ci = 0; ci < suite.size(); ++ci) {
         for (const FinalConfig &cfg : kFinalConfigs) {
-            const JobResult &jr = report.results[golden_idx];
-            SCOPED_TRACE(jr.tag);
-            ASSERT_TRUE(jr.ok) << jr.error;
-            const TranspileResult &r = jr.result;
+            SCOPED_TRACE(suite[ci].name + " / " + cfg.tag);
+            const SharedTranspileResult result = tickets[golden_idx].get();
+            const TranspileResult &r = *result;
             const std::uint64_t fp = r.circuit.fingerprint();
 
             if (regen) {

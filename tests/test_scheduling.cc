@@ -1,56 +1,14 @@
-// Tests for the PassManager, the ASAP/ALAP scheduler, and the
-// transpilation verifier.
+// Tests for the ASAP/ALAP scheduler and the transpilation verifier.
 
 #include <gtest/gtest.h>
 
 #include "nassc/circuits/library.h"
-#include "nassc/passes/optimize_1q.h"
-#include "nassc/passes/pass_manager.h"
 #include "nassc/passes/scheduling.h"
 #include "nassc/sim/verify.h"
 #include "nassc/transpile/transpile.h"
 
 namespace nassc {
 namespace {
-
-TEST(PassManager, RunsPassesInOrder)
-{
-    PassManager pm;
-    std::vector<int> order;
-    pm.add("first", [&](QuantumCircuit &) { order.push_back(1); });
-    pm.add("second", [&](QuantumCircuit &) { order.push_back(2); });
-    QuantumCircuit qc(1);
-    pm.run(qc);
-    EXPECT_EQ(order, std::vector<int>({1, 2}));
-    ASSERT_EQ(pm.reports().size(), 2u);
-    EXPECT_EQ(pm.reports()[0].name, "first");
-}
-
-TEST(PassManager, ReportsDeltas)
-{
-    PassManager pm;
-    pm.add("opt1q", [](QuantumCircuit &qc) {
-        run_optimize_1q(qc, Basis1q::kZsx);
-    });
-    QuantumCircuit qc(1);
-    qc.h(0);
-    qc.h(0);
-    pm.run(qc);
-    EXPECT_EQ(pm.reports()[0].gates_before, 2);
-    EXPECT_EQ(pm.reports()[0].gates_after, 0);
-}
-
-TEST(PassManager, FixpointStops)
-{
-    PassManager pm;
-    int calls = 0;
-    pm.add("noop", [&](QuantumCircuit &) { ++calls; });
-    QuantumCircuit qc(1);
-    qc.h(0);
-    int rounds = pm.run_to_fixpoint(qc, 8);
-    EXPECT_EQ(rounds, 1); // no shrink after the first round
-    EXPECT_EQ(calls, 1);
-}
 
 TEST(Scheduling, SerialChainAddsDurations)
 {

@@ -149,6 +149,36 @@ TEST(ServeProtocol, OptionParsingIsStrictAndComplete)
                  std::runtime_error);
 }
 
+TEST(ServeProtocol, NonFiniteAndNegativeNumbersAreRejected)
+{
+    // A non-finite extended_weight used to reach the router and fail as
+    // "gate swap: duplicate operand"; an infinite or negative TTL was
+    // accepted as is.
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"extended_weight", "nan"},       {"extended_weight", "inf"},
+        {"extended_weight", "-inf"},      {"extended_weight", "1e400"},
+        {"cache_ttl_seconds", "inf"},     {"cache_ttl_seconds", "-inf"},
+        {"cache_ttl_seconds", "nan"},     {"cache_ttl_seconds", "-1"},
+        {"cache_ttl_seconds", "-0.5"},
+    };
+    for (const auto &kv : bad) {
+        try {
+            parse_transpile_options({kv});
+            ADD_FAILURE() << kv.first << "=" << kv.second << " parsed";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("option " + kv.first),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(parse_transpile_options({{"cache_ttl_seconds", "0"}})
+                  .cache_ttl_seconds,
+              0.0);
+    EXPECT_EQ(
+        parse_transpile_options({{"extended_weight", "-0.5"}}).extended_weight,
+        -0.5);
+}
+
 TEST(ServeProtocol, SeedCoversTheFullUnsignedRange)
 {
     EXPECT_EQ(parse_transpile_options({{"seed", "4294967295"}}).seed,
@@ -915,6 +945,30 @@ TEST(TranspileService, TtlExpiryInvalidatesLazilyAndViaPurge)
     dservice.submit(ghz(5), shared_montreal()).get();
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
     EXPECT_EQ(dservice.purge_expired(), 1u);
+}
+
+TEST(TranspileService, TtlBeyondTheClockRangeNeverExpires)
+{
+    // now + 1e10 s overflows steady_clock's nanosecond range; the entry
+    // used to expire on arrival and the repeat was a miss.
+    TranspileService service;
+    TranspileOptions opts;
+    opts.cache_ttl_seconds = 1e10;
+    service.submit(ghz(5), shared_montreal(), opts).get();
+    TranspileTicket hit = service.submit(ghz(5), shared_montreal(), opts);
+    hit.get();
+    EXPECT_EQ(hit.source(), TicketSource::kCacheHit);
+    EXPECT_EQ(service.stats().evictions_invalidated, 0u);
+
+    // Same through the service-wide default.
+    ServiceOptions sopts;
+    sopts.default_ttl_seconds = 1e10;
+    TranspileService dservice(sopts);
+    dservice.submit(ghz(5), shared_montreal()).get();
+    TranspileTicket dhit = dservice.submit(ghz(5), shared_montreal());
+    dhit.get();
+    EXPECT_EQ(dhit.source(), TicketSource::kCacheHit);
+    EXPECT_EQ(dservice.stats().evictions_invalidated, 0u);
 }
 
 TEST(TranspileService, InvalidateBackendDropsByName)

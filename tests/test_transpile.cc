@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "nassc/circuits/library.h"
 #include "nassc/passes/basis_translation.h"
 #include "nassc/sim/unitary.h"
@@ -210,6 +213,32 @@ TEST(Transpile, OptimizationTogglesWork)
         EXPECT_TRUE(equivalent_with_layout(logical, res.circuit,
                                            res.initial_l2p, res.final_l2p))
             << "mask=" << mask;
+    }
+}
+
+TEST(Transpile, NonFiniteExtendedWeightIsRejected)
+{
+    // A NaN or infinite lookahead weight used to surface as the internal
+    // error "gate swap: duplicate operand" from deep inside routing.
+    Backend dev = montreal_backend();
+    const QuantumCircuit logical = benchmark_by_name("qft_n15");
+    for (RoutingAlgorithm router :
+         {RoutingAlgorithm::kSabre, RoutingAlgorithm::kNassc}) {
+        for (double w : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+            TranspileOptions opts;
+            opts.router = router;
+            opts.extended_weight = w;
+            try {
+                transpile(logical, dev, opts);
+                ADD_FAILURE() << "extended_weight=" << w << " transpiled";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find("extended_weight"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
     }
 }
 
