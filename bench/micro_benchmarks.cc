@@ -120,7 +120,7 @@ struct RouterFixture
     Backend dev = montreal_backend();
     QuantumCircuit logical = decompose_to_2q(qft(16));
     DagCircuit dag{logical};
-    DenseDistanceProvider dist = hop_distance(dev.coupling);
+    DistanceProvider dist = hop_distance(dev.coupling);
     RoutingOptions opts;
     Layout init{16, 27};
     Router router{dag, dev.coupling, dist, opts};

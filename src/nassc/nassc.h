@@ -36,7 +36,7 @@
 
 #include "nassc/topo/backends.h"
 #include "nassc/topo/coupling_map.h"
-#include "nassc/topo/distance_matrix.h"
+#include "nassc/topo/distance_provider.h"
 
 #include "nassc/synth/euler1q.h"
 #include "nassc/synth/kak2q.h"

@@ -156,9 +156,8 @@ LayoutSearch::embedding_seed_layout() const
     // once per logical qubit, and per-candidate accumulation keeps the
     // historical m-order.  The cost is D(mp, p): hop distances are
     // exactly symmetric, noise distances only up to rounding (each
-    // Dijkstra row sums its paths from its own source), and dense and
-    // sparse providers serve identical rows, so best_p never depends
-    // on the storage shape.
+    // Dijkstra row sums its paths from its own source), and a row never
+    // depends on the provider's byte budget, so neither does best_p.
     std::vector<DistanceRow> placed_rows;
     for (int l = 0; l < num_logical_; ++l) {
         if (l2p[static_cast<std::size_t>(l)] >= 0)

@@ -135,8 +135,8 @@ class LayoutSearch
     /**
      * Binds the inputs; `coupling` and `dist` must outlive the search
      * (`logical` is copied).  Gate widths are validated by the Routers.
-     * Trials score through `dist` rows; a sparse provider only touches
-     * the rows the trials visit.
+     * Trials score through `dist` rows; the provider only computes the
+     * rows the trials visit.
      */
     LayoutSearch(const QuantumCircuit &logical, const CouplingMap &coupling,
                  const DistanceProvider &dist, const RoutingOptions &opts,

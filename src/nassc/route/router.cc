@@ -437,8 +437,8 @@ Router::apply_forced_swap()
     // One row fetch instead of one per neighbor: the cost is
     // D(pb, nbr).  Hop distances are exactly symmetric, noise
     // distances only up to rounding (each Dijkstra row sums its paths
-    // from its own source); dense and sparse providers serve identical
-    // rows, so the choice never depends on the storage shape.
+    // from its own source); a row never depends on the provider's byte
+    // budget, so neither does the choice.
     const double *rb = row(pb);
     for (int nbr : coupling_.neighbors(pa)) {
         if (rb[nbr] < best) {

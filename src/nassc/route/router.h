@@ -23,7 +23,7 @@
  *    re-evaluates the gates with an endpoint on p or q — O(sum of
  *    degrees) per decision instead of O(|cands| * (|F| + |E|));
  *  - every distance is read through a pinned DistanceProvider::row(),
- *    cached per Router, the same way for dense and sparse providers.
+ *    cached per Router.
  *
  * The incremental sums are bit-identical to the naive per-candidate
  * loop for integer-valued (hop) distances; the golden-metrics suite in
@@ -59,7 +59,7 @@ class Router
      * Binds the inputs and validates gate widths (<= 2 qubits except
      * barriers).  The dag, coupling, and dist references must outlive
      * the Router.  Distances are read through the provider's pinned
-     * rows, dense and sparse alike (see row()).
+     * rows (see row()).
      */
     Router(const DagCircuit &dag, const CouplingMap &coupling,
            const DistanceProvider &dist, const RoutingOptions &opts);

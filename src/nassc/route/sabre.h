@@ -112,9 +112,9 @@ struct RoutingResult
 /**
  * Route `logical` (gates must act on <= 2 qubits) onto the device.
  *
- * @param dist    distance provider (hop_distance, noise_aware_distance,
- *                or a sparse provider, which only touches the rows the
- *                routing decisions visit)
+ * @param dist    distance provider (hop_distance or
+ *                noise_aware_distance), which only computes the rows
+ *                the routing decisions visit
  * @param initial initial layout (e.g. from sabre_initial_layout)
  */
 RoutingResult route_circuit(const QuantumCircuit &logical,

@@ -101,7 +101,7 @@ append_service_rows(std::string &out, const TranspileService &service)
         {"gauge", "cache_bytes", "Result-cache bytes resident", s.cache_bytes},
         {"gauge", "inflight", "Keys being transpiled", s.inflight},
         // Distance-cache rows: provider-level compute/hit counts plus
-        // the sparse providers' per-row counters, so operators can see
+        // the providers' per-row counters, so operators can see
         // lazy-row pressure (and rotation invalidations) per shard.
         {"gauge", "distance_entries", "Distance providers cached", d.entries},
         {"counter", "distance_computations", "Distance providers built",
@@ -110,11 +110,11 @@ append_service_rows(std::string &out, const TranspileService &service)
         {"counter", "distance_evictions_invalidated",
          "Distance providers dropped by calibration rotation",
          d.evictions_invalidated},
-        {"counter", "distance_rows_computed", "Sparse distance rows computed",
+        {"counter", "distance_rows_computed", "Distance rows computed",
          d.rows_computed},
-        {"counter", "distance_row_hits", "Sparse distance row cache hits",
+        {"counter", "distance_row_hits", "Distance row cache hits",
          d.row_hits},
-        {"counter", "distance_rows_evicted", "Sparse distance rows evicted",
+        {"counter", "distance_rows_evicted", "Distance rows evicted",
          d.rows_evicted},
         {"gauge", "distance_row_bytes", "Distance row bytes resident",
          d.row_bytes},
@@ -151,12 +151,10 @@ us_since(std::chrono::steady_clock::time_point start)
 
 struct NasscServer::Impl
 {
-    explicit Impl(ServerOptions opts) : options(std::move(opts))
+    explicit Impl(ServerOptions opts)
+        : options(std::move(opts)),
+          service(std::make_shared<TranspileService>(options.service))
     {
-        if (options.shared_service)
-            service = options.shared_service;
-        else
-            service = std::make_shared<TranspileService>(options.service);
         for (auto &&b :
              {montreal_backend(), linear_backend(), grid_backend()})
             backends[b.name] = std::make_shared<const Backend>(std::move(b));

@@ -81,9 +81,6 @@ struct ServerOptions
      * 0 = no default; a request's own deadline_ms always wins.
      */
     int default_deadline_ms = 0;
-    /** Non-null: serve THIS service instead of owning one (lets tests
-     *  and embedders share a service between transports). */
-    std::shared_ptr<TranspileService> shared_service;
     /**
      * Non-null: front-door mode (nasscd --shards N).  transpile frames
      * are forwarded RAW to the shard owning their request key

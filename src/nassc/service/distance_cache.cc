@@ -15,7 +15,9 @@ DistanceRequest::key() const
         k = "hops";
     } else {
         char buf[96];
-        std::snprintf(buf, sizeof(buf), "noise:%.9g:%.9g:%.9g", alpha1,
+        // %.17g round-trips every double, so distinct alphas never
+        // share a key (and a provider).
+        std::snprintf(buf, sizeof(buf), "noise:%.17g:%.17g:%.17g", alpha1,
                       alpha2, alpha3);
         k = buf;
     }
@@ -107,9 +109,15 @@ DistanceCache::provider(const Backend &backend,
         // from a hit (only distance_resolve shows) in a request trace.
         obs::TraceSpan span("distance_compute");
         try {
-            promise.set_value(make_distance_provider(
-                backend, request.noise_aware, request.alpha1, request.alpha2,
-                request.alpha3, request.sparse, request.row_budget_bytes));
+            const std::size_t budget =
+                request.sparse ? request.row_budget_bytes : 0;
+            if (request.noise_aware)
+                promise.set_value(std::make_shared<const DistanceProvider>(
+                    backend, request.alpha1, request.alpha2, request.alpha3,
+                    budget));
+            else
+                promise.set_value(std::make_shared<const DistanceProvider>(
+                    backend.coupling, budget));
         } catch (...) {
             promise.set_exception(std::current_exception());
             // Evict so a later request can retry; waiters already holding

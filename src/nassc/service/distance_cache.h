@@ -14,13 +14,12 @@
  * shared_future and computes, everyone else blocks on that future and
  * shares the finished read-only provider.
  *
- * Dense providers (small devices) materialize a flat DistanceMatrix up
- * front; sparse providers (large devices) compute per-source rows
- * lazily, so the cache's memory footprint scales with the rows
- * workloads actually touch — the row-level counters in Stats
- * (rows_computed / row_hits / rows_evicted / row_bytes) make that
- * pressure observable per cache, and through the nasscd `metrics`
- * verb's nassc_distance_* rows, per shard.
+ * Providers compute per-source rows lazily on every device, so the
+ * cache's memory footprint scales with the rows workloads actually
+ * touch — the row-level counters in Stats (rows_computed / row_hits /
+ * rows_evicted / row_bytes) make that pressure observable per cache,
+ * and through the nasscd `metrics` verb's nassc_distance_* rows, per
+ * shard.
  *
  * Calibration rotation: entries are keyed by Backend::cache_key(),
  * which fingerprints topology and calibration.  The cache additionally
@@ -47,9 +46,9 @@
 namespace nassc {
 
 /** Read-only handle to a cached distance provider. */
-using SharedDistanceProvider = SharedDistanceProviderPtr;
+using SharedDistanceProvider = std::shared_ptr<const DistanceProvider>;
 
-/** Which distance metric (and storage shape) to fetch for a backend. */
+/** Which distance metric (and row budget) to fetch for a backend. */
 struct DistanceRequest
 {
     bool noise_aware = false;
@@ -57,10 +56,11 @@ struct DistanceRequest
     double alpha1 = 0.5;
     double alpha2 = 0.0;
     double alpha3 = 0.5;
-    /** Lazy per-row provider instead of a dense matrix. */
+    /** Apply row_budget_bytes.  Without it the provider's row cache is
+     *  unbounded; either way rows are computed on first touch. */
     bool sparse = false;
-    /** Sparse row-cache byte budget; 0 = unbounded.  Part of the cache
-     *  key: two budgets are two providers with different eviction
+    /** Row-cache byte budget when `sparse`; 0 = unbounded.  Part of the
+     *  cache key: two budgets are two providers with different eviction
      *  behavior. */
     std::size_t row_budget_bytes = 0;
 
@@ -77,7 +77,7 @@ struct DistanceRequest
         return r;
     }
 
-    /** Same metric, served through the sparse provider. */
+    /** Same metric, with a row-cache byte budget (0 = unbounded). */
     DistanceRequest as_sparse(std::size_t budget_bytes = 0) const
     {
         DistanceRequest r = *this;
@@ -86,7 +86,7 @@ struct DistanceRequest
         return r;
     }
 
-    /** Cache-key fragment identifying this metric + storage shape. */
+    /** Cache-key fragment identifying this metric + row budget. */
     std::string key() const;
 };
 

@@ -8,9 +8,49 @@
 
 namespace nassc {
 
+namespace {
+
+/** Largest register whose diameter is exact (one BFS per qubit). */
+constexpr int kExactDiameterLimit = 512;
+
+/** CouplingMap::diameter(): exact up to kExactDiameterLimit qubits,
+ *  a double sweep above. */
+int
+diameter_of(const CouplingMap &cm)
+{
+    const int n = cm.num_qubits();
+    if (n <= kExactDiameterLimit) {
+        int d = 0;
+        for (int i = 0; i < n; ++i)
+            for (int v : cm.hop_row(i))
+                d = std::max(d, v);
+        return d;
+    }
+    // Double-sweep pseudo-diameter: BFS from 0, then BFS from the
+    // farthest reachable qubit; exact on trees and a lower bound in
+    // general (unreachable sentinels are ignored here — a disconnected
+    // graph reports the largest eccentricity seen within 0's component).
+    auto farthest = [&cm, n](int src, int &best_d) {
+        std::vector<int> row = cm.hop_row(src);
+        int best = src;
+        best_d = 0;
+        for (int i = 0; i < n; ++i)
+            if (row[i] <= n && row[i] > best_d) {
+                best_d = row[i];
+                best = i;
+            }
+        return best;
+    };
+    int d1 = 0, d2 = 0;
+    int far = farthest(0, d1);
+    farthest(far, d2);
+    return std::max(d1, d2);
+}
+
+} // namespace
+
 CouplingMap::CouplingMap(int num_qubits,
-                         std::vector<std::pair<int, int>> edges,
-                         int dense_limit)
+                         std::vector<std::pair<int, int>> edges)
     : num_qubits_(num_qubits)
 {
     for (auto &[a, b] : edges) {
@@ -33,16 +73,7 @@ CouplingMap::CouplingMap(int num_qubits,
     for (auto &n : nbrs_)
         std::sort(n.begin(), n.end());
 
-    const bool dense = num_qubits <= dense_limit;
-    if (dense) {
-        adj_.assign(num_qubits, std::vector<bool>(num_qubits, false));
-        for (auto [a, b] : edges_)
-            adj_[a][b] = adj_[b][a] = true;
-
-        dist_.reserve(num_qubits);
-        for (int s = 0; s < num_qubits; ++s)
-            dist_.push_back(hop_row(s));
-    }
+    diameter_ = diameter_of(*this);
 }
 
 std::vector<int>
@@ -66,34 +97,6 @@ CouplingMap::hop_row(int src) const
     return d;
 }
 
-int
-CouplingMap::distance(int a, int b) const
-{
-    if (!dist_.empty())
-        return dist_[a][b];
-    if (a == b)
-        return 0;
-    // Early-exit BFS from a.
-    const int inf = num_qubits_ + 1;
-    std::vector<int> d(num_qubits_, inf);
-    d[a] = 0;
-    std::queue<int> q;
-    q.push(a);
-    while (!q.empty()) {
-        int u = q.front();
-        q.pop();
-        for (int v : nbrs_[u]) {
-            if (d[v] > d[u] + 1) {
-                d[v] = d[u] + 1;
-                if (v == b)
-                    return d[v];
-                q.push(v);
-            }
-        }
-    }
-    return inf;
-}
-
 std::uint64_t
 CouplingMap::fingerprint() const
 {
@@ -106,54 +109,13 @@ CouplingMap::fingerprint() const
     return mix.value();
 }
 
-int
-CouplingMap::diameter() const
-{
-    if (!dist_.empty()) {
-        int d = 0;
-        for (int i = 0; i < num_qubits_; ++i)
-            for (int j = 0; j < num_qubits_; ++j)
-                d = std::max(d, dist_[i][j]);
-        return d;
-    }
-    if (num_qubits_ == 0)
-        return 0;
-    // Double-sweep pseudo-diameter: BFS from 0, then BFS from the
-    // farthest reachable qubit; exact on trees and a lower bound in
-    // general (unreachable sentinels are ignored here — a disconnected
-    // graph reports the largest eccentricity seen within 0's component).
-    auto farthest = [this](int src, int &best_d) {
-        std::vector<int> row = hop_row(src);
-        int best = src;
-        best_d = 0;
-        for (int i = 0; i < num_qubits_; ++i)
-            if (row[i] <= num_qubits_ && row[i] > best_d) {
-                best_d = row[i];
-                best = i;
-            }
-        return best;
-    };
-    int d1 = 0, d2 = 0;
-    int far = farthest(0, d1);
-    farthest(far, d2);
-    return std::max(d1, d2);
-}
-
 bool
 CouplingMap::is_connected_graph() const
 {
-    if (!dist_.empty()) {
-        for (int i = 0; i < num_qubits_; ++i)
-            for (int j = 0; j < num_qubits_; ++j)
-                if (dist_[i][j] > num_qubits_)
-                    return false;
-        return true;
-    }
     if (num_qubits_ == 0)
         return true;
-    std::vector<int> row = hop_row(0);
-    for (int i = 0; i < num_qubits_; ++i)
-        if (row[i] > num_qubits_)
+    for (int d : hop_row(0))
+        if (d > num_qubits_)
             return false;
     return true;
 }

@@ -3,17 +3,13 @@
 
 /**
  * @file
- * Undirected device-connectivity graph with all-pairs hop distances.
+ * Undirected device-connectivity graph.
  *
- * Small maps (n <= dense_limit, default kDenseDistanceLimit) keep the
- * historical dense structures: an adjacency matrix and an eagerly
- * computed all-pairs BFS table, so connected()/distance() are O(1) and
- * behave bit-identically to every prior release.  Above the limit both
- * O(n^2) structures are skipped — connected() binary-searches the
- * sorted neighbor list and distance() runs an on-demand BFS — which is
- * what makes 1000+-qubit heavy-hex/grid-of-grids devices constructible
- * at all (a 4243-qubit map would otherwise eat ~18M adjacency bits plus
- * 72 MB of distance ints before the router ever ran).
+ * The map stores only the graph: sorted edges and sorted per-qubit
+ * neighbor lists, so connected() is a binary search over a neighbor
+ * list and a 4243-qubit heavy-hex map costs O(edges), not O(n^2).
+ * All-pairs distances live in DistanceProvider, which computes rows on
+ * demand; hop_row() is the independent reference BFS.
  */
 
 #include <algorithm>
@@ -27,19 +23,10 @@ namespace nassc {
 class CouplingMap
 {
   public:
-    /**
-     * Largest register for which the dense adjacency matrix and eager
-     * all-pairs distance table are built.  512 qubits keeps every
-     * Table-I device (and anything near it) on the historical dense
-     * path while capping the tables at ~2 MB.
-     */
-    static constexpr int kDenseDistanceLimit = 512;
-
     CouplingMap() = default;
 
     /** Build from an undirected edge list (duplicates are ignored). */
-    CouplingMap(int num_qubits, std::vector<std::pair<int, int>> edges,
-                int dense_limit = kDenseDistanceLimit);
+    CouplingMap(int num_qubits, std::vector<std::pair<int, int>> edges);
 
     int num_qubits() const { return num_qubits_; }
 
@@ -58,8 +45,6 @@ class CouplingMap
 
     bool connected(int a, int b) const
     {
-        if (!adj_.empty())
-            return adj_[a][b];
         const std::vector<int> &na = nbrs_[a];
         return std::binary_search(na.begin(), na.end(), b);
     }
@@ -67,28 +52,20 @@ class CouplingMap
     const std::vector<int> &neighbors(int q) const { return nbrs_[q]; }
 
     /**
-     * Hop distance.  O(1) from the dense table when materialized;
-     * an on-demand early-exit BFS otherwise.  Unreachable pairs report
-     * the num_qubits + 1 sentinel in both modes.
+     * Longest shortest path, computed once at construction.  Exact up
+     * to 512 qubits (the max over every hop_row(), unreachable
+     * sentinel included).  Above that, a double-sweep BFS
+     * lower bound (exact on trees, and on the generators shipped here
+     * in practice) — its only in-pipeline use is the router's
+     * forced-swap safety valve, which just needs the right order of
+     * magnitude.
      */
-    int distance(int a, int b) const;
-
-    /** True when the eager dense distance table was built. */
-    bool has_dense_distances() const { return !dist_.empty(); }
-
-    /**
-     * Longest shortest path.  Exact in dense mode; above the dense
-     * limit a double-sweep BFS lower bound (exact on trees, and on the
-     * generators shipped here in practice) — its only in-pipeline use
-     * is the router's forced-swap safety valve, which just needs the
-     * right order of magnitude.
-     */
-    int diameter() const;
+    int diameter() const { return diameter_; }
 
     /** True when every qubit can reach every other. */
     bool is_connected_graph() const;
 
-    /** Per-source hop-distance row (BFS), usable in either mode. */
+    /** Per-source hop-distance row (BFS, sentinel = num_qubits + 1). */
     std::vector<int> hop_row(int src) const;
 
     /**
@@ -101,9 +78,8 @@ class CouplingMap
   private:
     int num_qubits_ = 0;
     std::vector<std::pair<int, int>> edges_;
-    std::vector<std::vector<bool>> adj_;  ///< empty above dense limit
     std::vector<std::vector<int>> nbrs_;
-    std::vector<std::vector<int>> dist_; ///< empty above dense limit
+    int diameter_ = 0;
 };
 
 } // namespace nassc

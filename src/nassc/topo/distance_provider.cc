@@ -7,39 +7,8 @@
 
 namespace nassc {
 
-DistanceProvider::~DistanceProvider() = default;
-
-// ---------------------------------------------------------------------------
-// DenseDistanceProvider
-
-DenseDistanceProvider::DenseDistanceProvider(DistanceMatrix matrix)
-    : matrix_(std::make_shared<const DistanceMatrix>(std::move(matrix)))
-{
-}
-
-DistanceRow
-DenseDistanceProvider::row(int src) const
-{
-    return DistanceRow{(*matrix_)[src],
-                       std::shared_ptr<const void>(matrix_)};
-}
-
-DistanceProviderStats
-DenseDistanceProvider::stats() const
-{
-    DistanceProviderStats s;
-    const std::size_t n = static_cast<std::size_t>(matrix_->num_qubits());
-    s.rows_computed = n;
-    s.resident_bytes = n * n * sizeof(double);
-    s.peak_bytes = s.resident_bytes;
-    return s;
-}
-
-// ---------------------------------------------------------------------------
-// SparseDistanceProvider
-
 void
-SparseDistanceProvider::init_adjacency(const CouplingMap &cm)
+DistanceProvider::init_adjacency(const CouplingMap &cm)
 {
     n_ = cm.num_qubits();
     row_off_.assign(static_cast<std::size_t>(n_) + 1, 0);
@@ -54,17 +23,16 @@ SparseDistanceProvider::init_adjacency(const CouplingMap &cm)
     lru_pos_.assign(n_, lru_.end());
 }
 
-SparseDistanceProvider::SparseDistanceProvider(const CouplingMap &cm,
-                                               std::size_t row_budget_bytes)
+DistanceProvider::DistanceProvider(const CouplingMap &cm,
+                                   std::size_t row_budget_bytes)
     : noise_(false), budget_(row_budget_bytes)
 {
     init_adjacency(cm);
 }
 
-SparseDistanceProvider::SparseDistanceProvider(const Backend &backend,
-                                               double alpha1, double alpha2,
-                                               double alpha3,
-                                               std::size_t row_budget_bytes)
+DistanceProvider::DistanceProvider(const Backend &backend, double alpha1,
+                                   double alpha2, double alpha3,
+                                   std::size_t row_budget_bytes)
     : noise_(true), budget_(row_budget_bytes)
 {
     const CouplingMap &cm = backend.coupling;
@@ -92,12 +60,12 @@ SparseDistanceProvider::SparseDistanceProvider(const Backend &backend,
 }
 
 std::vector<double>
-SparseDistanceProvider::compute_row(int src) const
+DistanceProvider::compute_row(int src) const
 {
     std::vector<double> d;
     if (!noise_) {
-        // BFS; identical values (and unreachable sentinel n + 1) to the
-        // dense CouplingMap table.
+        // BFS; identical values (and unreachable sentinel n + 1) to
+        // CouplingMap::hop_row().
         const double inf = n_ + 1;
         d.assign(n_, inf);
         d[src] = 0.0;
@@ -145,7 +113,7 @@ SparseDistanceProvider::compute_row(int src) const
 }
 
 DistanceRow
-SparseDistanceProvider::publish(int src, std::vector<double> values) const
+DistanceProvider::publish(int src, std::vector<double> values) const
 {
     std::lock_guard<std::mutex> lock(mu_);
     if (RowStorage &slot = rows_[src]) {
@@ -181,7 +149,7 @@ SparseDistanceProvider::publish(int src, std::vector<double> values) const
 }
 
 DistanceRow
-SparseDistanceProvider::row(int src) const
+DistanceProvider::row(int src) const
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -197,63 +165,23 @@ SparseDistanceProvider::row(int src) const
 }
 
 DistanceProviderStats
-SparseDistanceProvider::stats() const
+DistanceProvider::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
 }
 
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/** Every row of `rows`, laid out flat: one algorithm per metric for
- *  both storage shapes, so dense and sparse agree bit for bit. */
-DenseDistanceProvider
-materialize(const SparseDistanceProvider &rows)
-{
-    const int n = rows.num_qubits();
-    DistanceMatrix d(n);
-    for (int i = 0; i < n; ++i) {
-        const std::vector<double> r = rows.compute_row(i);
-        std::copy(r.begin(), r.end(), d[i]);
-    }
-    return DenseDistanceProvider(std::move(d));
-}
-
-} // namespace
-
-DenseDistanceProvider
+DistanceProvider
 noise_aware_distance(const Backend &backend, double alpha1, double alpha2,
                      double alpha3)
 {
-    return materialize(
-        SparseDistanceProvider(backend, alpha1, alpha2, alpha3));
+    return DistanceProvider(backend, alpha1, alpha2, alpha3);
 }
 
-DenseDistanceProvider
+DistanceProvider
 hop_distance(const CouplingMap &cm)
 {
-    return materialize(SparseDistanceProvider(cm));
-}
-
-SharedDistanceProviderPtr
-make_distance_provider(const Backend &backend, bool noise_aware,
-                       double alpha1, double alpha2, double alpha3,
-                       bool sparse, std::size_t row_budget_bytes)
-{
-    if (sparse) {
-        if (noise_aware)
-            return std::make_shared<SparseDistanceProvider>(
-                backend, alpha1, alpha2, alpha3, row_budget_bytes);
-        return std::make_shared<SparseDistanceProvider>(backend.coupling,
-                                                        row_budget_bytes);
-    }
-    if (noise_aware)
-        return std::make_shared<DenseDistanceProvider>(
-            noise_aware_distance(backend, alpha1, alpha2, alpha3));
-    return std::make_shared<DenseDistanceProvider>(
-        hop_distance(backend.coupling));
+    return DistanceProvider(cm);
 }
 
 } // namespace nassc

@@ -3,32 +3,26 @@
 
 /**
  * @file
- * Row-oriented access to all-pairs distances, dense or sparse.
+ * Lazy row-oriented access to all-pairs distances.
  *
  * DistanceProvider is the only distance type the routing layers
- * accept.  A fully materialized matrix costs O(n^2) doubles per
- * (backend, metric) pair — ~8 MB at 1k qubits and 128 MB at 4k,
- * recomputed in full on every calibration rotation — so the provider
- * abstracts the storage:
- *
- *  - DenseDistanceProvider owns a flat DistanceMatrix, computed in full
- *    up front; row() hands out pointers into it.
- *  - SparseDistanceProvider computes per-source rows on demand (BFS for
- *    hop distances, Dijkstra for the HA noise-aware metric of paper
- *    eq. 3) and caches them with thread-safe publish and byte-bounded
- *    LRU eviction.  Memory scales with the rows a workload actually
- *    touches, not with n^2.
+ * accept, and it has one implementation.  A fully materialized matrix
+ * costs O(n^2) doubles per (backend, metric) pair — ~8 MB at 1k qubits
+ * and 128 MB at 4k, recomputed in full on every calibration rotation —
+ * so the provider computes per-source rows on demand (BFS for hop
+ * distances, Dijkstra for the HA noise-aware metric of paper eq. 3)
+ * and caches them with thread-safe publish and optional byte-bounded
+ * LRU eviction.  Memory scales with the rows a workload actually
+ * touches, not with n^2.
  *
  * Rows are handed out as pinned DistanceRow handles: the shared_ptr pin
  * keeps the row alive for the holder even after the provider evicts it
  * from its own cache, so a router mid-pass can never read freed memory.
  *
- * Numerical contract: dense and sparse providers are bit-identical for
- * both metrics.  The dense builders below fill every row from the same
- * per-source routine the sparse provider runs lazily (BFS for hops,
- * including the num_qubits + 1 unreachable sentinel; Dijkstra over
- * noise_edge_weights() for eq. 3), so the choice between them trades
- * memory for speed and never changes a routing decision.
+ * Numerical contract: a row's values depend only on (topology, metric,
+ * source), never on the byte budget or on which rows were evicted, so
+ * the budget trades memory for recompute and never changes a routing
+ * decision.
  */
 
 #include <cstddef>
@@ -40,7 +34,6 @@
 
 #include "nassc/topo/backends.h"
 #include "nassc/topo/coupling_map.h"
-#include "nassc/topo/distance_matrix.h"
 
 namespace nassc {
 
@@ -69,74 +62,37 @@ struct DistanceProviderStats
     std::size_t peak_bytes = 0;     ///< high-water mark of resident_bytes
 };
 
-/** Read-only distance oracle over one (topology, metric) pair. */
+/**
+ * Read-only distance oracle over one (topology, metric) pair.  Rows
+ * are computed on first request (BFS for hops, Dijkstra over the HA
+ * edge weights for the noise metric), published under a mutex, and
+ * evicted LRU-first when the optional byte budget is exceeded.  The
+ * adjacency (and edge weights) are copied at construction, so the
+ * provider is self-contained and safe to outlive the Backend it was
+ * built from.
+ *
+ * Thread safety: row()/stats() are safe to call concurrently.  Two
+ * threads racing on the same cold row may both compute it; exactly one
+ * result is published (and counted) — benign duplicated work instead
+ * of a lock held across the whole computation.
+ */
 class DistanceProvider
 {
   public:
-    virtual ~DistanceProvider();
-
-    virtual int num_qubits() const = 0;
-
-    /** Pinned distance row from `src` to every physical qubit. */
-    virtual DistanceRow row(int src) const = 0;
-
-    /** Single distance; sparse providers resolve it through row(i). */
-    virtual double at(int i, int j) const = 0;
-
-    virtual DistanceProviderStats stats() const = 0;
-};
-
-/** Shared read-only provider handle (what DistanceCache hands out). */
-using SharedDistanceProviderPtr = std::shared_ptr<const DistanceProvider>;
-
-/** Fully materialized provider over a flat DistanceMatrix. */
-class DenseDistanceProvider final : public DistanceProvider
-{
-  public:
-    explicit DenseDistanceProvider(DistanceMatrix matrix);
-
-    const DistanceMatrix &matrix() const { return *matrix_; }
-
-    int num_qubits() const override { return matrix_->num_qubits(); }
-    DistanceRow row(int src) const override;
-    double at(int i, int j) const override { return (*matrix_)(i, j); }
-    DistanceProviderStats stats() const override;
-
-  private:
-    /** Shared so row() pins can outlive the provider (and copies of a
-     *  provider share one matrix). */
-    std::shared_ptr<const DistanceMatrix> matrix_;
-};
-
-/**
- * Lazy per-source-row provider.  Rows are computed on first request
- * (BFS for hops, Dijkstra over the HA edge weights for the noise
- * metric), published under a mutex, and evicted LRU-first when the
- * optional byte budget is exceeded.  The adjacency (and edge weights)
- * are copied at construction, so the provider is self-contained and
- * safe to outlive the Backend it was built from.
- *
- * Thread safety: row()/at()/stats() are safe to call concurrently.
- * Two threads racing on the same cold row may both compute it; exactly
- * one result is published (and counted) — benign duplicated work
- * instead of a lock held across the whole computation.
- */
-class SparseDistanceProvider final : public DistanceProvider
-{
-  public:
     /** Hop-distance rows over `cm` (BFS, sentinel = num_qubits + 1). */
-    explicit SparseDistanceProvider(const CouplingMap &cm,
-                                    std::size_t row_budget_bytes = 0);
+    explicit DistanceProvider(const CouplingMap &cm,
+                              std::size_t row_budget_bytes = 0);
 
     /** Noise-aware rows (paper eq. 3 weights, per-source Dijkstra). */
-    SparseDistanceProvider(const Backend &backend, double alpha1,
-                           double alpha2, double alpha3,
-                           std::size_t row_budget_bytes = 0);
+    DistanceProvider(const Backend &backend, double alpha1, double alpha2,
+                     double alpha3, std::size_t row_budget_bytes = 0);
 
-    int num_qubits() const override { return n_; }
-    DistanceRow row(int src) const override;
-    double at(int i, int j) const override { return row(i)[j]; }
-    DistanceProviderStats stats() const override;
+    int num_qubits() const { return n_; }
+
+    /** Pinned distance row from `src` to every physical qubit. */
+    DistanceRow row(int src) const;
+
+    DistanceProviderStats stats() const;
 
     /** Row payload bytes one cached row costs (n * sizeof(double)). */
     std::size_t row_bytes() const
@@ -145,9 +101,8 @@ class SparseDistanceProvider final : public DistanceProvider
     }
 
     /**
-     * Uncached distance row from `src`: the routine behind row(), also
-     * what the dense builders run for every source.  Touches no cache
-     * state or counters.
+     * Uncached distance row from `src`: the routine behind row().
+     * Touches no cache state or counters.
      */
     std::vector<double> compute_row(int src) const;
 
@@ -175,31 +130,18 @@ class SparseDistanceProvider final : public DistanceProvider
 };
 
 /**
- * Noise-aware all-pairs distances (paper eq. 3): edge weight
+ * Noise-aware distances (paper eq. 3): edge weight
  * alpha1 * eps_hat + alpha2 * T_hat + alpha3, with eps/T normalized by
- * their maxima, expanded to all pairs by shortest path.  Every row is
- * SparseDistanceProvider::compute_row(), so the result is bitwise equal
- * to the sparse noise provider.  With (alpha1, alpha2, alpha3) =
- * (0, 0, 1) this reduces to hop distance.
+ * their maxima, expanded to all pairs by shortest path.  With
+ * (alpha1, alpha2, alpha3) = (0, 0, 1) this reduces to hop distance.
  */
-DenseDistanceProvider noise_aware_distance(const Backend &backend,
-                                           double alpha1 = 0.5,
-                                           double alpha2 = 0.0,
-                                           double alpha3 = 0.5);
+DistanceProvider noise_aware_distance(const Backend &backend,
+                                      double alpha1 = 0.5,
+                                      double alpha2 = 0.0,
+                                      double alpha3 = 0.5);
 
-/** Hop distances as doubles (the SABRE default), one
- *  SparseDistanceProvider::compute_row() BFS per source. */
-DenseDistanceProvider hop_distance(const CouplingMap &cm);
-
-/**
- * Build the provider a (backend, metric) pair calls for: dense wraps
- * hop_distance()/noise_aware_distance(); sparse builds the lazy row
- * provider.
- */
-SharedDistanceProviderPtr
-make_distance_provider(const Backend &backend, bool noise_aware,
-                       double alpha1, double alpha2, double alpha3,
-                       bool sparse, std::size_t row_budget_bytes);
+/** Hop distances as doubles (the SABRE default). */
+DistanceProvider hop_distance(const CouplingMap &cm);
 
 } // namespace nassc
 

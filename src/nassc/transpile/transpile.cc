@@ -102,11 +102,10 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
 
     // 3. Distances: plain hops, or the HA noise-aware variant, shared
     //    through the cache so repeat calls against one backend (and
-    //    concurrent batch jobs) reuse a single computation.  Devices
-    //    above the sparse threshold get a lazy per-row provider —
-    //    distance memory proportional to the rows routing actually
-    //    touches — while everything at or below it keeps the historical
-    //    dense matrix, bit for bit.
+    //    concurrent batch jobs) reuse a single provider.  Rows are
+    //    computed on first touch, so distance memory is proportional
+    //    to the rows routing actually touches; devices above the
+    //    sparse threshold also bound it by the row byte budget.
     DistanceRequest dreq = opts.noise_aware ? DistanceRequest::noise()
                                             : DistanceRequest::hops();
     if (backend.coupling.num_qubits() > opts.sparse_distance_threshold)

@@ -95,21 +95,20 @@ struct TranspileOptions
      */
     int deadline_ms = 0;
     /**
-     * Device size above which distances are served through the sparse
-     * per-row provider instead of a dense all-pairs matrix.  At the
-     * default (256) every Table-I-class device stays dense while
-     * 1k+-qubit heavy-hex / grid-of-grids devices allocate distance
-     * rows on demand.  Dense and sparse distances are bit-identical
-     * for both metrics, so this only trades memory for speed; set it
-     * to a huge value to force dense everywhere, or 0 to force sparse
-     * (the equivalence tests do both).
+     * Device size above which distance_row_budget_bytes applies.  Every
+     * device gets the same lazy per-row provider; at or below the
+     * threshold its row cache is unbounded.  A row's values never
+     * depend on the budget, so this only trades memory for recompute;
+     * set it to a huge value to never bound, or 0 to always bound (the
+     * equivalence tests do both).
      */
     int sparse_distance_threshold = 256;
     /**
-     * Byte budget for each sparse provider's row cache; 0 = unbounded.
-     * Rows are evicted LRU-first past the budget (and recomputed on
-     * next touch), bounding resident distance memory per (backend,
-     * metric) at the cost of recompute.  Dense providers ignore it.
+     * Byte budget for each provider's row cache on devices above
+     * sparse_distance_threshold; 0 = unbounded.  Rows are evicted
+     * LRU-first past the budget (and recomputed on next touch),
+     * bounding resident distance memory per (backend, metric) at the
+     * cost of recompute.
      */
     std::size_t distance_row_budget_bytes = 0;
     /**

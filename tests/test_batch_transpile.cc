@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <random>
 #include <stdexcept>
@@ -205,11 +206,16 @@ TEST(BatchSweep, DistanceCacheComputesOncePerBackend)
     EXPECT_EQ(cache_stats.hits, 2 * jobs - 2);
 }
 
-/** Flat matrix of a dense provider (throws std::bad_cast if sparse). */
-const DistanceMatrix &
-dense_matrix(const DistanceProvider &p)
+/** True when every row of `a` and `b` is bitwise equal. */
+bool
+same_rows(const DistanceProvider &a, const DistanceProvider &b)
 {
-    return dynamic_cast<const DenseDistanceProvider &>(p).matrix();
+    if (a.num_qubits() != b.num_qubits())
+        return false;
+    for (int i = 0; i < a.num_qubits(); ++i)
+        if (std::memcmp(a.row(i).data, b.row(i).data, a.row_bytes()) != 0)
+            return false;
+    return true;
 }
 
 TEST(DistanceCache, KeysSeparateBackendsAndMetrics)
@@ -232,16 +238,27 @@ TEST(DistanceCache, KeysSeparateBackendsAndMetrics)
     EXPECT_EQ(cache.stats().computations, 3u);
     EXPECT_EQ(cache.stats().entries, 3u);
 
-    // The cached dense providers match a direct computation.
-    EXPECT_EQ(dense_matrix(*hops1), hop_distance(montreal.coupling).matrix());
-    EXPECT_EQ(dense_matrix(*noise), noise_aware_distance(montreal).matrix());
+    // The cached providers match a direct computation.
+    EXPECT_TRUE(same_rows(*hops1, hop_distance(montreal.coupling)));
+    EXPECT_TRUE(same_rows(*noise, noise_aware_distance(montreal)));
 
     cache.clear();
     EXPECT_EQ(cache.stats().entries, 0u);
     // Cleared entries recompute, but handed-out providers stay valid.
     SharedDistanceProvider hops3 = cache.provider(montreal);
-    EXPECT_EQ(dense_matrix(*hops3), dense_matrix(*hops1));
+    EXPECT_TRUE(same_rows(*hops3, *hops1));
     EXPECT_EQ(cache.stats().computations, 4u);
+
+    // Alphas that differ past the 9th significant digit are different
+    // metrics: they must not share a key, and so not a provider.
+    DistanceCache fresh;
+    const SharedDistanceProvider a =
+        fresh.provider(montreal, DistanceRequest::noise(0.5, 0.0, 0.5));
+    const SharedDistanceProvider b = fresh.provider(
+        montreal, DistanceRequest::noise(0.5000000001, 0.0, 0.5));
+    EXPECT_NE(a.get(), b.get());
+    EXPECT_EQ(fresh.stats().computations, 2u);
+    EXPECT_EQ(fresh.stats().hits, 0u);
 }
 
 TEST(BatchSweep, DerivedSeedsAreOrderIndependent)

@@ -1,11 +1,12 @@
-// Tests for the DistanceProvider abstraction (topo/distance_provider.h)
-// and its integration through DistanceCache and transpile():
+// Tests for DistanceProvider (topo/distance_provider.h) and its
+// integration through DistanceCache and transpile():
 //
-//  (a) metric equivalence — sparse hop rows are bit-identical to the
-//      dense BFS matrix on every seed backend and on randomized graphs;
-//      sparse noise rows are bitwise equal to the dense noise matrix;
-//  (b) routing equivalence — transpiling through a forced-sparse
-//      provider reproduces the dense pipeline's circuit fingerprint and
+//  (a) metric correctness — hop rows are bit-identical to
+//      CouplingMap::hop_row() on every seed backend and on randomized
+//      graphs; noise rows under a tight byte budget (constant eviction)
+//      are bitwise equal to an unbounded provider's;
+//  (b) routing equivalence — transpiling with a two-row byte budget
+//      reproduces the unbounded pipeline's circuit fingerprint and
 //      RoutingStats bit for bit, on both metrics;
 //  (c) provider mechanics — row caching, LRU byte-budget eviction,
 //      pinned rows surviving eviction, thread-safe concurrent fetch;
@@ -14,7 +15,7 @@
 //      touched row exactly once in the new generation;
 //  (e) scale — routing a 1123-qubit heavy-hex device end-to-end keeps
 //      distance storage proportional to the rows actually touched, far
-//      below the dense n^2 footprint.
+//      below the n^2 footprint of a full matrix.
 
 #include <algorithm>
 #include <atomic>
@@ -37,25 +38,24 @@ namespace nassc {
 namespace {
 
 // ---------------------------------------------------------------------
-// (a) metric equivalence
+// (a) metric correctness
 
 void
 expect_hop_rows_bit_identical(const CouplingMap &cm)
 {
-    const DistanceMatrix dense = hop_distance(cm).matrix();
-    const SparseDistanceProvider sparse(cm);
+    const DistanceProvider p(cm);
     const int n = cm.num_qubits();
-    ASSERT_EQ(sparse.num_qubits(), n);
+    ASSERT_EQ(p.num_qubits(), n);
     for (int i = 0; i < n; ++i) {
-        const DistanceRow r = sparse.row(i);
+        const DistanceRow r = p.row(i);
         ASSERT_TRUE(static_cast<bool>(r));
         // CouplingMap's own BFS is the independent reference.
         const std::vector<int> ref = cm.hop_row(i);
         for (int j = 0; j < n; ++j) {
-            // Bitwise: both sides are BFS hop counts stored as double.
-            EXPECT_EQ(r[j], dense(i, j)) << "(" << i << "," << j << ")";
-            EXPECT_EQ(sparse.at(i, j), dense(i, j));
-            EXPECT_EQ(dense(i, j), ref[j]) << "(" << i << "," << j << ")";
+            // Bitwise: both sides are BFS hop counts, one stored as
+            // double.
+            EXPECT_EQ(r[j], static_cast<double>(ref[j]))
+                << "(" << i << "," << j << ")";
         }
     }
 }
@@ -72,8 +72,7 @@ TEST(SparseHops, BitIdenticalOnSeedBackends)
 
 /** Connected random graph: a shuffled spanning tree plus extra edges. */
 CouplingMap
-random_connected_map(int n, int extra_edges, unsigned seed,
-                     int dense_limit = CouplingMap::kDenseDistanceLimit)
+random_connected_map(int n, int extra_edges, unsigned seed)
 {
     std::mt19937 rng(seed);
     std::vector<int> order(static_cast<std::size_t>(n));
@@ -91,7 +90,7 @@ random_connected_map(int n, int extra_edges, unsigned seed,
         if (a != b)
             edges.emplace_back(a, b); // duplicates dedup in the ctor
     }
-    return CouplingMap(n, std::move(edges), dense_limit);
+    return CouplingMap(n, std::move(edges));
 }
 
 TEST(SparseHops, BitIdenticalOnRandomGraphs)
@@ -103,28 +102,33 @@ TEST(SparseHops, BitIdenticalOnRandomGraphs)
     }
 }
 
-TEST(SparseNoise, RowsBitwiseEqualDense)
+TEST(SparseNoise, EvictionNeverChangesARow)
 {
-    // The dense builder fills every row with the sparse provider's own
-    // Dijkstra, so the two storage shapes agree bit for bit and
-    // sparse_distance_threshold never changes a routing decision.
+    // A two-row budget evicts on nearly every fetch, so each row below
+    // is recomputed from scratch; it must match the unbounded
+    // provider's row bit for bit, at every alpha triple.  That is why
+    // the byte budget (and sparse_distance_threshold) never changes a
+    // routing decision.
     for (const Backend &b : {montreal_backend(), heavy_hex_backend(3)}) {
         for (auto [a1, a2, a3] :
              {std::tuple{0.5, 0.0, 0.5}, std::tuple{1.0, 0.0, 0.0},
               std::tuple{0.3, 0.3, 0.4}}) {
-            const DenseDistanceProvider dense(
-                noise_aware_distance(b, a1, a2, a3));
-            const SparseDistanceProvider sparse(b, a1, a2, a3);
+            const DistanceProvider unbounded(b, a1, a2, a3);
+            const DistanceProvider bounded(b, a1, a2, a3,
+                                           2 * unbounded.row_bytes());
             const int n = b.coupling.num_qubits();
-            const std::size_t bytes = static_cast<std::size_t>(n) *
-                                      sizeof(double);
-            for (int i = 0; i < n; ++i) {
-                EXPECT_EQ(std::memcmp(sparse.row(i).data,
-                                      dense.row(i).data, bytes),
-                          0)
-                    << b.name << " alphas (" << a1 << "," << a2 << ","
-                    << a3 << ") row " << i;
+            for (int pass = 0; pass < 2; ++pass) {
+                for (int i = 0; i < n; ++i) {
+                    EXPECT_EQ(std::memcmp(bounded.row(i).data,
+                                          unbounded.row(i).data,
+                                          unbounded.row_bytes()),
+                              0)
+                        << b.name << " alphas (" << a1 << "," << a2
+                        << "," << a3 << ") row " << i;
+                }
             }
+            EXPECT_GT(bounded.stats().rows_evicted, 0u);
+            EXPECT_EQ(unbounded.stats().rows_evicted, 0u);
         }
     }
 }
@@ -143,50 +147,57 @@ transpile_fingerprint(const QuantumCircuit &qc, const Backend &backend,
     return res.circuit.fingerprint();
 }
 
-TEST(ProviderRouting, SparseReproducesDenseBitForBit)
+/** `opts` with every montreal provider capped at two cached rows. */
+TranspileOptions
+two_row_budget(TranspileOptions opts)
+{
+    opts.sparse_distance_threshold = 0; // the budget applies to montreal
+    opts.distance_row_budget_bytes = 2 * 27 * sizeof(double);
+    return opts;
+}
+
+TEST(ProviderRouting, BoundedReproducesUnboundedBitForBit)
 {
     const Backend montreal = montreal_backend();
     for (RoutingAlgorithm alg :
          {RoutingAlgorithm::kNassc, RoutingAlgorithm::kSabre}) {
         for (const QuantumCircuit &qc : {qft(10), ghz(12), qaoa_maxcut(12)}) {
-            TranspileOptions dense;
-            dense.router = alg;
-            dense.sparse_distance_threshold = INT_MAX;
-            TranspileOptions sparse = dense;
-            sparse.sparse_distance_threshold = 0; // force the row provider
+            TranspileOptions unbounded;
+            unbounded.router = alg;
+            unbounded.sparse_distance_threshold = INT_MAX;
+            const TranspileOptions bounded = two_row_budget(unbounded);
 
-            RoutingStats ds, ss;
-            const std::uint64_t dfp =
-                transpile_fingerprint(qc, montreal, dense, &ds);
-            const std::uint64_t sfp =
-                transpile_fingerprint(qc, montreal, sparse, &ss);
-            EXPECT_EQ(dfp, sfp);
-            EXPECT_EQ(ds.num_swaps, ss.num_swaps);
-            EXPECT_EQ(ds.flagged_swaps, ss.flagged_swaps);
-            EXPECT_EQ(ds.c2q_hits, ss.c2q_hits);
-            EXPECT_EQ(ds.commute1_hits, ss.commute1_hits);
-            EXPECT_EQ(ds.commute2_hits, ss.commute2_hits);
-            EXPECT_EQ(ds.moved_1q, ss.moved_1q);
-            EXPECT_EQ(ds.forced_moves, ss.forced_moves);
+            RoutingStats us, bs;
+            const std::uint64_t ufp =
+                transpile_fingerprint(qc, montreal, unbounded, &us);
+            const std::uint64_t bfp =
+                transpile_fingerprint(qc, montreal, bounded, &bs);
+            EXPECT_EQ(ufp, bfp);
+            EXPECT_EQ(us.num_swaps, bs.num_swaps);
+            EXPECT_EQ(us.flagged_swaps, bs.flagged_swaps);
+            EXPECT_EQ(us.c2q_hits, bs.c2q_hits);
+            EXPECT_EQ(us.commute1_hits, bs.commute1_hits);
+            EXPECT_EQ(us.commute2_hits, bs.commute2_hits);
+            EXPECT_EQ(us.moved_1q, bs.moved_1q);
+            EXPECT_EQ(us.forced_moves, bs.forced_moves);
         }
     }
 }
 
-TEST(ProviderRouting, SparseNoiseMetricReproducesDense)
+TEST(ProviderRouting, BoundedNoiseMetricReproducesUnbounded)
 {
-    // Dense and sparse noise distances are bitwise equal, so every
+    // Bounded and unbounded noise rows are bitwise equal, so every
     // layout-search configuration routes identically through either.
     const Backend montreal = montreal_backend();
     for (int trials : {1, 4}) {
-        TranspileOptions dense;
-        dense.noise_aware = true;
-        dense.layout_trials = trials;
-        dense.sparse_distance_threshold = INT_MAX;
-        TranspileOptions sparse = dense;
-        sparse.sparse_distance_threshold = 0;
+        TranspileOptions unbounded;
+        unbounded.noise_aware = true;
+        unbounded.layout_trials = trials;
+        unbounded.sparse_distance_threshold = INT_MAX;
+        const TranspileOptions bounded = two_row_budget(unbounded);
         for (const QuantumCircuit &qc : {qft(8), ghz(10)}) {
-            EXPECT_EQ(transpile_fingerprint(qc, montreal, dense),
-                      transpile_fingerprint(qc, montreal, sparse))
+            EXPECT_EQ(transpile_fingerprint(qc, montreal, unbounded),
+                      transpile_fingerprint(qc, montreal, bounded))
                 << "layout_trials " << trials;
         }
     }
@@ -234,7 +245,7 @@ TEST(ProviderRouting, TightRegionRadiusStillRoutesValidCircuits)
 TEST(SparseProvider, CountsRowComputesAndHits)
 {
     const CouplingMap cm = grid_backend(4, 4).coupling;
-    const SparseDistanceProvider p(cm);
+    const DistanceProvider p(cm);
     EXPECT_EQ(p.stats().rows_computed, 0u);
 
     (void)p.row(3);
@@ -251,8 +262,8 @@ TEST(SparseProvider, CountsRowComputesAndHits)
 TEST(SparseProvider, ByteBudgetEvictsLeastRecentlyUsed)
 {
     const CouplingMap cm = grid_backend(4, 4).coupling;
-    const SparseDistanceProvider p(cm, /*row_budget_bytes=*/2 *
-                                           (16 * sizeof(double)));
+    const DistanceProvider p(cm, /*row_budget_bytes=*/2 *
+                                     (16 * sizeof(double)));
     (void)p.row(0);
     (void)p.row(1);
     (void)p.row(2); // evicts row 0 (LRU)
@@ -278,9 +289,8 @@ TEST(SparseProvider, ByteBudgetEvictsLeastRecentlyUsed)
 TEST(SparseProvider, PinnedRowSurvivesEviction)
 {
     const CouplingMap cm = grid_backend(4, 4).coupling;
-    const DistanceMatrix dense = hop_distance(cm).matrix();
     // Budget of ONE row: every new row evicts the previous one.
-    const SparseDistanceProvider p(cm, 16 * sizeof(double));
+    const DistanceProvider p(cm, 16 * sizeof(double));
 
     const DistanceRow pinned = p.row(5);
     for (int src : {1, 2, 3, 8, 9})
@@ -288,16 +298,19 @@ TEST(SparseProvider, PinnedRowSurvivesEviction)
     EXPECT_GE(p.stats().rows_evicted, 4u);
 
     // The pin keeps the evicted row's storage alive and intact.
+    const std::vector<int> ref = cm.hop_row(5);
     for (int j = 0; j < 16; ++j)
-        EXPECT_EQ(pinned[j], dense(5, j));
+        EXPECT_EQ(pinned[j], ref[j]);
 }
 
 TEST(SparseProvider, ConcurrentRowFetchIsSafeAndPublishesOnce)
 {
     const CouplingMap cm = grid_backend(5, 5).coupling;
-    const DistanceMatrix dense = hop_distance(cm).matrix();
-    const SparseDistanceProvider p(cm);
+    const DistanceProvider p(cm);
     const int n = cm.num_qubits();
+    std::vector<std::vector<int>> ref;
+    for (int i = 0; i < n; ++i)
+        ref.push_back(cm.hop_row(i));
 
     std::vector<std::thread> threads;
     std::atomic<int> mismatches{0};
@@ -308,7 +321,7 @@ TEST(SparseProvider, ConcurrentRowFetchIsSafeAndPublishesOnce)
                     const int src = (i + t * 3) % n;
                     const DistanceRow r = p.row(src);
                     for (int j = 0; j < n; ++j)
-                        if (r[j] != dense(src, j))
+                        if (r[j] != ref[src][j])
                             mismatches.fetch_add(1);
                 }
             }
@@ -386,8 +399,8 @@ routed_row_footprint(int d)
     DistanceCache cache;
     TranspileOptions opts;
     opts.router = RoutingAlgorithm::kSabre; // fastest full pipeline
-    // Default sparse_distance_threshold (256) already puts these devices
-    // on the sparse provider — this is the production configuration.
+    // Default options (threshold 256, budget 0): the production
+    // configuration for these devices.
     const TranspileResult res = transpile(ghz(24), device, opts, cache);
     EXPECT_GT(res.circuit.size(), 0u);
 
@@ -406,9 +419,9 @@ TEST(ProviderScale, HeavyHexRoutesWithRowProportionalMemory)
     // Routing a fixed 24-qubit workload end to end on Condor-class and
     // beyond-Condor-class lattices: the rows the pipeline touches track
     // the workload's walk, not the device, so the resident fraction of
-    // the dense n^2 matrix SHRINKS as the topology axis scales (the
-    // measured footprint is ~0.45 * dense at 1123 qubits and ~0.27 *
-    // dense at 4243 — deterministic, seeded pipeline).
+    // a full n^2 matrix SHRINKS as the topology axis scales (the
+    // measured footprint is ~0.45 * n^2 at 1123 qubits and ~0.27 *
+    // n^2 at 4243 — deterministic, seeded pipeline).
     const auto [rows_1k, n_1k] = routed_row_footprint(21);
     ASSERT_EQ(n_1k, 1123);
     EXPECT_LT(rows_1k, static_cast<std::size_t>(n_1k) / 2);

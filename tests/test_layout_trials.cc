@@ -127,7 +127,7 @@ TEST(LayoutTrials, SingleTrialMatchesHistoricalSearchOnTableI)
 {
     Backend dev = montreal_backend();
     for (bool noise : {false, true}) {
-        const DenseDistanceProvider dist =
+        const DistanceProvider dist =
             noise ? noise_aware_distance(dev) : hop_distance(dev.coupling);
         for (const BenchmarkCase &bc : table_benchmarks()) {
             QuantumCircuit logical = decompose_to_2q(bc.circuit);
@@ -150,7 +150,7 @@ TEST(LayoutTrials, SingleTrialOutcomesAreScored)
     // exactly like the racing path: one forward full-circuit routing
     // pass from the refined layout, with the SABRE mapping options.
     Backend dev = montreal_backend();
-    const DenseDistanceProvider dist = hop_distance(dev.coupling);
+    const DistanceProvider dist = hop_distance(dev.coupling);
     QuantumCircuit logical = decompose_to_2q(benchmark_by_name("qft_n15"));
 
     RoutingOptions opts;
@@ -206,7 +206,7 @@ TEST(LayoutTrials, SingleTrialOutcomesAreScored)
 TEST(LayoutTrials, MultiTrialBitIdenticalAcrossThreadCounts)
 {
     Backend dev = montreal_backend();
-    const DenseDistanceProvider dist = hop_distance(dev.coupling);
+    const DistanceProvider dist = hop_distance(dev.coupling);
 
     for (const char *name : {"qft_n15", "adder_n10", "grover_n8"}) {
         QuantumCircuit logical = decompose_to_2q(benchmark_by_name(name));
@@ -284,7 +284,7 @@ TEST(LayoutTrials, ReuseEquivalenceGoldens)
     // threads in {1, 8}, on plain-unitary circuits and on circuits with
     // measures and barriers (the seam the scoring pass now routes).
     Backend dev = montreal_backend();
-    const DenseDistanceProvider dist = hop_distance(dev.coupling);
+    const DistanceProvider dist = hop_distance(dev.coupling);
 
     for (const char *name : {"qft_n15", "adder_n10"}) {
         for (bool measured : {false, true}) {
@@ -357,7 +357,7 @@ TEST(LayoutTrials, ReuseEquivalenceFullTableI)
     // winner selection is thread-invariant, so every reuse fingerprint
     // must match it.
     Backend dev = montreal_backend();
-    const DenseDistanceProvider dist = hop_distance(dev.coupling);
+    const DistanceProvider dist = hop_distance(dev.coupling);
 
     for (const BenchmarkCase &bc : table_benchmarks()) {
         QuantumCircuit logical = decompose_to_2q(bc.circuit);
@@ -447,7 +447,7 @@ TEST(LayoutTrials, TrialDiversityHeuristicSeeds)
     // the embedding-seeded trial must score zero SWAPs and the race
     // must return a zero-SWAP winner.
     Backend dev = montreal_backend();
-    const DenseDistanceProvider dist = hop_distance(dev.coupling);
+    const DistanceProvider dist = hop_distance(dev.coupling);
     QuantumCircuit chain(10);
     for (int q = 0; q + 1 < 10; ++q)
         chain.cx(q, q + 1);
@@ -473,7 +473,7 @@ TEST(LayoutTrials, MultiTrialNeverWorseThanItsOwnTrials)
 {
     // The arg-min must actually pick the (swaps, depth)-minimal trial.
     Backend dev = montreal_backend();
-    const DenseDistanceProvider dist = hop_distance(dev.coupling);
+    const DistanceProvider dist = hop_distance(dev.coupling);
     QuantumCircuit logical = decompose_to_2q(benchmark_by_name("qft_n15"));
 
     RoutingOptions opts;
@@ -561,7 +561,7 @@ TEST(LayoutTrials, MoreTrialsNotWorseOnAggregate)
     // the 4-trial winner must not lose to the single seed in total
     // routed SWAPs (that is the whole point of the knob).
     Backend dev = montreal_backend();
-    const DenseDistanceProvider dist = hop_distance(dev.coupling);
+    const DistanceProvider dist = hop_distance(dev.coupling);
     long swaps1 = 0, swaps4 = 0;
     for (const char *name : {"qft_n15", "adder_n10", "grover_n8"}) {
         QuantumCircuit logical = decompose_to_2q(benchmark_by_name(name));

@@ -120,7 +120,7 @@ TEST(NonUnitaryRouting, RouteCircuitPreservesMeasuresAndBarriers)
     // Mid-circuit measure + barriers on a line: routing must map their
     // operands through the live layout and keep every one of them.
     Backend dev = linear_backend(5);
-    const DenseDistanceProvider dist = hop_distance(dev.coupling);
+    const DistanceProvider dist = hop_distance(dev.coupling);
     QuantumCircuit qc(4);
     qc.h(0);
     qc.cx(0, 3); // forces SWAPs on a line

@@ -1,6 +1,6 @@
 // Golden-metrics regression for the router core.
 //
-// The optimized router (flat DistanceMatrix, CSR DAG adjacency, epoch-
+// The optimized router (pinned distance rows, CSR DAG adjacency, epoch-
 // stamped scratch buffers, delta scoring) must emit *bit-identical*
 // results to the seed implementation: same RoutingStats, same physical
 // gate sequence (including SWAP orientation flags), same initial and

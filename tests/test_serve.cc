@@ -466,13 +466,15 @@ TEST(NasscServer, TcpTransportServesPingStatsAndTranspile)
     EXPECT_GE(stats.at("requests"), 1u);
     EXPECT_EQ(stats.at("transpiles_ok"), 1u);
     // Distance-cache observability rides on the same scrape: the one
-    // transpile above computed grid_5x5's dense hop matrix (25 qubits
-    // is below the sparse threshold, so every row materializes).
+    // transpile above computed the grid_5x5 hop rows it touched.  The
+    // row cache has no byte budget at 25 qubits, so nothing is evicted
+    // and resident bytes are exactly rows * n doubles.
     EXPECT_GE(stats.at("distance_entries"), 1u);
     EXPECT_GE(stats.at("distance_computations"), 1u);
-    EXPECT_GE(stats.at("distance_rows_computed"), 25u);
-    EXPECT_GT(stats.at("distance_row_bytes"), 0u);
-    EXPECT_GE(stats.at("distance_row_bytes_peak"),
+    EXPECT_GE(stats.at("distance_rows_computed"), 1u);
+    EXPECT_EQ(stats.at("distance_row_bytes"),
+              stats.at("distance_rows_computed") * 25 * sizeof(double));
+    EXPECT_EQ(stats.at("distance_row_bytes_peak"),
               stats.at("distance_row_bytes"));
     server.stop();
 }

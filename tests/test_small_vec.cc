@@ -212,7 +212,7 @@ TEST(AllocationFreeRouting, SabreDecisionLoopIsAllocationFreeAfterWarmup)
     Backend dev = montreal_backend();
     QuantumCircuit logical = decompose_to_2q(qft(16));
     DagCircuit dag(logical);
-    const DenseDistanceProvider dist = hop_distance(dev.coupling);
+    const DistanceProvider dist = hop_distance(dev.coupling);
     RoutingOptions opts; // SABRE
     Layout init(16, dev.coupling.num_qubits());
 
@@ -239,7 +239,7 @@ TEST(AllocationFreeRouting, NasscGateEmissionNeverSpills)
     Backend dev = montreal_backend();
     QuantumCircuit logical = decompose_to_2q(qft(16));
     DagCircuit dag(logical);
-    const DenseDistanceProvider dist = hop_distance(dev.coupling);
+    const DistanceProvider dist = hop_distance(dev.coupling);
     RoutingOptions opts;
     opts.algorithm = RoutingAlgorithm::kNassc;
     Layout init(16, dev.coupling.num_qubits());

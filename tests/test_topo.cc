@@ -1,4 +1,7 @@
-// Tests for coupling maps, backend topologies, and distance matrices.
+// Tests for coupling maps, backend topologies, and distance providers.
+
+#include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,7 +20,7 @@ TEST(CouplingMap, LineDistances)
     EXPECT_EQ(cm.edges().size(), 4u);
     EXPECT_TRUE(cm.connected(0, 1));
     EXPECT_FALSE(cm.connected(0, 2));
-    EXPECT_EQ(cm.distance(0, 4), 4);
+    EXPECT_EQ(cm.hop_row(0)[4], 4);
     EXPECT_EQ(cm.diameter(), 4);
     EXPECT_TRUE(cm.is_connected_graph());
 }
@@ -28,7 +31,7 @@ TEST(CouplingMap, GridStructure)
     const CouplingMap &cm = b.coupling;
     EXPECT_EQ(cm.num_qubits(), 25);
     EXPECT_EQ(cm.edges().size(), 40u); // 2*5*4
-    EXPECT_EQ(cm.distance(0, 24), 8);  // manhattan corner-to-corner
+    EXPECT_EQ(cm.hop_row(0)[24], 8);  // manhattan corner-to-corner
     EXPECT_EQ(cm.diameter(), 8);
     EXPECT_EQ(cm.neighbors(12).size(), 4u); // center has 4 neighbors
     EXPECT_EQ(cm.neighbors(0).size(), 2u);  // corner has 2
@@ -131,27 +134,36 @@ TEST(GridOfGrids, TiledStructure)
     EXPECT_EQ(b.coupling.edges().size(), 6u * 24u + 4u + 3u);
 }
 
-TEST(CouplingMap, SparseModeMatchesDenseTwin)
+/** connected() is exactly "one hop apart", and diameter() is the
+ *  largest entry over every hop_row(). */
+void
+expect_graph_queries_match_hop_rows(const CouplingMap &cm)
 {
-    // Same edges through the dense (adjacency matrix + eager BFS table)
-    // and sparse (on-demand BFS) code paths must agree on every query.
-    const Backend seed = grid_backend(4, 5);
-    std::vector<std::pair<int, int>> edges(seed.coupling.edges());
-    const int n = seed.coupling.num_qubits();
-    const CouplingMap dense(n, edges);
-    const CouplingMap sparse(n, edges, /*dense_limit=*/4);
-    ASSERT_TRUE(dense.has_dense_distances());
-    ASSERT_FALSE(sparse.has_dense_distances());
-
-    EXPECT_EQ(sparse.diameter(), dense.diameter());
-    EXPECT_EQ(sparse.is_connected_graph(), dense.is_connected_graph());
+    const int n = cm.num_qubits();
+    int max_hops = 0;
     for (int i = 0; i < n; ++i) {
-        EXPECT_EQ(sparse.hop_row(i), dense.hop_row(i));
+        const std::vector<int> row = cm.hop_row(i);
         for (int j = 0; j < n; ++j) {
-            EXPECT_EQ(sparse.connected(i, j), dense.connected(i, j));
-            EXPECT_EQ(sparse.distance(i, j), dense.distance(i, j));
+            EXPECT_EQ(cm.connected(i, j), row[j] == 1)
+                << "(" << i << "," << j << ")";
+            max_hops = std::max(max_hops, row[j]);
         }
     }
+    EXPECT_EQ(cm.diameter(), max_hops);
+}
+
+TEST(CouplingMap, ConnectedAndDiameterMatchHopRows)
+{
+    // 20 qubits: the exact all-rows diameter.
+    expect_graph_queries_match_hop_rows(grid_backend(4, 5).coupling);
+    // 1123 and 576 qubits: above 512 the diameter is a double-sweep
+    // BFS, which equals the all-sources value on these generators.
+    const Backend heavy_hex = heavy_hex_backend(21);
+    ASSERT_EQ(heavy_hex.coupling.num_qubits(), 1123);
+    expect_graph_queries_match_hop_rows(heavy_hex.coupling);
+    const Backend tiles = grid_of_grids_backend(4, 4, 6, 6);
+    ASSERT_EQ(tiles.coupling.num_qubits(), 576);
+    expect_graph_queries_match_hop_rows(tiles.coupling);
 }
 
 TEST(Calibration, DeterministicAndInRange)
@@ -172,22 +184,28 @@ TEST(Calibration, DeterministicAndInRange)
     }
 }
 
-TEST(Distance, HopMatrixMatchesCoupling)
+TEST(Distance, HopRowsMatchCoupling)
 {
     Backend b = grid_backend(3, 3);
-    const DistanceMatrix d = hop_distance(b.coupling).matrix();
-    for (int i = 0; i < 9; ++i)
+    const DistanceProvider d = hop_distance(b.coupling);
+    for (int i = 0; i < 9; ++i) {
+        const DistanceRow row = d.row(i);
+        const std::vector<int> ref = b.coupling.hop_row(i);
         for (int j = 0; j < 9; ++j)
-            EXPECT_DOUBLE_EQ(d[i][j], b.coupling.distance(i, j));
+            EXPECT_DOUBLE_EQ(row[j], ref[j]);
+    }
 }
 
 TEST(Distance, NoiseAwareReducesToHopsWhenAlphaDistance)
 {
     Backend b = linear_backend(6);
-    const DistanceMatrix d = noise_aware_distance(b, 0.0, 0.0, 1.0).matrix();
-    for (int i = 0; i < 6; ++i)
+    const DistanceProvider d = noise_aware_distance(b, 0.0, 0.0, 1.0);
+    for (int i = 0; i < 6; ++i) {
+        const DistanceRow row = d.row(i);
+        const std::vector<int> ref = b.coupling.hop_row(i);
         for (int j = 0; j < 6; ++j)
-            EXPECT_NEAR(d[i][j], b.coupling.distance(i, j), 1e-9);
+            EXPECT_NEAR(row[j], ref[j], 1e-9);
+    }
 }
 
 TEST(Distance, NoiseAwarePrefersGoodEdges)
@@ -207,22 +225,22 @@ TEST(Distance, NoiseAwarePrefersGoodEdges)
     b.calibration.duration_cx[{0, 2}] = 400;
     // With the error term dominating, the two-hop detour through the good
     // edges beats the direct terrible edge.
-    const DistanceMatrix d = noise_aware_distance(b, 1.0, 0.0, 0.0).matrix();
-    EXPECT_LT(d[0][1], 0.99); // detour used, not the weight-1.0 edge
-    EXPECT_NEAR(d[0][1], d[0][2] + d[2][1], 1e-9);
+    const DistanceProvider d = noise_aware_distance(b, 1.0, 0.0, 0.0);
+    EXPECT_LT(d.row(0)[1], 0.99); // detour used, not the weight-1.0 edge
+    EXPECT_NEAR(d.row(0)[1], d.row(0)[2] + d.row(2)[1], 1e-9);
     // With pure hop weighting the direct edge wins again.
-    const DistanceMatrix dh = noise_aware_distance(b, 0.0, 0.0, 1.0).matrix();
-    EXPECT_NEAR(dh[0][1], 1.0, 1e-9);
+    const DistanceProvider dh = noise_aware_distance(b, 0.0, 0.0, 1.0);
+    EXPECT_NEAR(dh.row(0)[1], 1.0, 1e-9);
 }
 
 TEST(Distance, NoiseAwareSymmetric)
 {
     Backend b = montreal_backend();
-    const DistanceMatrix d = noise_aware_distance(b).matrix();
+    const DistanceProvider d = noise_aware_distance(b);
     for (int i = 0; i < 27; ++i) {
-        EXPECT_DOUBLE_EQ(d[i][i], 0.0);
+        EXPECT_DOUBLE_EQ(d.row(i)[i], 0.0);
         for (int j = 0; j < 27; ++j)
-            EXPECT_DOUBLE_EQ(d[i][j], d[j][i]);
+            EXPECT_DOUBLE_EQ(d.row(i)[j], d.row(j)[i]);
     }
 }
 
