@@ -11,11 +11,8 @@
 //   --builtin NAME   transpile a library benchmark circuit by name
 //   --stats          print the counter/gauge rows of the metrics scrape
 //                    as `<row> <value>` lines (ServiceStats and
-//                    distance-cache rows; a front adds its router and
-//                    supervisor rows)
+//                    distance-cache rows)
 //   --metrics        scrape the daemon's Prometheus text exposition
-//                    (a sharded front door answers with the fleet's
-//                    bucket-exact histogram merge)
 //   --smoke N        CI smoke: N client threads push a duplicated
 //                    workload through the daemon and verify that every
 //                    response is BIT-IDENTICAL to an in-process
@@ -29,18 +26,6 @@
 //                    responses and relax the exact dedup accounting —
 //                    bit-identity of every successful response stays
 //                    strictly enforced.
-//   --repeat R       with --smoke: run the workload R times over (a
-//                    sustained run, so a shard can be crashed while
-//                    requests are in flight).
-//   --tolerate-restarts
-//                    with --smoke: the daemon is a sharded front door
-//                    whose workers may crash and restart mid-run.  A
-//                    crashed worker's counters reset, so ALL
-//                    stats-delta accounting is skipped — what stays
-//                    strictly enforced is that every request succeeds
-//                    (zero non-shed failures; transport faults and
-//                    `overloaded` shed retry transparently) and every
-//                    response is bit-identical to the local transpile.
 
 #include <cstdint>
 #include <cstdio>
@@ -73,9 +58,7 @@ struct Args
     bool stats = false;
     bool metrics = false;
     int smoke_threads = 0;
-    int repeat = 1;
     bool tolerate_faults = false;
-    bool tolerate_restarts = false;
 };
 
 nassc::ServeEndpoint
@@ -99,15 +82,6 @@ smoke_policy(const Args &args, unsigned seed)
     policy.max_backoff_ms = 500;
     policy.jitter_seed = seed;
     policy.retry_application_errors = args.tolerate_faults;
-    if (args.tolerate_restarts) {
-        // Shard crashes take a restart-backoff to heal; give the
-        // client enough budget to outlast the supervisor's schedule,
-        // and a per-I/O timeout so a request wedged on a dying worker
-        // fails over instead of hanging.
-        policy.max_attempts = 12;
-        policy.max_backoff_ms = 1000;
-        policy.io_timeout_ms = 30000;
-    }
     return policy;
 }
 
@@ -161,12 +135,6 @@ run_smoke(const Args &args)
         }
     }
     const std::size_t distinct = jobs.size() / 2;
-    // --repeat stretches the run (every extra pass is pure duplicates)
-    // so there is load in flight while a shard is being crashed.
-    const std::size_t base_jobs = jobs.size();
-    for (int r = 1; r < args.repeat; ++r)
-        for (std::size_t i = 0; i < base_jobs; ++i)
-            jobs.push_back(jobs[i]);
 
     // Expected answers, computed in-process through the same public
     // pipeline the daemon uses.
@@ -231,32 +199,6 @@ run_smoke(const Args &args)
     }
     for (std::thread &th : threads)
         th.join();
-
-    if (args.tolerate_restarts) {
-        // A crashed shard took its counters with it, so any delta can
-        // be nonsense (even negative, which would wrap the uint64s) —
-        // skip the accounting entirely.  What this mode proves is the
-        // failover contract: ZERO failed requests and every response
-        // bit-identical, which the per-response checks above enforced.
-        if (!failures.empty()) {
-            for (const std::string &f : failures)
-                std::fprintf(stderr, "SMOKE FAIL: %s\n", f.c_str());
-            return 1;
-        }
-        std::printf("smoke ok (restart-tolerant): %zu requests "
-                    "(%zu distinct) on %d threads, zero failures, "
-                    "responses bit-identical to local transpile\n",
-                    jobs.size(), distinct, nthreads);
-        std::printf(
-            "smoke retries: %llu attempts, %llu retries, "
-            "%llu reconnects, %llu overloaded, %llu ms backing off\n",
-            static_cast<unsigned long long>(retried.attempts),
-            static_cast<unsigned long long>(retried.retries),
-            static_cast<unsigned long long>(retried.reconnects),
-            static_cast<unsigned long long>(retried.overloaded),
-            static_cast<unsigned long long>(retried.backoff_ms));
-        return 0;
-    }
 
     const std::map<std::string, std::uint64_t> after = control.stats();
     auto delta = [&](const char *key) {
@@ -365,18 +307,13 @@ main(int argc, char **argv)
             args.smoke_threads = std::atoi(value());
         } else if (arg == "--tolerate-faults") {
             args.tolerate_faults = true;
-        } else if (arg == "--tolerate-restarts") {
-            args.tolerate_restarts = true;
-        } else if (arg == "--repeat") {
-            args.repeat = std::atoi(value());
         } else if (arg == "--help" || arg == "-h") {
             std::fprintf(
                 stderr,
                 "usage: nassc_client (--unix PATH | --port N [--host H]) "
                 "[--backend NAME] [--option k=v]... "
                 "[--builtin NAME | --stats | --metrics | --smoke N "
-                "[--repeat R] [--tolerate-faults] [--tolerate-restarts] "
-                "| FILE|-]\n"
+                "[--tolerate-faults] | FILE|-]\n"
                 "  --stats    print the counter/gauge rows of the metrics "
                 "scrape\n"
                 "  --metrics  scrape the daemon's Prometheus exposition\n"
@@ -404,8 +341,7 @@ main(int argc, char **argv)
         }
         if (args.metrics) {
             // Prometheus text exposition verbatim: pipe into a scraper
-            // or promtool without post-processing.  A sharded front
-            // answers with the fleet's bucket-exact merge.
+            // or promtool without post-processing.
             const std::string body = client.metrics();
             std::fputs(body.c_str(), stdout);
             if (!body.empty() && body.back() != '\n')

@@ -9,50 +9,37 @@
 //   nasscd --port 7747 --threads 8 --cache-bytes 134217728 --ttl 300
 //   nasscd --port 0 --max-conns 64 --max-queue 128 --default-deadline 5000
 //
-// Sharded mode: `--shards N` turns this process into a supervised
-// front door.  N child nasscd workers are fork/exec'd, each listening
-// on `<unix-path>.shard<i>` and owning a consistent-hash slice of the
-// request keyspace; the front forwards frames to the owning shard
-// (serve/shard_router.h) and the supervisor (serve/supervisor.h)
-// restarts crashed workers with backoff, quarantines flappers, and
-// SIGKILLs hung ones.  `metrics` answers with the fleet-merged scrape
-// plus the router's and supervisor's rows.
-//
-//   nasscd --unix /tmp/nassc.sock --shards 3
-//
 // SIGINT/SIGTERM shut down gracefully: in-flight requests drain to
-// their responses, then children are SIGTERMed (they drain the same
-// way) and the process exits 0.
+// their responses and the process exits 0.  nasscd does not restart
+// itself after a crash; run it under an external process supervisor
+// (e.g. systemd Restart=on-failure) and let RetryingServeClient
+// reconnect across the restart.
+//
+// Numeric flags are parsed strictly: the whole token must be a number
+// in range (sizes and counts non-negative), otherwise nasscd prints
+// "bad value for --FLAG" and exits 2 before opening any socket.
 //
 // Fault injection: set NASSC_FAILPOINTS (e.g.
 // "service.transpile=2*throw(boom);protocol.write.disconnect=1*trigger")
-// to arm failpoints at startup — see service/failpoint.h.  In sharded
-// mode `--shard-failpoints IDX:SPEC` arms SPEC in shard IDX's FIRST
-// incarnation only (restarts boot clean), which is how crash-failover
-// is exercised end to end:
-//
-//   nasscd --unix /tmp/s.sock --shards 3
-//       --shard-failpoints '1:service.transpile=1*abort()'
+// to arm failpoints at startup — see service/failpoint.h.
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
+#include <system_error>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include <unistd.h>
-
 #include "nassc/obs/event_log.h"
-#include "nassc/serve/client.h"
 #include "nassc/serve/server.h"
-#include "nassc/serve/shard_router.h"
-#include "nassc/serve/supervisor.h"
 #include "nassc/service/failpoint.h"
 
 namespace {
@@ -89,8 +76,8 @@ usage(const char *argv0)
         "  --slow-ms MS       log a slow_request event for transpiles\n"
         "                     slower than MS server-side (0 = off)\n"
         "  --event-log PATH   append structured JSONL events (slow\n"
-        "                     requests, sheds, deadline misses, shard\n"
-        "                     restarts) to PATH; default stderr\n"
+        "                     requests, sheds, deadline misses) to PATH;\n"
+        "                     default stderr\n"
         "\n"
         "overload and deadlines:\n"
         "  --max-conns N      shed connections past N with `status\n"
@@ -101,30 +88,42 @@ usage(const char *argv0)
         "                     (default 50)\n"
         "  --default-deadline MS\n"
         "                     deadline for requests that do not set\n"
-        "                     deadline_ms themselves (0 = none)\n"
-        "\n"
-        "sharded serving (requires --unix; see serve/shard_router.h):\n"
-        "  --shards N         run as a front door over N supervised\n"
-        "                     worker processes on <unix>.shard<i>\n"
-        "  --shard-timeout MS per-I/O timeout talking to a shard before\n"
-        "                     failover (default 30000)\n"
-        "  --shard-failpoints IDX:SPEC\n"
-        "                     arm SPEC (a NASSC_FAILPOINTS list) in\n"
-        "                     shard IDX's first incarnation only\n",
+        "                     deadline_ms themselves (0 = none)\n",
         argv0);
 }
 
-/** The front door's own path to re-exec as a worker. */
-std::string
-self_executable(const char *argv0)
+[[noreturn]] void
+bad_value(const std::string &flag)
 {
-    char buf[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        return buf;
-    }
-    return argv0;
+    std::fprintf(stderr, "nasscd: bad value for %s\n", flag.c_str());
+    std::exit(2);
+}
+
+/** The whole token as an integer in [lo, hi]: no whitespace, no '+',
+ *  no trailing junk, and no sign at all for unsigned T, so "-1" cannot
+ *  wrap to SIZE_MAX. */
+template <typename T>
+T
+parse_integer(const std::string &flag, const char *text, T lo, T hi)
+{
+    T v{};
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr != end || v < lo || v > hi)
+        bad_value(flag);
+    return v;
+}
+
+/** The whole token as a finite, non-negative number of seconds. */
+double
+parse_seconds(const std::string &flag, const char *text)
+{
+    double v = 0;
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < 0)
+        bad_value(flag);
+    return v;
 }
 
 } // namespace
@@ -136,12 +135,6 @@ main(int argc, char **argv)
     double purge_interval = 30.0;
     int slow_ms = 0;
     std::string event_log_path;
-    int shards = 0;
-    int shard_timeout_ms = 30000;
-    std::vector<std::pair<int, std::string>> shard_failpoints;
-    // Service flags repeated verbatim to worker argv (sharded mode):
-    // workers get the SAME hardening knobs the flat daemon would.
-    std::vector<std::string> worker_flags;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> const char * {
@@ -152,61 +145,39 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        auto worker_flag = [&](const char *v) {
-            worker_flags.push_back(arg);
-            worker_flags.push_back(v);
-            return v;
+        // Counts and sizes: non-negative, within the field's own type.
+        auto count = [&] { return parse_integer(arg, value(), 0, INT_MAX); };
+        auto size = [&] {
+            return parse_integer<std::size_t>(arg, value(), 0, SIZE_MAX);
         };
         if (arg == "--unix") {
             options.unix_path = value();
         } else if (arg == "--port") {
-            options.tcp_port = std::atoi(value());
+            options.tcp_port = parse_integer(arg, value(), 0, 65535);
         } else if (arg == "--host") {
             options.host = value();
         } else if (arg == "--threads") {
-            options.service.num_threads = std::atoi(worker_flag(value()));
+            options.service.num_threads = count();
         } else if (arg == "--cache-entries") {
-            options.service.cache_capacity =
-                static_cast<std::size_t>(std::atoll(worker_flag(value())));
+            options.service.cache_capacity = size();
         } else if (arg == "--cache-bytes") {
-            options.service.cache_max_bytes =
-                static_cast<std::size_t>(std::atoll(worker_flag(value())));
+            options.service.cache_max_bytes = size();
         } else if (arg == "--ttl") {
-            options.service.default_ttl_seconds =
-                std::atof(worker_flag(value()));
+            options.service.default_ttl_seconds = parse_seconds(arg, value());
         } else if (arg == "--purge-interval") {
-            purge_interval = std::atof(worker_flag(value()));
+            purge_interval = parse_seconds(arg, value());
         } else if (arg == "--slow-ms") {
-            slow_ms = std::atoi(worker_flag(value()));
+            slow_ms = count();
         } else if (arg == "--event-log") {
             event_log_path = value();
         } else if (arg == "--max-conns") {
-            options.max_connections =
-                static_cast<std::size_t>(std::atoll(value()));
+            options.max_connections = size();
         } else if (arg == "--max-queue") {
-            options.service.max_queued =
-                static_cast<std::size_t>(std::atoll(worker_flag(value())));
+            options.service.max_queued = size();
         } else if (arg == "--retry-after") {
-            options.retry_after_ms = std::atoi(worker_flag(value()));
+            options.retry_after_ms = count();
         } else if (arg == "--default-deadline") {
-            options.default_deadline_ms = std::atoi(worker_flag(value()));
-        } else if (arg == "--shards") {
-            shards = std::atoi(value());
-        } else if (arg == "--shard-timeout") {
-            shard_timeout_ms = std::atoi(value());
-        } else if (arg == "--shard-failpoints") {
-            const std::string spec = value();
-            const std::size_t colon = spec.find(':');
-            if (colon == std::string::npos || colon == 0) {
-                std::fprintf(stderr,
-                             "nasscd: --shard-failpoints wants IDX:SPEC, "
-                             "got '%s'\n",
-                             spec.c_str());
-                return 2;
-            }
-            shard_failpoints.emplace_back(
-                std::atoi(spec.substr(0, colon).c_str()),
-                spec.substr(colon + 1));
+            options.default_deadline_ms = count();
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -218,12 +189,6 @@ main(int argc, char **argv)
     }
     if (options.unix_path.empty() && options.tcp_port < 0) {
         usage(argv[0]);
-        return 2;
-    }
-    if (shards > 0 && options.unix_path.empty()) {
-        std::fprintf(stderr,
-                     "nasscd: --shards needs --unix (worker sockets are "
-                     "<unix>.shard<i>)\n");
         return 2;
     }
 
@@ -245,9 +210,9 @@ main(int argc, char **argv)
             event_sink = stderr;
         }
     }
-    // Flush the bounded ring (slow requests, sheds, deadline misses,
-    // supervisor restarts) as JSONL; called every main-loop tick and
-    // once more at shutdown so nothing buffered is lost.
+    // Flush the bounded ring (slow requests, sheds, deadline misses) as
+    // JSONL; called every main-loop tick and once more at shutdown so
+    // nothing buffered is lost.
     auto flush_events = [&]() {
         const std::vector<std::string> lines =
             nassc::obs::EventLog::global().drain();
@@ -261,88 +226,6 @@ main(int argc, char **argv)
     };
 
     try {
-        // --- Sharded front door: supervisor + router around the same
-        // NasscServer shell. ---
-        std::shared_ptr<nassc::ShardRouter> router;
-        std::unique_ptr<nassc::Supervisor> supervisor;
-        nassc::Supervisor *supervisor_raw = nullptr;
-        std::vector<std::string> shard_paths;
-        if (shards > 0) {
-            const std::string exe = self_executable(argv[0]);
-            for (int s = 0; s < shards; ++s)
-                shard_paths.push_back(options.unix_path + ".shard" +
-                                      std::to_string(s));
-
-            nassc::ShardRouterOptions ropts;
-            for (const std::string &path : shard_paths) {
-                nassc::ServeEndpoint endpoint;
-                endpoint.unix_path = path;
-                ropts.shards.push_back(endpoint);
-            }
-            ropts.io_timeout_ms = shard_timeout_ms;
-            ropts.extra_counters =
-                [&supervisor_raw]()
-                -> std::vector<std::pair<std::string, std::uint64_t>> {
-                if (!supervisor_raw)
-                    return {};
-                const nassc::SupervisorStats s = supervisor_raw->stats();
-                return {
-                    {"supervisor_spawns", s.spawns},
-                    {"supervisor_restarts", s.restarts},
-                    {"supervisor_quarantines", s.quarantines},
-                    {"supervisor_hang_kills", s.hang_kills},
-                };
-            };
-            router = std::make_shared<nassc::ShardRouter>(std::move(ropts));
-
-            nassc::SupervisorOptions sopts;
-            sopts.shards = shards;
-            sopts.command = [exe, &shard_paths,
-                             worker_flags](int s) -> std::vector<std::string> {
-                std::vector<std::string> cmd = {
-                    exe, "--unix", shard_paths[static_cast<std::size_t>(s)]};
-                cmd.insert(cmd.end(), worker_flags.begin(),
-                           worker_flags.end());
-                return cmd;
-            };
-            if (!shard_failpoints.empty())
-                sopts.first_spawn_env =
-                    [shard_failpoints](int s) -> std::vector<std::string> {
-                    std::vector<std::string> env;
-                    for (const auto &fp : shard_failpoints)
-                        if (fp.first == s)
-                            env.push_back("NASSC_FAILPOINTS=" + fp.second);
-                    return env;
-                };
-            sopts.health_interval_ms = 500;
-            sopts.health_check = [&shard_paths](int s) {
-                try {
-                    nassc::ServeClient probe =
-                        nassc::ServeClient::connect_unix(
-                            shard_paths[static_cast<std::size_t>(s)]);
-                    probe.set_io_timeout(1000);
-                    return probe.ping();
-                } catch (const std::exception &) {
-                    return false;
-                }
-            };
-            sopts.on_state = [&router](int s, bool up) {
-                if (up)
-                    router->mark_live(s);
-                else
-                    router->mark_dead(s);
-            };
-            supervisor = std::make_unique<nassc::Supervisor>(
-                std::move(sopts));
-            supervisor->start();
-            supervisor_raw = supervisor.get();
-            if (!supervisor->wait_all_alive(15000))
-                std::fprintf(stderr,
-                             "nasscd: warning: not every shard came up in "
-                             "15s; supervision continues\n");
-            options.shard_router = router;
-        }
-
         nassc::NasscServer server(std::move(options));
         server.start();
         if (!server.unix_path().empty())
@@ -350,8 +233,6 @@ main(int argc, char **argv)
                         server.unix_path().c_str());
         if (server.tcp_port() >= 0)
             std::printf("nasscd listening on tcp:%d\n", server.tcp_port());
-        if (shards > 0)
-            std::printf("nasscd fronting %d shard(s)\n", shards);
         std::fflush(stdout); // wrappers wait for this line before connecting
 
         std::signal(SIGINT, on_signal);
@@ -359,14 +240,13 @@ main(int argc, char **argv)
         // The main loop doubles as the cache janitor: TTL expiry is
         // otherwise lazy (entries die when next touched), so a quiet
         // daemon would pin expired results in memory indefinitely.
-        // (Workers run their own sweep; the front's service is idle.)
         const auto purge_every =
             std::chrono::duration<double>(purge_interval);
         auto last_purge = std::chrono::steady_clock::now();
         while (!g_stop.load()) {
             std::this_thread::sleep_for(std::chrono::milliseconds(50));
             flush_events();
-            if (purge_interval <= 0 || shards > 0)
+            if (purge_interval <= 0)
                 continue;
             const auto now = std::chrono::steady_clock::now();
             if (now - last_purge >= purge_every) {
@@ -377,36 +257,18 @@ main(int argc, char **argv)
 
         std::printf("nasscd draining...\n");
         std::fflush(stdout);
-        // Order matters: stop accepting + drain in-flight forwards
-        // FIRST, close the shard pools, THEN stop the workers (which
-        // drain their own in-flight work on SIGTERM).
         server.stop();
-        if (router)
-            router->close_pools();
-        if (supervisor)
-            supervisor->stop();
         flush_events();
         if (event_sink != stderr)
             std::fclose(event_sink);
-        if (shards > 0) {
-            const nassc::ShardRouterStats rs = router->stats_snapshot();
-            const nassc::SupervisorStats ss = supervisor->stats();
-            std::printf("nasscd forwarded %llu frames "
-                        "(%llu failovers, %llu shard restarts)\n",
-                        static_cast<unsigned long long>(rs.forwards),
-                        static_cast<unsigned long long>(rs.failovers),
-                        static_cast<unsigned long long>(ss.restarts));
-        } else {
-            const nassc::ServiceStats stats = server.service().stats();
-            std::printf(
-                "nasscd served %llu requests "
-                "(%llu hits, %llu coalesced, %llu transpiles)\n",
-                static_cast<unsigned long long>(stats.requests),
-                static_cast<unsigned long long>(stats.cache_hits),
-                static_cast<unsigned long long>(stats.coalesced),
-                static_cast<unsigned long long>(stats.transpiles_ok +
-                                                stats.transpiles_failed));
-        }
+        const nassc::ServiceStats stats = server.service().stats();
+        std::printf("nasscd served %llu requests "
+                    "(%llu hits, %llu coalesced, %llu transpiles)\n",
+                    static_cast<unsigned long long>(stats.requests),
+                    static_cast<unsigned long long>(stats.cache_hits),
+                    static_cast<unsigned long long>(stats.coalesced),
+                    static_cast<unsigned long long>(stats.transpiles_ok +
+                                                    stats.transpiles_failed));
         return 0;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "nasscd: fatal: %s\n", e.what());

@@ -73,7 +73,5 @@
 #include "nassc/serve/client.h"
 #include "nassc/serve/protocol.h"
 #include "nassc/serve/server.h"
-#include "nassc/serve/shard_router.h"
-#include "nassc/serve/supervisor.h"
 
 #endif // NASSC_NASSC_H

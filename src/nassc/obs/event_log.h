@@ -6,12 +6,11 @@
  * Bounded structured event log: the "what just went wrong" channel.
  *
  * Components append one JSON line per notable event — slow requests
- * over the threshold, shed/deadline rejections, supervisor restarts
- * and quarantines — into a fixed-capacity ring (drop-oldest, with a
- * dropped counter so truncation is visible).  nasscd drains the ring
- * every supervision tick and flushes the lines to `--event-log PATH`
- * (or stderr), so a crash loop at 3am leaves evidence even when
- * nobody was scraping metrics.
+ * over the threshold, shed/deadline rejections — into a fixed-capacity
+ * ring (drop-oldest, with a dropped counter so truncation is visible).
+ * nasscd drains the ring on every tick of its main loop and flushes
+ * the lines to `--event-log PATH` (or stderr), so an incident leaves
+ * evidence even when nobody was scraping metrics.
  *
  * Appending takes a mutex but happens only on already-slow or
  * already-failing paths; the request hot path never touches it.

@@ -219,66 +219,6 @@ MetricsRegistry::render() const
     return out;
 }
 
-std::string
-merge_prometheus(const std::vector<std::string> &bodies)
-{
-    struct Entry
-    {
-        std::string line;        ///< comment or non-numeric passthrough
-        std::string key;         ///< sample key (name + labels)
-        std::uint64_t value = 0; ///< summed sample value
-        bool is_sample = false;
-    };
-    std::vector<Entry> order;
-    std::unordered_map<std::string, std::size_t> by_key; // samples only
-    std::unordered_map<std::string, bool> seen_comment;
-
-    for (const std::string &body : bodies) {
-        for_each_line(body, [&](const std::string &line) {
-            // Sample line: "<key> <value>".  Values are unsigned
-            // integers by construction (counts, bucket counts, sums of
-            // microseconds); comments and anything else pass through
-            // once.
-            const std::size_t sp = line.rfind(' ');
-            std::uint64_t value = 0;
-            if (line[0] == '#' || sp == std::string::npos ||
-                !parse_u64(line.substr(sp + 1), value)) {
-                if (seen_comment.emplace(line, true).second) {
-                    Entry e;
-                    e.line = line;
-                    order.push_back(std::move(e));
-                }
-                return;
-            }
-            const std::string key = line.substr(0, sp);
-            auto it = by_key.find(key);
-            if (it != by_key.end()) {
-                order[it->second].value += value;
-            } else {
-                Entry e;
-                e.key = key;
-                e.value = value;
-                e.is_sample = true;
-                by_key.emplace(key, order.size());
-                order.push_back(std::move(e));
-            }
-        });
-    }
-
-    std::string out;
-    for (const Entry &e : order) {
-        if (e.is_sample) {
-            out += e.key;
-            out += ' ';
-            out += std::to_string(e.value);
-        } else {
-            out += e.line;
-        }
-        out += '\n';
-    }
-    return out;
-}
-
 void
 render_row(std::string &out, const char *type, const std::string &row,
            const std::string &help, std::uint64_t value)

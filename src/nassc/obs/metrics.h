@@ -17,10 +17,7 @@
  *     reads are scrapes, not hot paths.
  *  2. Histogram bucket bounds are FIXED and log2-scaled — every
  *     histogram in the process shares kBucketBounds (1us, 2us, 4us, …,
- *     2^25us ≈ 33.5s, +Inf) — so merging scrapes from N shard
- *     processes is EXACT: same bounds, bucket-wise integer sums, no
- *     re-binning error.  ShardRouter::merged_metrics() and
- *     merge_prometheus() rely on this.
+ *     2^25us ≈ 33.5s, +Inf).
  *  3. Exposure is Prometheus text exposition (render()): `# TYPE`
  *     headers, cumulative `_bucket{le="N"}` samples, `_sum`/`_count`.
  *
@@ -31,8 +28,7 @@
  *
  * MetricsRegistry::global() is the process-wide registry every
  * built-in instrument (StackMetrics) lives in; local registries are
- * constructible for tests (merge exactness is unit-tested against
- * three local registries rendered and merged by hand).
+ * constructible for tests.
  */
 
 #include <array>
@@ -116,7 +112,7 @@ class Counter : public Metric
     std::array<Cell, kStripes> cells_;
 };
 
-/** Signed point-in-time value (cache sizes, live shards, …).  Not
+/** Signed point-in-time value (cache sizes, …).  Not
  *  striped: gauges are set from slow paths. */
 class Gauge : public Metric
 {
@@ -217,18 +213,6 @@ class MetricsRegistry
     std::vector<std::unique_ptr<Metric>> metrics_; ///< registration order
     std::unordered_map<std::string, Metric *> index_;
 };
-
-/**
- * Merge Prometheus text bodies from N processes sharing this module's
- * fixed bucket bounds: sample lines with identical keys (metric name +
- * label set) are integer-summed — exact for counters and for
- * cumulative histogram buckets — and `#` header lines are kept once.
- * Line order follows first appearance, so merging per-shard scrapes of
- * identically-registered registries preserves their layout.
- * Sample lines whose value is not a decimal integer that fits uint64
- * pass through verbatim from their first body.
- */
-std::string merge_prometheus(const std::vector<std::string> &bodies);
 
 /**
  * Append one stat row as an unlabeled Prometheus metric: a "counter"

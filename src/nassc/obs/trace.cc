@@ -54,8 +54,8 @@ std::string
 mint_trace_id()
 {
     // Sequence within the process, salted by pid and a boot-time clock
-    // sample so ids from shard workers and their front door never
-    // collide.  Mixed through the same avalanche the shard ring uses.
+    // sample so ids from different daemon processes never collide,
+    // then mixed through a murmur3-style avalanche.
     static std::atomic<std::uint64_t> seq{0};
     static const std::uint64_t salt = [] {
         std::uint64_t s = static_cast<std::uint64_t>(::getpid());

@@ -7,8 +7,7 @@
  *
  * A `Tracer` collects named spans (stage, microseconds) for one
  * request.  nasscd mints one at protocol decode when the client sent
- * `option trace=1` (adopting the frame's `trace-id` header when the
- * request was forwarded by a shard front); `TranspileService` and the
+ * `option trace=1`; `TranspileService` and the
  * `Scheduler` propagate it to whatever thread ends up doing the work
  * via `TraceScope` and the Job seam, so span sites deep in the router
  * never take a tracer parameter — they ask the thread.
@@ -95,7 +94,8 @@ class Tracer
 };
 
 /** Mint a fresh 16-hex-digit trace id (unique per process lifetime,
- *  salted by pid so shard fleets don't collide). */
+ *  salted by pid so ids from successive daemon processes don't
+ *  collide). */
 std::string mint_trace_id();
 
 /** The tracer installed on the calling thread, or null.  One relaxed

@@ -39,8 +39,9 @@ ServeClient::connect_unix(const std::string &path)
         throw std::runtime_error("nassc client: unix socket path too long: " +
                                  path);
     std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    // SOCK_CLOEXEC: a forked shard worker must not inherit its parent's
-    // client connections (they would hold peers open past our close).
+    // SOCK_CLOEXEC: a child the caller forks must not inherit its
+    // parent's client connections (they would hold peers open past our
+    // close).
     const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0)
         sys_fail("socket(AF_UNIX)");

@@ -74,12 +74,11 @@ class ServeClient
 
     /** The counter/gauge rows of the daemon's `metrics` scrape as a
      *  name->value map (obs::stats_from_metrics): ServiceStats and
-     *  distance-cache rows, plus a front door's router rows.  Samples
-     *  that are not decimal integers are skipped, not fatal. */
+     *  distance-cache rows.  Samples that are not decimal integers are
+     *  skipped, not fatal. */
     std::map<std::string, std::uint64_t> stats();
 
-    /** Fetch the daemon's metrics as Prometheus text exposition (a
-     *  sharded front door returns the fleet's bucket-exact merge). */
+    /** Fetch the daemon's metrics as Prometheus text exposition. */
     std::string metrics();
 
     /** Round-trip a ping frame. */

@@ -32,11 +32,11 @@ bad_payload(const std::string &what)
 }
 
 /** Map a failed recv/send to the right exception.  On a socket with
- *  SO_RCVTIMEO/SO_SNDTIMEO armed (ServeClient::set_io_timeout, the
- *  shard router's pool) the kernel reports an expired timeout as
- *  EAGAIN/EWOULDBLOCK — surface that as the typed
- *  TranspileTransportTimeout so callers can distinguish "peer wedged,
- *  retry on a fresh connection" from a hard transport error. */
+ *  SO_RCVTIMEO/SO_SNDTIMEO armed (ServeClient::set_io_timeout) the
+ *  kernel reports an expired timeout as EAGAIN/EWOULDBLOCK — surface
+ *  that as the typed TranspileTransportTimeout so callers can
+ *  distinguish "peer wedged, retry on a fresh connection" from a hard
+ *  transport error. */
 [[noreturn]] void
 io_failed(const char *op, int err)
 {
@@ -368,17 +368,8 @@ parse_frame_length(const std::string &text)
 bool
 read_frame(int fd, std::string &payload)
 {
-    return read_frame(fd, payload, nullptr);
-}
-
-bool
-read_frame(int fd, std::string &payload, std::string *trace_id)
-{
-    if (trace_id)
-        trace_id->clear();
-    // Header: "NASSC/1 <len>[ <trace-id>]\n", read byte-by-byte (it is
-    // tiny and this keeps the reader stateless — no lookahead into the
-    // payload).
+    // Header: "NASSC/1 <len>\n", read byte-by-byte (it is tiny and this
+    // keeps the reader stateless — no lookahead into the payload).
     std::string header;
     for (;;) {
         char c;
@@ -404,19 +395,7 @@ read_frame(int fd, std::string &payload, std::string *trace_id)
     if (header.rfind(magic, 0) != 0)
         throw std::runtime_error("nassc protocol: bad frame magic '" +
                                  header + "'");
-    std::string length_text = header.substr(magic.size());
-    // Optional trace-id token after the length (shard forwarding).
-    const std::size_t sp = length_text.find(' ');
-    if (sp != std::string::npos) {
-        const std::string id = length_text.substr(sp + 1);
-        if (id.empty() || id.find(' ') != std::string::npos)
-            throw std::runtime_error(
-                "nassc protocol: malformed frame header '" + header + "'");
-        if (trace_id)
-            *trace_id = id;
-        length_text.resize(sp);
-    }
-    const std::size_t len = parse_frame_length(length_text);
+    const std::size_t len = parse_frame_length(header.substr(magic.size()));
     if (len > kMaxFrameBytes)
         throw std::runtime_error("nassc protocol: frame of " +
                                  std::to_string(len) +
@@ -453,24 +432,12 @@ read_frame(int fd, std::string &payload, std::string *trace_id)
 void
 write_frame(int fd, const std::string &payload)
 {
-    write_frame(fd, payload, std::string());
-}
-
-void
-write_frame(int fd, const std::string &payload, const std::string &trace_id)
-{
     if (payload.size() > kMaxFrameBytes)
         throw std::runtime_error("nassc protocol: refusing to send a " +
                                  std::to_string(payload.size()) +
                                  "-byte frame");
-    if (trace_id.find_first_of(" \n") != std::string::npos ||
-        trace_id.size() > 32)
-        throw std::runtime_error(
-            "nassc protocol: invalid trace id for frame header");
     std::string frame = std::string(kFrameMagic) + " " +
-                        std::to_string(payload.size()) +
-                        (trace_id.empty() ? "" : " " + trace_id) + "\n" +
-                        payload;
+                        std::to_string(payload.size()) + "\n" + payload;
     std::size_t sent = 0;
     while (sent < frame.size()) {
         std::size_t chunk = frame.size() - sent;

@@ -7,19 +7,16 @@
  *
  * Framing (both directions):
  *
- *     NASSC/1 <payload-bytes>[ <trace-id>]\n
+ *     NASSC/1 <payload-bytes>\n
  *     <payload>
  *
- * — a fixed magic+version token, one decimal byte count, an OPTIONAL
- * trace-id token (16 hex digits; a shard front stamps it when
- * forwarding a traced request so the worker's spans join the same
- * trace), one newline, then exactly that many payload bytes.  Text
- * framing keeps the daemon debuggable with a terminal; the length
- * prefix keeps parsing O(1) and payloads binary-safe.  Frames above
- * kMaxFrameBytes are rejected without buffering (a malformed or
- * hostile peer cannot balloon the daemon's memory).  Readers that
- * predate the trace-id token never see one (clients only mint ids for
- * `option trace=1` requests to servers that already understand them).
+ * — a fixed magic+version token, one decimal byte count, one newline,
+ * then exactly that many payload bytes.  A header carrying anything
+ * else is malformed.  Text framing keeps the daemon debuggable with a
+ * terminal; the length prefix keeps parsing O(1) and payloads
+ * binary-safe.  Frames above kMaxFrameBytes are rejected without
+ * buffering (a malformed or hostile peer cannot balloon the daemon's
+ * memory).
  *
  * Request payload — verb line, then verb-specific lines:
  *
@@ -35,12 +32,9 @@
  * `metrics` returns Prometheus text exposition: the process's
  * MetricsRegistry histograms plus the service's stat rows
  * (ServiceStats and distance-cache counts as `nassc_<x>_total`
- * counters and `nassc_<x>` gauges).  A sharded front door returns the
- * bucket-exact merge of its live workers' bodies instead
- * (obs::merge_prometheus — legal because every histogram shares one
- * fixed bucket-bound table), followed by its router rows.  It is the
- * only monitoring verb: ServeClient::stats() is a client-side view of
- * the same body (obs::stats_from_metrics).
+ * counters and `nassc_<x>` gauges).  It is the only monitoring verb:
+ * ServeClient::stats() is a client-side view of the same body
+ * (obs::stats_from_metrics).
  *
  * Response payload:
  *
@@ -159,17 +153,9 @@ std::size_t parse_frame_length(const std::string &text);
 /** @name Frame I/O over a connected socket fd.
  * Blocking, EINTR-safe, partial-read/write-safe.  read_frame returns
  * false on clean EOF before any header byte; throws std::runtime_error
- * on malformed headers, oversized frames, or socket errors.
- *
- * The three-argument forms carry the optional header trace-id token:
- * read_frame stores it into *trace_id (cleared when absent); a
- * non-empty `trace_id` on write_frame is stamped into the header
- * (shard forwarding — the payload itself stays byte-identical). @{ */
+ * on malformed headers, oversized frames, or socket errors. @{ */
 bool read_frame(int fd, std::string &payload);
-bool read_frame(int fd, std::string &payload, std::string *trace_id);
 void write_frame(int fd, const std::string &payload);
-void write_frame(int fd, const std::string &payload,
-                 const std::string &trace_id);
 /** @} */
 
 } // namespace nassc

@@ -23,7 +23,6 @@
 #include "nassc/obs/metrics.h"
 #include "nassc/obs/trace.h"
 #include "nassc/serve/protocol.h"
-#include "nassc/serve/shard_router.h"
 
 namespace nassc {
 
@@ -61,8 +60,7 @@ source_name(TicketSource source)
 /** Append the service's stat rows to a `metrics` body: ServiceStats
  *  and its distance cache's Stats, read once under their own locks at
  *  scrape time.  These are the only copies of the counts — the
- *  registry holds none of them — so each event is rendered once, per
- *  service, and a front's merge sums exactly one row per worker. */
+ *  registry holds none of them — so each event is rendered once. */
 void
 append_service_rows(std::string &out, const TranspileService &service)
 {
@@ -102,7 +100,7 @@ append_service_rows(std::string &out, const TranspileService &service)
         {"gauge", "inflight", "Keys being transpiled", s.inflight},
         // Distance-cache rows: provider-level compute/hit counts plus
         // the providers' per-row counters, so operators can see
-        // lazy-row pressure (and rotation invalidations) per shard.
+        // lazy-row pressure (and rotation invalidations).
         {"gauge", "distance_entries", "Distance providers cached", d.entries},
         {"counter", "distance_computations", "Distance providers built",
          d.computations},
@@ -207,8 +205,8 @@ struct NasscServer::Impl
                                      options.unix_path);
         std::strncpy(addr.sun_path, options.unix_path.c_str(),
                      sizeof(addr.sun_path) - 1);
-        // SOCK_CLOEXEC everywhere in serve/: forked shard workers must
-        // not inherit the front door's listeners or connections.
+        // SOCK_CLOEXEC everywhere in serve/: a child the embedding
+        // process forks must not inherit listeners or connections.
         const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
         if (fd < 0)
             sys_fail("socket(AF_UNIX)");
@@ -294,12 +292,9 @@ struct NasscServer::Impl
     }
 
     /** Verb dispatch on an already-decoded request; throws typed
-     *  service errors for handle_payload to map.  `trace_id` is this
-     *  request's trace (empty when untraced) — a shard front stamps it
-     *  into the forwarded frame header so the worker joins the trace. */
+     *  service errors for handle_payload to map. */
     ServeResponse
-    dispatch(const ServeRequest &request, const std::string &payload, int fd,
-             const std::string &trace_id)
+    dispatch(const ServeRequest &request, int fd)
     {
         ServeResponse response;
         if (request.verb == "ping") {
@@ -308,33 +303,15 @@ struct NasscServer::Impl
         }
         if (request.verb == "metrics") {
             // Prometheus text exposition: the registry's histograms
-            // plus this service's stat rows.  A front door answers with
-            // the bucket-exact merge of its live workers' bodies plus
-            // its router rows (its own service sees no transpiles).
+            // plus this service's stat rows.
             response.status = "ok";
-            if (options.shard_router) {
-                response.metrics = options.shard_router->merged_metrics();
-            } else {
-                response.metrics = obs::MetricsRegistry::global().render();
-                append_service_rows(response.metrics, *service);
-            }
+            response.metrics = obs::MetricsRegistry::global().render();
+            append_service_rows(response.metrics, *service);
             return response;
         }
         const std::shared_ptr<const Backend> backend =
             lookup_backend(request.backend);
         TranspileOptions opts = parse_transpile_options(request.options);
-        if (options.shard_router) {
-            // Front-door mode: decode only as far as the request
-            // key, then forward the RAW frame to the owning shard
-            // so the worker's response bytes pass through verbatim
-            // (parse/encode of our own wire format round-trips
-            // bit-identically).  The worker applies its own
-            // default deadline.
-            const std::string key = TranspileService::request_key(
-                from_qasm(request.qasm), *backend, opts);
-            return parse_response(
-                options.shard_router->forward(key, payload, trace_id));
-        }
         if (opts.deadline_ms == 0 && options.default_deadline_ms > 0)
             opts.deadline_ms = options.default_deadline_ms;
         TranspileTicket ticket =
@@ -357,8 +334,7 @@ struct NasscServer::Impl
     }
 
     ServeResponse
-    handle_payload(const std::string &payload, int fd,
-                   const std::string &frame_trace_id)
+    handle_payload(const std::string &payload, int fd)
     {
         obs::StackMetrics &om = obs::StackMetrics::get();
         const auto start = std::chrono::steady_clock::now();
@@ -371,21 +347,16 @@ struct NasscServer::Impl
             om.decode_us.observe(decode_us);
             transpile_verb = request.verb == "transpile";
             if (transpile_verb && request_wants_trace(request)) {
-                // Adopt the frame header's id when a front door
-                // forwarded a traced request; mint otherwise.  The
-                // decode happened before the tracer could exist, so
-                // note its already-measured span explicitly.
-                tracer = std::make_shared<obs::Tracer>(
-                    frame_trace_id.empty() ? obs::mint_trace_id()
-                                           : frame_trace_id);
+                // The decode happened before the tracer could exist,
+                // so note its already-measured span explicitly.
+                tracer = std::make_shared<obs::Tracer>(obs::mint_trace_id());
                 tracer->record("decode", decode_us);
             }
             // Install for the scope of the request: submit() runs the
             // admission span on this thread, and the scheduler carries
             // the tracer onto whichever workers execute the job.
             obs::TraceScope scope(tracer);
-            response = dispatch(request, payload, fd,
-                                tracer ? tracer->id() : std::string());
+            response = dispatch(request, fd);
         } catch (const ClientGone &) {
             throw;
         } catch (const TranspileOverloaded &e) {
@@ -404,13 +375,8 @@ struct NasscServer::Impl
         }
 
         if (tracer) {
-            // Forwarded responses already carry the worker's spans;
-            // append this process's (front-side decode) after them.
-            if (response.trace_id.empty())
-                response.trace_id = tracer->id();
-            const auto spans = tracer->spans();
-            response.spans.insert(response.spans.end(), spans.begin(),
-                                  spans.end());
+            response.trace_id = tracer->id();
+            response.spans = tracer->spans();
         }
         if (transpile_verb) {
             const std::uint64_t total_us = us_since(start);
@@ -435,12 +401,10 @@ struct NasscServer::Impl
     {
         try {
             std::string payload;
-            std::string frame_trace_id;
-            while (read_frame(conn->fd, payload, &frame_trace_id)) {
+            while (read_frame(conn->fd, payload)) {
                 frames.fetch_add(1, std::memory_order_relaxed);
-                write_frame(conn->fd,
-                            encode_response(handle_payload(
-                                payload, conn->fd, frame_trace_id)));
+                write_frame(conn->fd, encode_response(
+                                          handle_payload(payload, conn->fd)));
             }
         } catch (...) {
             // ClientGone, protocol violations, or socket errors all end

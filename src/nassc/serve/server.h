@@ -49,8 +49,6 @@
 
 namespace nassc {
 
-class ShardRouter;
-
 /** Listener + service configuration for one server. */
 struct ServerOptions
 {
@@ -81,17 +79,6 @@ struct ServerOptions
      * 0 = no default; a request's own deadline_ms always wins.
      */
     int default_deadline_ms = 0;
-    /**
-     * Non-null: front-door mode (nasscd --shards N).  transpile frames
-     * are forwarded RAW to the shard owning their request key
-     * (serve/shard_router.h) and `metrics` answers with the
-     * fleet-merged scrape plus the router's own rows; only `ping` stays
-     * local.  The local service still exists but sees no traffic.
-     * Sharded requests do NOT get default_deadline_ms applied at the
-     * front — workers apply their own default, so a deadline is
-     * charged once, not twice.
-     */
-    std::shared_ptr<ShardRouter> shard_router;
 };
 
 /** The nasscd daemon core: sockets + framing over a TranspileService. */

@@ -17,9 +17,8 @@
  * Providers compute per-source rows lazily on every device, so the
  * cache's memory footprint scales with the rows workloads actually
  * touch — the row-level counters in Stats (rows_computed / row_hits /
- * rows_evicted / row_bytes) make that pressure observable per cache,
- * and through the nasscd `metrics` verb's nassc_distance_* rows, per
- * shard.
+ * rows_evicted / row_bytes) make that pressure observable per cache
+ * and through the nasscd `metrics` verb's nassc_distance_* rows.
  *
  * Calibration rotation: entries are keyed by Backend::cache_key(),
  * which fingerprints topology and calibration.  The cache additionally

@@ -61,11 +61,11 @@ class TranspileOverloaded : public std::runtime_error
 
 /**
  * A socket send/recv exceeded its configured timeout
- * (ServeClient::set_io_timeout, RetryPolicy::io_timeout_ms, or the
- * shard router's io_timeout_ms): the peer is wedged or the network
- * stalled.  The connection is in an unknown state — half a frame may be
- * in flight — so the only safe recovery is to drop it and retry on a
- * FRESH connection, which is always sound because transpiles are pure.
+ * (ServeClient::set_io_timeout or RetryPolicy::io_timeout_ms): the peer
+ * is wedged or the network stalled.  The connection is in an unknown
+ * state — half a frame may be in flight — so the only safe recovery is
+ * to drop it and retry on a FRESH connection, which is always sound
+ * because transpiles are pure.
  * Distinct from TranspileDeadlineExceeded: that is the server telling a
  * client its compute budget expired; this is the caller's own watchdog
  * firing without any response at all.

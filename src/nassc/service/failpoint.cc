@@ -1,7 +1,6 @@
 #include "nassc/service/failpoint.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
@@ -87,9 +86,6 @@ parse_spec(const std::string &site, const std::string &spec)
     } else if (body == "throw") {
         entry.kind = Hit::Kind::kThrow;
         entry.message = arg.empty() ? "injected fault" : arg;
-    } else if (body == "abort") {
-        entry.kind = Hit::Kind::kAbort;
-        entry.message = arg.empty() ? "injected crash" : arg;
     } else if (body == "off") {
         entry.kind = Hit::Kind::kNone;
     } else {
@@ -132,17 +128,6 @@ void
 sleep_hit(const Hit &hit)
 {
     std::this_thread::sleep_for(std::chrono::milliseconds(hit.param));
-}
-
-void
-abort_hit(const char *site, const Hit &hit)
-{
-    // stderr, not stdout: the epitaph must survive the SIGABRT that
-    // follows, so no buffered stream the abort could truncate.
-    std::fprintf(stderr, "failpoint %s: %s (aborting)\n", site,
-                 hit.message.c_str());
-    std::fflush(stderr);
-    std::abort();
 }
 
 } // namespace detail

@@ -24,19 +24,13 @@
  * Arming uses a tiny spec grammar, via arm() or the env:
  *
  *     <spec>   := [<count>"*"]<action>["("<param>")"]
- *     <action> := trigger | sleep | throw | abort | off
+ *     <action> := trigger | sleep | throw | off
  *
  *  - `trigger`       make eval()/hit() report a hit; the site decides
  *                    what that means (skip an insert, clamp a read).
  *  - `sleep(MS)`     hit() blocks the calling thread for MS ms.
  *  - `throw`         hit() throws std::runtime_error; `throw(MSG)`
  *                    sets the message.
- *  - `abort`         hit() calls std::abort() — hard process death
- *                    (SIGABRT, no unwinding, no drain), distinct from
- *                    `throw` which the serving stack catches and maps
- *                    to a wire error.  This is how shard-crash tests
- *                    kill a worker ON CUE mid-request; `abort(MSG)`
- *                    sets the stderr epitaph.
  *  - `off`           disarm (useful in env lists).
  *  - `N*action`      fire at most N times, then auto-disarm.
  *
@@ -66,7 +60,6 @@ struct Hit
         kTrigger, ///< site-defined behaviour change
         kSleep,   ///< hit() slept param ms (eval() reports it only)
         kThrow,   ///< hit() throws (eval() reports it only)
-        kAbort,   ///< hit() calls std::abort() (eval() reports only)
     };
     Kind kind = Kind::kNone;
     long param = 0;      ///< sleep ms / trigger argument
@@ -80,7 +73,6 @@ extern std::atomic<int> g_armed_count;
 Hit eval_slow(const char *site);
 [[noreturn]] void throw_hit(const char *site, const Hit &hit);
 void sleep_hit(const Hit &hit);
-[[noreturn]] void abort_hit(const char *site, const Hit &hit);
 } // namespace detail
 
 /**
@@ -99,8 +91,7 @@ eval(const char *site)
 
 /**
  * eval() + centrally execute the action: kSleep blocks for param ms,
- * kThrow throws std::runtime_error("failpoint <site>: <message>"),
- * kAbort prints an epitaph to stderr and calls std::abort();
+ * kThrow throws std::runtime_error("failpoint <site>: <message>");
  * kTrigger/kNone pass through for the site to interpret.
  */
 inline Hit
@@ -111,8 +102,6 @@ hit(const char *site)
         detail::sleep_hit(h);
     else if (h.kind == Hit::Kind::kThrow)
         detail::throw_hit(site, h);
-    else if (h.kind == Hit::Kind::kAbort)
-        detail::abort_hit(site, h);
     return h;
 }
 

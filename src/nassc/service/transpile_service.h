@@ -281,7 +281,7 @@ class TranspileService
     std::size_t purge_expired();
 
     /** The fingerprint key submit() files `(circuit, backend, options)`
-     *  under — exposed for tests and external sharding.  deadline_ms is
+     *  under — exposed for tests.  deadline_ms is
      *  zeroed before fingerprinting: a deadline is per-request QoS, not
      *  result identity, so deadline'd and deadline-free submissions of
      *  one circuit coalesce and share cache entries. */

@@ -2,9 +2,7 @@
 // their serving-stack integration):
 //
 //  (a) histogram bucketing — the fixed log2 bounds place values in the
-//      right buckets, snapshots count them, and merge_prometheus of N
-//      separately-rendered registries is BUCKET-EXACT (equal to one
-//      registry that observed the union);
+//      right buckets and snapshots count them;
 //  (b) span lifecycle — nested TraceSpans close (open_spans back to 0)
 //      while unwinding failpoint-injected throws and deadline expiry,
 //      through the real TranspileService/Scheduler propagation seam;
@@ -15,28 +13,16 @@
 //      covering queue-wait, layout (per-trial), routing, and
 //      cache-insert on a miss, and a decode/admission hit-path trace
 //      on `status cache_hit`; untraced requests carry no span lines;
-//  (e) fleet merge — a 3-worker front door's `metrics` verb equals
-//      merge_prometheus of the individual worker scrapes plus the
-//      router's rows, and counts each request once;
-//  (f) merged_metrics hardening — a shard reporting a non-numeric
-//      sample stays LIVE and the line passes through the merge
-//      verbatim (the stats view skips it); a shard that never answers
-//      a scrape is skipped and counted in scrape_errors but stays LIVE
-//      (monitoring never changes serving);
-//  (g) the bounded event log — drop-oldest with a visible dropped
+//  (e) the bounded event log — drop-oldest with a visible dropped
 //      counter, and JSON escaping in format_event.
 
-#include <cstring>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -49,7 +35,6 @@
 #include "nassc/serve/client.h"
 #include "nassc/serve/protocol.h"
 #include "nassc/serve/server.h"
-#include "nassc/serve/shard_router.h"
 #include "nassc/service/distance_cache.h"
 #include "nassc/service/errors.h"
 #include "nassc/service/failpoint.h"
@@ -110,61 +95,6 @@ TEST(ObsHistogram, LogBucketsPlaceValuesExactly)
     EXPECT_EQ(s.buckets[25], 1u);
     EXPECT_EQ(s.buckets[obs::kFiniteBuckets], 1u);
     EXPECT_EQ(s.count, 9u);
-}
-
-TEST(ObsHistogram, MergePrometheusIsBucketExact)
-{
-    // Three "shard" registries and one "single process" registry that
-    // observes the union: the merged render of the three must equal
-    // the union's render byte for byte.  This is the property that
-    // makes the fleet `metrics` verb exact — same fixed bounds, so
-    // cumulative buckets sum without re-binning.
-    obs::MetricsRegistry shard_a;
-    obs::MetricsRegistry shard_b;
-    obs::MetricsRegistry shard_c;
-    obs::MetricsRegistry all;
-    const std::vector<std::uint64_t> va = {1, 3, 900, 7};
-    const std::vector<std::uint64_t> vb = {2, 2, 65536};
-    const std::vector<std::uint64_t> vc = {5000000, 12, 0};
-    auto feed = [](obs::MetricsRegistry &reg,
-                   const std::vector<std::uint64_t> &vals,
-                   std::uint64_t reqs) {
-        obs::Histogram &h = reg.histogram("nassc_t_us", "test hist");
-        for (std::uint64_t v : vals)
-            h.observe(v);
-        reg.counter("nassc_reqs_total", "test counter").inc(reqs);
-    };
-    feed(shard_a, va, 4);
-    feed(shard_b, vb, 3);
-    feed(shard_c, vc, 3);
-    std::vector<std::uint64_t> merged_vals;
-    for (const auto *v : {&va, &vb, &vc})
-        merged_vals.insert(merged_vals.end(), v->begin(), v->end());
-    feed(all, merged_vals, 10);
-
-    const std::string merged = obs::merge_prometheus(
-        {shard_a.render(), shard_b.render(), shard_c.render()});
-    EXPECT_EQ(merged, all.render());
-}
-
-TEST(ObsHistogram, MergePassesNonNumericLinesOnce)
-{
-    // y's value does not fit uint64: it must pass through verbatim,
-    // not wrap and sum.
-    const std::string a = "# TYPE x counter\nx 3\nbuild_info version=1\n"
-                          "y 99999999999999999999\n";
-    const std::string b = "# TYPE x counter\nx 4\nbuild_info version=1\n"
-                          "y 99999999999999999999\n";
-    const std::string merged = obs::merge_prometheus({a, b});
-    EXPECT_NE(merged.find("x 7\n"), std::string::npos);
-    // Comments and unparsable lines are kept first-seen, not summed or
-    // duplicated.
-    EXPECT_EQ(merged.find("# TYPE x counter"),
-              merged.rfind("# TYPE x counter"));
-    EXPECT_EQ(merged.find("build_info version=1"),
-              merged.rfind("build_info version=1"));
-    EXPECT_NE(merged.find("\ny 99999999999999999999\n"), std::string::npos);
-    EXPECT_EQ(merged.find("y 9"), merged.rfind("y 9"));
 }
 
 TEST(ObsMetrics, StatsViewReadsUnlabeledCounterAndGaugeRows)
@@ -400,197 +330,6 @@ TEST(ObsWire, MetricsVerbRendersGlobalRegistry)
     for (const auto &kv : type_lines)
         EXPECT_EQ(kv.second, 1) << kv.first;
     server.stop();
-}
-
-// ---------------------------------------------------------- fleet merge
-
-TEST(ObsFleet, FrontMetricsEqualsMergedWorkerScrapes)
-{
-    // Three in-process workers and a forwarding front, exactly as
-    // test_shard_router.cc builds them.
-    ShardRouterOptions ropts;
-    std::vector<std::unique_ptr<NasscServer>> workers;
-    for (int s = 0; s < 3; ++s) {
-        ServerOptions wopts;
-        wopts.unix_path = socket_path("mw" + std::to_string(s));
-        workers.push_back(std::make_unique<NasscServer>(wopts));
-        workers.back()->start();
-        ServeEndpoint endpoint;
-        endpoint.unix_path = workers.back()->unix_path();
-        ropts.shards.push_back(endpoint);
-    }
-    auto router = std::make_shared<ShardRouter>(std::move(ropts));
-    ServerOptions fopts;
-    fopts.unix_path = socket_path("mfront");
-    fopts.shard_router = router;
-    NasscServer front(fopts);
-    front.start();
-
-    ServeClient client = ServeClient::connect_unix(front.unix_path());
-    for (const char *name : {"vqe_n8", "qpe_n9", "adder_n10"})
-        client.transpile_qasm(to_qasm(benchmark_by_name(name)),
-                              "ibmq_montreal", {{"router", "sabre"}});
-
-    // Scrape each worker directly, then the front.  The registries are
-    // THE process-global one here (in-process fleet), so the only drift
-    // between scrapes is the decode histogram each scrape itself feeds;
-    // the front also appends its router rows after the merge.  Strip
-    // those lines and demand byte equality on the rest, which pins the
-    // whole socket path: verb handling on the workers, fan-out, and
-    // bucket-wise merge on the front.
-    auto strip = [](const std::string &body,
-                    std::initializer_list<const char *> names) {
-        std::string out;
-        std::size_t pos = 0;
-        while (pos < body.size()) {
-            std::size_t end = body.find('\n', pos);
-            if (end == std::string::npos)
-                end = body.size();
-            const std::string line = body.substr(pos, end - pos);
-            bool drop = false;
-            for (const char *name : names)
-                drop = drop || line.find(name) != std::string::npos;
-            if (!drop)
-                out += line + "\n";
-            pos = end + 1;
-        }
-        return out;
-    };
-    std::vector<std::string> scrapes;
-    for (auto &worker : workers) {
-        ServeClient wc = ServeClient::connect_unix(worker->unix_path());
-        scrapes.push_back(wc.metrics());
-    }
-    const std::string front_body = client.metrics();
-    EXPECT_EQ(strip(front_body, {"nassc_decode_us", "nassc_shard",
-                                 "nassc_forward", "nassc_failovers",
-                                 "nassc_scrape_errors"}),
-              strip(obs::merge_prometheus(scrapes), {"nassc_decode_us"}));
-    // Each worker renders its own service's count, so the fleet sum is
-    // the three requests driven, not three copies of a process total.
-    EXPECT_NE(front_body.find("\nnassc_requests_total 3\n"),
-              std::string::npos);
-    EXPECT_NE(front_body.find("\nnassc_shards_live 3\n"), std::string::npos);
-
-    front.stop();
-    router->close_pools();
-    for (auto &worker : workers)
-        worker->stop();
-}
-
-// ------------------------------------------- merged_metrics hardening
-
-/** A protocol-speaking fake shard whose metrics include a sample no
- *  integer parser can sum.  Real workers never do this today; the
- *  front must stay correct when one does tomorrow.  A `stalled` fake
- *  reads every request frame and never answers, like a wedged worker. */
-struct FakeStatsShard
-{
-    std::string path = socket_path("fake");
-    int listen_fd = -1;
-    std::thread th;
-
-    explicit FakeStatsShard(bool stalled = false)
-    {
-        ::unlink(path.c_str());
-        listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::bind(listen_fd, reinterpret_cast<const sockaddr *>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(listen_fd, 4) != 0)
-            throw std::runtime_error("fake shard: bind/listen failed");
-        th = std::thread([this, stalled] {
-            for (;;) {
-                const int fd = ::accept(listen_fd, nullptr, nullptr);
-                if (fd < 0)
-                    return; // listener shut down
-                try {
-                    std::string payload;
-                    while (read_frame(fd, payload)) {
-                        if (stalled)
-                            continue; // until the client hangs up
-                        ServeResponse resp;
-                        resp.status = "ok";
-                        resp.metrics = "# TYPE nassc_requests_total counter\n"
-                                       "nassc_requests_total 5\n"
-                                       "# TYPE nassc_uptime gauge\n"
-                                       "nassc_uptime 3h17m\n"
-                                       "# TYPE nassc_transpiles_ok_total "
-                                       "counter\n"
-                                       "nassc_transpiles_ok_total 2\n";
-                        write_frame(fd, encode_response(resp));
-                    }
-                } catch (const std::exception &) {
-                }
-                ::close(fd);
-            }
-        });
-    }
-
-    ~FakeStatsShard()
-    {
-        ::shutdown(listen_fd, SHUT_RDWR);
-        ::close(listen_fd);
-        th.join();
-        ::unlink(path.c_str());
-    }
-};
-
-TEST(ObsMergedStats, NonNumericRowsPassThroughWithoutKillingTheShard)
-{
-    FakeStatsShard fake;
-    ShardRouterOptions ropts;
-    ServeEndpoint endpoint;
-    endpoint.unix_path = fake.path;
-    ropts.shards.push_back(endpoint);
-    ShardRouter router(std::move(ropts));
-
-    const std::string body = router.merged_metrics();
-    const std::map<std::string, std::uint64_t> rows =
-        obs::stats_from_metrics(body);
-
-    // Numeric samples summed normally; the odd one passes through the
-    // merge verbatim and the stats view skips it — and the shard is
-    // still LIVE (a presentation problem is not a shard fault).
-    EXPECT_NE(body.find("\nnassc_uptime 3h17m\n"), std::string::npos);
-    EXPECT_EQ(rows.at("requests"), 5u);
-    EXPECT_EQ(rows.at("transpiles_ok"), 2u);
-    EXPECT_EQ(rows.count("uptime"), 0u);
-    EXPECT_EQ(rows.at("shards_live"), 1u);
-    EXPECT_EQ(rows.at("scrape_errors"), 0u);
-    EXPECT_TRUE(router.is_live(0));
-}
-
-TEST(ObsMergedStats, StalledScrapeSkipsTheShardButLeavesItLive)
-{
-    FakeStatsShard fake(/*stalled=*/true);
-    ShardRouterOptions ropts;
-    ServeEndpoint endpoint;
-    endpoint.unix_path = fake.path;
-    ropts.shards.push_back(endpoint);
-    ropts.io_timeout_ms = 100;
-    ShardRouter router(std::move(ropts));
-
-    auto scrape_stats = [&router] {
-        return obs::stats_from_metrics(router.merged_metrics());
-    };
-
-    // The read times out: the shard's rows are missing from this
-    // scrape, which counts as a scrape error, not a forwarding fault.
-    const auto rows = scrape_stats();
-    EXPECT_TRUE(router.is_live(0));
-    EXPECT_EQ(rows.count("requests"), 0u);
-    EXPECT_EQ(rows.at("shards_live"), 1u);
-    EXPECT_EQ(rows.at("scrape_errors"), 1u);
-    EXPECT_EQ(rows.at("forward_errors"), 0u);
-
-    router.merged_metrics();
-    EXPECT_TRUE(router.is_live(0));
-    EXPECT_EQ(router.stats_snapshot().forward_errors, 0u);
-    EXPECT_EQ(scrape_stats().at("scrape_errors"), 3u);
 }
 
 // ------------------------------------------------------------ event log

@@ -10,7 +10,10 @@
 //      rotation invalidate eagerly (split eviction counters), and
 //      try_cancel() abandons queued requests cooperatively;
 //  (d) graceful shutdown — stop() drains received requests to written
-//      responses before the daemon exits.
+//      responses before the daemon exits;
+//  (e) hung-peer protection on the client — ServeClient::set_io_timeout
+//      surfaces a wedged server as the typed TranspileTransportTimeout,
+//      and RetryingServeClient recovers on a fresh connection.
 
 #include <atomic>
 #include <chrono>
@@ -18,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -303,6 +307,7 @@ TEST(ServeProtocol, MalformedFrameHeadersFailLoudlyOnTheWire)
     reject("NASSC/1 \nhello");         // empty length
     reject("NASSC/1 99999999999999999999999999\n"); // overflow
     reject("NASSC/1 5\nhi");           // truncated payload (EOF inside)
+    reject("NASSC/1 5 00000000deadbeef\nhello"); // token after the length
 }
 
 TEST(ServeProtocol, ShortReadAndEintrFailpointsStillReassemble)
@@ -365,6 +370,19 @@ TEST(ServeProtocol, MidFrameDisconnectFailsBothEndsCleanly)
     std::string got;
     EXPECT_THROW(read_frame(sp.fds[1], got), std::runtime_error);
     EXPECT_EQ(failpoint::hit_count("protocol.write.disconnect"), 1u);
+}
+
+TEST(Failpoint, MalformedSpecsAndUnknownActionsAreRejected)
+{
+    // A typo'd NASSC_FAILPOINTS profile must fail daemon startup, not
+    // silently test nothing.  `abort` is not an action: nothing would
+    // restart a daemon it killed.
+    for (const char *spec : {"abort", "abort()", "1*abort(boom)", "bogus",
+                             "0*trigger", "sleep", "sleep(x)", "throw(oops"})
+        EXPECT_THROW(failpoint::arm("test.grammar", spec),
+                     std::invalid_argument)
+            << spec;
+    EXPECT_FALSE(failpoint::disarm("test.grammar"));
 }
 
 // ------------------------------------------------------- daemon e2e
@@ -861,6 +879,55 @@ TEST(NasscServer, ConnectionCapShedsWithOneOverloadedFrame)
     policy.max_backoff_ms = 100;
     RetryingServeClient rc(ep, policy);
     EXPECT_TRUE(rc.ping());
+    server.stop();
+}
+
+// ------------------------------------------- hung-peer typed timeout
+
+TEST(ServeClientTimeout, WedgedServerThrowsTypedTimeout)
+{
+    ServerOptions options;
+    options.unix_path = socket_path("wedge");
+    NasscServer server(options);
+    server.start();
+
+    failpoint::ScopedFailpoint hang("service.transpile", "1*sleep(1500)");
+    ServeClient client = ServeClient::connect_unix(server.unix_path());
+    client.set_io_timeout(300);
+    const std::string qasm = to_qasm(ghz(4));
+    EXPECT_THROW(client.transpile_qasm(qasm, "ibmq_montreal",
+                                       {{"router", "sabre"}}),
+                 TranspileTransportTimeout);
+    server.stop();
+}
+
+TEST(ServeClientTimeout, RetryingClientRecoversOnAFreshConnection)
+{
+    ServerOptions options;
+    options.unix_path = socket_path("wedge_retry");
+    NasscServer server(options);
+    server.start();
+
+    failpoint::ScopedFailpoint hang("service.transpile", "1*sleep(1200)");
+    ServeEndpoint endpoint;
+    endpoint.unix_path = server.unix_path();
+    RetryPolicy policy;
+    policy.io_timeout_ms = 300;
+    policy.base_backoff_ms = 5;
+    policy.max_backoff_ms = 50;
+    // Every retried attempt COALESCES onto the still-sleeping in-flight
+    // transpile (same key, same service), so each times out until the
+    // sleep drains at 1.2 s — the attempt budget must outlast it.
+    policy.max_attempts = 12;
+    RetryingServeClient client(endpoint, policy);
+    // First attempt times out on the wedged worker; the retry dials a
+    // fresh connection and (sleep charge burnt) succeeds.
+    const std::string qasm = to_qasm(ghz(4));
+    const ServeResponse resp =
+        client.transpile_qasm(qasm, "ibmq_montreal", {{"router", "sabre"}});
+    EXPECT_EQ(resp.status, "ok");
+    EXPECT_GE(client.retry_stats().retries, 1u);
+    EXPECT_GE(client.retry_stats().reconnects, 2u);
     server.stop();
 }
 

@@ -6,6 +6,8 @@
 # in-process coverage in tests/test_serve.cc cannot catch daemonization
 # bugs (signal handling, socket lifecycle, shutdown drain):
 #
+#   0. bad command lines (a removed flag, a non-numeric port) must exit 2
+#      before any socket is bound;
 #   1. start nasscd on a fresh Unix socket and wait for it to listen;
 #   2. nassc_client --smoke 4: four client threads push a duplicated
 #      workload and verify every response is bit-identical to an
@@ -21,13 +23,6 @@
 # a fault profile armed (an injected worker fault plus a mid-frame
 # disconnect); the client runs with --tolerate-faults and must recover
 # by retrying, and the SIGTERM drain must still exit 0.
-#
-# NASSC_SMOKE_SHARDS=1 runs the SHARDED deployment instead: a front
-# door with --shards 3, a long restart-tolerant smoke load, and a
-# kill -9 of one worker shard mid-run.  The client must finish with
-# zero failures and bit-identical responses (transparent failover),
-# the supervisor must restart the shard, and the SIGTERM drain must
-# still exit 0 with every socket (front + shards) unlinked.
 set -euo pipefail
 
 BUILD_DIR=${1:-build}
@@ -49,17 +44,29 @@ for bin in nasscd nassc_client; do
     fi
 done
 
-SHARDS=0
-DAEMON_ARGS=(--unix "$SOCK" --threads 4)
-if [ "${NASSC_SMOKE_SHARDS:-0}" != "0" ]; then
-    SHARDS=3
-    DAEMON_ARGS=(--unix "$SOCK" --shards "$SHARDS" --threads 2)
-    echo "nasscd_smoke: sharded mode ($SHARDS worker shards)"
-fi
+# Bad command lines fail loudly with exit 2 and never bind a socket
+# (a daemon that shrugs them off would serve with defaults instead).
+expect_rejected() {
+    local status=0 err
+    err=$(timeout 10 "$BUILD_DIR/nasscd" "$@" 2>&1 >/dev/null) || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "nasscd_smoke: 'nasscd $*' exited $status, expected 2" >&2
+        rm -f "$SOCK"
+        exit 1
+    fi
+    if [ -e "$SOCK" ]; then
+        echo "nasscd_smoke: 'nasscd $*' left socket $SOCK behind" >&2
+        rm -f "$SOCK"
+        exit 1
+    fi
+    printf '%s\n' "$err" | head -n 1
+}
+expect_rejected --unix "$SOCK" --shards 3
+expect_rejected --unix "$SOCK" --port foo
 
-"$BUILD_DIR/nasscd" "${DAEMON_ARGS[@]}" &
+"$BUILD_DIR/nasscd" --unix "$SOCK" --threads 4 &
 DAEMON_PID=$!
-trap 'kill -9 "$DAEMON_PID" 2>/dev/null || true; rm -f "$SOCK" "$SOCK".shard* 2>/dev/null' EXIT
+trap 'kill -9 "$DAEMON_PID" 2>/dev/null || true; rm -f "$SOCK" 2>/dev/null' EXIT
 
 # Wait for the listening socket (the daemon prints its banner only
 # after bind+listen, so the socket file appearing means ready).
@@ -73,111 +80,13 @@ for _ in $(seq 1 100); do
 done
 [ -S "$SOCK" ] || { echo "nasscd_smoke: socket never appeared" >&2; exit 1; }
 
-if [ "$SHARDS" -gt 0 ]; then
-    # Wait for every worker shard's socket too — the front only routes
-    # once the supervisor has the fleet up.
-    for i in $(seq 0 $((SHARDS - 1))); do
-        for _ in $(seq 1 100); do
-            [ -S "$SOCK.shard$i" ] && break
-            sleep 0.1
-        done
-        [ -S "$SOCK.shard$i" ] || {
-            echo "nasscd_smoke: shard $i socket never appeared" >&2
-            exit 1
-        }
-    done
-
-    # Find a worker shard's pid by scanning /proc cmdlines for its
-    # socket path.  (pgrep -f / pkill -f are booby traps here: the
-    # pattern text appears in THIS shell's own cmdline, and unescaped
-    # dots match any byte.)
-    find_shard_pid() {
-        local p
-        for p in /proc/[0-9]*/cmdline; do
-            if tr '\0' '\n' < "$p" 2>/dev/null | grep -Fxq "$SOCK.shard1"
-            then
-                basename "$(dirname "$p")"
-                return 0
-            fi
-        done
-        return 1
-    }
-    SHARD_PID=$(find_shard_pid) || {
-        echo "nasscd_smoke: could not locate shard 1's pid" >&2
-        exit 1
-    }
-
-    # One row of the front's --stats view (its metrics scrape).
-    stat_row() {
-        "$BUILD_DIR/nassc_client" --unix "$SOCK" --stats |
-            awk -v k="$1" '$1 == k { print $2 }'
-    }
-
-    # Long restart-tolerant smoke load in the background, then murder
-    # shard 1 mid-run.  Failover must make the load finish with ZERO
-    # failures and bit-identical responses; the supervisor must bring
-    # the shard back.  The kill waits for the load to reach the shards
-    # (the front's `forwards` counter moves), not for a fixed sleep: a
-    # fast host can finish the whole load inside any fixed delay.
-    FORWARDS_BEFORE=$(stat_row forwards)
-    "$BUILD_DIR/nassc_client" --unix "$SOCK" --smoke 4 --repeat 1000 \
-        --tolerate-restarts &
-    SMOKE_PID=$!
-    while kill -0 "$SMOKE_PID" 2>/dev/null; do
-        FORWARDS=$(stat_row forwards)
-        [ "${FORWARDS:-0}" -gt "${FORWARDS_BEFORE:-0}" ] && break
-        sleep 0.01
-    done
-    if ! kill -0 "$SMOKE_PID" 2>/dev/null; then
-        echo "nasscd_smoke: smoke load finished before the crash" \
-             "(machine too fast — raise --repeat)" >&2
-        wait "$SMOKE_PID" || exit 1
-        exit 1
-    fi
-    kill -9 "$SHARD_PID"
-    echo "nasscd_smoke: killed shard 1 (pid $SHARD_PID) mid-load"
-    SMOKE_STATUS=0
-    wait "$SMOKE_PID" || SMOKE_STATUS=$?
-    if [ "$SMOKE_STATUS" -ne 0 ]; then
-        echo "nasscd_smoke: sharded smoke load failed ($SMOKE_STATUS)" >&2
-        exit 1
-    fi
-
-    # The supervisor restarted the shard and the fleet is whole again:
-    # the --stats view of the front's metrics scrape must show the
-    # restart and all shards live.  A restarted shard counts as live
-    # only after its next forward or health check, so shards_live is
-    # polled for up to 10 s rather than read once.
-    RESTARTS=$(stat_row supervisor_restarts)
-    LIVE=$(stat_row shards_live)
-    for _ in $(seq 1 100); do
-        [ "${LIVE:-0}" -eq "$SHARDS" ] && break
-        sleep 0.1
-        LIVE=$(stat_row shards_live)
-    done
-    if [ "${RESTARTS:-0}" -lt 1 ]; then
-        echo "nasscd_smoke: expected >=1 supervisor restart, got" \
-             "'${RESTARTS:-}'" >&2
-        exit 1
-    fi
-    if [ "${LIVE:-0}" -ne "$SHARDS" ]; then
-        echo "nasscd_smoke: expected $SHARDS live shards, got" \
-             "'${LIVE:-}'" >&2
-        exit 1
-    fi
-    echo "nasscd_smoke: failover survived ($RESTARTS restart(s)," \
-         "$LIVE/$SHARDS shards live)"
-else
-    "$BUILD_DIR/nassc_client" --unix "$SOCK" --smoke 4 \
-        ${CLIENT_FLAG:+$CLIENT_FLAG}
-fi
+"$BUILD_DIR/nassc_client" --unix "$SOCK" --smoke 4 \
+    ${CLIENT_FLAG:+$CLIENT_FLAG}
 
 # Observability: the Prometheus scrape must count one increment per
-# accepted transpile request (in sharded mode, summed over the
-# workers).  The smoke drove 16 transpile requests per pass (4 circuits
-# x 2 routers x 2 duplicates); retries (fault mode) and long repeats
-# with a crash-reset shard (sharded mode) can only leave the counter at
-# or above one clean pass.
+# accepted transpile request.  The smoke drove 16 transpile requests
+# (4 circuits x 2 routers x 2 duplicates); retries (fault mode) can
+# only leave the counter at or above that.
 METRICS=$("$BUILD_DIR/nassc_client" --unix "$SOCK" --metrics)
 REQ_TOTAL=$(printf '%s\n' "$METRICS" |
             awk '$1 == "nassc_requests_total" { print $2 }')
@@ -187,7 +96,7 @@ if [ -z "${REQ_TOTAL:-}" ]; then
     printf '%s\n' "$METRICS" >&2
     exit 1
 fi
-if [ "$SHARDS" -gt 0 ] || [ -n "$CLIENT_FLAG" ]; then
+if [ -n "$CLIENT_FLAG" ]; then
     if [ "$REQ_TOTAL" -lt "$DRIVEN" ]; then
         echo "nasscd_smoke: nassc_requests_total $REQ_TOTAL < driven" \
              "$DRIVEN" >&2
@@ -229,14 +138,6 @@ fi
 if [ -e "$SOCK" ]; then
     echo "nasscd_smoke: daemon left stale socket $SOCK" >&2
     exit 1
-fi
-if [ "$SHARDS" -gt 0 ]; then
-    for i in $(seq 0 $((SHARDS - 1))); do
-        if [ -e "$SOCK.shard$i" ]; then
-            echo "nasscd_smoke: stale shard socket $SOCK.shard$i" >&2
-            exit 1
-        fi
-    done
 fi
 trap - EXIT
 echo "nasscd_smoke: ok"
