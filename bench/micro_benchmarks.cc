@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the compiler's hot kernels:
 // KAK decomposition, two-qubit synthesis, CNOT-cost classification,
-// commutation checks, the router's per-decision kernels, and full
-// routing passes.
+// commutation checks, block consolidation, the router's per-decision
+// kernels, and full routing passes.
 
 #include <random>
 
@@ -12,7 +12,9 @@
 #include "nassc/obs/trace.h"
 #include "nassc/math/weyl.h"
 #include "nassc/passes/basis_translation.h"
+#include "nassc/passes/collect_blocks.h"
 #include "nassc/passes/commutation.h"
+#include "nassc/passes/decompose_swaps.h"
 #include "nassc/route/router.h"
 #include "nassc/route/sabre.h"
 #include "nassc/synth/kak2q.h"
@@ -107,6 +109,50 @@ BM_GatesCommuteExact(benchmark::State &state)
     }
 }
 BENCHMARK(BM_GatesCommuteExact);
+
+// One optimization-loop consolidation of a routed, basis-translated
+// qft_n15 (montreal, NASSC).  Arg 0 gives every iteration a fresh
+// SynthMemo, so each distinct block is synthesized (the miss cost);
+// Arg 1 reuses one warmed memo, so every block is a hit.  Both include
+// copying the input circuit.
+void
+BM_ConsolidateOptLoop(benchmark::State &state)
+{
+    Backend dev = montreal_backend();
+    QuantumCircuit logical = decompose_to_2q(qft(15));
+    auto dist = hop_distance(dev.coupling);
+    RoutingOptions opts;
+    opts.algorithm = RoutingAlgorithm::kNassc;
+    Layout init = sabre_initial_layout(logical, dev.coupling, dist, opts);
+    QuantumCircuit phys =
+        route_circuit(logical, dev.coupling, dist, init, opts).circuit;
+    decompose_swaps(phys, /*orientation_aware=*/true);
+    phys = translate_to_basis(phys);
+
+    const bool warm = state.range(0) != 0;
+    SynthMemo memo;
+    ConsolidateStats st;
+    if (warm) {
+        QuantumCircuit qc = phys;
+        consolidate_2q_blocks(qc, Basis1q::kZsx, memo);
+    }
+    for (auto _ : state) {
+        QuantumCircuit qc = phys;
+        if (warm) {
+            st = consolidate_2q_blocks(qc, Basis1q::kZsx, memo);
+        } else {
+            SynthMemo fresh;
+            st = consolidate_2q_blocks(qc, Basis1q::kZsx, fresh);
+        }
+        benchmark::DoNotOptimize(qc);
+    }
+    state.counters["blocks"] = st.blocks_considered;
+    state.counters["reused"] = st.blocks_reused;
+}
+BENCHMARK(BM_ConsolidateOptLoop)
+    ->Arg(0)
+    ->Arg(1) // 0 = fresh memo, 1 = warmed memo
+    ->Unit(benchmark::kMicrosecond);
 
 // ---- router hot kernels -----------------------------------------------------
 //

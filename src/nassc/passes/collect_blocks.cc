@@ -1,8 +1,8 @@
 #include "nassc/passes/collect_blocks.h"
 
 #include <algorithm>
+#include <cstring>
 
-#include "nassc/math/weyl.h"
 #include "nassc/synth/kak2q.h"
 
 namespace nassc {
@@ -31,7 +31,111 @@ struct Builder
     }
 };
 
+/** Fold one key word into a block hash: a word at a time, where Fnv1a
+ *  takes a byte at a time, since every block key is hashed. */
+std::uint64_t
+mix_word(std::uint64_t h, std::uint64_t w)
+{
+    h ^= w;
+    h *= 0x9e3779b97f4a7c15ull;
+    return h ^ (h >> 32);
+}
+
+/** Key word of one member gate of the block on (q0, q1), followed in the
+ *  key by the raw bits of each parameter. */
+std::uint64_t
+gate_key_word(const Gate &g, int q1)
+{
+    std::uint64_t code = g.qubits[0] == q1 ? 1 : 0;
+    return static_cast<std::uint64_t>(g.kind) | code << 8 |
+           static_cast<std::uint64_t>(g.params.size()) << 16;
+}
+
 } // namespace
+
+const SynthMemo::Entry *
+SynthMemo::find(const std::uint64_t *key, std::size_t len,
+                std::uint64_t hash) const
+{
+    if (index_.empty())
+        return nullptr;
+    std::size_t mask = index_.size() - 1;
+    for (std::size_t i = hash & mask; index_[i] != 0; i = (i + 1) & mask) {
+        const Entry &e = slots_[index_[i] - 1];
+        if (e.hash == hash && e.key_len == len &&
+            std::memcmp(&keys_[e.key_begin], key,
+                        len * sizeof(std::uint64_t)) == 0)
+            return &e;
+    }
+    return nullptr;
+}
+
+void
+SynthMemo::insert(const std::uint64_t *key, std::size_t len,
+                  std::uint64_t hash, bool replace, int new_cost,
+                  const std::vector<Gate> &gates)
+{
+    std::size_t n_gates = replace ? gates.size() : 0;
+    if (len > kMaxKeyWords || n_gates > kMaxGates)
+        return;
+    if (keys_.size() + len > kMaxKeyWords ||
+        gates_.size() + n_gates > kMaxGates)
+        clear();
+    if ((slots_.size() + 1) * 2 > index_.size())
+        grow_index();
+
+    Entry e;
+    e.hash = hash;
+    e.key_begin = static_cast<std::uint32_t>(keys_.size());
+    e.key_len = static_cast<std::uint32_t>(len);
+    e.gates_begin = static_cast<std::uint32_t>(gates_.size());
+    e.gates_len = static_cast<std::uint32_t>(n_gates);
+    e.new_cost = new_cost;
+    e.replace = replace;
+    keys_.insert(keys_.end(), key, key + len);
+    gates_.insert(gates_.end(), gates.begin(), gates.begin() + n_gates);
+    slots_.push_back(e);
+
+    std::size_t mask = index_.size() - 1;
+    std::size_t i = hash & mask;
+    while (index_[i] != 0)
+        i = (i + 1) & mask;
+    index_[i] = static_cast<std::uint32_t>(slots_.size());
+}
+
+void
+SynthMemo::append_gates(const Entry &e, int q0, int q1,
+                        std::vector<Gate> &out) const
+{
+    const int wire[2] = {q0, q1};
+    for (std::uint32_t k = 0; k < e.gates_len; ++k) {
+        out.push_back(gates_[e.gates_begin + k]);
+        for (int &q : out.back().qubits)
+            q = wire[q];
+    }
+}
+
+void
+SynthMemo::clear()
+{
+    keys_.clear();
+    gates_.clear();
+    slots_.clear();
+    std::fill(index_.begin(), index_.end(), 0u);
+}
+
+void
+SynthMemo::grow_index()
+{
+    index_.assign(std::max<std::size_t>(256, index_.size() * 2), 0u);
+    std::size_t mask = index_.size() - 1;
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+        std::size_t i = slots_[s].hash & mask;
+        while (index_[i] != 0)
+            i = (i + 1) & mask;
+        index_[i] = static_cast<std::uint32_t>(s + 1);
+    }
+}
 
 int
 cx_equivalent_cost(const Gate &g)
@@ -114,6 +218,13 @@ collect_2q_blocks(const QuantumCircuit &qc)
 ConsolidateStats
 consolidate_2q_blocks(QuantumCircuit &qc, Basis1q basis)
 {
+    SynthMemo memo;
+    return consolidate_2q_blocks(qc, basis, memo);
+}
+
+ConsolidateStats
+consolidate_2q_blocks(QuantumCircuit &qc, Basis1q basis, SynthMemo &memo)
+{
     ConsolidateStats stats;
     std::vector<TwoQubitBlock> blocks = collect_2q_blocks(qc);
 
@@ -123,32 +234,64 @@ consolidate_2q_blocks(QuantumCircuit &qc, Basis1q basis)
     // Replacement gate lists anchored at a block's *last* gate index so
     // the new gates appear where the block ended.
     std::vector<std::vector<Gate>> anchored(n);
+    std::vector<std::uint64_t> key;
 
     for (const TwoQubitBlock &blk : blocks) {
         if (blk.num_2q == 0)
             continue;
         ++stats.blocks_considered;
 
+        // Old cost and memo key in one pass over the members.
         int old_cost = 0;
         int old_total = static_cast<int>(blk.gate_indices.size());
-        std::vector<Gate> member_gates;
-        member_gates.reserve(blk.gate_indices.size());
+        key.clear();
+        key.push_back(static_cast<std::uint64_t>(basis));
         for (int idx : blk.gate_indices) {
-            member_gates.push_back(qc.gate(idx));
-            old_cost += cx_equivalent_cost(qc.gate(idx));
+            const Gate &g = qc.gate(idx);
+            old_cost += cx_equivalent_cost(g);
+            key.push_back(gate_key_word(g, blk.q1));
+            for (double p : g.params) {
+                std::uint64_t bits;
+                std::memcpy(&bits, &p, sizeof(bits));
+                key.push_back(bits);
+            }
         }
         stats.cx_before += old_cost;
+        std::uint64_t hash = 0;
+        for (std::uint64_t w : key)
+            hash = mix_word(hash, w);
 
-        Mat4 u = unitary_of_2q_gates(member_gates, blk.q0, blk.q1);
-        std::vector<Gate> synth = synth_2q_kak(u, blk.q0, blk.q1, basis);
-        int new_cost = 0;
-        for (const Gate &g : synth)
-            new_cost += cx_equivalent_cost(g);
-
-        bool better =
-            new_cost < old_cost ||
-            (new_cost == old_cost &&
-             static_cast<int>(synth.size()) < old_total);
+        std::vector<Gate> &slot = anchored[blk.gate_indices.back()];
+        bool better;
+        int new_cost;
+        if (const SynthMemo::Entry *e =
+                memo.find(key.data(), key.size(), hash)) {
+            ++stats.blocks_reused;
+            better = e->replace;
+            new_cost = e->new_cost;
+            if (better)
+                memo.append_gates(*e, blk.q0, blk.q1, slot);
+        } else {
+            Mat4 u = Mat4::identity();
+            for (int idx : blk.gate_indices)
+                accumulate_2q_gate(u, qc.gate(idx), blk.q0, blk.q1);
+            std::vector<Gate> synth = synth_2q_kak(u, 0, 1, basis);
+            new_cost = 0;
+            for (const Gate &g : synth)
+                new_cost += cx_equivalent_cost(g);
+            better = new_cost < old_cost ||
+                     (new_cost == old_cost &&
+                      static_cast<int>(synth.size()) < old_total);
+            memo.insert(key.data(), key.size(), hash, better, new_cost,
+                        synth);
+            if (better) {
+                for (Gate &g : synth) {
+                    for (int &q : g.qubits)
+                        q = q == 0 ? blk.q0 : blk.q1;
+                    slot.push_back(std::move(g));
+                }
+            }
+        }
         if (!better) {
             stats.cx_after += old_cost;
             continue;
@@ -157,20 +300,23 @@ consolidate_2q_blocks(QuantumCircuit &qc, Basis1q basis)
         stats.cx_after += new_cost;
         for (int idx : blk.gate_indices)
             removed[idx] = true;
-        anchored[blk.gate_indices.back()] = std::move(synth);
     }
 
-    QuantumCircuit out(qc.num_qubits());
+    // Every kept gate is already on the register and every replacement
+    // on its block's wires, so the new list is assembled directly.
+    std::vector<Gate> &gates = qc.mutable_gates();
+    std::vector<Gate> out;
+    out.reserve(n);
     for (size_t i = 0; i < n; ++i) {
         if (!anchored[i].empty()) {
             for (Gate &g : anchored[i])
-                out.append(std::move(g));
+                out.push_back(std::move(g));
             continue;
         }
         if (!removed[i])
-            out.append(qc.gate(i));
+            out.push_back(std::move(gates[i]));
     }
-    qc = std::move(out);
+    gates = std::move(out);
     return stats;
 }
 

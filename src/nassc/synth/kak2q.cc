@@ -92,6 +92,9 @@ synth_2q_kak(const Mat4 &u, int q0, int q1, Basis1q basis)
     canonicalize(k);
 
     std::vector<Gate> out;
+    // The 3-CX template's 15 gates plus four local runs of at most five
+    // gates (the generic ZSX form).
+    out.reserve(15 + 4 * 5);
     // Right locals first (circuit order).
     for (Gate &g : synth_1q(k.k2_0, q0, basis))
         out.push_back(std::move(g));

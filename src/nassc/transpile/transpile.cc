@@ -21,13 +21,13 @@ namespace {
 
 /** Post-routing optimization loop (paper Fig. 2 "optimization" stage). */
 void
-optimization_loop(QuantumCircuit &qc, int rounds)
+optimization_loop(QuantumCircuit &qc, int rounds, SynthMemo &memo)
 {
     int last_size = -1;
     for (int r = 0; r < rounds; ++r) {
         run_optimize_1q(qc, Basis1q::kZsx);
         run_commutative_cancellation_to_fixpoint(qc);
-        consolidate_2q_blocks(qc, Basis1q::kZsx);
+        consolidate_2q_blocks(qc, Basis1q::kZsx, memo);
         // Consolidation can emit non-basis 1q gates; normalize.
         qc = translate_to_basis(qc);
         run_optimize_1q(qc, Basis1q::kZsx);
@@ -92,13 +92,16 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
     if (opts.deadline_ms > 0)
         budget.emplace(t0 + std::chrono::milliseconds(opts.deadline_ms));
 
+    // One resynthesis memo for every consolidation of this call.
+    SynthMemo memo;
+
     // 1. Lower to <= 2q gates.
     QuantumCircuit c = decompose_to_2q(qc);
 
     // 2. Pre-routing optimization: canonicalize 1q runs and 2q blocks so
     //    the router's C2q estimates see concise block unitaries.
     run_optimize_1q(c, Basis1q::kUGate);
-    consolidate_2q_blocks(c, Basis1q::kUGate);
+    consolidate_2q_blocks(c, Basis1q::kUGate, memo);
 
     // 3. Distances: plain hops, or the HA noise-aware variant, shared
     //    through the cache so repeat calls against one backend (and
@@ -158,7 +161,7 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
     if (opts.router == RoutingAlgorithm::kNassc) {
         // Give block resynthesis a chance to absorb whole SWAPs (C2q),
         // then expand the remaining SWAPs with their orientation flags.
-        consolidate_2q_blocks(phys, Basis1q::kUGate);
+        consolidate_2q_blocks(phys, Basis1q::kUGate, memo);
         decompose_swaps(phys, opts.orientation_aware_decomposition);
     } else {
         // Qiskit+SABRE: fixed decomposition at the routing step.
@@ -167,7 +170,7 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
 
     // 7. Basis translation + optimization loop.
     phys = translate_to_basis(phys);
-    optimization_loop(phys, opts.opt_loop_rounds);
+    optimization_loop(phys, opts.opt_loop_rounds, memo);
 
     auto t1 = std::chrono::steady_clock::now();
 
@@ -202,14 +205,15 @@ optimize_only(const QuantumCircuit &qc, const TranspileOptions &opts)
 {
     auto t0 = std::chrono::steady_clock::now();
 
+    SynthMemo memo;
     QuantumCircuit c = decompose_to_2q(qc);
     run_optimize_1q(c, Basis1q::kUGate);
-    consolidate_2q_blocks(c, Basis1q::kUGate);
+    consolidate_2q_blocks(c, Basis1q::kUGate, memo);
     c = translate_to_basis(c);
     // Same optimization-loop budget as the routed pipeline, so a
     // CNOT_add ablation under non-default opt_loop_rounds compares the
     // routed circuit against a baseline built with the same effort.
-    optimization_loop(c, opts.opt_loop_rounds);
+    optimization_loop(c, opts.opt_loop_rounds, memo);
 
     auto t1 = std::chrono::steady_clock::now();
 

@@ -14,6 +14,13 @@
  *   basis translation -> optimization loop (Optimize1qGates,
  *   CommutativeCancellation, Collect2qBlocks) to fixpoint.
  *
+ * Each transpile() or optimize_only() call owns one SynthMemo (see
+ * passes/collect_blocks.h) and passes it to every block consolidation
+ * it runs — pre-routing, the NASSC SWAP consolidation and each loop
+ * round — so a recurring block is synthesized once per call.  The memo
+ * lives on the call's stack: nothing survives the call, concurrent
+ * calls share nothing, and the output is the same as without it.
+ *
  * The layout step scores every trial by routing the FULL circuit
  * (measures/barriers included, operands mapped through the live
  * layout); on kSabre pipelines the winning trial's scoring pass is the

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "nassc/passes/decompose_swaps.h"
 #include "nassc/passes/optimize_1q.h"
 #include "nassc/sim/unitary.h"
+#include "nassc/synth/kak2q.h"
 
 namespace nassc {
 namespace {
@@ -191,6 +194,211 @@ TEST(Consolidate, PreservesSemanticsOnBenchmarks)
     QuantumCircuit before2 = qc2;
     consolidate_2q_blocks(qc2);
     EXPECT_TRUE(circuits_equivalent(before2, qc2));
+}
+
+// ---- synthesis memo ---------------------------------------------------------
+
+/** Gate streams equal bit for bit (parameters compared as raw bits). */
+void
+expect_same_bits(const QuantumCircuit &a, const QuantumCircuit &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        const Gate &x = a.gate(i), &y = b.gate(i);
+        EXPECT_EQ(x.kind, y.kind) << "gate " << i;
+        EXPECT_EQ(x.qubits, y.qubits) << "gate " << i;
+        EXPECT_EQ(x.swap_orient, y.swap_orient) << "gate " << i;
+        ASSERT_EQ(x.params.size(), y.params.size()) << "gate " << i;
+        EXPECT_EQ(std::memcmp(x.params.data(), y.params.data(),
+                              x.params.size() * sizeof(double)),
+                  0)
+            << "gate " << i;
+    }
+}
+
+/** cx, ry(theta), reversed cx, rz(0.7) on (a, b), `reps` times over.
+ *  One copy is kept as is; two (4 CX) are replaced by <= 3 CX. */
+QuantumCircuit
+memo_block(int n, int a, int b, double theta = 0.4, int reps = 1)
+{
+    QuantumCircuit qc(n);
+    for (int r = 0; r < reps; ++r) {
+        qc.cx(a, b);
+        qc.ry(theta, a);
+        qc.cx(b, a);
+        qc.rz(0.7, b);
+    }
+    return qc;
+}
+
+/** Consolidation of a copy through a memo of its own. */
+QuantumCircuit
+fresh_consolidation(const QuantumCircuit &qc,
+                    Basis1q basis = Basis1q::kUGate)
+{
+    QuantumCircuit out = qc;
+    consolidate_2q_blocks(out, basis);
+    return out;
+}
+
+/** `a` then `b`: two blocks on disjoint wires, so its consolidation is
+ *  each one's consolidation in turn. */
+QuantumCircuit
+then(const QuantumCircuit &a, const QuantumCircuit &b)
+{
+    QuantumCircuit qc = a;
+    qc.compose(b);
+    return qc;
+}
+
+TEST(SynthMemo, RepeatedBlockOnAnotherPairIsReusedAndRelabelled)
+{
+    for (int reps : {1, 2}) {
+        QuantumCircuit a = memo_block(5, 0, 1, 0.4, reps);
+        QuantumCircuit b = memo_block(5, 2, 4, 0.4, reps);
+        QuantumCircuit qc = then(a, b);
+        SynthMemo memo;
+        ConsolidateStats st =
+            consolidate_2q_blocks(qc, Basis1q::kUGate, memo);
+        EXPECT_EQ(st.blocks_considered, 2);
+        EXPECT_EQ(st.blocks_reused, 1);
+        EXPECT_EQ(st.blocks_replaced, reps == 2 ? 2 : 0);
+        EXPECT_EQ(memo.size(), 1u);
+        EXPECT_TRUE(circuits_equivalent(then(a, b), qc));
+        expect_same_bits(qc, then(fresh_consolidation(a),
+                                  fresh_consolidation(b)));
+        if (reps == 2) {
+            // The reused copy is what synthesis on (2, 4) emits.
+            QuantumCircuit direct(5);
+            for (Gate &g : synth_2q_kak(
+                     unitary_of_2q_gates(b.gates(), 2, 4), 2, 4))
+                direct.append(std::move(g));
+            expect_same_bits(then(fresh_consolidation(a), direct), qc);
+        }
+    }
+}
+
+TEST(SynthMemo, ParameterOneUlpApartMisses)
+{
+    QuantumCircuit a = memo_block(5, 0, 1, 0.4, 2);
+    QuantumCircuit b = memo_block(5, 2, 4, std::nextafter(0.4, 1.0), 2);
+    QuantumCircuit qc = then(a, b);
+    SynthMemo memo;
+    ConsolidateStats st = consolidate_2q_blocks(qc, Basis1q::kUGate, memo);
+    EXPECT_EQ(st.blocks_considered, 2);
+    EXPECT_EQ(st.blocks_reused, 0);
+    EXPECT_EQ(memo.size(), 2u);
+    EXPECT_TRUE(circuits_equivalent(then(a, b), qc));
+    expect_same_bits(qc,
+                     then(fresh_consolidation(a), fresh_consolidation(b)));
+}
+
+TEST(SynthMemo, ReversedTwoQubitOrientationMisses)
+{
+    QuantumCircuit a = memo_block(5, 0, 1, 0.4, 2);
+    // The same gates on (2, 4), with each cx's control and target
+    // swapped.
+    QuantumCircuit b(5);
+    for (int r = 0; r < 2; ++r) {
+        b.cx(4, 2);
+        b.ry(0.4, 2);
+        b.cx(2, 4);
+        b.rz(0.7, 4);
+    }
+    QuantumCircuit qc = then(a, b);
+    SynthMemo memo;
+    ConsolidateStats st = consolidate_2q_blocks(qc, Basis1q::kUGate, memo);
+    EXPECT_EQ(st.blocks_considered, 2);
+    EXPECT_EQ(st.blocks_reused, 0);
+    EXPECT_TRUE(circuits_equivalent(then(a, b), qc));
+    expect_same_bits(qc,
+                     then(fresh_consolidation(a), fresh_consolidation(b)));
+}
+
+TEST(SynthMemo, BasisIsPartOfTheKey)
+{
+    QuantumCircuit block = memo_block(2, 0, 1, 0.4, 2);
+    SynthMemo memo;
+    for (Basis1q basis : {Basis1q::kUGate, Basis1q::kZsx}) {
+        QuantumCircuit qc = block;
+        ConsolidateStats st = consolidate_2q_blocks(qc, basis, memo);
+        EXPECT_EQ(st.blocks_reused, 0);
+        EXPECT_TRUE(circuits_equivalent(block, qc));
+        expect_same_bits(qc, fresh_consolidation(block, basis));
+    }
+    EXPECT_EQ(memo.size(), 2u);
+    // The same block in a basis already seen is a hit.
+    QuantumCircuit qc = block;
+    ConsolidateStats st = consolidate_2q_blocks(qc, Basis1q::kZsx, memo);
+    EXPECT_EQ(st.blocks_reused, 1);
+    expect_same_bits(qc, fresh_consolidation(block, Basis1q::kZsx));
+}
+
+TEST(SynthMemo, HashMatchAloneIsNotAHit)
+{
+    // Two keys forced onto one hash: the full-key compare tells them
+    // apart, and each keeps its own outcome.
+    const std::uint64_t k1[] = {0, 7, 11}, k2[] = {0, 7, 12};
+    const std::uint64_t kHash = 42;
+    SynthMemo memo;
+    memo.insert(k1, 3, kHash, false, 2, {});
+    EXPECT_EQ(memo.find(k2, 3, kHash), nullptr);
+    EXPECT_EQ(memo.find(k1, 2, kHash), nullptr);
+    memo.insert(k2, 3, kHash, true, 1, {Gate::two_q(OpKind::kCX, 1, 0)});
+    const SynthMemo::Entry *e1 = memo.find(k1, 3, kHash);
+    const SynthMemo::Entry *e2 = memo.find(k2, 3, kHash);
+    ASSERT_NE(e1, nullptr);
+    ASSERT_NE(e2, nullptr);
+    EXPECT_FALSE(e1->replace);
+    EXPECT_EQ(e1->new_cost, 2);
+    EXPECT_TRUE(e2->replace);
+    std::vector<Gate> out;
+    memo.append_gates(*e2, 3, 5, out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0], Gate::two_q(OpKind::kCX, 5, 3));
+}
+
+TEST(SynthMemo, OverflowingTheBoundsClearsWithoutChangingOutput)
+{
+    // 12,500 distinct blocks of 12 key words each (basis word, 7 gate
+    // words, 4 parameters): 150,000 words, past the 128 Ki bound.  A
+    // fourth cx makes every block a replace, whose gates fill the pool.
+    const int kBlocks = 12500;
+    for (bool replaced : {false, true}) {
+        QuantumCircuit qc(3);
+        for (int k = 0; k < kBlocks; ++k) {
+            int a = k % 2, b = a + 1;
+            double t = 1e-4 * (k + 1);
+            qc.cx(a, b);
+            qc.ry(0.3 + t, a);
+            qc.rz(0.5 - t, b);
+            qc.cx(b, a);
+            qc.rx(0.7 + t, a);
+            qc.ry(1.1 - t, b);
+            qc.cx(a, b);
+            if (replaced)
+                qc.cx(b, a);
+        }
+        QuantumCircuit fresh = qc;
+        ConsolidateStats fs = consolidate_2q_blocks(fresh, Basis1q::kUGate);
+        ASSERT_EQ(fs.blocks_considered, kBlocks);
+        EXPECT_EQ(fs.blocks_replaced, replaced ? kBlocks : 0);
+        EXPECT_TRUE(circuits_equivalent(qc, fresh));
+
+        SynthMemo memo;
+        for (int pass = 0; pass < 2; ++pass) {
+            QuantumCircuit out = qc;
+            ConsolidateStats st =
+                consolidate_2q_blocks(out, Basis1q::kUGate, memo);
+            EXPECT_EQ(st.blocks_considered, kBlocks);
+            EXPECT_EQ(st.blocks_replaced, fs.blocks_replaced);
+            EXPECT_EQ(st.cx_before, fs.cx_before);
+            EXPECT_EQ(st.cx_after, fs.cx_after);
+            EXPECT_LE(memo.key_words(), SynthMemo::kMaxKeyWords);
+            EXPECT_LT(memo.size(), static_cast<size_t>(kBlocks));
+            expect_same_bits(out, fresh);
+        }
+    }
 }
 
 // ---- commutation ------------------------------------------------------------
