@@ -9,6 +9,7 @@
 
 #include "nassc/circuits/library.h"
 #include "nassc/ir/dag.h"
+#include "nassc/ir/qasm.h"
 #include "nassc/obs/trace.h"
 #include "nassc/math/weyl.h"
 #include "nassc/passes/basis_translation.h"
@@ -153,6 +154,26 @@ BENCHMARK(BM_ConsolidateOptLoop)
     ->Arg(0)
     ->Arg(1) // 0 = fresh memo, 1 = warmed memo
     ->Unit(benchmark::kMicrosecond);
+
+// OpenQASM encode of a transpiled qft_n15 (montreal, NASSC): the text
+// a wire response carries, and what a cache entry keeps once encoded.
+void
+BM_ToQasmRoutedQft15(benchmark::State &state)
+{
+    const QuantumCircuit routed =
+        TranspileContext::global()
+            .transpile(qft(15), montreal_backend(), TranspileOptions{})
+            .circuit;
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        std::string text = to_qasm(routed);
+        bytes = text.size();
+        benchmark::DoNotOptimize(text);
+    }
+    state.counters["gates"] = static_cast<double>(routed.gates().size());
+    state.counters["bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_ToQasmRoutedQft15)->Unit(benchmark::kMicrosecond);
 
 // ---- router hot kernels -----------------------------------------------------
 //

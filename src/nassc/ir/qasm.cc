@@ -1,10 +1,10 @@
 #include "nassc/ir/qasm.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -165,6 +165,24 @@ split(const std::string &s, char delim)
     return out;
 }
 
+void
+append_int(std::string &out, int v)
+{
+    char buf[16];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/** `%.17g` (what an ostream prints at precision 17): enough digits for
+ *  every double to round-trip through from_qasm. */
+void
+append_param(std::string &out, double v)
+{
+    char buf[32];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                  std::chars_format::general, 17)
+                        .ptr);
+}
+
 std::string
 trim(const std::string &s)
 {
@@ -180,44 +198,47 @@ trim(const std::string &s)
 std::string
 to_qasm(const QuantumCircuit &qc)
 {
-    std::ostringstream os;
-    os << "OPENQASM 2.0;\n";
-    os << "include \"qelib1.inc\";\n";
-    os << "qreg q[" << qc.num_qubits() << "];\n";
-    os << "creg c[" << qc.num_qubits() << "];\n";
+    std::string out;
+    // A routed gate line averages under 24 bytes; longer ones just grow.
+    out.reserve(64 + 24 * qc.gates().size());
+    out += "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[";
+    append_int(out, qc.num_qubits());
+    out += "];\ncreg c[";
+    append_int(out, qc.num_qubits());
+    out += "];\n";
     for (const Gate &g : qc.gates()) {
         if (g.kind == OpKind::kMeasure) {
-            os << "measure q[" << g.qubits[0] << "] -> c[" << g.qubits[0]
-               << "];\n";
-            continue;
-        }
-        if (g.kind == OpKind::kBarrier) {
-            os << "barrier";
-            for (size_t i = 0; i < g.qubits.size(); ++i)
-                os << (i ? "," : "") << " q[" << g.qubits[i] << "]";
-            os << ";\n";
+            out += "measure q[";
+            append_int(out, g.qubits[0]);
+            out += "] -> c[";
+            append_int(out, g.qubits[0]);
+            out += "];\n";
             continue;
         }
         if (g.kind == OpKind::kMCX && g.qubits.size() > 3)
             throw std::invalid_argument(
                 "to_qasm: decompose mcx gates before export");
-        std::string name = op_name(g.kind);
         if (g.kind == OpKind::kMCX)
-            name = g.qubits.size() == 3 ? "ccx" : "cx";
-        os << name;
+            out += g.qubits.size() == 3 ? "ccx" : "cx";
+        else
+            out += op_name(g.kind);
         if (!g.params.empty()) {
-            os << "(";
-            std::ostringstream ps;
-            ps.precision(17);
-            for (size_t i = 0; i < g.params.size(); ++i)
-                ps << (i ? "," : "") << g.params[i];
-            os << ps.str() << ")";
+            out += '(';
+            for (size_t i = 0; i < g.params.size(); ++i) {
+                if (i)
+                    out += ',';
+                append_param(out, g.params[i]);
+            }
+            out += ')';
         }
-        for (size_t i = 0; i < g.qubits.size(); ++i)
-            os << (i ? "," : "") << " q[" << g.qubits[i] << "]";
-        os << ";\n";
+        for (size_t i = 0; i < g.qubits.size(); ++i) {
+            out += i ? ", q[" : " q[";
+            append_int(out, g.qubits[i]);
+            out += ']';
+        }
+        out += ";\n";
     }
-    return os.str();
+    return out;
 }
 
 QuantumCircuit

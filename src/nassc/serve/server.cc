@@ -18,7 +18,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "nassc/ir/qasm.h"
 #include "nassc/obs/event_log.h"
 #include "nassc/obs/metrics.h"
 #include "nassc/obs/trace.h"
@@ -262,31 +261,25 @@ struct NasscServer::Impl
     }
 
     /** Wait for `ticket` while watching the client socket; false = the
-     *  peer hung up first (caller cancels).  During shutdown the probe
-     *  is skipped: stop() half-closes every socket to stop new frames,
-     *  which is indistinguishable from a hangup — accepted requests
-     *  must still drain to their response. */
+     *  peer hung up first (caller cancels).  The wait wakes the moment
+     *  the ticket settles; between 1 ms slices it probes the socket.
+     *  During shutdown the probe is skipped: stop() half-closes every
+     *  socket to stop new frames, which is indistinguishable from a
+     *  hangup — accepted requests must still drain to their response. */
     bool
     wait_ticket(const TranspileTicket &ticket, int fd) const
     {
-        while (!ticket.ready()) {
-            // A coalesced ticket past its wait budget will never become
-            // ready for US — stop polling and let get() throw the typed
-            // deadline error.
-            if (ticket.deadline_expired())
-                return true;
-            if (!stopping.load(std::memory_order_relaxed)) {
-                char probe;
-                const ssize_t n =
-                    ::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
-                if (n == 0)
-                    return false; // orderly hangup
-                if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                    errno != EINTR)
-                    return false; // connection error
-                // n == 1 is fine: a pipelined next request, not EOF.
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        while (!ticket.wait_for(std::chrono::milliseconds(1))) {
+            if (stopping.load(std::memory_order_relaxed))
+                continue;
+            char probe;
+            const ssize_t n = ::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
+            if (n == 0)
+                return false; // orderly hangup
+            if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+                errno != EINTR)
+                return false; // connection error
+            // n == 1 is fine: a pipelined next request, not EOF.
         }
         return true;
     }
@@ -324,7 +317,7 @@ struct NasscServer::Impl
         }
         // Rethrows transpile errors (typed ones mapped by the caller).
         const SharedTranspileResult result = ticket.get();
-        response.qasm = to_qasm(result->circuit);
+        response.qasm = ticket.get_qasm();
         response.source = source_name(ticket.source());
         response.degraded = result->degraded;
         if (result->degraded)

@@ -21,11 +21,14 @@
  * connection threads only block on frame I/O and on the ticket, so a
  * slow circuit never stalls the accept loop or other connections.
  *
- * Disconnect handling: while waiting on a ticket the connection thread
- * watches its socket; if the client hangs up first, the server calls
+ * Disconnect handling: the connection thread blocks on its ticket in
+ * slices of at most 1 ms (TranspileTicket::wait_for), so it answers
+ * the moment the transpile settles.  Between slices it probes its
+ * socket; if the client hung up first, the server calls
  * TranspileService::try_cancel() so a request nobody will read never
  * occupies a worker (cancellation is cooperative — a job already
- * running finishes and populates the cache).
+ * running finishes and populates the cache).  The response body comes
+ * from TranspileTicket::get_qasm(), which encodes once per cache entry.
  *
  * Shutdown (stop()) is graceful: listeners close first (new connects
  * are refused), then every open connection is shut down for READING —

@@ -25,6 +25,14 @@ hex64(std::uint64_t v)
 
 } // namespace
 
+/** Encoded once, under `mu`, by the first get_qasm(). */
+struct TranspileTicket::EncodedQasm
+{
+    std::mutex mu;
+    bool encoded = false;
+    std::string text;
+};
+
 SharedTranspileResult
 TranspileTicket::get() const
 {
@@ -42,16 +50,27 @@ TranspileTicket::get() const
 }
 
 bool
-TranspileTicket::deadline_expired() const
+TranspileTicket::wait_for(std::chrono::steady_clock::duration slice) const
 {
-    return deadline_ != std::chrono::steady_clock::time_point::max() &&
-           std::chrono::steady_clock::now() >= deadline_ && !ready();
+    const auto now = std::chrono::steady_clock::now();
+    // deadline_ - now cannot overflow: deadline_ is max() or near now.
+    const auto until = deadline_ - now < slice ? deadline_ : now + slice;
+    return future_.wait_until(until) == std::future_status::ready ||
+           std::chrono::steady_clock::now() >= deadline_;
 }
 
 std::string
 TranspileTicket::get_qasm() const
 {
-    return to_qasm(get()->circuit);
+    const SharedTranspileResult result = get();
+    std::lock_guard<std::mutex> lk(qasm_->mu);
+    if (!qasm_->encoded) {
+        qasm_->text = to_qasm(result->circuit);
+        qasm_->text.shrink_to_fit(); // charged by size: keep no slack
+        qasm_->encoded = true;
+        service_->charge_qasm(key_, qasm_.get());
+    }
+    return qasm_->text;
 }
 
 std::string
@@ -124,6 +143,33 @@ TranspileService::entry_expiry(const TranspileOptions &options) const
     return now + std::chrono::duration_cast<Clock::duration>(ticks);
 }
 
+void
+TranspileService::evict_to_fit()
+{
+    while (lru_.size() > options_.cache_capacity ||
+           (options_.cache_max_bytes != 0 &&
+            cache_bytes_ > options_.cache_max_bytes)) {
+        cache_erase(std::prev(lru_.end()));
+        ++stats_.evictions_capacity;
+    }
+}
+
+void
+TranspileService::charge_qasm(const std::string &key,
+                              const EncodedQasm *qasm)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    // The entry may have been evicted, invalidated or replaced by a
+    // recompute since the ticket was issued; the text then lives only
+    // as long as the tickets that share it.
+    auto it = cache_.find(key);
+    if (it == cache_.end() || it->second->qasm.get() != qasm)
+        return;
+    it->second->bytes += qasm->text.size();
+    cache_bytes_ += qasm->text.size();
+    evict_to_fit();
+}
+
 std::list<TranspileService::CacheEntry>::iterator
 TranspileService::cache_erase(std::list<CacheEntry>::iterator it)
 {
@@ -159,6 +205,7 @@ TranspileService::note_backend_generation(const std::string &backend_name,
 void
 TranspileService::cache_insert(const std::string &key,
                                SharedTranspileResult result,
+                               std::shared_ptr<EncodedQasm> qasm,
                                const std::string &backend_name,
                                const std::string &backend_key,
                                const TranspileOptions &options)
@@ -185,13 +232,16 @@ TranspileService::cache_insert(const std::string &key,
     CacheEntry entry;
     entry.key = key;
     entry.result = std::move(result);
+    entry.qasm = std::move(qasm);
     entry.backend_name = backend_name;
     entry.backend_key = backend_key;
     entry.expiry = entry_expiry(options);
     // Cost = what the entry actually keeps resident: the routed
     // circuit's heap footprint plus the entry/index bookkeeping (the
-    // key is stored twice: list node + index map).
+    // key is stored twice: list node + index map).  Its text, once
+    // encoded, is charged by charge_qasm().
     entry.bytes = sizeof(CacheEntry) + sizeof(TranspileResult) +
+                  sizeof(EncodedQasm) +
                   2 * entry.key.size() + entry.backend_name.size() +
                   entry.backend_key.size() +
                   entry.result->circuit.memory_bytes() +
@@ -211,12 +261,7 @@ TranspileService::cache_insert(const std::string &key,
     cache_bytes_ += entry.bytes;
     lru_.push_front(std::move(entry));
     cache_.emplace(key, lru_.begin());
-    while (lru_.size() > options_.cache_capacity ||
-           (options_.cache_max_bytes != 0 &&
-            cache_bytes_ > options_.cache_max_bytes)) {
-        cache_erase(std::prev(lru_.end()));
-        ++stats_.evictions_capacity;
-    }
+    evict_to_fit();
 }
 
 void
@@ -225,7 +270,8 @@ TranspileService::run_request(
     const QuantumCircuit &circuit, const Backend &backend,
     const TranspileOptions &options,
     const std::shared_ptr<std::promise<SharedTranspileResult>> &promise,
-    Clock::time_point deadline, Clock::time_point submitted, bool dequeue)
+    const std::shared_ptr<EncodedQasm> &qasm, Clock::time_point deadline,
+    Clock::time_point submitted, bool dequeue)
 {
     obs::StackMetrics &om = obs::StackMetrics::get();
     if (dequeue) {
@@ -276,7 +322,7 @@ TranspileService::run_request(
             if (!result->degraded) {
                 obs::TraceSpan insert_span("cache_insert",
                                            &om.cache_insert_us);
-                cache_insert(key, result, backend.name, backend_key,
+                cache_insert(key, result, qasm, backend.name, backend_key,
                              options);
             }
         } else if (missed_deadline) {
@@ -322,6 +368,7 @@ TranspileService::submit(const QuantumCircuit &circuit,
     const std::string backend_key = backend->cache_key();
     TranspileTicket ticket;
     ticket.key_ = request_key(circuit, backend_key, options);
+    ticket.service_ = this;
 
     // Absolute budget, stamped NOW so queue delay counts against it.
     const Clock::time_point deadline =
@@ -353,6 +400,7 @@ TranspileService::submit(const QuantumCircuit &circuit,
             ++stats_.cache_hits;
             lru_.splice(lru_.begin(), lru_, hit->second);
             promise->set_value(hit->second->result);
+            ticket.qasm_ = hit->second->qasm;
             ticket.source_ = TicketSource::kCacheHit;
             ticket.future_ = promise->get_future().share();
             return ticket;
@@ -364,6 +412,7 @@ TranspileService::submit(const QuantumCircuit &circuit,
             ++flight->second.waiters;
             ticket.source_ = TicketSource::kCoalesced;
             ticket.future_ = flight->second.future;
+            ticket.qasm_ = flight->second.qasm;
             // A coalesced waiter's deadline bounds its WAIT (the joined
             // computation runs under its own request's budget, if any).
             ticket.deadline_ = deadline;
@@ -390,9 +439,11 @@ TranspileService::submit(const QuantumCircuit &circuit,
 
         ++stats_.misses;
         ticket.future_ = promise->get_future().share();
+        ticket.qasm_ = std::make_shared<EncodedQasm>();
         Inflight entry;
         entry.future = ticket.future_;
         entry.promise = promise;
+        entry.qasm = ticket.qasm_;
         inflight_.emplace(ticket.key_, std::move(entry));
         ++inflight_count_;
         if (!inline_run)
@@ -405,7 +456,8 @@ TranspileService::submit(const QuantumCircuit &circuit,
         // queue.  Dedup above still applied.
         ticket.source_ = TicketSource::kInline;
         run_request(ticket.key_, backend_key, circuit, *backend, options,
-                    promise, deadline, submitted, /*dequeue=*/false);
+                    promise, ticket.qasm_, deadline, submitted,
+                    /*dequeue=*/false);
         return ticket;
     }
 
@@ -415,10 +467,11 @@ TranspileService::submit(const QuantumCircuit &circuit,
     Scheduler::JobHandle handle = scheduler().submit(
         1,
         [this, key = ticket.key_, backend_key, circuit,
-         backend = std::move(backend), options, promise, deadline,
-         submitted](std::size_t, int) {
+         backend = std::move(backend), options, promise, qasm = ticket.qasm_,
+         deadline, submitted](std::size_t, int) {
             run_request(key, backend_key, circuit, *backend, options,
-                        promise, deadline, submitted, /*dequeue=*/true);
+                        promise, qasm, deadline, submitted,
+                        /*dequeue=*/true);
         },
         /*max_slots=*/1, options.priority, deadline);
     {

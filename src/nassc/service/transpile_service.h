@@ -29,7 +29,10 @@
  *    (cache_capacity) and by resident bytes (cache_max_bytes), where an
  *    entry costs its routed circuit's actual byte footprint
  *    (QuantumCircuit::memory_bytes) — a burst of wide circuits cannot
- *    blow the memory budget that a thousand tiny ones fit in.
+ *    blow the memory budget that a thousand tiny ones fit in.  A wire
+ *    request's get_qasm() encodes the routed circuit once and keeps
+ *    the text in the entry, charged to the same budget; in-process
+ *    get() callers never encode and never pay for text.
  *  - Invalidation is EAGER, not just key rotation.  The key already
  *    rotates with Backend::cache_key(), but stale entries used to
  *    linger until LRU eviction; now the service tracks the last seen
@@ -101,6 +104,8 @@ enum class TicketSource {
     kCacheHit,  ///< served complete from the result cache
 };
 
+class TranspileService;
+
 /** Claim check for one submitted request. */
 class TranspileTicket
 {
@@ -114,14 +119,14 @@ class TranspileTicket
 
     TicketSource source() const { return source_; }
 
-    /** Non-blocking completion poll. */
-    bool
-    ready() const
-    {
-        return future_.valid() &&
-               future_.wait_for(std::chrono::seconds(0)) ==
-                   std::future_status::ready;
-    }
+    /**
+     * Block until the request settles or `slice` passes, and never past
+     * a coalesced ticket's deadline.  True once get() will not block:
+     * the result (or error) is in, or the wait budget has passed and
+     * get() throws TranspileDeadlineExceeded.  The ticket must be
+     * valid().
+     */
+    bool wait_for(std::chrono::steady_clock::duration slice) const;
 
     /**
      * Block for the result; rethrows the transpile's exception on
@@ -136,22 +141,31 @@ class TranspileTicket
      */
     SharedTranspileResult get() const;
 
-    /** True when this is a deadline'd coalesced ticket whose wait
-     *  budget has already passed — get() would throw immediately. */
-    bool deadline_expired() const;
-
-    /** Block for the result and serialize the routed circuit as
-     *  OpenQASM 2.0 — the wire-format counterpart of get(). */
+    /**
+     * Block for the result and serialize the routed circuit as
+     * OpenQASM 2.0 — the wire-format counterpart of get().  The text is
+     * encoded at most once per computation: a cache hit, a coalesced
+     * waiter and the owner all share it, and the first caller attaches
+     * it to the result's cache entry, charged against cache_max_bytes.
+     * Call it while the issuing service is alive.
+     */
     std::string get_qasm() const;
 
   private:
     friend class TranspileService;
+
+    /** The OpenQASM text of one computation, shared by its tickets and
+     *  its cache entry (defined in transpile_service.cc). */
+    struct EncodedQasm;
+
     std::string key_;
     TicketSource source_ = TicketSource::kScheduled;
     std::shared_future<SharedTranspileResult> future_;
     /** Wait bound for coalesced tickets; max() = none. */
     std::chrono::steady_clock::time_point deadline_ =
         std::chrono::steady_clock::time_point::max();
+    std::shared_ptr<EncodedQasm> qasm_;
+    TranspileService *service_ = nullptr;
 };
 
 /** Service configuration. */
@@ -164,9 +178,10 @@ struct ServiceOptions
     std::size_t cache_capacity = 256;
     /**
      * Result-cache budget in resident bytes (key + routed-circuit
-     * footprint per entry); LRU entries are evicted until the total
-     * fits.  0 = no byte bound.  An entry larger than the whole budget
-     * is served but never cached.
+     * footprint per entry, plus its OpenQASM text once a get_qasm()
+     * has encoded it); LRU entries are evicted until the total fits.
+     * 0 = no byte bound.  An entry larger than the whole budget is
+     * served but never cached.
      */
     std::size_t cache_max_bytes = 64u << 20;
     /**
@@ -300,6 +315,7 @@ class TranspileService
     DistanceCache &distance_cache() const { return *distances_; }
 
   private:
+    friend class TranspileTicket; // get_qasm() calls charge_qasm()
     using Clock = std::chrono::steady_clock;
 
     /** request_key() with `backend_key` == Backend::cache_key(). */
@@ -307,10 +323,15 @@ class TranspileService
                                    const std::string &backend_key,
                                    const TranspileOptions &options);
 
+    using EncodedQasm = TranspileTicket::EncodedQasm;
+
     struct CacheEntry
     {
         std::string key;
         SharedTranspileResult result;
+        /** Text slot shared with the result's tickets; the text's
+         *  bytes join `bytes` once a get_qasm() encodes it. */
+        std::shared_ptr<EncodedQasm> qasm;
         std::size_t bytes = 0;       ///< cost charged against the budget
         std::string backend_name;    ///< for generation sweeps
         std::string backend_key;     ///< cache_key() at insert time
@@ -322,11 +343,13 @@ class TranspileService
     {
         std::shared_future<SharedTranspileResult> future;
         std::shared_ptr<std::promise<SharedTranspileResult>> promise;
+        std::shared_ptr<EncodedQasm> qasm; ///< shared by coalesced tickets
         Scheduler::JobHandle handle; ///< unbound for inline runs
         std::size_t waiters = 1;     ///< owner + coalesced tickets
     };
 
     /** Run one owned request and settle its promise.  Any thread.
+     *  `qasm` is the computation's text slot, cached with the result;
      *  `backend_key` is backend.cache_key(), hashed once by submit();
      *  `deadline` is the request's absolute budget (max() = none);
      *  `submitted` is when submit() accepted it (queue-wait metric);
@@ -336,15 +359,24 @@ class TranspileService
                      const TranspileOptions &options,
                      const std::shared_ptr<std::promise<SharedTranspileResult>>
                          &promise,
+                     const std::shared_ptr<EncodedQasm> &qasm,
                      Clock::time_point deadline, Clock::time_point submitted,
                      bool dequeue);
 
     /** Insert into the cache, evicting to fit both bounds.  Under mu_.
      *  `backend_key` is the request backend's cache_key(). */
     void cache_insert(const std::string &key, SharedTranspileResult result,
+                      std::shared_ptr<EncodedQasm> qasm,
                       const std::string &backend_name,
                       const std::string &backend_key,
                       const TranspileOptions &options);
+
+    /** Charge `qasm`'s freshly encoded text to the entry that holds it,
+     *  then evict to fit.  No-op if that entry is gone.  Takes mu_. */
+    void charge_qasm(const std::string &key, const EncodedQasm *qasm);
+
+    /** Evict LRU entries until both bounds hold.  Under mu_. */
+    void evict_to_fit();
 
     /** Erase one entry by its LRU iterator.  Under mu_. */
     std::list<CacheEntry>::iterator

@@ -14,13 +14,18 @@
 //      fails the count check below.
 
 #include <cstdint>
+#include <limits>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nassc/circuits/library.h"
 #include "nassc/ir/circuit.h"
 #include "nassc/ir/qasm.h"
+#include "nassc/topo/backends.h"
 #include "nassc/transpile/transpile.h"
 
 namespace nassc {
@@ -269,6 +274,84 @@ TEST(QasmRoundTrip, McxNormalizesToCcx)
     c.ccx(0, 1, 2);
     EXPECT_EQ(round_trip_fp(m), c.fingerprint());
     EXPECT_NE(m.fingerprint(), c.fingerprint());
+}
+
+// The previous to_qasm, two ostringstreams per gate at precision 17,
+// kept as the byte-exact reference for the to_chars serializer: the
+// wire is pinned to these bytes.
+std::string
+ostream_to_qasm(const QuantumCircuit &qc)
+{
+    std::ostringstream os;
+    os << "OPENQASM 2.0;\n";
+    os << "include \"qelib1.inc\";\n";
+    os << "qreg q[" << qc.num_qubits() << "];\n";
+    os << "creg c[" << qc.num_qubits() << "];\n";
+    for (const Gate &g : qc.gates()) {
+        if (g.kind == OpKind::kMeasure) {
+            os << "measure q[" << g.qubits[0] << "] -> c[" << g.qubits[0]
+               << "];\n";
+            continue;
+        }
+        if (g.kind == OpKind::kBarrier) {
+            os << "barrier";
+            for (size_t i = 0; i < g.qubits.size(); ++i)
+                os << (i ? "," : "") << " q[" << g.qubits[i] << "]";
+            os << ";\n";
+            continue;
+        }
+        std::string name = op_name(g.kind);
+        if (g.kind == OpKind::kMCX)
+            name = g.qubits.size() == 3 ? "ccx" : "cx";
+        os << name;
+        if (!g.params.empty()) {
+            os << "(";
+            std::ostringstream ps;
+            ps.precision(17);
+            for (size_t i = 0; i < g.params.size(); ++i)
+                ps << (i ? "," : "") << g.params[i];
+            os << ps.str() << ")";
+        }
+        for (size_t i = 0; i < g.qubits.size(); ++i)
+            os << (i ? "," : "") << " q[" << g.qubits[i] << "]";
+        os << ";\n";
+    }
+    return os.str();
+}
+
+TEST(QasmRoundTrip, ParamsPrintLikeOstreamPrecision17)
+{
+    const double pi = 3.14159265358979323846;
+    const std::vector<double> angles = {
+        pi / 3, 0.1 + 0.2, -0.0, 1e-300, 1e17, -pi / 7, -2.5e-5, 1.0, 0.0,
+        std::numeric_limits<double>::denorm_min(), 1.5e308, -123456789.125};
+    QuantumCircuit c(12);
+    for (std::size_t i = 0; i < angles.size(); ++i) {
+        const int q = static_cast<int>(i);
+        c.rz(angles[i], q);
+        c.u(angles[i], -angles[i], angles[(i + 1) % angles.size()], q);
+    }
+    c.cx(10, 11);
+    c.barrier();
+    c.measure(11);
+    const std::string text = to_qasm(c);
+    EXPECT_EQ(text, ostream_to_qasm(c));
+    EXPECT_NE(text.find("rz(1.0471975511965976) q[0];"), std::string::npos);
+    EXPECT_NE(text.find("rz(0.30000000000000004) q[1];"), std::string::npos);
+    EXPECT_NE(text.find("rz(-0) q[2];"), std::string::npos);
+    EXPECT_NE(text.find("rz(1e-300) q[3];"), std::string::npos);
+    EXPECT_NE(text.find("rz(1e+17) q[4];"), std::string::npos);
+    EXPECT_NE(text.find("rz(-0.44879895051282759) q[5];"), std::string::npos);
+    EXPECT_EQ(round_trip_fp(c), c.fingerprint());
+
+    QuantumCircuit mcx(3); // prints as ccx, like the reference
+    mcx.mcx({0, 1}, 2);
+    EXPECT_EQ(to_qasm(mcx), ostream_to_qasm(mcx));
+
+    // A routed circuit: thousands of transpiler-produced angles.
+    const QuantumCircuit routed =
+        transpile(qft(15), montreal_backend(), TranspileOptions{}).circuit;
+    EXPECT_EQ(to_qasm(routed), ostream_to_qasm(routed));
 }
 
 TEST(OptionsFingerprint, BoolFieldsDoNotAliasAcrossPositions)

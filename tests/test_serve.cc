@@ -832,6 +832,103 @@ TEST(NasscServer, QueueSaturationShedsWithRetryHintAndClientRecovers)
     server.stop();
 }
 
+TEST(NasscServer, ClientHangupCancelsItsQueuedRequest)
+{
+    // Pin the service's only worker so a transpile stays queued, then
+    // let its client close the socket before the answer.  The
+    // connection thread's probe between wait slices must see the
+    // hangup, try_cancel the job, and exit.
+    failpoint::disarm_all();
+    auto sched = std::make_shared<Scheduler>(1);
+    std::atomic<bool> release{false};
+    std::atomic<int> pinned{0};
+    Scheduler::JobHandle hostage = sched->submit(1, [&](std::size_t, int) {
+        pinned.fetch_add(1);
+        while (!release.load())
+            std::this_thread::yield();
+    });
+    ASSERT_TRUE(spin_until([&] { return pinned.load() == 1; }));
+
+    ServerOptions options;
+    options.unix_path = socket_path("hangup");
+    options.service.scheduler = sched;
+    // A second client is served only once the first connection's
+    // thread has exited; until then it is shed.
+    options.max_connections = 1;
+    NasscServer server(options);
+    server.start();
+
+    {
+        ServeClient gone = ServeClient::connect_unix(options.unix_path);
+        ServeRequest req;
+        req.verb = "transpile";
+        req.backend = "ibmq_montreal";
+        req.qasm = to_qasm(ghz(5));
+        write_frame(gone.fd(), encode_request(req));
+        EXPECT_TRUE(
+            spin_until([&] { return server.service().stats().misses == 1; }));
+    } // closes the socket with the request still queued
+
+    // No ASSERT before the release below: a missed hangup would leave
+    // the connection thread waiting on the pinned worker forever.
+    const bool cancelled =
+        spin_until([&] { return server.service().stats().cancelled == 1; });
+    EXPECT_TRUE(cancelled);
+    EXPECT_TRUE(cancelled && spin_until([&] {
+                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                    try {
+                        return ServeClient::connect_unix(options.unix_path)
+                            .ping();
+                    } catch (const std::exception &) {
+                        return false;
+                    }
+                }));
+
+    release = true;
+    hostage.wait();
+    server.stop();
+    const ServiceStats stats = server.service().stats();
+    EXPECT_EQ(stats.cancelled, 1u);
+    EXPECT_EQ(stats.transpiles_ok, 0u); // the cancelled job never ran
+    EXPECT_EQ(stats.inflight, 0u);
+}
+
+TEST(NasscServer, WireHitsServeTheEntrysTextByteForByte)
+{
+    // Miss, then two hits of one key: all three bodies equal to_qasm of
+    // an in-process transpile.  The miss attaches the text to the cache
+    // entry once; the hits add nothing.
+    ServerOptions options;
+    options.unix_path = socket_path("encode_once");
+    NasscServer server(options);
+    server.start();
+    const QuantumCircuit qc = qft(6);
+    const std::string expected = to_qasm(
+        TranspileContext::global().transpile(qc, montreal_backend()).circuit);
+
+    std::size_t entry_bytes = 0; // the same entry before any encode
+    {
+        TranspileService probe;
+        probe.submit(qc, shared_montreal()).get();
+        entry_bytes = probe.stats().cache_bytes;
+    }
+
+    ServeClient client = ServeClient::connect_unix(options.unix_path);
+    const std::vector<std::string> sources = {"transpiled", "cache_hit",
+                                              "cache_hit"};
+    for (const std::string &source : sources) {
+        const ServeResponse resp =
+            client.transpile_qasm(to_qasm(qc), "ibmq_montreal", {});
+        ASSERT_EQ(resp.status, "ok") << resp.error;
+        EXPECT_EQ(resp.source, source);
+        EXPECT_EQ(resp.qasm, expected);
+        const ServiceStats stats = server.service().stats();
+        EXPECT_EQ(stats.cache_size, 1u);
+        EXPECT_EQ(stats.cache_bytes, entry_bytes + expected.size());
+    }
+    server.stop();
+}
+
 TEST(NasscServer, ConnectionCapShedsWithOneOverloadedFrame)
 {
     ServerOptions options;
@@ -1085,6 +1182,182 @@ TEST(TranspileService, SubmitQasmSharesKeysWithObjectSubmits)
     EXPECT_THROW(service.submit_qasm("OPENQASM 2.0;\nnope;\n", backend),
                  std::runtime_error);
     EXPECT_EQ(service.stats().requests, before.requests);
+}
+
+// ------------------------------------------- encode-once cache text
+
+/** to_qasm of an in-process transpile, and the cache cost of its entry
+ *  before any text is attached. */
+struct Reference
+{
+    std::string qasm;
+    std::size_t entry_bytes = 0;
+};
+
+Reference
+reference(const QuantumCircuit &qc, const TranspileOptions &opts = {})
+{
+    ServiceOptions unbounded;
+    unbounded.cache_max_bytes = 0;
+    TranspileService probe(unbounded);
+    Reference ref;
+    ref.qasm =
+        to_qasm(probe.submit(qc, shared_montreal(), opts).get()->circuit);
+    ref.entry_bytes = probe.stats().cache_bytes;
+    return ref;
+}
+
+TEST(TranspileService, GetQasmChargesTheTextToItsEntryOnce)
+{
+    const QuantumCircuit qc = qft(5);
+    const Reference ref = reference(qc);
+    const auto backend = shared_montreal();
+    TranspileService service;
+
+    // In-process miss and hit: nothing is encoded or charged.
+    service.submit(qc, backend).get();
+    TranspileTicket hit = service.submit(qc, backend);
+    hit.get();
+    EXPECT_EQ(hit.source(), TicketSource::kCacheHit);
+    EXPECT_EQ(service.stats().cache_bytes, ref.entry_bytes);
+
+    // First wire hit encodes and attaches; the second reuses the text.
+    TranspileTicket first = service.submit_qasm(to_qasm(qc), backend);
+    EXPECT_EQ(first.get_qasm(), ref.qasm);
+    EXPECT_EQ(service.stats().cache_bytes, ref.entry_bytes + ref.qasm.size());
+    TranspileTicket second = service.submit_qasm(to_qasm(qc), backend);
+    EXPECT_EQ(second.source(), TicketSource::kCacheHit);
+    EXPECT_EQ(second.get_qasm(), ref.qasm);
+    EXPECT_EQ(first.get_qasm(), ref.qasm);
+    EXPECT_EQ(service.stats().cache_bytes, ref.entry_bytes + ref.qasm.size());
+
+    // An in-process hit on the texted entry leaves the bytes alone too.
+    service.submit(qc, backend).get();
+    EXPECT_EQ(service.stats().cache_bytes, ref.entry_bytes + ref.qasm.size());
+
+    service.clear_cache();
+    EXPECT_EQ(service.stats().cache_bytes, 0u);
+    EXPECT_EQ(first.get_qasm(), ref.qasm); // tickets keep their text
+}
+
+TEST(TranspileService, AttachedTextStaysWithinTheByteBudget)
+{
+    const QuantumCircuit a = qft(5), b = ghz(5);
+    const Reference ra = reference(a), rb = reference(b);
+    const auto backend = shared_montreal();
+
+    // Both bare entries fit; A's text does not fit beside B, so
+    // attaching it evicts B (the LRU tail).
+    ServiceOptions opts;
+    opts.cache_max_bytes =
+        ra.entry_bytes + rb.entry_bytes + ra.qasm.size() - 1;
+    TranspileService service(opts);
+    service.submit(b, backend).get();
+    TranspileTicket ta = service.submit(a, backend);
+    ta.get();
+    EXPECT_EQ(service.stats().cache_size, 2u);
+    EXPECT_EQ(ta.get_qasm(), ra.qasm);
+    ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.cache_size, 1u);
+    EXPECT_EQ(stats.cache_bytes, ra.entry_bytes + ra.qasm.size());
+    EXPECT_LE(stats.cache_bytes, opts.cache_max_bytes);
+    EXPECT_EQ(stats.evictions_capacity, 1u);
+
+    // An entry that fits bare but not with its text is evicted by the
+    // attach, and the text is still served.
+    ServiceOptions tight;
+    tight.cache_max_bytes = ra.entry_bytes + ra.qasm.size() / 2;
+    TranspileService small(tight);
+    TranspileTicket t = small.submit_qasm(to_qasm(a), backend);
+    t.get();
+    EXPECT_EQ(small.stats().cache_size, 1u);
+    EXPECT_EQ(t.get_qasm(), ra.qasm);
+    stats = small.stats();
+    EXPECT_EQ(stats.cache_size, 0u);
+    EXPECT_EQ(stats.cache_bytes, 0u);
+    EXPECT_EQ(stats.evictions_capacity, 1u);
+}
+
+TEST(TranspileService, InvalidationAndTtlDropTheTextWithItsEntry)
+{
+    const QuantumCircuit qc = qft(5);
+    const Reference ref = reference(qc);
+    const auto backend = shared_montreal();
+    TranspileService service;
+
+    EXPECT_EQ(service.submit_qasm(to_qasm(qc), backend).get_qasm(), ref.qasm);
+    EXPECT_EQ(service.stats().cache_bytes, ref.entry_bytes + ref.qasm.size());
+    EXPECT_EQ(service.invalidate_backend("ibmq_montreal"), 1u);
+    EXPECT_EQ(service.stats().cache_bytes, 0u);
+    // The recompute starts bare and encodes afresh, to the same bytes.
+    TranspileTicket again = service.submit_qasm(to_qasm(qc), backend);
+    again.get();
+    EXPECT_EQ(again.source(), TicketSource::kScheduled);
+    EXPECT_EQ(service.stats().cache_bytes, ref.entry_bytes);
+    EXPECT_EQ(again.get_qasm(), ref.qasm);
+    EXPECT_EQ(service.stats().cache_bytes, ref.entry_bytes + ref.qasm.size());
+
+    // A hit ticket whose entry is dropped before it encodes charges
+    // nothing: the text lives only as long as the ticket.
+    TranspileTicket orphan = service.submit_qasm(to_qasm(qc), backend);
+    EXPECT_EQ(orphan.source(), TicketSource::kCacheHit);
+    service.clear_cache();
+    EXPECT_EQ(orphan.get_qasm(), ref.qasm);
+    EXPECT_EQ(service.stats().cache_bytes, 0u);
+
+    // TTL expiry, on the sweep and on the lazy lookup.
+    TranspileOptions ttl;
+    ttl.cache_ttl_seconds = 0.05;
+    TranspileService timed;
+    EXPECT_EQ(timed.submit_qasm(to_qasm(qc), backend, ttl).get_qasm(),
+              ref.qasm);
+    EXPECT_EQ(timed.stats().cache_bytes, ref.entry_bytes + ref.qasm.size());
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    EXPECT_EQ(timed.purge_expired(), 1u);
+    EXPECT_EQ(timed.stats().cache_bytes, 0u);
+
+    EXPECT_EQ(timed.submit_qasm(to_qasm(qc), backend, ttl).get_qasm(),
+              ref.qasm);
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    TranspileTicket lazy = timed.submit_qasm(to_qasm(qc), backend, ttl);
+    lazy.get();
+    EXPECT_EQ(lazy.source(), TicketSource::kScheduled);
+    EXPECT_EQ(timed.stats().cache_bytes, ref.entry_bytes);
+    EXPECT_EQ(timed.stats().evictions_invalidated, 2u);
+}
+
+TEST(TranspileService, CoalescedWaitersShareOneEncode)
+{
+    // Owner and coalesced waiter of one queued computation both read
+    // the text; it is charged to the entry once.
+    const QuantumCircuit qc = qft(5);
+    const Reference ref = reference(qc);
+    ServiceOptions sopts;
+    sopts.scheduler = std::make_shared<Scheduler>(1);
+    TranspileService service(sopts);
+    std::atomic<bool> release{false};
+    std::atomic<bool> pinned{false};
+    Scheduler::JobHandle plug =
+        sopts.scheduler->submit(1, [&](std::size_t, int) {
+            pinned = true;
+            while (!release.load())
+                std::this_thread::yield();
+        });
+    ASSERT_TRUE(spin_until([&] { return pinned.load(); }));
+
+    const auto backend = shared_montreal();
+    TranspileTicket owner = service.submit_qasm(to_qasm(qc), backend);
+    TranspileTicket joined = service.submit_qasm(to_qasm(qc), backend);
+    ASSERT_EQ(joined.source(), TicketSource::kCoalesced);
+    std::string owner_text, joined_text;
+    std::thread reader([&] { joined_text = joined.get_qasm(); });
+    release = true;
+    plug.wait();
+    owner_text = owner.get_qasm();
+    reader.join();
+    EXPECT_EQ(owner_text, ref.qasm);
+    EXPECT_EQ(joined_text, ref.qasm);
+    EXPECT_EQ(service.stats().cache_bytes, ref.entry_bytes + ref.qasm.size());
 }
 
 TEST(TranspileService, TryCancelAbandonsQueuedRequests)

@@ -444,7 +444,9 @@ TEST(TranspileService, CoalescedWaiterDeadlineIsPerWaiter)
     ASSERT_EQ(b.source(), TicketSource::kCoalesced);
 
     EXPECT_THROW(b.get(), TranspileDeadlineExceeded);
-    EXPECT_TRUE(b.deadline_expired());
+    // B's bounded wait ends at its deadline; A's keeps waiting.
+    EXPECT_TRUE(b.wait_for(std::chrono::seconds(10)));
+    EXPECT_FALSE(a.wait_for(std::chrono::milliseconds(1)));
 
     release = true;
     plug.wait();
