@@ -18,6 +18,7 @@
 #include "nassc/passes/decompose_swaps.h"
 #include "nassc/route/router.h"
 #include "nassc/route/sabre.h"
+#include "nassc/service/transpile_service.h"
 #include "nassc/synth/kak2q.h"
 #include "nassc/transpile/context.h"
 
@@ -174,6 +175,48 @@ BM_ToQasmRoutedQft15(benchmark::State &state)
     state.counters["bytes"] = static_cast<double>(bytes);
 }
 BENCHMARK(BM_ToQasmRoutedQft15)->Unit(benchmark::kMicrosecond);
+
+// OpenQASM parse of the logical qft_n15 text (4,103 bytes): what every
+// wire request pays before its cache probe.
+void
+BM_FromQasmQft15(benchmark::State &state)
+{
+    const std::string text = to_qasm(qft(15));
+    std::size_t gates = 0;
+    for (auto _ : state) {
+        QuantumCircuit qc = from_qasm(text);
+        gates = qc.size();
+        benchmark::DoNotOptimize(qc);
+    }
+    state.counters["gates"] = static_cast<double>(gates);
+    state.counters["bytes"] = static_cast<double>(text.size());
+    state.counters["ns_per_gate"] = benchmark::Counter(
+        static_cast<double>(gates),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FromQasmQft15)->Unit(benchmark::kMicrosecond);
+
+// An in-process cache hit on the 4,243-qubit heavy-hex device: the
+// request costs O(circuit), the backend key is not re-hashed.
+void
+BM_ServiceHitHeavyHex(benchmark::State &state)
+{
+    TranspileService service;
+    const auto backend =
+        std::make_shared<const Backend>(heavy_hex_backend(41));
+    const QuantumCircuit qc = ghz(5);
+    service.submit(qc, backend).get();
+    for (auto _ : state) {
+        TranspileTicket t = service.submit(qc, backend);
+        if (t.source() != TicketSource::kCacheHit) {
+            state.SkipWithError("not a cache hit");
+            break;
+        }
+        benchmark::DoNotOptimize(t.get());
+    }
+}
+BENCHMARK(BM_ServiceHitHeavyHex)->Unit(benchmark::kMicrosecond);
 
 // ---- router hot kernels -----------------------------------------------------
 //

@@ -1,6 +1,10 @@
 #include "nassc/ir/op_kind.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <string_view>
+#include <utility>
 
 namespace nassc {
 
@@ -46,25 +50,50 @@ op_name(OpKind k)
     return "?";
 }
 
-std::optional<OpKind>
-op_from_name(const std::string &name)
+namespace {
+
+/** A name of at most 7 characters as one integer: its bytes, then its
+ *  length in the top byte.  Every mnemonic fits; longer names map to 0,
+ *  as does the empty name, which no mnemonic is. */
+std::uint64_t
+pack_name(std::string_view name)
 {
-    static const std::unordered_map<std::string, OpKind> table = [] {
-        std::unordered_map<std::string, OpKind> t;
-        for (int i = 0; i <= static_cast<int>(OpKind::kMeasure); ++i) {
-            OpKind k = static_cast<OpKind>(i);
-            t[op_name(k)] = k;
+    if (name.size() > 7)
+        return 0;
+    std::uint64_t v = 0;
+    std::memcpy(&v, name.data(), name.size());
+    return v | static_cast<std::uint64_t>(name.size()) << 56;
+}
+
+} // namespace
+
+std::optional<OpKind>
+op_from_name(std::string_view name)
+{
+    // A binary search over packed names: a lookup neither copies nor
+    // hashes the name.
+    using Entry = std::pair<std::uint64_t, OpKind>;
+    constexpr int kKinds = static_cast<int>(OpKind::kMeasure) + 1;
+    static const auto table = [] {
+        std::array<Entry, kKinds + 5> t;
+        for (int i = 0; i < kKinds; ++i) {
+            const OpKind k = static_cast<OpKind>(i);
+            t[i] = {pack_name(op_name(k)), k};
         }
         // Common aliases.
-        t["u3"] = OpKind::kU;
-        t["u1"] = OpKind::kP;
-        t["cnot"] = OpKind::kCX;
-        t["toffoli"] = OpKind::kCCX;
-        t["cphase"] = OpKind::kCP;
+        t[kKinds + 0] = {pack_name("u3"), OpKind::kU};
+        t[kKinds + 1] = {pack_name("u1"), OpKind::kP};
+        t[kKinds + 2] = {pack_name("cnot"), OpKind::kCX};
+        t[kKinds + 3] = {pack_name("toffoli"), OpKind::kCCX};
+        t[kKinds + 4] = {pack_name("cphase"), OpKind::kCP};
+        std::sort(t.begin(), t.end());
         return t;
     }();
-    auto it = table.find(name);
-    if (it == table.end())
+    const std::uint64_t key = pack_name(name);
+    const auto it = std::lower_bound(
+        table.begin(), table.end(), key,
+        [](const Entry &e, std::uint64_t k) { return e.first < k; });
+    if (key == 0 || it == table.end() || it->first != key)
         return std::nullopt;
     return it->second;
 }

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace nassc {
 
@@ -58,7 +59,7 @@ enum class OpKind : uint8_t {
 const char *op_name(OpKind k);
 
 /** Inverse lookup of op_name; nullopt for unknown names. */
-std::optional<OpKind> op_from_name(const std::string &name);
+std::optional<OpKind> op_from_name(std::string_view name);
 
 /**
  * Number of qubit operands of a kind, or -1 when variable (kMCX,

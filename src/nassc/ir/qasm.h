@@ -22,8 +22,14 @@ namespace nassc {
 std::string to_qasm(const QuantumCircuit &qc);
 
 /**
- * Parse OpenQASM 2.0 text into a circuit.
- * @throws std::runtime_error with a line-numbered message on bad input.
+ * Parse OpenQASM 2.0 text into a circuit, in one pass over the text
+ * with no per-statement allocation.  Characters are classified as in
+ * the "C" locale.  Rejected as malformed: an operand followed by more
+ * text (`h q[0] q[0];`), a redeclared qreg, an index or size that is
+ * not a whole in-range integer, and a u2 on more than one qubit.
+ * @throws std::runtime_error naming the offending statement on bad
+ *         input; std::invalid_argument (from Gate) on a wrong operand
+ *         or parameter count or a repeated operand.
  */
 QuantumCircuit from_qasm(const std::string &text);
 

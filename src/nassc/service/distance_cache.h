@@ -109,7 +109,9 @@ class DistanceCache
                                     const DistanceRequest &request = {});
 
     /** provider() for a caller that already holds
-     *  `backend_key` == backend.cache_key(), which is O(device) to hash. */
+     *  `backend_key` == backend.cache_key(), which is O(device) to hash;
+     *  TranspileService hashes each backend object once and passes its
+     *  key to every request on it. */
     SharedDistanceProvider provider(const Backend &backend,
                                     const DistanceRequest &request,
                                     const std::string &backend_key);

@@ -178,19 +178,47 @@ TranspileService::cache_erase(std::list<CacheEntry>::iterator it)
     return lru_.erase(it);
 }
 
-std::size_t
-TranspileService::note_backend_generation(const std::string &backend_name,
-                                          const std::string &backend_key)
+std::string
+TranspileService::memoized_backend_key(
+    const std::shared_ptr<const Backend> &backend) const
 {
-    auto inserted = generation_.try_emplace(backend_name, backend_key);
-    if (inserted.second || inserted.first->second == backend_key)
+    // Matching the raw address alone is not enough: a destroyed
+    // object's address can be reused by its replacement.  lock() only
+    // yields the recorded object while it lives.
+    std::shared_ptr<const Backend> source;
+    std::string key;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        auto it = generation_.find(backend->name);
+        if (it == generation_.end())
+            return key;
+        source = it->second.source.lock();
+        if (source == backend)
+            key = it->second.key;
+    }
+    // `source` is released here, outside mu_: should it be the last
+    // owner, the O(device) destructor must not run under the lock.
+    return key;
+}
+
+std::size_t
+TranspileService::note_backend_generation(
+    const std::shared_ptr<const Backend> &backend,
+    const std::string &backend_key)
+{
+    auto inserted = generation_.try_emplace(backend->name);
+    BackendGeneration &gen = inserted.first->second;
+    const bool rotated = !inserted.second && gen.key != backend_key;
+    if (inserted.second || rotated)
+        gen.key = backend_key;
+    gen.source = backend;
+    if (!rotated)
         return 0;
     // First contact with a rotated calibration: drop the stale
     // generation NOW instead of letting it ride the LRU tail.
-    inserted.first->second = backend_key;
     std::size_t dropped = 0;
     for (auto it = lru_.begin(); it != lru_.end();) {
-        if (it->backend_name == backend_name &&
+        if (it->backend_name == backend->name &&
             it->backend_key != backend_key) {
             it = cache_erase(it);
             ++stats_.evictions_invalidated;
@@ -223,7 +251,7 @@ TranspileService::cache_insert(const std::string &key,
         // A result computed against a generation that rotated while it
         // was in flight is stale on arrival: never insert it.
         auto gen = generation_.find(backend_name);
-        if (gen != generation_.end() && gen->second != backend_key) {
+        if (gen != generation_.end() && gen->second.key != backend_key) {
             ++stats_.evictions_invalidated;
             return;
         }
@@ -363,9 +391,13 @@ TranspileService::submit(const QuantumCircuit &circuit,
         throw std::invalid_argument("submit: null backend");
 
     // The backend's key hashes its whole coupling map and calibration,
-    // O(device) on a large backend: compute it once per request and
-    // pass it down to every consumer.
-    const std::string backend_key = backend->cache_key();
+    // O(device) on a large backend.  Each object is hashed once: its
+    // name's generation record keeps the key, and a request with any
+    // other object (a rotation, or an equal copy) hashes here, outside
+    // mu_, then records the result below.
+    std::string backend_key = memoized_backend_key(backend);
+    if (backend_key.empty())
+        backend_key = backend->cache_key();
     TranspileTicket ticket;
     ticket.key_ = request_key(circuit, backend_key, options);
     ticket.service_ = this;
@@ -387,7 +419,7 @@ TranspileService::submit(const QuantumCircuit &circuit,
         // probe, coalesce probe, shed check, in-flight filing.
         obs::TraceSpan admission("admission", &om.admission_us);
         ++stats_.requests;
-        note_backend_generation(backend->name, backend_key);
+        note_backend_generation(backend, backend_key);
 
         auto hit = cache_.find(ticket.key_);
         if (hit != cache_.end() && Clock::now() >= hit->second->expiry) {
@@ -542,6 +574,11 @@ std::size_t
 TranspileService::invalidate_backend(const std::string &backend_name)
 {
     std::lock_guard<std::mutex> lk(mu_);
+    // Forget which object the key was hashed from: the next request
+    // hashes its backend afresh.
+    auto gen = generation_.find(backend_name);
+    if (gen != generation_.end())
+        gen->second.source.reset();
     std::size_t dropped = 0;
     for (auto it = lru_.begin(); it != lru_.end();) {
         if (it->backend_name == backend_name) {

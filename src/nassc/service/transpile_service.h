@@ -43,6 +43,15 @@
  *    default_ttl_seconds) and expire lazily on lookup or via
  *    purge_expired().  Capacity and invalidation evictions are counted
  *    separately in ServiceStats.
+ *  - A hit costs O(request), not O(device).  cache_key() hashes the
+ *    whole device, so the per-name generation record also keeps a
+ *    weak_ptr to the object its key was hashed from, and a request
+ *    with that same live object reuses the key.  Any other object is
+ *    hashed outside the service lock.  Identity stays structural:
+ *    equal-content objects share entries, and a new object under the
+ *    name is a rotation.  A Backend must not change while a service
+ *    holds it; invalidate_backend() also forgets which object the
+ *    key came from.
  *  - transpile() is deterministic per key (seeds live in the options,
  *    which are part of the key), so a hit is BIT-IDENTICAL to a fresh
  *    run — only the timing fields (seconds/layout_seconds) still
@@ -286,8 +295,9 @@ class TranspileService
     /**
      * Drop every cached entry whose backend NAME matches — the explicit
      * form of the rotation sweep that submit() performs automatically
-     * when it first sees a backend name under a new cache_key().
-     * Returns the number of entries dropped (counted as invalidation
+     * when it first sees a backend name under a new cache_key().  The
+     * next request on that name hashes its backend afresh.  Returns
+     * the number of entries dropped (counted as invalidation
      * evictions).
      */
     std::size_t invalidate_backend(const std::string &backend_name);
@@ -350,7 +360,8 @@ class TranspileService
 
     /** Run one owned request and settle its promise.  Any thread.
      *  `qasm` is the computation's text slot, cached with the result;
-     *  `backend_key` is backend.cache_key(), hashed once by submit();
+     *  `backend_key` is backend.cache_key(), hashed once per backend
+     *  object by submit();
      *  `deadline` is the request's absolute budget (max() = none);
      *  `submitted` is when submit() accepted it (queue-wait metric);
      *  `dequeue` says whether this request was counted in queued_. */
@@ -382,12 +393,20 @@ class TranspileService
     std::list<CacheEntry>::iterator
     cache_erase(std::list<CacheEntry>::iterator it);
 
-    /** Record that `backend_name` is now at generation `backend_key`
-     *  (its cache_key()); if the name was last seen under a DIFFERENT
-     *  key, sweep that stale generation.  Under mu_.  Returns entries
+    /** `backend`'s cache_key() if its name's generation record was
+     *  hashed from this very object, which must still be alive; empty
+     *  otherwise.  Takes mu_. */
+    std::string memoized_backend_key(
+        const std::shared_ptr<const Backend> &backend) const;
+
+    /** Record that `backend`'s name is now at generation `backend_key`
+     *  (its cache_key()), with `backend` as the object the key was
+     *  hashed from; if the name was last seen under a DIFFERENT key,
+     *  sweep that stale generation.  Under mu_.  Returns entries
      *  dropped. */
-    std::size_t note_backend_generation(const std::string &backend_name,
-                                        const std::string &backend_key);
+    std::size_t
+    note_backend_generation(const std::shared_ptr<const Backend> &backend,
+                            const std::string &backend_key);
 
     /** TTL deadline for an entry inserted now under `options`. */
     Clock::time_point entry_expiry(const TranspileOptions &options) const;
@@ -406,8 +425,17 @@ class TranspileService
     std::list<CacheEntry> lru_;
     std::unordered_map<std::string, std::list<CacheEntry>::iterator> cache_;
     std::size_t cache_bytes_ = 0;
-    /** Last cache_key() seen per backend name (generation tracking). */
-    std::unordered_map<std::string, std::string> generation_;
+    /** One backend name's current generation. */
+    struct BackendGeneration
+    {
+        std::string key; ///< last cache_key() seen under the name
+        /** The object `key` was hashed from: submit() reuses `key` for
+         *  it while it lives, instead of hashing O(device) again.
+         *  Empty after invalidate_backend(). */
+        std::weak_ptr<const Backend> source;
+    };
+    /** Generation tracking and the per-object key memo, by name. */
+    std::unordered_map<std::string, BackendGeneration> generation_;
     ServiceStats stats_;
 };
 

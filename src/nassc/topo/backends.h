@@ -46,6 +46,13 @@ struct Backend
      * Stable identity for caching derived per-backend data (distance
      * matrices, layouts): name plus fingerprints of the topology and
      * calibration, so editing either produces a distinct key.
+     *
+     * Hashing is O(device): every edge and calibration entry.  A
+     * TranspileService therefore hashes each Backend object once and
+     * reuses the key for as long as that object lives, so a Backend
+     * must not be modified while a service holds it.  To rotate a
+     * calibration, pass a new object under the same name (as
+     * NasscServer::register_backend does).
      */
     std::string cache_key() const;
 };

@@ -185,7 +185,7 @@ TranspileResult transpile(const QuantumCircuit &qc, const Backend &backend,
 
 /** As above, for a caller that already holds `backend_key` ==
  *  backend.cache_key(), which is O(device) to hash (the service hashes
- *  each request's backend once and passes the key down). */
+ *  each backend object once and passes its key down). */
 TranspileResult transpile(const QuantumCircuit &qc, const Backend &backend,
                           const TranspileOptions &opts, DistanceCache &cache,
                           const std::string &backend_key);

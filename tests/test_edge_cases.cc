@@ -106,6 +106,36 @@ TEST(EdgeCases, QasmWholeRegisterOperandUnsupported)
     EXPECT_THROW(from_qasm("qreg q[2]; h q;"), std::runtime_error);
 }
 
+TEST(EdgeCases, QasmBadIndexOrSizeNamesTheStatement)
+{
+    // Non-numeric or overflowing indices and sizes used to escape as a
+    // bare std::invalid_argument("stoi") or std::out_of_range, and a
+    // negative size as a register that shrank the next one's offset.
+    const std::pair<const char *, const char *> cases[] = {
+        {"qreg q[2]; h q[x];", "h q[x]"},
+        {"qreg q[2]; h q[1x];", "h q[1x]"},
+        {"qreg q[2]; h q[99999999999];", "h q[99999999999]"},
+        {"qreg q[2]; cx q[0], q[];", "cx q[0], q[]"},
+        {"qreg q[x];", "qreg q[x]"},
+        {"qreg q[99999999999];", "qreg q[99999999999]"},
+        {"qreg q[-1]; qreg r[3];", "qreg q[-1]"},
+        {"qreg q[2147483647]; qreg r[1];", "qreg r[1]"},
+    };
+    for (const auto &[text, stmt] : cases) {
+        try {
+            from_qasm(text);
+            ADD_FAILURE() << text << " parsed";
+        } catch (const std::runtime_error &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(std::string("'") + stmt + "'"),
+                      std::string::npos)
+                << what;
+        }
+    }
+    // Blanks and a sign around the digits are still an index.
+    EXPECT_EQ(from_qasm("qreg q[ 3 ]; h q[ +2 ];").gate(0).qubits[0], 2);
+}
+
 TEST(EdgeCases, QasmEmptyInputGivesEmptyCircuit)
 {
     QuantumCircuit qc = from_qasm("OPENQASM 2.0;\n");

@@ -351,6 +351,43 @@ TEST(Qasm, RejectsMalformedNumbers)
     }
 }
 
+/** The std::runtime_error that from_qasm(text) throws; fails the test
+ *  when the text parses. */
+std::string
+qasm_error(const std::string &text)
+{
+    try {
+        from_qasm(text);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "parsed: " << text;
+    return {};
+}
+
+TEST(Qasm, RejectsTrailingOperandNamingTheStatement)
+{
+    // Each used to drop what follows the first operand's ']' (or, for
+    // u2, every operand after the first) and parse as a one-qubit gate
+    // or a truncated one.
+    for (const char *stmt :
+         {"h q[0] q[0]", "cx q[0], q[1] q[0]", "measure q[0] q[1] -> c[0]",
+          "barrier q[0] x", "u2(0, 0) q[0], q[1]"}) {
+        const std::string what =
+            qasm_error(std::string("qreg q[2]; ") + stmt + ";");
+        EXPECT_NE(what.find(stmt), std::string::npos) << what;
+    }
+}
+
+TEST(Qasm, RejectsRedeclaredRegister)
+{
+    // Used to shift the offsets silently: q[2] became the third of five
+    // qubits.
+    const std::string what = qasm_error("qreg q[2]; qreg q[3]; h q[2];");
+    EXPECT_NE(what.find("'q' redeclared"), std::string::npos) << what;
+    EXPECT_NE(what.find("'qreg q[3]'"), std::string::npos) << what;
+}
+
 TEST(Qasm, IgnoresComments)
 {
     QuantumCircuit qc = from_qasm(

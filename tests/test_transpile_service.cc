@@ -10,7 +10,11 @@
 //      its hit/miss/eviction/coalesce stats add up;
 //  (d) failures propagate to every waiter and are never cached;
 //  (e) concurrent mixed-workload clients: every key transpiles exactly
-//      once, every client sees the right result.
+//      once, every client sees the right result;
+//  (f) the per-object backend key memo: a live object is hashed once,
+//      equal-content objects share entries, a rotated object is never
+//      mistaken for the destroyed one whose address it reuses, and
+//      invalidate_backend() makes the next request hash afresh.
 
 #include <atomic>
 #include <chrono>
@@ -543,6 +547,128 @@ TEST(TranspileService, CacheInsertFailpointSuppressesAdmission)
     EXPECT_EQ(warm.source(), TicketSource::kCacheHit);
     warm.get();
     EXPECT_EQ(service.stats().cache_size, 1u);
+}
+
+// ---- (f) backend key memo ---------------------------------------------------
+
+TEST(TranspileServiceBackendMemo, SameObjectTwiceIsAHit)
+{
+    TranspileService service;
+    auto backend = std::make_shared<const Backend>(montreal_backend());
+    TranspileTicket first = service.submit(ghz(4), backend);
+    first.get();
+    TranspileTicket second = service.submit(ghz(4), backend);
+    second.get();
+    EXPECT_EQ(first.source(), TicketSource::kScheduled);
+    EXPECT_EQ(second.source(), TicketSource::kCacheHit);
+    EXPECT_EQ(second.key(), first.key());
+    EXPECT_EQ(second.key(),
+              TranspileService::request_key(ghz(4), *backend, {}));
+}
+
+TEST(TranspileServiceBackendMemo, EqualContentObjectsShareEntries)
+{
+    TranspileService service;
+    auto a = std::make_shared<const Backend>(montreal_backend());
+    auto b = std::make_shared<const Backend>(montreal_backend());
+    ASSERT_NE(a.get(), b.get());
+    service.submit(ghz(4), a).get();
+    for (int round = 0; round < 4; ++round) {
+        for (const auto &backend : {b, a}) {
+            TranspileTicket t = service.submit(ghz(4), backend);
+            t.get();
+            EXPECT_EQ(t.source(), TicketSource::kCacheHit) << round;
+        }
+    }
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.transpiles_ok, 1u);
+    EXPECT_EQ(stats.cache_hits, 8u);
+    EXPECT_EQ(stats.evictions_invalidated, 0u);
+}
+
+TEST(TranspileServiceBackendMemo, RotationAtAReusedAddressIsAMiss)
+{
+    // Every backend of this test lives in the same storage, so each
+    // rotated B sits exactly where the destroyed A did: a memo keyed on
+    // the address alone would hand B the key of A and serve A's entry.
+    alignas(Backend) static unsigned char slot[sizeof(Backend)];
+    std::atomic<bool> destroyed{true};
+    auto place = [&](bool rotated) {
+        Backend dev = linear_backend(4);
+        if (rotated)
+            dev.calibration.error_1q[0] *= 2.0; // same name, new key
+        EXPECT_TRUE(destroyed.exchange(false));
+        return std::shared_ptr<const Backend>(
+            new (slot) Backend(std::move(dev)), [&](const Backend *p) {
+                p->~Backend();
+                destroyed = true;
+            });
+    };
+    // Drop the last reference and wait out the worker's copy, so the
+    // next place() never constructs over a live object.
+    auto destroy = [&](std::shared_ptr<const Backend> &backend) {
+        backend.reset();
+        ASSERT_TRUE(spin_until([&] { return destroyed.load(); }));
+    };
+
+    ServiceOptions sopts;
+    sopts.scheduler = std::make_shared<Scheduler>(1);
+    TranspileService service(sopts);
+    TranspileOptions opts;
+    opts.router = RoutingAlgorithm::kSabre;
+    const QuantumCircuit qc = ghz(3);
+    for (int round = 0; round < 100; ++round) {
+        std::shared_ptr<const Backend> a = place(false);
+        service.submit(qc, a, opts).get();
+        destroy(a);
+
+        const std::uint64_t invalidated =
+            service.stats().evictions_invalidated;
+        std::shared_ptr<const Backend> b = place(true);
+        ASSERT_EQ(static_cast<const void *>(b.get()), slot);
+        TranspileTicket t = service.submit(qc, b, opts);
+        t.get();
+        EXPECT_EQ(t.source(), TicketSource::kScheduled) << round;
+        EXPECT_EQ(t.key(), TranspileService::request_key(qc, *b, opts));
+        EXPECT_EQ(service.stats().evictions_invalidated, invalidated + 1)
+            << round;
+        destroy(b);
+    }
+    EXPECT_EQ(service.stats().cache_hits, 0u);
+    EXPECT_EQ(service.stats().transpiles_ok, 200u);
+}
+
+TEST(TranspileServiceBackendMemo, InvalidateBackendMakesTheNextRequestHash)
+{
+    TranspileService service;
+    auto backend = std::make_shared<Backend>(montreal_backend());
+    const std::shared_ptr<const Backend> shared = backend;
+    const TranspileTicket first = service.submit(ghz(4), shared);
+    first.get();
+
+    EXPECT_EQ(service.invalidate_backend("ibmq_montreal"), 1u);
+    TranspileTicket again = service.submit(ghz(4), shared);
+    again.get();
+    EXPECT_EQ(again.source(), TicketSource::kScheduled);
+    EXPECT_EQ(again.key(), first.key());
+    EXPECT_EQ(service.stats().transpiles_ok, 2u);
+
+    // Editing a backend a service holds breaks its contract: the key
+    // is hashed once per object, so the edit goes unseen...
+    backend->calibration.error_1q[0] *= 2.0;
+    TranspileTicket stale = service.submit(ghz(4), shared);
+    stale.get();
+    EXPECT_EQ(stale.key(), first.key());
+    EXPECT_EQ(stale.source(), TicketSource::kCacheHit);
+    // ...until invalidate_backend() forgets which object the key came
+    // from, and the next request hashes the edited content.
+    service.invalidate_backend("ibmq_montreal");
+    TranspileTicket fresh = service.submit(ghz(4), shared);
+    fresh.get();
+    EXPECT_EQ(fresh.source(), TicketSource::kScheduled);
+    EXPECT_NE(fresh.key(), first.key());
+    EXPECT_EQ(fresh.key(),
+              TranspileService::request_key(ghz(4), *backend, {}));
 }
 
 } // namespace
