@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the compiler's hot kernels:
 // KAK decomposition, two-qubit synthesis, CNOT-cost classification,
-// commutation checks, block consolidation, the router's per-decision
-// kernels, and full routing passes.
+// commutation checks, block consolidation, commutative cancellation,
+// basis translation, the router's per-decision kernels, and full
+// routing passes.
 
 #include <random>
 
@@ -13,6 +14,7 @@
 #include "nassc/obs/trace.h"
 #include "nassc/math/weyl.h"
 #include "nassc/passes/basis_translation.h"
+#include "nassc/passes/cancellation.h"
 #include "nassc/passes/collect_blocks.h"
 #include "nassc/passes/commutation.h"
 #include "nassc/passes/decompose_swaps.h"
@@ -112,13 +114,10 @@ BM_GatesCommuteExact(benchmark::State &state)
 }
 BENCHMARK(BM_GatesCommuteExact);
 
-// One optimization-loop consolidation of a routed, basis-translated
-// qft_n15 (montreal, NASSC).  Arg 0 gives every iteration a fresh
-// SynthMemo, so each distinct block is synthesized (the miss cost);
-// Arg 1 reuses one warmed memo, so every block is a hit.  Both include
-// copying the input circuit.
-void
-BM_ConsolidateOptLoop(benchmark::State &state)
+/** qft_n15 routed on montreal by NASSC, SWAPs decomposed and
+ *  translated to {rz, sx, x, cx}: what enters the optimization loop. */
+QuantumCircuit
+routed_basis_qft15()
 {
     Backend dev = montreal_backend();
     QuantumCircuit logical = decompose_to_2q(qft(15));
@@ -129,7 +128,17 @@ BM_ConsolidateOptLoop(benchmark::State &state)
     QuantumCircuit phys =
         route_circuit(logical, dev.coupling, dist, init, opts).circuit;
     decompose_swaps(phys, /*orientation_aware=*/true);
-    phys = translate_to_basis(phys);
+    return translate_to_basis(phys);
+}
+
+// One optimization-loop consolidation of the routed qft_n15 above.
+// Arg 0 gives every iteration a fresh SynthMemo, so each distinct block
+// is synthesized (the miss cost); Arg 1 reuses one warmed memo, so every
+// block is a hit.  Both include copying the input circuit.
+void
+BM_ConsolidateOptLoop(benchmark::State &state)
+{
+    const QuantumCircuit phys = routed_basis_qft15();
 
     const bool warm = state.range(0) != 0;
     SynthMemo memo;
@@ -155,6 +164,39 @@ BENCHMARK(BM_ConsolidateOptLoop)
     ->Arg(0)
     ->Arg(1) // 0 = fresh memo, 1 = warmed memo
     ->Unit(benchmark::kMicrosecond);
+
+// One optimization-loop cancellation (to its fixpoint) of the routed
+// qft_n15, including copying the input circuit.
+void
+BM_CancellationFixpointRoutedQft15(benchmark::State &state)
+{
+    const QuantumCircuit phys = routed_basis_qft15();
+    int removed = 0;
+    for (auto _ : state) {
+        QuantumCircuit qc = phys;
+        removed = run_commutative_cancellation_to_fixpoint(qc);
+        benchmark::DoNotOptimize(qc);
+    }
+    state.counters["gates"] = static_cast<double>(phys.size());
+    state.counters["removed"] = removed;
+}
+BENCHMARK(BM_CancellationFixpointRoutedQft15)
+    ->Unit(benchmark::kMicrosecond);
+
+// Basis translation of the routed qft_n15: every 1q gate is
+// re-synthesized in place, CX, measure and barrier pass through.  The
+// pass reads its input, so no copy is timed.
+void
+BM_TranslateToBasisRoutedQft15(benchmark::State &state)
+{
+    const QuantumCircuit phys = routed_basis_qft15();
+    for (auto _ : state) {
+        QuantumCircuit out = translate_to_basis(phys);
+        benchmark::DoNotOptimize(out);
+    }
+    state.counters["gates"] = static_cast<double>(phys.size());
+}
+BENCHMARK(BM_TranslateToBasisRoutedQft15)->Unit(benchmark::kMicrosecond);
 
 // OpenQASM encode of a transpiled qft_n15 (montreal, NASSC): the text
 // a wire response carries, and what a cache entry keeps once encoded.

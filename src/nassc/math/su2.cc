@@ -56,4 +56,15 @@ distance_from_identity(const Mat2 &u)
     return d < 0.0 ? 0.0 : d;
 }
 
+double
+norm_angle(double a)
+{
+    a = std::fmod(a, 2.0 * M_PI);
+    if (a <= -M_PI)
+        a += 2.0 * M_PI;
+    if (a > M_PI)
+        a -= 2.0 * M_PI;
+    return a;
+}
+
 } // namespace nassc

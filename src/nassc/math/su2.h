@@ -34,6 +34,9 @@ Mat2 from_euler_zyz(const EulerZyz &e);
  */
 double distance_from_identity(const Mat2 &u);
 
+/** Normalize an angle into (-pi, pi]. */
+double norm_angle(double a);
+
 } // namespace nassc
 
 #endif // NASSC_MATH_SU2_H

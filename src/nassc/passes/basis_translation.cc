@@ -61,19 +61,22 @@ decompose_to_2q(const QuantumCircuit &qc)
 QuantumCircuit
 translate_to_basis(const QuantumCircuit &qc)
 {
+    // Every operand comes from the valid input circuit, so gates are
+    // pushed directly, without append()'s per-gate range check.
     QuantumCircuit out(qc.num_qubits());
+    std::vector<Gate> &gates = out.mutable_gates();
+    gates.reserve(qc.size());
     for (const Gate &g : qc.gates()) {
         if (g.kind == OpKind::kMeasure || g.kind == OpKind::kBarrier ||
             g.kind == OpKind::kCX) {
-            out.append(g);
+            gates.push_back(g);
             continue;
         }
         if (is_one_qubit(g.kind)) {
             // Leave 1q gates in place; the closing Optimize1qGates pass
             // merges runs and rewrites them into {rz, sx, x}.
-            for (Gate &d :
-                 synth_1q(gate_matrix1(g), g.qubits[0], Basis1q::kZsx))
-                out.append(std::move(d));
+            synth_1q_into(gates, gate_matrix1(g), g.qubits[0],
+                          Basis1q::kZsx);
             continue;
         }
         if (g.num_qubits() == 2) {
@@ -81,7 +84,7 @@ translate_to_basis(const QuantumCircuit &qc)
             Mat4 u = gate_matrix2(g);
             for (Gate &d :
                  synth_2q_kak(u, g.qubits[0], g.qubits[1], Basis1q::kZsx))
-                out.append(std::move(d));
+                gates.push_back(std::move(d));
             continue;
         }
         throw std::invalid_argument(

@@ -108,63 +108,70 @@ gates_commute(const Gate &a, const Gate &b)
     return matrix_commute(a, b);
 }
 
-int
-CommutationInfo::set_of(int wire, int gate_idx) const
+void
+analyze_commutation(const QuantumCircuit &qc, CommutationInfo &info)
 {
-    const std::vector<int> &gates = wire_gates[wire];
-    auto it = std::lower_bound(gates.begin(), gates.end(), gate_idx);
-    if (it == gates.end() || *it != gate_idx)
-        return -1;
-    return set_index[wire][it - gates.begin()];
+    const int n = qc.num_qubits();
+    const int num_gates = static_cast<int>(qc.size());
+
+    // Count each wire's gates in one pass over the circuit, so the cost
+    // follows the gates, not qubits x gates.  A gate's operands are
+    // distinct (the Gate constructor checks), so each operand is one
+    // entry.  wire_start[w] becomes the end of wire w's entries.
+    info.wire_start.assign(n + 1, 0);
+    info.operand_start.resize(num_gates + 1);
+    int operands = 0;
+    for (int i = 0; i < num_gates; ++i) {
+        info.operand_start[i] = operands;
+        for (int w : qc.gate(i).qubits)
+            ++info.wire_start[w];
+        operands += qc.gate(i).num_qubits();
+    }
+    info.operand_start[num_gates] = operands;
+    for (int w = 1; w < n; ++w)
+        info.wire_start[w] += info.wire_start[w - 1];
+    info.wire_start[n] = operands;
+
+    // File the gates last to first, each at the back of its wires' free
+    // ranges: every wire's list ends up in circuit order and wire_start[w]
+    // at its first entry.
+    info.entry_gate.resize(operands);
+    info.entry_set.resize(operands);
+    info.operand_entry.resize(operands);
+    for (int i = num_gates - 1; i >= 0; --i) {
+        const QubitVec &qs = qc.gate(i).qubits;
+        for (std::size_t k = 0; k < qs.size(); ++k) {
+            const int e = --info.wire_start[qs[k]];
+            info.entry_gate[e] = i;
+            info.operand_entry[info.operand_start[i] + k] = e;
+        }
+    }
+
+    // A gate joins the open set on its wire if it commutes with every
+    // member; otherwise it opens the next set.
+    for (int w = 0; w < n; ++w) {
+        const int end = info.wire_start[w + 1];
+        int set_begin = info.wire_start[w];
+        int ordinal = 0;
+        for (int e = set_begin; e < end; ++e) {
+            const Gate &g = qc.gate(info.entry_gate[e]);
+            for (int j = set_begin; j < e; ++j) {
+                if (!gates_commute(qc.gate(info.entry_gate[j]), g)) {
+                    ++ordinal;
+                    set_begin = e;
+                    break;
+                }
+            }
+            info.entry_set[e] = ordinal;
+        }
+    }
 }
 
 CommutationInfo
 analyze_commutation(const QuantumCircuit &qc)
 {
     CommutationInfo info;
-    int n = qc.num_qubits();
-    info.wire_sets.resize(n);
-    info.set_index.resize(n);
-    info.wire_gates.resize(n);
-
-    // One pass over the circuit files every gate under each wire it acts
-    // on (once per wire, even if a wire repeats in its operand list), so
-    // the cost follows the gates, not qubits x gates.  Each wire's list
-    // is in circuit order, as a per-wire scan would produce it.
-    for (size_t i = 0; i < qc.size(); ++i) {
-        const int idx = static_cast<int>(i);
-        for (int w : qc.gate(i).qubits) {
-            std::vector<int> &on_wire = info.wire_gates[w];
-            if (on_wire.empty() || on_wire.back() != idx)
-                on_wire.push_back(idx);
-        }
-    }
-
-    for (int w = 0; w < n; ++w) {
-        std::vector<int> current;
-        auto close = [&]() {
-            if (!current.empty()) {
-                info.wire_sets[w].push_back(current);
-                current.clear();
-            }
-        };
-        for (int i : info.wire_gates[w]) {
-            const Gate &g = qc.gate(i);
-            bool fits = true;
-            for (int j : current) {
-                if (!gates_commute(qc.gate(j), g)) {
-                    fits = false;
-                    break;
-                }
-            }
-            if (!fits)
-                close();
-            current.push_back(i);
-            info.set_index[w].push_back(
-                static_cast<int>(info.wire_sets[w].size()));
-        }
-        close();
-    }
+    analyze_commutation(qc, info);
     return info;
 }
 

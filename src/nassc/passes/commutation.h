@@ -25,27 +25,36 @@ namespace nassc {
  */
 bool gates_commute(const Gate &a, const Gate &b);
 
-/** Per-wire commute sets of a circuit. */
+/**
+ * Per-wire commute sets of a circuit, in one flat layout.
+ *
+ * Every gate is filed once under each wire it acts on.  Wire w's
+ * entries are [wire_start[w], wire_start[w + 1]) in circuit order, and
+ * each commute set is a contiguous run of them: entry_set holds the
+ * set's ordinal on its wire (0, 1, ... in circuit order).  operand_entry
+ * maps gate i's k-th operand to its entry, at operand_start[i] + k.
+ */
 struct CommutationInfo
 {
-    /**
-     * wire_sets[w] is the ordered list of commute sets on wire w; each
-     * set holds gate indices (ascending).
-     */
-    std::vector<std::vector<std::vector<int>>> wire_sets;
-
-    /** set_index[w][k] = ordinal of the set containing the k-th gate *on
-     *  wire w* (parallel to wire_gates[w]). */
-    std::vector<std::vector<int>> set_index;
-
-    /** Gate indices on each wire, in circuit order. */
-    std::vector<std::vector<int>> wire_gates;
-
-    /** Ordinal of the set that contains gate `gate_idx` on wire w, or -1. */
-    int set_of(int wire, int gate_idx) const;
+    /** CSR offsets of each wire's entries; size num_qubits + 1. */
+    std::vector<int> wire_start;
+    /** Gate index of each entry. */
+    std::vector<int> entry_gate;
+    /** Ordinal of the commute set holding each entry, per wire. */
+    std::vector<int> entry_set;
+    /** Offsets of each gate's operands in operand_entry; size gates + 1. */
+    std::vector<int> operand_start;
+    /** Entry of each gate operand, in operand order. */
+    std::vector<int> operand_entry;
 };
 
-/** Run the analysis. */
+/**
+ * Run the analysis into `info`, reusing its storage.  The cost follows
+ * the gates plus one O(1) step per wire.
+ */
+void analyze_commutation(const QuantumCircuit &qc, CommutationInfo &info);
+
+/** Run the analysis into a fresh CommutationInfo. */
 CommutationInfo analyze_commutation(const QuantumCircuit &qc);
 
 } // namespace nassc

@@ -9,18 +9,6 @@ namespace nassc {
 
 namespace {
 
-/** Normalize an angle into (-pi, pi]. */
-double
-norm_angle(double a)
-{
-    a = std::fmod(a, 2.0 * M_PI);
-    if (a <= -M_PI)
-        a += 2.0 * M_PI;
-    if (a > M_PI)
-        a -= 2.0 * M_PI;
-    return a;
-}
-
 bool
 is_zero_angle(double a, double tol)
 {
@@ -37,36 +25,36 @@ emit_rz(std::vector<Gate> &out, int q, double angle, double tol)
 
 } // namespace
 
-std::vector<Gate>
-synth_1q(const Mat2 &u, int q, Basis1q basis, double tol)
+void
+synth_1q_into(std::vector<Gate> &out, const Mat2 &u, int q, Basis1q basis,
+              double tol)
 {
     EulerZyz e = euler_zyz(u);
-    std::vector<Gate> out;
 
     if (basis == Basis1q::kUGate) {
         if (e.theta < tol && is_zero_angle(e.phi + e.lam, tol))
-            return out;
+            return;
         out.push_back(Gate::u(q, e.theta, e.phi, e.lam));
-        return out;
+        return;
     }
 
     // ZSX basis.  euler_zyz returns theta in [0, pi].
     if (e.theta < tol) {
         emit_rz(out, q, e.phi + e.lam, tol);
-        return out;
+        return;
     }
     if (std::abs(e.theta - M_PI) < tol) {
         // u(pi, phi, lam) ~ x . rz(lam - phi + pi)   (circuit order)
         emit_rz(out, q, e.lam - e.phi + M_PI, tol);
         out.push_back(Gate::one_q(OpKind::kX, q));
-        return out;
+        return;
     }
     if (std::abs(e.theta - M_PI / 2.0) < tol) {
         // u(pi/2, phi, lam) ~ rz(phi + pi/2) . sx . rz(lam - pi/2)
         emit_rz(out, q, e.lam - M_PI / 2.0, tol);
         out.push_back(Gate::one_q(OpKind::kSX, q));
         emit_rz(out, q, e.phi + M_PI / 2.0, tol);
-        return out;
+        return;
     }
     // Generic: rz(phi+pi) . sx . rz(theta+pi) . sx . rz(lam)
     emit_rz(out, q, e.lam, tol);
@@ -74,6 +62,13 @@ synth_1q(const Mat2 &u, int q, Basis1q basis, double tol)
     emit_rz(out, q, e.theta + M_PI, tol);
     out.push_back(Gate::one_q(OpKind::kSX, q));
     emit_rz(out, q, e.phi + M_PI, tol);
+}
+
+std::vector<Gate>
+synth_1q(const Mat2 &u, int q, Basis1q basis, double tol)
+{
+    std::vector<Gate> out;
+    synth_1q_into(out, u, q, basis, tol);
     return out;
 }
 
@@ -92,9 +87,7 @@ optimize_1q_runs(std::vector<Gate> &gates, int num_qubits, Basis1q basis,
     auto flush = [&](int q) {
         if (!active[q])
             return;
-        std::vector<Gate> synth = synth_1q(pending[q], q, basis, tol);
-        for (Gate &g : synth)
-            out.push_back(std::move(g));
+        synth_1q_into(out, pending[q], q, basis, tol);
         pending[q] = Mat2::identity();
         active[q] = false;
     };

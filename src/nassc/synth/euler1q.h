@@ -29,10 +29,14 @@ enum class Basis1q {
 };
 
 /**
- * Synthesize the unitary `u` on qubit `q`.
+ * Synthesize the unitary `u` on qubit `q`, appending the gates to `out`.
  *
- * Returns an empty vector when u is the identity up to global phase.
+ * Appends nothing when u is the identity up to global phase.
  */
+void synth_1q_into(std::vector<Gate> &out, const Mat2 &u, int q,
+                   Basis1q basis, double tol = 1e-10);
+
+/** synth_1q_into() into a fresh vector. */
 std::vector<Gate> synth_1q(const Mat2 &u, int q, Basis1q basis,
                            double tol = 1e-10);
 

@@ -96,15 +96,11 @@ synth_2q_kak(const Mat4 &u, int q0, int q1, Basis1q basis)
     // gates (the generic ZSX form).
     out.reserve(15 + 4 * 5);
     // Right locals first (circuit order).
-    for (Gate &g : synth_1q(k.k2_0, q0, basis))
-        out.push_back(std::move(g));
-    for (Gate &g : synth_1q(k.k2_1, q1, basis))
-        out.push_back(std::move(g));
+    synth_1q_into(out, k.k2_0, q0, basis);
+    synth_1q_into(out, k.k2_1, q1, basis);
     emit_canonical(k.a, k.b, k.c, q0, q1, 1e-9, out);
-    for (Gate &g : synth_1q(k.k1_0, q0, basis))
-        out.push_back(std::move(g));
-    for (Gate &g : synth_1q(k.k1_1, q1, basis))
-        out.push_back(std::move(g));
+    synth_1q_into(out, k.k1_0, q0, basis);
+    synth_1q_into(out, k.k1_1, q1, basis);
 
     // Merge the 1q layers the template introduced with the KAK locals.
     int nq = std::max(q0, q1) + 1;

@@ -457,6 +457,16 @@ TEST(Commutation, MatrixFallbackCrx)
                               Gate::two_q(OpKind::kCX, 2, 1)));
 }
 
+/** Ordinal of the set holding gate `gate_idx` on `wire`, or -1. */
+int
+set_of(const CommutationInfo &info, int wire, int gate_idx)
+{
+    for (int e = info.wire_start[wire]; e < info.wire_start[wire + 1]; ++e)
+        if (info.entry_gate[e] == gate_idx)
+            return info.entry_set[e];
+    return -1;
+}
+
 TEST(Commutation, AnalysisGroupsSets)
 {
     QuantumCircuit qc(3);
@@ -465,18 +475,31 @@ TEST(Commutation, AnalysisGroupsSets)
     qc.h(2);     // 2  (breaks the set on wire 2)
     qc.cx(0, 2); // 3
     CommutationInfo info = analyze_commutation(qc);
-    EXPECT_EQ(info.set_of(2, 0), info.set_of(2, 1));
-    EXPECT_NE(info.set_of(2, 1), info.set_of(2, 3));
-    EXPECT_EQ(info.set_of(1, 1), 0);
-    EXPECT_EQ(info.set_of(2, 2), info.set_of(2, 2));
+    EXPECT_EQ(set_of(info, 2, 0), set_of(info, 2, 1));
+    EXPECT_NE(set_of(info, 2, 1), set_of(info, 2, 3));
+    EXPECT_EQ(set_of(info, 1, 1), 0);
+    EXPECT_EQ(set_of(info, 2, 2), set_of(info, 2, 2));
+    EXPECT_EQ(set_of(info, 1, 0), -1);
 }
+
+/** Commute sets as nested per-wire lists: the layout the flat
+ *  CommutationInfo replaced. */
+struct PerWireSets
+{
+    /** wire_sets[w] = ordered commute sets of wire w (gate indices). */
+    std::vector<std::vector<std::vector<int>>> wire_sets;
+    /** set_index[w][k] = ordinal of the set of the k-th gate on w. */
+    std::vector<std::vector<int>> set_index;
+    /** Gate indices on each wire, in circuit order. */
+    std::vector<std::vector<int>> wire_gates;
+};
 
 /** The per-wire scan analyze_commutation() replaced: every wire walks
  *  the whole circuit, O(qubits x gates).  Kept as the reference. */
-CommutationInfo
+PerWireSets
 reference_commutation(const QuantumCircuit &qc)
 {
-    CommutationInfo info;
+    PerWireSets info;
     int n = qc.num_qubits();
     info.wire_sets.resize(n);
     info.set_index.resize(n);
@@ -504,6 +527,47 @@ reference_commutation(const QuantumCircuit &qc)
             info.wire_sets[w].push_back(current);
     }
     return info;
+}
+
+/** The flat analysis read back as nested per-wire lists.  A set's
+ *  members are the entries carrying its ordinal, wherever they sit. */
+PerWireSets
+per_wire_view(const CommutationInfo &info)
+{
+    PerWireSets view;
+    const int n = static_cast<int>(info.wire_start.size()) - 1;
+    view.wire_sets.resize(n);
+    view.set_index.resize(n);
+    view.wire_gates.resize(n);
+    for (int w = 0; w < n; ++w) {
+        for (int e = info.wire_start[w]; e < info.wire_start[w + 1]; ++e) {
+            const int set = info.entry_set[e];
+            view.wire_gates[w].push_back(info.entry_gate[e]);
+            view.set_index[w].push_back(set);
+            if (set >= static_cast<int>(view.wire_sets[w].size()))
+                view.wire_sets[w].resize(set + 1);
+            view.wire_sets[w][set].push_back(info.entry_gate[e]);
+        }
+    }
+    return view;
+}
+
+/** Every operand slot points at its own gate's entry on its own wire. */
+void
+expect_operand_slots(const QuantumCircuit &qc, const CommutationInfo &info)
+{
+    ASSERT_EQ(info.operand_start.size(), qc.size() + 1);
+    for (std::size_t i = 0; i < qc.size(); ++i) {
+        const Gate &g = qc.gate(i);
+        ASSERT_EQ(info.operand_start[i + 1] - info.operand_start[i],
+                  g.num_qubits());
+        for (int k = 0; k < g.num_qubits(); ++k) {
+            const int e = info.operand_entry[info.operand_start[i] + k];
+            EXPECT_EQ(info.entry_gate[e], static_cast<int>(i));
+            EXPECT_GE(e, info.wire_start[g.qubits[k]]);
+            EXPECT_LT(e, info.wire_start[g.qubits[k] + 1]);
+        }
+    }
 }
 
 /** Random circuit on `n` wires whose gates land on only `active` of
@@ -552,11 +616,36 @@ TEST(Commutation, AnalysisMatchesPerWireReferenceScan)
             sparse_random_circuit(rng, n, active, 20 + 7 * seed);
         if (seed % 10 == 0)
             qc.barrier(); // one all-wire barrier, idle wires included
-        const CommutationInfo got = analyze_commutation(qc);
-        const CommutationInfo want = reference_commutation(qc);
+        const CommutationInfo info = analyze_commutation(qc);
+        const PerWireSets got = per_wire_view(info);
+        const PerWireSets want = reference_commutation(qc);
         EXPECT_EQ(got.wire_gates, want.wire_gates) << "seed " << seed;
         EXPECT_EQ(got.wire_sets, want.wire_sets) << "seed " << seed;
         EXPECT_EQ(got.set_index, want.set_index) << "seed " << seed;
+        expect_operand_slots(qc, info);
+    }
+}
+
+TEST(Commutation, AnalysisReusedStorageMatchesFresh)
+{
+    // One CommutationInfo analyzes a wide circuit, then narrower and
+    // shorter ones: nothing of an earlier analysis may leak into a later.
+    CommutationInfo reused;
+    for (unsigned seed = 1; seed <= 12; ++seed) {
+        std::mt19937 rng(seed);
+        const int n = 40 - 3 * static_cast<int>(seed);
+        QuantumCircuit qc =
+            sparse_random_circuit(rng, n, 2 + static_cast<int>(seed % 5),
+                                  200 - 15 * static_cast<int>(seed));
+        analyze_commutation(qc, reused);
+        const CommutationInfo fresh = analyze_commutation(qc);
+        EXPECT_EQ(reused.wire_start, fresh.wire_start) << "seed " << seed;
+        EXPECT_EQ(reused.entry_gate, fresh.entry_gate) << "seed " << seed;
+        EXPECT_EQ(reused.entry_set, fresh.entry_set) << "seed " << seed;
+        EXPECT_EQ(reused.operand_start, fresh.operand_start)
+            << "seed " << seed;
+        EXPECT_EQ(reused.operand_entry, fresh.operand_entry)
+            << "seed " << seed;
     }
 }
 
@@ -575,13 +664,12 @@ TEST(Commutation, AnalysisCostFollowsGatesNotWires)
                             .count();
     EXPECT_LT(secs, 3.0);
 
-    std::size_t filed = 0, expected = 0;
-    for (const std::vector<int> &on_wire : info.wire_gates)
-        filed += on_wire.size();
+    std::size_t expected = 0;
     for (const Gate &g : qc.gates())
         expected += g.qubits.size();
-    EXPECT_EQ(filed, expected);
-    EXPECT_EQ(info.wire_gates.size(), static_cast<std::size_t>(n));
+    EXPECT_EQ(info.entry_gate.size(), expected);
+    EXPECT_EQ(static_cast<std::size_t>(info.wire_start[n]), expected);
+    EXPECT_EQ(info.wire_start.size(), static_cast<std::size_t>(n) + 1);
 }
 
 // ---- cancellation -----------------------------------------------------------
@@ -692,6 +780,42 @@ TEST(Cancellation, PreservesSemanticsRandom)
         EXPECT_TRUE(circuits_equivalent(before, qc)) << trial;
         EXPECT_LE(qc.size(), before.size());
     }
+}
+
+TEST(Cancellation, FixpointCascadesThroughARemovedPair)
+{
+    // The x pair sits in different sets until the cx pair between them
+    // is gone, so only a second round can cancel it.
+    QuantumCircuit qc(2);
+    qc.x(0);
+    qc.cx(0, 1);
+    qc.cx(0, 1);
+    qc.x(0);
+    QuantumCircuit once = qc;
+    EXPECT_EQ(run_commutative_cancellation(once), 2);
+    EXPECT_EQ(once.size(), 2u);
+    EXPECT_EQ(run_commutative_cancellation_to_fixpoint(qc), 4);
+    EXPECT_EQ(qc.size(), 0u);
+}
+
+TEST(Cancellation, CostFollowsGatesNotWires)
+{
+    // The circuit of AnalysisCostFollowsGatesNotWires, through the whole
+    // fixpoint: each round may touch a wire O(1) times, never scan the
+    // circuit per wire.
+    std::mt19937 rng(7);
+    const int n = 400000;
+    QuantumCircuit qc = sparse_random_circuit(rng, n, 2000, 8000);
+    const std::size_t before = qc.size();
+    const auto t0 = std::chrono::steady_clock::now();
+    const int removed = run_commutative_cancellation_to_fixpoint(qc);
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    EXPECT_LT(secs, 3.0);
+    EXPECT_GT(removed, 0);
+    EXPECT_EQ(qc.size() + static_cast<std::size_t>(removed), before);
+    EXPECT_EQ(qc.num_qubits(), n);
 }
 
 // ---- swap decomposition -----------------------------------------------------
