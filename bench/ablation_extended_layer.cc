@@ -7,31 +7,11 @@
 using namespace nassc;
 using namespace nassc::bench;
 
-namespace {
-
-double
-avg_cx(const QuantumCircuit &circuit, const Backend &dev,
-       RoutingAlgorithm router, int ext_size, bool decay, int seeds)
-{
-    double t = 0.0;
-    for (int s = 0; s < seeds; ++s) {
-        TranspileOptions opts;
-        opts.router = router;
-        opts.extended_size = ext_size;
-        opts.use_decay = decay;
-        opts.seed = static_cast<unsigned>(s);
-        t += TranspileContext::global().transpile(circuit, dev, opts).cx_total;
-    }
-    return t / seeds;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     Args args = parse_args(argc, argv);
-    Backend dev = grid_backend(5, 5);
+    auto dev = std::make_shared<Backend>(grid_backend(5, 5));
     const int sizes[] = {0, 5, 10, 20, 40};
 
     std::vector<BenchmarkCase> cases;
@@ -40,9 +20,24 @@ main(int argc, char **argv)
             bc.name == "vqe_n12" || bc.name == "adder_n10")
             cases.push_back(bc);
 
+    // Per circuit: one NASSC cell per |E|, then |E| = 20 without decay.
+    Sweep sweep(args.threads);
+    for (const BenchmarkCase &bc : cases) {
+        TranspileOptions opts;
+        for (int e : sizes) {
+            opts.extended_size = e;
+            sweep.add_cell(bc.name + "/e" + std::to_string(e), bc.circuit,
+                           dev, RoutingAlgorithm::kNassc, args.seeds, opts);
+        }
+        opts.extended_size = 20;
+        opts.use_decay = false;
+        sweep.add_cell(bc.name + "/no-decay", bc.circuit, dev,
+                       RoutingAlgorithm::kNassc, args.seeds, opts);
+    }
+
     std::printf("Ablation: extended-layer size sweep on %s "
                 "(%d seeds, NASSC)\n\n",
-                dev.name.c_str(), args.seeds);
+                dev->name.c_str(), args.seeds);
     std::printf("%-12s", "name");
     for (int e : sizes)
         std::printf("   |E|=%-4d", e);
@@ -50,13 +45,9 @@ main(int argc, char **argv)
 
     for (const BenchmarkCase &bc : cases) {
         std::printf("%-12s", bc.name.c_str());
-        for (int e : sizes)
-            std::printf(" %9.1f",
-                        avg_cx(bc.circuit, dev, RoutingAlgorithm::kNassc, e,
-                               true, args.seeds));
-        std::printf(" %11.1f\n",
-                    avg_cx(bc.circuit, dev, RoutingAlgorithm::kNassc, 20,
-                           false, args.seeds));
+        for (std::size_t k = 0; k < std::size(sizes); ++k)
+            std::printf(" %9.1f", sweep.next_cell(0, 0).cx_total);
+        std::printf(" %11.1f\n", sweep.next_cell(0, 0).cx_total);
         std::fflush(stdout);
     }
 

@@ -9,51 +9,39 @@
 using namespace nassc;
 using namespace nassc::bench;
 
-namespace {
-
-double
-avg_cx(const QuantumCircuit &circuit, const Backend &dev,
-       const TranspileOptions &base, int seeds)
-{
-    double t = 0.0;
-    for (int s = 0; s < seeds; ++s) {
-        TranspileOptions opts = base;
-        opts.seed = static_cast<unsigned>(s);
-        t += TranspileContext::global().transpile(circuit, dev, opts).cx_total;
-    }
-    return t / seeds;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     Args args = parse_args(argc, argv);
-    Backend dev = linear_backend(25);
+    auto dev = std::make_shared<Backend>(linear_backend(25));
+
+    // Per circuit: SABRE, NASSC with the fixed SWAP template, full NASSC.
+    TranspileOptions cost_only;
+    cost_only.orientation_aware_decomposition = false;
+    Sweep sweep(args.threads);
+    std::vector<BenchmarkCase> cases;
+    for (BenchmarkCase &bc : table_benchmarks()) {
+        if (bc.circuit.num_qubits() > dev->coupling.num_qubits())
+            continue;
+        sweep.add_cell(bc.name + "/sabre", bc.circuit, dev,
+                       RoutingAlgorithm::kSabre, args.seeds);
+        sweep.add_cell(bc.name + "/cost-only", bc.circuit, dev,
+                       RoutingAlgorithm::kNassc, args.seeds, cost_only);
+        sweep.add_cell(bc.name + "/full", bc.circuit, dev,
+                       RoutingAlgorithm::kNassc, args.seeds);
+        cases.push_back(std::move(bc));
+    }
 
     std::printf("Ablation: cost function vs SWAP decomposition on %s "
                 "(%d seeds)\n\n",
-                dev.name.c_str(), args.seeds);
+                dev->name.c_str(), args.seeds);
     std::printf("%-15s %9s %9s %9s %9s\n", "name", "SABRE", "cost-only",
                 "full", "full-red%");
 
-    for (const BenchmarkCase &bc : table_benchmarks()) {
-        if (bc.circuit.num_qubits() > dev.coupling.num_qubits())
-            continue;
-        TranspileOptions sabre;
-        sabre.router = RoutingAlgorithm::kSabre;
-
-        TranspileOptions cost_only;
-        cost_only.router = RoutingAlgorithm::kNassc;
-        cost_only.orientation_aware_decomposition = false;
-
-        TranspileOptions full;
-        full.router = RoutingAlgorithm::kNassc;
-
-        double s = avg_cx(bc.circuit, dev, sabre, args.seeds);
-        double c = avg_cx(bc.circuit, dev, cost_only, args.seeds);
-        double f = avg_cx(bc.circuit, dev, full, args.seeds);
+    for (const BenchmarkCase &bc : cases) {
+        double s = sweep.next_cell(0, 0).cx_total;
+        double c = sweep.next_cell(0, 0).cx_total;
+        double f = sweep.next_cell(0, 0).cx_total;
         std::printf("%-15s %9.1f %9.1f %9.1f %8.2f%%\n", bc.name.c_str(),
                     s, c, f, 100.0 * (1.0 - f / s));
         std::fflush(stdout);

@@ -13,11 +13,16 @@
  *                Per-cell t(s) columns are measured per job, so under
  *                parallel contention they run higher than a sequential
  *                sweep; pass --threads 1 for paper-comparable timings.
+ * and fig11_noise_success also --trials N (Monte Carlo shots per cell).
+ * An unknown flag, a missing value or a value that is not a whole
+ * integer in range prints usage to stderr and exits 2.
  */
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -34,24 +39,52 @@ struct Args
 {
     int seeds = 3;
     int threads = 0; ///< sweep workers; 0 = hardware concurrency
+    int trials = 0;  ///< Monte Carlo shots; set only where --trials exists
     std::string csv;
 };
 
+/**
+ * Parse the shared flags.  A binary that passes `default_trials` > 0
+ * also takes --trials N; everywhere else --trials is an unknown flag.
+ */
 inline Args
-parse_args(int argc, char **argv, int default_seeds = 3)
+parse_args(int argc, char **argv, int default_seeds = 3,
+           int default_trials = 0)
 {
     Args a;
     a.seeds = default_seeds;
+    a.trials = default_trials;
+    const bool takes_trials = default_trials > 0;
+    auto fail = [&](const std::string &why) {
+        std::fprintf(stderr,
+                     "%s: %s\nusage: %s [--seeds N] [--threads N] "
+                     "[--csv PATH]%s\n",
+                     argv[0], why.c_str(), argv[0],
+                     takes_trials ? " [--trials N]" : "");
+        std::exit(2);
+    };
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--seeds") && i + 1 < argc)
-            a.seeds = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc)
-            a.threads = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--csv") && i + 1 < argc)
-            a.csv = argv[++i];
+        const std::string flag = argv[i];
+        int *target = flag == "--seeds"     ? &a.seeds
+                      : flag == "--threads" ? &a.threads
+                      : flag == "--trials" && takes_trials ? &a.trials
+                                                           : nullptr;
+        if (!target && flag != "--csv")
+            fail("unknown flag " + flag);
+        if (i + 1 >= argc)
+            fail(flag + " needs a value");
+        const char *value = argv[++i];
+        if (!target) {
+            a.csv = value;
+            continue;
+        }
+        // --threads 0 means "hardware concurrency"; counts start at 1.
+        const int lo = target == &a.threads ? 0 : 1;
+        const char *end = value + std::strlen(value);
+        const auto [ptr, ec] = std::from_chars(value, end, *target);
+        if (ec != std::errc() || ptr != end || *target < lo)
+            fail("bad value for " + flag + ": '" + value + "'");
     }
-    if (a.seeds < 1)
-        a.seeds = 1;
     return a;
 }
 
@@ -94,8 +127,9 @@ struct Cell
  * TranspileContext, so the whole sweep shares one DistanceCache (one
  * matrix per backend) and runs on `threads` private workers (0 =
  * Scheduler::shared()).  Queue cells with add_cell() and fold them back
- * with next_cell() in the same order; each job's result depends only on
- * the job, so the folded metrics are the same for every thread count.
+ * in the same order with next_results() or next_cell(); each job's
+ * result depends only on the job, so the folded metrics are the same
+ * for every thread count.
  */
 class Sweep
 {
@@ -122,22 +156,36 @@ class Sweep
             tags_.push_back(tag + "/s" + std::to_string(s));
             tickets_.push_back(ctx_.submit(circuit, backend, opts));
         }
+        cell_seeds_.push_back(seeds);
     }
 
-    /** Fold the next `seeds` tickets (submission order) into a Cell. */
-    Cell
-    next_cell(int seeds, int base_cx, int base_depth)
+    /** The next cell's results (submission order), one per seed. */
+    std::vector<SharedTranspileResult>
+    next_results()
     {
-        Cell cell;
-        for (int s = 0; s < seeds; ++s, ++next_) {
+        std::vector<SharedTranspileResult> out;
+        for (int s = 0; s < cell_seeds_.at(next_cell_); ++s, ++next_) {
             try {
-                cell.accumulate(*tickets_.at(next_).get());
+                out.push_back(tickets_.at(next_).get());
             } catch (const std::exception &e) {
                 throw std::runtime_error("batch job '" + tags_.at(next_) +
                                          "' failed: " + e.what());
             }
+            tickets_[next_] = {}; // a folded result need not stay alive
         }
-        cell.finish(seeds, base_cx, base_depth);
+        ++next_cell_;
+        return out;
+    }
+
+    /** The next cell's results averaged over its seeds. */
+    Cell
+    next_cell(int base_cx, int base_depth)
+    {
+        const std::vector<SharedTranspileResult> results = next_results();
+        Cell cell;
+        for (const SharedTranspileResult &r : results)
+            cell.accumulate(*r);
+        cell.finish(static_cast<int>(results.size()), base_cx, base_depth);
         return cell;
     }
 
@@ -162,7 +210,9 @@ class Sweep
     TranspileContext ctx_;
     std::vector<std::string> tags_;
     std::vector<TranspileTicket> tickets_;
-    std::size_t next_ = 0;
+    std::vector<int> cell_seeds_; ///< jobs per cell, submission order
+    std::size_t next_ = 0;        ///< next ticket to fold
+    std::size_t next_cell_ = 0;   ///< next cell to fold
     std::chrono::steady_clock::time_point t0_;
 };
 
@@ -200,6 +250,10 @@ write_csv(const std::string &path, const std::vector<std::string> &rows)
     std::ofstream f(path);
     for (const std::string &r : rows)
         f << r << "\n";
+    if (!f.flush()) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        std::exit(1);
+    }
     std::printf("csv written to %s\n", path.c_str());
 }
 

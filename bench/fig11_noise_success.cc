@@ -22,14 +22,18 @@ struct Config
 int
 main(int argc, char **argv)
 {
-    Args args = parse_args(argc, argv, /*default_seeds=*/2);
-    int trials = 8192;
-    for (int i = 1; i < argc; ++i)
-        if (!std::strcmp(argv[i], "--trials") && i + 1 < argc)
-            trials = std::atoi(argv[i + 1]);
+    Args args = parse_args(argc, argv, /*default_seeds=*/2,
+                           /*default_trials=*/8192);
+    if (args.trials < args.seeds) {
+        // Each seed gets trials / seeds shots; fewer than one is no run.
+        std::fprintf(stderr,
+                     "%s: --trials (%d) must be at least --seeds (%d)\n",
+                     argv[0], args.trials, args.seeds);
+        return 2;
+    }
 
-    Backend dev = montreal_backend();
-    NoiseModel nm = NoiseModel::from_backend(dev);
+    auto dev = std::make_shared<Backend>(montreal_backend());
+    NoiseModel nm = NoiseModel::from_backend(*dev);
 
     const Config configs[] = {
         {"SABRE", RoutingAlgorithm::kSabre, false},
@@ -38,35 +42,41 @@ main(int argc, char **argv)
         {"NASSC+HA", RoutingAlgorithm::kNassc, true},
     };
 
+    const std::vector<BenchmarkCase> benchmarks = fig11_benchmarks();
+    Sweep sweep(args.threads);
+    for (const BenchmarkCase &bc : benchmarks) {
+        for (const Config &cfg : configs) {
+            TranspileOptions opts;
+            opts.noise_aware = cfg.noise_aware;
+            sweep.add_cell(bc.name + "/" + cfg.label, bc.circuit, dev,
+                           cfg.router, args.seeds, opts);
+        }
+    }
+
     std::printf("Fig. 11: noise-model comparison on %s "
                 "(%d trials, %d seeds)\n\n",
-                dev.name.c_str(), trials, args.seeds);
+                dev->name.c_str(), args.trials, args.seeds);
     std::printf("%-15s | %10s %10s %10s %10s | metric\n", "benchmark",
                 "SABRE", "NASSC", "SABRE+HA", "NASSC+HA");
 
     std::vector<std::string> csv;
     csv.push_back("benchmark,config,cx_add,success_rate");
 
-    for (const BenchmarkCase &bc : fig11_benchmarks()) {
-        TranspileResult base =
-            TranspileContext::global().optimize_only(bc.circuit);
+    for (const BenchmarkCase &bc : benchmarks) {
+        TranspileResult base = optimize_only(bc.circuit);
         uint64_t ideal = ideal_outcome(bc.circuit);
 
         double add[4] = {0, 0, 0, 0};
         double succ[4] = {0, 0, 0, 0};
         for (int c = 0; c < 4; ++c) {
+            const std::vector<SharedTranspileResult> results =
+                sweep.next_results();
             for (int s = 0; s < args.seeds; ++s) {
-                TranspileOptions opts;
-                opts.router = configs[c].router;
-                opts.noise_aware = configs[c].noise_aware;
-                opts.seed = static_cast<unsigned>(s);
-                TranspileResult r =
-                    TranspileContext::global().transpile(bc.circuit, dev,
-                                                         opts);
+                const TranspileResult &r = *results[s];
                 add[c] += r.cx_total - base.cx_total;
                 SuccessRate sr = monte_carlo_success(
                     r.circuit, nm, r.final_l2p, ideal,
-                    trials / args.seeds, 1000 + s);
+                    args.trials / args.seeds, 1000 + s);
                 succ[c] += sr.rate;
             }
             add[c] /= args.seeds;

@@ -60,12 +60,12 @@ main(int argc, char **argv)
         }
 
         for (const BenchmarkCase *bc : cases) {
-            double sabre = sweep.next_cell(args.seeds, 0, 0).cx_total;
+            double sabre = sweep.next_cell(0, 0).cx_total;
             double best = 1e30;
             int best_mask = 0;
             double all = 0.0;
             for (int mask = 0; mask < 8; ++mask) {
-                double cx = sweep.next_cell(args.seeds, 0, 0).cx_total;
+                double cx = sweep.next_cell(0, 0).cx_total;
                 if (cx < best) {
                     best = cx;
                     best_mask = mask;

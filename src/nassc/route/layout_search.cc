@@ -253,10 +253,10 @@ LayoutSearch::run_trial(int trial, int worker)
     out.trial = trial;
     out.seed = derive_trial_seed(opts_.seed, trial);
 
-    // Cooperative deadline poll at the trial boundary (the same seam as
-    // the cancel poll): an expired budget skips the whole trial, which
-    // stays unconsumed and invisible to the arg-min.  Deadline-free
-    // runs never take the branch, keeping the race bit-identical.
+    // Cooperative deadline poll at the trial boundary: an expired
+    // budget skips the whole trial, which stays unconsumed and
+    // invisible to the arg-min.  Deadline-free runs never take the
+    // branch, keeping the race bit-identical.
     if (Scheduler::current_job_expired())
         return;
     failpoint::hit("layout.trial");

@@ -26,9 +26,10 @@
  * the moment the transpile settles.  Between slices it probes its
  * socket; if the client hung up first, the server calls
  * TranspileService::try_cancel() so a request nobody will read never
- * occupies a worker (cancellation is cooperative — a job already
- * running finishes and populates the cache).  The response body comes
- * from TranspileTicket::get_qasm(), which encodes once per cache entry.
+ * occupies a worker (only a still-queued job can be dropped — a job
+ * already running finishes and populates the cache).  The response
+ * body comes from TranspileTicket::get_qasm(), which encodes once per
+ * cache entry.
  *
  * Shutdown (stop()) is graceful: listeners close first (new connects
  * are refused), then every open connection is shut down for READING —

@@ -22,10 +22,6 @@ using Clock = std::chrono::steady_clock;
 /** Set while the current thread executes scheduler tasks. */
 thread_local bool t_in_task = false;
 
-/** Cancel flag of the job whose task this thread is running, if any —
- *  read by Scheduler::current_job_cancelled() without any lock. */
-thread_local const std::atomic<bool> *t_cancel_flag = nullptr;
-
 /** Effective deadline of the calling thread (DeadlineScopes min'd with
  *  the running job's deadline); max() = unbounded. */
 thread_local Clock::time_point t_deadline = Clock::time_point::max();
@@ -33,36 +29,29 @@ thread_local Clock::time_point t_deadline = Clock::time_point::max();
 struct TaskScope
 {
     bool prev;
-    const std::atomic<bool> *prev_flag;
     Clock::time_point prev_deadline;
 
     /**
      * Inline path (nested parallel_for, caller-drained job): mark the
-     * thread in-task but INHERIT the enclosing cancel flag and deadline
-     * — an inner loop must still observe the outer job's cancellation
-     * and budget.
+     * thread in-task but INHERIT the enclosing deadline — an inner loop
+     * must still observe the outer job's budget.
      */
-    TaskScope()
-        : prev(t_in_task), prev_flag(t_cancel_flag),
-          prev_deadline(t_deadline)
+    TaskScope() : prev(t_in_task), prev_deadline(t_deadline)
     {
         t_in_task = true;
     }
 
-    /** Worker path: bind the claimed job's cancel flag and deadline. */
-    TaskScope(const std::atomic<bool> *cancel_flag, Clock::time_point deadline)
-        : prev(t_in_task), prev_flag(t_cancel_flag),
-          prev_deadline(t_deadline)
+    /** Worker path: bind the claimed job's deadline. */
+    explicit TaskScope(Clock::time_point deadline)
+        : prev(t_in_task), prev_deadline(t_deadline)
     {
         t_in_task = true;
-        t_cancel_flag = cancel_flag;
         t_deadline = deadline;
     }
 
     ~TaskScope()
     {
         t_in_task = prev;
-        t_cancel_flag = prev_flag;
         t_deadline = prev_deadline;
     }
 };
@@ -94,11 +83,9 @@ struct Scheduler::JobHandle::Job
     std::size_t error_index = std::numeric_limits<std::size_t>::max();
     std::exception_ptr error;
 
-    /** Set by cancel(); polled lock-free by running tasks. */
-    std::atomic<bool> cancelled{false};
-
-    /** Absolute budget installed while this job's tasks run; max() =
-     *  none.  Immutable after the job becomes visible to workers. */
+    /** Absolute budget installed while this job's tasks run: the
+     *  parallel_for caller's, max() for submitted jobs.  Immutable
+     *  after the job becomes visible to workers. */
     Clock::time_point deadline = Clock::time_point::max();
 
     /** Submitter's request tracer (null unless the submitting thread
@@ -270,7 +257,7 @@ Scheduler::worker_main()
             // shared_ptrs, no atomics) before entering the task, so
             // span sites inside it attribute to the owning request.
             obs::TraceScope trace_scope(job->trace);
-            TaskScope scope(&job->cancelled, job->deadline);
+            TaskScope scope(job->deadline);
             try {
                 failpoint::hit("scheduler.claim");
                 job->fn(index, slot);
@@ -291,15 +278,13 @@ Scheduler::worker_main()
 }
 
 Scheduler::JobHandle
-Scheduler::submit(std::size_t count, TaskFn fn, int max_slots, int priority,
-                  std::chrono::steady_clock::time_point deadline)
+Scheduler::submit(std::size_t count, TaskFn fn, int max_slots, int priority)
 {
     using Job = Impl::Job;
     Impl &im = *impl_;
     auto job = std::make_shared<Job>(std::move(fn), count);
     job->priority = priority;
     job->impl = impl_;
-    job->deadline = deadline;
     job->trace = obs::current_tracer(); // one relaxed load when off
     if (count == 0) {
         job->done = true;
@@ -425,7 +410,6 @@ Scheduler::JobHandle::cancel() const
 {
     if (!job_)
         return 0;
-    job_->cancelled.store(true, std::memory_order_relaxed);
     {
         std::lock_guard<std::mutex> g(job_->done_mu);
         if (job_->done)
@@ -444,12 +428,6 @@ Scheduler::JobHandle::cancel() const
     if (job_->finished == job_->count)
         im.finish_job(job_);
     return dropped;
-}
-
-bool
-Scheduler::JobHandle::cancelled() const
-{
-    return job_ && job_->cancelled.load(std::memory_order_relaxed);
 }
 
 void
@@ -476,13 +454,6 @@ bool
 Scheduler::in_task()
 {
     return t_in_task;
-}
-
-bool
-Scheduler::current_job_cancelled()
-{
-    return t_cancel_flag &&
-           t_cancel_flag->load(std::memory_order_relaxed);
 }
 
 std::chrono::steady_clock::time_point

@@ -55,24 +55,19 @@
  * the ORDER tasks are claimed in, never whether they run — every
  * submitted job still completes, so all determinism contracts hold.
  *
- * Cancellation is cooperative: JobHandle::cancel() drops every task
- * that no WORKER has claimed yet (they are never invoked), while tasks
- * already running finish normally — a task that wants to stop early
- * polls Scheduler::current_job_cancelled().  The serving layer uses
- * this to abandon transpiles whose client disconnected before a worker
- * picked them up.
+ * Cancellation: JobHandle::cancel() drops every task that no WORKER
+ * has claimed yet (they are never invoked), while tasks already running
+ * finish normally.  The serving layer uses this to abandon transpiles
+ * whose client disconnected before a worker picked them up.
  *
- * Deadlines ride the same seam: submit() can stamp a job with an
- * absolute steady-clock deadline, which workers install thread-locally
- * while running that job's tasks; long tasks poll
- * Scheduler::current_job_expired() at natural boundaries (layout
- * trials) exactly like the cancel poll.  DeadlineScope narrows the
- * calling thread's budget (nested scopes take the min), and
- * parallel_for propagates the caller's budget onto its pool job, so a
- * deadline set at the top of a transpile reaches layout trials running
- * on stolen workers.  A deadline never preempts anything — expiry only
- * makes the polls return true, and what to do about it (degrade, throw)
- * is the caller's policy.
+ * Deadlines: DeadlineScope narrows the calling thread's budget (nested
+ * scopes take the min), long tasks poll Scheduler::current_job_expired()
+ * at natural boundaries (layout trials), and parallel_for propagates
+ * the caller's budget onto its pool job, so a deadline set at the top
+ * of a transpile reaches layout trials running on stolen workers.  A
+ * deadline never preempts anything — expiry only makes the poll return
+ * true, and what to do about it (degrade, throw) is the caller's
+ * policy.
  */
 
 #include <chrono>
@@ -138,15 +133,11 @@ class Scheduler
          * as soon as the already-running tasks finish.  Returns how many
          * tasks were dropped — 0 means every task had already been
          * claimed (for a single-task job: it is running or done).
-         * Dropped indices count as completed without error; running
-         * tasks can poll Scheduler::current_job_cancelled() to stop
-         * early.  Must not be called after the owning Scheduler is
-         * destroyed (its drain guarantees all handles are done by then).
+         * Dropped indices count as completed without error.  Must not
+         * be called after the owning Scheduler is destroyed (its drain
+         * guarantees all handles are done by then).
          */
         std::size_t cancel() const;
-
-        /** True once cancel() has been called on this job. */
-        bool cancelled() const;
 
       private:
         friend class Scheduler;
@@ -165,13 +156,11 @@ class Scheduler
      * wait() is restricted.  Higher `priority` jobs are claimed before
      * lower ones whenever both have runnable tasks (parallel_for jobs
      * run at priority 0); ordering within a priority stays round-robin.
-     * `deadline` (absolute steady clock; max() = none) is installed as
-     * the running tasks' thread-local budget — see DeadlineScope.
+     * Tasks start unbounded: a task that wants a budget installs its
+     * own DeadlineScope.
      */
     JobHandle submit(std::size_t count, TaskFn fn, int max_slots = 0,
-                     int priority = 0,
-                     std::chrono::steady_clock::time_point deadline =
-                         std::chrono::steady_clock::time_point::max());
+                     int priority = 0);
 
     /**
      * Run fn(index, slot) for index in [0, count), blocking until all
@@ -197,23 +186,17 @@ class Scheduler
     static bool in_task();
 
     /**
-     * True when the task the calling thread is executing belongs to a
-     * job that has been cancel()led — the cooperative-cancellation poll
-     * for long tasks.  Always false outside a task.
-     */
-    static bool current_job_cancelled();
-
-    /**
      * The calling thread's effective deadline: the min of every
-     * enclosing DeadlineScope and the running job's submit() deadline;
+     * enclosing DeadlineScope and, on a pool worker running a
+     * parallel_for task, the budget of that parallel_for's caller;
      * time_point::max() when unbounded.
      */
     static std::chrono::steady_clock::time_point current_job_deadline();
 
     /**
      * True when the calling thread's effective deadline has passed —
-     * the cooperative-timeout poll for long tasks, mirroring
-     * current_job_cancelled().  Always false when unbounded.
+     * the cooperative-timeout poll for long tasks.  Always false when
+     * unbounded.
      */
     static bool current_job_expired();
 

@@ -505,7 +505,7 @@ TranspileService::submit(const QuantumCircuit &circuit,
                         promise, qasm, deadline, submitted,
                         /*dequeue=*/true);
         },
-        /*max_slots=*/1, options.priority, deadline);
+        /*max_slots=*/1, options.priority);
     {
         // Park the handle so try_cancel can reach the job.  The request
         // may already have finished (entry gone) or, pathologically,

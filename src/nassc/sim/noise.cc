@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "nassc/sim/statevector.h"
 
@@ -41,6 +42,10 @@ monte_carlo_success(const QuantumCircuit &physical, const NoiseModel &noise,
                     const std::vector<int> &final_l2p, uint64_t ideal_logical,
                     int trials, unsigned seed)
 {
+    if (trials <= 0)
+        throw std::invalid_argument("monte_carlo_success: trials must be "
+                                    "positive, got " +
+                                    std::to_string(trials));
     // Compress to the active wires so 27-qubit devices stay simulable.
     std::vector<int> phys_to_compact(physical.num_qubits(), -1);
     std::vector<int> active;
@@ -105,7 +110,6 @@ monte_carlo_success(const QuantumCircuit &physical, const NoiseModel &noise,
         uint64_t shot = sv.sample(rng);
         // Readout flips on the measured wires.
         uint64_t outcome = 0;
-        bool ok = true;
         for (int l = 0; l < nl; ++l) {
             int compact_wire = phys_to_compact[final_l2p[l]];
             int bit = (shot >> compact_wire) & 1;
@@ -114,7 +118,7 @@ monte_carlo_success(const QuantumCircuit &physical, const NoiseModel &noise,
             if (bit)
                 outcome |= uint64_t(1) << l;
         }
-        if (ok && outcome == ideal_logical)
+        if (outcome == ideal_logical)
             ++out.hits;
     }
     out.rate = static_cast<double>(out.hits) / trials;

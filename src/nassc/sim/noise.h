@@ -51,7 +51,8 @@ struct SuccessRate
  * @param noise         device noise model
  * @param final_l2p     physical wire holding logical qubit l at the end
  * @param ideal_logical ideal logical outcome (from ideal_outcome())
- * @param trials        number of noisy shots (paper: 8192)
+ * @param trials        number of noisy shots (paper: 8192); must be
+ *                      positive, else std::invalid_argument
  *
  * Only the wires the circuit actually touches are simulated, so large
  * devices stay cheap.

@@ -431,9 +431,7 @@ TEST(Scheduler, CancelDropsUnclaimedTasks)
     std::atomic<int> ran{0};
     Scheduler::JobHandle job =
         sched.submit(4, [&](std::size_t, int) { ran.fetch_add(1); });
-    EXPECT_FALSE(job.cancelled());
     EXPECT_EQ(job.cancel(), 4u);
-    EXPECT_TRUE(job.cancelled());
     EXPECT_TRUE(job.done()); // dropped tasks count as completed
     job.wait();              // returns immediately, no exception
 
@@ -456,120 +454,66 @@ TEST(Scheduler, CancelAfterCompletionIsANoOp)
     EXPECT_TRUE(job.done());
 }
 
-TEST(Scheduler, RunningTaskObservesCooperativeCancel)
-{
-    // cancel() cannot stop a claimed task, but the task can see the
-    // flag via current_job_cancelled() and stop early.
-    Scheduler sched(1);
-    ASSERT_FALSE(Scheduler::current_job_cancelled()); // outside any task
-
-    std::atomic<bool> started{false};
-    std::atomic<bool> saw_cancel{false};
-    Scheduler::JobHandle job = sched.submit(1, [&](std::size_t, int) {
-        started = true;
-        saw_cancel = spin_until([] { return Scheduler::current_job_cancelled(); });
-    });
-    ASSERT_TRUE(spin_until([&] { return started.load(); }));
-    EXPECT_EQ(job.cancel(), 0u); // already claimed: nothing to drop
-    job.wait();
-    EXPECT_TRUE(saw_cancel.load());
-    EXPECT_TRUE(job.cancelled());
-}
-
-TEST(Scheduler, SubmitDeadlineIsVisibleInsideTasks)
-{
-    using Clock = std::chrono::steady_clock;
-    Scheduler sched(2);
-
-    // Outside any task there is no budget.
-    EXPECT_EQ(Scheduler::current_job_deadline(), Clock::time_point::max());
-    EXPECT_FALSE(Scheduler::current_job_expired());
-
-    // A generous deadline rides the job to every task; none expired.
-    const Clock::time_point deadline = Clock::now() + std::chrono::hours(1);
-    std::atomic<int> bound{0};
-    std::atomic<int> expired{0};
-    Scheduler::JobHandle job = sched.submit(
-        4,
-        [&](std::size_t, int) {
-            if (Scheduler::current_job_deadline() == deadline)
-                bound.fetch_add(1);
-            if (Scheduler::current_job_expired())
-                expired.fetch_add(1);
-        },
-        0, 0, deadline);
-    job.wait();
-    EXPECT_EQ(bound.load(), 4);
-    EXPECT_EQ(expired.load(), 0);
-
-    // A deadline already in the past reports expired immediately.
-    std::atomic<int> late{0};
-    Scheduler::JobHandle past = sched.submit(
-        2,
-        [&](std::size_t, int) {
-            if (Scheduler::current_job_expired())
-                late.fetch_add(1);
-        },
-        0, 0, Clock::now() - std::chrono::seconds(1));
-    past.wait();
-    EXPECT_EQ(late.load(), 2);
-}
-
-TEST(Scheduler, NestedInlineParallelForInheritsCancelAndDeadline)
+TEST(Scheduler, NestedInlineParallelForInheritsDeadline)
 {
     // A parallel_for from inside a task runs inline; the inline tasks
-    // must still see the OUTER job's cancel flag and deadline, not a
-    // blank slate.
+    // must still see the enclosing task's deadline, not a blank slate.
     using Clock = std::chrono::steady_clock;
     Scheduler sched(1);
+    EXPECT_EQ(Scheduler::current_job_deadline(), Clock::time_point::max());
     const Clock::time_point deadline = Clock::now() + std::chrono::hours(2);
 
-    std::atomic<bool> inner_saw_deadline{false};
-    std::atomic<bool> inner_saw_cancel{false};
-    std::atomic<bool> started{false};
-    Scheduler::JobHandle job = sched.submit(
-        1,
-        [&](std::size_t, int) {
-            started = true;
-            // Wait for the outer job to be cancelled, then check that a
-            // nested inline parallel_for still observes both signals.
-            spin_until([] { return Scheduler::current_job_cancelled(); });
-            sched.parallel_for(2, [&](std::size_t, int) {
-                if (Scheduler::current_job_deadline() == deadline)
-                    inner_saw_deadline = true;
-                if (Scheduler::current_job_cancelled())
-                    inner_saw_cancel = true;
-            });
-        },
-        0, 0, deadline);
-    ASSERT_TRUE(spin_until([&] { return started.load(); }));
-    job.cancel();
-    job.wait();
-    EXPECT_TRUE(inner_saw_deadline.load());
-    EXPECT_TRUE(inner_saw_cancel.load());
+    std::atomic<int> inner_saw_deadline{0};
+    sched
+        .submit(1,
+                [&](std::size_t, int) {
+                    Scheduler::DeadlineScope budget(deadline);
+                    sched.parallel_for(2, [&](std::size_t, int) {
+                        if (Scheduler::current_job_deadline() == deadline)
+                            inner_saw_deadline.fetch_add(1);
+                    });
+                })
+        .wait();
+    EXPECT_EQ(inner_saw_deadline.load(), 2);
 }
 
 TEST(Scheduler, ParallelForPropagatesCallerDeadlineToPoolWorkers)
 {
     // parallel_for stamps the CALLER's thread-local deadline onto the
-    // pool job it creates, so trials stolen by pool workers run under
-    // the same budget as trials the caller runs itself.
+    // pool job it creates, so indices stolen by pool workers run under
+    // the same budget as indices the caller runs itself.  A past
+    // deadline reads as expired on every one of them.
     using Clock = std::chrono::steady_clock;
     Scheduler sched(4);
     const Clock::time_point deadline = Clock::now() + std::chrono::hours(3);
 
     std::atomic<int> with_deadline{0};
-    Scheduler::JobHandle job = sched.submit(
-        1,
-        [&](std::size_t, int) {
-            sched.parallel_for(16, [&](std::size_t, int) {
-                if (Scheduler::current_job_deadline() == deadline)
-                    with_deadline.fetch_add(1);
-            });
-        },
-        0, 0, deadline);
-    job.wait();
+    std::atomic<int> off_caller{0};
+    const std::thread::id caller = std::this_thread::get_id();
+    {
+        Scheduler::DeadlineScope budget(deadline);
+        sched.parallel_for(16, [&](std::size_t, int) {
+            if (Scheduler::current_job_deadline() == deadline)
+                with_deadline.fetch_add(1);
+            if (std::this_thread::get_id() != caller)
+                off_caller.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        });
+    }
     EXPECT_EQ(with_deadline.load(), 16);
+    EXPECT_GT(off_caller.load(), 0); // the budget reached pool workers
+    EXPECT_EQ(Scheduler::current_job_deadline(), Clock::time_point::max());
+
+    std::atomic<int> expired{0};
+    {
+        Scheduler::DeadlineScope past(Clock::now() - std::chrono::seconds(1));
+        sched.parallel_for(8, [&](std::size_t, int) {
+            if (Scheduler::current_job_expired())
+                expired.fetch_add(1);
+        });
+    }
+    EXPECT_EQ(expired.load(), 8);
+    EXPECT_FALSE(Scheduler::current_job_expired());
 }
 
 TEST(Scheduler, ClaimFailpointFiresPerTaskAndDisarms)

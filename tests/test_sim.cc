@@ -1,6 +1,8 @@
 // Tests for the statevector simulator, the unitary builder, and the
 // noise model / Monte-Carlo success-rate protocol.
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "nassc/circuits/library.h"
@@ -229,6 +231,21 @@ TEST(Noise, FewerCxGivesBetterSuccessOnAverage)
     SuccessRate b =
         monte_carlo_success(fat, nm, {0, 1, 2, 3}, ideal, 4096, 5);
     EXPECT_GT(a.rate, b.rate);
+}
+
+TEST(Noise, NonPositiveTrialsThrow)
+{
+    // 0 shots would divide 0 hits by 0 trials: a NaN success rate.
+    Backend dev = linear_backend(4);
+    NoiseModel nm = NoiseModel::from_backend(dev);
+    QuantumCircuit bell(2);
+    bell.h(0);
+    bell.cx(0, 1);
+    EXPECT_THROW(monte_carlo_success(bell, nm, {0, 1}, 0, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(monte_carlo_success(bell, nm, {0, 1}, 0, -5),
+                 std::invalid_argument);
+    EXPECT_EQ(monte_carlo_success(bell, nm, {0, 1}, 0, 1).trials, 1);
 }
 
 TEST(Noise, CompressesInactiveWires)

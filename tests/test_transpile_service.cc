@@ -412,6 +412,44 @@ TEST(TranspileService, DeadlineWithNothingCompletedThrowsTyped)
     EXPECT_EQ(stats.cache_size, 0u);
 }
 
+TEST(TranspileService, QueuedRequestBudgetCountsQueueWaitAndReachesTrials)
+{
+    // The budget is stamped at submit and installed around the request
+    // when a worker claims it, so time spent queued behind a pinned
+    // worker counts against it.  transpile()'s own deadline_ms scope
+    // starts only when it runs and would leave the whole budget, so the
+    // layout search finding it expired shows that the submit-time
+    // budget is the one that reaches the trials.
+    failpoint::disarm_all();
+    ServiceOptions sopts;
+    sopts.scheduler = std::make_shared<Scheduler>(1);
+    TranspileService service(sopts);
+
+    std::atomic<bool> release{false};
+    std::atomic<bool> pinned{false};
+    Scheduler::JobHandle plug =
+        sopts.scheduler->submit(1, [&](std::size_t, int) {
+            pinned = true;
+            spin_until([&] { return release.load(); });
+        });
+    ASSERT_TRUE(spin_until([&] { return pinned.load(); }));
+
+    TranspileOptions opts;
+    opts.router = RoutingAlgorithm::kSabre;
+    opts.layout_trials = 4;
+    opts.deadline_ms = 300;
+    TranspileTicket ticket = service.submit(ghz(5), shared_montreal(), opts);
+    EXPECT_EQ(ticket.source(), TicketSource::kScheduled);
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    release = true;
+    plug.wait();
+
+    EXPECT_THROW(ticket.get(), TranspileDeadlineExceeded);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.deadline_exceeded, 1u);
+    EXPECT_EQ(stats.transpiles_failed, 0u);
+}
+
 TEST(TranspileService, CoalescedWaiterDeadlineIsPerWaiter)
 {
     // One in-flight computation, two waiters: A has no deadline, B has
