@@ -10,7 +10,7 @@ using namespace nassc::bench;
 int
 main(int argc, char **argv)
 {
-    Args args = parse_args(argc, argv);
+    Args args = parse_args(argc, argv, kSeeds | kThreads);
     auto dev = std::make_shared<Backend>(grid_backend(5, 5));
     const int sizes[] = {0, 5, 10, 20, 40};
 

@@ -12,7 +12,7 @@ using namespace nassc::bench;
 int
 main(int argc, char **argv)
 {
-    Args args = parse_args(argc, argv);
+    Args args = parse_args(argc, argv, kSeeds | kThreads);
     auto dev = std::make_shared<Backend>(linear_backend(25));
 
     // Per circuit: SABRE, NASSC with the fixed SWAP template, full NASSC.

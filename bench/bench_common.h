@@ -5,7 +5,8 @@
  * @file
  * Shared harness code for the table/figure reproduction binaries.
  *
- * Every bench binary accepts:
+ * The bench binaries share these flags, each binary accepting only the
+ * ones it honours (see parse_args):
  *   --seeds N    number of layout seeds averaged per cell (default 3;
  *                the paper averages 10 — pass --seeds 10 to match)
  *   --csv PATH   also write the table as CSV
@@ -13,9 +14,10 @@
  *                Per-cell t(s) columns are measured per job, so under
  *                parallel contention they run higher than a sequential
  *                sweep; pass --threads 1 for paper-comparable timings.
- * and fig11_noise_success also --trials N (Monte Carlo shots per cell).
- * An unknown flag, a missing value or a value that is not a whole
- * integer in range prints usage to stderr and exits 2.
+ *   --trials N   Monte Carlo shots per cell (fig11_noise_success).
+ * An unknown flag, a flag the binary does not honour, a missing value
+ * or a value that is not a whole integer in range prints a usage line
+ * listing the binary's own flags to stderr and exits 2.
  */
 
 #include <charconv>
@@ -43,34 +45,50 @@ struct Args
     std::string csv;
 };
 
+/** The shared flags, as a set of the ones a binary honours. */
+enum Flag : unsigned {
+    kSeeds = 1u << 0,
+    kThreads = 1u << 1,
+    kCsv = 1u << 2,
+    kTrials = 1u << 3,
+};
+
+/** What a table sweep honours: seeds, sweep threads and a CSV copy. */
+inline constexpr unsigned kSweepFlags = kSeeds | kThreads | kCsv;
+
 /**
- * Parse the shared flags.  A binary that passes `default_trials` > 0
- * also takes --trials N; everywhere else --trials is an unknown flag.
+ * Parse the flags in `flags`; any other flag is rejected like an
+ * unknown one.  --trials needs `default_trials`.
  */
 inline Args
-parse_args(int argc, char **argv, int default_seeds = 3,
-           int default_trials = 0)
+parse_args(int argc, char **argv, unsigned flags = kSweepFlags,
+           int default_seeds = 3, int default_trials = 0)
 {
     Args a;
     a.seeds = default_seeds;
     a.trials = default_trials;
-    const bool takes_trials = default_trials > 0;
     auto fail = [&](const std::string &why) {
-        std::fprintf(stderr,
-                     "%s: %s\nusage: %s [--seeds N] [--threads N] "
-                     "[--csv PATH]%s\n",
-                     argv[0], why.c_str(), argv[0],
-                     takes_trials ? " [--trials N]" : "");
+        std::fprintf(stderr, "%s: %s\nusage: %s%s%s%s%s\n", argv[0],
+                     why.c_str(), argv[0],
+                     flags & kSeeds ? " [--seeds N]" : "",
+                     flags & kThreads ? " [--threads N]" : "",
+                     flags & kCsv ? " [--csv PATH]" : "",
+                     flags & kTrials ? " [--trials N]" : "");
         std::exit(2);
     };
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
-        int *target = flag == "--seeds"     ? &a.seeds
-                      : flag == "--threads" ? &a.threads
-                      : flag == "--trials" && takes_trials ? &a.trials
-                                                           : nullptr;
-        if (!target && flag != "--csv")
+        const unsigned bit = flag == "--seeds"     ? kSeeds
+                             : flag == "--threads" ? kThreads
+                             : flag == "--csv"     ? kCsv
+                             : flag == "--trials"  ? kTrials
+                                                   : 0u;
+        if (!(flags & bit))
             fail("unknown flag " + flag);
+        int *target = bit == kSeeds     ? &a.seeds
+                      : bit == kThreads ? &a.threads
+                      : bit == kTrials  ? &a.trials
+                                        : nullptr;
         if (i + 1 >= argc)
             fail(flag + " needs a value");
         const char *value = argv[++i];

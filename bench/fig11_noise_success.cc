@@ -22,8 +22,8 @@ struct Config
 int
 main(int argc, char **argv)
 {
-    Args args = parse_args(argc, argv, /*default_seeds=*/2,
-                           /*default_trials=*/8192);
+    Args args = parse_args(argc, argv, kSweepFlags | kTrials,
+                           /*default_seeds=*/2, /*default_trials=*/8192);
     if (args.trials < args.seeds) {
         // Each seed gets trials / seeds shots; fewer than one is no run.
         std::fprintf(stderr,

@@ -17,7 +17,7 @@ main(int argc, char **argv)
 {
     // 8 configurations x 15 benchmarks x 3 maps: default to one seed so
     // the default bench sweep stays quick; pass --seeds for averaging.
-    Args args = parse_args(argc, argv, /*default_seeds=*/1);
+    Args args = parse_args(argc, argv, kSweepFlags, /*default_seeds=*/1);
 
     std::vector<std::shared_ptr<const Backend>> devices;
     devices.push_back(std::make_shared<Backend>(montreal_backend()));

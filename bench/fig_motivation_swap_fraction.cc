@@ -17,7 +17,7 @@ using namespace nassc::bench;
 int
 main(int argc, char **argv)
 {
-    Args args = parse_args(argc, argv);
+    Args args = parse_args(argc, argv, kSeeds);
     Backend dev = grid_backend(4, 4);
     QuantumCircuit logical = grover(10);
 

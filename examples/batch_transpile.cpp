@@ -15,9 +15,14 @@
 //   --noise-aware                    HA noise-aware distance matrix
 //   --derive-seeds                   decorrelate seeds from the batch seed
 //   --csv PATH                       also write per-job results as CSV
+//
+// A bad flag or a value that is not a whole integer in range prints
+// usage to stderr and exits 2.
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -29,6 +34,32 @@
 using namespace nassc;
 
 namespace {
+
+[[noreturn]] void
+usage(const char *argv0, const std::string &why)
+{
+    std::fprintf(stderr,
+                 "%s: %s\nusage: %s [--backend montreal|linear|grid] "
+                 "[--router nassc|sabre|both] "
+                 "[--benchmarks all|NAME[,NAME...]] [--seeds N] "
+                 "[--threads N] [--noise-aware] [--derive-seeds] "
+                 "[--csv PATH]\n",
+                 argv0, why.c_str(), argv0);
+    std::exit(2);
+}
+
+/** The whole token as an integer >= `lo`; usage and exit 2 otherwise. */
+int
+parse_count(const char *argv0, const char *flag, const char *text, int lo)
+{
+    int v = 0;
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr != end || v < lo)
+        usage(argv0,
+              std::string("bad value for ") + flag + ": '" + text + "'");
+    return v;
+}
 
 std::vector<std::string>
 split_csv_list(const std::string &s)
@@ -71,22 +102,18 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--benchmarks") && i + 1 < argc)
             benchmarks = argv[++i];
         else if (!std::strcmp(argv[i], "--seeds") && i + 1 < argc)
-            seeds = std::atoi(argv[++i]);
+            seeds = parse_count(argv[0], "--seeds", argv[++i], 1);
         else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc)
-            threads = std::atoi(argv[++i]);
+            threads = parse_count(argv[0], "--threads", argv[++i], 0);
         else if (!std::strcmp(argv[i], "--noise-aware"))
             noise_aware = true;
         else if (!std::strcmp(argv[i], "--derive-seeds"))
             derive_seeds = true;
         else if (!std::strcmp(argv[i], "--csv") && i + 1 < argc)
             csv_path = argv[++i];
-        else {
-            std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-            return 2;
-        }
+        else
+            usage(argv[0], std::string("unknown argument ") + argv[i]);
     }
-    if (seeds < 1)
-        seeds = 1;
 
     auto device = std::make_shared<Backend>(
         backend_name == "linear" ? linear_backend(25)

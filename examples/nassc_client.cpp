@@ -27,9 +27,11 @@
 //                    bit-identity of every successful response stays
 //                    strictly enforced.
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -60,6 +62,38 @@ struct Args
     int smoke_threads = 0;
     bool tolerate_faults = false;
 };
+
+void
+usage()
+{
+    std::fprintf(
+        stderr,
+        "usage: nassc_client (--unix PATH | --port N [--host H]) "
+        "[--backend NAME] [--option k=v]... "
+        "[--builtin NAME | --stats | --metrics | --smoke N "
+        "[--tolerate-faults] | FILE|-]\n"
+        "  --stats    print the counter/gauge rows of the metrics "
+        "scrape\n"
+        "  --metrics  scrape the daemon's Prometheus exposition\n"
+        "  --option trace=1  print per-stage span lines (stderr)\n");
+}
+
+/** The whole token as an integer in [lo, hi]; usage and exit 2
+ *  otherwise. */
+int
+parse_integer(const std::string &flag, const char *text, int lo, int hi)
+{
+    int v = 0;
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+        std::fprintf(stderr, "nassc_client: bad value for %s\n",
+                     flag.c_str());
+        usage();
+        std::exit(2);
+    }
+    return v;
+}
 
 nassc::ServeEndpoint
 endpoint(const Args &args)
@@ -143,7 +177,7 @@ run_smoke(const Args &args)
         if (expected.count(job.key))
             continue;
         const nassc::TranspileOptions opts =
-            nassc::parse_transpile_options(job.options);
+            nassc::parse_request_options(job.options).transpile;
         const nassc::TranspileResult local = nassc::TranspileContext::global()
                                                  .transpile(
                                                      nassc::from_qasm(
@@ -283,7 +317,7 @@ main(int argc, char **argv)
         if (arg == "--unix") {
             args.unix_path = value();
         } else if (arg == "--port") {
-            args.port = std::atoi(value());
+            args.port = parse_integer(arg, value(), 1, 65535);
         } else if (arg == "--host") {
             args.host = value();
         } else if (arg == "--backend") {
@@ -304,20 +338,11 @@ main(int argc, char **argv)
         } else if (arg == "--metrics") {
             args.metrics = true;
         } else if (arg == "--smoke") {
-            args.smoke_threads = std::atoi(value());
+            args.smoke_threads = parse_integer(arg, value(), 1, 256);
         } else if (arg == "--tolerate-faults") {
             args.tolerate_faults = true;
         } else if (arg == "--help" || arg == "-h") {
-            std::fprintf(
-                stderr,
-                "usage: nassc_client (--unix PATH | --port N [--host H]) "
-                "[--backend NAME] [--option k=v]... "
-                "[--builtin NAME | --stats | --metrics | --smoke N "
-                "[--tolerate-faults] | FILE|-]\n"
-                "  --stats    print the counter/gauge rows of the metrics "
-                "scrape\n"
-                "  --metrics  scrape the daemon's Prometheus exposition\n"
-                "  --option trace=1  print per-stage span lines (stderr)\n");
+            usage();
             return 0;
         } else {
             args.qasm_file = arg;

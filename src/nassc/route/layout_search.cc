@@ -394,7 +394,6 @@ LayoutSearch::run(Scheduler *scheduler)
     res.initial = trials_[static_cast<std::size_t>(best_trial_)].layout;
     res.scoring_passes = (trials > 1 || retain_) ? consumed : 0;
     res.trials_consumed = consumed;
-    res.deadline_hit = consumed < trials;
     if (retain_) {
         // The keep-min key is the arg-min key, so the kept pass is the
         // winner's by construction.

@@ -120,12 +120,10 @@ struct LayoutSearchResult
      *  single-trial path). */
     int scoring_passes = 0;
     /** Trials that actually ran to completion; < trials.size() only
-     *  when a deadline expired mid-race. */
+     *  when a deadline cut the race short, and the winner is then the
+     *  best of the COMPLETED trials.  run() throws
+     *  TranspileDeadlineExceeded instead when no trial completed. */
     int trials_consumed = 0;
-    /** True when a deadline cut the race short: the winner is the best
-     *  of the COMPLETED trials.  run() throws TranspileDeadlineExceeded
-     *  instead when no trial at all completed. */
-    bool deadline_hit = false;
 };
 
 /** Multi-trial reverse-traversal layout engine. */

@@ -417,6 +417,12 @@ Router::apply_best_swap()
             best_red = red;
         }
     }
+    // No candidate scored finite: a weight this large overflows the
+    // lookahead term to +inf for every SWAP.
+    if (best_edge.first < 0)
+        throw std::invalid_argument(
+            "route_circuit: extended_weight overflows every SWAP score; "
+            "use a smaller weight");
 
     apply_swap(best_edge.first, best_edge.second, best_red);
 }

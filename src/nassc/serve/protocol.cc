@@ -254,11 +254,13 @@ parse_response(const std::string &payload)
     }
 }
 
-TranspileOptions
-parse_transpile_options(
+RequestOptions
+parse_request_options(
     const std::vector<std::pair<std::string, std::string>> &options)
 {
-    TranspileOptions opts;
+    RequestOptions out;
+    TranspileOptions &opts = out.transpile;
+    RequestPolicy &policy = out.policy;
     for (const auto &kv : options) {
         const std::string &key = kv.first;
         const std::string &value = kv.second;
@@ -301,15 +303,15 @@ parse_transpile_options(
         } else if (key == "use_decay") {
             opts.use_decay = parse_bool(key, value);
         } else if (key == "priority") {
-            opts.priority = parse_int(key, value);
+            policy.priority = parse_int(key, value);
         } else if (key == "cache_ttl_seconds") {
-            opts.cache_ttl_seconds = parse_double(key, value);
-            if (opts.cache_ttl_seconds < 0)
+            policy.cache_ttl_seconds = parse_double(key, value);
+            if (policy.cache_ttl_seconds < 0)
                 bad_payload("option cache_ttl_seconds: must be >= 0, got '" +
                             value + "'");
         } else if (key == "deadline_ms") {
-            opts.deadline_ms = parse_int(key, value);
-            if (opts.deadline_ms < 0)
+            policy.deadline_ms = parse_int(key, value);
+            if (policy.deadline_ms < 0)
                 bad_payload("option deadline_ms: must be >= 0, got '" +
                             value + "'");
         } else if (key == "sparse_distance_threshold") {
@@ -328,17 +330,12 @@ parse_transpile_options(
                 bad_payload("option region_radius: must be >= 0, got '" +
                             value + "'");
         } else if (key == "trace") {
-            // Protocol-level flag, not a TranspileOptions field: the
-            // server reads it from the raw option list (tracing is QoS,
-            // like deadline_ms — it must not split cache identity, and
-            // TranspileOptions::fingerprint() is a persistent
-            // contract).  Validate the value so typos still fail loud.
-            (void)parse_bool(key, value);
+            out.trace = parse_bool(key, value);
         } else {
             bad_payload("unknown option '" + key + "'");
         }
     }
-    return opts;
+    return out;
 }
 
 std::size_t

@@ -22,10 +22,8 @@
  *
  *     transpile            |  ping  |  metrics
  *     backend <name>
- *     option <key>=<value>     (zero or more; TranspileOptions fields,
- *                               plus trace=0|1 — protocol-level: opt
- *                               into per-stage span response lines;
- *                               never part of the request's cache key)
+ *     option <key>=<value>     (zero or more; parse_request_options:
+ *                               policy and trace never reach the key)
  *     qasm
  *     <OpenQASM 2.0 body, verbatim to end of payload>
  *
@@ -77,7 +75,7 @@
 #include <utility>
 #include <vector>
 
-#include "nassc/transpile/transpile.h"
+#include "nassc/service/transpile_service.h"
 
 namespace nassc {
 
@@ -130,16 +128,26 @@ std::string encode_response(const ServeResponse &response);
 ServeResponse parse_response(const std::string &payload);
 /** @} */
 
+/** Everything a request's `option` lines set, from one parse. */
+struct RequestOptions
+{
+    TranspileOptions transpile; ///< what the transpile computes
+    RequestPolicy policy;       ///< priority, deadline_ms, cache TTL
+    bool trace = false;         ///< reply with trace-id and span lines
+};
+
 /**
- * Interpret wire `option` pairs as a TranspileOptions.  Every public
- * field is addressable by its struct name (router=nassc|sabre,
- * seed=0..2^32-1, noise_aware=0|1, …, priority=N, cache_ttl_seconds=X).
+ * Interpret wire `option` pairs in one parse: every TranspileOptions
+ * and RequestPolicy field by its struct name (router=nassc|sabre,
+ * seed=0..2^32-1, …, priority=N, deadline_ms=N, cache_ttl_seconds=X),
+ * plus trace=0|1 for per-stage span lines.  Only `transpile` reaches
+ * the request's cache key; a repeated key's last value wins.
  * @throws std::runtime_error on unknown keys or unparsable values, so
  * a typo'd request fails loudly instead of transpiling with defaults,
  * on non-finite numbers, on negative deadline_ms or cache_ttl_seconds,
  * and on layout_trials > 256 or layout_iterations > 64.
  */
-TranspileOptions parse_transpile_options(
+RequestOptions parse_request_options(
     const std::vector<std::pair<std::string, std::string>> &options);
 
 /**

@@ -122,19 +122,6 @@ append_service_rows(std::string &out, const TranspileService &service)
         obs::render_row(out, row.type, row.name, row.help, row.value);
 }
 
-/** Did the client opt into span response lines?  `trace` is a
- *  protocol-level option (see parse_transpile_options): last
- *  occurrence wins, values validated there. */
-bool
-request_wants_trace(const ServeRequest &request)
-{
-    bool trace = false;
-    for (const auto &kv : request.options)
-        if (kv.first == "trace")
-            trace = kv.second == "1" || kv.second == "true";
-    return trace;
-}
-
 std::uint64_t
 us_since(std::chrono::steady_clock::time_point start)
 {
@@ -284,10 +271,10 @@ struct NasscServer::Impl
         return true;
     }
 
-    /** Verb dispatch on an already-decoded request; throws typed
-     *  service errors for handle_payload to map. */
+    /** Verb dispatch on a decoded request and its parsed options;
+     *  throws typed service errors for handle_payload to map. */
     ServeResponse
-    dispatch(const ServeRequest &request, int fd)
+    dispatch(const ServeRequest &request, RequestOptions opts, int fd)
     {
         ServeResponse response;
         if (request.verb == "ping") {
@@ -304,11 +291,10 @@ struct NasscServer::Impl
         }
         const std::shared_ptr<const Backend> backend =
             lookup_backend(request.backend);
-        TranspileOptions opts = parse_transpile_options(request.options);
-        if (opts.deadline_ms == 0 && options.default_deadline_ms > 0)
-            opts.deadline_ms = options.default_deadline_ms;
-        TranspileTicket ticket =
-            service->submit_qasm(request.qasm, backend, opts);
+        if (opts.policy.deadline_ms == 0)
+            opts.policy.deadline_ms = options.default_deadline_ms;
+        TranspileTicket ticket = service->submit_qasm(
+            request.qasm, backend, opts.transpile, opts.policy);
         if (!wait_ticket(ticket, fd)) {
             // Nobody will read the answer; a request no worker has
             // started yet is dropped entirely.
@@ -339,7 +325,12 @@ struct NasscServer::Impl
             const std::uint64_t decode_us = us_since(start);
             om.decode_us.observe(decode_us);
             transpile_verb = request.verb == "transpile";
-            if (transpile_verb && request_wants_trace(request)) {
+            // One parse of the option lines yields the transpile
+            // options, the request's policy and its trace flag.
+            RequestOptions opts;
+            if (transpile_verb)
+                opts = parse_request_options(request.options);
+            if (opts.trace) {
                 // The decode happened before the tracer could exist,
                 // so note its already-measured span explicitly.
                 tracer = std::make_shared<obs::Tracer>(obs::mint_trace_id());
@@ -349,7 +340,7 @@ struct NasscServer::Impl
             // admission span on this thread, and the scheduler carries
             // the tracer onto whichever workers execute the job.
             obs::TraceScope scope(tracer);
-            response = dispatch(request, fd);
+            response = dispatch(request, std::move(opts), fd);
         } catch (const ClientGone &) {
             throw;
         } catch (const TranspileOverloaded &e) {

@@ -23,6 +23,17 @@ hex64(std::uint64_t v)
     return buf;
 }
 
+/** Is an entry inserted at `inserted` at least `ttl_seconds` old at
+ *  `now`?  A TTL of 0 (or NaN) sets no age limit. */
+bool
+older_than(std::chrono::steady_clock::time_point inserted,
+           double ttl_seconds, std::chrono::steady_clock::time_point now)
+{
+    return ttl_seconds > 0.0 &&
+           std::chrono::duration<double>(now - inserted).count() >=
+               ttl_seconds;
+}
+
 } // namespace
 
 /** Encoded once, under `mu`, by the first get_qasm(). */
@@ -90,12 +101,8 @@ TranspileService::request_key(const QuantumCircuit &circuit,
     // the backend contributes its own cache_key(), which already
     // fingerprints topology + calibration.  '|' never appears inside
     // the hex fragments, so the triple cannot alias across fields.
-    // The deadline is zeroed first: it is QoS, not identity, and keying
-    // it would split coalescing/caching across equal circuits.
-    TranspileOptions keyed = options;
-    keyed.deadline_ms = 0;
     return hex64(circuit.fingerprint()) + "|" + backend_key + "|" +
-           hex64(keyed.fingerprint());
+           hex64(options.fingerprint());
 }
 
 TranspileService::TranspileService(ServiceOptions options)
@@ -121,26 +128,6 @@ Scheduler &
 TranspileService::scheduler() const
 {
     return scheduler_ ? *scheduler_ : Scheduler::shared();
-}
-
-TranspileService::Clock::time_point
-TranspileService::entry_expiry(const TranspileOptions &options) const
-{
-    const double ttl = options.cache_ttl_seconds > 0.0
-                           ? options.cache_ttl_seconds
-                           : options_.default_ttl_seconds;
-    if (!(ttl > 0.0)) // NaN included
-        return Clock::time_point::max();
-    // Saturate: a TTL past the clock's range (about 292 years of
-    // nanoseconds) never expires.  Compared in floating ticks, so the
-    // integer cast below only ever sees a value that fits.
-    const Clock::time_point now = Clock::now();
-    const std::chrono::duration<double, Clock::period> ticks =
-        std::chrono::duration<double>(ttl);
-    if (ticks.count() >=
-        static_cast<double>((Clock::time_point::max() - now).count()))
-        return Clock::time_point::max();
-    return now + std::chrono::duration_cast<Clock::duration>(ticks);
 }
 
 void
@@ -235,8 +222,7 @@ TranspileService::cache_insert(const std::string &key,
                                SharedTranspileResult result,
                                std::shared_ptr<EncodedQasm> qasm,
                                const std::string &backend_name,
-                               const std::string &backend_key,
-                               const TranspileOptions &options)
+                               const std::string &backend_key)
 {
     if (options_.cache_capacity == 0)
         return;
@@ -263,7 +249,7 @@ TranspileService::cache_insert(const std::string &key,
     entry.qasm = std::move(qasm);
     entry.backend_name = backend_name;
     entry.backend_key = backend_key;
-    entry.expiry = entry_expiry(options);
+    entry.inserted = Clock::now();
     // Cost = what the entry actually keeps resident: the routed
     // circuit's heap footprint plus the entry/index bookkeeping (the
     // key is stored twice: list node + index map).  Its text, once
@@ -322,9 +308,8 @@ TranspileService::run_request(
     bool missed_deadline = false;
     try {
         // The request's absolute budget, computed at submit time so
-        // queueing delay counts against it.  transpile() adds its own
-        // scope from options.deadline_ms, but relative to its start —
-        // this outer scope is the one that charges the queue wait.
+        // queueing delay counts against it; parallel_for carries it
+        // onto stolen layout trials.
         Scheduler::DeadlineScope budget(deadline);
         obs::TraceSpan span("transpile", &om.transpile_us);
         failpoint::hit("service.transpile");
@@ -350,8 +335,7 @@ TranspileService::run_request(
             if (!result->degraded) {
                 obs::TraceSpan insert_span("cache_insert",
                                            &om.cache_insert_us);
-                cache_insert(key, result, qasm, backend.name, backend_key,
-                             options);
+                cache_insert(key, result, qasm, backend.name, backend_key);
             }
         } else if (missed_deadline) {
             ++stats_.deadline_exceeded;
@@ -385,7 +369,8 @@ TranspileService::run_request(
 TranspileTicket
 TranspileService::submit(const QuantumCircuit &circuit,
                          std::shared_ptr<const Backend> backend,
-                         const TranspileOptions &options)
+                         const TranspileOptions &options,
+                         const RequestPolicy &policy)
 {
     if (!backend)
         throw std::invalid_argument("submit: null backend");
@@ -404,8 +389,8 @@ TranspileService::submit(const QuantumCircuit &circuit,
 
     // Absolute budget, stamped NOW so queue delay counts against it.
     const Clock::time_point deadline =
-        options.deadline_ms > 0
-            ? Clock::now() + std::chrono::milliseconds(options.deadline_ms)
+        policy.deadline_ms > 0
+            ? Clock::now() + std::chrono::milliseconds(policy.deadline_ms)
             : Clock::time_point::max();
     const bool inline_run = Scheduler::in_task();
 
@@ -422,8 +407,12 @@ TranspileService::submit(const QuantumCircuit &circuit,
         note_backend_generation(backend, backend_key);
 
         auto hit = cache_.find(ticket.key_);
-        if (hit != cache_.end() && Clock::now() >= hit->second->expiry) {
-            // Lazy TTL: an expired entry is invalid, not a hit.
+        const double ttl = policy.cache_ttl_seconds > 0.0
+                               ? policy.cache_ttl_seconds
+                               : options_.default_ttl_seconds;
+        if (hit != cache_.end() &&
+            older_than(hit->second->inserted, ttl, submitted)) {
+            // Too old for this request: invalid, not a hit.
             cache_erase(hit->second);
             ++stats_.evictions_invalidated;
             hit = cache_.end();
@@ -505,7 +494,7 @@ TranspileService::submit(const QuantumCircuit &circuit,
                         promise, qasm, deadline, submitted,
                         /*dequeue=*/true);
         },
-        /*max_slots=*/1, options.priority);
+        /*max_slots=*/1, policy.priority);
     {
         // Park the handle so try_cancel can reach the job.  The request
         // may already have finished (entry gone) or, pathologically,
@@ -522,11 +511,12 @@ TranspileService::submit(const QuantumCircuit &circuit,
 TranspileTicket
 TranspileService::submit_qasm(const std::string &qasm,
                               std::shared_ptr<const Backend> backend,
-                              const TranspileOptions &options)
+                              const TranspileOptions &options,
+                              const RequestPolicy &policy)
 {
     // Parse once; the parsed circuit carries the fingerprint, so this
     // request shares keys (and therefore dedup) with object submits.
-    return submit(from_qasm(qasm), std::move(backend), options);
+    return submit(from_qasm(qasm), std::move(backend), options, policy);
 }
 
 bool
@@ -599,7 +589,7 @@ TranspileService::purge_expired()
     std::lock_guard<std::mutex> lk(mu_);
     std::size_t dropped = 0;
     for (auto it = lru_.begin(); it != lru_.end();) {
-        if (now >= it->expiry) {
+        if (older_than(it->inserted, options_.default_ttl_seconds, now)) {
             it = cache_erase(it);
             ++stats_.evictions_invalidated;
             ++dropped;

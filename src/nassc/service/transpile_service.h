@@ -11,7 +11,7 @@
  * requests.  TranspileService is that amortization layer:
  *
  *  - submit() hands back a Ticket immediately; the transpile itself
- *    runs as a Scheduler job at the request's options.priority,
+ *    runs as a Scheduler job at the request's RequestPolicy::priority,
  *    interleaved with every other request on the shared workers (see
  *    service/scheduler.h).  submit_qasm() is the same path with
  *    OpenQASM 2.0 text as the wire format — the API the nasscd daemon
@@ -21,7 +21,10 @@
  *    TranspileOptions::fingerprint()) — so identity is structural: two
  *    clients submitting the same circuit/device/options meet the same
  *    key no matter how they built the objects (or whether they arrived
- *    as objects or QASM text).
+ *    as objects or QASM text).  It hashes output identity only: the
+ *    options fingerprint skips the execution knobs, and the request's
+ *    RequestPolicy is never keyed, so requests differing only there
+ *    share one computation and one entry.
  *  - In-flight coalescing: a request whose key is already being
  *    transpiled joins that computation's future instead of starting a
  *    second one — N concurrent identical requests cost ONE transpile.
@@ -38,11 +41,12 @@
  *    linger until LRU eviction; now the service tracks the last seen
  *    cache_key per backend NAME and drops every entry of a rotated
  *    generation the moment the new calibration is first seen
- *    (invalidate_backend() does it explicitly).  Entries also carry a
- *    TTL (per-request options.cache_ttl_seconds, else
- *    default_ttl_seconds) and expire lazily on lookup or via
- *    purge_expired().  Capacity and invalidation evictions are counted
- *    separately in ServiceStats.
+ *    (invalidate_backend() does it explicitly).  TTL is a maximum age
+ *    checked at lookup: a request accepts an entry only while it is
+ *    younger than its RequestPolicy::cache_ttl_seconds (else
+ *    default_ttl_seconds), and drops and recomputes an older one.
+ *    Capacity and invalidation evictions are counted separately in
+ *    ServiceStats.
  *  - A hit costs O(request), not O(device).  cache_key() hashes the
  *    whole device, so the per-name generation record also keeps a
  *    weak_ptr to the object its key was hashed from, and a request
@@ -54,8 +58,9 @@
  *    key came from.
  *  - transpile() is deterministic per key (seeds live in the options,
  *    which are part of the key), so a hit is BIT-IDENTICAL to a fresh
- *    run — only the timing fields (seconds/layout_seconds) still
- *    describe the original computation.  Failures are never cached: a
+ *    run, but its seconds, layout_seconds, reused_search_route,
+ *    full_route_passes and layout_trials_consumed describe the
+ *    computation that filled the entry.  Failures are never cached: a
  *    throwing request propagates its exception to every coalesced
  *    waiter and the next submit retries.
  *  - try_cancel() abandons a request nobody else is waiting on, if no
@@ -140,7 +145,7 @@ class TranspileTicket
     /**
      * Block for the result; rethrows the transpile's exception on
      * failure (TranspileCancelled after a successful try_cancel).
-     * A COALESCED ticket whose request carried deadline_ms waits at
+     * A COALESCED ticket whose request carried a deadline waits at
      * most until that deadline and then throws
      * TranspileDeadlineExceeded — the computation it joined belongs to
      * another request and may legitimately outlive this one's budget.
@@ -177,6 +182,24 @@ class TranspileTicket
     TranspileService *service_ = nullptr;
 };
 
+/** Per-request quality of service: when a request runs, how long it
+ *  may take, and how old a cached answer it accepts.  Never part of
+ *  the request key and never read by transpile(). */
+struct RequestPolicy
+{
+    /** Scheduler priority: requests with a higher value are claimed by
+     *  workers before lower ones whenever both are runnable. */
+    int priority = 0;
+    /** Soft wall-clock budget in milliseconds from submit, queue
+     *  wait included; 0 = none.  The layout search polls it at trial
+     *  boundaries: see TranspileResult::degraded, and
+     *  TranspileDeadlineExceeded when no trial completed. */
+    int deadline_ms = 0;
+    /** Maximum age in seconds of a cached entry this request accepts;
+     *  0 defers to ServiceOptions::default_ttl_seconds. */
+    double cache_ttl_seconds = 0.0;
+};
+
 /** Service configuration. */
 struct ServiceOptions
 {
@@ -194,9 +217,9 @@ struct ServiceOptions
      */
     std::size_t cache_max_bytes = 64u << 20;
     /**
-     * Age after which a cached entry is invalid, in seconds, for
-     * requests that do not set options.cache_ttl_seconds themselves.
-     * 0 = entries never expire by age.
+     * Maximum age in seconds of a cached entry, for requests that do
+     * not set RequestPolicy::cache_ttl_seconds themselves, and the age
+     * past which purge_expired() drops entries.  0 = no age limit.
      */
     double default_ttl_seconds = 0.0;
     /**
@@ -269,7 +292,8 @@ class TranspileService
      */
     TranspileTicket submit(const QuantumCircuit &circuit,
                            std::shared_ptr<const Backend> backend,
-                           const TranspileOptions &options = {});
+                           const TranspileOptions &options = {},
+                           const RequestPolicy &policy = {});
 
     /**
      * Wire-format submit: parse `qasm` (OpenQASM 2.0) ONCE, fingerprint
@@ -281,7 +305,8 @@ class TranspileService
      */
     TranspileTicket submit_qasm(const std::string &qasm,
                                 std::shared_ptr<const Backend> backend,
-                                const TranspileOptions &options = {});
+                                const TranspileOptions &options = {},
+                                const RequestPolicy &policy = {});
 
     /**
      * Abandon `ticket`'s request if (a) it owns a scheduled transpile,
@@ -302,14 +327,12 @@ class TranspileService
      */
     std::size_t invalidate_backend(const std::string &backend_name);
 
-    /** Drop every TTL-expired entry now; returns how many. */
+    /** Drop every entry older than default_ttl_seconds now; returns
+     *  how many (none when the default is 0). */
     std::size_t purge_expired();
 
     /** The fingerprint key submit() files `(circuit, backend, options)`
-     *  under — exposed for tests.  deadline_ms is
-     *  zeroed before fingerprinting: a deadline is per-request QoS, not
-     *  result identity, so deadline'd and deadline-free submissions of
-     *  one circuit coalesce and share cache entries. */
+     *  under — exposed for tests. */
     static std::string request_key(const QuantumCircuit &circuit,
                                    const Backend &backend,
                                    const TranspileOptions &options);
@@ -345,7 +368,7 @@ class TranspileService
         std::size_t bytes = 0;       ///< cost charged against the budget
         std::string backend_name;    ///< for generation sweeps
         std::string backend_key;     ///< cache_key() at insert time
-        Clock::time_point expiry;    ///< time_point::max() = no TTL
+        Clock::time_point inserted;  ///< for the TTL age check
     };
 
     /** In-flight computation, joined by coalescing requests. */
@@ -379,8 +402,7 @@ class TranspileService
     void cache_insert(const std::string &key, SharedTranspileResult result,
                       std::shared_ptr<EncodedQasm> qasm,
                       const std::string &backend_name,
-                      const std::string &backend_key,
-                      const TranspileOptions &options);
+                      const std::string &backend_key);
 
     /** Charge `qasm`'s freshly encoded text to the entry that holds it,
      *  then evict to fit.  No-op if that entry is gone.  Takes mu_. */
@@ -407,9 +429,6 @@ class TranspileService
     std::size_t
     note_backend_generation(const std::shared_ptr<const Backend> &backend,
                             const std::string &backend_key);
-
-    /** TTL deadline for an entry inserted now under `options`. */
-    Clock::time_point entry_expiry(const TranspileOptions &options) const;
 
     ServiceOptions options_;
     std::shared_ptr<Scheduler> scheduler_; ///< null = Scheduler::shared()

@@ -74,15 +74,18 @@ class TranspileContext
 
     /** Async submit through the context's TranspileService (created on
      *  first use): dedup, coalescing, and the bounded result cache all
-     *  apply.  See service/transpile_service.h. */
+     *  apply, and `policy` sets the request's priority, deadline and
+     *  cache TTL.  See service/transpile_service.h. */
     TranspileTicket submit(const QuantumCircuit &qc,
                            std::shared_ptr<const Backend> backend,
-                           const TranspileOptions &opts = {});
+                           const TranspileOptions &opts = {},
+                           const RequestPolicy &policy = {});
 
     /** Async submit of OpenQASM 2.0 text (parse errors throw here). */
     TranspileTicket submit_qasm(const std::string &qasm,
                                 std::shared_ptr<const Backend> backend,
-                                const TranspileOptions &opts = {});
+                                const TranspileOptions &opts = {},
+                                const RequestPolicy &policy = {});
 
     DistanceCache &distances() const { return *distances_; }
 

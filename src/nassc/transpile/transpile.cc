@@ -1,7 +1,6 @@
 #include "nassc/transpile/transpile.h"
 
 #include <chrono>
-#include <optional>
 
 #include "nassc/ir/fnv1a.h"
 #include "nassc/obs/metrics.h"
@@ -12,7 +11,6 @@
 #include "nassc/passes/decompose_swaps.h"
 #include "nassc/passes/optimize_1q.h"
 #include "nassc/route/layout_search.h"
-#include "nassc/service/scheduler.h"
 #include "nassc/transpile/context.h"
 
 namespace nassc {
@@ -43,8 +41,8 @@ optimization_loop(QuantumCircuit &qc, int rounds, SynthMemo &memo)
 std::uint64_t
 TranspileOptions::fingerprint() const
 {
-    // Every field, declaration order, fixed-width encodings: the value
-    // is part of the persistent cache-key contract (see header).
+    // Identity fields, declaration order, fixed-width encodings: the
+    // value is part of the persistent cache-key contract (see header).
     Fnv1a fp;
     fp.u32(static_cast<std::uint32_t>(router));
     fp.u32(seed);
@@ -56,18 +54,30 @@ TranspileOptions::fingerprint() const
     fp.f64(extended_weight);
     fp.u32(static_cast<std::uint32_t>(layout_iterations));
     fp.u32(static_cast<std::uint32_t>(layout_trials));
-    fp.u32(static_cast<std::uint32_t>(layout_threads));
     fp.u32(static_cast<std::uint32_t>(opt_loop_rounds));
-    fp.byte(reuse_routing ? 1 : 0);
     fp.byte(orientation_aware_decomposition ? 1 : 0);
     fp.byte(use_decay ? 1 : 0);
-    fp.u32(static_cast<std::uint32_t>(priority));
-    fp.f64(cache_ttl_seconds);
-    fp.u32(static_cast<std::uint32_t>(deadline_ms));
-    fp.u32(static_cast<std::uint32_t>(sparse_distance_threshold));
-    fp.u64(static_cast<std::uint64_t>(distance_row_budget_bytes));
     fp.u32(static_cast<std::uint32_t>(region_radius));
     return fp.value();
+}
+
+RoutingOptions
+routing_options(const TranspileOptions &opts)
+{
+    RoutingOptions ropts;
+    ropts.algorithm = opts.router;
+    ropts.extended_size = opts.extended_size;
+    ropts.extended_weight = opts.extended_weight;
+    ropts.enable_c2q = opts.enable_c2q;
+    ropts.enable_commute1 = opts.enable_commute1;
+    ropts.enable_commute2 = opts.enable_commute2;
+    ropts.use_decay = opts.use_decay;
+    ropts.seed = opts.seed;
+    ropts.layout_trials = opts.layout_trials;
+    ropts.layout_threads = opts.layout_threads;
+    ropts.reuse_routing = opts.reuse_routing;
+    ropts.region_radius = opts.region_radius;
+    return ropts;
 }
 
 TranspileResult
@@ -83,14 +93,6 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
           const std::string &backend_key)
 {
     auto t0 = std::chrono::steady_clock::now();
-
-    // Install the request budget for this thread (and, through
-    // parallel_for's deadline propagation, for stolen layout trials).
-    // An enclosing scope — e.g. the service worker's — still applies:
-    // DeadlineScope takes the min.
-    std::optional<Scheduler::DeadlineScope> budget;
-    if (opts.deadline_ms > 0)
-        budget.emplace(t0 + std::chrono::milliseconds(opts.deadline_ms));
 
     // One resynthesis memo for every consolidation of this call.
     SynthMemo memo;
@@ -121,19 +123,7 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
     const DistanceProvider &dist = *dist_shared;
 
     // 4. Initial layout (shared between SABRE and NASSC, paper Sec. IV-A).
-    RoutingOptions ropts;
-    ropts.algorithm = opts.router;
-    ropts.extended_size = opts.extended_size;
-    ropts.extended_weight = opts.extended_weight;
-    ropts.enable_c2q = opts.enable_c2q;
-    ropts.enable_commute1 = opts.enable_commute1;
-    ropts.enable_commute2 = opts.enable_commute2;
-    ropts.use_decay = opts.use_decay;
-    ropts.seed = opts.seed;
-    ropts.layout_trials = opts.layout_trials;
-    ropts.layout_threads = opts.layout_threads;
-    ropts.reuse_routing = opts.reuse_routing;
-    ropts.region_radius = opts.region_radius;
+    const RoutingOptions ropts = routing_options(opts);
 
     auto tl0 = std::chrono::steady_clock::now();
     LayoutSearchResult search = [&] {
@@ -185,7 +175,8 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
     res.layout_seconds = std::chrono::duration<double>(tl1 - tl0).count();
     res.reused_search_route = reused;
     res.full_route_passes = search.scoring_passes + (reused ? 0 : 1);
-    res.degraded = search.deadline_hit;
+    res.degraded =
+        search.trials_consumed < static_cast<int>(search.trials.size());
     res.layout_trials_consumed = search.trials_consumed;
     return res;
 }

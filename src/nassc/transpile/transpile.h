@@ -76,32 +76,6 @@ struct TranspileOptions
     /** Ablation switch: SABRE decay factor in the router. */
     bool use_decay = true;
     /**
-     * Serving-layer scheduling priority: requests with a higher value
-     * are claimed by Scheduler workers before lower ones whenever both
-     * are runnable.  Never changes the transpiled output — only when it
-     * is computed.  Ignored by the synchronous transpile() entry points.
-     */
-    int priority = 0;
-    /**
-     * Serving-layer result-cache time-to-live in seconds; after this
-     * long in the TranspileService cache the entry is invalidated (an
-     * eager staleness bound on top of calibration-rotation keying).
-     * 0 defers to ServiceOptions::default_ttl_seconds; ignored by the
-     * synchronous transpile() entry points.
-     */
-    double cache_ttl_seconds = 0.0;
-    /**
-     * Soft wall-clock budget in milliseconds; 0 = none.  transpile()
-     * installs it as a Scheduler::DeadlineScope, and the layout search
-     * polls it at trial boundaries: on expiry with >= 1 completed trial
-     * the pipeline returns the best-completed result flagged
-     * TranspileResult::degraded, and with nothing completed it throws
-     * TranspileDeadlineExceeded.  Unset (0) is bit-identical to the
-     * pre-deadline pipeline.  Excluded from the service request key
-     * (deadlines are QoS, not identity) but part of fingerprint().
-     */
-    int deadline_ms = 0;
-    /**
      * Device size above which distance_row_budget_bytes applies.  Every
      * device gets the same lazy per-row provider; at or below the
      * threshold its row cache is unbounded.  A row's values never
@@ -127,17 +101,17 @@ struct TranspileOptions
     int region_radius = 0;
 
     /**
-     * FNV-1a fingerprint over EVERY field above, in declaration order.
-     * Part of the TranspileService result-cache key (with
-     * QuantumCircuit::fingerprint() and Backend::cache_key()), so two
-     * option sets share a key iff every field matches.  Deliberately
-     * conservative: layout_threads, reuse_routing, and the serving
-     * fields (priority, cache_ttl_seconds) are keyed too even though
-     * none of them changes the transpiled output — a request that
-     * differs only there misses the cache rather than risking a stale
-     * answer if those contracts ever loosen.  Values are pinned
-     * in tests/test_fingerprint.cc; extending this struct must extend
-     * the hash (the test's field-coverage sweep catches omissions).
+     * FNV-1a fingerprint over the 14 fields that determine the output,
+     * in declaration order: router, seed, noise_aware, the enable_*
+     * switches, extended_size, extended_weight, layout_iterations,
+     * layout_trials, opt_loop_rounds, orientation_aware_decomposition,
+     * use_decay and region_radius.  It skips the execution knobs
+     * layout_threads, reuse_routing, sparse_distance_threshold and
+     * distance_row_budget_bytes, whose output invariance the
+     * equivalence tests pin.  Part of the TranspileService cache key
+     * (with QuantumCircuit::fingerprint() and Backend::cache_key()).
+     * Values are pinned in tests/test_fingerprint.cc, whose two-way
+     * field sweep catches a new field left out of either list.
      */
     std::uint64_t fingerprint() const;
 };
@@ -164,9 +138,10 @@ struct TranspileResult
      *  scoring pass per layout trial, plus the post-search route when
      *  it was not reused.  Reuse shows exactly one fewer pass. */
     int full_route_passes = 0;
-    /** True when a deadline (TranspileOptions::deadline_ms) expired
-     *  mid-search and this is the best of the trials that DID complete
-     *  rather than of all requested trials.  Degraded results are
+    /** True when an enclosing Scheduler::DeadlineScope (the service's,
+     *  from RequestPolicy::deadline_ms) expired mid-search and this is
+     *  the best of the trials that DID complete rather than of all
+     *  requested trials.  Degraded results are
      *  correct circuits — only the racing was cut short — and are
      *  never admitted to the service result cache. */
     bool degraded = false;
@@ -205,6 +180,10 @@ TranspileResult transpile(const QuantumCircuit &qc, const Backend &backend,
  */
 TranspileResult optimize_only(const QuantumCircuit &qc,
                               const TranspileOptions &opts = {});
+
+/** The router settings `opts` selects: what transpile() hands to the
+ *  layout search and the routing step. */
+RoutingOptions routing_options(const TranspileOptions &opts);
 
 } // namespace nassc
 

@@ -319,19 +319,7 @@ transpile_checking_cancellation(const QuantumCircuit &qc,
 
     const SharedDistanceProvider dist =
         cache.provider(backend, DistanceRequest::hops());
-    RoutingOptions ropts;
-    ropts.algorithm = opts.router;
-    ropts.extended_size = opts.extended_size;
-    ropts.extended_weight = opts.extended_weight;
-    ropts.enable_c2q = opts.enable_c2q;
-    ropts.enable_commute1 = opts.enable_commute1;
-    ropts.enable_commute2 = opts.enable_commute2;
-    ropts.use_decay = opts.use_decay;
-    ropts.seed = opts.seed;
-    ropts.layout_trials = opts.layout_trials;
-    ropts.layout_threads = opts.layout_threads;
-    ropts.reuse_routing = opts.reuse_routing;
-    ropts.region_radius = opts.region_radius;
+    const RoutingOptions ropts = routing_options(opts);
     LayoutSearchResult search = search_and_route(
         c, backend.coupling, *dist, ropts, opts.layout_iterations);
     QuantumCircuit phys =

@@ -8,10 +8,11 @@
 //  (b) structural identity — independently built identical circuits
 //      collide, any structural difference (order, operands, params,
 //      width, orientation flags, gate grouping) separates;
-//  (c) option field coverage — flipping EVERY TranspileOptions field,
-//      one at a time, changes the fingerprint, and all the variants are
-//      pairwise distinct.  Adding a field without extending the hash
-//      fails the count check below.
+//  (c) option field coverage in both directions — flipping any of the
+//      14 output-identity fields, one at a time, changes the
+//      fingerprint (all variants pairwise distinct), and flipping any
+//      of the 4 execution knobs leaves it unchanged.  Adding a field
+//      without sorting it into one list fails the count check below.
 
 #include <cstdint>
 #include <limits>
@@ -116,62 +117,65 @@ TEST(CircuitFingerprint, GateGroupingCannotAlias)
 
 TEST(OptionsFingerprint, PinnedStableValues)
 {
-    EXPECT_EQ(TranspileOptions{}.fingerprint(), 0x4c60e4db5626fb3cull);
+    // Over the 14 output-identity fields only.
+    EXPECT_EQ(TranspileOptions{}.fingerprint(), 0x100d21e18670fd4cull);
     TranspileOptions s;
     s.router = RoutingAlgorithm::kSabre;
     s.seed = 7;
-    EXPECT_EQ(s.fingerprint(), 0x566bd1ae297254ceull);
+    EXPECT_EQ(s.fingerprint(), 0x240a1e4eec4d6d72ull);
 }
 
 TEST(OptionsFingerprint, EveryFieldIsCovered)
 {
     // One variant per field, each differing from the default in exactly
-    // that field.  If TranspileOptions grows a field, add a variant
-    // here AND a line to fingerprint() — the count assert is the tripwire.
-    std::vector<TranspileOptions> variants;
-    auto vary = [&](auto &&set) {
+    // that field.  If TranspileOptions grows a field, add a variant to
+    // the list it belongs in (and, for identity, a line to
+    // fingerprint()) — the count assert is the tripwire.
+    std::vector<TranspileOptions> identity;
+    std::vector<TranspileOptions> knobs;
+    auto vary = [](std::vector<TranspileOptions> &into, auto &&set) {
         TranspileOptions o;
         set(o);
-        variants.push_back(o);
+        into.push_back(o);
     };
-    vary([](TranspileOptions &o) { o.router = RoutingAlgorithm::kSabre; });
-    vary([](TranspileOptions &o) { o.seed = 12345; });
-    vary([](TranspileOptions &o) { o.noise_aware = true; });
-    vary([](TranspileOptions &o) { o.enable_c2q = false; });
-    vary([](TranspileOptions &o) { o.enable_commute1 = false; });
-    vary([](TranspileOptions &o) { o.enable_commute2 = false; });
-    vary([](TranspileOptions &o) { o.extended_size = 21; });
-    vary([](TranspileOptions &o) { o.extended_weight = 0.25; });
-    vary([](TranspileOptions &o) { o.layout_iterations = 4; });
-    vary([](TranspileOptions &o) { o.layout_trials = 4; });
-    vary([](TranspileOptions &o) { o.layout_threads = 2; });
-    vary([](TranspileOptions &o) { o.opt_loop_rounds = 5; });
-    vary([](TranspileOptions &o) { o.reuse_routing = false; });
-    vary([](TranspileOptions &o) {
-        o.orientation_aware_decomposition = false;
-    });
-    vary([](TranspileOptions &o) { o.use_decay = false; });
-    vary([](TranspileOptions &o) { o.priority = 3; });
-    vary([](TranspileOptions &o) { o.cache_ttl_seconds = 30.0; });
-    vary([](TranspileOptions &o) { o.deadline_ms = 750; });
-    vary([](TranspileOptions &o) { o.sparse_distance_threshold = 64; });
-    vary([](TranspileOptions &o) {
-        o.distance_row_budget_bytes = 1 << 20;
-    });
-    vary([](TranspileOptions &o) { o.region_radius = 4; });
+    using O = TranspileOptions;
+    vary(identity, [](O &o) { o.router = RoutingAlgorithm::kSabre; });
+    vary(identity, [](O &o) { o.seed = 12345; });
+    vary(identity, [](O &o) { o.noise_aware = true; });
+    vary(identity, [](O &o) { o.enable_c2q = false; });
+    vary(identity, [](O &o) { o.enable_commute1 = false; });
+    vary(identity, [](O &o) { o.enable_commute2 = false; });
+    vary(identity, [](O &o) { o.extended_size = 21; });
+    vary(identity, [](O &o) { o.extended_weight = 0.25; });
+    vary(identity, [](O &o) { o.layout_iterations = 4; });
+    vary(identity, [](O &o) { o.layout_trials = 4; });
+    vary(identity, [](O &o) { o.opt_loop_rounds = 5; });
+    vary(identity,
+         [](O &o) { o.orientation_aware_decomposition = false; });
+    vary(identity, [](O &o) { o.use_decay = false; });
+    vary(identity, [](O &o) { o.region_radius = 4; });
+    // Execution knobs: the equivalence tests pin that none of them
+    // changes the output, so none may split the cache key.
+    vary(knobs, [](O &o) { o.layout_threads = 2; });
+    vary(knobs, [](O &o) { o.reuse_routing = false; });
+    vary(knobs, [](O &o) { o.sparse_distance_threshold = 64; });
+    vary(knobs, [](O &o) { o.distance_row_budget_bytes = 1 << 20; });
 
-    // Tripwire: sizeof changes when fields are added; update the variant
-    // list, the hash, and this constant together.
-    ASSERT_EQ(variants.size(), 21u);
+    // Tripwire over all 18 fields: update the variant lists, the hash,
+    // and these constants together.
+    ASSERT_EQ(identity.size(), 14u);
+    ASSERT_EQ(knobs.size(), 4u);
 
     const std::uint64_t base = TranspileOptions{}.fingerprint();
     std::set<std::uint64_t> seen{base};
-    for (const TranspileOptions &o : variants) {
+    for (const TranspileOptions &o : identity) {
         const std::uint64_t fp = o.fingerprint();
         EXPECT_NE(fp, base);
         EXPECT_TRUE(seen.insert(fp).second)
             << "fingerprint collision between option variants";
     }
+    for (const TranspileOptions &o : knobs)
+        EXPECT_EQ(o.fingerprint(), base);
 }
 
 // ---------------------------------------------------------------------

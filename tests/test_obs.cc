@@ -185,14 +185,14 @@ TEST(ObsTrace, ServiceSpansCloseUnderDeadlineExpiry)
     ServiceOptions sopts;
     sopts.scheduler = std::make_shared<Scheduler>(2);
     TranspileService service(sopts);
-    TranspileOptions opts;
-    opts.deadline_ms = 1; // expires mid-search on a 15q circuit
+    RequestPolicy policy;
+    policy.deadline_ms = 1; // expires mid-search on a 15q circuit
 
     auto tracer = std::make_shared<obs::Tracer>("deadline");
     {
         obs::TraceScope scope(tracer);
         TranspileTicket ticket = service.submit(
-            benchmark_by_name("qft_n15"), shared_montreal(), opts);
+            benchmark_by_name("qft_n15"), shared_montreal(), {}, policy);
         try {
             ticket.get(); // degraded result or throw — both legal
         } catch (const TranspileDeadlineExceeded &) {

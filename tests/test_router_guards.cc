@@ -1,6 +1,9 @@
 // Tests for the router's robustness guards: reduction capping, partner
 // consumption, no-undo rule, and deadlock breaking.
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "nassc/circuits/library.h"
@@ -103,6 +106,36 @@ TEST(RouterGuards, BestSwapFailsLoudlyWhenBothQubitsIsolated)
     Layout init(4, 4);
     EXPECT_THROW(route_circuit(logical, cm, hop_distance(cm), init, opts),
                  std::logic_error);
+}
+
+TEST(RouterGuards, OverflowingExtendedWeightFailsNamingTheOption)
+{
+    // A finite but huge weight turns every lookahead score into +inf, so
+    // no candidate compares best; both routers must reject it by name
+    // instead of applying the empty {-1, -1} choice as a SWAP.
+    Backend dev = linear_backend(8);
+    QuantumCircuit logical(8);
+    for (int i = 0; i < 3; ++i) {
+        logical.cx(0, 7);
+        logical.cx(3, 6);
+        logical.cx(1, 5);
+    }
+    for (RoutingAlgorithm algo :
+         {RoutingAlgorithm::kSabre, RoutingAlgorithm::kNassc}) {
+        RoutingOptions opts;
+        opts.algorithm = algo;
+        opts.extended_weight = 1e308;
+        Layout init(8, 8);
+        try {
+            route_circuit(logical, dev.coupling, hop_distance(dev.coupling),
+                          init, opts);
+            ADD_FAILURE() << "routed with extended_weight = 1e308";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("extended_weight"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(RouterGuards, ZeroExtendedSizeWorks)

@@ -125,31 +125,40 @@ TEST(ServeProtocol, MalformedPayloadsThrow)
 
 TEST(ServeProtocol, OptionParsingIsStrictAndComplete)
 {
-    const TranspileOptions opts = parse_transpile_options(
+    const RequestOptions parsed = parse_request_options(
         {{"router", "sabre"},
          {"seed", "11"},
          {"noise_aware", "1"},
          {"layout_trials", "4"},
          {"extended_weight", "0.25"},
          {"priority", "7"},
-         {"cache_ttl_seconds", "2.5"}});
+         {"cache_ttl_seconds", "2.5"},
+         {"trace", "1"}});
+    const TranspileOptions &opts = parsed.transpile;
     EXPECT_EQ(opts.router, RoutingAlgorithm::kSabre);
     EXPECT_EQ(opts.seed, 11u);
     EXPECT_TRUE(opts.noise_aware);
     EXPECT_EQ(opts.layout_trials, 4);
     EXPECT_DOUBLE_EQ(opts.extended_weight, 0.25);
-    EXPECT_EQ(opts.priority, 7);
-    EXPECT_DOUBLE_EQ(opts.cache_ttl_seconds, 2.5);
+    EXPECT_EQ(parsed.policy.priority, 7);
+    EXPECT_DOUBLE_EQ(parsed.policy.cache_ttl_seconds, 2.5);
+    EXPECT_TRUE(parsed.trace);
+    // The last of a repeated key wins.
+    EXPECT_FALSE(
+        parse_request_options({{"trace", "1"}, {"trace", "false"}}).trace);
+    EXPECT_THROW(parse_request_options({{"trace", "yes"}}),
+                 std::runtime_error);
 
-    EXPECT_THROW(parse_transpile_options({{"routr", "sabre"}}),
+    EXPECT_THROW(parse_request_options({{"routr", "sabre"}}),
                  std::runtime_error);
-    EXPECT_THROW(parse_transpile_options({{"seed", "banana"}}),
+    EXPECT_THROW(parse_request_options({{"seed", "banana"}}),
                  std::runtime_error);
-    EXPECT_THROW(parse_transpile_options({{"router", "magic"}}),
+    EXPECT_THROW(parse_request_options({{"router", "magic"}}),
                  std::runtime_error);
-    EXPECT_EQ(parse_transpile_options({{"deadline_ms", "250"}}).deadline_ms,
-              250);
-    EXPECT_THROW(parse_transpile_options({{"deadline_ms", "-1"}}),
+    EXPECT_EQ(
+        parse_request_options({{"deadline_ms", "250"}}).policy.deadline_ms,
+        250);
+    EXPECT_THROW(parse_request_options({{"deadline_ms", "-1"}}),
                  std::runtime_error);
 }
 
@@ -167,7 +176,7 @@ TEST(ServeProtocol, NonFiniteAndNegativeNumbersAreRejected)
     };
     for (const auto &kv : bad) {
         try {
-            parse_transpile_options({kv});
+            parse_request_options({kv});
             ADD_FAILURE() << kv.first << "=" << kv.second << " parsed";
         } catch (const std::runtime_error &e) {
             EXPECT_NE(std::string(e.what()).find("option " + kv.first),
@@ -175,29 +184,29 @@ TEST(ServeProtocol, NonFiniteAndNegativeNumbersAreRejected)
                 << e.what();
         }
     }
-    EXPECT_EQ(parse_transpile_options({{"cache_ttl_seconds", "0"}})
-                  .cache_ttl_seconds,
+    EXPECT_EQ(parse_request_options({{"cache_ttl_seconds", "0"}})
+                  .policy.cache_ttl_seconds,
               0.0);
-    EXPECT_EQ(
-        parse_transpile_options({{"extended_weight", "-0.5"}}).extended_weight,
-        -0.5);
+    EXPECT_EQ(parse_request_options({{"extended_weight", "-0.5"}})
+                  .transpile.extended_weight,
+              -0.5);
 }
 
 TEST(ServeProtocol, SeedCoversTheFullUnsignedRange)
 {
-    EXPECT_EQ(parse_transpile_options({{"seed", "4294967295"}}).seed,
+    EXPECT_EQ(parse_request_options({{"seed", "4294967295"}}).transpile.seed,
               4294967295u);
-    EXPECT_EQ(parse_transpile_options({{"seed", "2147483648"}}).seed,
+    EXPECT_EQ(parse_request_options({{"seed", "2147483648"}}).transpile.seed,
               2147483648u);
-    EXPECT_EQ(parse_transpile_options({{"seed", "0"}}).seed, 0u);
+    EXPECT_EQ(parse_request_options({{"seed", "0"}}).transpile.seed, 0u);
     // Negative seeds used to wrap silently to 2^32 - 1.
-    EXPECT_THROW(parse_transpile_options({{"seed", "-1"}}),
+    EXPECT_THROW(parse_request_options({{"seed", "-1"}}),
                  std::runtime_error);
-    EXPECT_THROW(parse_transpile_options({{"seed", "4294967296"}}),
+    EXPECT_THROW(parse_request_options({{"seed", "4294967296"}}),
                  std::runtime_error);
-    EXPECT_THROW(parse_transpile_options({{"seed", ""}}),
+    EXPECT_THROW(parse_request_options({{"seed", ""}}),
                  std::runtime_error);
-    EXPECT_THROW(parse_transpile_options({{"seed", "12x"}}),
+    EXPECT_THROW(parse_request_options({{"seed", "12x"}}),
                  std::runtime_error);
 }
 
@@ -205,18 +214,20 @@ TEST(ServeProtocol, LayoutSearchSizesAreBounded)
 {
     // Parse-level only: at an unbounded parser these requests would
     // allocate 2^31 trials or run ~2^32 routing passes.
-    const TranspileOptions at_cap = parse_transpile_options(
-        {{"layout_trials", "256"}, {"layout_iterations", "64"}});
+    const TranspileOptions at_cap =
+        parse_request_options(
+            {{"layout_trials", "256"}, {"layout_iterations", "64"}})
+            .transpile;
     EXPECT_EQ(at_cap.layout_trials, 256);
     EXPECT_EQ(at_cap.layout_iterations, 64);
-    EXPECT_THROW(parse_transpile_options({{"layout_trials", "257"}}),
+    EXPECT_THROW(parse_request_options({{"layout_trials", "257"}}),
                  std::runtime_error);
-    EXPECT_THROW(parse_transpile_options({{"layout_trials", "2147483647"}}),
+    EXPECT_THROW(parse_request_options({{"layout_trials", "2147483647"}}),
                  std::runtime_error);
-    EXPECT_THROW(parse_transpile_options({{"layout_iterations", "65"}}),
+    EXPECT_THROW(parse_request_options({{"layout_iterations", "65"}}),
                  std::runtime_error);
     EXPECT_THROW(
-        parse_transpile_options({{"layout_iterations", "2147483647"}}),
+        parse_request_options({{"layout_iterations", "2147483647"}}),
         std::runtime_error);
 }
 
@@ -411,7 +422,7 @@ TEST(NasscServer, ConcurrentClientsGetBitIdenticalQasmAndDedup)
             const TranspileResult local =
                 TranspileContext::global().transpile(
                     from_qasm(item.qasm), montreal_backend(),
-                    parse_transpile_options(item.options));
+                    parse_request_options(item.options).transpile);
             item.expected = to_qasm(local.circuit);
             items.push_back(std::move(item));
         }
@@ -929,6 +940,65 @@ TEST(NasscServer, WireHitsServeTheEntrysTextByteForByte)
     server.stop();
 }
 
+TEST(NasscServer, RequestsDifferingOnlyInPolicyOrKnobsShareOneAnswer)
+{
+    // The cache key hashes output identity only.  Each later request
+    // differs from the first in one policy option, the trace flag or
+    // one execution knob, so it must answer from the first request's
+    // entry, byte for byte.
+    ServerOptions options;
+    options.unix_path = socket_path("policy");
+    NasscServer server(options);
+    server.start();
+    ServeClient client = ServeClient::connect_unix(options.unix_path);
+    const std::string qasm = to_qasm(qft(5));
+    const std::vector<std::pair<std::string, std::string>> base = {
+        {"router", "sabre"}, {"seed", "5"}};
+    const ServeResponse first =
+        client.transpile_qasm(qasm, "ibmq_montreal", base);
+    EXPECT_EQ(first.source, "transpiled");
+
+    const std::vector<std::pair<std::string, std::string>> differences = {
+        {"priority", "5"},     {"deadline_ms", "60000"},
+        {"cache_ttl_seconds", "3600"}, {"trace", "1"},
+        {"layout_threads", "2"},       {"reuse_routing", "0"}};
+    for (const auto &difference : differences) {
+        auto opts = base;
+        opts.push_back(difference);
+        const ServeResponse resp =
+            client.transpile_qasm(qasm, "ibmq_montreal", opts);
+        EXPECT_EQ(resp.source, "cache_hit") << difference.first;
+        EXPECT_EQ(resp.qasm, first.qasm) << difference.first;
+    }
+    const ServiceStats stats = server.service().stats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.cache_hits, differences.size());
+    server.stop();
+}
+
+TEST(NasscServer, OverflowingExtendedWeightAnswersAClearError)
+{
+    // A finite weight so large that every lookahead score overflows to
+    // +inf leaves no SWAP candidate comparable; the request must fail
+    // naming the option, not with a malformed-gate error from deep in
+    // the router.
+    ServerOptions options;
+    options.unix_path = socket_path("weight");
+    NasscServer server(options);
+    server.start();
+    ServeClient client = ServeClient::connect_unix(options.unix_path);
+    ServeRequest req;
+    req.verb = "transpile";
+    req.backend = "ibmq_montreal";
+    req.options = {{"router", "sabre"}, {"extended_weight", "1e308"}};
+    req.qasm = to_qasm(benchmark_by_name("qft_n15"));
+    const ServeResponse resp = client.request(req);
+    EXPECT_EQ(resp.status, "error");
+    EXPECT_NE(resp.error.find("extended_weight"), std::string::npos)
+        << resp.error;
+    server.stop();
+}
+
 TEST(NasscServer, ConnectionCapShedsWithOneOverloadedFrame)
 {
     ServerOptions options;
@@ -1074,54 +1144,62 @@ TEST(TranspileService, CacheByteBudgetIsNeverExceeded)
 TEST(TranspileService, TtlExpiryInvalidatesLazilyAndViaPurge)
 {
     TranspileService service;
-    TranspileOptions opts;
-    opts.cache_ttl_seconds = 0.05;
+    RequestPolicy ttl;
+    ttl.cache_ttl_seconds = 0.05;
 
-    service.submit(ghz(5), shared_montreal(), opts).get();
+    // Within the TTL the entry is a normal hit.
+    service.submit(ghz(5), shared_montreal(), {}, ttl).get();
     EXPECT_EQ(service.stats().cache_size, 1u);
+    TranspileTicket hit = service.submit(ghz(5), shared_montreal(), {}, ttl);
+    hit.get();
+    EXPECT_EQ(hit.source(), TicketSource::kCacheHit);
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
 
-    // Lazy path: the lookup notices the expiry, counts an invalidation
-    // eviction, and recomputes.
-    TranspileTicket t = service.submit(ghz(5), shared_montreal(), opts);
+    // Lazy path: the lookup finds the entry older than the request's
+    // TTL, counts an invalidation eviction, and recomputes.
+    TranspileTicket t = service.submit(ghz(5), shared_montreal(), {}, ttl);
     t.get();
     EXPECT_EQ(t.source(), TicketSource::kScheduled);
     ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.cache_hits, 0u);
+    EXPECT_EQ(stats.cache_hits, 1u);
     EXPECT_EQ(stats.evictions_invalidated, 1u);
 
-    // Sweep path: purge_expired() drops it without a lookup.
+    // A request's TTL binds that request only: with no service default,
+    // purge_expired() finds no entry too old to keep.
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    EXPECT_EQ(service.purge_expired(), 1u);
-    stats = service.stats();
-    EXPECT_EQ(stats.cache_size, 0u);
-    EXPECT_EQ(stats.evictions_invalidated, 2u);
-    EXPECT_EQ(stats.evictions_capacity, 0u);
+    EXPECT_EQ(service.purge_expired(), 0u);
+    EXPECT_EQ(service.stats().cache_size, 1u);
 
-    // Within the TTL the entry is a normal hit.
-    service.submit(ghz(5), shared_montreal(), opts).get();
-    TranspileTicket hit = service.submit(ghz(5), shared_montreal(), opts);
-    hit.get();
-    EXPECT_EQ(hit.source(), TicketSource::kCacheHit);
-
-    // default_ttl_seconds applies when the request sets none.
+    // Sweep path: purge_expired() drops entries older than
+    // default_ttl_seconds without a lookup, and a request that sets no
+    // TTL of its own gets the default.
     ServiceOptions sopts;
     sopts.default_ttl_seconds = 0.05;
     TranspileService dservice(sopts);
     dservice.submit(ghz(5), shared_montreal()).get();
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
     EXPECT_EQ(dservice.purge_expired(), 1u);
+    stats = dservice.stats();
+    EXPECT_EQ(stats.cache_size, 0u);
+    EXPECT_EQ(stats.evictions_invalidated, 1u);
+    EXPECT_EQ(stats.evictions_capacity, 0u);
+    dservice.submit(ghz(5), shared_montreal()).get();
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    TranspileTicket lazy = dservice.submit(ghz(5), shared_montreal());
+    lazy.get();
+    EXPECT_EQ(lazy.source(), TicketSource::kScheduled);
+    EXPECT_EQ(dservice.stats().evictions_invalidated, 2u);
 }
 
 TEST(TranspileService, TtlBeyondTheClockRangeNeverExpires)
 {
-    // now + 1e10 s overflows steady_clock's nanosecond range; the entry
-    // used to expire on arrival and the repeat was a miss.
+    // 1e10 s is past steady_clock's nanosecond range from now; as a
+    // maximum age it simply never runs out.
     TranspileService service;
-    TranspileOptions opts;
-    opts.cache_ttl_seconds = 1e10;
-    service.submit(ghz(5), shared_montreal(), opts).get();
-    TranspileTicket hit = service.submit(ghz(5), shared_montreal(), opts);
+    RequestPolicy ttl;
+    ttl.cache_ttl_seconds = 1e10;
+    service.submit(ghz(5), shared_montreal(), {}, ttl).get();
+    TranspileTicket hit = service.submit(ghz(5), shared_montreal(), {}, ttl);
     hit.get();
     EXPECT_EQ(hit.source(), TicketSource::kCacheHit);
     EXPECT_EQ(service.stats().evictions_invalidated, 0u);
@@ -1134,6 +1212,7 @@ TEST(TranspileService, TtlBeyondTheClockRangeNeverExpires)
     TranspileTicket dhit = dservice.submit(ghz(5), shared_montreal());
     dhit.get();
     EXPECT_EQ(dhit.source(), TicketSource::kCacheHit);
+    EXPECT_EQ(dservice.purge_expired(), 0u);
     EXPECT_EQ(dservice.stats().evictions_invalidated, 0u);
 }
 
@@ -1306,20 +1385,18 @@ TEST(TranspileService, InvalidationAndTtlDropTheTextWithItsEntry)
     EXPECT_EQ(service.stats().cache_bytes, 0u);
 
     // TTL expiry, on the sweep and on the lazy lookup.
-    TranspileOptions ttl;
-    ttl.cache_ttl_seconds = 0.05;
-    TranspileService timed;
-    EXPECT_EQ(timed.submit_qasm(to_qasm(qc), backend, ttl).get_qasm(),
-              ref.qasm);
+    ServiceOptions ttl;
+    ttl.default_ttl_seconds = 0.05;
+    TranspileService timed(ttl);
+    EXPECT_EQ(timed.submit_qasm(to_qasm(qc), backend).get_qasm(), ref.qasm);
     EXPECT_EQ(timed.stats().cache_bytes, ref.entry_bytes + ref.qasm.size());
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
     EXPECT_EQ(timed.purge_expired(), 1u);
     EXPECT_EQ(timed.stats().cache_bytes, 0u);
 
-    EXPECT_EQ(timed.submit_qasm(to_qasm(qc), backend, ttl).get_qasm(),
-              ref.qasm);
+    EXPECT_EQ(timed.submit_qasm(to_qasm(qc), backend).get_qasm(), ref.qasm);
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    TranspileTicket lazy = timed.submit_qasm(to_qasm(qc), backend, ttl);
+    TranspileTicket lazy = timed.submit_qasm(to_qasm(qc), backend);
     lazy.get();
     EXPECT_EQ(lazy.source(), TicketSource::kScheduled);
     EXPECT_EQ(timed.stats().cache_bytes, ref.entry_bytes);

@@ -14,7 +14,10 @@
 //  (f) the per-object backend key memo: a live object is hashed once,
 //      equal-content objects share entries, a rotated object is never
 //      mistaken for the destroyed one whose address it reuses, and
-//      invalidate_backend() makes the next request hash afresh.
+//      invalidate_backend() makes the next request hash afresh;
+//  (g) the key hashes output identity only: requests that differ in
+//      RequestPolicy or an execution knob share one entry, and each
+//      request's TTL is a maximum age checked at its own lookup.
 
 #include <atomic>
 #include <chrono>
@@ -351,10 +354,11 @@ TEST(TranspileService, DeadlineDegradesToBestCompletedTrialWithinBudget)
     TranspileOptions opts;
     opts.router = RoutingAlgorithm::kSabre;
     opts.layout_trials = 4;
-    opts.deadline_ms = 1000;
+    RequestPolicy policy;
+    policy.deadline_ms = 1000;
 
     const auto t0 = std::chrono::steady_clock::now();
-    TranspileTicket ticket = service.submit(circuit, backend, opts);
+    TranspileTicket ticket = service.submit(circuit, backend, opts, policy);
     SharedTranspileResult got = ticket.get();
     const auto elapsed =
         std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -370,12 +374,12 @@ TEST(TranspileService, DeadlineDegradesToBestCompletedTrialWithinBudget)
     // Degraded results are NEVER cached: the resubmit computes afresh
     // (the failpoint has burned out, so it now finishes undegraded and
     // DOES enter the cache).
-    TranspileTicket again = service.submit(circuit, backend, opts);
+    TranspileTicket again = service.submit(circuit, backend, opts, policy);
     EXPECT_EQ(again.source(), TicketSource::kScheduled);
     SharedTranspileResult full = again.get();
     EXPECT_FALSE(full->degraded);
     EXPECT_EQ(full->layout_trials_consumed, 4);
-    TranspileTicket third = service.submit(circuit, backend, opts);
+    TranspileTicket third = service.submit(circuit, backend, opts, policy);
     EXPECT_EQ(third.source(), TicketSource::kCacheHit);
     third.get();
 }
@@ -396,10 +400,11 @@ TEST(TranspileService, DeadlineWithNothingCompletedThrowsTyped)
     TranspileOptions opts;
     opts.router = RoutingAlgorithm::kSabre;
     opts.layout_trials = 1;
-    opts.deadline_ms = 1000;
+    RequestPolicy policy;
+    policy.deadline_ms = 1000;
 
     const auto t0 = std::chrono::steady_clock::now();
-    TranspileTicket ticket = service.submit(ghz(5), backend, opts);
+    TranspileTicket ticket = service.submit(ghz(5), backend, opts, policy);
     EXPECT_THROW(ticket.get(), TranspileDeadlineExceeded);
     const auto elapsed =
         std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -416,10 +421,8 @@ TEST(TranspileService, QueuedRequestBudgetCountsQueueWaitAndReachesTrials)
 {
     // The budget is stamped at submit and installed around the request
     // when a worker claims it, so time spent queued behind a pinned
-    // worker counts against it.  transpile()'s own deadline_ms scope
-    // starts only when it runs and would leave the whole budget, so the
-    // layout search finding it expired shows that the submit-time
-    // budget is the one that reaches the trials.
+    // worker counts against it: the layout search finds it expired
+    // although the transpile itself started well inside 300 ms.
     failpoint::disarm_all();
     ServiceOptions sopts;
     sopts.scheduler = std::make_shared<Scheduler>(1);
@@ -437,8 +440,10 @@ TEST(TranspileService, QueuedRequestBudgetCountsQueueWaitAndReachesTrials)
     TranspileOptions opts;
     opts.router = RoutingAlgorithm::kSabre;
     opts.layout_trials = 4;
-    opts.deadline_ms = 300;
-    TranspileTicket ticket = service.submit(ghz(5), shared_montreal(), opts);
+    RequestPolicy policy;
+    policy.deadline_ms = 300;
+    TranspileTicket ticket =
+        service.submit(ghz(5), shared_montreal(), opts, policy);
     EXPECT_EQ(ticket.source(), TicketSource::kScheduled);
     std::this_thread::sleep_for(std::chrono::milliseconds(500));
     release = true;
@@ -474,15 +479,15 @@ TEST(TranspileService, CoalescedWaiterDeadlineIsPerWaiter)
 
     auto backend = shared_montreal();
     const QuantumCircuit circuit = ghz(5);
-    TranspileOptions no_deadline;
-    no_deadline.router = RoutingAlgorithm::kSabre;
-    TranspileOptions short_deadline = no_deadline;
+    TranspileOptions sabre;
+    sabre.router = RoutingAlgorithm::kSabre;
+    RequestPolicy short_deadline;
     short_deadline.deadline_ms = 300;
 
-    TranspileTicket a = service.submit(circuit, backend, no_deadline);
-    TranspileTicket b = service.submit(circuit, backend, short_deadline);
+    TranspileTicket a = service.submit(circuit, backend, sabre);
+    TranspileTicket b = service.submit(circuit, backend, sabre, short_deadline);
     EXPECT_EQ(a.source(), TicketSource::kScheduled);
-    // deadline_ms is QoS, not identity: B coalesces onto A's key.
+    // A deadline is policy, not identity: B coalesces onto A's key.
     ASSERT_EQ(b.source(), TicketSource::kCoalesced);
 
     EXPECT_THROW(b.get(), TranspileDeadlineExceeded);
@@ -495,7 +500,7 @@ TEST(TranspileService, CoalescedWaiterDeadlineIsPerWaiter)
     SharedTranspileResult result = a.get(); // unaffected by B's timeout
     EXPECT_FALSE(result->degraded);
     // ... and the computation B abandoned still populated the cache.
-    TranspileTicket warm = service.submit(circuit, backend, no_deadline);
+    TranspileTicket warm = service.submit(circuit, backend, sabre);
     EXPECT_EQ(warm.source(), TicketSource::kCacheHit);
     warm.get();
 }
@@ -544,20 +549,68 @@ TEST(TranspileService, QueueCapShedsFreshMissesButNeverDuplicates)
     EXPECT_EQ(stats.transpiles_ok, 3u);
 }
 
-TEST(TranspileService, RequestKeyIgnoresDeadlineButFingerprintDoesNot)
+TEST(TranspileService, RequestsDifferingOnlyInPolicyOrKnobsShareOneEntry)
 {
-    const Backend montreal = montreal_backend();
-    const QuantumCircuit qc = ghz(5);
-    TranspileOptions base;
-    TranspileOptions rushed = base;
-    rushed.deadline_ms = 250;
+    // Policy (priority, deadline, TTL) and the execution knobs that
+    // cannot change the output meet the first request's cache entry.
+    failpoint::disarm_all();
+    TranspileService service;
+    auto backend = shared_montreal();
+    const QuantumCircuit circuit = ghz(5);
+    TranspileOptions opts;
+    opts.router = RoutingAlgorithm::kSabre;
+    const SharedTranspileResult first =
+        service.submit(circuit, backend, opts).get();
 
-    // Same cache identity (deadline is QoS)...
-    EXPECT_EQ(TranspileService::request_key(qc, montreal, base),
-              TranspileService::request_key(qc, montreal, rushed));
-    // ...but the option fingerprint must still see the field, or two
-    // genuinely different configurations would collide elsewhere.
-    EXPECT_NE(base.fingerprint(), rushed.fingerprint());
+    RequestPolicy policy;
+    policy.priority = 9;
+    policy.deadline_ms = 60000;
+    policy.cache_ttl_seconds = 3600.0;
+    TranspileOptions knobs = opts;
+    knobs.layout_threads = 2;
+    knobs.reuse_routing = false;
+    knobs.sparse_distance_threshold = 0;
+    knobs.distance_row_budget_bytes = 1 << 20;
+    TranspileTicket hit = service.submit(circuit, backend, knobs, policy);
+    EXPECT_EQ(hit.key(), TranspileService::request_key(circuit, *backend,
+                                                       opts));
+    EXPECT_EQ(hit.source(), TicketSource::kCacheHit);
+    // The very entry: a hit's accounting fields describe the
+    // computation that filled it.
+    EXPECT_EQ(hit.get(), first);
+    EXPECT_EQ(service.stats().misses, 1u);
+}
+
+TEST(TranspileService, TtlIsAMaximumAgeCheckedPerRequest)
+{
+    // One entry, two requests of different TTL: a request accepts the
+    // entry while it is younger than its own TTL and misses once the
+    // entry is older.
+    TranspileService service;
+    auto backend = shared_montreal();
+    service.submit(ghz(5), backend).get();
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+
+    RequestPolicy patient;
+    patient.cache_ttl_seconds = 3600.0;
+    TranspileTicket young = service.submit(ghz(5), backend, {}, patient);
+    EXPECT_EQ(young.source(), TicketSource::kCacheHit);
+    young.get();
+
+    RequestPolicy strict;
+    strict.cache_ttl_seconds = 0.05;
+    TranspileTicket old = service.submit(ghz(5), backend, {}, strict);
+    EXPECT_EQ(old.source(), TicketSource::kScheduled);
+    old.get();
+    ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.cache_hits, 1u);
+    EXPECT_EQ(stats.evictions_invalidated, 1u);
+
+    // The recompute refilled the entry, so even the strict request now
+    // hits it.
+    TranspileTicket fresh = service.submit(ghz(5), backend, {}, strict);
+    EXPECT_EQ(fresh.source(), TicketSource::kCacheHit);
+    fresh.get();
 }
 
 TEST(TranspileService, CacheInsertFailpointSuppressesAdmission)
