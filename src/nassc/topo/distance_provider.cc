@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <malloc.h>
 #include <queue>
 #include <utility>
 
@@ -57,6 +58,19 @@ DistanceProvider::DistanceProvider(const Backend &backend, double alpha1,
             ++pos;
         w_[pos] = weights[k];
     }
+}
+
+DistanceProvider::~DistanceProvider()
+{
+    // A freed row stays in the malloc arena of the worker that routed
+    // it.  Untrimmed, the next provider's rows, routed on another
+    // worker, stack on top: ~100 MB more peak RSS at 4k qubits.
+#ifdef __GLIBC__
+    if (stats_.resident_bytes >= (std::size_t{1} << 20)) {
+        rows_.clear();
+        malloc_trim(0);
+    }
+#endif
 }
 
 std::vector<double>

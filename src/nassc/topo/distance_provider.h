@@ -87,6 +87,8 @@ class DistanceProvider
     DistanceProvider(const Backend &backend, double alpha1, double alpha2,
                      double alpha3, std::size_t row_budget_bytes = 0);
 
+    ~DistanceProvider(); ///< past 1 MiB of rows, also trims the heap
+
     int num_qubits() const { return n_; }
 
     /** Pinned distance row from `src` to every physical qubit. */

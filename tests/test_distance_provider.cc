@@ -303,6 +303,25 @@ TEST(SparseProvider, PinnedRowSurvivesEviction)
         EXPECT_EQ(pinned[j], ref[j]);
 }
 
+TEST(SparseProvider, PinnedRowOutlivesATrimmingProvider)
+{
+    // Past 1 MiB of resident rows the destructor trims the heap; a row
+    // pinned by a holder must survive that intact.
+    const CouplingMap cm = heavy_hex_backend(21).coupling;
+    const int n = cm.num_qubits();
+    DistanceRow pinned;
+    {
+        const DistanceProvider p(cm);
+        for (int src = 0; src < 160; ++src)
+            (void)p.row(src);
+        ASSERT_GE(p.stats().resident_bytes, std::size_t{1} << 20);
+        pinned = p.row(7);
+    }
+    const std::vector<int> ref = cm.hop_row(7);
+    for (int j = 0; j < n; ++j)
+        ASSERT_EQ(pinned[j], static_cast<double>(ref[j])) << j;
+}
+
 TEST(SparseProvider, ConcurrentRowFetchIsSafeAndPublishesOnce)
 {
     const CouplingMap cm = grid_backend(5, 5).coupling;
