@@ -218,8 +218,8 @@ BM_ToQasmRoutedQft15(benchmark::State &state)
 }
 BENCHMARK(BM_ToQasmRoutedQft15)->Unit(benchmark::kMicrosecond);
 
-// OpenQASM parse of the logical qft_n15 text (4,103 bytes): what every
-// wire request pays before its cache probe.
+// OpenQASM parse of the logical qft_n15 text (4,103 bytes): what a wire
+// request pays unless its text repeats the one its cache entry keeps.
 void
 BM_FromQasmQft15(benchmark::State &state)
 {
@@ -259,6 +259,29 @@ BM_ServiceHitHeavyHex(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ServiceHitHeavyHex)->Unit(benchmark::kMicrosecond);
+
+// A submit_qasm cache hit on qft_n15's text: the request is matched by
+// its text, so it costs a hash and a compare of the 4,103 bytes, not
+// the parse BM_FromQasmQft15 times.
+void
+BM_ServiceHitQasm(benchmark::State &state)
+{
+    TranspileService service;
+    const auto backend = std::make_shared<const Backend>(montreal_backend());
+    const std::string text = to_qasm(qft(15));
+    service.submit_qasm(text, backend).get();
+    for (auto _ : state) {
+        TranspileTicket t = service.submit_qasm(text, backend);
+        if (t.source() != TicketSource::kCacheHit) {
+            state.SkipWithError("not a cache hit");
+            break;
+        }
+        benchmark::DoNotOptimize(t.get());
+    }
+    state.counters["text_hits"] =
+        static_cast<double>(service.stats().text_hits);
+}
+BENCHMARK(BM_ServiceHitQasm)->Unit(benchmark::kMicrosecond);
 
 // ---- router hot kernels -----------------------------------------------------
 //

@@ -16,9 +16,14 @@
 //   --workers N                      scheduler workers (default 4)
 //   --cache N                        result-cache capacity, 0 = off
 //                                    (default 64)
+//
+// An unknown flag or backend, a missing value, or a value that is not
+// a whole integer in range prints a usage line and exits 2.
 
 #include <atomic>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -33,6 +38,35 @@
 
 using namespace nassc;
 
+namespace {
+
+[[noreturn]] void
+usage(const char *argv0, const std::string &why)
+{
+    std::fprintf(stderr,
+                 "%s: %s\nusage: %s [--backend montreal|linear|grid] "
+                 "[--clients N] [--repeat N] [--workers N] [--cache N]\n",
+                 argv0, why.c_str(), argv0);
+    std::exit(2);
+}
+
+/** The whole token as an integer >= `lo`; usage and exit 2 otherwise.
+ *  An unsigned T takes no sign, so "-1" cannot wrap to SIZE_MAX. */
+template <typename T>
+T
+parse_count(const char *argv0, const char *flag, const char *text, T lo)
+{
+    T v{};
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr != end || v < lo)
+        usage(argv0,
+              std::string("bad value for ") + flag + ": '" + text + "'");
+    return v;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
@@ -43,25 +77,28 @@ main(int argc, char **argv)
     std::size_t cache = 64;
 
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--backend") && i + 1 < argc)
-            backend_name = argv[++i];
-        else if (!std::strcmp(argv[i], "--clients") && i + 1 < argc)
-            clients = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--repeat") && i + 1 < argc)
-            repeat = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--workers") && i + 1 < argc)
-            workers = std::atoi(argv[++i]);
-        else if (!std::strcmp(argv[i], "--cache") && i + 1 < argc)
-            cache = static_cast<std::size_t>(std::atoll(argv[++i]));
-        else {
-            std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-            return 2;
-        }
+        const char *flag = argv[i];
+        auto value = [&] {
+            if (i + 1 >= argc)
+                usage(argv[0], std::string(flag) + " needs a value");
+            return argv[++i];
+        };
+        if (!std::strcmp(flag, "--backend"))
+            backend_name = value();
+        else if (!std::strcmp(flag, "--clients"))
+            clients = parse_count(argv[0], flag, value(), 1);
+        else if (!std::strcmp(flag, "--repeat"))
+            repeat = parse_count(argv[0], flag, value(), 1);
+        else if (!std::strcmp(flag, "--workers"))
+            workers = parse_count(argv[0], flag, value(), 0);
+        else if (!std::strcmp(flag, "--cache"))
+            cache = parse_count<std::size_t>(argv[0], flag, value(), 0);
+        else
+            usage(argv[0], std::string("unknown argument: ") + flag);
     }
-    if (clients < 1)
-        clients = 1;
-    if (repeat < 1)
-        repeat = 1;
+    if (backend_name != "montreal" && backend_name != "linear" &&
+        backend_name != "grid")
+        usage(argv[0], "unknown backend '" + backend_name + "'");
 
     auto device = std::make_shared<const Backend>(
         backend_name == "linear" ? linear_backend(25)

@@ -365,12 +365,17 @@ parse_frame_length(const std::string &text)
 bool
 read_frame(int fd, std::string &payload)
 {
-    // Header: "NASSC/1 <len>\n", read byte-by-byte (it is tiny and this
-    // keeps the reader stateless — no lookahead into the payload).
+    // Header: "NASSC/1 <len>\n".  Peek at what has arrived, then consume
+    // exactly the header bytes: two recv()s for a header that arrives
+    // whole, and never a byte of the payload, so a pipelined next frame
+    // (and the server's hang-up probe) still sees the socket as the
+    // peer wrote it.  A header split across sends is consumed piecewise.
+    constexpr std::size_t kMaxHeader = 64; // bytes before the '\n'
     std::string header;
     for (;;) {
-        char c;
-        const ssize_t n = ::recv(fd, &c, 1, 0);
+        char buf[kMaxHeader + 1];
+        const ssize_t n = ::recv(fd, buf, kMaxHeader + 1 - header.size(),
+                                 MSG_PEEK);
         if (n == 0) {
             if (header.empty())
                 return false; // clean EOF between frames
@@ -381,11 +386,28 @@ read_frame(int fd, std::string &payload)
                 continue;
             io_failed("recv", errno);
         }
-        if (c == '\n')
-            break;
-        header.push_back(c);
-        if (header.size() > 64)
+        const char *nl = static_cast<const char *>(
+            std::memchr(buf, '\n', static_cast<std::size_t>(n)));
+        const std::size_t take =
+            nl ? static_cast<std::size_t>(nl - buf) + 1
+               : static_cast<std::size_t>(n);
+        if (!nl && header.size() + take > kMaxHeader)
             throw std::runtime_error("nassc protocol: runaway frame header");
+        // The peeked bytes are queued, so this recv returns them at once.
+        for (std::size_t got = 0; got < take;) {
+            const ssize_t m = ::recv(fd, buf + got, take - got, 0);
+            if (m == 0)
+                throw std::runtime_error("nassc protocol: EOF inside header");
+            if (m < 0) {
+                if (errno == EINTR)
+                    continue;
+                io_failed("recv", errno);
+            }
+            got += static_cast<std::size_t>(m);
+        }
+        header.append(buf, nl ? take - 1 : take);
+        if (nl)
+            break;
     }
 
     const std::string magic = std::string(kFrameMagic) + " ";

@@ -159,9 +159,12 @@ RequestOptions parse_request_options(
 std::size_t parse_frame_length(const std::string &text);
 
 /** @name Frame I/O over a connected socket fd.
- * Blocking, EINTR-safe, partial-read/write-safe.  read_frame returns
- * false on clean EOF before any header byte; throws std::runtime_error
- * on malformed headers, oversized frames, or socket errors. @{ */
+ * Blocking, EINTR-safe, partial-read/write-safe.  read_frame consumes
+ * exactly one frame and no byte of the next (its header costs two
+ * recv()s when it arrives whole); it returns false on clean EOF before
+ * any header byte, and throws std::runtime_error on malformed or
+ * runaway (over 64 bytes) headers, oversized frames, or socket errors.
+ * @{ */
 bool read_frame(int fd, std::string &payload);
 void write_frame(int fd, const std::string &payload);
 /** @} */

@@ -76,6 +76,9 @@ append_service_rows(std::string &out, const TranspileService &service)
         {"counter", "requests", "Transpile requests admitted to submit()",
          s.requests},
         {"counter", "cache_hits", "Result-cache hits", s.cache_hits},
+        {"counter", "text_hits",
+         "Result-cache hits found by request text, without a parse",
+         s.text_hits},
         {"counter", "coalesced", "Requests coalesced onto in-flight work",
          s.coalesced},
         {"counter", "misses", "Requests that owned a fresh transpile",

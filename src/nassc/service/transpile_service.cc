@@ -36,6 +36,14 @@ older_than(std::chrono::steady_clock::time_point inserted,
 
 } // namespace
 
+std::size_t
+TranspileService::TextProbeHash::operator()(const TextProbe &p) const
+{
+    const std::hash<std::string_view> h;
+    return h(p.text) ^ (h(p.backend_key) * 31) ^
+           static_cast<std::size_t>(p.options_fp);
+}
+
 /** Encoded once, under `mu`, by the first get_qasm(). */
 struct TranspileTicket::EncodedQasm
 {
@@ -160,6 +168,8 @@ TranspileService::charge_qasm(const std::string &key,
 std::list<TranspileService::CacheEntry>::iterator
 TranspileService::cache_erase(std::list<CacheEntry>::iterator it)
 {
+    if (!it->request_qasm.empty())
+        by_text_.erase({it->request_qasm, it->backend_key, it->options_fp});
     cache_bytes_ -= it->bytes;
     cache_.erase(it->key);
     return lru_.erase(it);
@@ -221,6 +231,8 @@ void
 TranspileService::cache_insert(const std::string &key,
                                SharedTranspileResult result,
                                std::shared_ptr<EncodedQasm> qasm,
+                               std::string request_qasm,
+                               std::uint64_t options_fp,
                                const std::string &backend_name,
                                const std::string &backend_key)
 {
@@ -250,14 +262,17 @@ TranspileService::cache_insert(const std::string &key,
     entry.backend_name = backend_name;
     entry.backend_key = backend_key;
     entry.inserted = Clock::now();
+    entry.request_qasm = std::move(request_qasm);
+    entry.options_fp = options_fp;
     // Cost = what the entry actually keeps resident: the routed
-    // circuit's heap footprint plus the entry/index bookkeeping (the
-    // key is stored twice: list node + index map).  Its text, once
-    // encoded, is charged by charge_qasm().
+    // circuit's heap footprint, the request text it is probed by, and
+    // the entry/index bookkeeping (the key is stored twice: list node +
+    // index map).  Its output text, once encoded, is charged by
+    // charge_qasm().
     entry.bytes = sizeof(CacheEntry) + sizeof(TranspileResult) +
                   sizeof(EncodedQasm) +
                   2 * entry.key.size() + entry.backend_name.size() +
-                  entry.backend_key.size() +
+                  entry.backend_key.size() + entry.request_qasm.size() +
                   entry.result->circuit.memory_bytes() +
                   (entry.result->initial_l2p.capacity() +
                    entry.result->final_l2p.capacity()) *
@@ -275,6 +290,12 @@ TranspileService::cache_insert(const std::string &key,
     cache_bytes_ += entry.bytes;
     lru_.push_front(std::move(entry));
     cache_.emplace(key, lru_.begin());
+    // The index views strings in the list node, which never moves.
+    const CacheEntry &front = lru_.front();
+    if (!front.request_qasm.empty())
+        by_text_.emplace(TextProbe{front.request_qasm, front.backend_key,
+                                   front.options_fp},
+                         lru_.begin());
     evict_to_fit();
 }
 
@@ -324,6 +345,7 @@ TranspileService::run_request(
 
     {
         std::lock_guard<std::mutex> lk(mu_);
+        const auto flight = inflight_.find(key);
         if (result) {
             ++stats_.transpiles_ok;
             // Insert BEFORE dropping the in-flight entry: a concurrent
@@ -335,7 +357,10 @@ TranspileService::run_request(
             if (!result->degraded) {
                 obs::TraceSpan insert_span("cache_insert",
                                            &om.cache_insert_us);
-                cache_insert(key, result, qasm, backend.name, backend_key);
+                cache_insert(key, result, qasm,
+                             std::move(flight->second.request_qasm),
+                             options.fingerprint(), backend.name,
+                             backend_key);
             }
         } else if (missed_deadline) {
             ++stats_.deadline_exceeded;
@@ -346,7 +371,7 @@ TranspileService::run_request(
         } else {
             ++stats_.transpiles_failed;
         }
-        inflight_.erase(key);
+        inflight_.erase(flight);
     }
 
     // Settle outside the lock: waiters wake straight into their copy.
@@ -366,6 +391,33 @@ TranspileService::run_request(
     }
 }
 
+std::string
+TranspileService::backend_key_of(
+    const std::shared_ptr<const Backend> &backend) const
+{
+    // The backend's key hashes its whole coupling map and calibration,
+    // O(device) on a large backend.  Each object is hashed once: its
+    // name's generation record keeps the key, and a request with any
+    // other object (a rotation, or an equal copy) hashes here, outside
+    // mu_, and admission records the result.
+    std::string key = memoized_backend_key(backend);
+    if (key.empty())
+        key = backend->cache_key();
+    return key;
+}
+
+std::string
+TranspileService::probe_text(const std::string &qasm,
+                             const std::string &backend_key,
+                             std::uint64_t options_fp) const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    // TextProbe equality compares the whole text, so a hash collision
+    // can never match another request's entry.
+    auto it = by_text_.find({qasm, backend_key, options_fp});
+    return it == by_text_.end() ? std::string() : it->second->key;
+}
+
 TranspileTicket
 TranspileService::submit(const QuantumCircuit &circuit,
                          std::shared_ptr<const Backend> backend,
@@ -374,17 +426,51 @@ TranspileService::submit(const QuantumCircuit &circuit,
 {
     if (!backend)
         throw std::invalid_argument("submit: null backend");
+    const std::string backend_key = backend_key_of(backend);
+    return admit(request_key(circuit, backend_key, options), &circuit, {},
+                 std::move(backend), backend_key, options, policy);
+}
 
-    // The backend's key hashes its whole coupling map and calibration,
-    // O(device) on a large backend.  Each object is hashed once: its
-    // name's generation record keeps the key, and a request with any
-    // other object (a rotation, or an equal copy) hashes here, outside
-    // mu_, then records the result below.
-    std::string backend_key = memoized_backend_key(backend);
-    if (backend_key.empty())
-        backend_key = backend->cache_key();
+TranspileTicket
+TranspileService::submit_qasm(const std::string &qasm,
+                              std::shared_ptr<const Backend> backend,
+                              const TranspileOptions &options,
+                              const RequestPolicy &policy)
+{
+    if (!backend)
+        throw std::invalid_argument("submit: null backend");
+    const std::string backend_key = backend_key_of(backend);
+    // The same bytes as the request that filled an entry need no
+    // parse: its key is known.  The entry may be gone or too old by
+    // the time admission looks; then nothing was counted, and the
+    // request proceeds as a parsed one.
+    std::string key = probe_text(qasm, backend_key, options.fingerprint());
+    if (!key.empty()) {
+        TranspileTicket hit = admit(std::move(key), nullptr, {}, backend,
+                                    backend_key, options, policy);
+        if (hit.valid())
+            return hit;
+    }
+    // The parsed circuit carries the fingerprint, so this request
+    // shares keys (and therefore dedup) with object submits.
+    const QuantumCircuit circuit = [&] {
+        obs::TraceSpan parse("qasm_parse");
+        return from_qasm(qasm);
+    }();
+    return admit(request_key(circuit, backend_key, options), &circuit, qasm,
+                 std::move(backend), backend_key, options, policy);
+}
+
+TranspileTicket
+TranspileService::admit(std::string key, const QuantumCircuit *circuit,
+                        const std::string &request_qasm,
+                        std::shared_ptr<const Backend> backend,
+                        const std::string &backend_key,
+                        const TranspileOptions &options,
+                        const RequestPolicy &policy)
+{
     TranspileTicket ticket;
-    ticket.key_ = request_key(circuit, backend_key, options);
+    ticket.key_ = std::move(key);
     ticket.service_ = this;
 
     // Absolute budget, stamped NOW so queue delay counts against it.
@@ -396,22 +482,27 @@ TranspileService::submit(const QuantumCircuit &circuit,
 
     obs::StackMetrics &om = obs::StackMetrics::get();
     const Clock::time_point submitted = Clock::now();
+    const double ttl = policy.cache_ttl_seconds > 0.0
+                           ? policy.cache_ttl_seconds
+                           : options_.default_ttl_seconds;
 
     auto promise = std::make_shared<std::promise<SharedTranspileResult>>();
     {
         std::lock_guard<std::mutex> lk(mu_);
+        auto hit = cache_.find(ticket.key_);
+        const bool stale = hit != cache_.end() &&
+                           older_than(hit->second->inserted, ttl, submitted);
+        if (!circuit && (hit == cache_.end() || stale))
+            return TranspileTicket(); // the probe came to nothing
         // Admission covers the whole decision critical section: cache
         // probe, coalesce probe, shed check, in-flight filing.
         obs::TraceSpan admission("admission", &om.admission_us);
         ++stats_.requests;
+        // An entry under this key has this backend key, so a rotation
+        // swept here never takes `hit` with it.
         note_backend_generation(backend, backend_key);
 
-        auto hit = cache_.find(ticket.key_);
-        const double ttl = policy.cache_ttl_seconds > 0.0
-                               ? policy.cache_ttl_seconds
-                               : options_.default_ttl_seconds;
-        if (hit != cache_.end() &&
-            older_than(hit->second->inserted, ttl, submitted)) {
+        if (stale) {
             // Too old for this request: invalid, not a hit.
             cache_erase(hit->second);
             ++stats_.evictions_invalidated;
@@ -419,6 +510,8 @@ TranspileService::submit(const QuantumCircuit &circuit,
         }
         if (hit != cache_.end()) {
             ++stats_.cache_hits;
+            if (!circuit)
+                ++stats_.text_hits;
             lru_.splice(lru_.begin(), lru_, hit->second);
             promise->set_value(hit->second->result);
             ticket.qasm_ = hit->second->qasm;
@@ -465,6 +558,7 @@ TranspileService::submit(const QuantumCircuit &circuit,
         entry.future = ticket.future_;
         entry.promise = promise;
         entry.qasm = ticket.qasm_;
+        entry.request_qasm = request_qasm;
         inflight_.emplace(ticket.key_, std::move(entry));
         ++inflight_count_;
         if (!inline_run)
@@ -476,7 +570,7 @@ TranspileService::submit(const QuantumCircuit &circuit,
         // run inline so a saturated pool cannot deadlock behind its own
         // queue.  Dedup above still applied.
         ticket.source_ = TicketSource::kInline;
-        run_request(ticket.key_, backend_key, circuit, *backend, options,
+        run_request(ticket.key_, backend_key, *circuit, *backend, options,
                     promise, ticket.qasm_, deadline, submitted,
                     /*dequeue=*/false);
         return ticket;
@@ -487,7 +581,7 @@ TranspileService::submit(const QuantumCircuit &circuit,
     // stays valid because the destructor drains in-flight requests.
     Scheduler::JobHandle handle = scheduler().submit(
         1,
-        [this, key = ticket.key_, backend_key, circuit,
+        [this, key = ticket.key_, backend_key, circuit = *circuit,
          backend = std::move(backend), options, promise, qasm = ticket.qasm_,
          deadline, submitted](std::size_t, int) {
             run_request(key, backend_key, circuit, *backend, options,
@@ -506,17 +600,6 @@ TranspileService::submit(const QuantumCircuit &circuit,
             it->second.handle = handle;
     }
     return ticket;
-}
-
-TranspileTicket
-TranspileService::submit_qasm(const std::string &qasm,
-                              std::shared_ptr<const Backend> backend,
-                              const TranspileOptions &options,
-                              const RequestPolicy &policy)
-{
-    // Parse once; the parsed circuit carries the fingerprint, so this
-    // request shares keys (and therefore dedup) with object submits.
-    return submit(from_qasm(qasm), std::move(backend), options, policy);
 }
 
 bool
@@ -615,6 +698,7 @@ void
 TranspileService::clear_cache()
 {
     std::lock_guard<std::mutex> lk(mu_);
+    by_text_.clear();
     lru_.clear();
     cache_.clear();
     cache_bytes_ = 0;

@@ -15,7 +15,9 @@
  *    interleaved with every other request on the shared workers (see
  *    service/scheduler.h).  submit_qasm() is the same path with
  *    OpenQASM 2.0 text as the wire format — the API the nasscd daemon
- *    serves (serve/server.h), usable in-process too.
+ *    serves (serve/server.h), usable in-process too.  A wire request
+ *    that repeats the exact text of the request that filled an entry
+ *    is answered from it without a parse (see submit_qasm()).
  *  - Requests are identified by a FINGERPRINT KEY — the triple
  *    (QuantumCircuit::fingerprint(), Backend::cache_key(),
  *    TranspileOptions::fingerprint()) — so identity is structural: two
@@ -88,6 +90,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "nassc/service/distance_cache.h"
@@ -210,8 +213,9 @@ struct ServiceOptions
     std::size_t cache_capacity = 256;
     /**
      * Result-cache budget in resident bytes (key + routed-circuit
-     * footprint per entry, plus its OpenQASM text once a get_qasm()
-     * has encoded it); LRU entries are evicted until the total fits.
+     * footprint per entry, the request text of an entry a submit_qasm()
+     * filled, plus its OpenQASM output once a get_qasm() has encoded
+     * it); LRU entries are evicted until the total fits.
      * 0 = no byte bound.  An entry larger than the whole budget is
      * served but never cached.
      */
@@ -248,6 +252,9 @@ struct ServiceStats
 {
     std::uint64_t requests = 0;   ///< submit() calls
     std::uint64_t cache_hits = 0; ///< served complete from the cache
+    /** Cache hits submit_qasm() found by request text, without a parse
+     *  (also counted in cache_hits). */
+    std::uint64_t text_hits = 0;
     std::uint64_t coalesced = 0;  ///< joined an in-flight computation
     std::uint64_t misses = 0;     ///< owned a fresh transpile
     /** LRU entries dropped to fit the entry or byte capacity. */
@@ -296,12 +303,17 @@ class TranspileService
                            const RequestPolicy &policy = {});
 
     /**
-     * Wire-format submit: parse `qasm` (OpenQASM 2.0) ONCE, fingerprint
-     * the parsed circuit, and file the request under exactly the key
-     * submit() would use — QASM and object submissions of the same
-     * circuit dedupe against each other.  Parse errors throw here
-     * (std::runtime_error), before anything is enqueued.  The ticket's
-     * get_qasm() yields the routed circuit as OpenQASM 2.0.
+     * Wire-format submit.  First a text probe: if a cached entry was
+     * filled by a submit_qasm() of exactly these bytes under the same
+     * backend key and options fingerprint, the request is served from
+     * it through the same hit path submit() takes, without a parse.
+     * Otherwise `qasm` (OpenQASM 2.0) is parsed, and the request is
+     * filed under exactly the key submit() would use — QASM and object
+     * submissions of the same circuit dedupe against each other — and
+     * the entry it fills keeps the text, charged to its bytes.  Parse
+     * errors throw here (std::runtime_error), before anything is
+     * enqueued.  The ticket's get_qasm() yields the routed circuit as
+     * OpenQASM 2.0.
      */
     TranspileTicket submit_qasm(const std::string &qasm,
                                 std::shared_ptr<const Backend> backend,
@@ -358,6 +370,33 @@ class TranspileService
 
     using EncodedQasm = TranspileTicket::EncodedQasm;
 
+    /** `backend`'s cache_key(): memoized per object, else hashed here,
+     *  outside mu_. */
+    std::string backend_key_of(const std::shared_ptr<const Backend> &backend)
+        const;
+
+    /** The key of the entry a submit_qasm() of exactly `qasm` filled
+     *  under `backend_key` and `options_fp`, or empty.  Takes mu_. */
+    std::string probe_text(const std::string &qasm,
+                           const std::string &backend_key,
+                           std::uint64_t options_fp) const;
+
+    /**
+     * The admission submit() and submit_qasm() share, for a request
+     * filed under `key`: serve it from the cache, join its in-flight
+     * computation, or file and start it.  With `circuit` null (a text
+     * probe's match) only a cache hit is served: on any other outcome
+     * nothing is counted and the ticket comes back invalid.
+     * `request_qasm` is the request's text, kept by the entry a fresh
+     * computation fills; empty for object submits.
+     */
+    TranspileTicket admit(std::string key, const QuantumCircuit *circuit,
+                          const std::string &request_qasm,
+                          std::shared_ptr<const Backend> backend,
+                          const std::string &backend_key,
+                          const TranspileOptions &options,
+                          const RequestPolicy &policy);
+
     struct CacheEntry
     {
         std::string key;
@@ -369,6 +408,11 @@ class TranspileService
         std::string backend_name;    ///< for generation sweeps
         std::string backend_key;     ///< cache_key() at insert time
         Clock::time_point inserted;  ///< for the TTL age check
+        /** Text of the submit_qasm() request that filled the entry,
+         *  indexed in by_text_ and charged to `bytes`; empty when an
+         *  object submit filled it. */
+        std::string request_qasm;
+        std::uint64_t options_fp = 0; ///< TranspileOptions::fingerprint()
     };
 
     /** In-flight computation, joined by coalescing requests. */
@@ -377,6 +421,7 @@ class TranspileService
         std::shared_future<SharedTranspileResult> future;
         std::shared_ptr<std::promise<SharedTranspileResult>> promise;
         std::shared_ptr<EncodedQasm> qasm; ///< shared by coalesced tickets
+        std::string request_qasm; ///< the owner's submit_qasm() text
         Scheduler::JobHandle handle; ///< unbound for inline runs
         std::size_t waiters = 1;     ///< owner + coalesced tickets
     };
@@ -398,9 +443,12 @@ class TranspileService
                      bool dequeue);
 
     /** Insert into the cache, evicting to fit both bounds.  Under mu_.
-     *  `backend_key` is the request backend's cache_key(). */
+     *  `backend_key` is the request backend's cache_key();
+     *  `request_qasm` the owner's submit_qasm() text (may be empty),
+     *  indexed by text under `backend_key` and `options_fp`. */
     void cache_insert(const std::string &key, SharedTranspileResult result,
                       std::shared_ptr<EncodedQasm> qasm,
+                      std::string request_qasm, std::uint64_t options_fp,
                       const std::string &backend_name,
                       const std::string &backend_key);
 
@@ -443,6 +491,31 @@ class TranspileService
     /** LRU list, most recent first, + index into it. */
     std::list<CacheEntry> lru_;
     std::unordered_map<std::string, std::list<CacheEntry>::iterator> cache_;
+    /** What submit_qasm() probes by: views of an entry's own request
+     *  text and backend key, and its options fingerprint.  At most one
+     *  entry has each: equal probes mean equal request keys. */
+    struct TextProbe
+    {
+        std::string_view text;
+        std::string_view backend_key;
+        std::uint64_t options_fp = 0;
+
+        bool operator==(const TextProbe &o) const
+        {
+            return options_fp == o.options_fp &&
+                   backend_key == o.backend_key && text == o.text;
+        }
+    };
+    /** Not noexcept on purpose: the table then caches each node's hash
+     *  instead of hashing whole texts again when it rehashes. */
+    struct TextProbeHash
+    {
+        std::size_t operator()(const TextProbe &p) const;
+    };
+    /** Entries with a request text, by TextProbe. */
+    std::unordered_map<TextProbe, std::list<CacheEntry>::iterator,
+                       TextProbeHash>
+        by_text_;
     std::size_t cache_bytes_ = 0;
     /** One backend name's current generation. */
     struct BackendGeneration

@@ -265,15 +265,17 @@ TEST(ObsWire, TraceOptionReturnsStageSpans)
     EXPECT_FALSE(miss.trace_id.empty());
     const std::map<std::string, std::uint64_t> stages = span_map(miss);
     for (const char *stage :
-         {"decode", "admission", "queue_wait", "distance_resolve",
-          "layout", "routing", "cache_insert", "transpile"})
+         {"decode", "qasm_parse", "admission", "queue_wait",
+          "distance_resolve", "layout", "routing", "cache_insert",
+          "transpile"})
         EXPECT_TRUE(stages.count(stage)) << "missing span " << stage;
     // Per-trial spans: one per completed layout trial, several trials.
     ASSERT_TRUE(stages.count("layout_trial"));
     EXPECT_GT(stages.at("layout_trial"), 1u);
 
     // Hit path: same request again reports the cache_hit trace
-    // (decode + admission — the request never reaches a worker).
+    // (decode + admission — the request never reaches a worker, and its
+    // text matches the entry's, so it is never parsed).
     const ServeResponse hit =
         client.transpile_qasm(qasm, "ibmq_montreal", traced_opts);
     EXPECT_EQ(hit.source, "cache_hit");
@@ -283,6 +285,7 @@ TEST(ObsWire, TraceOptionReturnsStageSpans)
     EXPECT_TRUE(hit_stages.count("decode"));
     EXPECT_TRUE(hit_stages.count("admission"));
     EXPECT_FALSE(hit_stages.count("queue_wait"));
+    EXPECT_FALSE(hit_stages.count("qasm_parse"));
     EXPECT_EQ(hit.qasm, miss.qasm);
 
     // trace=0 (and absent) responses carry no spans and no trace-id,

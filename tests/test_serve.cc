@@ -383,6 +383,102 @@ TEST(ServeProtocol, MidFrameDisconnectFailsBothEndsCleanly)
     EXPECT_EQ(failpoint::hit_count("protocol.write.disconnect"), 1u);
 }
 
+/** Send all of `bytes` on `fd`. */
+void
+send_all(int fd, const std::string &bytes)
+{
+    ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+}
+
+TEST(ServeProtocol, PipelinedFramesReadOneAtATime)
+{
+    // Both frames are queued before the first read: the header read
+    // must not run into the payload, nor the payload into the next
+    // frame's header.
+    SocketPair sp;
+    write_frame(sp.fds[0], "first");
+    write_frame(sp.fds[0], std::string(300, 'y'));
+    ::shutdown(sp.fds[0], SHUT_WR);
+    std::string got;
+    ASSERT_TRUE(read_frame(sp.fds[1], got));
+    EXPECT_EQ(got, "first");
+    ASSERT_TRUE(read_frame(sp.fds[1], got));
+    EXPECT_EQ(got, std::string(300, 'y'));
+    EXPECT_FALSE(read_frame(sp.fds[1], got)); // clean EOF between frames
+}
+
+TEST(ServeProtocol, HeaderSplitAcrossSendsIsReassembled)
+{
+    // The writer pauses mid-header, so the reader peeks a partial
+    // header and must wait for the rest; the last send completes the
+    // payload after its first two bytes arrived with the header.  The
+    // hang-up after it turns a reader that lost bytes into an error,
+    // not a hang.
+    SocketPair sp;
+    std::thread writer([&] {
+        for (const char *part : {"NAS", "SC/1 5\nhe", "llo"}) {
+            send_all(sp.fds[0], part);
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        ::shutdown(sp.fds[0], SHUT_WR);
+    });
+    std::string got;
+    bool read = false;
+    EXPECT_NO_THROW(read = read_frame(sp.fds[1], got));
+    writer.join();
+    ASSERT_TRUE(read);
+    EXPECT_EQ(got, "hello");
+
+    // A peer that hangs up mid-header is an error, not a clean EOF.
+    SocketPair cut;
+    send_all(cut.fds[0], "NASSC/1 ");
+    ::shutdown(cut.fds[0], SHUT_WR);
+    try {
+        read_frame(cut.fds[1], got);
+        ADD_FAILURE() << "EOF inside the header was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("EOF inside header"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ServeProtocol, RunawayHeaderThrowsAtSixtyFiveBytes)
+{
+    auto read_header = [](const std::string &raw) {
+        SocketPair sp;
+        send_all(sp.fds[0], raw);
+        ::shutdown(sp.fds[0], SHUT_WR);
+        std::string payload;
+        return read_frame(sp.fds[1], payload);
+    };
+    for (const std::size_t n : {65u, 66u, 200u}) {
+        try {
+            read_header(std::string(n, '7'));
+            ADD_FAILURE() << n << " header bytes accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("runaway frame header"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // 64 bytes and a newline is a header: it fails on its contents
+    // (bad magic), not on its length.
+    try {
+        read_header(std::string(64, '7') + "\n");
+        ADD_FAILURE() << "a 64-byte bogus header was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("bad frame magic"),
+                  std::string::npos)
+            << e.what();
+    }
+    // A header whose newline is its 65th byte is accepted.
+    const std::string header =
+        "NASSC/1 " + std::string(55, '0') + "5\n" + "hello";
+    EXPECT_TRUE(read_header(header));
+}
+
 TEST(Failpoint, MalformedSpecsAndUnknownActionsAreRejected)
 {
     // A typo'd NASSC_FAILPOINTS profile must fail daemon startup, not
@@ -531,6 +627,7 @@ TEST(NasscServer, StatsViewCoversEveryServiceRowAndTheVerbIsRetired)
     const std::map<std::string, std::uint64_t> want = {
         {"requests", s.requests},
         {"cache_hits", s.cache_hits},
+        {"text_hits", s.text_hits},
         {"coalesced", s.coalesced},
         {"misses", s.misses},
         {"evictions_capacity", s.evictions_capacity},
@@ -553,13 +650,14 @@ TEST(NasscServer, StatsViewCoversEveryServiceRowAndTheVerbIsRetired)
         {"distance_row_bytes", d.row_bytes},
         {"distance_row_bytes_peak", d.row_bytes_peak},
     };
-    ASSERT_EQ(want.size(), 23u);
+    ASSERT_EQ(want.size(), 24u);
     for (const auto &kv : want) {
         ASSERT_TRUE(rows.count(kv.first)) << kv.first;
         EXPECT_EQ(rows.at(kv.first), kv.second) << kv.first;
     }
     EXPECT_EQ(rows.at("requests"), 2u);
     EXPECT_EQ(rows.at("cache_hits"), 1u);
+    EXPECT_EQ(rows.at("text_hits"), 1u); // the repeat matched by text
     EXPECT_EQ(rows.at("transpiles_ok"), 1u);
 
     // The `stats` wire verb is gone: an unknown verb, answered with
@@ -907,8 +1005,9 @@ TEST(NasscServer, ClientHangupCancelsItsQueuedRequest)
 TEST(NasscServer, WireHitsServeTheEntrysTextByteForByte)
 {
     // Miss, then two hits of one key: all three bodies equal to_qasm of
-    // an in-process transpile.  The miss attaches the text to the cache
-    // entry once; the hits add nothing.
+    // an in-process transpile.  The miss keeps the request text and
+    // attaches the output text to the cache entry once; the hits find
+    // the entry by request text and add nothing.
     ServerOptions options;
     options.unix_path = socket_path("encode_once");
     NasscServer server(options);
@@ -925,18 +1024,21 @@ TEST(NasscServer, WireHitsServeTheEntrysTextByteForByte)
     }
 
     ServeClient client = ServeClient::connect_unix(options.unix_path);
+    const std::string request = to_qasm(qc);
     const std::vector<std::string> sources = {"transpiled", "cache_hit",
                                               "cache_hit"};
     for (const std::string &source : sources) {
         const ServeResponse resp =
-            client.transpile_qasm(to_qasm(qc), "ibmq_montreal", {});
+            client.transpile_qasm(request, "ibmq_montreal", {});
         ASSERT_EQ(resp.status, "ok") << resp.error;
         EXPECT_EQ(resp.source, source);
         EXPECT_EQ(resp.qasm, expected);
         const ServiceStats stats = server.service().stats();
         EXPECT_EQ(stats.cache_size, 1u);
-        EXPECT_EQ(stats.cache_bytes, entry_bytes + expected.size());
+        EXPECT_EQ(stats.cache_bytes,
+                  entry_bytes + request.size() + expected.size());
     }
+    EXPECT_EQ(server.service().stats().text_hits, 2u);
     server.stop();
 }
 
@@ -1114,13 +1216,14 @@ TEST(TranspileService, CacheByteBudgetIsNeverExceeded)
     }
 
     // Budget for ~1.5 similar entries: the second insert must evict the
-    // first (capacity eviction), never exceed the budget.
+    // first (capacity eviction), never exceed the budget.  The second
+    // arrives as text, which its entry keeps and is charged for.
     ServiceOptions opts;
     opts.cache_max_bytes = one_entry + one_entry / 2;
     TranspileService service(opts);
     service.submit(ghz(6), shared_montreal()).get();
     EXPECT_LE(service.stats().cache_bytes, opts.cache_max_bytes);
-    service.submit(ghz(7), shared_montreal()).get();
+    service.submit_qasm(to_qasm(ghz(7)), shared_montreal()).get();
     const ServiceStats stats = service.stats();
     EXPECT_LE(stats.cache_bytes, opts.cache_max_bytes);
     EXPECT_EQ(stats.cache_size, 1u);
@@ -1139,6 +1242,25 @@ TEST(TranspileService, CacheByteBudgetIsNeverExceeded)
     TranspileTicket r = crumbs.submit(ghz(6), shared_montreal());
     r.get();
     EXPECT_EQ(crumbs.stats().cache_hits, 0u);
+
+    // A submit_qasm entry is charged for the request text it keeps: one
+    // byte short of entry + text, it is served but never cached...
+    const std::string text = to_qasm(ghz(6));
+    ServiceOptions short_by_one;
+    short_by_one.cache_max_bytes = one_entry + text.size() - 1;
+    TranspileService texted(short_by_one);
+    EXPECT_FALSE(texted.submit_qasm(text, shared_montreal())
+                     .get()
+                     ->circuit.empty());
+    EXPECT_EQ(texted.stats().cache_size, 0u);
+    EXPECT_EQ(texted.stats().cache_bytes, 0u);
+    // ...and at exactly that size it is cached, text included.
+    ServiceOptions exact;
+    exact.cache_max_bytes = one_entry + text.size();
+    TranspileService fits(exact);
+    fits.submit_qasm(text, shared_montreal()).get();
+    EXPECT_EQ(fits.stats().cache_size, 1u);
+    EXPECT_EQ(fits.stats().cache_bytes, one_entry + text.size());
 }
 
 TEST(TranspileService, TtlExpiryInvalidatesLazilyAndViaPurge)
@@ -1342,10 +1464,11 @@ TEST(TranspileService, AttachedTextStaysWithinTheByteBudget)
     EXPECT_LE(stats.cache_bytes, opts.cache_max_bytes);
     EXPECT_EQ(stats.evictions_capacity, 1u);
 
-    // An entry that fits bare but not with its text is evicted by the
-    // attach, and the text is still served.
+    // An entry that fits with its request text but not with its output
+    // text is evicted by the attach, and the text is still served.
     ServiceOptions tight;
-    tight.cache_max_bytes = ra.entry_bytes + ra.qasm.size() / 2;
+    tight.cache_max_bytes =
+        ra.entry_bytes + to_qasm(a).size() + ra.qasm.size() / 2;
     TranspileService small(tight);
     TranspileTicket t = small.submit_qasm(to_qasm(a), backend);
     t.get();
@@ -1362,19 +1485,21 @@ TEST(TranspileService, InvalidationAndTtlDropTheTextWithItsEntry)
     const QuantumCircuit qc = qft(5);
     const Reference ref = reference(qc);
     const auto backend = shared_montreal();
+    // Every entry here is filled by submit_qasm and keeps its request.
+    const std::size_t entry_bytes = ref.entry_bytes + to_qasm(qc).size();
     TranspileService service;
 
     EXPECT_EQ(service.submit_qasm(to_qasm(qc), backend).get_qasm(), ref.qasm);
-    EXPECT_EQ(service.stats().cache_bytes, ref.entry_bytes + ref.qasm.size());
+    EXPECT_EQ(service.stats().cache_bytes, entry_bytes + ref.qasm.size());
     EXPECT_EQ(service.invalidate_backend("ibmq_montreal"), 1u);
     EXPECT_EQ(service.stats().cache_bytes, 0u);
     // The recompute starts bare and encodes afresh, to the same bytes.
     TranspileTicket again = service.submit_qasm(to_qasm(qc), backend);
     again.get();
     EXPECT_EQ(again.source(), TicketSource::kScheduled);
-    EXPECT_EQ(service.stats().cache_bytes, ref.entry_bytes);
+    EXPECT_EQ(service.stats().cache_bytes, entry_bytes);
     EXPECT_EQ(again.get_qasm(), ref.qasm);
-    EXPECT_EQ(service.stats().cache_bytes, ref.entry_bytes + ref.qasm.size());
+    EXPECT_EQ(service.stats().cache_bytes, entry_bytes + ref.qasm.size());
 
     // A hit ticket whose entry is dropped before it encodes charges
     // nothing: the text lives only as long as the ticket.
@@ -1389,7 +1514,7 @@ TEST(TranspileService, InvalidationAndTtlDropTheTextWithItsEntry)
     ttl.default_ttl_seconds = 0.05;
     TranspileService timed(ttl);
     EXPECT_EQ(timed.submit_qasm(to_qasm(qc), backend).get_qasm(), ref.qasm);
-    EXPECT_EQ(timed.stats().cache_bytes, ref.entry_bytes + ref.qasm.size());
+    EXPECT_EQ(timed.stats().cache_bytes, entry_bytes + ref.qasm.size());
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
     EXPECT_EQ(timed.purge_expired(), 1u);
     EXPECT_EQ(timed.stats().cache_bytes, 0u);
@@ -1399,7 +1524,7 @@ TEST(TranspileService, InvalidationAndTtlDropTheTextWithItsEntry)
     TranspileTicket lazy = timed.submit_qasm(to_qasm(qc), backend);
     lazy.get();
     EXPECT_EQ(lazy.source(), TicketSource::kScheduled);
-    EXPECT_EQ(timed.stats().cache_bytes, ref.entry_bytes);
+    EXPECT_EQ(timed.stats().cache_bytes, entry_bytes);
     EXPECT_EQ(timed.stats().evictions_invalidated, 2u);
 }
 
@@ -1434,7 +1559,8 @@ TEST(TranspileService, CoalescedWaitersShareOneEncode)
     reader.join();
     EXPECT_EQ(owner_text, ref.qasm);
     EXPECT_EQ(joined_text, ref.qasm);
-    EXPECT_EQ(service.stats().cache_bytes, ref.entry_bytes + ref.qasm.size());
+    EXPECT_EQ(service.stats().cache_bytes,
+              ref.entry_bytes + to_qasm(qc).size() + ref.qasm.size());
 }
 
 TEST(TranspileService, TryCancelAbandonsQueuedRequests)

@@ -17,7 +17,11 @@
 //      invalidate_backend() makes the next request hash afresh;
 //  (g) the key hashes output identity only: requests that differ in
 //      RequestPolicy or an execution knob share one entry, and each
-//      request's TTL is a maximum age checked at its own lookup.
+//      request's TTL is a maximum age checked at its own lookup;
+//  (h) submit_qasm's text probe is invisible: one script through
+//      submit_qasm and through submit(from_qasm(text)) gives the same
+//      tickets, bytes and stats, apart from the text hits and the
+//      request texts the entries keep.
 
 #include <atomic>
 #include <chrono>
@@ -30,6 +34,7 @@
 #include <gtest/gtest.h>
 
 #include "nassc/circuits/library.h"
+#include "nassc/ir/qasm.h"
 #include "nassc/service/errors.h"
 #include "nassc/service/failpoint.h"
 #include "nassc/service/scheduler.h"
@@ -760,6 +765,166 @@ TEST(TranspileServiceBackendMemo, InvalidateBackendMakesTheNextRequestHash)
     EXPECT_NE(fresh.key(), first.key());
     EXPECT_EQ(fresh.key(),
               TranspileService::request_key(ghz(4), *backend, {}));
+}
+
+// ---- (h) text probe ---------------------------------------------------------
+
+/** Two services fed one script: `wire` takes each request as text
+ *  (submit_qasm, which probes by text first), `parsed` takes
+ *  submit(from_qasm(text)). */
+struct ProbeDifferential
+{
+    explicit ProbeDifferential(const ServiceOptions &opts = {})
+        : wire(opts), parsed(opts)
+    {
+    }
+
+    /** One request on both: the same source, key and output bytes. */
+    TicketSource
+    step(const std::string &text, std::shared_ptr<const Backend> backend,
+         const TranspileOptions &options = {},
+         const RequestPolicy &policy = {})
+    {
+        const TranspileTicket w =
+            wire.submit_qasm(text, backend, options, policy);
+        const TranspileTicket p =
+            parsed.submit(from_qasm(text), backend, options, policy);
+        EXPECT_EQ(w.source(), p.source());
+        EXPECT_EQ(w.key(), p.key());
+        EXPECT_EQ(w.get_qasm(), p.get_qasm());
+        return w.source();
+    }
+
+    /** Equal stats, apart from `text_hits` (only the wire has them) and
+     *  the `texts` bytes of request text the wire's entries keep. */
+    void
+    expect_stats(std::size_t texts, std::uint64_t text_hits) const
+    {
+        const ServiceStats w = wire.stats(), p = parsed.stats();
+        auto fields = [](const ServiceStats &s) {
+            return std::vector<std::uint64_t>{
+                s.requests,          s.cache_hits,
+                s.coalesced,         s.misses,
+                s.evictions_capacity, s.evictions_invalidated,
+                s.cancelled,         s.shed,
+                s.deadline_exceeded, s.transpiles_ok,
+                s.transpiles_failed, s.cache_size,
+                s.inflight};
+        };
+        EXPECT_EQ(fields(w), fields(p));
+        EXPECT_EQ(w.cache_bytes, p.cache_bytes + texts);
+        EXPECT_EQ(w.text_hits, text_hits);
+        EXPECT_EQ(p.text_hits, 0u);
+    }
+
+    TranspileService wire, parsed;
+};
+
+TEST(TranspileServiceTextProbe, MatchesParsedSubmitsStepForStep)
+{
+    const auto montreal = shared_montreal();
+    const auto grid = std::make_shared<const Backend>(grid_backend());
+    auto rotated_dev = std::make_shared<Backend>(montreal_backend());
+    rotated_dev->calibration.error_1q[0] *= 2.0; // same name, new key
+    const std::shared_ptr<const Backend> rotated = rotated_dev;
+
+    const std::string a = to_qasm(qft(4));
+    const std::size_t first_nl = a.find('\n') + 1;
+    // The same circuit in other bytes: same key, no text match.
+    const std::string a_other = a.substr(0, first_nl) +
+                                "// the same circuit, other bytes\n" +
+                                a.substr(first_nl);
+    const std::string b = to_qasm(ghz(5));
+    TranspileOptions seeded;
+    seeded.seed = 7;
+
+    ProbeDifferential d;
+    using S = TicketSource;
+    // Repeats: the second is found by text.
+    EXPECT_EQ(d.step(a, montreal), S::kScheduled);
+    EXPECT_EQ(d.step(a, montreal), S::kCacheHit);
+    d.expect_stats(a.size(), 1);
+    // The same text under other options or another backend misses.
+    EXPECT_EQ(d.step(a, montreal, seeded), S::kScheduled);
+    EXPECT_EQ(d.step(a, grid), S::kScheduled);
+    d.expect_stats(3 * a.size(), 1);
+    // Other bytes hit by key after a parse, every time: the entry keeps
+    // the text that filled it.
+    EXPECT_EQ(d.step(a_other, montreal), S::kCacheHit);
+    EXPECT_EQ(d.step(a_other, montreal), S::kCacheHit);
+    EXPECT_EQ(d.step(b, montreal), S::kScheduled);
+    d.expect_stats(3 * a.size() + b.size(), 1);
+
+    // An entry too old for the request is dropped and recomputed, and
+    // the refilled entry is found by text again.
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    RequestPolicy strict;
+    strict.cache_ttl_seconds = 0.05;
+    EXPECT_EQ(d.step(a, montreal, {}, strict), S::kScheduled);
+    EXPECT_EQ(d.step(a, montreal), S::kCacheHit);
+    d.expect_stats(3 * a.size() + b.size(), 2);
+
+    // A rotated calibration sweeps montreal's three entries; rotating
+    // back sweeps the rotated one.
+    EXPECT_EQ(d.step(a, rotated), S::kScheduled);
+    d.expect_stats(2 * a.size(), 2);
+    EXPECT_EQ(d.step(a, montreal), S::kScheduled);
+    d.expect_stats(2 * a.size(), 2);
+
+    EXPECT_EQ(d.wire.invalidate_backend(grid->name), 1u);
+    EXPECT_EQ(d.parsed.invalidate_backend(grid->name), 1u);
+    d.expect_stats(a.size(), 2);
+    EXPECT_EQ(d.step(a, grid), S::kScheduled);
+    d.expect_stats(2 * a.size(), 2);
+
+    d.wire.clear_cache();
+    d.parsed.clear_cache();
+    d.expect_stats(0, 2);
+    EXPECT_EQ(d.step(a, montreal), S::kScheduled);
+    EXPECT_EQ(d.step(a, montreal), S::kCacheHit);
+    d.expect_stats(a.size(), 3);
+}
+
+TEST(TranspileServiceTextProbe, ByteBudgetEvictsTheSameEntries)
+{
+    const auto montreal = shared_montreal();
+    const std::string small = to_qasm(ghz(3));
+    const std::string big = to_qasm(qft(8));
+
+    // A budget of exactly the big entry with its request text, which
+    // the small entry (and its output) always fits beside... until the
+    // big one arrives.
+    std::size_t budget = 0, small_bytes = 0;
+    {
+        ServiceOptions unbounded;
+        unbounded.cache_max_bytes = 0;
+        TranspileService probe(unbounded);
+        probe.submit_qasm(big, montreal).get();
+        budget = probe.stats().cache_bytes;
+        probe.clear_cache();
+        probe.submit_qasm(small, montreal).get_qasm();
+        small_bytes = probe.stats().cache_bytes;
+    }
+    // The parsed service evicts too: its small entry outweighs the
+    // big entry's request text.
+    ASSERT_GT(small_bytes - small.size(), big.size());
+    ASSERT_LT(small_bytes, budget);
+
+    ServiceOptions opts;
+    opts.cache_max_bytes = budget;
+    ProbeDifferential d(opts);
+    using S = TicketSource;
+    EXPECT_EQ(d.step(small, montreal), S::kScheduled);
+    EXPECT_EQ(d.step(small, montreal), S::kCacheHit);
+    d.expect_stats(small.size(), 1);
+    // The big insert evicts the small entry in both services, and
+    // attaching its output (larger than its request text) then evicts
+    // the big entry itself.
+    EXPECT_EQ(d.step(big, montreal), S::kScheduled);
+    d.expect_stats(0, 1);
+    EXPECT_EQ(d.wire.stats().evictions_capacity, 2u);
+    EXPECT_EQ(d.step(small, montreal), S::kScheduled);
+    d.expect_stats(small.size(), 1);
 }
 
 } // namespace
