@@ -1,7 +1,6 @@
 #include "nassc/ir/dag.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace nassc {
 
@@ -79,14 +78,6 @@ DagCircuit::DagCircuit(const QuantumCircuit &qc)
         if (dpred_offsets_[id + 1] == dpred_offsets_[id])
             initial_front_.push_back(id);
     }
-}
-
-std::vector<int>
-DagCircuit::topological_order() const
-{
-    std::vector<int> order(gates_.size());
-    std::iota(order.begin(), order.end(), 0);
-    return order;
 }
 
 QuantumCircuit

@@ -107,9 +107,6 @@ class DagCircuit
     /** Last node on each wire (-1 for idle wires). */
     int wire_back(int qubit) const { return wire_back_[qubit]; }
 
-    /** Nodes in a topological order (source order, which is topological). */
-    std::vector<int> topological_order() const;
-
     /** Rebuild a flat circuit (identical to the source circuit). */
     QuantumCircuit to_circuit() const;
 

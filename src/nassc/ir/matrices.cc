@@ -7,18 +7,6 @@
 
 namespace nassc {
 
-bool
-has_matrix1(const Gate &g)
-{
-    return is_one_qubit(g.kind);
-}
-
-bool
-has_matrix2(const Gate &g)
-{
-    return is_two_qubit(g.kind) && is_unitary_op(g.kind);
-}
-
 Mat2
 gate_matrix1(const Gate &g)
 {

@@ -14,12 +14,6 @@
 
 namespace nassc {
 
-/** True if the gate has a fixed 2x2 matrix (all one-qubit unitaries). */
-bool has_matrix1(const Gate &g);
-
-/** True if the gate has a fixed 4x4 matrix (all two-qubit unitaries). */
-bool has_matrix2(const Gate &g);
-
 /** The 2x2 matrix of a one-qubit gate. @throws for other gates. */
 Mat2 gate_matrix1(const Gate &g);
 

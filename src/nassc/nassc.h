@@ -11,12 +11,12 @@
  *
  *   ir/        gate/circuit IR, DAG view, QASM codec, fingerprinting
  *   circuits/  benchmark circuit generators (GHZ, QFT, BV, VQE, QAOA…)
- *   topo/      device topologies, calibration, distance matrices
+ *   topo/      device topologies, calibration, lazy distance rows
  *   synth/     1q/2q/mct resynthesis primitives
  *   passes/    optimization + lowering passes
  *   route/     SABRE / NASSC routing and layout search
  *   sim/       statevector/unitary simulation and equivalence checks
- *   service/   scheduler, caches, async transpile service, batching
+ *   service/   scheduler, caches, async transpile service
  *   transpile/ end-to-end pipelines and TranspileContext
  *   serve/     nasscd network protocol, server, and client
  *
@@ -48,7 +48,6 @@
 #include "nassc/passes/commutation.h"
 #include "nassc/passes/decompose_swaps.h"
 #include "nassc/passes/optimize_1q.h"
-#include "nassc/passes/scheduling.h"
 
 #include "nassc/route/layout.h"
 #include "nassc/route/layout_search.h"
@@ -57,7 +56,6 @@
 #include "nassc/route/router.h"
 #include "nassc/route/sabre.h"
 
-#include "nassc/sim/fidelity.h"
 #include "nassc/sim/noise.h"
 #include "nassc/sim/statevector.h"
 #include "nassc/sim/unitary.h"

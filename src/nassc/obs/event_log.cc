@@ -51,13 +51,6 @@ EventLog::set_capacity(std::size_t cap)
     }
 }
 
-std::size_t
-EventLog::capacity() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return cap_;
-}
-
 std::string
 json_escape(const std::string &s)
 {

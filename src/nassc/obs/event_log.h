@@ -46,7 +46,6 @@ class EventLog
     std::vector<std::string> drain();
 
     void set_capacity(std::size_t cap);
-    std::size_t capacity() const;
 
     std::uint64_t appended() const
     {
@@ -70,7 +69,7 @@ class EventLog
     }
 
   private:
-    mutable std::mutex mu_;
+    std::mutex mu_;
     std::deque<std::string> ring_;
     std::size_t cap_ = 1024;
     std::atomic<std::uint64_t> appended_{0};

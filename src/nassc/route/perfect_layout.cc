@@ -81,62 +81,6 @@ struct Searcher
 
 } // namespace
 
-namespace {
-
-/** Shared setup: adjacency, degrees, most-constrained-first order. */
-std::vector<int>
-prepare_searcher(Searcher &s, const QuantumCircuit &qc)
-{
-    s.ladj.assign(s.nl, std::vector<bool>(s.nl, false));
-    std::vector<int> degree(s.nl, 0);
-    for (auto [a, b] : interaction_edges(qc)) {
-        if (!s.ladj[a][b]) {
-            s.ladj[a][b] = s.ladj[b][a] = true;
-            ++degree[a];
-            ++degree[b];
-        }
-    }
-    s.order.resize(s.nl);
-    std::iota(s.order.begin(), s.order.end(), 0);
-    std::sort(s.order.begin(), s.order.end(),
-              [&](int a, int b) { return degree[a] > degree[b]; });
-    s.l2p.assign(s.nl, -1);
-    s.used.assign(s.np, false);
-    s.best_l2p = s.l2p;
-    return degree;
-}
-
-} // namespace
-
-std::optional<Layout>
-find_perfect_layout(const QuantumCircuit &qc, const CouplingMap &cm,
-                    long budget)
-{
-    int nl = qc.num_qubits();
-    int np = cm.num_qubits();
-    if (nl > np)
-        return std::nullopt;
-
-    Searcher s(cm);
-    s.nl = nl;
-    s.np = np;
-    s.budget = budget;
-    std::vector<int> degree = prepare_searcher(s, qc);
-
-    // A logical vertex needing more neighbours than the densest physical
-    // vertex can never embed.
-    size_t max_pdeg = 0;
-    for (int p = 0; p < np; ++p)
-        max_pdeg = std::max(max_pdeg, cm.neighbors(p).size());
-    for (int l = 0; l < nl; ++l)
-        if (degree[l] > static_cast<int>(max_pdeg))
-            return std::nullopt;
-
-    if (!s.solve(0))
-        return std::nullopt;
-    return Layout::from_l2p(s.l2p, np);
-}
-
 PartialEmbedding
 find_partial_embedding(const QuantumCircuit &qc, const CouplingMap &cm,
                        long budget)
@@ -152,8 +96,22 @@ find_partial_embedding(const QuantumCircuit &qc, const CouplingMap &cm,
     s.nl = nl;
     s.np = np;
     s.budget = budget;
-    prepare_searcher(s, qc);
-    // No degree early-out here: even when a full embedding is provably
+    s.ladj.assign(nl, std::vector<bool>(nl, false));
+    std::vector<int> degree(nl, 0);
+    for (auto [a, b] : interaction_edges(qc)) {
+        s.ladj[a][b] = s.ladj[b][a] = true;
+        ++degree[a];
+        ++degree[b];
+    }
+    // Most-constrained first.
+    s.order.resize(nl);
+    std::iota(s.order.begin(), s.order.end(), 0);
+    std::sort(s.order.begin(), s.order.end(),
+              [&](int a, int b) { return degree[a] > degree[b]; });
+    s.l2p.assign(nl, -1);
+    s.used.assign(np, false);
+    s.best_l2p = s.l2p;
+    // No degree early-out: even when a full embedding is provably
     // impossible, the deepest partial assignment is still a useful seed.
     out.complete = s.solve(0);
     out.l2p = out.complete ? s.l2p : s.best_l2p;

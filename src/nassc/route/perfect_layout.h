@@ -11,11 +11,9 @@
  * is exact for the benchmark sizes used here (<= 27 qubits).
  */
 
-#include <optional>
 #include <vector>
 
 #include "nassc/ir/circuit.h"
-#include "nassc/route/layout.h"
 #include "nassc/topo/coupling_map.h"
 
 namespace nassc {
@@ -25,22 +23,13 @@ std::vector<std::pair<int, int>>
 interaction_edges(const QuantumCircuit &qc);
 
 /**
- * Search for an injective mapping of logical onto physical qubits such
- * that every interacting pair lands on a coupled pair.
- *
- * @param budget maximum number of backtracking steps
- * @return a perfect layout, or nullopt if none found within budget
- */
-std::optional<Layout>
-find_perfect_layout(const QuantumCircuit &qc, const CouplingMap &cm,
-                    long budget = 200000);
-
-/**
- * Deepest assignment reached by the perfect-layout backtracking within
- * its budget.  `l2p[l]` is -1 for the logical qubits left unassigned;
- * `complete` marks a genuine perfect layout.  Deterministic: a pure
- * function of (circuit, coupling, budget), never of timing — the
- * multi-trial layout search seeds one trial from it.
+ * Backtracking search for an injective mapping of logical onto physical
+ * qubits such that every interacting pair lands on a coupled pair, cut
+ * off after `budget` steps.  Returns the deepest assignment reached:
+ * `l2p[l]` is -1 for the logical qubits left unassigned; `complete`
+ * marks a genuine perfect layout.  Deterministic: a pure function of
+ * (circuit, coupling, budget), never of timing — the multi-trial
+ * layout search seeds one trial from it.
  */
 struct PartialEmbedding
 {

@@ -292,12 +292,8 @@ parse_request_options(
         } else if (key == "layout_trials") {
             opts.layout_trials =
                 parse_int_at_most(key, value, kMaxWireLayoutTrials);
-        } else if (key == "layout_threads") {
-            opts.layout_threads = parse_int(key, value);
         } else if (key == "opt_loop_rounds") {
             opts.opt_loop_rounds = parse_int(key, value);
-        } else if (key == "reuse_routing") {
-            opts.reuse_routing = parse_bool(key, value);
         } else if (key == "orientation_aware_decomposition") {
             opts.orientation_aware_decomposition = parse_bool(key, value);
         } else if (key == "use_decay") {
@@ -314,16 +310,6 @@ parse_request_options(
             if (policy.deadline_ms < 0)
                 bad_payload("option deadline_ms: must be >= 0, got '" +
                             value + "'");
-        } else if (key == "sparse_distance_threshold") {
-            opts.sparse_distance_threshold = parse_int(key, value);
-        } else if (key == "distance_row_budget_bytes") {
-            const int v = parse_int(key, value);
-            if (v < 0)
-                bad_payload("option distance_row_budget_bytes: must be >= "
-                            "0, got '" +
-                            value + "'");
-            opts.distance_row_budget_bytes =
-                static_cast<std::size_t>(v);
         } else if (key == "region_radius") {
             opts.region_radius = parse_int(key, value);
             if (opts.region_radius < 0)

@@ -137,15 +137,20 @@ struct RequestOptions
 };
 
 /**
- * Interpret wire `option` pairs in one parse: every TranspileOptions
- * and RequestPolicy field by its struct name (router=nassc|sabre,
- * seed=0..2^32-1, …, priority=N, deadline_ms=N, cache_ttl_seconds=X),
- * plus trace=0|1 for per-stage span lines.  Only `transpile` reaches
- * the request's cache key; a repeated key's last value wins.
+ * Interpret wire `option` pairs in one parse.  The keys are the 14
+ * TranspileOptions fields that TranspileOptions::fingerprint() hashes
+ * (router=nassc|sabre, seed=0..2^32-1, …, region_radius=N), the three
+ * RequestPolicy fields (priority=N, deadline_ms=N, cache_ttl_seconds=X)
+ * and trace=0|1 for per-stage span lines: output identity plus policy.
+ * The execution knobs layout_threads, reuse_routing,
+ * sparse_distance_threshold and distance_row_budget_bytes are not wire
+ * keys, so no client can size the daemon's distance cache or workers.
+ * Only `transpile` reaches the request's cache key; a repeated key's
+ * last value wins.
  * @throws std::runtime_error on unknown keys or unparsable values, so
  * a typo'd request fails loudly instead of transpiling with defaults,
- * on non-finite numbers, on negative deadline_ms or cache_ttl_seconds,
- * and on layout_trials > 256 or layout_iterations > 64.
+ * on non-finite numbers, on negative deadline_ms, cache_ttl_seconds or
+ * region_radius, and on layout_trials > 256 or layout_iterations > 64.
  */
 RequestOptions parse_request_options(
     const std::vector<std::pair<std::string, std::string>> &options);

@@ -130,14 +130,6 @@ DistanceCache::provider(const Backend &backend,
     return future.get();
 }
 
-void
-DistanceCache::invalidate_backend(const std::string &backend_name)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    invalidate_locked(backend_name);
-    generation_.erase(backend_name);
-}
-
 DistanceCache::Stats
 DistanceCache::stats() const
 {

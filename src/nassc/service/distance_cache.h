@@ -116,12 +116,6 @@ class DistanceCache
                                     const DistanceRequest &request,
                                     const std::string &backend_key);
 
-    /**
-     * Drop every entry belonging to `backend_name` (any generation),
-     * counting them in evictions_invalidated.
-     */
-    void invalidate_backend(const std::string &backend_name);
-
     /** One-lock snapshot of all counters.  Row counters aggregate over
      *  all resident providers plus every provider retired by
      *  rotation/invalidation, so they are monotone across generations

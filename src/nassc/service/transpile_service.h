@@ -60,11 +60,11 @@
  *    key came from.
  *  - transpile() is deterministic per key (seeds live in the options,
  *    which are part of the key), so a hit is BIT-IDENTICAL to a fresh
- *    run, but its seconds, layout_seconds, reused_search_route,
- *    full_route_passes and layout_trials_consumed describe the
- *    computation that filled the entry.  Failures are never cached: a
- *    throwing request propagates its exception to every coalesced
- *    waiter and the next submit retries.
+ *    run, but its seconds, reused_search_route, full_route_passes
+ *    and layout_trials_consumed describe the computation that filled
+ *    the entry.  Failures are never cached: a throwing request
+ *    propagates its exception to every coalesced waiter and the next
+ *    submit retries.
  *  - try_cancel() abandons a request nobody else is waiting on, if no
  *    worker has started it (the daemon calls it when a client
  *    disconnects mid-queue); the ticket's get() then throws

@@ -76,17 +76,6 @@ Calibration::cx_error(int a, int b) const
     return it->second;
 }
 
-double
-Calibration::cx_duration(int a, int b) const
-{
-    if (a > b)
-        std::swap(a, b);
-    auto it = duration_cx.find({a, b});
-    if (it == duration_cx.end())
-        throw std::out_of_range("no calibration for edge");
-    return it->second;
-}
-
 Backend
 montreal_backend()
 {

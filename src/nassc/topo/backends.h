@@ -32,7 +32,6 @@ struct Calibration
     std::map<std::pair<int, int>, double> duration_cx;
 
     double cx_error(int a, int b) const;
-    double cx_duration(int a, int b) const;
 };
 
 /** A topology plus its calibration. */

@@ -57,15 +57,6 @@ TranspileContext::submit(const QuantumCircuit &qc,
     return service().submit(qc, std::move(backend), opts, policy);
 }
 
-TranspileTicket
-TranspileContext::submit_qasm(const std::string &qasm,
-                              std::shared_ptr<const Backend> backend,
-                              const TranspileOptions &opts,
-                              const RequestPolicy &policy)
-{
-    return service().submit_qasm(qasm, std::move(backend), opts, policy);
-}
-
 TranspileContext &
 TranspileContext::global()
 {

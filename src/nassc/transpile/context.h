@@ -15,8 +15,9 @@
  * TranspileContext collapses that split: it bundles the distance-matrix
  * cache, the scheduler, and a lazily-created TranspileService behind one
  * handle with both synchronous (transpile / optimize_only) and
- * asynchronous (submit / submit_qasm) entry points, all guaranteed to
- * share the same caches.  The free functions remain as thin shims —
+ * asynchronous (submit, or service().submit_qasm for QASM text) entry
+ * points, all guaranteed to share the same caches.  The free functions
+ * remain as thin shims —
  * the 3-arg transpile() now forwards through TranspileContext::global(),
  * so "the old API" and "the new API" are one code path.
  *
@@ -28,7 +29,7 @@
  *    per daemon with the configured cache bounds).
  *
  * Thread safety: every member is safe to call concurrently; the service
- * is created once on first use (of submit/submit_qasm/service()).
+ * is created once on first use (of submit/service()).
  */
 
 #include <memory>
@@ -80,12 +81,6 @@ class TranspileContext
                            std::shared_ptr<const Backend> backend,
                            const TranspileOptions &opts = {},
                            const RequestPolicy &policy = {});
-
-    /** Async submit of OpenQASM 2.0 text (parse errors throw here). */
-    TranspileTicket submit_qasm(const std::string &qasm,
-                                std::shared_ptr<const Backend> backend,
-                                const TranspileOptions &opts = {},
-                                const RequestPolicy &policy = {});
 
     DistanceCache &distances() const { return *distances_; }
 

@@ -125,13 +125,11 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
     // 4. Initial layout (shared between SABRE and NASSC, paper Sec. IV-A).
     const RoutingOptions ropts = routing_options(opts);
 
-    auto tl0 = std::chrono::steady_clock::now();
     LayoutSearchResult search = [&] {
         obs::TraceSpan span("layout", &obs::StackMetrics::get().layout_us);
         return search_and_route(c, backend.coupling, dist, ropts,
                                 opts.layout_iterations);
     }();
-    auto tl1 = std::chrono::steady_clock::now();
 
     // 5. Routing.  The search scored every trial by routing the full
     //    circuit (measures/barriers included); on kSabre pipelines the
@@ -172,7 +170,6 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
     res.cx_total = res.circuit.cx_count();
     res.depth = res.circuit.depth();
     res.seconds = std::chrono::duration<double>(t1 - t0).count();
-    res.layout_seconds = std::chrono::duration<double>(tl1 - tl0).count();
     res.reused_search_route = reused;
     res.full_route_passes = search.scoring_passes + (reused ? 0 : 1);
     res.degraded =

@@ -126,10 +126,6 @@ struct TranspileResult
     int cx_total = 0;
     int depth = 0;
     double seconds = 0.0;
-    /** Wall time of the initial-layout search (within seconds).  The
-     *  search scores every trial with one full-circuit routing pass, so
-     *  when that pass is reused this window contains the final route. */
-    double layout_seconds = 0.0;
     /** True when the winning layout trial's scoring pass was reused as
      *  the final route (kSabre + reuse_routing): the pipeline ran no
      *  separate post-search routing step. */

@@ -5,6 +5,8 @@
 #include "nassc/circuits/library.h"
 #include "nassc/sim/noise.h"
 #include "nassc/sim/statevector.h"
+#include "nassc/sim/verify.h"
+#include "nassc/transpile/transpile.h"
 
 namespace nassc {
 namespace {
@@ -180,6 +182,35 @@ TEST(Registry, LookupByName)
 {
     EXPECT_EQ(benchmark_by_name("qft_n15").num_qubits(), 15);
     EXPECT_THROW(benchmark_by_name("nope"), std::invalid_argument);
+}
+
+TEST(NewCircuits, GhzStructure)
+{
+    QuantumCircuit qc = ghz(5);
+    EXPECT_EQ(qc.cx_count(), 4);
+    EXPECT_EQ(qc.depth(), 5);
+}
+
+TEST(NewCircuits, QaoaDeterministicAndRzzHeavy)
+{
+    QuantumCircuit a = qaoa_maxcut(8, 2, 3);
+    QuantumCircuit b = qaoa_maxcut(8, 2, 3);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_GT(a.count(OpKind::kRZZ), 10);
+}
+
+TEST(NewCircuits, VqeLinearCheaperThanFull)
+{
+    EXPECT_LT(vqe_linear(8).cx_count(), vqe_full(8).cx_count());
+}
+
+TEST(NewCircuits, RandomSu4Transpiles)
+{
+    Backend dev = linear_backend(6);
+    QuantumCircuit logical = random_su4_circuit(5, 2, 11);
+    TranspileOptions opts;
+    TranspileResult res = transpile(logical, dev, opts);
+    EXPECT_TRUE(verify_transpilation(logical, res));
 }
 
 } // namespace

@@ -7,7 +7,6 @@
 #include "nassc/ir/qasm.h"
 #include "nassc/math/weyl.h"
 #include "nassc/passes/basis_translation.h"
-#include "nassc/passes/scheduling.h"
 #include "nassc/sim/noise.h"
 #include "nassc/sim/statevector.h"
 #include "nassc/sim/unitary.h"
@@ -203,15 +202,6 @@ TEST(EdgeCases, NoiseModelZeroTrialGuard)
     qc.h(0);
     SuccessRate sr = monte_carlo_success(qc, nm, {0, 1, 2}, 0, 1);
     EXPECT_EQ(sr.trials, 1);
-}
-
-TEST(EdgeCases, SchedulerHandlesEmptyCircuit)
-{
-    Backend dev = linear_backend(2);
-    QuantumCircuit qc(2);
-    Schedule s = schedule_asap(qc, dev);
-    EXPECT_DOUBLE_EQ(s.total_ns, 0.0);
-    EXPECT_TRUE(s.gates.empty());
 }
 
 TEST(EdgeCases, CalibrationRejectsUnknownEdge)

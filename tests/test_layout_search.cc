@@ -1,14 +1,11 @@
-// Tests for the perfect-layout (subgraph isomorphism) search and the
-// closed-form fidelity estimator.
+// Tests for the perfect-layout (subgraph isomorphism) search.
 
 #include <gtest/gtest.h>
 
 #include "nassc/circuits/library.h"
 #include "nassc/route/perfect_layout.h"
 #include "nassc/route/sabre.h"
-#include "nassc/sim/fidelity.h"
 #include "nassc/topo/backends.h"
-#include "nassc/transpile/transpile.h"
 
 namespace nassc {
 namespace {
@@ -29,22 +26,20 @@ TEST(PerfectLayout, ChainEmbedsInLine)
 {
     Backend dev = linear_backend(6);
     QuantumCircuit qc = ghz(5); // chain interactions 0-1-2-3-4
-    auto layout = find_perfect_layout(qc, dev.coupling);
-    ASSERT_TRUE(layout.has_value());
+    PartialEmbedding emb = find_partial_embedding(qc, dev.coupling);
+    ASSERT_TRUE(emb.complete);
     for (auto [a, b] : interaction_edges(qc))
-        EXPECT_TRUE(dev.coupling.connected(layout->phys_of(a),
-                                           layout->phys_of(b)));
+        EXPECT_TRUE(dev.coupling.connected(emb.l2p[a], emb.l2p[b]));
 }
 
 TEST(PerfectLayout, ChainEmbedsInMontreal)
 {
     Backend dev = montreal_backend();
     QuantumCircuit qc = ghz(10);
-    auto layout = find_perfect_layout(qc, dev.coupling);
-    ASSERT_TRUE(layout.has_value());
+    PartialEmbedding emb = find_partial_embedding(qc, dev.coupling);
+    ASSERT_TRUE(emb.complete);
     for (auto [a, b] : interaction_edges(qc))
-        EXPECT_TRUE(dev.coupling.connected(layout->phys_of(a),
-                                           layout->phys_of(b)));
+        EXPECT_TRUE(dev.coupling.connected(emb.l2p[a], emb.l2p[b]));
 }
 
 TEST(PerfectLayout, StarRejectsOnLine)
@@ -54,7 +49,7 @@ TEST(PerfectLayout, StarRejectsOnLine)
     QuantumCircuit qc(5);
     for (int i = 1; i < 5; ++i)
         qc.cx(0, i);
-    EXPECT_FALSE(find_perfect_layout(qc, dev.coupling).has_value());
+    EXPECT_FALSE(find_partial_embedding(qc, dev.coupling).complete);
 }
 
 TEST(PerfectLayout, StarEmbedsInGrid)
@@ -64,9 +59,9 @@ TEST(PerfectLayout, StarEmbedsInGrid)
     QuantumCircuit qc(5);
     for (int i = 1; i < 5; ++i)
         qc.cx(0, i);
-    auto layout = find_perfect_layout(qc, dev.coupling);
-    ASSERT_TRUE(layout.has_value());
-    EXPECT_EQ(layout->phys_of(0), 4); // only the center has degree 4
+    PartialEmbedding emb = find_partial_embedding(qc, dev.coupling);
+    ASSERT_TRUE(emb.complete);
+    EXPECT_EQ(emb.l2p[0], 4); // only the center has degree 4
 }
 
 TEST(PerfectLayout, FullGraphRejectsQuickly)
@@ -74,79 +69,20 @@ TEST(PerfectLayout, FullGraphRejectsQuickly)
     // K5 interaction graph cannot embed into any sparse topology.
     Backend dev = montreal_backend();
     QuantumCircuit qc = vqe_full(5, 1, 1);
-    EXPECT_FALSE(find_perfect_layout(qc, dev.coupling).has_value());
+    EXPECT_FALSE(find_partial_embedding(qc, dev.coupling).complete);
 }
 
 TEST(PerfectLayout, PerfectLayoutNeedsNoSwaps)
 {
     Backend dev = montreal_backend();
     QuantumCircuit qc = ghz(8);
-    auto layout = find_perfect_layout(qc, dev.coupling);
-    ASSERT_TRUE(layout.has_value());
+    PartialEmbedding emb = find_partial_embedding(qc, dev.coupling);
+    ASSERT_TRUE(emb.complete);
     RoutingOptions opts;
     RoutingResult res = route_circuit(
-        qc, dev.coupling, hop_distance(dev.coupling), *layout, opts);
+        qc, dev.coupling, hop_distance(dev.coupling),
+        Layout::from_l2p(emb.l2p, dev.coupling.num_qubits()), opts);
     EXPECT_EQ(res.stats.num_swaps, 0);
-}
-
-TEST(Fidelity, EmptyCircuitIsPerfect)
-{
-    Backend dev = linear_backend(3);
-    QuantumCircuit qc(3);
-    EXPECT_DOUBLE_EQ(estimate_success_probability(qc, dev), 1.0);
-}
-
-TEST(Fidelity, RzIsFree)
-{
-    Backend dev = linear_backend(3);
-    QuantumCircuit qc(3);
-    qc.rz(0.3, 0);
-    qc.t(1);
-    EXPECT_DOUBLE_EQ(estimate_success_probability(qc, dev), 1.0);
-}
-
-TEST(Fidelity, MonotoneInCxCount)
-{
-    Backend dev = linear_backend(3);
-    QuantumCircuit one(3);
-    one.cx(0, 1);
-    QuantumCircuit three = one;
-    three.cx(0, 1);
-    three.cx(0, 1);
-    EXPECT_GT(estimate_success_probability(one, dev),
-              estimate_success_probability(three, dev));
-}
-
-TEST(Fidelity, MatchesProductByHand)
-{
-    Backend dev = linear_backend(3);
-    QuantumCircuit qc(3);
-    qc.sx(0);
-    qc.cx(0, 1);
-    qc.measure(1);
-    double expect = (1.0 - dev.calibration.error_1q[0]) *
-                    (1.0 - dev.calibration.cx_error(0, 1)) *
-                    (1.0 - dev.calibration.readout_error[1]);
-    EXPECT_NEAR(estimate_success_probability(qc, dev), expect, 1e-12);
-}
-
-TEST(Fidelity, NasscRoutingNotWorseOnAggregate)
-{
-    Backend dev = montreal_backend();
-    double sabre_p = 0.0, nassc_p = 0.0;
-    for (auto &bc : fig11_benchmarks()) {
-        TranspileOptions so;
-        so.router = RoutingAlgorithm::kSabre;
-        TranspileOptions no;
-        no.router = RoutingAlgorithm::kNassc;
-        sabre_p +=
-            estimate_success_probability(transpile(bc.circuit, dev, so).circuit,
-                                         dev);
-        nassc_p +=
-            estimate_success_probability(transpile(bc.circuit, dev, no).circuit,
-                                         dev);
-    }
-    EXPECT_GT(nassc_p, sabre_p * 0.9);
 }
 
 } // namespace

@@ -162,6 +162,41 @@ TEST(ServeProtocol, OptionParsingIsStrictAndComplete)
                  std::runtime_error);
 }
 
+TEST(ServeProtocol, WireKeysAreOutputIdentityPlusPolicy)
+{
+    // Every field the cache key hashes, the three policy fields and
+    // trace parse...
+    const std::vector<std::pair<std::string, std::string>> accepted = {
+        {"router", "nassc"},          {"seed", "3"},
+        {"noise_aware", "0"},         {"enable_c2q", "1"},
+        {"enable_commute1", "1"},     {"enable_commute2", "1"},
+        {"extended_size", "20"},      {"extended_weight", "0.5"},
+        {"layout_iterations", "3"},   {"layout_trials", "1"},
+        {"opt_loop_rounds", "4"},
+        {"orientation_aware_decomposition", "1"},
+        {"use_decay", "1"},           {"region_radius", "0"},
+        {"priority", "0"},            {"deadline_ms", "0"},
+        {"cache_ttl_seconds", "0"},   {"trace", "0"}};
+    for (const auto &kv : accepted)
+        EXPECT_NO_THROW(parse_request_options({kv})) << kv.first;
+    // ...and the execution knobs are not wire keys: a client could
+    // otherwise mint one distance-cache entry per distinct budget, or
+    // double the routing work for the same bytes.
+    for (const char *key : {"layout_threads", "reuse_routing",
+                            "sparse_distance_threshold",
+                            "distance_row_budget_bytes"}) {
+        try {
+            parse_request_options({{key, "0"}});
+            ADD_FAILURE() << key << " parsed";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          std::string("unknown option '") + key + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(ServeProtocol, NonFiniteAndNegativeNumbersAreRejected)
 {
     // A non-finite extended_weight used to reach the router and fail as
@@ -1042,12 +1077,11 @@ TEST(NasscServer, WireHitsServeTheEntrysTextByteForByte)
     server.stop();
 }
 
-TEST(NasscServer, RequestsDifferingOnlyInPolicyOrKnobsShareOneAnswer)
+TEST(NasscServer, RequestsDifferingOnlyInPolicyShareOneAnswer)
 {
     // The cache key hashes output identity only.  Each later request
-    // differs from the first in one policy option, the trace flag or
-    // one execution knob, so it must answer from the first request's
-    // entry, byte for byte.
+    // differs from the first in one policy option or the trace flag, so
+    // it must answer from the first request's entry, byte for byte.
     ServerOptions options;
     options.unix_path = socket_path("policy");
     NasscServer server(options);
@@ -1062,8 +1096,7 @@ TEST(NasscServer, RequestsDifferingOnlyInPolicyOrKnobsShareOneAnswer)
 
     const std::vector<std::pair<std::string, std::string>> differences = {
         {"priority", "5"},     {"deadline_ms", "60000"},
-        {"cache_ttl_seconds", "3600"}, {"trace", "1"},
-        {"layout_threads", "2"},       {"reuse_routing", "0"}};
+        {"cache_ttl_seconds", "3600"}, {"trace", "1"}};
     for (const auto &difference : differences) {
         auto opts = base;
         opts.push_back(difference);

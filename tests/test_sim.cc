@@ -1,5 +1,6 @@
-// Tests for the statevector simulator, the unitary builder, and the
-// noise model / Monte-Carlo success-rate protocol.
+// Tests for the statevector simulator, the unitary builder, the
+// noise model / Monte-Carlo success-rate protocol, and the
+// transpilation verifier.
 
 #include <stdexcept>
 
@@ -9,6 +10,7 @@
 #include "nassc/sim/noise.h"
 #include "nassc/sim/statevector.h"
 #include "nassc/sim/unitary.h"
+#include "nassc/sim/verify.h"
 #include "nassc/transpile/transpile.h"
 
 namespace nassc {
@@ -259,6 +261,40 @@ TEST(Noise, CompressesInactiveWires)
     phys.cx(14, 16);
     SuccessRate sr = monte_carlo_success(phys, nm, {14, 16}, 0, 128);
     EXPECT_GT(sr.rate, 0.0);
+}
+
+TEST(Verify, AcceptsCorrectTranspilationOnMontreal)
+{
+    Backend dev = montreal_backend();
+    QuantumCircuit logical = mod5mils_65();
+    TranspileOptions opts;
+    TranspileResult res = transpile(logical, dev, opts);
+    EXPECT_TRUE(verify_transpilation(logical, res));
+}
+
+TEST(Verify, RejectsCorruptedResult)
+{
+    Backend dev = montreal_backend();
+    QuantumCircuit logical = mod5mils_65();
+    TranspileOptions opts;
+    TranspileResult res = transpile(logical, dev, opts);
+    // Corrupt: flip an X on a wire holding a logical qubit.
+    res.circuit.x(res.final_l2p[0]);
+    EXPECT_FALSE(verify_transpilation(logical, res));
+}
+
+TEST(Verify, BothRoutersOnAllBenchSmall)
+{
+    Backend dev = montreal_backend();
+    for (auto &bc : fig11_benchmarks()) {
+        for (int r = 0; r < 2; ++r) {
+            TranspileOptions opts;
+            opts.router = static_cast<RoutingAlgorithm>(r);
+            TranspileResult res = transpile(bc.circuit, dev, opts);
+            EXPECT_TRUE(verify_transpilation(bc.circuit, res))
+                << bc.name << " router=" << r;
+        }
+    }
 }
 
 } // namespace

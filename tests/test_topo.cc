@@ -108,7 +108,7 @@ TEST(HeavyHex, ConnectedWithHeavyHexDegrees)
         // Deterministic synthetic calibration covers every edge.
         for (auto e : b.coupling.edges()) {
             EXPECT_GT(b.calibration.cx_error(e.first, e.second), 0.0);
-            EXPECT_GT(b.calibration.cx_duration(e.first, e.second), 0.0);
+            EXPECT_GT(b.calibration.duration_cx.at(e), 0.0);
         }
     }
 }

@@ -16,8 +16,11 @@
 #   3. scrape `--metrics` and check nassc_requests_total against the
 #      driven load, then drive one traced request (`--option trace=1`)
 #      and check its span lines;
-#   4. one more single-shot request (--builtin) over a fresh connection;
-#   5. SIGTERM: the daemon must drain and exit 0.
+#   4. a request carrying an in-process-only execution knob
+#      (`--option layout_threads=2`) must fail with exit 1 and name the
+#      unknown option;
+#   5. one more single-shot request (--builtin) over a fresh connection;
+#   6. SIGTERM: the daemon must drain and exit 0.
 #
 # NASSC_SMOKE_FAILPOINTS=1 runs the same sequence against a daemon with
 # a fault profile armed (an injected worker fault plus a mid-frame
@@ -121,6 +124,20 @@ for stage in queue_wait; do
     fi
 done
 echo "nasscd_smoke: trace=1 spans ok"
+
+# Wire options are output identity plus policy: an execution knob is an
+# unknown option, answered with an error the client exits 1 on.
+KNOB_STATUS=0
+KNOB_ERR=$("$BUILD_DIR/nassc_client" --unix "$SOCK" --builtin bv_n5 \
+    --option layout_threads=2 2>&1 >/dev/null) || KNOB_STATUS=$?
+if [ "$KNOB_STATUS" -ne 1 ] ||
+   ! printf '%s\n' "$KNOB_ERR" | grep -q "unknown option 'layout_threads'"; then
+    echo "nasscd_smoke: layout_threads=2 exited $KNOB_STATUS, expected 1" \
+         "with an unknown-option error" >&2
+    printf '%s\n' "$KNOB_ERR" >&2
+    exit 1
+fi
+echo "nasscd_smoke: execution knob rejected on the wire"
 
 # A fresh connection after the smoke burst: the daemon keeps serving.
 "$BUILD_DIR/nassc_client" --unix "$SOCK" --builtin bv_n5 \
