@@ -4,6 +4,7 @@
 // basis translation, the router's per-decision kernels, and full
 // routing passes.
 
+#include <memory>
 #include <random>
 
 #include <benchmark/benchmark.h>
@@ -282,6 +283,46 @@ BM_ServiceHitQasm(benchmark::State &state)
         static_cast<double>(service.stats().text_hits);
 }
 BENCHMARK(BM_ServiceHitQasm)->Unit(benchmark::kMicrosecond);
+
+// Fresh-seed misses of the tiny wire_mix circuits (ghz_3, ghz_4, bv_n3
+// on montreal) through a TranspileService: every request is a new key,
+// so each is a full transpile.  Arg 0 builds a fresh service per
+// iteration, so its SynthMemo pool starts cold; Arg 1 keeps one service,
+// so each miss leases the memo the earlier misses warmed.
+void
+BM_ServiceMissTiny(benchmark::State &state)
+{
+    const auto backend = std::make_shared<const Backend>(montreal_backend());
+    const QuantumCircuit smalls[] = {ghz(3), ghz(4),
+                                     bernstein_vazirani(3, 0b11)};
+    const bool warm = state.range(0) != 0;
+    // One distance cache for both modes, so only the pool differs.
+    ServiceOptions sopts;
+    sopts.distances = std::make_shared<DistanceCache>();
+    std::unique_ptr<TranspileService> kept;
+    if (warm)
+        kept = std::make_unique<TranspileService>(sopts);
+    unsigned seed = 0;
+    for (auto _ : state) {
+        std::unique_ptr<TranspileService> fresh;
+        if (!warm)
+            fresh = std::make_unique<TranspileService>(sopts);
+        TranspileService &service = warm ? *kept : *fresh;
+        TranspileOptions opts;
+        opts.seed = ++seed;
+        opts.router = seed % 2 ? RoutingAlgorithm::kNassc
+                               : RoutingAlgorithm::kSabre;
+        benchmark::DoNotOptimize(
+            service.submit(smalls[seed % 3], backend, opts).get());
+    }
+    if (warm)
+        state.counters["memo_hits"] =
+            static_cast<double>(kept->stats().synth_memo_hits);
+}
+BENCHMARK(BM_ServiceMissTiny)
+    ->Arg(0)
+    ->Arg(1) // 0 = fresh service per miss, 1 = one service, warm pool
+    ->Unit(benchmark::kMicrosecond);
 
 // ---- router hot kernels -----------------------------------------------------
 //

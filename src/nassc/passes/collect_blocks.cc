@@ -55,18 +55,22 @@ gate_key_word(const Gate &g, int q1)
 
 const SynthMemo::Entry *
 SynthMemo::find(const std::uint64_t *key, std::size_t len,
-                std::uint64_t hash) const
+                std::uint64_t hash)
 {
-    if (index_.empty())
-        return nullptr;
-    std::size_t mask = index_.size() - 1;
-    for (std::size_t i = hash & mask; index_[i] != 0; i = (i + 1) & mask) {
-        const Entry &e = slots_[index_[i] - 1];
-        if (e.hash == hash && e.key_len == len &&
-            std::memcmp(&keys_[e.key_begin], key,
-                        len * sizeof(std::uint64_t)) == 0)
-            return &e;
+    if (!index_.empty()) {
+        std::size_t mask = index_.size() - 1;
+        for (std::size_t i = hash & mask; index_[i] != 0;
+             i = (i + 1) & mask) {
+            const Entry &e = slots_[index_[i] - 1];
+            if (e.hash == hash && e.key_len == len &&
+                std::memcmp(&keys_[e.key_begin], key,
+                            len * sizeof(std::uint64_t)) == 0) {
+                ++hits_;
+                return &e;
+            }
+        }
     }
+    ++misses_;
     return nullptr;
 }
 

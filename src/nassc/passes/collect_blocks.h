@@ -50,12 +50,14 @@ struct ConsolidateStats
 };
 
 /**
- * Exact memo of block resynthesis outcomes, owned by one pipeline call.
+ * Exact memo of block resynthesis outcomes, owned by its caller.
  *
- * transpile() and optimize_only() each keep one on the stack and pass it
- * to every consolidation they run, so a block that recurs — across the
- * optimization-loop rounds, or on other wire pairs — is synthesized
- * once.  No state outlives the call and concurrent calls share nothing.
+ * transpile() and optimize_only() pass one to every consolidation they
+ * run, so a block that recurs — across the optimization-loop rounds, or
+ * on other wire pairs — is synthesized once.  A TranspileService keeps
+ * a pool of them and leases one to each request for the length of its
+ * transpile(), so a block also recurs across requests; a free call
+ * keeps one on its stack.  Either way a memo has one user at a time.
  *
  * The key is a block's content relative to its wire pair (q0, q1): the
  * Basis1q, then per member gate in circuit order its OpKind, its
@@ -90,10 +92,10 @@ class SynthMemo
         bool replace = false;
     };
 
-    /** The entry stored under key[0, len), or nullptr.  The pointer is
-     *  valid until the next insert(). */
+    /** The entry stored under key[0, len), or nullptr, counted as a
+     *  hit or a miss.  The pointer is valid until the next insert(). */
     const Entry *find(const std::uint64_t *key, std::size_t len,
-                      std::uint64_t hash) const;
+                      std::uint64_t hash);
 
     /** Store an outcome; `gates` (on wires 0 and 1) is kept only when
      *  `replace`.  May clear the memo first to stay within its bounds. */
@@ -107,6 +109,9 @@ class SynthMemo
 
     std::size_t size() const { return slots_.size(); }
     std::size_t key_words() const { return keys_.size(); }
+    /** find() calls answered, and not answered, since construction. */
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
 
   private:
     void clear();
@@ -116,6 +121,7 @@ class SynthMemo
     std::vector<Gate> gates_;
     std::vector<Entry> slots_;
     std::vector<std::uint32_t> index_; ///< slot + 1; 0 = empty
+    std::uint64_t hits_ = 0, misses_ = 0;
 };
 
 /**

@@ -97,6 +97,14 @@ append_service_rows(std::string &out, const TranspileService &service)
         {"counter", "transpiles_ok", "Transpiles completed", s.transpiles_ok},
         {"counter", "transpiles_failed", "Transpiles failed",
          s.transpiles_failed},
+        {"counter", "synth_memo_hits",
+         "Block resyntheses answered by a pooled SynthMemo",
+         s.synth_memo_hits},
+        {"counter", "synth_memo_misses",
+         "Block resyntheses a pooled SynthMemo had to synthesize",
+         s.synth_memo_misses},
+        {"gauge", "synth_memos", "SynthMemos in the service's pool",
+         s.synth_memos},
         {"gauge", "cache_size", "Result-cache entries resident", s.cache_size},
         {"gauge", "cache_bytes", "Result-cache bytes resident", s.cache_bytes},
         {"gauge", "inflight", "Keys being transpiled", s.inflight},

@@ -8,6 +8,7 @@
 #include "nassc/obs/event_log.h"
 #include "nassc/obs/metrics.h"
 #include "nassc/obs/trace.h"
+#include "nassc/passes/collect_blocks.h"
 #include "nassc/service/failpoint.h"
 
 namespace nassc {
@@ -309,11 +310,23 @@ TranspileService::run_request(
     Clock::time_point submitted, bool dequeue)
 {
     obs::StackMetrics &om = obs::StackMetrics::get();
-    if (dequeue) {
-        // Claimed: this request no longer occupies queue depth.
+    std::unique_ptr<SynthMemo> memo;
+    {
         std::lock_guard<std::mutex> lk(mu_);
-        --queued_;
+        // Claimed: this request no longer occupies queue depth.
+        if (dequeue)
+            --queued_;
+        if (free_memos_.empty()) {
+            ++stats_.synth_memos;
+        } else {
+            memo = std::move(free_memos_.back());
+            free_memos_.pop_back();
+        }
     }
+    if (!memo)
+        memo = std::make_unique<SynthMemo>();
+    const std::uint64_t memo_hits = memo->hits();
+    const std::uint64_t memo_misses = memo->misses();
     // Queue wait: accepted at submit() until a worker (or the inline
     // path) picked it up.  Measured across threads, so it cannot be a
     // scoped span — note the already-measured duration.
@@ -335,7 +348,8 @@ TranspileService::run_request(
         obs::TraceSpan span("transpile", &om.transpile_us);
         failpoint::hit("service.transpile");
         result = std::make_shared<TranspileResult>(
-            transpile(circuit, backend, options, *distances_, backend_key));
+            transpile(circuit, backend, options, *distances_, backend_key,
+                      *memo));
     } catch (const TranspileDeadlineExceeded &) {
         error = std::current_exception();
         missed_deadline = true;
@@ -345,6 +359,11 @@ TranspileService::run_request(
 
     {
         std::lock_guard<std::mutex> lk(mu_);
+        // Return the memo before settling: a serial client's next
+        // request then leases the memo this one just warmed.
+        stats_.synth_memo_hits += memo->hits() - memo_hits;
+        stats_.synth_memo_misses += memo->misses() - memo_misses;
+        free_memos_.push_back(std::move(memo));
         const auto flight = inflight_.find(key);
         if (result) {
             ++stats_.transpiles_ok;

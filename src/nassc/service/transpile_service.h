@@ -65,6 +65,14 @@
  *    the entry.  Failures are never cached: a throwing request
  *    propagates its exception to every coalesced waiter and the next
  *    submit retries.
+ *  - Block resynthesis is remembered across requests.  The service
+ *    keeps a pool of SynthMemos (passes/collect_blocks.h) as long as it
+ *    lives: each transpile leases one from a LIFO free list, or makes
+ *    one, and returns it before its result is settled, so a serial
+ *    client always gets the memo its previous request warmed.  A memo
+ *    has one user at a time, the pool never holds more memos than the
+ *    peak number of concurrent transpiles, and a hit is bit-identical
+ *    to a fresh synthesis, so the output never depends on the pool.
  *  - try_cancel() abandons a request nobody else is waiting on, if no
  *    worker has started it (the daemon calls it when a client
  *    disconnects mid-queue); the ticket's get() then throws
@@ -92,6 +100,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "nassc/service/distance_cache.h"
 #include "nassc/service/errors.h"
@@ -273,6 +282,13 @@ struct ServiceStats
     std::uint64_t transpiles_ok = 0;
     /** Transpiles that threw anything OTHER than a deadline miss. */
     std::uint64_t transpiles_failed = 0;
+    /** Block resyntheses answered, and not answered, by the SynthMemo
+     *  a transpile leased from the pool; added when it returns it. */
+    std::uint64_t synth_memo_hits = 0;
+    std::uint64_t synth_memo_misses = 0;
+    /** SynthMemos in the pool, leased or free: the peak number of
+     *  concurrent transpiles so far. */
+    std::size_t synth_memos = 0;
     std::size_t cache_size = 0;  ///< entries resident now
     std::size_t cache_bytes = 0; ///< resident entry cost now, in bytes
     std::size_t inflight = 0;    ///< keys being transpiled now
@@ -517,6 +533,9 @@ class TranspileService
                        TextProbeHash>
         by_text_;
     std::size_t cache_bytes_ = 0;
+    /** Free SynthMemos, the most recently returned last; a transpile
+     *  leases from the back.  Under mu_. */
+    std::vector<std::unique_ptr<SynthMemo>> free_memos_;
     /** One backend name's current generation. */
     struct BackendGeneration
     {

@@ -91,20 +91,30 @@ synth_2q_kak(const Mat4 &u, int q0, int q1, Basis1q basis)
     Kak k = kak_decompose(u);
     canonicalize(k);
 
+    // Synthesize on local wires 0 and 1 in (q0, q1)'s order, so merging
+    // the runs costs two wires however wide the device, then relabel:
+    // the runs flush in wire order, so the gates come out exactly as if
+    // synthesized on (q0, q1) directly.
+    const int l0 = q0 < q1 ? 0 : 1, l1 = 1 - l0;
     std::vector<Gate> out;
     // The 3-CX template's 15 gates plus four local runs of at most five
     // gates (the generic ZSX form).
     out.reserve(15 + 4 * 5);
     // Right locals first (circuit order).
-    synth_1q_into(out, k.k2_0, q0, basis);
-    synth_1q_into(out, k.k2_1, q1, basis);
-    emit_canonical(k.a, k.b, k.c, q0, q1, 1e-9, out);
-    synth_1q_into(out, k.k1_0, q0, basis);
-    synth_1q_into(out, k.k1_1, q1, basis);
+    synth_1q_into(out, k.k2_0, l0, basis);
+    synth_1q_into(out, k.k2_1, l1, basis);
+    emit_canonical(k.a, k.b, k.c, l0, l1, 1e-9, out);
+    synth_1q_into(out, k.k1_0, l0, basis);
+    synth_1q_into(out, k.k1_1, l1, basis);
 
     // Merge the 1q layers the template introduced with the KAK locals.
-    int nq = std::max(q0, q1) + 1;
-    optimize_1q_runs(out, nq, basis);
+    optimize_1q_runs(out, 2, basis);
+    int wire[2];
+    wire[l0] = q0;
+    wire[l1] = q1;
+    for (Gate &g : out)
+        for (int &q : g.qubits)
+            q = wire[q];
     return out;
 }
 

@@ -33,7 +33,8 @@ namespace nassc {
 /**
  * Synthesize the 4x4 unitary `u` over qubits (q0, q1) — q0 is basis bit 0
  * — using the minimal number of CNOTs.  One-qubit gates are emitted in
- * the requested basis; global phase is dropped.
+ * the requested basis; global phase is dropped.  The work does not grow
+ * with the wire indices.
  */
 std::vector<Gate> synth_2q_kak(const Mat4 &u, int q0, int q1,
                                Basis1q basis = Basis1q::kUGate);

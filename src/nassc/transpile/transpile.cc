@@ -92,10 +92,16 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
           const TranspileOptions &opts, DistanceCache &cache,
           const std::string &backend_key)
 {
-    auto t0 = std::chrono::steady_clock::now();
-
-    // One resynthesis memo for every consolidation of this call.
     SynthMemo memo;
+    return transpile(qc, backend, opts, cache, backend_key, memo);
+}
+
+TranspileResult
+transpile(const QuantumCircuit &qc, const Backend &backend,
+          const TranspileOptions &opts, DistanceCache &cache,
+          const std::string &backend_key, SynthMemo &memo)
+{
+    auto t0 = std::chrono::steady_clock::now();
 
     // 1. Lower to <= 2q gates.
     QuantumCircuit c = decompose_to_2q(qc);

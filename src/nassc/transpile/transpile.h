@@ -14,12 +14,15 @@
  *   basis translation -> optimization loop (Optimize1qGates,
  *   CommutativeCancellation, Collect2qBlocks) to fixpoint.
  *
- * Each transpile() or optimize_only() call owns one SynthMemo (see
- * passes/collect_blocks.h) and passes it to every block consolidation
- * it runs — pre-routing, the NASSC SWAP consolidation and each loop
- * round — so a recurring block is synthesized once per call.  The memo
- * lives on the call's stack: nothing survives the call, concurrent
- * calls share nothing, and the output is the same as without it.
+ * Each transpile() or optimize_only() call passes one SynthMemo (see
+ * passes/collect_blocks.h) to every block consolidation it runs —
+ * pre-routing, the NASSC SWAP consolidation and each loop round — so a
+ * recurring block is synthesized once per call.  The caller owns the
+ * memo: a TranspileService leases one from its pool for each request,
+ * so blocks synthesized by earlier requests are hits, and the other
+ * overloads keep one on the call's stack.  A memo has one user at a
+ * time, so concurrent calls share nothing, and the output is the same
+ * whatever the memo holds.
  *
  * The layout step scores every trial by routing the FULL circuit
  * (measures/barriers included, operands mapped through the live
@@ -42,6 +45,8 @@
 #include "nassc/topo/backends.h"
 
 namespace nassc {
+
+class SynthMemo;
 
 /** Transpiler configuration (paper Sec. V defaults). */
 struct TranspileOptions
@@ -160,6 +165,13 @@ TranspileResult transpile(const QuantumCircuit &qc, const Backend &backend,
 TranspileResult transpile(const QuantumCircuit &qc, const Backend &backend,
                           const TranspileOptions &opts, DistanceCache &cache,
                           const std::string &backend_key);
+
+/** As above, consolidating through the caller's `memo`, which may hold
+ *  earlier calls' syntheses and gains this call's.  The output does not
+ *  depend on what `memo` holds. */
+TranspileResult transpile(const QuantumCircuit &qc, const Backend &backend,
+                          const TranspileOptions &opts, DistanceCache &cache,
+                          const std::string &backend_key, SynthMemo &memo);
 
 /** Full pipeline through TranspileContext::global() (the process-wide
  *  DistanceCache) — a shim kept for call-site brevity; see

@@ -672,6 +672,9 @@ TEST(NasscServer, StatsViewCoversEveryServiceRowAndTheVerbIsRetired)
         {"deadline_exceeded", s.deadline_exceeded},
         {"transpiles_ok", s.transpiles_ok},
         {"transpiles_failed", s.transpiles_failed},
+        {"synth_memo_hits", s.synth_memo_hits},
+        {"synth_memo_misses", s.synth_memo_misses},
+        {"synth_memos", s.synth_memos},
         {"cache_size", s.cache_size},
         {"cache_bytes", s.cache_bytes},
         {"inflight", s.inflight},
@@ -685,7 +688,7 @@ TEST(NasscServer, StatsViewCoversEveryServiceRowAndTheVerbIsRetired)
         {"distance_row_bytes", d.row_bytes},
         {"distance_row_bytes_peak", d.row_bytes_peak},
     };
-    ASSERT_EQ(want.size(), 24u);
+    ASSERT_EQ(want.size(), 27u);
     for (const auto &kv : want) {
         ASSERT_TRUE(rows.count(kv.first)) << kv.first;
         EXPECT_EQ(rows.at(kv.first), kv.second) << kv.first;
@@ -694,6 +697,8 @@ TEST(NasscServer, StatsViewCoversEveryServiceRowAndTheVerbIsRetired)
     EXPECT_EQ(rows.at("cache_hits"), 1u);
     EXPECT_EQ(rows.at("text_hits"), 1u); // the repeat matched by text
     EXPECT_EQ(rows.at("transpiles_ok"), 1u);
+    EXPECT_GT(rows.at("synth_memo_misses"), 0u); // the one transpile
+    EXPECT_EQ(rows.at("synth_memos"), 1u);
 
     // The `stats` wire verb is gone: an unknown verb, answered with
     // status error on a connection that keeps serving.

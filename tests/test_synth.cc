@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <random>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -278,6 +279,39 @@ TEST(Kak2qSynth, ArbitraryQubitIndices)
     Mat4 u = random_u4_with_cx(2);
     auto gates = synth_2q_kak(u, 4, 2, Basis1q::kUGate);
     EXPECT_TRUE(equal_up_to_phase(unitary_of_2q_gates(gates, 4, 2), u, 1e-6));
+}
+
+TEST(Kak2qSynth, AnyPairIsTheTwoWireSynthesisRelabelled)
+{
+    // What the block memo and the heavy-hex translation rely on: the
+    // gates on (q0, q1) are the ones on (0, 1) — or (1, 0) when q0 > q1
+    // — relabelled, bit for bit, however far apart the wires are.
+    for (int trial = 0; trial < 8; ++trial) {
+        const Mat4 u = random_u4_with_cx(trial % 4);
+        for (Basis1q basis : {Basis1q::kUGate, Basis1q::kZsx}) {
+            for (auto [q0, q1] : {std::pair{4242, 17}, std::pair{17, 4242},
+                                  std::pair{2, 4}, std::pair{4, 2}}) {
+                const std::vector<Gate> got = synth_2q_kak(u, q0, q1, basis);
+                std::vector<Gate> want =
+                    q0 < q1 ? synth_2q_kak(u, 0, 1, basis)
+                            : synth_2q_kak(u, 1, 0, basis);
+                for (Gate &g : want)
+                    for (int &q : g.qubits)
+                        q = (q == 0) == (q0 < q1) ? q0 : q1;
+                EXPECT_TRUE(got == want) << q0 << "," << q1;
+                // The trailing runs come out in ascending wire order, as
+                // a merge over the whole register leaves them.
+                std::size_t tail = got.size();
+                while (tail > 0 && got[tail - 1].num_qubits() == 1)
+                    --tail;
+                for (std::size_t i = tail + 1; i < got.size(); ++i)
+                    EXPECT_LE(got[i - 1].qubits[0], got[i].qubits[0])
+                        << q0 << "," << q1;
+                EXPECT_TRUE(equal_up_to_phase(
+                    unitary_of_2q_gates(got, q0, q1), u, 1e-6));
+            }
+        }
+    }
 }
 
 TEST(Unitary2qGates, ReversedOperandGate)

@@ -21,7 +21,11 @@
 //  (h) submit_qasm's text probe is invisible: one script through
 //      submit_qasm and through submit(from_qasm(text)) gives the same
 //      tickets, bytes and stats, apart from the text hits and the
-//      request texts the entries keep.
+//      request texts the entries keep;
+//  (i) the SynthMemo pool: a warmed pool, concurrent leases and a
+//      transpile that throws all leave every output byte-equal to a
+//      fresh free transpile(), and the pool stays within the peak
+//      number of concurrent transpiles.
 
 #include <atomic>
 #include <chrono>
@@ -809,7 +813,8 @@ struct ProbeDifferential
                 s.cancelled,         s.shed,
                 s.deadline_exceeded, s.transpiles_ok,
                 s.transpiles_failed, s.cache_size,
-                s.inflight};
+                s.inflight,          s.synth_memo_hits,
+                s.synth_memo_misses, s.synth_memos};
         };
         EXPECT_EQ(fields(w), fields(p));
         EXPECT_EQ(w.cache_bytes, p.cache_bytes + texts);
@@ -925,6 +930,156 @@ TEST(TranspileServiceTextProbe, ByteBudgetEvictsTheSameEntries)
     EXPECT_EQ(d.wire.stats().evictions_capacity, 2u);
     EXPECT_EQ(d.step(small, montreal), S::kScheduled);
     d.expect_stats(small.size(), 1);
+}
+
+// ---- (i) SynthMemo pool ------------------------------------------------------
+
+/** The routed circuit of a free transpile(): fresh distance cache,
+ *  fresh stack memo. */
+std::string
+fresh_qasm(const QuantumCircuit &qc, const Backend &backend,
+           const TranspileOptions &opts)
+{
+    DistanceCache dist;
+    return to_qasm(transpile(qc, backend, opts, dist).circuit);
+}
+
+TEST(TranspileServiceSynthMemo, WarmedPoolAnswersLikeAFreshTranspile)
+{
+    ServiceOptions sopts;
+    sopts.scheduler = std::make_shared<Scheduler>(1);
+    TranspileService service(sopts);
+    const std::vector<std::shared_ptr<const Backend>> backends = {
+        shared_montreal(), std::make_shared<const Backend>(grid_backend())};
+    std::vector<QuantumCircuit> circuits;
+    for (const char *name : {"grover_n4", "vqe_n8", "qpe_n9", "adder_n10"})
+        circuits.push_back(benchmark_by_name(name));
+    circuits.push_back(ghz(4));
+    circuits.push_back(bernstein_vazirani(3, 0b11));
+
+    // Warm the pool on one seed, then serve every request again under
+    // fresh seeds: new keys, so each is a transpile on the warm memo.
+    for (unsigned seed : {1u, 2u}) {
+        const ServiceStats before = service.stats();
+        for (const auto &backend : backends)
+            for (const QuantumCircuit &qc : circuits)
+                for (RoutingAlgorithm router :
+                     {RoutingAlgorithm::kNassc, RoutingAlgorithm::kSabre}) {
+                    TranspileOptions opts;
+                    opts.router = router;
+                    opts.seed = seed;
+                    TranspileTicket t = service.submit(qc, backend, opts);
+                    EXPECT_EQ(t.source(), TicketSource::kScheduled);
+                    EXPECT_EQ(t.get_qasm(), fresh_qasm(qc, *backend, opts))
+                        << backend->name << " seed " << seed;
+                }
+        const ServiceStats after = service.stats();
+        EXPECT_GT(after.synth_memo_misses, before.synth_memo_misses);
+        if (seed == 2u) { // blocks of the first pass recur
+            EXPECT_GT(after.synth_memo_hits - before.synth_memo_hits,
+                      after.synth_memo_misses - before.synth_memo_misses);
+        }
+    }
+    // Serial requests all lease the one memo.
+    EXPECT_EQ(service.stats().synth_memos, 1u);
+}
+
+TEST(TranspileServiceSynthMemo, ConcurrentLeasesMatchSequentialOutputs)
+{
+    constexpr int kWorkers = 4, kClients = 8, kPerClient = 6;
+    ServiceOptions sopts;
+    sopts.scheduler = std::make_shared<Scheduler>(kWorkers);
+    TranspileService service(sopts);
+    const auto backend = shared_montreal();
+    const std::vector<QuantumCircuit> smalls = {
+        ghz(3), ghz(4), bernstein_vazirani(3, 0b11), qft(4)};
+
+    // Every request a distinct fresh-seed key, its reference computed
+    // up front on a fresh memo.
+    auto request = [&](int client, int r) {
+        const int i = client * kPerClient + r;
+        TranspileOptions opts;
+        opts.router =
+            i % 2 ? RoutingAlgorithm::kNassc : RoutingAlgorithm::kSabre;
+        opts.seed = 100 + static_cast<unsigned>(i);
+        return std::make_pair(smalls[i % smalls.size()], opts);
+    };
+    std::vector<std::string> want;
+    for (int c = 0; c < kClients; ++c)
+        for (int r = 0; r < kPerClient; ++r) {
+            const auto [qc, opts] = request(c, r);
+            want.push_back(fresh_qasm(qc, *backend, opts));
+        }
+
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kClients; ++c)
+        threads.emplace_back([&, c] {
+            for (int r = 0; r < kPerClient; ++r) {
+                const auto [qc, opts] = request(c, r);
+                if (service.submit(qc, backend, opts).get_qasm() !=
+                    want[static_cast<std::size_t>(c * kPerClient + r)])
+                    mismatches.fetch_add(1);
+            }
+        });
+    for (auto &t : threads)
+        t.join();
+
+    EXPECT_EQ(mismatches.load(), 0);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.transpiles_ok,
+              static_cast<std::uint64_t>(kClients * kPerClient));
+    EXPECT_GE(stats.synth_memos, 1u);
+    EXPECT_LE(stats.synth_memos, static_cast<std::size_t>(kWorkers));
+    EXPECT_GT(stats.synth_memo_hits, 0u);
+}
+
+TEST(TranspileServiceSynthMemo, ThrowingTranspileReturnsItsMemo)
+{
+    failpoint::disarm_all();
+    ServiceOptions sopts;
+    sopts.scheduler = std::make_shared<Scheduler>(1);
+    TranspileService service(sopts);
+    const auto backend = shared_montreal();
+    const QuantumCircuit qc = benchmark_by_name("grover_n4");
+    TranspileOptions opts;
+    opts.layout_trials = 2;
+
+    // Both throws come after the pre-routing consolidation has used the
+    // memo: a fault in the layout search, and a budget that expired
+    // while the request slept before its transpile.
+    opts.seed = 1;
+    {
+        failpoint::ScopedFailpoint fault("layout.trial",
+                                         "1*throw(injected trial fault)");
+        EXPECT_THROW(service.submit(qc, backend, opts).get(),
+                     std::runtime_error);
+    }
+    opts.seed = 2;
+    {
+        failpoint::ScopedFailpoint stall("service.transpile",
+                                         "1*sleep(300)");
+        RequestPolicy policy;
+        policy.deadline_ms = 100;
+        EXPECT_THROW(service.submit(qc, backend, opts, policy).get(),
+                     TranspileDeadlineExceeded);
+    }
+    ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.transpiles_failed, 1u);
+    EXPECT_EQ(stats.deadline_exceeded, 1u);
+    EXPECT_EQ(stats.synth_memos, 1u);
+    EXPECT_GT(stats.synth_memo_misses, 0u);
+
+    // The next requests lease the same memo and stay byte-identical.
+    for (unsigned seed : {1u, 2u, 3u}) {
+        opts.seed = seed;
+        EXPECT_EQ(service.submit(qc, backend, opts).get_qasm(),
+                  fresh_qasm(qc, *backend, opts))
+            << "seed " << seed;
+    }
+    stats = service.stats();
+    EXPECT_EQ(stats.synth_memos, 1u);
+    EXPECT_GT(stats.synth_memo_hits, 0u);
 }
 
 } // namespace

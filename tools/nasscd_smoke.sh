@@ -19,8 +19,10 @@
 #   4. a request carrying an in-process-only execution knob
 #      (`--option layout_threads=2`) must fail with exit 1 and name the
 #      unknown option;
-#   5. one more single-shot request (--builtin) over a fresh connection;
-#   6. SIGTERM: the daemon must drain and exit 0.
+#   5. one circuit under two fresh seeds: the second must reuse block
+#      syntheses of the first (synth_memo_hits in `--stats` grows);
+#   6. one more single-shot request (--builtin) over a fresh connection;
+#   7. SIGTERM: the daemon must drain and exit 0.
 #
 # NASSC_SMOKE_FAILPOINTS=1 runs the same sequence against a daemon with
 # a fault profile armed (an injected worker fault plus a mid-frame
@@ -138,6 +140,28 @@ if [ "$KNOB_STATUS" -ne 1 ] ||
     exit 1
 fi
 echo "nasscd_smoke: execution knob rejected on the wire"
+
+# Block resynthesis outlives a request: the daemon's service keeps its
+# SynthMemos, so the same circuit under a seed never sent before finds
+# the blocks the previous seed synthesized.
+memo_hits() {
+    "$BUILD_DIR/nassc_client" --unix "$SOCK" --stats |
+        awk '$1 == "synth_memo_hits" { print $2 }'
+}
+HITS_BEFORE=$(memo_hits)
+for seed in 101 102; do
+    "$BUILD_DIR/nassc_client" --unix "$SOCK" --builtin bv_n5 \
+        --option seed=$seed ${CLIENT_FLAG:+$CLIENT_FLAG} >/dev/null
+done
+HITS_AFTER=$(memo_hits)
+if [ -z "${HITS_BEFORE:-}" ] || [ -z "${HITS_AFTER:-}" ] ||
+   [ "$HITS_AFTER" -le "$HITS_BEFORE" ]; then
+    echo "nasscd_smoke: synth_memo_hits ${HITS_BEFORE:-missing} ->" \
+         "${HITS_AFTER:-missing} over two fresh seeds, expected growth" >&2
+    exit 1
+fi
+echo "nasscd_smoke: block syntheses reused across requests" \
+     "(synth_memo_hits $HITS_BEFORE -> $HITS_AFTER)"
 
 # A fresh connection after the smoke burst: the daemon keeps serving.
 "$BUILD_DIR/nassc_client" --unix "$SOCK" --builtin bv_n5 \
