@@ -6,6 +6,9 @@
 
 #include <memory>
 #include <random>
+#include <string>
+
+#include <unistd.h>
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +24,8 @@
 #include "nassc/passes/decompose_swaps.h"
 #include "nassc/route/router.h"
 #include "nassc/route/sabre.h"
+#include "nassc/serve/client.h"
+#include "nassc/serve/server.h"
 #include "nassc/service/transpile_service.h"
 #include "nassc/synth/kak2q.h"
 #include "nassc/transpile/context.h"
@@ -323,6 +328,41 @@ BENCHMARK(BM_ServiceMissTiny)
     ->Arg(0)
     ->Arg(1) // 0 = fresh service per miss, 1 = one service, warm pool
     ->Unit(benchmark::kMicrosecond);
+
+// The same fresh-seed misses over the wire: an in-process NasscServer
+// and one ServeClient on a unix socket, one request in flight at a
+// time.  Against BM_ServiceMissTiny/1 this shows what serving adds to
+// a miss: framing, the connection thread and any thread handoff.
+// `caller_runs` counts the misses the connection thread ran itself.
+void
+BM_WireMissTiny(benchmark::State &state)
+{
+    const std::string smalls[] = {to_qasm(ghz(3)), to_qasm(ghz(4)),
+                                  to_qasm(bernstein_vazirani(3, 0b11))};
+    ServerOptions options;
+    options.unix_path =
+        "/tmp/nassc_bench_" + std::to_string(::getpid()) + ".sock";
+    NasscServer server(options);
+    server.start();
+    ServeClient client = ServeClient::connect_unix(options.unix_path);
+    unsigned seed = 0;
+    for (auto _ : state) {
+        ++seed;
+        const ServeResponse resp = client.transpile_qasm(
+            smalls[seed % 3], "ibmq_montreal",
+            {{"seed", std::to_string(seed)},
+             {"router", seed % 2 ? "nassc" : "sabre"}});
+        if (resp.status != "ok") {
+            state.SkipWithError(resp.error.c_str());
+            break;
+        }
+        benchmark::DoNotOptimize(resp.qasm.data());
+    }
+    state.counters["caller_runs"] =
+        static_cast<double>(server.service().stats().caller_runs);
+    server.stop();
+}
+BENCHMARK(BM_WireMissTiny)->Unit(benchmark::kMicrosecond);
 
 // ---- router hot kernels -----------------------------------------------------
 //

@@ -43,11 +43,11 @@ struct ClientGone
 const char *
 source_name(TicketSource source)
 {
+    // An owner answers `transpiled` whichever thread ran its transpile.
     switch (source) {
     case TicketSource::kScheduled:
-        return "transpiled";
     case TicketSource::kInline:
-        return "inline";
+        return "transpiled";
     case TicketSource::kCoalesced:
         return "coalesced";
     case TicketSource::kCacheHit:
@@ -83,6 +83,9 @@ append_service_rows(std::string &out, const TranspileService &service)
          s.coalesced},
         {"counter", "misses", "Requests that owned a fresh transpile",
          s.misses},
+        {"counter", "caller_runs",
+         "Misses run on the requesting thread instead of a worker",
+         s.caller_runs},
         {"counter", "evictions_capacity",
          "Result-cache entries evicted to fit capacity",
          s.evictions_capacity},
@@ -304,9 +307,13 @@ struct NasscServer::Impl
             lookup_backend(request.backend);
         if (opts.policy.deadline_ms == 0)
             opts.policy.deadline_ms = options.default_deadline_ms;
-        TranspileTicket ticket = service->submit_qasm(
+        // A miss runs right here when a worker is parked: this thread
+        // would only block on the ticket otherwise.
+        TranspileTicket ticket = service->call_qasm(
             request.qasm, backend, opts.transpile, opts.policy);
-        if (!wait_ticket(ticket, fd)) {
+        const bool settled = ticket.source() == TicketSource::kCacheHit ||
+                             ticket.source() == TicketSource::kInline;
+        if (!settled && !wait_ticket(ticket, fd)) {
             // Nobody will read the answer; a request no worker has
             // started yet is dropped entirely.
             service->try_cancel(ticket);

@@ -7,27 +7,32 @@
  *
  * A deliberately thin network shell around TranspileService: the server
  * owns the sockets and the protocol framing (serve/protocol.h) and
- * NOTHING else — every transpile goes through the same submit_qasm()
- * path an in-process caller would use, so a daemon response is
- * bit-identical to a local transpile() with the same inputs, and all
- * hardening (dedup, coalescing, bounded cache, generation/TTL
- * invalidation, priorities) lives in the service where it is unit
- * testable without sockets.
+ * NOTHING else — every transpile goes through call_qasm(), the
+ * admission and pipeline an in-process submit_qasm() uses, so a
+ * daemon response is bit-identical to a local transpile() with the
+ * same inputs, and all hardening (dedup, coalescing, bounded cache,
+ * generation/TTL invalidation, priorities) lives in the service where
+ * it is unit testable without sockets.
  *
  * Threading model: one accept thread multiplexing the listeners with
  * poll(); one thread per accepted connection, each handling its frames
- * sequentially (pipelined requests are answered in order).  The
- * transpile itself runs as a Scheduler job at the request's priority —
- * connection threads only block on frame I/O and on the ticket, so a
- * slow circuit never stalls the accept loop or other connections.
+ * sequentially (pipelined requests are answered in order).  A miss
+ * runs on its connection thread when a scheduler worker is parked, in
+ * that worker's place (TranspileService::call_qasm): the thread would
+ * only block on the ticket otherwise, and the request skips two thread
+ * handoffs.  Otherwise the transpile runs as a Scheduler job at the
+ * request's priority and the connection thread blocks on the ticket.
+ * Either way a slow circuit never stalls the accept loop or other
+ * connections.
  *
- * Disconnect handling: the connection thread blocks on its ticket in
- * slices of at most 1 ms (TranspileTicket::wait_for), so it answers
- * the moment the transpile settles.  Between slices it probes its
- * socket; if the client hung up first, the server calls
- * TranspileService::try_cancel() so a request nobody will read never
- * occupies a worker (only a still-queued job can be dropped — a job
- * already running finishes and populates the cache).  The response
+ * Disconnect handling: a connection thread waiting on a queued or
+ * coalesced ticket blocks in slices of at most 1 ms
+ * (TranspileTicket::wait_for), so it answers the moment the transpile
+ * settles.  Between slices it probes its socket; if the client hung up
+ * first, the server calls TranspileService::try_cancel() so a request
+ * nobody will read never occupies a worker (only a still-queued job
+ * can be dropped — a transpile already running, on a worker or on the
+ * connection thread, finishes and populates the cache).  The response
  * body comes from TranspileTicket::get_qasm(), which encodes once per
  * cache entry.
  *

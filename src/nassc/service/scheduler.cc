@@ -122,11 +122,23 @@ struct Scheduler::Impl
     std::condition_variable idle_cv; ///< destructor: active list drained
     std::vector<std::shared_ptr<Job>> jobs; ///< active jobs, arrival order
     bool stop = false;
+    int parked = 0;   ///< workers waiting on work_cv
+    int running = 0;  ///< workers inside a task
+    int borrowed = 0; ///< places held by CallerSlots
 
     /** threads.size() mirror, readable without spawn_mu. */
     std::atomic<int> pool_size{0};
     std::mutex spawn_mu; ///< serializes ensure_workers growth
     std::vector<std::thread> threads;
+
+    /** Does any active job have a task a worker could claim?  Under
+     *  mu. */
+    bool
+    any_claimable() const
+    {
+        return std::any_of(jobs.begin(), jobs.end(),
+                           [](const auto &j) { return j->claimable(); });
+    }
 
     /** Remove a completed job and trip its latch.  Called under mu. */
     void
@@ -229,7 +241,12 @@ Scheduler::worker_main()
         int slot = -1;
         const std::size_t n = im.jobs.size();
         std::size_t best_at = 0;
-        for (std::size_t k = 0; k < n; ++k) {
+        // A borrowed place counts as a running task: with every place
+        // taken this worker claims nothing and parks until one frees.
+        const bool place_free =
+            im.running + im.borrowed <
+            im.pool_size.load(std::memory_order_relaxed);
+        for (std::size_t k = 0; place_free && k < n; ++k) {
             const std::size_t at = (rotor + k) % n;
             Job &j = *im.jobs[at];
             if (j.claimable() && (!job || j.priority > job->priority)) {
@@ -242,10 +259,13 @@ Scheduler::worker_main()
             slot = job->free_slots.back();
             job->free_slots.pop_back();
             rotor = (best_at + 1) % n;
+            ++im.running;
         } else {
             if (im.stop)
                 return;
+            ++im.parked;
             im.work_cv.wait(lk);
+            --im.parked;
             rotor = 0;
             continue;
         }
@@ -267,6 +287,7 @@ Scheduler::worker_main()
         }
         lk.lock();
 
+        --im.running;
         job->free_slots.push_back(slot);
         if (err)
             Impl::record_error(*job, index, std::move(err));
@@ -394,6 +415,44 @@ Scheduler::parallel_for(std::size_t count, const TaskFn &fn, int max_workers)
     }
     if (job->error)
         std::rethrow_exception(job->error);
+}
+
+Scheduler::CallerSlot::CallerSlot(Scheduler &scheduler)
+{
+    if (t_in_task)
+        return;
+    Impl &im = *scheduler.impl_;
+    {
+        std::lock_guard<std::mutex> lk(im.mu);
+        // A parked worker beside a claimable task is about to claim
+        // it; borrowing then would let the caller jump the queue.
+        if (im.parked <= im.borrowed || im.any_claimable())
+            return;
+        ++im.borrowed;
+    }
+    impl_ = &im;
+    // The worker path's TaskScope, held for the borrow's lifetime.
+    prev_deadline_ = t_deadline;
+    t_in_task = true;
+    t_deadline = Clock::time_point::max();
+}
+
+Scheduler::CallerSlot::~CallerSlot()
+{
+    if (!impl_)
+        return;
+    t_in_task = false;
+    t_deadline = prev_deadline_;
+    bool wake;
+    {
+        std::lock_guard<std::mutex> lk(impl_->mu);
+        --impl_->borrowed;
+        // A task submitted while the place was out may have found
+        // every worker's place taken and left them parked.
+        wake = impl_->parked > 0 && impl_->any_claimable();
+    }
+    if (wake)
+        impl_->work_cv.notify_one();
 }
 
 bool

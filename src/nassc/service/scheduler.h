@@ -45,6 +45,19 @@
  * job's completion can deadlock a saturated pool (the guard cannot
  * help: the waited-for work belongs to a different job).
  *
+ * Borrowed places: a thread that would only block on the completion of
+ * a one-task job can run that work itself instead, in the place of a
+ * parked worker (CallerSlot), so the job never enters the queue and no
+ * worker is woken.  A borrow succeeds only while a worker is parked, no
+ * task is waiting to be claimed (the caller never jumps the queue), and
+ * no other caller holds that worker's place.  While it is held, workers
+ * claim only while running tasks + borrowed places < num_threads(), so
+ * the pool never runs more than num_threads() tasks at once, and the
+ * holder runs as a worker's task does: in_task() is true (a nested
+ * parallel_for stays inline) and its deadline starts unbounded.
+ * Releasing the place wakes one worker if a task became claimable
+ * meanwhile.
+ *
  * Fairness and priorities: workers re-scan the job list between tasks
  * (tasks here are routing passes and whole transpiles — milliseconds at
  * least — so the rescan is noise) and claim from the highest-priority
@@ -80,6 +93,8 @@ namespace nassc {
 /** Multi-job worker pool with per-job queues and task stealing. */
 class Scheduler
 {
+    struct Impl;
+
   public:
     /** fn(index, slot): see the file comment for the slot contract. */
     using TaskFn = std::function<void(std::size_t, int)>;
@@ -175,6 +190,29 @@ class Scheduler
                       int max_workers = 0);
 
     /**
+     * RAII borrow of a parked worker's place for the calling thread
+     * (see "Borrowed places" in the file comment).  The constructor
+     * never blocks: held() says whether the borrow succeeded, and a
+     * failed borrow changes nothing.  Never held from inside a task,
+     * whose thread already occupies a place.  Destroy it on the thread
+     * that made it, before the Scheduler.
+     */
+    class CallerSlot
+    {
+      public:
+        explicit CallerSlot(Scheduler &scheduler);
+        ~CallerSlot();
+        CallerSlot(const CallerSlot &) = delete;
+        CallerSlot &operator=(const CallerSlot &) = delete;
+
+        bool held() const { return impl_ != nullptr; }
+
+      private:
+        Impl *impl_ = nullptr; ///< null when the borrow failed
+        std::chrono::steady_clock::time_point prev_deadline_;
+    };
+
+    /**
      * Process-wide scheduler (hardware-concurrency sized, lazily
      * created).  LayoutSearch and TranspileService both default to it,
      * which is what makes the nested-parallelism guard effective end to
@@ -221,7 +259,6 @@ class Scheduler
     };
 
   private:
-    struct Impl;
     void worker_main();
 
     Impl *impl_;

@@ -1,6 +1,7 @@
 #include "nassc/service/transpile_service.h"
 
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -447,7 +448,8 @@ TranspileService::submit(const QuantumCircuit &circuit,
         throw std::invalid_argument("submit: null backend");
     const std::string backend_key = backend_key_of(backend);
     return admit(request_key(circuit, backend_key, options), &circuit, {},
-                 std::move(backend), backend_key, options, policy);
+                 std::move(backend), backend_key, options, policy,
+                 /*caller_waits=*/false);
 }
 
 TranspileTicket
@@ -455,6 +457,26 @@ TranspileService::submit_qasm(const std::string &qasm,
                               std::shared_ptr<const Backend> backend,
                               const TranspileOptions &options,
                               const RequestPolicy &policy)
+{
+    return admit_qasm(qasm, std::move(backend), options, policy,
+                      /*caller_waits=*/false);
+}
+
+TranspileTicket
+TranspileService::call_qasm(const std::string &qasm,
+                            std::shared_ptr<const Backend> backend,
+                            const TranspileOptions &options,
+                            const RequestPolicy &policy)
+{
+    return admit_qasm(qasm, std::move(backend), options, policy,
+                      /*caller_waits=*/true);
+}
+
+TranspileTicket
+TranspileService::admit_qasm(const std::string &qasm,
+                             std::shared_ptr<const Backend> backend,
+                             const TranspileOptions &options,
+                             const RequestPolicy &policy, bool caller_waits)
 {
     if (!backend)
         throw std::invalid_argument("submit: null backend");
@@ -466,7 +488,8 @@ TranspileService::submit_qasm(const std::string &qasm,
     std::string key = probe_text(qasm, backend_key, options.fingerprint());
     if (!key.empty()) {
         TranspileTicket hit = admit(std::move(key), nullptr, {}, backend,
-                                    backend_key, options, policy);
+                                    backend_key, options, policy,
+                                    caller_waits);
         if (hit.valid())
             return hit;
     }
@@ -477,7 +500,8 @@ TranspileService::submit_qasm(const std::string &qasm,
         return from_qasm(qasm);
     }();
     return admit(request_key(circuit, backend_key, options), &circuit, qasm,
-                 std::move(backend), backend_key, options, policy);
+                 std::move(backend), backend_key, options, policy,
+                 caller_waits);
 }
 
 TranspileTicket
@@ -486,7 +510,7 @@ TranspileService::admit(std::string key, const QuantumCircuit *circuit,
                         std::shared_ptr<const Backend> backend,
                         const std::string &backend_key,
                         const TranspileOptions &options,
-                        const RequestPolicy &policy)
+                        const RequestPolicy &policy, bool caller_waits)
 {
     TranspileTicket ticket;
     ticket.key_ = std::move(key);
@@ -497,7 +521,9 @@ TranspileService::admit(std::string key, const QuantumCircuit *circuit,
         policy.deadline_ms > 0
             ? Clock::now() + std::chrono::milliseconds(policy.deadline_ms)
             : Clock::time_point::max();
-    const bool inline_run = Scheduler::in_task();
+    bool inline_run = Scheduler::in_task();
+    // Held from admission until the caller's run settles the ticket.
+    std::optional<Scheduler::CallerSlot> slot;
 
     obs::StackMetrics &om = obs::StackMetrics::get();
     const Clock::time_point submitted = Clock::now();
@@ -552,11 +578,18 @@ TranspileService::admit(std::string key, const QuantumCircuit *circuit,
             return ticket;
         }
 
+        // A caller that would only block on this ticket runs the miss
+        // itself in a parked worker's place: no queue, no wake-up.
+        if (caller_waits && !inline_run) {
+            slot.emplace(scheduler());
+            inline_run = slot->held();
+        }
+
         // Admission control: a fresh miss past the queue cap is shed
         // NOW with a typed error, not queued into a deadline it cannot
         // make.  Hits/coalesced joins above are never shed (they add no
         // queue depth), nor are inline runs (they occupy the submitting
-        // task's slot, not the queue).
+        // task's or a borrowed place, not the queue).
         if (options_.max_queued != 0 && !inline_run &&
             queued_ >= options_.max_queued) {
             ++stats_.shed;
@@ -580,14 +613,17 @@ TranspileService::admit(std::string key, const QuantumCircuit *circuit,
         entry.request_qasm = request_qasm;
         inflight_.emplace(ticket.key_, std::move(entry));
         ++inflight_count_;
-        if (!inline_run)
+        if (inline_run)
+            ++stats_.caller_runs;
+        else
             ++queued_;
     }
 
     if (inline_run) {
-        // Nested submitter (e.g. a task consulting the service):
-        // run inline so a saturated pool cannot deadlock behind its own
-        // queue.  Dedup above still applied.
+        // A nested submitter (e.g. a task consulting the service) runs
+        // inline so a saturated pool cannot deadlock behind its own
+        // queue; a blocking caller runs in the place it borrowed.
+        // Dedup above still applied.
         ticket.source_ = TicketSource::kInline;
         run_request(ticket.key_, backend_key, *circuit, *backend, options,
                     promise, ticket.qasm_, deadline, submitted,

@@ -78,10 +78,18 @@
  *    disconnects mid-queue); the ticket's get() then throws
  *    TranspileCancelled.
  *
- * Nesting: a submit() issued from inside a scheduler task (e.g. a
- * request that consults the service) runs the transpile inline on
- * the issuing thread — dedup and caching still apply, and a saturated
- * pool can never deadlock behind its own queue.
+ * Which thread runs a miss: a scheduler worker, for submit() and
+ * submit_qasm(), so in-process callers keep their parallelism.  The
+ * requesting thread itself, in two cases.  Nesting: a submit issued
+ * from inside a scheduler task (e.g. a request that consults the
+ * service) runs inline, so a saturated pool can never deadlock behind
+ * its own queue.  Blocking callers: call_qasm() (the nasscd connection
+ * thread, which would only block on the ticket) runs its miss in a
+ * parked worker's place when one is free (Scheduler::CallerSlot), so
+ * the request skips the queue and the worker wake-up.  Dedup and
+ * caching apply on every path, and a request that has to queue is
+ * scheduled, prioritized, shed and cancelled the same way whoever
+ * submitted it.
  *
  * Thread safety: every public member is safe to call concurrently.
  * The destructor blocks until all in-flight requests complete, so a
@@ -125,7 +133,8 @@ class TranspileCancelled : public std::runtime_error
 /** How a Ticket's result is (being) produced. */
 enum class TicketSource {
     kScheduled, ///< owner of a fresh async transpile job
-    kInline,    ///< owner, ran synchronously (nested inside a task)
+    kInline,    ///< owner, ran on the requesting thread (see the file
+                ///< comment: which thread runs a miss)
     kCoalesced, ///< joined an in-flight computation for the same key
     kCacheHit,  ///< served complete from the result cache
 };
@@ -245,8 +254,9 @@ struct ServiceOptions
      * Admission control: maximum requests queued (submitted but not yet
      * claimed by a worker or settled).  A miss past the cap throws
      * TranspileOverloaded from submit() instead of queueing — cache
-     * hits, coalesced joins, and inline (nested) runs are never shed,
-     * since none of them add queue depth.  0 = unbounded.
+     * hits, coalesced joins, and misses run on the requesting thread
+     * are never shed, since none of them add queue depth.
+     * 0 = unbounded.
      */
     std::size_t max_queued = 0;
     /** Scheduler to run on; null = Scheduler::shared(). */
@@ -266,6 +276,10 @@ struct ServiceStats
     std::uint64_t text_hits = 0;
     std::uint64_t coalesced = 0;  ///< joined an in-flight computation
     std::uint64_t misses = 0;     ///< owned a fresh transpile
+    /** Misses run on the requesting thread instead of a worker: a
+     *  call_qasm() in a parked worker's place, or a submit from inside
+     *  a task (also counted in misses). */
+    std::uint64_t caller_runs = 0;
     /** LRU entries dropped to fit the entry or byte capacity. */
     std::uint64_t evictions_capacity = 0;
     /** Entries dropped because they became INVALID: backend-generation
@@ -337,6 +351,22 @@ class TranspileService
                                 const RequestPolicy &policy = {});
 
     /**
+     * submit_qasm() for a caller that blocks on the ticket anyway (the
+     * nasscd connection thread).  The admission is the same: text
+     * probe, cache, coalescing, shed.  But when the request is a fresh
+     * miss and the scheduler has a parked worker, the transpile runs
+     * on the calling thread in that worker's place
+     * (Scheduler::CallerSlot): it never enters the queue, no worker is
+     * woken, and the ticket comes back settled with source kInline.
+     * Otherwise the request is scheduled exactly as submit_qasm()
+     * would schedule it.
+     */
+    TranspileTicket call_qasm(const std::string &qasm,
+                              std::shared_ptr<const Backend> backend,
+                              const TranspileOptions &options = {},
+                              const RequestPolicy &policy = {});
+
+    /**
      * Abandon `ticket`'s request if (a) it owns a scheduled transpile,
      * (b) no other submit coalesced onto it, and (c) no worker has
      * started it.  On success the job never runs, the ticket's get()
@@ -397,21 +427,29 @@ class TranspileService
                            const std::string &backend_key,
                            std::uint64_t options_fp) const;
 
+    /** submit_qasm(), or call_qasm() when `caller_waits`. */
+    TranspileTicket admit_qasm(const std::string &qasm,
+                               std::shared_ptr<const Backend> backend,
+                               const TranspileOptions &options,
+                               const RequestPolicy &policy,
+                               bool caller_waits);
+
     /**
-     * The admission submit() and submit_qasm() share, for a request
-     * filed under `key`: serve it from the cache, join its in-flight
-     * computation, or file and start it.  With `circuit` null (a text
-     * probe's match) only a cache hit is served: on any other outcome
-     * nothing is counted and the ticket comes back invalid.
-     * `request_qasm` is the request's text, kept by the entry a fresh
-     * computation fills; empty for object submits.
+     * The admission every submit shares, for a request filed under
+     * `key`: serve it from the cache, join its in-flight computation,
+     * or file and start it.  With `circuit` null (a text probe's
+     * match) only a cache hit is served: on any other outcome nothing
+     * is counted and the ticket comes back invalid.  `request_qasm` is
+     * the request's text, kept by the entry a fresh computation fills;
+     * empty for object submits.  `caller_waits` lets a fresh miss run
+     * on the calling thread in a parked worker's place.
      */
     TranspileTicket admit(std::string key, const QuantumCircuit *circuit,
                           const std::string &request_qasm,
                           std::shared_ptr<const Backend> backend,
                           const std::string &backend_key,
                           const TranspileOptions &options,
-                          const RequestPolicy &policy);
+                          const RequestPolicy &policy, bool caller_waits);
 
     struct CacheEntry
     {

@@ -14,11 +14,15 @@
 //      from inside a task;
 //  (f) nested-parallelism guard and ensure_workers growth;
 //  (g) DistanceCache under concurrent mixed backends driven through the
-//      scheduler: exactly-once compute per key, coherent stats().
+//      scheduler: exactly-once compute per key, coherent stats();
+//  (h) CallerSlot: a caller borrows only a parked worker's place, a
+//      worker does not claim while its place is borrowed, and the
+//      release wakes it.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -535,6 +539,113 @@ TEST(Scheduler, ClaimFailpointFiresPerTaskAndDisarms)
     EXPECT_EQ(failpoint::hit_count("scheduler.claim"), 3u);
     failpoint::disarm_all();
     EXPECT_EQ(failpoint::hit_count("scheduler.claim"), 0u);
+}
+
+/** Whether a CallerSlot on `sched` can be held right now. */
+bool
+borrowable(Scheduler &sched)
+{
+    Scheduler::CallerSlot slot(sched);
+    return slot.held();
+}
+
+TEST(Scheduler, CallerSlotBorrowsOnlyAParkedWorkersPlace)
+{
+    Scheduler sched(1);
+    // The worker parks once it finds nothing to claim.
+    ASSERT_TRUE(spin_until([&] { return borrowable(sched); }));
+    {
+        Scheduler::CallerSlot first(sched);
+        ASSERT_TRUE(first.held());
+        // The one parked worker's place is taken.
+        EXPECT_FALSE(borrowable(sched));
+    }
+    EXPECT_TRUE(borrowable(sched));
+
+    // A busy worker is not parked: nothing to borrow.
+    std::atomic<bool> release{false};
+    std::atomic<int> pinned{0};
+    Scheduler::JobHandle hostage = sched.submit(1, [&](std::size_t, int) {
+        pinned.fetch_add(1);
+        EXPECT_FALSE(borrowable(sched)); // never from inside a task
+        while (!release.load())
+            std::this_thread::yield();
+    });
+    ASSERT_TRUE(spin_until([&] { return pinned.load() == 1; }));
+    EXPECT_FALSE(borrowable(sched));
+    release = true;
+    hostage.wait();
+    EXPECT_TRUE(spin_until([&] { return borrowable(sched); }));
+}
+
+TEST(Scheduler, HeldCallerSlotRunsAsATask)
+{
+    Scheduler sched(2);
+    ASSERT_TRUE(spin_until([&] { return borrowable(sched); }));
+    const std::thread::id me = std::this_thread::get_id();
+    EXPECT_FALSE(Scheduler::in_task());
+    {
+        // An enclosing budget does not leak into the borrowed place: it
+        // starts unbounded, as a worker's task does.
+        Scheduler::DeadlineScope budget(std::chrono::steady_clock::now());
+        Scheduler::CallerSlot slot(sched);
+        ASSERT_TRUE(slot.held());
+        EXPECT_TRUE(Scheduler::in_task());
+        EXPECT_FALSE(Scheduler::current_job_expired());
+        std::atomic<int> off_thread{0};
+        sched.parallel_for(16, [&](std::size_t, int s) {
+            if (std::this_thread::get_id() != me || s != 0)
+                off_thread.fetch_add(1);
+        });
+        EXPECT_EQ(off_thread.load(), 0); // the nesting guard held
+    }
+    EXPECT_FALSE(Scheduler::in_task());
+}
+
+TEST(Scheduler, WorkerDoesNotClaimWhileItsPlaceIsBorrowed)
+{
+    for (int workers : {1, 2}) {
+        Scheduler sched(workers);
+        // One holder thread per place: a thread holding a place runs as
+        // a task, so it cannot borrow a second one.  Holder i returns
+        // its place once `returned` exceeds i.
+        std::atomic<int> holding{0};
+        std::atomic<int> returned{0};
+        std::vector<std::thread> holders;
+        for (int i = 0; i < workers; ++i) {
+            holders.emplace_back([&, i] {
+                std::unique_ptr<Scheduler::CallerSlot> slot;
+                if (spin_until([&] {
+                        slot = std::make_unique<Scheduler::CallerSlot>(sched);
+                        return slot->held();
+                    }))
+                    holding.fetch_add(1);
+                while (returned.load() <= i)
+                    std::this_thread::yield();
+            });
+        }
+        const bool all_held =
+            spin_until([&] { return holding.load() == workers; });
+        EXPECT_TRUE(all_held) << workers;
+        EXPECT_FALSE(borrowable(sched)) << workers;
+
+        // Every place is borrowed: the job is queued, and no worker may
+        // run it, since that would run more than num_threads() tasks.
+        std::atomic<int> ran{0};
+        Scheduler::JobHandle job = sched.submit(
+            1, [&](std::size_t, int) { ran.fetch_add(1); });
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        EXPECT_EQ(ran.load(), 0) << workers;
+        EXPECT_FALSE(job.done()) << workers;
+
+        // Returning one place wakes a parked worker to claim the job.
+        returned = 1;
+        job.wait();
+        EXPECT_EQ(ran.load(), 1);
+        returned = workers;
+        for (std::thread &t : holders)
+            t.join();
+    }
 }
 
 } // namespace

@@ -13,7 +13,9 @@
 //      responses before the daemon exits;
 //  (e) hung-peer protection on the client — ServeClient::set_io_timeout
 //      surfaces a wedged server as the typed TranspileTransportTimeout,
-//      and RetryingServeClient recovers on a fresh connection.
+//      and RetryingServeClient recovers on a fresh connection;
+//  (f) caller runs — an idle daemon runs a miss on its connection
+//      thread, and a caller run holds a worker's place.
 
 #include <atomic>
 #include <chrono>
@@ -65,6 +67,17 @@ socket_path(const std::string &suffix)
 {
     return "/tmp/nassc_serve_" + std::to_string(::getpid()) + "_" + suffix +
            ".sock";
+}
+
+/** Spin until a worker of `sched` is parked: its place can be
+ *  borrowed, so a wire miss runs on its connection thread. */
+bool
+worker_parked(Scheduler &sched)
+{
+    return spin_until([&] {
+        Scheduler::CallerSlot slot(sched);
+        return slot.held();
+    });
 }
 
 std::shared_ptr<const Backend>
@@ -665,6 +678,7 @@ TEST(NasscServer, StatsViewCoversEveryServiceRowAndTheVerbIsRetired)
         {"text_hits", s.text_hits},
         {"coalesced", s.coalesced},
         {"misses", s.misses},
+        {"caller_runs", s.caller_runs},
         {"evictions_capacity", s.evictions_capacity},
         {"evictions_invalidated", s.evictions_invalidated},
         {"cancelled", s.cancelled},
@@ -688,7 +702,7 @@ TEST(NasscServer, StatsViewCoversEveryServiceRowAndTheVerbIsRetired)
         {"distance_row_bytes", d.row_bytes},
         {"distance_row_bytes_peak", d.row_bytes_peak},
     };
-    ASSERT_EQ(want.size(), 27u);
+    ASSERT_EQ(want.size(), 28u);
     for (const auto &kv : want) {
         ASSERT_TRUE(rows.count(kv.first)) << kv.first;
         EXPECT_EQ(rows.at(kv.first), kv.second) << kv.first;
@@ -1040,6 +1054,95 @@ TEST(NasscServer, ClientHangupCancelsItsQueuedRequest)
     EXPECT_EQ(stats.cancelled, 1u);
     EXPECT_EQ(stats.transpiles_ok, 0u); // the cancelled job never ran
     EXPECT_EQ(stats.inflight, 0u);
+}
+
+TEST(NasscServer, IdleDaemonRunsAMissOnItsConnectionThread)
+{
+    ServerOptions options;
+    options.unix_path = socket_path("callerrun");
+    options.service.scheduler = std::make_shared<Scheduler>(2);
+    NasscServer server(options);
+    server.start();
+    ASSERT_TRUE(worker_parked(server.service().scheduler()));
+
+    ServeClient client = ServeClient::connect_unix(options.unix_path);
+    const std::string qasm = to_qasm(bernstein_vazirani(3, 0b11));
+    const std::vector<std::pair<std::string, std::string>> wire = {
+        {"router", "nassc"}, {"seed", "17"}};
+    const ServeResponse resp =
+        client.transpile_qasm(qasm, "ibmq_montreal", wire);
+    EXPECT_EQ(resp.status, "ok");
+    EXPECT_EQ(resp.source, "transpiled"); // whichever thread ran it
+    const ServiceStats stats = server.service().stats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.caller_runs, 1u);
+
+    const TranspileResult local = transpile(
+        from_qasm(qasm), montreal_backend(),
+        parse_request_options(wire).transpile);
+    EXPECT_EQ(resp.qasm, to_qasm(local.circuit));
+    server.stop();
+}
+
+TEST(NasscServer, CallerRunHoldsTheOnlyWorkersPlace)
+{
+    // One worker: client A's miss runs on its connection thread in the
+    // worker's place and stalls there.  Client B's distinct miss cannot
+    // borrow that place and must not run beside A either (running
+    // transpiles never exceed num_threads()): it queues, and starts
+    // only once A has finished.
+    failpoint::disarm_all();
+    ServerOptions options;
+    options.unix_path = socket_path("oneplace");
+    options.service.scheduler = std::make_shared<Scheduler>(1);
+    NasscServer server(options);
+    server.start();
+    ASSERT_TRUE(worker_parked(server.service().scheduler()));
+
+    const std::string qasm_a = to_qasm(ghz(5));
+    const std::string qasm_b = to_qasm(ghz(4));
+    auto send = [&options](const std::string &qasm, ServeResponse *out) {
+        return std::thread([&options, qasm, out] {
+            try {
+                ServeClient c = ServeClient::connect_unix(options.unix_path);
+                *out = c.transpile_qasm(qasm, "ibmq_montreal");
+            } catch (const std::exception &e) {
+                out->status = std::string("exception: ") + e.what();
+            }
+        });
+    };
+    ServeResponse resp_a, resp_b;
+    {
+        failpoint::ScopedFailpoint stall("service.transpile",
+                                         "1*sleep(1500)");
+        // No ASSERT while the clients run: their threads must be joined.
+        std::thread a = send(qasm_a, &resp_a);
+        EXPECT_TRUE(spin_until(
+            [&] { return server.service().stats().caller_runs == 1; }));
+        std::thread b = send(qasm_b, &resp_b);
+        EXPECT_TRUE(
+            spin_until([&] { return server.service().stats().misses == 2; }));
+        // A tiny ghz transpile takes well under a millisecond: had B
+        // run beside the stalled A, it would have finished by now.
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        const ServiceStats mid = server.service().stats();
+        EXPECT_EQ(mid.transpiles_ok, 0u);
+        EXPECT_EQ(mid.inflight, 2u);
+        EXPECT_EQ(mid.caller_runs, 1u); // B queued
+        a.join();
+        b.join();
+    }
+
+    EXPECT_EQ(resp_a.status, "ok");
+    EXPECT_EQ(resp_b.status, "ok");
+    EXPECT_EQ(resp_b.source, "transpiled");
+    EXPECT_EQ(resp_b.qasm,
+              to_qasm(transpile(ghz(4), montreal_backend()).circuit));
+    const ServiceStats stats = server.service().stats();
+    EXPECT_EQ(stats.transpiles_ok, 2u);
+    EXPECT_EQ(stats.caller_runs, 1u);
+    server.stop();
+    failpoint::disarm_all();
 }
 
 TEST(NasscServer, WireHitsServeTheEntrysTextByteForByte)

@@ -21,11 +21,14 @@
 #      unknown option;
 #   5. one circuit under two fresh seeds: the second must reuse block
 #      syntheses of the first (synth_memo_hits in `--stats` grows);
-#   6. one more single-shot request (--builtin) over a fresh connection;
-#   7. SIGTERM: the daemon must drain and exit 0.
+#   6. one fresh-seed request to the idle daemon must run on its
+#      connection thread (caller_runs in `--stats` grows);
+#   7. one more single-shot request (--builtin) over a fresh connection;
+#   8. SIGTERM: the daemon must drain and exit 0.
 #
 # NASSC_SMOKE_FAILPOINTS=1 runs the same sequence against a daemon with
-# a fault profile armed (an injected worker fault plus a mid-frame
+# a fault profile armed (an injected transpile fault, raised on the
+# connection thread when it runs the miss itself, plus a mid-frame
 # disconnect); the client runs with --tolerate-faults and must recover
 # by retrying, and the SIGTERM drain must still exit 0.
 set -euo pipefail
@@ -144,10 +147,11 @@ echo "nasscd_smoke: execution knob rejected on the wire"
 # Block resynthesis outlives a request: the daemon's service keeps its
 # SynthMemos, so the same circuit under a seed never sent before finds
 # the blocks the previous seed synthesized.
-memo_hits() {
+stat_row() {
     "$BUILD_DIR/nassc_client" --unix "$SOCK" --stats |
-        awk '$1 == "synth_memo_hits" { print $2 }'
+        awk -v row="$1" '$1 == row { print $2 }'
 }
+memo_hits() { stat_row synth_memo_hits; }
 HITS_BEFORE=$(memo_hits)
 for seed in 101 102; do
     "$BUILD_DIR/nassc_client" --unix "$SOCK" --builtin bv_n5 \
@@ -162,6 +166,21 @@ if [ -z "${HITS_BEFORE:-}" ] || [ -z "${HITS_AFTER:-}" ] ||
 fi
 echo "nasscd_smoke: block syntheses reused across requests" \
      "(synth_memo_hits $HITS_BEFORE -> $HITS_AFTER)"
+
+# An idle daemon has a parked worker, so a fresh miss runs on its
+# connection thread in that worker's place instead of queueing.
+RUNS_BEFORE=$(stat_row caller_runs)
+"$BUILD_DIR/nassc_client" --unix "$SOCK" --builtin bv_n5 \
+    --option seed=103 ${CLIENT_FLAG:+$CLIENT_FLAG} >/dev/null
+RUNS_AFTER=$(stat_row caller_runs)
+if [ -z "${RUNS_BEFORE:-}" ] || [ -z "${RUNS_AFTER:-}" ] ||
+   [ "$RUNS_AFTER" -le "$RUNS_BEFORE" ]; then
+    echo "nasscd_smoke: caller_runs ${RUNS_BEFORE:-missing} ->" \
+         "${RUNS_AFTER:-missing} over a fresh seed, expected growth" >&2
+    exit 1
+fi
+echo "nasscd_smoke: idle-daemon miss ran on its connection thread" \
+     "(caller_runs $RUNS_BEFORE -> $RUNS_AFTER)"
 
 # A fresh connection after the smoke burst: the daemon keeps serving.
 "$BUILD_DIR/nassc_client" --unix "$SOCK" --builtin bv_n5 \
