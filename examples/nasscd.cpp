@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -65,7 +66,8 @@ usage(const char *argv0)
         "  --host H           TCP bind address (default 127.0.0.1)\n"
         "\n"
         "service hardening:\n"
-        "  --threads N        provision N scheduler workers\n"
+        "  --threads N        run requests on a private pool of exactly\n"
+        "                     N workers (0, the default: the shared pool)\n"
         "  --cache-entries N  result-cache entry cap (default 256)\n"
         "  --cache-bytes N    result-cache byte budget (default 64 MiB)\n"
         "  --ttl SECONDS      default result TTL (0 = never expires)\n"
@@ -157,7 +159,10 @@ main(int argc, char **argv)
         } else if (arg == "--host") {
             options.host = value();
         } else if (arg == "--threads") {
-            options.service.num_threads = count();
+            const int n = count();
+            if (n > 0)
+                options.service.scheduler =
+                    std::make_shared<nassc::Scheduler>(n);
         } else if (arg == "--cache-entries") {
             options.service.cache_capacity = size();
         } else if (arg == "--cache-bytes") {

@@ -13,7 +13,9 @@
 //   --clients N                      concurrent client threads (default 4)
 //   --repeat N                       times each client repeats its
 //                                    request list (default 3)
-//   --workers N                      scheduler workers (default 4)
+//   --workers N                      workers of the service's own
+//                                    scheduler (default 4; 0 = the
+//                                    shared pool)
 //   --cache N                        result-cache capacity, 0 = off
 //                                    (default 64)
 //
@@ -133,13 +135,14 @@ main(int argc, char **argv)
 
     ServiceOptions sopts;
     sopts.cache_capacity = cache;
-    sopts.num_threads = workers;
+    if (workers > 0)
+        sopts.scheduler = std::make_shared<Scheduler>(workers);
     TranspileService service(sopts);
 
     std::printf("service demo: %d client(s) x %d round(s) over %zu "
                 "distinct requests on %s (%d workers, cache %zu)\n\n",
-                clients, repeat, menu.size(), device->name.c_str(), workers,
-                cache);
+                clients, repeat, menu.size(), device->name.c_str(),
+                service.scheduler().num_threads(), cache);
 
     std::mutex print_mu;
     std::atomic<int> failures{0};

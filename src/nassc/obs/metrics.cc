@@ -106,12 +106,6 @@ Counter::render(std::string &out) const
     append_scalar(out, name_, help_, type_, std::to_string(value()));
 }
 
-void
-Gauge::render(std::string &out) const
-{
-    append_scalar(out, name_, help_, type_, std::to_string(value()));
-}
-
 HistogramSnapshot
 Histogram::snapshot() const
 {
@@ -181,8 +175,6 @@ MetricsRegistry::find_or_create(const std::string &name,
     std::unique_ptr<Metric> m;
     if (std::string(type) == "counter")
         m.reset(new Counter(name, help));
-    else if (std::string(type) == "gauge")
-        m.reset(new Gauge(name, help));
     else
         m.reset(new Histogram(name, help));
     Metric &ref = *m;
@@ -195,12 +187,6 @@ Counter &
 MetricsRegistry::counter(const std::string &name, const std::string &help)
 {
     return static_cast<Counter &>(find_or_create(name, help, "counter"));
-}
-
-Gauge &
-MetricsRegistry::gauge(const std::string &name, const std::string &help)
-{
-    return static_cast<Gauge &>(find_or_create(name, help, "gauge"));
 }
 
 Histogram &

@@ -3,9 +3,9 @@
 
 /**
  * @file
- * Counters, gauges, and fixed-bucket histograms for the serving stack,
- * and the Prometheus text exposition every `metrics` body is written
- * and read in.
+ * Counters and fixed-bucket histograms for the serving stack, and the
+ * Prometheus text exposition every `metrics` body is written and read
+ * in.  Gauges exist only as stat rows (render_row()).
  *
  * Design constraints, in order:
  *
@@ -112,26 +112,6 @@ class Counter : public Metric
     std::array<Cell, kStripes> cells_;
 };
 
-/** Signed point-in-time value (cache sizes, …).  Not
- *  striped: gauges are set from slow paths. */
-class Gauge : public Metric
-{
-  public:
-    void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-    void add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
-    std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-
-    void render(std::string &out) const override;
-
-  private:
-    friend class MetricsRegistry;
-    Gauge(std::string name, std::string help)
-        : Metric(std::move(name), std::move(help), "gauge")
-    {
-    }
-    std::atomic<std::int64_t> v_{0};
-};
-
 /** One histogram's consistent read: per-bucket (NON-cumulative)
  *  counts, total count, and value sum. */
 struct HistogramSnapshot
@@ -199,7 +179,6 @@ class MetricsRegistry
 
     /** @throws std::logic_error when `name` exists with another type. */
     Counter &counter(const std::string &name, const std::string &help);
-    Gauge &gauge(const std::string &name, const std::string &help);
     Histogram &histogram(const std::string &name, const std::string &help);
 
     /** Prometheus text exposition of every registered metric. */
@@ -216,9 +195,9 @@ class MetricsRegistry
 
 /**
  * Append one stat row as an unlabeled Prometheus metric: a "counter"
- * row `x` is named `nassc_x_total`, a "gauge" row `nassc_x`.  Counter
- * and Gauge render through the same sample writer, so the exposition
- * format has one writer.
+ * row `x` is named `nassc_x_total`, a "gauge" row `nassc_x`.  Rows and
+ * registry Counters render through the same sample writer, so the
+ * exposition format has one writer.
  */
 void render_row(std::string &out, const char *type, const std::string &row,
                 const std::string &help, std::uint64_t value);

@@ -1,6 +1,7 @@
 #include "nassc/route/layout_search.h"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <random>
 
@@ -253,11 +254,12 @@ LayoutSearch::run_trial(int trial, int worker)
     out.trial = trial;
     out.seed = derive_trial_seed(opts_.seed, trial);
 
-    // Cooperative deadline poll at the trial boundary: an expired
-    // budget skips the whole trial, which stays unconsumed and
-    // invisible to the arg-min.  Deadline-free runs never take the
-    // branch, keeping the race bit-identical.
-    if (Scheduler::current_job_expired())
+    // Cooperative deadline poll at the trial boundary, on whichever
+    // worker runs the trial: an expired budget skips the whole trial,
+    // which stays unconsumed and invisible to the arg-min.
+    // Deadline-free runs (max()) never take the branch, keeping the
+    // race bit-identical.
+    if (std::chrono::steady_clock::now() >= deadline_)
         return;
     failpoint::hit("layout.trial");
     // One span per CONSUMED trial (deadline-skipped trials record
@@ -311,8 +313,9 @@ LayoutSearch::run_trial(int trial, int worker)
 }
 
 LayoutSearchResult
-LayoutSearch::run(Scheduler *scheduler)
+LayoutSearch::run(std::chrono::steady_clock::time_point deadline)
 {
+    deadline_ = deadline;
     const int trials = std::max(1, trials_requested_);
     trials_.assign(static_cast<std::size_t>(trials), LayoutTrial{});
     retained_ = RoutingResult{};
@@ -333,7 +336,7 @@ LayoutSearch::run(Scheduler *scheduler)
                 "could start");
         best_trial_ = 0;
     } else {
-        Scheduler &sched = scheduler ? *scheduler : Scheduler::shared();
+        Scheduler &sched = Scheduler::shared();
         // Resolve the worker cap HERE and pass the same value to both
         // the slot table and parallel_for: job slot ids are < cap by
         // contract (per-job, even under stealing), so the table can
@@ -408,10 +411,11 @@ LayoutSearch::run(Scheduler *scheduler)
 LayoutSearchResult
 search_and_route(const QuantumCircuit &logical, const CouplingMap &coupling,
                  const DistanceProvider &dist, const RoutingOptions &opts,
-                 int iterations, Scheduler *scheduler)
+                 int iterations,
+                 std::chrono::steady_clock::time_point deadline)
 {
     LayoutSearch search(logical, coupling, dist, opts, iterations);
-    return search.run(scheduler);
+    return search.run(deadline);
 }
 
 } // namespace nassc

@@ -47,12 +47,19 @@
  * per-job and stable even as workers steal between jobs (see
  * service/scheduler.h), so the table can never be contended.
  *
- * The engine runs on Scheduler::shared() by default.  When the caller
- * is itself a scheduler task (a TranspileService request mid-sweep), the
+ * The engine runs on Scheduler::shared().  When the caller is itself a
+ * scheduler task (a TranspileService request mid-sweep), the
  * nested-parallelism guard runs the trials inline — one saturated level
  * of parallelism, never two.
+ *
+ * Deadlines: run() takes the request's absolute deadline (max() = none)
+ * and each trial checks it at its start, on whichever worker runs it.
+ * An expired deadline skips the trial; the winner is the best of the
+ * trials that completed, and run() throws TranspileDeadlineExceeded
+ * when none did.  A deadline never preempts a running trial.
  */
 
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -68,7 +75,6 @@
 namespace nassc {
 
 class Router;
-class Scheduler;
 
 /**
  * Deterministic per-trial seed: trial 0 is `base_seed` itself (exact
@@ -96,9 +102,9 @@ struct LayoutTrial
     TrialSeedKind kind = TrialSeedKind::kRandom;
     int swaps = -1;    ///< full-circuit scoring pass SWAP count
     int depth = -1;    ///< full-circuit scoring pass routed depth
-    /** False when the trial was skipped by an expired deadline poll
-     *  (Scheduler::current_job_expired() at the trial boundary) — the
-     *  trial holds no layout and never enters the arg-min. */
+    /** False when the trial was skipped because run()'s deadline had
+     *  passed at its start — the trial holds no layout and never
+     *  enters the arg-min. */
     bool consumed = false;
 };
 
@@ -145,12 +151,16 @@ class LayoutSearch
     LayoutSearch &operator=(const LayoutSearch &) = delete;
 
     /**
-     * Run opts.layout_trials trials on `scheduler` (nullptr = the
-     * shared scheduler), capped at opts.layout_threads workers.
-     * Bit-identical for every thread count and steal schedule; every
-     * trial carries a scored (swaps, depth) pair.
+     * Run opts.layout_trials trials on Scheduler::shared(), capped at
+     * opts.layout_threads workers, skipping every trial that starts at
+     * or after `deadline` (see "Deadlines" in the file comment).
+     * Without a deadline the result is bit-identical for every thread
+     * count and steal schedule, and every trial carries a scored
+     * (swaps, depth) pair.
      */
-    LayoutSearchResult run(Scheduler *scheduler = nullptr);
+    LayoutSearchResult
+    run(std::chrono::steady_clock::time_point deadline =
+            std::chrono::steady_clock::time_point::max());
 
   private:
     struct WorkerCtx; ///< per-worker-slot Router set
@@ -169,6 +179,9 @@ class LayoutSearch
     const int trials_requested_;
     const int iterations_;
     const int num_logical_;
+    /** run()'s deadline; read by every trial. */
+    std::chrono::steady_clock::time_point deadline_ =
+        std::chrono::steady_clock::time_point::max();
 
     QuantumCircuit fwd_; ///< logical circuit without non-unitary ops
     QuantumCircuit rev_;
@@ -197,12 +210,12 @@ class LayoutSearch
  * including the retained routed pass when reuse is legal.  transpile()
  * drives this; sabre_initial_layout() remains the layout-only wrapper.
  */
-LayoutSearchResult search_and_route(const QuantumCircuit &logical,
-                                    const CouplingMap &coupling,
-                                    const DistanceProvider &dist,
-                                    const RoutingOptions &opts,
-                                    int iterations = 3,
-                                    Scheduler *scheduler = nullptr);
+LayoutSearchResult
+search_and_route(const QuantumCircuit &logical, const CouplingMap &coupling,
+                 const DistanceProvider &dist, const RoutingOptions &opts,
+                 int iterations = 3,
+                 std::chrono::steady_clock::time_point deadline =
+                     std::chrono::steady_clock::time_point::max());
 
 } // namespace nassc
 

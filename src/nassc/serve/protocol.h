@@ -38,7 +38,7 @@
  *
  *     status ok | error | deadline_exceeded | overloaded
  *     error <message>          (any non-ok status)
- *     source transpiled|cache_hit|coalesced|inline   (transpile only)
+ *     source transpiled|cache_hit|coalesced   (transpile only)
  *     retry-after-ms <N>       (status overloaded: backoff hint)
  *     degraded <trials>        (ok only: deadline cut the layout race
  *                               short; <trials> completed)

@@ -161,16 +161,6 @@ DistanceCache::stats() const
     return s;
 }
 
-void
-DistanceCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto &[key, entry] : entries_)
-        retire_locked(entry);
-    entries_.clear();
-    generation_.clear();
-}
-
 DistanceCache &
 DistanceCache::global()
 {

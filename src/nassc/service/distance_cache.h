@@ -135,8 +135,6 @@ class DistanceCache
 
     Stats stats() const;
 
-    void clear();
-
     /**
      * Process-wide cache used by the transpile() overload that does not
      * take an explicit cache.  Entries are keyed by Backend::cache_key(),

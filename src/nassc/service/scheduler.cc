@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <limits>
@@ -17,43 +16,16 @@ namespace nassc {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /** Set while the current thread executes scheduler tasks. */
 thread_local bool t_in_task = false;
 
-/** Effective deadline of the calling thread (DeadlineScopes min'd with
- *  the running job's deadline); max() = unbounded. */
-thread_local Clock::time_point t_deadline = Clock::time_point::max();
-
+/** Marks the thread in-task for the scope's lifetime. */
 struct TaskScope
 {
-    bool prev;
-    Clock::time_point prev_deadline;
+    bool prev = t_in_task;
 
-    /**
-     * Inline path (nested parallel_for, caller-drained job): mark the
-     * thread in-task but INHERIT the enclosing deadline — an inner loop
-     * must still observe the outer job's budget.
-     */
-    TaskScope() : prev(t_in_task), prev_deadline(t_deadline)
-    {
-        t_in_task = true;
-    }
-
-    /** Worker path: bind the claimed job's deadline. */
-    explicit TaskScope(Clock::time_point deadline)
-        : prev(t_in_task), prev_deadline(t_deadline)
-    {
-        t_in_task = true;
-        t_deadline = deadline;
-    }
-
-    ~TaskScope()
-    {
-        t_in_task = prev;
-        t_deadline = prev_deadline;
-    }
+    TaskScope() { t_in_task = true; }
+    ~TaskScope() { t_in_task = prev; }
 };
 
 } // namespace
@@ -63,8 +35,8 @@ struct TaskScope
  * by the scheduler-wide mutex (tasks are routing passes and whole
  * transpiles, so one light mutex around claim bookkeeping is noise —
  * and it keeps the lock order trivially ThreadSanitizer-clean).
- * Completion is signalled through the job's OWN mutex/cv so a
- * JobHandle can outlive the scheduler's interest in the job.
+ * Completion is signalled through the job's OWN mutex/cv, which a
+ * parallel_for caller waits on for its stragglers.
  */
 struct Scheduler::JobHandle::Job
 {
@@ -72,8 +44,7 @@ struct Scheduler::JobHandle::Job
     std::size_t count = 0;
     int priority = 0; ///< higher is claimed first; immutable after submit
 
-    /** Owning scheduler's Impl, for cancel(); valid while the job is
-     *  undone (the scheduler's destructor drains every job). */
+    /** Owning scheduler's Impl, for cancel(). */
     Scheduler::Impl *impl = nullptr;
 
     // Claim state, guarded by Impl::mu.
@@ -82,11 +53,6 @@ struct Scheduler::JobHandle::Job
     std::vector<int> free_slots; ///< pool-claimable slot ids, stack order
     std::size_t error_index = std::numeric_limits<std::size_t>::max();
     std::exception_ptr error;
-
-    /** Absolute budget installed while this job's tasks run: the
-     *  parallel_for caller's, max() for submitted jobs.  Immutable
-     *  after the job becomes visible to workers. */
-    Clock::time_point deadline = Clock::time_point::max();
 
     /** Submitter's request tracer (null unless the submitting thread
      *  was tracing); workers install it around this job's tasks so
@@ -185,8 +151,8 @@ Scheduler::~Scheduler()
 {
     Impl &im = *impl_;
     {
-        // Drain: every enqueued job still completes (tasks are finite),
-        // so a handle dropped without wait() never strands the workers.
+        // Drain: every enqueued job still completes (tasks are finite)
+        // before the workers stop.
         std::unique_lock<std::mutex> lk(im.mu);
         im.idle_cv.wait(lk, [&] { return im.jobs.empty(); });
         im.stop = true;
@@ -277,7 +243,7 @@ Scheduler::worker_main()
             // shared_ptrs, no atomics) before entering the task, so
             // span sites inside it attribute to the owning request.
             obs::TraceScope trace_scope(job->trace);
-            TaskScope scope(job->deadline);
+            TaskScope scope;
             try {
                 failpoint::hit("scheduler.claim");
                 job->fn(index, slot);
@@ -299,26 +265,16 @@ Scheduler::worker_main()
 }
 
 Scheduler::JobHandle
-Scheduler::submit(std::size_t count, TaskFn fn, int max_slots, int priority)
+Scheduler::submit(std::function<void()> fn, int priority)
 {
     using Job = Impl::Job;
     Impl &im = *impl_;
-    auto job = std::make_shared<Job>(std::move(fn), count);
+    auto job = std::make_shared<Job>(
+        [fn = std::move(fn)](std::size_t, int) { fn(); }, 1);
     job->priority = priority;
     job->impl = impl_;
     job->trace = obs::current_tracer(); // one relaxed load when off
-    if (count == 0) {
-        job->done = true;
-        return JobHandle(job);
-    }
-    int slots = max_slots <= 0 ? num_threads() : max_slots;
-    slots = std::max(1, std::min(slots, num_threads()));
-    if (static_cast<std::size_t>(slots) > count)
-        slots = static_cast<int>(count);
-    // Descending push so the stack hands out low slot ids first — a
-    // lightly loaded job touches the same scratch slots every run.
-    for (int s = slots - 1; s >= 0; --s)
-        job->free_slots.push_back(s);
+    job->free_slots.push_back(0);
     {
         std::lock_guard<std::mutex> lk(im.mu);
         im.jobs.push_back(job);
@@ -340,7 +296,7 @@ Scheduler::parallel_for(std::size_t count, const TaskFn &fn, int max_workers)
     // Inline paths: nested call from inside a task (the guard), a
     // serial request, or a single index.  Identical semantics to the
     // parallel path: every index runs, lowest-index exception rethrows.
-    if (in_task() || max_workers == 1 || count <= 1 || num_threads() == 0) {
+    if (in_task() || max_workers == 1 || count <= 1) {
         TaskScope scope;
         std::size_t error_index = std::numeric_limits<std::size_t>::max();
         std::exception_ptr error;
@@ -361,11 +317,8 @@ Scheduler::parallel_for(std::size_t count, const TaskFn &fn, int max_workers)
 
     auto job = std::make_shared<Job>(fn, count);
     job->impl = impl_;
-    // Hand the caller's budget to the stolen tasks: a DeadlineScope
-    // around this parallel_for must bound trials on pool workers too.
-    job->deadline = t_deadline;
-    // Likewise the caller's tracer: stolen layout trials report spans
-    // onto the request being traced, not into the void.
+    // Hand the caller's tracer to the stolen tasks: layout trials on
+    // pool workers report spans onto the request being traced.
     job->trace = obs::current_tracer();
     int slots = max_workers;
     if (static_cast<std::size_t>(slots) > count)
@@ -432,9 +385,7 @@ Scheduler::CallerSlot::CallerSlot(Scheduler &scheduler)
     }
     impl_ = &im;
     // The worker path's TaskScope, held for the borrow's lifetime.
-    prev_deadline_ = t_deadline;
     t_in_task = true;
-    t_deadline = Clock::time_point::max();
 }
 
 Scheduler::CallerSlot::~CallerSlot()
@@ -442,7 +393,6 @@ Scheduler::CallerSlot::~CallerSlot()
     if (!impl_)
         return;
     t_in_task = false;
-    t_deadline = prev_deadline_;
     bool wake;
     {
         std::lock_guard<std::mutex> lk(impl_->mu);
@@ -456,50 +406,19 @@ Scheduler::CallerSlot::~CallerSlot()
 }
 
 bool
-Scheduler::JobHandle::done() const
-{
-    if (!job_)
-        return true;
-    std::lock_guard<std::mutex> g(job_->done_mu);
-    return job_->done;
-}
-
-std::size_t
 Scheduler::JobHandle::cancel() const
 {
     if (!job_)
-        return 0;
-    {
-        std::lock_guard<std::mutex> g(job_->done_mu);
-        if (job_->done)
-            return 0;
-    }
-    // Not done: the owning scheduler is still alive (its destructor
-    // drains every job before returning), so Impl is safe to touch.
+        return false;
+    // The owning scheduler is alive (see the header), so Impl is safe
+    // to touch.  A claimed task has next == count.
     Impl &im = *job_->impl;
     std::lock_guard<std::mutex> lk(im.mu);
-    const std::size_t dropped =
-        job_->count > job_->next ? job_->count - job_->next : 0;
-    if (dropped == 0)
-        return 0;
-    job_->next = job_->count;
-    job_->finished += dropped;
-    if (job_->finished == job_->count)
-        im.finish_job(job_);
-    return dropped;
-}
-
-void
-Scheduler::JobHandle::wait() const
-{
-    if (!job_)
-        return;
-    {
-        std::unique_lock<std::mutex> lk(job_->done_mu);
-        job_->done_cv.wait(lk, [&] { return job_->done; });
-    }
-    if (job_->error)
-        std::rethrow_exception(job_->error);
+    if (job_->next == job_->count)
+        return false;
+    job_->next = job_->finished = job_->count;
+    im.finish_job(job_);
+    return true;
 }
 
 Scheduler &
@@ -514,27 +433,5 @@ Scheduler::in_task()
 {
     return t_in_task;
 }
-
-std::chrono::steady_clock::time_point
-Scheduler::current_job_deadline()
-{
-    return t_deadline;
-}
-
-bool
-Scheduler::current_job_expired()
-{
-    return t_deadline != Clock::time_point::max() &&
-           Clock::now() >= t_deadline;
-}
-
-Scheduler::DeadlineScope::DeadlineScope(
-    std::chrono::steady_clock::time_point deadline)
-    : prev_(t_deadline)
-{
-    t_deadline = std::min(prev_, deadline);
-}
-
-Scheduler::DeadlineScope::~DeadlineScope() { t_deadline = prev_; }
 
 } // namespace nassc

@@ -8,14 +8,15 @@
  * A pool that runs ONE parallel_for at a time serializes top-level
  * submissions from distinct threads on a submit mutex, so a serving
  * process with concurrent independent batches degrades to lock-step.
- * Scheduler instead keeps PER-JOB task queues: every submitted job
- * owns its own index counter and slot table, the shared workers scan
+ * Scheduler instead keeps PER-JOB task queues: every job (one
+ * parallel_for, or one submitted task) owns its own index counter and
+ * slot table, the shared workers scan
  * the active-job list round-robin and steal one task at a time from
  * whichever job has work and a free slot, and distinct submitters
  * therefore interleave on the same workers instead of queueing behind
  * each other.
  *
- * Guarantees:
+ * parallel_for guarantees:
  *
  *  - fn(index, slot) runs for every index in [0, count) exactly once;
  *    any worker may execute any index, so callers write results into
@@ -32,31 +33,28 @@
  *    task runs inline on the issuing thread, so a saturating batch
  *    degrades its inner layout trials to serial execution instead of
  *    deadlocking on or oversubscribing the pool.
- *  - Exceptions are captured per index and the lowest-index one is
- *    rethrown after the job completes, identically for every schedule;
- *    sibling indices still run.
+ *  - parallel_for captures exceptions per index and rethrows the
+ *    lowest-index one after the job completes, identically for every
+ *    schedule; sibling indices still run.
  *
- * Async submission: submit() enqueues a job WITHOUT blocking and
- * returns a JobHandle future — the serving layer (TranspileService)
- * uses it to run whole transpile requests asynchronously while the
- * submitting thread keeps accepting work.  A submitted job has no
- * caller slot; its tasks run entirely on pool workers.  Do not call
- * JobHandle::wait() from inside a task — a worker blocking on another
- * job's completion can deadlock a saturated pool (the guard cannot
- * help: the waited-for work belongs to a different job).
+ * One-task submission: submit() enqueues one task WITHOUT blocking and
+ * returns a JobHandle that can only cancel it — the serving layer
+ * (TranspileService) runs each transpile request this way while the
+ * submitting thread keeps accepting work.  A submitted task reports its
+ * own outcome (the service settles a promise); a throw escaping it is
+ * caught and dropped, so it never kills a worker.
  *
  * Borrowed places: a thread that would only block on the completion of
- * a one-task job can run that work itself instead, in the place of a
- * parked worker (CallerSlot), so the job never enters the queue and no
+ * a submitted task can run that work itself instead, in the place of a
+ * parked worker (CallerSlot), so the task never enters the queue and no
  * worker is woken.  A borrow succeeds only while a worker is parked, no
  * task is waiting to be claimed (the caller never jumps the queue), and
  * no other caller holds that worker's place.  While it is held, workers
  * claim only while running tasks + borrowed places < num_threads(), so
  * the pool never runs more than num_threads() tasks at once, and the
- * holder runs as a worker's task does: in_task() is true (a nested
- * parallel_for stays inline) and its deadline starts unbounded.
- * Releasing the place wakes one worker if a task became claimable
- * meanwhile.
+ * holder runs as a worker's task does: in_task() is true, so a nested
+ * parallel_for stays inline.  Releasing the place wakes one worker if
+ * a task became claimable meanwhile.
  *
  * Fairness and priorities: workers re-scan the job list between tasks
  * (tasks here are routing passes and whole transpiles — milliseconds at
@@ -66,24 +64,19 @@
  * one of the same priority: the moment any worker finishes a task, the
  * next equal-priority job in rotation gets it.  Priorities affect only
  * the ORDER tasks are claimed in, never whether they run — every
- * submitted job still completes, so all determinism contracts hold.
+ * submitted task still runs unless cancelled, so all determinism
+ * contracts hold.
  *
- * Cancellation: JobHandle::cancel() drops every task that no WORKER
- * has claimed yet (they are never invoked), while tasks already running
- * finish normally.  The serving layer uses this to abandon transpiles
+ * Cancellation: JobHandle::cancel() drops a submitted task that no
+ * worker has claimed yet (it is never invoked); a task already running
+ * finishes normally.  The serving layer uses this to abandon transpiles
  * whose client disconnected before a worker picked them up.
  *
- * Deadlines: DeadlineScope narrows the calling thread's budget (nested
- * scopes take the min), long tasks poll Scheduler::current_job_expired()
- * at natural boundaries (layout trials), and parallel_for propagates
- * the caller's budget onto its pool job, so a deadline set at the top
- * of a transpile reaches layout trials running on stolen workers.  A
- * deadline never preempts anything — expiry only makes the poll return
- * true, and what to do about it (degrade, throw) is the caller's
- * policy.
+ * Deadlines are not the scheduler's business: a request's budget
+ * travels as an argument to the work that polls it
+ * (LayoutSearch::run), so trials see it on whichever worker runs them.
  */
 
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -103,8 +96,9 @@ class Scheduler
     explicit Scheduler(int num_threads = 0);
 
     /**
-     * Blocks until every submitted job has completed, then joins the
-     * workers.  Clients must not submit after destruction begins.
+     * Blocks until every submitted task has run or been cancelled,
+     * then joins the workers.  Clients must not submit after
+     * destruction begins.
      */
     ~Scheduler();
 
@@ -117,42 +111,30 @@ class Scheduler
     /**
      * Grow the pool (never shrink) so a parallel_for can hand out up to
      * max_workers slots including the caller's; returns the resulting
-     * pool size.  Exists because hardware_concurrency() under-reports
-     * in cgroup-limited containers, so an explicit --threads N request
-     * must be able to out-size the default.  Bounded (256 threads) and
-     * a no-op from inside a task.
+     * pool size.  Only RoutingOptions::layout_threads still grows a pool
+     * (hardware_concurrency() under-reports in cgroup-limited
+     * containers); a service or sweep that wants N workers builds its
+     * own Scheduler(N).  Bounded (256 threads) and a no-op from inside
+     * a task.
      */
     int ensure_workers(int max_workers);
 
-    /** Completion future of a submitted job. */
+    /** Cancellation handle of a submitted task. */
     class JobHandle
     {
       public:
         JobHandle() = default;
 
-        /** True when bound to a job (submit() always returns bound). */
+        /** True when bound to a task (submit() always returns bound). */
         bool valid() const { return job_ != nullptr; }
 
-        /** Non-blocking completion poll; an unbound handle is done. */
-        bool done() const;
-
         /**
-         * Block until the job completes, then rethrow its lowest-index
-         * captured exception, if any.  Never call from inside a task.
+         * Drop the task if no worker has claimed it yet: its fn is never
+         * invoked, and true is returned.  False when it is running or
+         * done, or the handle is unbound.  Must not be called after the
+         * owning Scheduler is destroyed.
          */
-        void wait() const;
-
-        /**
-         * Cooperatively cancel the job: every task no worker has claimed
-         * yet is dropped (its fn is never invoked) and the job completes
-         * as soon as the already-running tasks finish.  Returns how many
-         * tasks were dropped — 0 means every task had already been
-         * claimed (for a single-task job: it is running or done).
-         * Dropped indices count as completed without error.  Must not
-         * be called after the owning Scheduler is destroyed (its drain
-         * guarantees all handles are done by then).
-         */
-        std::size_t cancel() const;
+        bool cancel() const;
 
       private:
         friend class Scheduler;
@@ -162,20 +144,15 @@ class Scheduler
     };
 
     /**
-     * Enqueue fn(index, slot) for index in [0, count) and return at
-     * once; tasks run on pool workers (up to max_slots concurrently,
-     * <= 0 meaning "whole pool"), interleaved with every other active
-     * job.  Unlike parallel_for there is no caller slot: slots are
-     * 0..max_slots-1 and the submitting thread does not execute tasks.
-     * Safe to call from inside a task (enqueueing never blocks); only
-     * wait() is restricted.  Higher `priority` jobs are claimed before
-     * lower ones whenever both have runnable tasks (parallel_for jobs
-     * run at priority 0); ordering within a priority stays round-robin.
-     * Tasks start unbounded: a task that wants a budget installs its
-     * own DeadlineScope.
+     * Enqueue fn to run once on a pool worker and return at once; it
+     * interleaves with every other active job.  Safe to call from
+     * inside a task (enqueueing never blocks).  Higher `priority` tasks
+     * are claimed before lower ones whenever both are runnable
+     * (parallel_for jobs run at priority 0); ordering within a priority
+     * stays round-robin.  fn reports its own outcome: an exception
+     * escaping it is caught and dropped.
      */
-    JobHandle submit(std::size_t count, TaskFn fn, int max_slots = 0,
-                     int priority = 0);
+    JobHandle submit(std::function<void()> fn, int priority = 0);
 
     /**
      * Run fn(index, slot) for index in [0, count), blocking until all
@@ -209,54 +186,18 @@ class Scheduler
 
       private:
         Impl *impl_ = nullptr; ///< null when the borrow failed
-        std::chrono::steady_clock::time_point prev_deadline_;
     };
 
     /**
      * Process-wide scheduler (hardware-concurrency sized, lazily
-     * created).  LayoutSearch and TranspileService both default to it,
-     * which is what makes the nested-parallelism guard effective end to
-     * end.
+     * created).  LayoutSearch always runs on it and TranspileService
+     * defaults to it; the nested-parallelism guard holds across
+     * schedulers, since in_task() is per thread.
      */
     static Scheduler &shared();
 
     /** True on a thread currently executing a scheduler task. */
     static bool in_task();
-
-    /**
-     * The calling thread's effective deadline: the min of every
-     * enclosing DeadlineScope and, on a pool worker running a
-     * parallel_for task, the budget of that parallel_for's caller;
-     * time_point::max() when unbounded.
-     */
-    static std::chrono::steady_clock::time_point current_job_deadline();
-
-    /**
-     * True when the calling thread's effective deadline has passed —
-     * the cooperative-timeout poll for long tasks.  Always false when
-     * unbounded.
-     */
-    static bool current_job_expired();
-
-    /**
-     * RAII budget for the calling thread: narrows the thread-local
-     * deadline to min(enclosing, `deadline`) for the scope's lifetime.
-     * Deadline-free code pays nothing — the thread-local stays at
-     * max() and current_job_expired() short-circuits.  parallel_for
-     * hands the narrowed budget to its pool job, so scoping a deadline
-     * around a transpile bounds its stolen trials too.
-     */
-    class DeadlineScope
-    {
-      public:
-        explicit DeadlineScope(std::chrono::steady_clock::time_point deadline);
-        ~DeadlineScope();
-        DeadlineScope(const DeadlineScope &) = delete;
-        DeadlineScope &operator=(const DeadlineScope &) = delete;
-
-      private:
-        std::chrono::steady_clock::time_point prev_;
-    };
 
   private:
     void worker_main();

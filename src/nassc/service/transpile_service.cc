@@ -121,8 +121,6 @@ TranspileService::TranspileService(ServiceOptions options)
 {
     if (!distances_)
         distances_ = std::make_shared<DistanceCache>();
-    if (options_.num_threads > 0)
-        scheduler().ensure_workers(options_.num_threads + 1);
 }
 
 TranspileService::~TranspileService()
@@ -342,15 +340,13 @@ TranspileService::run_request(
     std::exception_ptr error;
     bool missed_deadline = false;
     try {
-        // The request's absolute budget, computed at submit time so
-        // queueing delay counts against it; parallel_for carries it
-        // onto stolen layout trials.
-        Scheduler::DeadlineScope budget(deadline);
         obs::TraceSpan span("transpile", &om.transpile_us);
         failpoint::hit("service.transpile");
+        // `deadline` was computed at submit time, so queueing delay
+        // counts against it; the layout search checks it per trial.
         result = std::make_shared<TranspileResult>(
             transpile(circuit, backend, options, *distances_, backend_key,
-                      *memo));
+                      *memo, deadline));
     } catch (const TranspileDeadlineExceeded &) {
         error = std::current_exception();
         missed_deadline = true;
@@ -635,15 +631,14 @@ TranspileService::admit(std::string key, const QuantumCircuit *circuit,
     // The task owns copies/shares of everything it touches; `this`
     // stays valid because the destructor drains in-flight requests.
     Scheduler::JobHandle handle = scheduler().submit(
-        1,
         [this, key = ticket.key_, backend_key, circuit = *circuit,
          backend = std::move(backend), options, promise, qasm = ticket.qasm_,
-         deadline, submitted](std::size_t, int) {
+         deadline, submitted] {
             run_request(key, backend_key, circuit, *backend, options,
                         promise, qasm, deadline, submitted,
                         /*dequeue=*/true);
         },
-        /*max_slots=*/1, policy.priority);
+        policy.priority);
     {
         // Park the handle so try_cancel can reach the job.  The request
         // may already have finished (entry gone) or, pathologically,
@@ -674,11 +669,11 @@ TranspileService::try_cancel(const TranspileTicket &ticket)
             return false; // coalesced waiters still want the result
         if (!flight.handle.valid())
             return false; // inline run, or handle not parked yet
-        // cancel() == 1 means the single task was dropped before any
-        // worker claimed it; 0 means it is running or done — too late.
+        // cancel() is true when the task was dropped before any worker
+        // claimed it; false means it is running or done — too late.
         // (Lock order mu_ -> scheduler mutex; nothing takes the
         // reverse: tasks run with the scheduler mutex released.)
-        if (flight.handle.cancel() != 1)
+        if (!flight.handle.cancel())
             return false;
         promise = flight.promise;
         inflight_.erase(it);

@@ -11,13 +11,16 @@
  * requests.  TranspileService is that amortization layer:
  *
  *  - submit() hands back a Ticket immediately; the transpile itself
- *    runs as a Scheduler job at the request's RequestPolicy::priority,
- *    interleaved with every other request on the shared workers (see
- *    service/scheduler.h).  submit_qasm() is the same path with
- *    OpenQASM 2.0 text as the wire format — the API the nasscd daemon
- *    serves (serve/server.h), usable in-process too.  A wire request
- *    that repeats the exact text of the request that filled an entry
- *    is answered from it without a parse (see submit_qasm()).
+ *    runs as one Scheduler task at the request's
+ *    RequestPolicy::priority, interleaved with every other request on
+ *    the shared workers (see service/scheduler.h), and settles the
+ *    ticket's promise itself.  The request's deadline is an argument
+ *    of that task, handed down to the layout search.  submit_qasm() is
+ *    the same path with OpenQASM 2.0 text as the wire format — the API
+ *    the nasscd daemon serves (serve/server.h), usable in-process too.
+ *    A wire request that repeats the exact text of the request that
+ *    filled an entry is answered from it without a parse (see
+ *    submit_qasm()).
  *  - Requests are identified by a FINGERPRINT KEY — the triple
  *    (QuantumCircuit::fingerprint(), Backend::cache_key(),
  *    TranspileOptions::fingerprint()) — so identity is structural: two
@@ -245,12 +248,6 @@ struct ServiceOptions
      */
     double default_ttl_seconds = 0.0;
     /**
-     * Concurrent transpiles to provision for: grows the scheduler to at
-     * least this many workers (hardware_concurrency under-reports in
-     * cgroup-limited containers).  0 = take the pool as it is.
-     */
-    int num_threads = 0;
-    /**
      * Admission control: maximum requests queued (submitted but not yet
      * claimed by a worker or settled).  A miss past the cap throws
      * TranspileOverloaded from submit() instead of queueing — cache
@@ -259,7 +256,8 @@ struct ServiceOptions
      * 0 = unbounded.
      */
     std::size_t max_queued = 0;
-    /** Scheduler to run on; null = Scheduler::shared(). */
+    /** Scheduler to run on; null = Scheduler::shared().  A service
+     *  that wants exactly N workers passes its own Scheduler(N). */
     std::shared_ptr<Scheduler> scheduler;
     /** Distance-matrix cache shared by all requests; null = a private
      *  cache owned by the service. */

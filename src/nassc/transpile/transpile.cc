@@ -84,22 +84,16 @@ TranspileResult
 transpile(const QuantumCircuit &qc, const Backend &backend,
           const TranspileOptions &opts, DistanceCache &cache)
 {
-    return transpile(qc, backend, opts, cache, backend.cache_key());
-}
-
-TranspileResult
-transpile(const QuantumCircuit &qc, const Backend &backend,
-          const TranspileOptions &opts, DistanceCache &cache,
-          const std::string &backend_key)
-{
     SynthMemo memo;
-    return transpile(qc, backend, opts, cache, backend_key, memo);
+    return transpile(qc, backend, opts, cache, backend.cache_key(), memo,
+                     std::chrono::steady_clock::time_point::max());
 }
 
 TranspileResult
 transpile(const QuantumCircuit &qc, const Backend &backend,
           const TranspileOptions &opts, DistanceCache &cache,
-          const std::string &backend_key, SynthMemo &memo)
+          const std::string &backend_key, SynthMemo &memo,
+          std::chrono::steady_clock::time_point deadline)
 {
     auto t0 = std::chrono::steady_clock::now();
 
@@ -134,7 +128,7 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
     LayoutSearchResult search = [&] {
         obs::TraceSpan span("layout", &obs::StackMetrics::get().layout_us);
         return search_and_route(c, backend.coupling, dist, ropts,
-                                opts.layout_iterations);
+                                opts.layout_iterations, deadline);
     }();
 
     // 5. Routing.  The search scored every trial by routing the full

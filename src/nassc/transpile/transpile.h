@@ -37,6 +37,7 @@
  * routing), used to compute CNOT_add = CNOT_total - CNOT_baseline.
  */
 
+#include <chrono>
 #include <cstdint>
 
 #include "nassc/ir/circuit.h"
@@ -139,7 +140,7 @@ struct TranspileResult
      *  scoring pass per layout trial, plus the post-search route when
      *  it was not reused.  Reuse shows exactly one fewer pass. */
     int full_route_passes = 0;
-    /** True when an enclosing Scheduler::DeadlineScope (the service's,
+    /** True when the deadline passed to transpile() (the service's,
      *  from RequestPolicy::deadline_ms) expired mid-search and this is
      *  the best of the trials that DID complete rather than of all
      *  requested trials.  Degraded results are
@@ -159,19 +160,20 @@ struct TranspileResult
 TranspileResult transpile(const QuantumCircuit &qc, const Backend &backend,
                           const TranspileOptions &opts, DistanceCache &cache);
 
-/** As above, for a caller that already holds `backend_key` ==
- *  backend.cache_key(), which is O(device) to hash (the service hashes
- *  each backend object once and passes its key down). */
+/**
+ * As above, for a caller that already holds `backend_key` ==
+ * backend.cache_key(), which is O(device) to hash (the service hashes
+ * each backend object once and passes its key down), consolidating
+ * through the caller's `memo`, which may hold earlier calls' syntheses
+ * and gains this call's; the output does not depend on what `memo`
+ * holds.  `deadline` is the request's absolute budget (max() = none),
+ * handed to the layout search: see TranspileResult::degraded, and
+ * TranspileDeadlineExceeded when no layout trial completed in time.
+ */
 TranspileResult transpile(const QuantumCircuit &qc, const Backend &backend,
                           const TranspileOptions &opts, DistanceCache &cache,
-                          const std::string &backend_key);
-
-/** As above, consolidating through the caller's `memo`, which may hold
- *  earlier calls' syntheses and gains this call's.  The output does not
- *  depend on what `memo` holds. */
-TranspileResult transpile(const QuantumCircuit &qc, const Backend &backend,
-                          const TranspileOptions &opts, DistanceCache &cache,
-                          const std::string &backend_key, SynthMemo &memo);
+                          const std::string &backend_key, SynthMemo &memo,
+                          std::chrono::steady_clock::time_point deadline);
 
 /** Full pipeline through TranspileContext::global() (the process-wide
  *  DistanceCache) — a shim kept for call-site brevity; see

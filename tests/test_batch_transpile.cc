@@ -242,10 +242,13 @@ TEST(DistanceCache, KeysSeparateBackendsAndMetrics)
     EXPECT_TRUE(same_rows(*hops1, hop_distance(montreal.coupling)));
     EXPECT_TRUE(same_rows(*noise, noise_aware_distance(montreal)));
 
-    cache.clear();
-    EXPECT_EQ(cache.stats().entries, 0u);
-    // Cleared entries recompute, but handed-out providers stay valid.
-    SharedDistanceProvider hops3 = cache.provider(montreal);
+    // A calibration rotation drops montreal's entries and recomputes,
+    // but handed-out providers stay valid.
+    Backend rotated = montreal;
+    rotated.calibration.error_cx.begin()->second *= 1.5;
+    SharedDistanceProvider hops3 = cache.provider(rotated);
+    EXPECT_NE(hops3.get(), hops1.get());
+    EXPECT_EQ(cache.stats().entries, 2u); // linear + rotated montreal
     EXPECT_TRUE(same_rows(*hops3, *hops1));
     EXPECT_EQ(cache.stats().computations, 4u);
 

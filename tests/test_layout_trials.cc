@@ -20,8 +20,11 @@
 //      and transpile() skips its routing step exactly when legal;
 //  (f) trial diversity: when racing, trial 1 is seeded from a partial
 //      perfect-layout embedding (zero scored SWAPs on an embeddable
-//      chain) and trial 2 from the degree-matched heuristic.
+//      chain) and trial 2 from the degree-matched heuristic;
+//  (g) run()'s deadline reaches the trials that pool workers steal, and
+//      an expired one throws the typed deadline error.
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 
@@ -33,6 +36,8 @@
 #include "nassc/route/layout_search.h"
 #include "nassc/route/router.h"
 #include "nassc/route/sabre.h"
+#include "nassc/service/errors.h"
+#include "nassc/service/failpoint.h"
 #include "nassc/service/scheduler.h"
 #include "nassc/topo/backends.h"
 #include "nassc/transpile/context.h"
@@ -488,6 +493,40 @@ TEST(LayoutTrials, MultiTrialNeverWorseThanItsOwnTrials)
                     (best.swaps == t.swaps && best.depth == t.depth &&
                      best.trial <= t.trial));
     }
+}
+
+TEST(LayoutTrials, DeadlineReachesTrialsOnStolenWorkers)
+{
+    // The deadline is run()'s argument, checked when each trial starts,
+    // on whichever worker runs it.  Four slots each start one trial that
+    // the failpoint stalls for 200 ms, under a 100 ms budget: every
+    // later trial starts past the deadline and is skipped, on the pool
+    // workers as on the caller's slot 0, so at most four complete.  A
+    // check that missed the pool workers would let them run whichever
+    // of the last four trials they claim before the caller skips them
+    // all; three rounds make that race visible.
+    using Clock = std::chrono::steady_clock;
+    failpoint::disarm_all();
+    Scheduler::shared().ensure_workers(4);
+    Backend dev = montreal_backend();
+    const DistanceProvider dist = hop_distance(dev.coupling);
+    const QuantumCircuit logical = ghz(5);
+    RoutingOptions opts;
+    opts.layout_trials = 8;
+    opts.layout_threads = 4;
+    for (int round = 0; round < 3; ++round) {
+        failpoint::ScopedFailpoint slow("layout.trial", "4*sleep(200)");
+        LayoutSearch search(logical, dev.coupling, dist, opts);
+        const LayoutSearchResult res =
+            search.run(Clock::now() + std::chrono::milliseconds(100));
+        EXPECT_GE(res.trials_consumed, 1) << round;
+        EXPECT_LE(res.trials_consumed, 4) << round;
+        EXPECT_TRUE(res.trials[res.best_trial].consumed) << round;
+    }
+
+    // An expired deadline leaves no completed trial to degrade to.
+    LayoutSearch late(logical, dev.coupling, dist, opts);
+    EXPECT_THROW(late.run(Clock::now()), TranspileDeadlineExceeded);
 }
 
 TEST(LayoutTrials, TrialSeedDerivationIsPureAndStable)

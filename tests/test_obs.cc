@@ -101,16 +101,17 @@ TEST(ObsMetrics, StatsViewReadsUnlabeledCounterAndGaugeRows)
 {
     obs::MetricsRegistry reg;
     reg.counter("nassc_a_total", "registry counter").inc(4);
-    reg.gauge("nassc_b", "registry gauge").set(6);
-    reg.gauge("nassc_negative", "registry gauge").set(-1);
     reg.histogram("nassc_h_us", "histogram").observe(3);
     reg.counter("other_total", "no nassc_ prefix").inc();
     std::string body = reg.render();
+    obs::render_row(body, "gauge", "b", "row gauge", 6);
     obs::render_row(body, "counter", "requests", "row counter", 2);
     obs::render_row(body, "gauge", "cache_bytes", "row gauge", 9);
     EXPECT_NE(body.find("\nnassc_requests_total 2\n"), std::string::npos);
     EXPECT_NE(body.find("\nnassc_cache_bytes 9\n"), std::string::npos);
-    body += "# TYPE nassc_huge_total counter\n"
+    body += "# TYPE nassc_negative gauge\n"
+            "nassc_negative -1\n"
+            "# TYPE nassc_huge_total counter\n"
             "nassc_huge_total 99999999999999999999\n";
 
     // Histogram _bucket/_sum/_count lines, the negative gauge, the

@@ -4,14 +4,14 @@
 //      unique concurrent occupancy, caller owns slot 0);
 //  (b) the headline multi-job property: concurrent top-level submitters
 //      make interleaved progress — no whole-job serialization — even
-//      while a third job has every pool worker busy (a pool that runs
+//      while submitted tasks hold every pool worker (a pool that runs
 //      one job at a time behind a submit mutex deadlocks here);
 //  (c) determinism: per-index results are identical for every worker
 //      count and steal schedule;
 //  (d) deterministic lowest-index exception selection with sibling
-//      isolation, on both the blocking and async paths;
-//  (e) async submit(): JobHandle wait/done, wait-rethrow, submission
-//      from inside a task;
+//      isolation in parallel_for;
+//  (e) one-task submit(): returns at once, a throwing task spares its
+//      worker, submission from inside a task, priorities, cancel();
 //  (f) nested-parallelism guard and ensure_workers growth;
 //  (g) DistanceCache under concurrent mixed backends driven through the
 //      scheduler: exactly-once compute per key, coherent stats();
@@ -36,6 +36,7 @@
 #include "nassc/service/failpoint.h"
 #include "nassc/service/scheduler.h"
 #include "nassc/topo/backends.h"
+#include "pinned_worker.h"
 
 namespace nassc {
 namespace {
@@ -134,13 +135,9 @@ TEST(Scheduler, SubmittersProgressWhileWorkersAreSaturated)
     // two parallel_for callers must still interleave via their own
     // caller slots.  Releases the hostage job at the end.
     Scheduler sched(2);
-    std::atomic<bool> release{false};
-    std::atomic<int> pinned{0};
-    Scheduler::JobHandle hostage = sched.submit(2, [&](std::size_t, int) {
-        pinned.fetch_add(1);
-        spin_until([&] { return release.load(); });
-    });
-    ASSERT_TRUE(spin_until([&] { return pinned.load() == 2; }));
+    PinnedWorker first(sched), second(sched);
+    ASSERT_TRUE(
+        spin_until([&] { return first.pinned() && second.pinned(); }));
 
     std::atomic<int> arrived{0};
     std::atomic<int> timeouts{0};
@@ -156,8 +153,6 @@ TEST(Scheduler, SubmittersProgressWhileWorkersAreSaturated)
     std::thread a(submitter), b(submitter);
     a.join();
     b.join();
-    release = true;
-    hostage.wait();
     EXPECT_EQ(timeouts.load(), 0);
 }
 
@@ -183,12 +178,14 @@ TEST(Scheduler, PerIndexResultsAreScheduleInvariant)
     const std::vector<std::uint64_t> want = run(sched, 1);
     for (int cap : {2, 4, 0}) {
         // Foreign load perturbs the steal schedule, never the results.
-        Scheduler::JobHandle noise =
-            sched.submit(64, [](std::size_t, int) {
+        std::atomic<int> noise{0};
+        for (int i = 0; i < 64; ++i)
+            sched.submit([&] {
                 std::this_thread::yield();
+                noise.fetch_add(1);
             });
         EXPECT_EQ(run(sched, cap), want) << "cap " << cap;
-        noise.wait();
+        EXPECT_TRUE(spin_until([&] { return noise.load() == 64; }));
     }
 }
 
@@ -215,50 +212,37 @@ TEST(Scheduler, LowestIndexExceptionWinsAndSiblingsStillRun)
     }
 }
 
-TEST(Scheduler, SubmitReturnsImmediatelyAndWaitRethrows)
+TEST(Scheduler, SubmitReturnsImmediatelyAndAThrowSparesTheWorker)
 {
-    Scheduler sched(2);
+    Scheduler sched(1);
     std::atomic<bool> release{false};
     std::atomic<int> ran{0};
-    Scheduler::JobHandle h = sched.submit(8, [&](std::size_t i, int) {
+    Scheduler::JobHandle h = sched.submit([&] {
         spin_until([&] { return release.load(); });
         ran.fetch_add(1);
-        if (i == 2 || i == 5)
-            throw std::runtime_error("async boom " + std::to_string(i));
+        throw std::runtime_error("async boom");
     });
     ASSERT_TRUE(h.valid());
-    EXPECT_FALSE(h.done()); // nothing can finish before release
+    EXPECT_EQ(ran.load(), 0); // nothing can finish before release
     release = true;
-    try {
-        h.wait();
-        FAIL() << "expected the async exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "async boom 2"); // lowest index, always
-    }
-    EXPECT_TRUE(h.done());
-    EXPECT_EQ(ran.load(), 8); // throwing siblings did not cancel the rest
-    EXPECT_NO_THROW(Scheduler::JobHandle{}.wait()); // unbound = done
-    EXPECT_TRUE(Scheduler::JobHandle{}.done());
+    // The throw is dropped: the one worker lives on to run the next task.
+    sched.submit([&] { ran.fetch_add(1); });
+    EXPECT_TRUE(spin_until([&] { return ran.load() == 2; }));
+    EXPECT_FALSE(Scheduler::JobHandle{}.valid());
+    EXPECT_FALSE(Scheduler::JobHandle{}.cancel()); // unbound: nothing to drop
 }
 
 TEST(Scheduler, SubmitFromInsideATaskIsAllowed)
 {
     // Enqueueing never blocks, so tasks may fan follow-up work out
-    // asynchronously; only JobHandle::wait() is restricted in-task.
+    // asynchronously.
     Scheduler sched(2);
     std::atomic<int> inner{0};
-    std::vector<Scheduler::JobHandle> handles(4);
-    std::mutex mu;
-    sched.parallel_for(4, [&](std::size_t i, int) {
-        auto h = sched.submit(4, [&](std::size_t, int) {
-            inner.fetch_add(1);
-        });
-        std::lock_guard<std::mutex> lk(mu);
-        handles[i] = std::move(h);
+    sched.parallel_for(4, [&](std::size_t, int) {
+        for (int k = 0; k < 4; ++k)
+            sched.submit([&] { inner.fetch_add(1); });
     });
-    for (auto &h : handles)
-        h.wait();
-    EXPECT_EQ(inner.load(), 16);
+    EXPECT_TRUE(spin_until([&] { return inner.load() == 16; }));
 }
 
 TEST(Scheduler, NestedParallelForRunsInline)
@@ -358,14 +342,16 @@ TEST(Scheduler, DistanceCacheMixedBackendStress)
     };
 
     Scheduler sched(4);
-    Scheduler::JobHandle async = sched.submit(kTasks / 2, [&](std::size_t i,
-                                                              int) {
-        got[i] = fetch(i);
-    });
+    std::atomic<std::size_t> async_done{0};
+    for (std::size_t i = 0; i < kTasks / 2; ++i)
+        sched.submit([&, i] {
+            got[i] = fetch(i);
+            async_done.fetch_add(1);
+        });
     sched.parallel_for(kTasks / 2, [&](std::size_t i, int) {
         got[kTasks / 2 + i] = fetch(kTasks / 2 + i);
     });
-    async.wait();
+    ASSERT_TRUE(spin_until([&] { return async_done.load() == kTasks / 2; }));
 
     const DistanceCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.computations, 6u); // 3 backends x 2 metrics
@@ -388,32 +374,26 @@ TEST(Scheduler, HigherPriorityJobsAreClaimedFirst)
     // priorities 0, 5, 1: the claim order after release must be by
     // descending priority, deterministically.
     Scheduler sched(1);
-    std::atomic<bool> release{false};
-    std::atomic<int> pinned{0};
-    Scheduler::JobHandle hostage = sched.submit(1, [&](std::size_t, int) {
-        pinned.fetch_add(1);
-        spin_until([&] { return release.load(); });
-    });
-    ASSERT_TRUE(spin_until([&] { return pinned.load() == 1; }));
+    PinnedWorker hostage(sched);
+    ASSERT_TRUE(spin_until([&] { return hostage.pinned(); }));
 
     std::mutex mu;
     std::vector<int> order;
     auto tagged = [&](int tag) {
-        return [&, tag](std::size_t, int) {
+        return [&, tag] {
             std::lock_guard<std::mutex> lk(mu);
             order.push_back(tag);
         };
     };
-    Scheduler::JobHandle low = sched.submit(1, tagged(0), 0, /*priority=*/0);
-    Scheduler::JobHandle high = sched.submit(1, tagged(5), 0, /*priority=*/5);
-    Scheduler::JobHandle mid = sched.submit(1, tagged(1), 0, /*priority=*/1);
+    sched.submit(tagged(0), /*priority=*/0);
+    sched.submit(tagged(5), /*priority=*/5);
+    sched.submit(tagged(1), /*priority=*/1);
 
-    release = true;
-    hostage.wait();
-    low.wait();
-    high.wait();
-    mid.wait();
-    ASSERT_EQ(order.size(), 3u);
+    hostage.release();
+    ASSERT_TRUE(spin_until([&] {
+        std::lock_guard<std::mutex> lk(mu);
+        return order.size() == 3;
+    }));
     EXPECT_EQ(order[0], 5);
     EXPECT_EQ(order[1], 1);
     EXPECT_EQ(order[2], 0);
@@ -421,103 +401,34 @@ TEST(Scheduler, HigherPriorityJobsAreClaimedFirst)
 
 TEST(Scheduler, CancelDropsUnclaimedTasks)
 {
-    // Worker pinned -> none of the 4 tasks can be claimed -> cancel()
-    // drops all of them, the job completes, and the fn never ran.
+    // Worker pinned -> the task cannot be claimed -> cancel() drops it
+    // and its fn never runs.
     Scheduler sched(1);
-    std::atomic<bool> release{false};
-    std::atomic<int> pinned{0};
-    Scheduler::JobHandle hostage = sched.submit(1, [&](std::size_t, int) {
-        pinned.fetch_add(1);
-        spin_until([&] { return release.load(); });
-    });
-    ASSERT_TRUE(spin_until([&] { return pinned.load() == 1; }));
+    PinnedWorker hostage(sched);
+    ASSERT_TRUE(spin_until([&] { return hostage.pinned(); }));
 
     std::atomic<int> ran{0};
-    Scheduler::JobHandle job =
-        sched.submit(4, [&](std::size_t, int) { ran.fetch_add(1); });
-    EXPECT_EQ(job.cancel(), 4u);
-    EXPECT_TRUE(job.done()); // dropped tasks count as completed
-    job.wait();              // returns immediately, no exception
+    std::atomic<int> after{0};
+    Scheduler::JobHandle job = sched.submit([&] { ran.fetch_add(1); });
+    EXPECT_TRUE(job.cancel());
 
-    release = true;
-    hostage.wait();
+    // A task submitted after the dropped one runs once the worker is
+    // free; by then the dropped one would have run too.
+    sched.submit([&] { after.fetch_add(1); });
+    hostage.release();
+    ASSERT_TRUE(spin_until([&] { return after.load() == 1; }));
     EXPECT_EQ(ran.load(), 0);
-    // Idempotent, and a no-op once everything is claimed or dropped.
-    EXPECT_EQ(job.cancel(), 0u);
+    // Idempotent: a dropped task cannot be dropped again.
+    EXPECT_FALSE(job.cancel());
 }
 
 TEST(Scheduler, CancelAfterCompletionIsANoOp)
 {
     Scheduler sched(2);
     std::atomic<int> ran{0};
-    Scheduler::JobHandle job =
-        sched.submit(3, [&](std::size_t, int) { ran.fetch_add(1); });
-    job.wait();
-    EXPECT_EQ(ran.load(), 3);
-    EXPECT_EQ(job.cancel(), 0u);
-    EXPECT_TRUE(job.done());
-}
-
-TEST(Scheduler, NestedInlineParallelForInheritsDeadline)
-{
-    // A parallel_for from inside a task runs inline; the inline tasks
-    // must still see the enclosing task's deadline, not a blank slate.
-    using Clock = std::chrono::steady_clock;
-    Scheduler sched(1);
-    EXPECT_EQ(Scheduler::current_job_deadline(), Clock::time_point::max());
-    const Clock::time_point deadline = Clock::now() + std::chrono::hours(2);
-
-    std::atomic<int> inner_saw_deadline{0};
-    sched
-        .submit(1,
-                [&](std::size_t, int) {
-                    Scheduler::DeadlineScope budget(deadline);
-                    sched.parallel_for(2, [&](std::size_t, int) {
-                        if (Scheduler::current_job_deadline() == deadline)
-                            inner_saw_deadline.fetch_add(1);
-                    });
-                })
-        .wait();
-    EXPECT_EQ(inner_saw_deadline.load(), 2);
-}
-
-TEST(Scheduler, ParallelForPropagatesCallerDeadlineToPoolWorkers)
-{
-    // parallel_for stamps the CALLER's thread-local deadline onto the
-    // pool job it creates, so indices stolen by pool workers run under
-    // the same budget as indices the caller runs itself.  A past
-    // deadline reads as expired on every one of them.
-    using Clock = std::chrono::steady_clock;
-    Scheduler sched(4);
-    const Clock::time_point deadline = Clock::now() + std::chrono::hours(3);
-
-    std::atomic<int> with_deadline{0};
-    std::atomic<int> off_caller{0};
-    const std::thread::id caller = std::this_thread::get_id();
-    {
-        Scheduler::DeadlineScope budget(deadline);
-        sched.parallel_for(16, [&](std::size_t, int) {
-            if (Scheduler::current_job_deadline() == deadline)
-                with_deadline.fetch_add(1);
-            if (std::this_thread::get_id() != caller)
-                off_caller.fetch_add(1);
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        });
-    }
-    EXPECT_EQ(with_deadline.load(), 16);
-    EXPECT_GT(off_caller.load(), 0); // the budget reached pool workers
-    EXPECT_EQ(Scheduler::current_job_deadline(), Clock::time_point::max());
-
-    std::atomic<int> expired{0};
-    {
-        Scheduler::DeadlineScope past(Clock::now() - std::chrono::seconds(1));
-        sched.parallel_for(8, [&](std::size_t, int) {
-            if (Scheduler::current_job_expired())
-                expired.fetch_add(1);
-        });
-    }
-    EXPECT_EQ(expired.load(), 8);
-    EXPECT_FALSE(Scheduler::current_job_expired());
+    Scheduler::JobHandle job = sched.submit([&] { ran.fetch_add(1); });
+    ASSERT_TRUE(spin_until([&] { return ran.load() == 1; }));
+    EXPECT_FALSE(job.cancel());
 }
 
 TEST(Scheduler, ClaimFailpointFiresPerTaskAndDisarms)
@@ -529,11 +440,16 @@ TEST(Scheduler, ClaimFailpointFiresPerTaskAndDisarms)
 
     Scheduler sched(2);
     std::atomic<int> ran{0};
-    sched.submit(5, [&](std::size_t, int) { ran.fetch_add(1); }).wait();
-    EXPECT_EQ(ran.load(), 5); // kTrigger at this site is count-only
+    auto run_tasks = [&](int n) {
+        const int want = ran.load() + n;
+        for (int i = 0; i < n; ++i)
+            sched.submit([&] { ran.fetch_add(1); });
+        return spin_until([&] { return ran.load() == want; });
+    };
+    ASSERT_TRUE(run_tasks(5)); // kTrigger at this site is count-only
     EXPECT_EQ(failpoint::hit_count("scheduler.claim"), 3u);
 
-    sched.submit(4, [&](std::size_t, int) { ran.fetch_add(1); }).wait();
+    ASSERT_TRUE(run_tasks(4));
     EXPECT_EQ(ran.load(), 9);
     // Counts persist after auto-disarm (until disarm_all).
     EXPECT_EQ(failpoint::hit_count("scheduler.claim"), 3u);
@@ -562,19 +478,16 @@ TEST(Scheduler, CallerSlotBorrowsOnlyAParkedWorkersPlace)
     }
     EXPECT_TRUE(borrowable(sched));
 
-    // A busy worker is not parked: nothing to borrow.
-    std::atomic<bool> release{false};
-    std::atomic<int> pinned{0};
-    Scheduler::JobHandle hostage = sched.submit(1, [&](std::size_t, int) {
-        pinned.fetch_add(1);
-        EXPECT_FALSE(borrowable(sched)); // never from inside a task
-        while (!release.load())
-            std::this_thread::yield();
-    });
-    ASSERT_TRUE(spin_until([&] { return pinned.load() == 1; }));
+    // A busy worker is not parked: nothing to borrow, and never from
+    // inside a task.
+    std::atomic<int> in_task_borrows{-1};
+    sched.submit([&] { in_task_borrows = borrowable(sched) ? 1 : 0; });
+    ASSERT_TRUE(spin_until([&] { return in_task_borrows.load() >= 0; }));
+    EXPECT_EQ(in_task_borrows.load(), 0);
+    PinnedWorker hostage(sched);
+    ASSERT_TRUE(spin_until([&] { return hostage.pinned(); }));
     EXPECT_FALSE(borrowable(sched));
-    release = true;
-    hostage.wait();
+    hostage.release();
     EXPECT_TRUE(spin_until([&] { return borrowable(sched); }));
 }
 
@@ -585,13 +498,9 @@ TEST(Scheduler, HeldCallerSlotRunsAsATask)
     const std::thread::id me = std::this_thread::get_id();
     EXPECT_FALSE(Scheduler::in_task());
     {
-        // An enclosing budget does not leak into the borrowed place: it
-        // starts unbounded, as a worker's task does.
-        Scheduler::DeadlineScope budget(std::chrono::steady_clock::now());
         Scheduler::CallerSlot slot(sched);
         ASSERT_TRUE(slot.held());
         EXPECT_TRUE(Scheduler::in_task());
-        EXPECT_FALSE(Scheduler::current_job_expired());
         std::atomic<int> off_thread{0};
         sched.parallel_for(16, [&](std::size_t, int s) {
             if (std::this_thread::get_id() != me || s != 0)
@@ -632,16 +541,13 @@ TEST(Scheduler, WorkerDoesNotClaimWhileItsPlaceIsBorrowed)
         // Every place is borrowed: the job is queued, and no worker may
         // run it, since that would run more than num_threads() tasks.
         std::atomic<int> ran{0};
-        Scheduler::JobHandle job = sched.submit(
-            1, [&](std::size_t, int) { ran.fetch_add(1); });
+        sched.submit([&] { ran.fetch_add(1); });
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
         EXPECT_EQ(ran.load(), 0) << workers;
-        EXPECT_FALSE(job.done()) << workers;
 
-        // Returning one place wakes a parked worker to claim the job.
+        // Returning one place wakes a parked worker to claim the task.
         returned = 1;
-        job.wait();
-        EXPECT_EQ(ran.load(), 1);
+        EXPECT_TRUE(spin_until([&] { return ran.load() == 1; })) << workers;
         returned = workers;
         for (std::thread &t : holders)
             t.join();

@@ -41,6 +41,7 @@
 #include "nassc/service/errors.h"
 #include "nassc/service/failpoint.h"
 #include "nassc/transpile/context.h"
+#include "pinned_worker.h"
 
 namespace nassc {
 namespace {
@@ -916,14 +917,8 @@ TEST(NasscServer, QueueSaturationShedsWithRetryHintAndClientRecovers)
     // accepted request completes once the worker frees up.
     failpoint::disarm_all();
     auto sched = std::make_shared<Scheduler>(1);
-    std::atomic<bool> release{false};
-    std::atomic<int> pinned{0};
-    Scheduler::JobHandle hostage = sched->submit(1, [&](std::size_t, int) {
-        pinned.fetch_add(1);
-        while (!release.load())
-            std::this_thread::yield();
-    });
-    ASSERT_TRUE(spin_until([&] { return pinned.load() == 1; }));
+    PinnedWorker hostage(*sched);
+    ASSERT_TRUE(spin_until([&] { return hostage.pinned(); }));
 
     ServerOptions options;
     options.unix_path = socket_path("shed");
@@ -980,8 +975,7 @@ TEST(NasscServer, QueueSaturationShedsWithRetryHintAndClientRecovers)
         }
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    release = true;
-    hostage.wait();
+    hostage.release();
     first.join();
     retrier.join();
 
@@ -1003,14 +997,8 @@ TEST(NasscServer, ClientHangupCancelsItsQueuedRequest)
     // hangup, try_cancel the job, and exit.
     failpoint::disarm_all();
     auto sched = std::make_shared<Scheduler>(1);
-    std::atomic<bool> release{false};
-    std::atomic<int> pinned{0};
-    Scheduler::JobHandle hostage = sched->submit(1, [&](std::size_t, int) {
-        pinned.fetch_add(1);
-        while (!release.load())
-            std::this_thread::yield();
-    });
-    ASSERT_TRUE(spin_until([&] { return pinned.load() == 1; }));
+    PinnedWorker hostage(*sched);
+    ASSERT_TRUE(spin_until([&] { return hostage.pinned(); }));
 
     ServerOptions options;
     options.unix_path = socket_path("hangup");
@@ -1047,8 +1035,7 @@ TEST(NasscServer, ClientHangupCancelsItsQueuedRequest)
                     }
                 }));
 
-    release = true;
-    hostage.wait();
+    hostage.release();
     server.stop();
     const ServiceStats stats = server.service().stats();
     EXPECT_EQ(stats.cancelled, 1u);
@@ -1678,15 +1665,8 @@ TEST(TranspileService, CoalescedWaitersShareOneEncode)
     ServiceOptions sopts;
     sopts.scheduler = std::make_shared<Scheduler>(1);
     TranspileService service(sopts);
-    std::atomic<bool> release{false};
-    std::atomic<bool> pinned{false};
-    Scheduler::JobHandle plug =
-        sopts.scheduler->submit(1, [&](std::size_t, int) {
-            pinned = true;
-            while (!release.load())
-                std::this_thread::yield();
-        });
-    ASSERT_TRUE(spin_until([&] { return pinned.load(); }));
+    PinnedWorker plug(*sopts.scheduler);
+    ASSERT_TRUE(spin_until([&] { return plug.pinned(); }));
 
     const auto backend = shared_montreal();
     TranspileTicket owner = service.submit_qasm(to_qasm(qc), backend);
@@ -1694,8 +1674,7 @@ TEST(TranspileService, CoalescedWaitersShareOneEncode)
     ASSERT_EQ(joined.source(), TicketSource::kCoalesced);
     std::string owner_text, joined_text;
     std::thread reader([&] { joined_text = joined.get_qasm(); });
-    release = true;
-    plug.wait();
+    plug.release();
     owner_text = owner.get_qasm();
     reader.join();
     EXPECT_EQ(owner_text, ref.qasm);
@@ -1710,14 +1689,8 @@ TEST(TranspileService, TryCancelAbandonsQueuedRequests)
     // request stays unclaimed, so try_cancel must succeed and the
     // ticket must throw TranspileCancelled.
     auto sched = std::make_shared<Scheduler>(1);
-    std::atomic<bool> release{false};
-    std::atomic<int> pinned{0};
-    Scheduler::JobHandle hostage = sched->submit(1, [&](std::size_t, int) {
-        pinned.fetch_add(1);
-        while (!release.load())
-            std::this_thread::yield();
-    });
-    ASSERT_TRUE(spin_until([&] { return pinned.load() == 1; }));
+    PinnedWorker hostage(*sched);
+    ASSERT_TRUE(spin_until([&] { return hostage.pinned(); }));
 
     ServiceOptions opts;
     opts.scheduler = sched;
@@ -1740,8 +1713,7 @@ TEST(TranspileService, TryCancelAbandonsQueuedRequests)
     EXPECT_FALSE(service.try_cancel(owner));
     EXPECT_FALSE(service.try_cancel(twin)); // only owners cancel
 
-    release = true;
-    hostage.wait();
+    hostage.release();
     EXPECT_FALSE(owner.get()->circuit.empty()); // it ran normally
     EXPECT_EQ(service.stats().cancelled, 1u);
 
@@ -1752,22 +1724,15 @@ TEST(TranspileService, TryCancelAbandonsQueuedRequests)
 TEST(TranspileService, CancelledKeyCanBeResubmitted)
 {
     auto sched = std::make_shared<Scheduler>(1);
-    std::atomic<bool> release{false};
-    std::atomic<int> pinned{0};
-    Scheduler::JobHandle hostage = sched->submit(1, [&](std::size_t, int) {
-        pinned.fetch_add(1);
-        while (!release.load())
-            std::this_thread::yield();
-    });
-    ASSERT_TRUE(spin_until([&] { return pinned.load() == 1; }));
+    PinnedWorker hostage(*sched);
+    ASSERT_TRUE(spin_until([&] { return hostage.pinned(); }));
 
     ServiceOptions opts;
     opts.scheduler = sched;
     TranspileService service(opts);
     TranspileTicket first = service.submit(ghz(4), shared_montreal());
     ASSERT_TRUE(service.try_cancel(first));
-    release = true;
-    hostage.wait();
+    hostage.release();
 
     // The key is free again: a fresh submit computes a result.
     TranspileTicket second = service.submit(ghz(4), shared_montreal());

@@ -45,6 +45,7 @@
 #include "nassc/service/transpile_service.h"
 #include "nassc/topo/backends.h"
 #include "nassc/transpile/transpile.h"
+#include "pinned_worker.h"
 
 namespace nassc {
 namespace {
@@ -161,14 +162,8 @@ TEST(TranspileService, InflightDuplicatesCoalesceToOneTranspile)
     sopts.scheduler = std::make_shared<Scheduler>(1);
     TranspileService service(sopts);
 
-    std::atomic<bool> release{false};
-    std::atomic<bool> pinned{false};
-    Scheduler::JobHandle plug =
-        sopts.scheduler->submit(1, [&](std::size_t, int) {
-            pinned = true;
-            spin_until([&] { return release.load(); });
-        });
-    ASSERT_TRUE(spin_until([&] { return pinned.load(); }));
+    PinnedWorker plug(*sopts.scheduler);
+    ASSERT_TRUE(spin_until([&] { return plug.pinned(); }));
 
     auto backend = shared_montreal();
     const QuantumCircuit circuit = ghz(5);
@@ -193,8 +188,7 @@ TEST(TranspileService, InflightDuplicatesCoalesceToOneTranspile)
         EXPECT_EQ(stats.transpiles_ok, 0u); // still pinned
     }
 
-    release = true;
-    plug.wait();
+    plug.release();
     SharedTranspileResult first = tickets[0].get();
     for (int i = 1; i < kDuplicates; ++i)
         EXPECT_EQ(tickets[i].get().get(), first.get())
@@ -428,8 +422,8 @@ TEST(TranspileService, DeadlineWithNothingCompletedThrowsTyped)
 
 TEST(TranspileService, QueuedRequestBudgetCountsQueueWaitAndReachesTrials)
 {
-    // The budget is stamped at submit and installed around the request
-    // when a worker claims it, so time spent queued behind a pinned
+    // The budget is stamped at submit and handed to the layout search
+    // when a worker claims the request, so time spent queued behind a pinned
     // worker counts against it: the layout search finds it expired
     // although the transpile itself started well inside 300 ms.
     failpoint::disarm_all();
@@ -437,14 +431,8 @@ TEST(TranspileService, QueuedRequestBudgetCountsQueueWaitAndReachesTrials)
     sopts.scheduler = std::make_shared<Scheduler>(1);
     TranspileService service(sopts);
 
-    std::atomic<bool> release{false};
-    std::atomic<bool> pinned{false};
-    Scheduler::JobHandle plug =
-        sopts.scheduler->submit(1, [&](std::size_t, int) {
-            pinned = true;
-            spin_until([&] { return release.load(); });
-        });
-    ASSERT_TRUE(spin_until([&] { return pinned.load(); }));
+    PinnedWorker plug(*sopts.scheduler);
+    ASSERT_TRUE(spin_until([&] { return plug.pinned(); }));
 
     TranspileOptions opts;
     opts.router = RoutingAlgorithm::kSabre;
@@ -455,8 +443,7 @@ TEST(TranspileService, QueuedRequestBudgetCountsQueueWaitAndReachesTrials)
         service.submit(ghz(5), shared_montreal(), opts, policy);
     EXPECT_EQ(ticket.source(), TicketSource::kScheduled);
     std::this_thread::sleep_for(std::chrono::milliseconds(500));
-    release = true;
-    plug.wait();
+    plug.release();
 
     EXPECT_THROW(ticket.get(), TranspileDeadlineExceeded);
     const ServiceStats stats = service.stats();
@@ -477,14 +464,8 @@ TEST(TranspileService, CoalescedWaiterDeadlineIsPerWaiter)
     sopts.scheduler = std::make_shared<Scheduler>(1);
     TranspileService service(sopts);
 
-    std::atomic<bool> release{false};
-    std::atomic<bool> pinned{false};
-    Scheduler::JobHandle plug =
-        sopts.scheduler->submit(1, [&](std::size_t, int) {
-            pinned = true;
-            spin_until([&] { return release.load(); });
-        });
-    ASSERT_TRUE(spin_until([&] { return pinned.load(); }));
+    PinnedWorker plug(*sopts.scheduler);
+    ASSERT_TRUE(spin_until([&] { return plug.pinned(); }));
 
     auto backend = shared_montreal();
     const QuantumCircuit circuit = ghz(5);
@@ -504,8 +485,7 @@ TEST(TranspileService, CoalescedWaiterDeadlineIsPerWaiter)
     EXPECT_TRUE(b.wait_for(std::chrono::seconds(10)));
     EXPECT_FALSE(a.wait_for(std::chrono::milliseconds(1)));
 
-    release = true;
-    plug.wait();
+    plug.release();
     SharedTranspileResult result = a.get(); // unaffected by B's timeout
     EXPECT_FALSE(result->degraded);
     // ... and the computation B abandoned still populated the cache.
@@ -522,14 +502,8 @@ TEST(TranspileService, QueueCapShedsFreshMissesButNeverDuplicates)
     sopts.scheduler = std::make_shared<Scheduler>(1);
     TranspileService service(sopts);
 
-    std::atomic<bool> release{false};
-    std::atomic<bool> pinned{false};
-    Scheduler::JobHandle plug =
-        sopts.scheduler->submit(1, [&](std::size_t, int) {
-            pinned = true;
-            spin_until([&] { return release.load(); });
-        });
-    ASSERT_TRUE(spin_until([&] { return pinned.load(); }));
+    PinnedWorker plug(*sopts.scheduler);
+    ASSERT_TRUE(spin_until([&] { return plug.pinned(); }));
 
     auto backend = shared_montreal();
     TranspileOptions opts;
@@ -545,8 +519,7 @@ TEST(TranspileService, QueueCapShedsFreshMissesButNeverDuplicates)
     TranspileTicket dup = service.submit(ghz(4), backend, opts);
     EXPECT_EQ(dup.source(), TicketSource::kCoalesced);
 
-    release = true;
-    plug.wait();
+    plug.release();
     first.get();
     second.get();
     dup.get();
