@@ -60,7 +60,7 @@ tracing_armed()
 }
 
 /** One request's span collector.  `record` is thread-safe (layout
- *  trials report from scheduler workers concurrently) and never
+ *  trials report from race helper tasks concurrently) and never
  *  throws — spans are recorded from noexcept cleanup paths. */
 class Tracer
 {
@@ -110,10 +110,10 @@ current_tracer()
 
 /**
  * Install a tracer on the calling thread for a scope; restores the
- * previous one (usually null) on destruction.  The scheduler's worker
- * TaskScope wraps task execution in one of these carrying the Job's
- * tracer, which is how spans recorded inside stolen layout trials land
- * on the right request.
+ * previous one (usually null) on destruction.  A scheduler worker
+ * wraps each task in one of these carrying the tracer that was current
+ * at submit(), which is how spans recorded inside a layout race's
+ * helper tasks land on the right request.
  */
 class TraceScope
 {

@@ -1,9 +1,13 @@
 #include "nassc/route/layout_search.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <exception>
 #include <limits>
 #include <random>
+#include <tuple>
 
 #include "nassc/ir/fnv1a.h"
 #include "nassc/obs/metrics.h"
@@ -64,7 +68,7 @@ mapping_options(const RoutingOptions &opts)
 
 } // namespace
 
-/** One pool worker slot's reusable Routers (forward + reverse + score). */
+/** One race slot's reusable Routers (forward + reverse + score). */
 struct LayoutSearch::WorkerCtx
 {
     Router fwd;
@@ -106,9 +110,9 @@ LayoutSearch::~LayoutSearch() = default;
 LayoutSearch::WorkerCtx &
 LayoutSearch::ctx(int worker)
 {
-    // Worker slots are distinct per parallel_for, so no two threads can
-    // race on one entry; the Routers are built on first use and reused
-    // for every later trial this slot executes.
+    // Each slot is drained by exactly one thread per run(), so no two
+    // threads can race on one entry; the Routers are built on first use
+    // and reused for every later trial this slot executes.
     auto &slot = workers_[static_cast<std::size_t>(worker)];
     if (!slot)
         slot = std::make_unique<WorkerCtx>(fwd_dag_, rev_dag_, coupling_,
@@ -256,15 +260,15 @@ LayoutSearch::run_trial(int trial, int worker)
 
     // Cooperative deadline poll at the trial boundary, on whichever
     // worker runs the trial: an expired budget skips the whole trial,
-    // which stays unconsumed and invisible to the arg-min.
+    // which stays unconsumed and never enters the keep-min.
     // Deadline-free runs (max()) never take the branch, keeping the
     // race bit-identical.
     if (std::chrono::steady_clock::now() >= deadline_)
         return;
     failpoint::hit("layout.trial");
     // One span per CONSUMED trial (deadline-skipped trials record
-    // nothing); workers carry the owning request's tracer through the
-    // scheduler's Job seam, so concurrent requests never mix spans.
+    // nothing); helper tasks carry the owning request's tracer through
+    // submit(), so concurrent requests never mix spans.
     obs::TraceSpan span("layout_trial",
                         &obs::StackMetrics::get().layout_trial_us);
 
@@ -283,33 +287,32 @@ LayoutSearch::run_trial(int trial, int worker)
     // (swaps, depth) key to decide, retention needs the routed circuit
     // itself (there the pass IS the downstream route, never wasted
     // work).  The single-trial pure-layout path skips it outright so
-    // sabre_initial_layout callers keep the historical cost.  The
-    // score is deterministic data, so the later arg-min is independent
-    // of timing and thread count.
+    // sabre_initial_layout callers keep the historical cost.
+    RoutingResult scored;
     if (trials_.size() > 1 || retain_) {
-        RoutingResult scored = score_router(c).run(layout);
+        scored = score_router(c).run(layout);
         out.swaps = scored.stats.num_swaps;
         out.depth = scored.circuit.depth();
-        if (retain_) {
-            // Keep-min reduction: replace the retained pass iff this
-            // trial's (swaps, depth, trial) key is smaller.  The key
-            // order is total and arrival-independent, so exactly the
-            // arg-min winner's pass survives — and only one routed
-            // circuit is alive at a time, not one per trial.
-            std::lock_guard<std::mutex> lock(retained_mu_);
-            if (retained_trial_ < 0 ||
-                std::make_tuple(out.swaps, out.depth, trial) <
-                    std::make_tuple(retained_swaps_, retained_depth_,
-                                    retained_trial_)) {
-                retained_ = std::move(scored);
-                retained_trial_ = trial;
-                retained_swaps_ = out.swaps;
-                retained_depth_ = out.depth;
-            }
-        }
     }
     out.layout = std::move(layout);
     out.consumed = true;
+
+    // Keep-min: this trial becomes the winner iff its (swaps, depth,
+    // trial) key is smaller.  The key order is total and independent of
+    // arrival order, so the winner — and in retain mode its routed
+    // pass, the only one kept alive — is the same for every thread
+    // count.
+    std::lock_guard<std::mutex> lock(best_mu_);
+    if (best_trial_ >= 0) {
+        const LayoutTrial &best =
+            trials_[static_cast<std::size_t>(best_trial_)];
+        if (std::tie(best.swaps, best.depth, best.trial) <
+            std::tie(out.swaps, out.depth, out.trial))
+            return;
+    }
+    best_trial_ = trial;
+    if (retain_)
+        retained_ = std::move(scored);
 }
 
 LayoutSearchResult
@@ -318,74 +321,74 @@ LayoutSearch::run(std::chrono::steady_clock::time_point deadline)
     deadline_ = deadline;
     const int trials = std::max(1, trials_requested_);
     trials_.assign(static_cast<std::size_t>(trials), LayoutTrial{});
-    retained_ = RoutingResult{};
-    retained_trial_ = -1;
-    retained_swaps_ = -1;
-    retained_depth_ = -1;
+    best_trial_ = -1;
 
-    // The default single-trial search runs inline and never touches
-    // the scheduler — transpile() with default options must not spawn
-    // a process-wide worker pool as a side effect.
-    if (trials == 1) {
-        if (workers_.empty())
-            workers_.resize(1);
-        run_trial(0, 0);
-        if (!trials_[0].consumed)
-            throw TranspileDeadlineExceeded(
-                "transpile deadline exceeded before the layout search "
-                "could start");
-        best_trial_ = 0;
-    } else {
+    // Fan out only for a top-level race: a single trial, a caller that
+    // is itself a task (every served request, sweep job and CallerSlot
+    // holder) and layout_threads == 1 all run on the calling thread
+    // without touching the shared pool, so transpile() with default
+    // options never spawns a process-wide worker pool as a side effect.
+    int cap = 1;
+    if (trials > 1 && opts_.layout_threads != 1 && !Scheduler::in_task()) {
         Scheduler &sched = Scheduler::shared();
-        // Resolve the worker cap HERE and pass the same value to both
-        // the slot table and parallel_for: job slot ids are < cap by
-        // contract (per-job, even under stealing), so the table can
-        // never be outgrown even if another thread grows the shared
-        // pool between these lines.  An explicit layout_threads
-        // request first grows the pool (hardware_concurrency
-        // under-reports in cgroup-limited containers); 0 takes the
-        // pool as it is.
-        int cap = opts_.layout_threads;
+        // An explicit layout_threads request first grows the pool
+        // (hardware_concurrency under-reports in cgroup-limited
+        // containers); 0 takes the pool as it is.
+        cap = opts_.layout_threads;
         if (cap > 0)
             sched.ensure_workers(std::min(cap, trials));
         else
             cap = sched.num_threads() + 1;
-        if (cap > trials)
-            cap = trials;
-        if (workers_.size() < static_cast<std::size_t>(cap))
-            workers_.resize(static_cast<std::size_t>(cap));
-
-        sched.parallel_for(
-            static_cast<std::size_t>(trials),
-            [this](std::size_t t, int w) {
-                run_trial(static_cast<int>(t), w);
-            },
-            cap);
-
-        // Deterministic arg-min over (swaps, depth, trial index),
-        // restricted to consumed trials — deadline-skipped ones hold no
-        // layout.  With no deadline every trial is consumed and this is
-        // the historical full arg-min, bit for bit.
-        best_trial_ = -1;
-        for (int t = 0; t < trials; ++t) {
-            const LayoutTrial &a = trials_[static_cast<std::size_t>(t)];
-            if (!a.consumed)
-                continue;
-            if (best_trial_ < 0) {
-                best_trial_ = t;
-                continue;
-            }
-            const LayoutTrial &b =
-                trials_[static_cast<std::size_t>(best_trial_)];
-            if (a.swaps < b.swaps ||
-                (a.swaps == b.swaps && a.depth < b.depth))
-                best_trial_ = t;
-        }
-        if (best_trial_ < 0)
-            throw TranspileDeadlineExceeded(
-                "transpile deadline exceeded before any layout trial "
-                "completed");
+        cap = std::min(cap, trials);
     }
+    if (workers_.size() < static_cast<std::size_t>(cap))
+        workers_.resize(static_cast<std::size_t>(cap));
+
+    // Slot 0 (the caller) and slots 1..cap-1 (helper tasks) drain one
+    // trial counter.  Trials derive everything from their index, so
+    // which slot runs which trial never shows in the result.
+    std::atomic<int> next{0};
+    std::vector<std::exception_ptr> errors(static_cast<std::size_t>(trials));
+    auto drain = [&](int worker) {
+        for (int t; (t = next.fetch_add(1)) < trials;) {
+            try {
+                run_trial(t, worker);
+            } catch (...) {
+                errors[static_cast<std::size_t>(t)] = std::current_exception();
+            }
+        }
+    };
+    std::mutex join_mu;
+    std::condition_variable join_cv;
+    int helpers_left = cap - 1; // guarded by join_mu
+    std::vector<Scheduler::JobHandle> helpers;
+    for (int w = 1; w < cap; ++w)
+        helpers.push_back(Scheduler::shared().submit([&, w] {
+            drain(w);
+            std::lock_guard<std::mutex> lk(join_mu);
+            if (--helpers_left == 0)
+                join_cv.notify_all();
+        }));
+    drain(0);
+    // Every trial has been claimed: withdraw the helpers no worker has
+    // picked up yet, then wait for the rest to finish their trials.
+    int withdrawn = 0;
+    for (const Scheduler::JobHandle &h : helpers)
+        withdrawn += h.cancel() ? 1 : 0;
+    {
+        std::unique_lock<std::mutex> lk(join_mu);
+        helpers_left -= withdrawn;
+        join_cv.wait(lk, [&] { return helpers_left == 0; });
+    }
+
+    // The lowest-index failure wins, whichever slot ran it.
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
+    if (best_trial_ < 0)
+        throw TranspileDeadlineExceeded(
+            "transpile deadline exceeded before any layout trial "
+            "completed");
 
     int consumed = 0;
     for (const LayoutTrial &t : trials_)
@@ -397,14 +400,9 @@ LayoutSearch::run(std::chrono::steady_clock::time_point deadline)
     res.initial = trials_[static_cast<std::size_t>(best_trial_)].layout;
     res.scoring_passes = (trials > 1 || retain_) ? consumed : 0;
     res.trials_consumed = consumed;
-    if (retain_) {
-        // The keep-min key is the arg-min key, so the kept pass is the
-        // winner's by construction.
+    if (retain_)
         res.routed = std::move(retained_);
-        retained_ = RoutingResult{};
-    }
     res.trials = std::move(trials_);
-    trials_.clear();
     return res;
 }
 

@@ -29,6 +29,8 @@
  *    keeps the historical cost (swaps/depth stay -1 there).
  *  - The best trial is the lexicographic minimum of (scored SWAP count,
  *    scored depth, trial index) — no wall-clock, no scheduling order.
+ *    Each finishing trial compares itself against the winner so far
+ *    (keep-min), in every mode.
  *
  * Routed-pass retention: when opts.reuse_routing is set and the
  * downstream pipeline is plain SABRE (opts.algorithm == kSabre), the
@@ -40,17 +42,25 @@
  * pipelines: the search scores with the SABRE cost model (Sec. IV-A)
  * while the final NASSC route uses the optimization-aware tracker.
  *
- * Worker-slot reuse: the forward and reverse DAGs are built once and
- * shared read-only; each Scheduler job slot lazily builds one set of
- * Routers and reuses them across all trials it executes, so the
- * per-trial cost is just the routing passes themselves.  Slots are
- * per-job and stable even as workers steal between jobs (see
- * service/scheduler.h), so the table can never be contended.
+ * Fan-out: run() drains one atomic trial counter from `cap` slots:
+ * the calling thread is slot 0, and cap - 1 helper tasks submitted to
+ * Scheduler::shared() are slots 1 to cap - 1.  When its own drain ends, the
+ * caller cancels every helper no worker has claimed yet, waits for the
+ * claimed ones, and rethrows the exception of the lowest-index trial
+ * that threw.  cap is opts.layout_threads (0 = the whole shared pool
+ * plus the caller), never more than the trial count.  No helper is
+ * submitted, and the shared pool is not even constructed, for a single
+ * trial, for layout_threads == 1, or when the caller is itself a
+ * scheduler task — every served request, sweep job and CallerSlot
+ * holder — so one saturated level of parallelism never becomes two.
+ * A helper drains trials until the race ends, holding its worker the
+ * whole time; only top-level in-process callers ever race on the pool.
  *
- * The engine runs on Scheduler::shared().  When the caller is itself a
- * scheduler task (a TranspileService request mid-sweep), the
- * nested-parallelism guard runs the trials inline — one saturated level
- * of parallelism, never two.
+ * Worker-slot reuse: the forward and reverse DAGs are built once and
+ * shared read-only; each slot lazily builds one set of Routers and
+ * reuses them across all trials it drains (and across run() calls), so
+ * the per-trial cost is just the routing passes themselves.  One
+ * thread drains a slot per run(), so the table is never contended.
  *
  * Deadlines: run() takes the request's absolute deadline (max() = none)
  * and each trial checks it at its start, on whichever worker runs it.
@@ -151,11 +161,11 @@ class LayoutSearch
     LayoutSearch &operator=(const LayoutSearch &) = delete;
 
     /**
-     * Run opts.layout_trials trials on Scheduler::shared(), capped at
-     * opts.layout_threads workers, skipping every trial that starts at
-     * or after `deadline` (see "Deadlines" in the file comment).
+     * Run opts.layout_trials trials on up to opts.layout_threads
+     * threads (see "Fan-out" in the file comment), skipping every
+     * trial that starts at or after `deadline` (see "Deadlines").
      * Without a deadline the result is bit-identical for every thread
-     * count and steal schedule, and every trial carries a scored
+     * count and schedule, and every trial carries a scored
      * (swaps, depth) pair.
      */
     LayoutSearchResult
@@ -163,7 +173,7 @@ class LayoutSearch
             std::chrono::steady_clock::time_point::max());
 
   private:
-    struct WorkerCtx; ///< per-worker-slot Router set
+    struct WorkerCtx; ///< per-slot Router set
 
     WorkerCtx &ctx(int worker);
     Router &score_router(WorkerCtx &c);
@@ -190,19 +200,13 @@ class LayoutSearch
     /** Full-circuit DAG for scoring; empty when fwd_ already is full. */
     std::optional<DagCircuit> full_dag_;
 
-    std::vector<std::unique_ptr<WorkerCtx>> workers_;
+    std::vector<std::unique_ptr<WorkerCtx>> workers_; ///< one per slot
     std::vector<LayoutTrial> trials_;
-    /** Keep-min retention (retain mode only): each finishing trial
-     *  replaces the kept RoutingResult iff its (swaps, depth, trial)
-     *  key is smaller — a total order independent of arrival order, so
-     *  the kept pass is the arg-min winner's for every thread count
-     *  while only one routed circuit stays alive at a time. */
-    std::mutex retained_mu_;
-    RoutingResult retained_;
-    int retained_trial_ = -1;
-    int retained_swaps_ = -1;
-    int retained_depth_ = -1;
+    /** Keep-min winner (see run_trial), and in retain mode its routed
+     *  pass: only one routed circuit stays alive at a time. */
+    std::mutex best_mu_;
     int best_trial_ = -1;
+    RoutingResult retained_;
 };
 
 /**

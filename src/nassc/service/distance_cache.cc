@@ -21,7 +21,7 @@ DistanceRequest::key() const
                       alpha2, alpha3);
         k = buf;
     }
-    if (sparse) {
+    if (row_budget_bytes != 0) {
         char buf[48];
         std::snprintf(buf, sizeof(buf), "|sparse:%zu", row_budget_bytes);
         k += buf;
@@ -109,15 +109,13 @@ DistanceCache::provider(const Backend &backend,
         // from a hit (only distance_resolve shows) in a request trace.
         obs::TraceSpan span("distance_compute");
         try {
-            const std::size_t budget =
-                request.sparse ? request.row_budget_bytes : 0;
             if (request.noise_aware)
                 promise.set_value(std::make_shared<const DistanceProvider>(
                     backend, request.alpha1, request.alpha2, request.alpha3,
-                    budget));
+                    request.row_budget_bytes));
             else
                 promise.set_value(std::make_shared<const DistanceProvider>(
-                    backend.coupling, budget));
+                    backend.coupling, request.row_budget_bytes));
         } catch (...) {
             promise.set_exception(std::current_exception());
             // Evict so a later request can retry; waiters already holding

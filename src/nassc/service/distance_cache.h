@@ -55,12 +55,9 @@ struct DistanceRequest
     double alpha1 = 0.5;
     double alpha2 = 0.0;
     double alpha3 = 0.5;
-    /** Apply row_budget_bytes.  Without it the provider's row cache is
-     *  unbounded; either way rows are computed on first touch. */
-    bool sparse = false;
-    /** Row-cache byte budget when `sparse`; 0 = unbounded.  Part of the
-     *  cache key: two budgets are two providers with different eviction
-     *  behavior. */
+    /** Row-cache byte budget; 0 = unbounded.  Rows are computed on
+     *  first touch either way.  Part of the cache key: two budgets are
+     *  two providers with different eviction behavior. */
     std::size_t row_budget_bytes = 0;
 
     static DistanceRequest hops() { return {}; }
@@ -80,7 +77,6 @@ struct DistanceRequest
     DistanceRequest as_sparse(std::size_t budget_bytes = 0) const
     {
         DistanceRequest r = *this;
-        r.sparse = true;
         r.row_budget_bytes = budget_bytes;
         return r;
     }

@@ -37,9 +37,11 @@
  *     NASSC_FAILPOINTS='service.transpile=2*throw(worker fault);'\
  *     'protocol.write.disconnect=1*trigger' nasscd --unix /tmp/s.sock
  *
- * Sites in the tree: scheduler.claim, service.transpile,
- * service.cache_insert, layout.trial, protocol.read.short,
- * protocol.read.eintr, protocol.write.short, protocol.write.disconnect.
+ * Sites in the tree: scheduler.claim (a sleep stalls the claim; a
+ * throw is counted and dropped, and the claimed task still runs),
+ * service.transpile, service.cache_insert, layout.trial,
+ * protocol.read.short, protocol.read.eintr, protocol.write.short,
+ * protocol.write.disconnect.
  *
  * Thread safety: arm/disarm/eval are safe from any thread (registry
  * mutex); fire counts survive auto-disarm so tests can assert them.

@@ -3,101 +3,69 @@
 
 /**
  * @file
- * Work-stealing multi-job scheduler.
+ * Worker pool whose every job is one task.
  *
- * A pool that runs ONE parallel_for at a time serializes top-level
- * submissions from distinct threads on a submit mutex, so a serving
- * process with concurrent independent batches degrades to lock-step.
- * Scheduler instead keeps PER-JOB task queues: every job (one
- * parallel_for, or one submitted task) owns its own index counter and
- * slot table, the shared workers scan
- * the active-job list round-robin and steal one task at a time from
- * whichever job has work and a free slot, and distinct submitters
- * therefore interleave on the same workers instead of queueing behind
- * each other.
+ * submit() enqueues one task WITHOUT blocking and returns a JobHandle
+ * that can only cancel it.  The serving layer (TranspileService) runs
+ * each transpile request this way while the submitting thread keeps
+ * accepting work, and LayoutSearch fans a top-level layout race out as
+ * helper tasks that drain its trial counter.  A submitted task reports
+ * its own outcome (the service settles a promise, a race helper records
+ * its trial's exception); a throw escaping it is caught and dropped, so
+ * it never kills a worker.  Tasks submitted from distinct threads share
+ * the workers: the queue holds every unclaimed task, whoever submitted
+ * it.
  *
- * parallel_for guarantees:
- *
- *  - fn(index, slot) runs for every index in [0, count) exactly once;
- *    any worker may execute any index, so callers write results into
- *    per-index slots and derive any randomness from the index — which
- *    is exactly how LayoutSearch (derive_trial_seed) keeps its output
- *    bit-identical for every worker count and every steal schedule.
- *  - `slot` is a stable per-JOB scratch id in [0, max_workers): a job
- *    capped at K slots never sees a slot >= K, no two tasks of one job
- *    run concurrently under the same slot, and the parallel_for caller
- *    always owns slot 0 of its own job.  Slot-indexed scratch (one
- *    Router set per slot in LayoutSearch) keeps working even though
- *    which THREAD occupies a slot changes as workers steal.
- *  - Nested-parallelism guard: a parallel_for issued from inside any
- *    task runs inline on the issuing thread, so a saturating batch
- *    degrades its inner layout trials to serial execution instead of
- *    deadlocking on or oversubscribing the pool.
- *  - parallel_for captures exceptions per index and rethrows the
- *    lowest-index one after the job completes, identically for every
- *    schedule; sibling indices still run.
- *
- * One-task submission: submit() enqueues one task WITHOUT blocking and
- * returns a JobHandle that can only cancel it — the serving layer
- * (TranspileService) runs each transpile request this way while the
- * submitting thread keeps accepting work.  A submitted task reports its
- * own outcome (the service settles a promise); a throw escaping it is
- * caught and dropped, so it never kills a worker.
+ * Claim order: a worker takes the highest-priority queued task, and
+ * among equal priorities the earliest submitted.  Tasks here are
+ * routing passes and whole transpiles — milliseconds at least — so one
+ * scheduler-wide mutex around the queue is noise.  Priorities affect
+ * only the ORDER tasks are claimed in, never whether they run: every
+ * submitted task still runs unless cancelled, so all determinism
+ * contracts hold.  A claimed task always runs; the scheduler.claim
+ * failpoint can stall a claim, and a throw armed there is counted and
+ * dropped.
  *
  * Borrowed places: a thread that would only block on the completion of
  * a submitted task can run that work itself instead, in the place of a
  * parked worker (CallerSlot), so the task never enters the queue and no
  * worker is woken.  A borrow succeeds only while a worker is parked, no
- * task is waiting to be claimed (the caller never jumps the queue), and
- * no other caller holds that worker's place.  While it is held, workers
- * claim only while running tasks + borrowed places < num_threads(), so
- * the pool never runs more than num_threads() tasks at once, and the
- * holder runs as a worker's task does: in_task() is true, so a nested
- * parallel_for stays inline.  Releasing the place wakes one worker if
- * a task became claimable meanwhile.
+ * task is queued (the caller never jumps the queue), and no other
+ * caller holds that worker's place.  While it is held, workers claim
+ * only while running tasks + borrowed places < num_threads(), so the
+ * pool never runs more than num_threads() tasks at once, and the holder
+ * runs as a worker's task does: in_task() is true, so a layout race it
+ * starts stays on its thread.  Releasing the place wakes one worker if
+ * a task was queued meanwhile.
  *
- * Fairness and priorities: workers re-scan the job list between tasks
- * (tasks here are routing passes and whole transpiles — milliseconds at
- * least — so the rescan is noise) and claim from the highest-priority
- * claimable job; among equal priorities the scan starts after the job
- * the worker last served, so a long-running job cannot starve a later
- * one of the same priority: the moment any worker finishes a task, the
- * next equal-priority job in rotation gets it.  Priorities affect only
- * the ORDER tasks are claimed in, never whether they run — every
- * submitted task still runs unless cancelled, so all determinism
- * contracts hold.
- *
- * Cancellation: JobHandle::cancel() drops a submitted task that no
- * worker has claimed yet (it is never invoked); a task already running
- * finishes normally.  The serving layer uses this to abandon transpiles
- * whose client disconnected before a worker picked them up.
+ * Cancellation: JobHandle::cancel() removes a task that no worker has
+ * claimed yet from the queue (it is never invoked); a task already
+ * running finishes normally.  The serving layer uses this to abandon
+ * transpiles whose client disconnected before a worker picked them up,
+ * and a layout race to withdraw helpers it no longer needs.
  *
  * Deadlines are not the scheduler's business: a request's budget
  * travels as an argument to the work that polls it
  * (LayoutSearch::run), so trials see it on whichever worker runs them.
  */
 
-#include <cstddef>
 #include <functional>
 #include <memory>
 
 namespace nassc {
 
-/** Multi-job worker pool with per-job queues and task stealing. */
+/** Worker pool running one-task jobs in priority, then arrival, order. */
 class Scheduler
 {
     struct Impl;
 
   public:
-    /** fn(index, slot): see the file comment for the slot contract. */
-    using TaskFn = std::function<void(std::size_t, int)>;
-
     /** Spawns `num_threads` workers; <= 0 picks hardware_concurrency(). */
     explicit Scheduler(int num_threads = 0);
 
     /**
-     * Blocks until every submitted task has run or been cancelled,
-     * then joins the workers.  Clients must not submit after
+     * Blocks until the queue is empty and no task is running, then
+     * joins the workers.  Clients must not submit after
      * destruction begins.
      */
     ~Scheduler();
@@ -105,13 +73,14 @@ class Scheduler
     Scheduler(const Scheduler &) = delete;
     Scheduler &operator=(const Scheduler &) = delete;
 
-    /** Pool threads (excluding the caller slot of parallel_for). */
+    /** Worker threads in the pool. */
     int num_threads() const;
 
     /**
-     * Grow the pool (never shrink) so a parallel_for can hand out up to
-     * max_workers slots including the caller's; returns the resulting
-     * pool size.  Only RoutingOptions::layout_threads still grows a pool
+     * Grow the pool (never shrink) to max_workers - 1 threads, so that
+     * a caller that works beside them has max_workers threads in all;
+     * returns the resulting pool size.  Only
+     * RoutingOptions::layout_threads still grows a pool
      * (hardware_concurrency() under-reports in cgroup-limited
      * containers); a service or sweep that wants N workers builds its
      * own Scheduler(N).  Bounded (256 threads) and a no-op from inside
@@ -144,27 +113,13 @@ class Scheduler
     };
 
     /**
-     * Enqueue fn to run once on a pool worker and return at once; it
-     * interleaves with every other active job.  Safe to call from
-     * inside a task (enqueueing never blocks).  Higher `priority` tasks
-     * are claimed before lower ones whenever both are runnable
-     * (parallel_for jobs run at priority 0); ordering within a priority
-     * stays round-robin.  fn reports its own outcome: an exception
+     * Enqueue fn to run once on a pool worker and return at once.  Safe
+     * to call from inside a task (enqueueing never blocks).  Higher
+     * `priority` tasks are claimed first; equal priorities are claimed
+     * in submission order.  fn reports its own outcome: an exception
      * escaping it is caught and dropped.
      */
     JobHandle submit(std::function<void()> fn, int priority = 0);
-
-    /**
-     * Run fn(index, slot) for index in [0, count), blocking until all
-     * indices finished; the caller participates as slot 0 of this job
-     * (and only this job) while pool workers steal the rest.
-     * max_workers <= 0 means "whole pool + caller".  Runs inline when
-     * called from inside a task, when max_workers == 1, or when count
-     * <= 1.  Rethrows the lowest-index captured exception.  Concurrent
-     * top-level callers interleave — no whole-job serialization.
-     */
-    void parallel_for(std::size_t count, const TaskFn &fn,
-                      int max_workers = 0);
 
     /**
      * RAII borrow of a parked worker's place for the calling thread
@@ -190,9 +145,10 @@ class Scheduler
 
     /**
      * Process-wide scheduler (hardware-concurrency sized, lazily
-     * created).  LayoutSearch always runs on it and TranspileService
-     * defaults to it; the nested-parallelism guard holds across
-     * schedulers, since in_task() is per thread.
+     * created).  A top-level layout race submits its helpers here and
+     * TranspileService defaults to it; a race started inside a task of
+     * any scheduler stays on its thread, since in_task() is per
+     * thread.
      */
     static Scheduler &shared();
 

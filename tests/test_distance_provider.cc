@@ -12,7 +12,8 @@
 //      pinned rows surviving eviction, thread-safe concurrent fetch;
 //  (d) cache integration — calibration rotation drops exactly the old
 //      generation's rows (evictions_invalidated) and recomputes each
-//      touched row exactly once in the new generation;
+//      touched row exactly once in the new generation, and a zero
+//      row budget files no second provider beside the unbounded one;
 //  (e) scale — routing a 1123-qubit heavy-hex device end-to-end keeps
 //      distance storage proportional to the rows actually touched, far
 //      below the n^2 footprint of a full matrix.
@@ -404,6 +405,25 @@ TEST(DistanceCacheRotation, SameKeyDoesNotInvalidate)
     EXPECT_EQ(s.computations, 1u);
     EXPECT_EQ(s.hits, 1u);
     EXPECT_EQ(s.evictions_invalidated, 0u);
+}
+
+TEST(DistanceCacheKey, ZeroBudgetSharesTheUnboundedProvider)
+{
+    // as_sparse(0) asks for the unbounded row cache, so it is the same
+    // provider as the plain request; a real budget is a second one.
+    DistanceCache cache;
+    const Backend b = montreal_backend();
+    const SharedDistanceProvider plain =
+        cache.provider(b, DistanceRequest::hops());
+    EXPECT_EQ(cache.provider(b, DistanceRequest::hops().as_sparse()), plain);
+    EXPECT_EQ(cache.provider(b, DistanceRequest::hops().as_sparse(0)), plain);
+    EXPECT_NE(cache.provider(b, DistanceRequest::hops().as_sparse(4096)),
+              plain);
+    EXPECT_EQ(DistanceRequest::noise().as_sparse().key(),
+              DistanceRequest::noise().key());
+    const DistanceCache::Stats s = cache.stats();
+    EXPECT_EQ(s.computations, 2u);
+    EXPECT_EQ(s.entries, 2u);
 }
 
 // ---------------------------------------------------------------------

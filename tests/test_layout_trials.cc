@@ -21,12 +21,21 @@
 //  (f) trial diversity: when racing, trial 1 is seeded from a partial
 //      perfect-layout embedding (zero scored SWAPs on an embeddable
 //      chain) and trial 2 from the degree-matched heuristic;
-//  (g) run()'s deadline reaches the trials that pool workers steal, and
-//      an expired one throws the typed deadline error.
+//  (g) run()'s deadline reaches the trials that helper tasks run, and
+//      an expired one throws the typed deadline error;
+//  (h) the fan-out: every trial runs exactly once whatever the thread
+//      count, a throwing trial propagates from run() without harming
+//      the shared pool, and a race inside a task, inside a held
+//      CallerSlot or at layout_threads = 1 claims no pool task.
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -529,6 +538,143 @@ TEST(LayoutTrials, DeadlineReachesTrialsOnStolenWorkers)
     EXPECT_THROW(late.run(Clock::now()), TranspileDeadlineExceeded);
 }
 
+TEST(LayoutTrials, EveryTrialRunsExactlyOnce)
+{
+    // Slots drain one counter: each trial index is taken once, whatever
+    // the thread count, and lands at its own index.
+    Backend dev = montreal_backend();
+    const DistanceProvider dist = hop_distance(dev.coupling);
+    for (int threads : {1, 2, 8}) {
+        failpoint::disarm_all();
+        failpoint::ScopedFailpoint count("layout.trial", "trigger");
+        RoutingOptions opts;
+        opts.layout_trials = 16;
+        opts.layout_threads = threads;
+        const LayoutSearchResult res =
+            search_and_route(ghz(5), dev.coupling, dist, opts);
+        EXPECT_EQ(failpoint::hit_count("layout.trial"), 16u) << threads;
+        EXPECT_EQ(res.trials_consumed, 16) << threads;
+        ASSERT_EQ(res.trials.size(), 16u) << threads;
+        for (int t = 0; t < 16; ++t) {
+            EXPECT_EQ(res.trials[static_cast<std::size_t>(t)].trial, t);
+            EXPECT_TRUE(res.trials[static_cast<std::size_t>(t)].consumed);
+        }
+    }
+    failpoint::disarm_all();
+}
+
+TEST(LayoutTrials, ThrowingTrialPropagatesAndPoolSurvives)
+{
+    Backend dev = montreal_backend();
+    const DistanceProvider dist = hop_distance(dev.coupling);
+    for (int threads : {1, 4}) {
+        RoutingOptions opts;
+        opts.layout_trials = 8;
+        opts.layout_threads = threads;
+        {
+            failpoint::disarm_all();
+            failpoint::ScopedFailpoint fault("layout.trial",
+                                             "2*throw(trial fault)");
+            try {
+                search_and_route(ghz(5), dev.coupling, dist, opts);
+                FAIL() << "expected the trial's exception, threads "
+                       << threads;
+            } catch (const std::runtime_error &e) {
+                EXPECT_NE(std::string(e.what()).find("trial fault"),
+                          std::string::npos);
+            }
+        }
+        // The shared pool runs later work, and a later race is whole.
+        std::atomic<bool> ran{false};
+        Scheduler::shared().submit([&] { ran = true; });
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!ran.load() && std::chrono::steady_clock::now() < until)
+            std::this_thread::yield();
+        EXPECT_TRUE(ran.load()) << threads;
+        EXPECT_EQ(search_and_route(ghz(5), dev.coupling, dist, opts)
+                      .trials_consumed,
+                  8)
+            << threads;
+    }
+    failpoint::disarm_all();
+}
+
+TEST(LayoutTrials, NestedOrSerialRaceClaimsNoPoolTask)
+{
+    // A race fans out only from a top-level caller with
+    // layout_threads != 1.  Every claim of any scheduler fires
+    // scheduler.claim, so its hit count tells whether helpers ran.
+    Backend dev = montreal_backend();
+    const DistanceProvider dist = hop_distance(dev.coupling);
+    const QuantumCircuit logical = ghz(5);
+    RoutingOptions opts;
+    opts.layout_trials = 8;
+    opts.layout_threads = 4;
+    const LayoutSearchResult want =
+        search_and_route(logical, dev.coupling, dist, opts);
+    auto race = [&](const RoutingOptions &o) {
+        const LayoutSearchResult res =
+            search_and_route(logical, dev.coupling, dist, o);
+        EXPECT_EQ(res.trials_consumed, 8);
+        EXPECT_EQ(res.initial.l2p(), want.initial.l2p());
+    };
+    failpoint::disarm_all();
+
+    {
+        // Control: a top-level race whose caller is stalled in its
+        // first trial leaves its helpers time to be claimed.
+        failpoint::ScopedFailpoint slow("layout.trial", "1*sleep(100)");
+        failpoint::ScopedFailpoint claims("scheduler.claim", "trigger");
+        race(opts);
+        EXPECT_GE(failpoint::hit_count("scheduler.claim"), 1u);
+    }
+    failpoint::disarm_all();
+
+    {
+        RoutingOptions serial = opts;
+        serial.layout_threads = 1;
+        failpoint::ScopedFailpoint claims("scheduler.claim", "trigger");
+        race(serial);
+        EXPECT_EQ(failpoint::hit_count("scheduler.claim"), 0u);
+    }
+    failpoint::disarm_all();
+
+    {
+        // Inside a task: the one claim is the task itself.
+        Scheduler sched(1);
+        failpoint::ScopedFailpoint claims("scheduler.claim", "trigger");
+        std::atomic<bool> done{false};
+        sched.submit([&] {
+            race(opts);
+            done = true;
+        });
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!done.load() && std::chrono::steady_clock::now() < until)
+            std::this_thread::yield();
+        ASSERT_TRUE(done.load());
+        EXPECT_EQ(failpoint::hit_count("scheduler.claim"), 1u);
+    }
+    failpoint::disarm_all();
+
+    {
+        // Inside a held CallerSlot: the holder runs as a task.
+        Scheduler sched(1);
+        std::unique_ptr<Scheduler::CallerSlot> slot;
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        do {
+            slot = std::make_unique<Scheduler::CallerSlot>(sched);
+        } while (!slot->held() && std::chrono::steady_clock::now() < until);
+        ASSERT_TRUE(slot->held());
+        failpoint::ScopedFailpoint claims("scheduler.claim", "trigger");
+        race(opts);
+        EXPECT_EQ(failpoint::hit_count("scheduler.claim"), 0u);
+    }
+    failpoint::disarm_all();
+}
+
 TEST(LayoutTrials, TrialSeedDerivationIsPureAndStable)
 {
     // Trial 0 keeps the base seed: single-trial bit-compatibility.
@@ -556,9 +702,9 @@ TEST(LayoutTrials, TrialSeedDerivationIsPureAndStable)
 TEST(LayoutTrials, NestedInBatchRunsInlineAndMatchesSerial)
 {
     // A sweep whose jobs each race 4 layout trials: as tickets on an
-    // 8-worker context the inner searches hit the pool's
-    // nested-parallelism guard and run inline, and the metrics must
-    // match direct calls (trials on the shared pool) bit for bit.
+    // 8-worker context the inner searches run inside tasks and stay on
+    // their job's worker, and the metrics must match direct calls
+    // (trials fanned out on the shared pool) bit for bit.
     auto dev = std::make_shared<Backend>(montreal_backend());
     TranspileOptions opts;
     opts.layout_trials = 4;

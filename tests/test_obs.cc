@@ -5,7 +5,9 @@
 //      right buckets and snapshots count them;
 //  (b) span lifecycle — nested TraceSpans close (open_spans back to 0)
 //      while unwinding failpoint-injected throws and deadline expiry,
-//      through the real TranspileService/Scheduler propagation seam;
+//      through the real TranspileService/Scheduler propagation seam,
+//      and a layout race's helper tasks record onto the caller's
+//      tracer;
 //  (c) determinism — transpiled output is bit-identical with tracing
 //      armed vs off, across the Table I golden circuits and both
 //      routers (spans read clocks and append to side buffers only);
@@ -32,6 +34,7 @@
 #include "nassc/obs/event_log.h"
 #include "nassc/obs/metrics.h"
 #include "nassc/obs/trace.h"
+#include "nassc/route/layout_search.h"
 #include "nassc/serve/client.h"
 #include "nassc/serve/protocol.h"
 #include "nassc/serve/server.h"
@@ -152,6 +155,31 @@ TEST(ObsTrace, NestedSpansCloseWhileUnwinding)
     EXPECT_EQ(spans[1].first, "outer");
 }
 
+TEST(ObsTrace, RaceHelperSpansLandOnTheCallersTracer)
+{
+    // submit() hands the submitter's tracer to the task, so trials run
+    // by a top-level race's helpers report to the caller's request.  A
+    // stalled first trial gives the helpers time to be claimed.
+    failpoint::disarm_all();
+    failpoint::ScopedFailpoint slow("layout.trial", "1*sleep(100)");
+    const Backend dev = montreal_backend();
+    const DistanceProvider dist = hop_distance(dev.coupling);
+    RoutingOptions opts;
+    opts.layout_trials = 8;
+    opts.layout_threads = 4;
+    auto tracer = std::make_shared<obs::Tracer>("race-test");
+    {
+        obs::TraceScope scope(tracer);
+        search_and_route(ghz(5), dev.coupling, dist, opts);
+    }
+    int trial_spans = 0;
+    for (const auto &span : tracer->spans())
+        trial_spans += span.first == "layout_trial" ? 1 : 0;
+    EXPECT_EQ(trial_spans, 8);
+    EXPECT_EQ(tracer->open_spans(), 0);
+    failpoint::disarm_all();
+}
+
 TEST(ObsTrace, ServiceSpansCloseUnderFailpointThrow)
 {
     failpoint::disarm_all();
@@ -251,10 +279,9 @@ TEST(ObsWire, TraceOptionReturnsStageSpans)
     ServeClient client = ServeClient::connect_unix(server.unix_path());
 
     const std::string qasm = to_qasm(benchmark_by_name("vqe_n8"));
-    // layout_trials > 1 sends trials through Scheduler::parallel_for,
-    // so the per-trial spans below also pin the Job trace-propagation
-    // seam (spans recorded on stolen worker threads land on this
-    // request's tracer).
+    // layout_trials > 1 races several trials; a served request runs
+    // them on its own task's thread, and each completed trial records
+    // a span on this request's tracer.
     const std::vector<std::pair<std::string, std::string>> traced_opts = {
         {"router", "nassc"}, {"seed", "3"}, {"layout_trials", "4"},
         {"trace", "1"}};

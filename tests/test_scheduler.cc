@@ -1,27 +1,23 @@
-// Tests for the work-stealing job scheduler (service/scheduler.h):
+// Tests for the one-task worker pool (service/scheduler.h):
 //
-//  (a) index coverage and the per-job slot contract (slots < cap,
-//      unique concurrent occupancy, caller owns slot 0);
-//  (b) the headline multi-job property: concurrent top-level submitters
-//      make interleaved progress — no whole-job serialization — even
-//      while submitted tasks hold every pool worker (a pool that runs
-//      one job at a time behind a submit mutex deadlocks here);
-//  (c) determinism: per-index results are identical for every worker
-//      count and steal schedule;
-//  (d) deterministic lowest-index exception selection with sibling
-//      isolation in parallel_for;
-//  (e) one-task submit(): returns at once, a throwing task spares its
-//      worker, submission from inside a task, priorities, cancel();
-//  (f) nested-parallelism guard and ensure_workers growth;
-//  (g) DistanceCache under concurrent mixed backends driven through the
-//      scheduler: exactly-once compute per key, coherent stats();
-//  (h) CallerSlot: a caller borrows only a parked worker's place, a
-//      worker does not claim while its place is borrowed, and the
+//  (a) submit(): returns at once, a throwing task spares its worker,
+//      submission from inside a task and from many threads at once,
+//      the destructor drains the queue, ensure_workers growth;
+//  (b) claim order: higher priorities first, equal priorities in
+//      arrival order;
+//  (c) cancel() drops only unclaimed tasks; the scheduler.claim
+//      failpoint counts claims, and a throw armed there never loses
+//      the claimed task;
+//  (d) DistanceCache under concurrent mixed backends driven through
+//      pool tasks and plain threads: exactly-once compute per key,
+//      coherent stats();
+//  (e) CallerSlot: a caller borrows only a parked worker's place, runs
+//      as a task while holding it (a layout race stays on its thread),
+//      a worker does not claim while its place is borrowed, and the
 //      release wakes it.
 
 #include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -31,7 +27,8 @@
 
 #include <gtest/gtest.h>
 
-#include "nassc/ir/fnv1a.h"
+#include "nassc/circuits/library.h"
+#include "nassc/route/layout_search.h"
 #include "nassc/service/distance_cache.h"
 #include "nassc/service/failpoint.h"
 #include "nassc/service/scheduler.h"
@@ -54,162 +51,6 @@ spin_until(Pred pred)
         std::this_thread::yield();
     }
     return true;
-}
-
-TEST(Scheduler, RunsEveryIndexExactlyOnce)
-{
-    Scheduler sched(4);
-    for (std::size_t count : {0u, 1u, 3u, 64u, 1000u}) {
-        std::vector<std::atomic<int>> hits(count);
-        sched.parallel_for(count, [&](std::size_t i, int) {
-            hits[i].fetch_add(1);
-        });
-        for (std::size_t i = 0; i < count; ++i)
-            EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-    }
-}
-
-TEST(Scheduler, SlotContractHoldsUnderStealing)
-{
-    // Slots are per-JOB scratch ids: always < cap, never concurrently
-    // occupied by two tasks of the same job, and the caller is slot 0.
-    Scheduler sched(4);
-    const int cap = 3;
-    std::vector<std::atomic<int>> occupied(cap);
-    std::atomic<int> violations{0};
-    std::atomic<bool> caller_got_slot0{false};
-    const std::thread::id caller = std::this_thread::get_id();
-
-    sched.parallel_for(
-        256,
-        [&](std::size_t, int slot) {
-            if (slot < 0 || slot >= cap) {
-                violations.fetch_add(1);
-                return;
-            }
-            if (std::this_thread::get_id() == caller) {
-                caller_got_slot0 = true;
-                if (slot != 0)
-                    violations.fetch_add(1);
-            }
-            if (occupied[slot].fetch_add(1) != 0)
-                violations.fetch_add(1); // two concurrent owners
-            std::this_thread::yield();
-            occupied[slot].fetch_sub(1);
-        },
-        cap);
-
-    EXPECT_EQ(violations.load(), 0);
-    EXPECT_TRUE(caller_got_slot0.load());
-}
-
-TEST(Scheduler, ConcurrentSubmittersInterleave)
-{
-    // Two top-level parallel_for calls whose first tasks each wait for
-    // the OTHER job to have started: only interleaved execution can
-    // satisfy both.  A pool that serializes whole jobs behind a submit
-    // mutex times out here.
-    Scheduler sched(2);
-    std::atomic<int> arrived{0};
-    std::atomic<int> timeouts{0};
-
-    auto submitter = [&] {
-        sched.parallel_for(4, [&](std::size_t i, int) {
-            if (i == 0) {
-                arrived.fetch_add(1);
-                if (!spin_until([&] { return arrived.load() >= 2; }))
-                    timeouts.fetch_add(1);
-            }
-        });
-    };
-    std::thread a(submitter), b(submitter);
-    a.join();
-    b.join();
-    EXPECT_EQ(timeouts.load(), 0);
-    EXPECT_EQ(arrived.load(), 2);
-}
-
-TEST(Scheduler, SubmittersProgressWhileWorkersAreSaturated)
-{
-    // Every pool worker is pinned inside a long-running submitted job;
-    // two parallel_for callers must still interleave via their own
-    // caller slots.  Releases the hostage job at the end.
-    Scheduler sched(2);
-    PinnedWorker first(sched), second(sched);
-    ASSERT_TRUE(
-        spin_until([&] { return first.pinned() && second.pinned(); }));
-
-    std::atomic<int> arrived{0};
-    std::atomic<int> timeouts{0};
-    auto submitter = [&] {
-        sched.parallel_for(3, [&](std::size_t i, int) {
-            if (i == 0) {
-                arrived.fetch_add(1);
-                if (!spin_until([&] { return arrived.load() >= 2; }))
-                    timeouts.fetch_add(1);
-            }
-        });
-    };
-    std::thread a(submitter), b(submitter);
-    a.join();
-    b.join();
-    EXPECT_EQ(timeouts.load(), 0);
-}
-
-TEST(Scheduler, PerIndexResultsAreScheduleInvariant)
-{
-    // The determinism contract the routing clients build on: work that
-    // derives everything from its index produces identical output for
-    // every worker count, including under concurrent foreign load.
-    auto run = [](Scheduler &sched, int cap) {
-        std::vector<std::uint64_t> out(512);
-        sched.parallel_for(
-            out.size(),
-            [&](std::size_t i, int) {
-                Fnv1a mix;
-                mix.u32(0xbeefu);
-                mix.u64(i);
-                out[i] = mix.value();
-            },
-            cap);
-        return out;
-    };
-    Scheduler sched(8);
-    const std::vector<std::uint64_t> want = run(sched, 1);
-    for (int cap : {2, 4, 0}) {
-        // Foreign load perturbs the steal schedule, never the results.
-        std::atomic<int> noise{0};
-        for (int i = 0; i < 64; ++i)
-            sched.submit([&] {
-                std::this_thread::yield();
-                noise.fetch_add(1);
-            });
-        EXPECT_EQ(run(sched, cap), want) << "cap " << cap;
-        EXPECT_TRUE(spin_until([&] { return noise.load() == 64; }));
-    }
-}
-
-TEST(Scheduler, LowestIndexExceptionWinsAndSiblingsStillRun)
-{
-    for (int threads : {1, 4}) {
-        Scheduler sched(threads);
-        std::vector<std::atomic<int>> done(64);
-        try {
-            sched.parallel_for(64, [&](std::size_t i, int) {
-                if (i == 7 || i == 23 || i == 41)
-                    throw std::runtime_error("boom " + std::to_string(i));
-                done[i].fetch_add(1);
-            });
-            FAIL() << "expected an exception (threads=" << threads << ")";
-        } catch (const std::runtime_error &e) {
-            EXPECT_STREQ(e.what(), "boom 7");
-        }
-        for (std::size_t i = 0; i < 64; ++i) {
-            if (i == 7 || i == 23 || i == 41)
-                continue;
-            EXPECT_EQ(done[i].load(), 1) << "index " << i;
-        }
-    }
 }
 
 TEST(Scheduler, SubmitReturnsImmediatelyAndAThrowSparesTheWorker)
@@ -235,62 +76,46 @@ TEST(Scheduler, SubmitReturnsImmediatelyAndAThrowSparesTheWorker)
 TEST(Scheduler, SubmitFromInsideATaskIsAllowed)
 {
     // Enqueueing never blocks, so tasks may fan follow-up work out
-    // asynchronously.
-    Scheduler sched(2);
+    // asynchronously — even on a one-worker pool, whose only worker is
+    // the one submitting.
+    Scheduler sched(1);
     std::atomic<int> inner{0};
-    sched.parallel_for(4, [&](std::size_t, int) {
-        for (int k = 0; k < 4; ++k)
-            sched.submit([&] { inner.fetch_add(1); });
-    });
-    EXPECT_TRUE(spin_until([&] { return inner.load() == 16; }));
-}
-
-TEST(Scheduler, NestedParallelForRunsInline)
-{
-    Scheduler sched(4);
-    std::atomic<int> inner_total{0};
-    std::atomic<int> nested_off_thread{0};
-
-    EXPECT_FALSE(Scheduler::in_task());
-    sched.parallel_for(8, [&](std::size_t, int) {
-        EXPECT_TRUE(Scheduler::in_task());
-        const std::thread::id me = std::this_thread::get_id();
-        sched.parallel_for(16, [&](std::size_t, int slot) {
-            inner_total.fetch_add(1);
-            if (std::this_thread::get_id() != me || slot != 0)
-                nested_off_thread.fetch_add(1);
+    for (int k = 0; k < 4; ++k)
+        sched.submit([&] {
+            for (int j = 0; j < 4; ++j)
+                sched.submit([&] { inner.fetch_add(1); });
         });
-    });
-    EXPECT_FALSE(Scheduler::in_task());
-    EXPECT_EQ(inner_total.load(), 8 * 16);
-    EXPECT_EQ(nested_off_thread.load(), 0);
-}
-
-TEST(Scheduler, MaxWorkersOneRunsInlineOnCaller)
-{
-    Scheduler sched(4);
-    const std::thread::id caller = std::this_thread::get_id();
-    std::atomic<int> off_thread{0};
-    sched.parallel_for(
-        32,
-        [&](std::size_t, int slot) {
-            if (std::this_thread::get_id() != caller || slot != 0)
-                off_thread.fetch_add(1);
-        },
-        /*max_workers=*/1);
-    EXPECT_EQ(off_thread.load(), 0);
+    EXPECT_TRUE(spin_until([&] { return inner.load() == 16; }));
 }
 
 TEST(Scheduler, EnsureWorkersGrowsButNeverShrinks)
 {
     Scheduler sched(1);
     EXPECT_EQ(sched.num_threads(), 1);
-    EXPECT_EQ(sched.ensure_workers(4), 3); // 4 slots incl. the caller
+    EXPECT_EQ(sched.ensure_workers(4), 3); // 4 threads incl. the caller
     EXPECT_EQ(sched.num_threads(), 3);
     EXPECT_EQ(sched.ensure_workers(2), 3); // no shrink
+    // A task grows nothing: a race inside it never fans out.
+    std::atomic<int> grown{0};
+    sched.submit([&] { grown = sched.ensure_workers(8); });
+    ASSERT_TRUE(spin_until([&] { return grown.load() != 0; }));
+    EXPECT_EQ(grown.load(), 3);
+    // The grown pool runs every task, and all three workers hold one
+    // at the same time.
+    std::atomic<int> together{0};
+    std::atomic<int> apart{0};
     std::atomic<int> n{0};
-    sched.parallel_for(100, [&](std::size_t, int) { n.fetch_add(1); });
-    EXPECT_EQ(n.load(), 100);
+    for (int i = 0; i < 3; ++i)
+        sched.submit([&] {
+            together.fetch_add(1);
+            if (!spin_until([&] { return together.load() == 3; }))
+                apart.fetch_add(1);
+            n.fetch_add(1);
+        });
+    for (int i = 0; i < 97; ++i)
+        sched.submit([&] { n.fetch_add(1); });
+    EXPECT_TRUE(spin_until([&] { return n.load() == 100; }));
+    EXPECT_EQ(apart.load(), 0);
 }
 
 TEST(Scheduler, SharedSchedulerIsAProcessSingleton)
@@ -303,28 +128,30 @@ TEST(Scheduler, SharedSchedulerIsAProcessSingleton)
 
 TEST(Scheduler, ManySubmittersStress)
 {
-    Scheduler sched(4);
+    // Four threads submit while the workers claim; the destructor then
+    // waits for every queued and running task.
     std::atomic<long> total{0};
-    auto submitter = [&](int rounds) {
-        for (int r = 0; r < rounds; ++r)
-            sched.parallel_for(32, [&](std::size_t, int) {
-                total.fetch_add(1);
-            });
-    };
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t)
-        threads.emplace_back(submitter, 25);
-    for (auto &t : threads)
-        t.join();
+    {
+        Scheduler sched(4);
+        auto submitter = [&](int tasks) {
+            for (int i = 0; i < tasks; ++i)
+                sched.submit([&] { total.fetch_add(1); });
+        };
+        std::vector<std::thread> threads;
+        for (int t = 0; t < 4; ++t)
+            threads.emplace_back(submitter, 25 * 32);
+        for (auto &t : threads)
+            t.join();
+    }
     EXPECT_EQ(total.load(), 4L * 25 * 32);
 }
 
 TEST(Scheduler, DistanceCacheMixedBackendStress)
 {
-    // Satellite coverage: many concurrent requesters, three backends x
-    // two metrics, driven through scheduler tasks AND async jobs at
-    // once.  Every key computes exactly once; all requesters for one
-    // key share the identical provider object; stats() is coherent.
+    // Many concurrent requesters, three backends x two metrics, driven
+    // through pool tasks AND plain threads at once.  Every key computes
+    // exactly once; all requesters for one key share the identical
+    // provider object; stats() is coherent.
     auto montreal = montreal_backend();
     auto linear = linear_backend(25);
     auto grid = grid_backend(5, 5);
@@ -348,9 +175,14 @@ TEST(Scheduler, DistanceCacheMixedBackendStress)
             got[i] = fetch(i);
             async_done.fetch_add(1);
         });
-    sched.parallel_for(kTasks / 2, [&](std::size_t i, int) {
-        got[kTasks / 2 + i] = fetch(kTasks / 2 + i);
-    });
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 4; ++t)
+        threads.emplace_back([&, t] {
+            for (std::size_t i = kTasks / 2 + t; i < kTasks; i += 4)
+                got[i] = fetch(i);
+        });
+    for (std::thread &t : threads)
+        t.join();
     ASSERT_TRUE(spin_until([&] { return async_done.load() == kTasks / 2; }));
 
     const DistanceCache::Stats stats = cache.stats();
@@ -397,6 +229,33 @@ TEST(Scheduler, HigherPriorityJobsAreClaimedFirst)
     EXPECT_EQ(order[0], 5);
     EXPECT_EQ(order[1], 1);
     EXPECT_EQ(order[2], 0);
+}
+
+TEST(Scheduler, EqualPrioritiesRunInArrivalOrder)
+{
+    // One worker, held hostage while tasks queue at two priorities:
+    // the higher ones go first, each priority in submission order.
+    Scheduler sched(1);
+    PinnedWorker hostage(sched);
+    ASSERT_TRUE(spin_until([&] { return hostage.pinned(); }));
+
+    std::mutex mu;
+    std::vector<int> order;
+    const int tags[] = {10, 11, 20, 12, 21, 13, 22};
+    for (int tag : tags)
+        sched.submit(
+            [&, tag] {
+                std::lock_guard<std::mutex> lk(mu);
+                order.push_back(tag);
+            },
+            /*priority=*/tag / 10);
+
+    hostage.release();
+    ASSERT_TRUE(spin_until([&] {
+        std::lock_guard<std::mutex> lk(mu);
+        return order.size() == 7;
+    }));
+    EXPECT_EQ(order, (std::vector<int>{20, 21, 22, 10, 11, 12, 13}));
 }
 
 TEST(Scheduler, CancelDropsUnclaimedTasks)
@@ -457,6 +316,21 @@ TEST(Scheduler, ClaimFailpointFiresPerTaskAndDisarms)
     EXPECT_EQ(failpoint::hit_count("scheduler.claim"), 0u);
 }
 
+TEST(Scheduler, AThrowAtTheClaimStillRunsTheTask)
+{
+    // A fault armed at scheduler.claim is counted and dropped: the
+    // claimed task runs anyway, since nothing else ever would.
+    failpoint::disarm_all();
+    failpoint::ScopedFailpoint fault("scheduler.claim", "2*throw(claim)");
+    Scheduler sched(1);
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 3; ++i)
+        sched.submit([&] { ran.fetch_add(1); });
+    EXPECT_TRUE(spin_until([&] { return ran.load() == 3; }));
+    EXPECT_EQ(failpoint::hit_count("scheduler.claim"), 2u);
+    failpoint::disarm_all();
+}
+
 /** Whether a CallerSlot on `sched` can be held right now. */
 bool
 borrowable(Scheduler &sched)
@@ -493,20 +367,27 @@ TEST(Scheduler, CallerSlotBorrowsOnlyAParkedWorkersPlace)
 
 TEST(Scheduler, HeldCallerSlotRunsAsATask)
 {
+    // The holder is a task: a layout race it starts stays on its
+    // thread, so no pool task is claimed anywhere while it runs.
     Scheduler sched(2);
     ASSERT_TRUE(spin_until([&] { return borrowable(sched); }));
-    const std::thread::id me = std::this_thread::get_id();
+    const Backend dev = montreal_backend();
+    const DistanceProvider dist = hop_distance(dev.coupling);
+    RoutingOptions opts;
+    opts.layout_trials = 8;
+    opts.layout_threads = 4;
     EXPECT_FALSE(Scheduler::in_task());
     {
         Scheduler::CallerSlot slot(sched);
         ASSERT_TRUE(slot.held());
         EXPECT_TRUE(Scheduler::in_task());
-        std::atomic<int> off_thread{0};
-        sched.parallel_for(16, [&](std::size_t, int s) {
-            if (std::this_thread::get_id() != me || s != 0)
-                off_thread.fetch_add(1);
-        });
-        EXPECT_EQ(off_thread.load(), 0); // the nesting guard held
+        failpoint::disarm_all();
+        failpoint::ScopedFailpoint claims("scheduler.claim", "trigger");
+        const LayoutSearchResult res =
+            search_and_route(ghz(5), dev.coupling, dist, opts);
+        EXPECT_EQ(res.trials_consumed, 8);
+        EXPECT_EQ(failpoint::hit_count("scheduler.claim"), 0u);
+        failpoint::disarm_all();
     }
     EXPECT_FALSE(Scheduler::in_task());
 }

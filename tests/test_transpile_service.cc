@@ -269,6 +269,34 @@ TEST(TranspileService, FailuresPropagateAndAreNeverCached)
                  std::invalid_argument);
 }
 
+TEST(TranspileService, AThrowAtTheClaimStillRunsTheRequest)
+{
+    // A fault armed at scheduler.claim must not lose the claimed
+    // request: its ticket settles and nothing stays in flight.
+    failpoint::disarm_all();
+    failpoint::ScopedFailpoint fault("scheduler.claim",
+                                     "1*throw(claim fault)");
+    ServiceOptions sopts;
+    sopts.scheduler = std::make_shared<Scheduler>(1);
+    auto service = std::make_unique<TranspileService>(sopts);
+    TranspileTicket t = service->submit(ghz(3), shared_montreal(), {});
+    const bool settled = t.wait_for(std::chrono::seconds(10));
+    EXPECT_TRUE(settled);
+    if (!settled) {
+        // A lost request would block ~TranspileService forever; leak
+        // the service so the test fails instead of hanging.
+        (void)service.release();
+        return;
+    }
+    EXPECT_NO_THROW(t.get());
+    const ServiceStats stats = service->stats();
+    EXPECT_EQ(stats.transpiles_ok, 1u);
+    EXPECT_EQ(stats.transpiles_failed, 0u);
+    EXPECT_EQ(stats.inflight, 0u);
+    EXPECT_EQ(failpoint::hit_count("scheduler.claim"), 1u);
+    failpoint::disarm_all();
+}
+
 TEST(TranspileService, RequestKeySeparatesEveryComponent)
 {
     const Backend montreal = montreal_backend();
@@ -344,8 +372,8 @@ TEST(TranspileService, DeadlineDegradesToBestCompletedTrialWithinBudget)
     // Deterministic, no sleep race: a failpoint makes the FIRST layout
     // trial overshoot the deadline by construction (sleep 1500 ms vs a
     // 1000 ms budget), so later trials are skipped at their boundary
-    // poll no matter how threads are scheduled.  One worker keeps the
-    // trials sequential (nested parallel_for runs inline).
+    // poll no matter how threads are scheduled.  The request runs as a
+    // task, so its trials stay sequential on that one worker.
     failpoint::disarm_all();
     failpoint::ScopedFailpoint slow("layout.trial", "1*sleep(1500)");
 
