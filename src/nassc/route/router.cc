@@ -497,8 +497,9 @@ Router::apply_swap(int p, int q, const SwapReduction &red)
         ++stats_.flagged_swaps;
     } else {
         // Pure-C2q (or unflagged) swaps keep the default
-        // decomposition: the consolidation pass absorbs them into the
-        // adjacent block regardless of orientation.
+        // decomposition: after SWAP expansion, the optimization loop's
+        // block consolidation absorbs their CNOTs into the adjacent
+        // block regardless of orientation.
         emit(Gate::two_q(OpKind::kSwap, p, q));
     }
 

@@ -145,16 +145,12 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
 
     QuantumCircuit phys = std::move(routed.circuit);
 
-    // 6. SWAP handling.
-    if (opts.router == RoutingAlgorithm::kNassc) {
-        // Give block resynthesis a chance to absorb whole SWAPs (C2q),
-        // then expand the remaining SWAPs with their orientation flags.
-        consolidate_2q_blocks(phys, Basis1q::kUGate, memo);
-        decompose_swaps(phys, opts.orientation_aware_decomposition);
-    } else {
-        // Qiskit+SABRE: fixed decomposition at the routing step.
-        decompose_swaps(phys, /*orientation_aware=*/false);
-    }
+    // 6. SWAP expansion.  NASSC honours the orientation flags its router
+    //    set; the optimization loop's consolidation then realizes the
+    //    C2q saving, after commutative cancellation has removed the CX
+    //    pairs the flags line up.  Qiskit+SABRE: fixed decomposition.
+    decompose_swaps(phys, opts.router == RoutingAlgorithm::kNassc &&
+                              opts.orientation_aware_decomposition);
 
     // 7. Basis translation + optimization loop.
     phys = translate_to_basis(phys);

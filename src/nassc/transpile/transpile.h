@@ -9,15 +9,17 @@
  *
  *   decompose -> pre-routing optimization (Optimize1qGates,
  *   Collect2qBlocks resynthesis, commutation analysis happens inside the
- *   router) -> SabreLayout -> routing (SABRE or NASSC) -> [NASSC only:
- *   consolidate blocks including SWAPs, flag-aware SWAP decomposition] ->
- *   basis translation -> optimization loop (Optimize1qGates,
- *   CommutativeCancellation, Collect2qBlocks) to fixpoint.
+ *   router) -> SabreLayout -> routing (SABRE or NASSC) -> SWAP
+ *   decomposition (flag-aware for NASSC, fixed for SABRE) -> basis
+ *   translation -> optimization loop (Optimize1qGates,
+ *   CommutativeCancellation, Collect2qBlocks) to fixpoint.  NASSC's C2q
+ *   saving is realized by the loop's block consolidation, which runs
+ *   after cancellation has removed the CX pairs the SWAP flags line up.
  *
  * Each transpile() or optimize_only() call passes one SynthMemo (see
  * passes/collect_blocks.h) to every block consolidation it runs —
- * pre-routing, the NASSC SWAP consolidation and each loop round — so a
- * recurring block is synthesized once per call.  The caller owns the
+ * pre-routing and each loop round — so a recurring block is
+ * synthesized once per call.  The caller owns the
  * memo: a TranspileService leases one from its pool for each request,
  * so blocks synthesized by earlier requests are hits, and the other
  * overloads keep one on the call's stack.  A memo has one user at a

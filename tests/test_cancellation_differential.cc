@@ -328,12 +328,8 @@ transpile_checking_cancellation(const QuantumCircuit &qc,
                                       search.initial, ropts)
                             .circuit;
 
-    if (opts.router == RoutingAlgorithm::kNassc) {
-        consolidate_2q_blocks(phys, Basis1q::kUGate, memo);
-        decompose_swaps(phys, opts.orientation_aware_decomposition);
-    } else {
-        decompose_swaps(phys, /*orientation_aware=*/false);
-    }
+    decompose_swaps(phys, opts.router == RoutingAlgorithm::kNassc &&
+                              opts.orientation_aware_decomposition);
     phys = translate_to_basis(phys);
 
     int last_size = -1;

@@ -264,64 +264,64 @@ constexpr FinalConfig kFinalConfigs[] = {
 const FinalGolden kFinalGoldens[] = {
     {"grover_n4", "sabre", 157, 377, 0x76c3a1ebe4c3c74bull},
     {"grover_n4", "sabre_noise", 166, 354, 0x02930023467d5f68ull},
-    {"grover_n4", "nassc", 141, 411, 0x12bd2033db3be365ull},
-    {"grover_n4", "nassc_noise", 139, 372, 0xa56b87f168007c92ull},
+    {"grover_n4", "nassc", 141, 349, 0x073e62072fa74c26ull},
+    {"grover_n4", "nassc_noise", 139, 311, 0x66bc313e0eaa40bbull},
     {"grover_n6", "sabre", 837, 1322, 0xc99f5d0e748cc2d2ull},
     {"grover_n6", "sabre_noise", 1076, 1509, 0x5b2cc77d4e1eada6ull},
-    {"grover_n6", "nassc", 767, 1486, 0x4a5afdc8fe3052c8ull},
-    {"grover_n6", "nassc_noise", 1140, 1788, 0xf445c9d9d2f67d7dull},
+    {"grover_n6", "nassc", 767, 1095, 0x5709b70787a9b374ull},
+    {"grover_n6", "nassc_noise", 1140, 1380, 0x5ae9a4478bfa356cull},
     {"grover_n8", "sabre", 2929, 4410, 0x309c48ee88c9ca6full},
     {"grover_n8", "sabre_noise", 3421, 4801, 0x6aeff447efe40ef8ull},
-    {"grover_n8", "nassc", 2683, 4923, 0x6d3fe076db7c2f1eull},
-    {"grover_n8", "nassc_noise", 3232, 5685, 0x0729d1d5fb2b7577ull},
+    {"grover_n8", "nassc", 2683, 3465, 0xcec2cf309a600318ull},
+    {"grover_n8", "nassc_noise", 3232, 4105, 0x12523fc6c3cb367bull},
     {"vqe_n8", "sabre", 315, 271, 0x8ee403da710eab35ull},
     {"vqe_n8", "sabre_noise", 378, 387, 0xafc918aff1dfc8f6ull},
-    {"vqe_n8", "nassc", 268, 360, 0x1b3f58904a8bf91dull},
-    {"vqe_n8", "nassc_noise", 241, 329, 0x7fef86cf046b5380ull},
+    {"vqe_n8", "nassc", 268, 206, 0xbc1cbd2a8285b63cull},
+    {"vqe_n8", "nassc_noise", 241, 185, 0x61cfb1647f5f04a1ull},
     {"vqe_n12", "sabre", 840, 531, 0x4cc6880db204a20aull},
     {"vqe_n12", "sabre_noise", 989, 632, 0xdf745062d3b0d9ebull},
-    {"vqe_n12", "nassc", 629, 552, 0xd389d8a4ed399eb1ull},
-    {"vqe_n12", "nassc_noise", 496, 416, 0x2353ef78830ce9f2ull},
+    {"vqe_n12", "nassc", 629, 326, 0xb652fb395c168352ull},
+    {"vqe_n12", "nassc_noise", 496, 253, 0x179893838d3ab666ull},
     {"bv_n19", "sabre", 62, 95, 0x8fa6906042815bdaull},
     {"bv_n19", "sabre_noise", 93, 120, 0x6c9936e2405fb695ull},
-    {"bv_n19", "nassc", 54, 108, 0x5b277920e14290efull},
-    {"bv_n19", "nassc_noise", 84, 128, 0x5bd77f4b6378dd5eull},
+    {"bv_n19", "nassc", 54, 64, 0x8b8d64d53fac8045ull},
+    {"bv_n19", "nassc_noise", 84, 88, 0x1eab71b4f9760cc0ull},
     {"qft_n15", "sabre", 603, 673, 0x2a502f3c8ac2b175ull},
     {"qft_n15", "sabre_noise", 718, 786, 0x0342654fda567f95ull},
-    {"qft_n15", "nassc", 567, 710, 0x645c122bdcf978fcull},
-    {"qft_n15", "nassc_noise", 620, 693, 0xfbb9d5858e61c951ull},
+    {"qft_n15", "nassc", 567, 707, 0xabbb3a53e18e2540ull},
+    {"qft_n15", "nassc_noise", 620, 692, 0x7ee823aa884eb195ull},
     {"qft_n20", "sabre", 1035, 891, 0x561362008486aa4eull},
     {"qft_n20", "sabre_noise", 1347, 1052, 0xacbd3b25f6a7019cull},
-    {"qft_n20", "nassc", 1065, 1100, 0xafdfc6133732da45ull},
-    {"qft_n20", "nassc_noise", 1090, 1260, 0x77d175c10ec00c2cull},
+    {"qft_n20", "nassc", 1065, 1101, 0x54f5d76879dfeac0ull},
+    {"qft_n20", "nassc_noise", 1090, 1255, 0x1eac3278e56437a7ull},
     {"qpe_n9", "sabre", 119, 248, 0x00b59c4cca777f39ull},
     {"qpe_n9", "sabre_noise", 138, 219, 0xe753332be18d0689ull},
-    {"qpe_n9", "nassc", 127, 248, 0xe662ccdebe8c0840ull},
-    {"qpe_n9", "nassc_noise", 159, 247, 0x7cc1cf4535c5315eull},
+    {"qpe_n9", "nassc", 127, 244, 0x887ed7bafd7d8f23ull},
+    {"qpe_n9", "nassc_noise", 159, 245, 0x9010b80c0ad37309ull},
     {"adder_n10", "sabre", 124, 194, 0xa7b8b29f4cd2a26dull},
     {"adder_n10", "sabre_noise", 174, 243, 0x4dcf88e6af1c8b88ull},
-    {"adder_n10", "nassc", 109, 205, 0x65e72af76a804ae6ull},
-    {"adder_n10", "nassc_noise", 307, 372, 0x11f580ebbf9a9af6ull},
+    {"adder_n10", "nassc", 109, 150, 0x5c13e0a857a4bfd3ull},
+    {"adder_n10", "nassc_noise", 307, 322, 0xbc1b6a1639f72da0ull},
     {"multiplier_n25", "sabre", 2302, 2738, 0xb364c73759a8eb1bull},
     {"multiplier_n25", "sabre_noise", 3778, 3516, 0x5ea7d5176e304ddaull},
-    {"multiplier_n25", "nassc", 2158, 3203, 0xcde9fc17047b8c3full},
-    {"multiplier_n25", "nassc_noise", 4104, 5047, 0xe035b958d77a70f4ull},
+    {"multiplier_n25", "nassc", 2158, 2024, 0x56fb0333ff6ed127ull},
+    {"multiplier_n25", "nassc_noise", 4104, 3782, 0x43fb81785dd2126full},
     {"sqn_258", "sabre", 10223, 14577, 0x7b8c749fc72dd76aull},
     {"sqn_258", "sabre_noise", 15406, 17599, 0xe135a4fcc45a413bull},
-    {"sqn_258", "nassc", 10010, 16133, 0x18f5cddc1f130d2bull},
-    {"sqn_258", "nassc_noise", 14693, 20089, 0x4e8565811b79a56cull},
+    {"sqn_258", "nassc", 10010, 11574, 0xa7f725cfc4d9a028ull},
+    {"sqn_258", "nassc_noise", 14689, 14993, 0x75af94c63e29bf33ull},
     {"rd84_253", "sabre", 14595, 19701, 0xeaff0e497d4382a2ull},
     {"rd84_253", "sabre_noise", 20139, 22989, 0x854a44d7d960589aull},
-    {"rd84_253", "nassc", 14088, 21832, 0x3ed044b4d3e26fa2ull},
-    {"rd84_253", "nassc_noise", 20198, 27975, 0x0b705bf70ae856b7ull},
+    {"rd84_253", "nassc", 14086, 15621, 0xd3c2ac4f3b627540ull},
+    {"rd84_253", "nassc_noise", 20198, 20971, 0x39fb65de71b23976ull},
     {"co14_215", "sabre", 21875, 27113, 0x9bfda6568e2ee01bull},
     {"co14_215", "sabre_noise", 27707, 30304, 0x46c097f01cf5d367ull},
-    {"co14_215", "nassc", 20791, 29976, 0xbbfbd61228b6a91bull},
-    {"co14_215", "nassc_noise", 29118, 37879, 0x282bf382ded3332bull},
+    {"co14_215", "nassc", 20789, 21365, 0x8f58bc713f557c56ull},
+    {"co14_215", "nassc_noise", 29108, 28247, 0x6d2cb02ac05c8582ull},
     {"sym9_193", "sabre", 37310, 51984, 0xfe3f5fdbca7a86f5ull},
     {"sym9_193", "sabre_noise", 54711, 57727, 0xb5f0c4de665649cdull},
-    {"sym9_193", "nassc", 35254, 57101, 0xe1f90eec61d59abaull},
-    {"sym9_193", "nassc_noise", 56086, 74757, 0xc8f972ee0b948277ull},
+    {"sym9_193", "nassc", 35246, 40548, 0x74e6c7c443d207caull},
+    {"sym9_193", "nassc_noise", 56080, 54920, 0x729bc380cc94c58bull},
 };
 // clang-format on
 
