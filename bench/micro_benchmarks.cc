@@ -22,6 +22,7 @@
 #include "nassc/passes/collect_blocks.h"
 #include "nassc/passes/commutation.h"
 #include "nassc/passes/decompose_swaps.h"
+#include "nassc/passes/optimize_1q.h"
 #include "nassc/route/router.h"
 #include "nassc/route/sabre.h"
 #include "nassc/serve/client.h"
@@ -189,20 +190,69 @@ BM_CancellationFixpointRoutedQft15(benchmark::State &state)
 BENCHMARK(BM_CancellationFixpointRoutedQft15)
     ->Unit(benchmark::kMicrosecond);
 
+// One optimization-loop Optimize1qGates pass over the routed qft_n15,
+// including copying the input circuit.  Arg 0 gives every iteration a
+// fresh SynthMemo, so each distinct run is synthesized once per pass;
+// Arg 1 reuses one warmed memo, so every run is a hit.
+void
+BM_Optimize1qRoutedQft15(benchmark::State &state)
+{
+    const QuantumCircuit phys = routed_basis_qft15();
+
+    const bool warm = state.range(0) != 0;
+    SynthMemo memo;
+    if (warm) {
+        QuantumCircuit qc = phys;
+        run_optimize_1q(qc, Basis1q::kZsx, memo);
+    }
+    int removed = 0;
+    for (auto _ : state) {
+        QuantumCircuit qc = phys;
+        if (warm) {
+            removed = run_optimize_1q(qc, Basis1q::kZsx, memo);
+        } else {
+            SynthMemo fresh;
+            removed = run_optimize_1q(qc, Basis1q::kZsx, fresh);
+        }
+        benchmark::DoNotOptimize(qc);
+    }
+    state.counters["gates"] = static_cast<double>(phys.size());
+    state.counters["removed"] = removed;
+}
+BENCHMARK(BM_Optimize1qRoutedQft15)
+    ->Arg(0)
+    ->Arg(1) // 0 = fresh memo, 1 = warmed memo
+    ->Unit(benchmark::kMicrosecond);
+
 // Basis translation of the routed qft_n15: every 1q gate is
 // re-synthesized in place, CX, measure and barrier pass through.  The
-// pass reads its input, so no copy is timed.
+// pass reads its input, so no copy is timed.  Arg 0 gives every
+// iteration a fresh SynthMemo, Arg 1 reuses one warmed memo.
 void
 BM_TranslateToBasisRoutedQft15(benchmark::State &state)
 {
     const QuantumCircuit phys = routed_basis_qft15();
+
+    const bool warm = state.range(0) != 0;
+    SynthMemo memo;
+    if (warm)
+        translate_to_basis(phys, memo);
     for (auto _ : state) {
-        QuantumCircuit out = translate_to_basis(phys);
-        benchmark::DoNotOptimize(out);
+        if (warm) {
+            QuantumCircuit out = translate_to_basis(phys, memo);
+            benchmark::DoNotOptimize(out);
+        } else {
+            SynthMemo fresh;
+            QuantumCircuit out = translate_to_basis(phys, fresh);
+            benchmark::DoNotOptimize(out);
+        }
     }
     state.counters["gates"] = static_cast<double>(phys.size());
 }
-BENCHMARK(BM_TranslateToBasisRoutedQft15)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TranslateToBasisRoutedQft15)
+    ->Arg(0)
+    ->Arg(1) // 0 = fresh memo, 1 = warmed memo
+    ->Unit(benchmark::kMicrosecond);
 
 // OpenQASM encode of a transpiled qft_n15 (montreal, NASSC): the text
 // a wire response carries, and what a cache entry keeps once encoded.

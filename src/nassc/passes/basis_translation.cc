@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "nassc/ir/matrices.h"
+#include "nassc/passes/collect_blocks.h"
 #include "nassc/synth/kak2q.h"
 #include "nassc/synth/mct.h"
 
@@ -61,11 +62,19 @@ decompose_to_2q(const QuantumCircuit &qc)
 QuantumCircuit
 translate_to_basis(const QuantumCircuit &qc)
 {
+    SynthMemo memo;
+    return translate_to_basis(qc, memo);
+}
+
+QuantumCircuit
+translate_to_basis(const QuantumCircuit &qc, SynthMemo &memo)
+{
     // Every operand comes from the valid input circuit, so gates are
     // pushed directly, without append()'s per-gate range check.
     QuantumCircuit out(qc.num_qubits());
     std::vector<Gate> &gates = out.mutable_gates();
     gates.reserve(qc.size());
+    std::vector<std::uint64_t> key;
     for (const Gate &g : qc.gates()) {
         if (g.kind == OpKind::kMeasure || g.kind == OpKind::kBarrier ||
             g.kind == OpKind::kCX) {
@@ -75,8 +84,17 @@ translate_to_basis(const QuantumCircuit &qc)
         if (is_one_qubit(g.kind)) {
             // Leave 1q gates in place; the closing Optimize1qGates pass
             // merges runs and rewrites them into {rz, sx, x}.
-            synth_1q_into(gates, gate_matrix1(g), g.qubits[0],
-                          Basis1q::kZsx);
+            const int q = g.qubits[0];
+            key.assign({SynthMemo::kTranslate1q,
+                        static_cast<std::uint64_t>(Basis1q::kZsx)});
+            SynthMemo::append_gate_key(key, g, 0);
+            const std::uint64_t hash =
+                SynthMemo::hash(key.data(), key.size());
+            if (!memo.append_1q(key.data(), key.size(), hash, q, gates)) {
+                const std::size_t from = gates.size();
+                synth_1q_into(gates, gate_matrix1(g), q, Basis1q::kZsx);
+                memo.insert_1q(key.data(), key.size(), hash, gates, from);
+            }
             continue;
         }
         if (g.num_qubits() == 2) {

@@ -17,13 +17,21 @@
 
 namespace nassc {
 
+class SynthMemo;
+
 /** Expand all gates acting on three or more qubits into 1q/2q gates. */
 QuantumCircuit decompose_to_2q(const QuantumCircuit &qc);
 
 /**
  * Translate a (<= 2-qubit) circuit into {rz, sx, x, cx} (+ measure /
  * barrier).  SWAP gates must have been expanded by decompose_swaps first.
+ * Each 1q gate `memo` has seen (a kTranslate1q entry, see
+ * passes/collect_blocks.h) is answered without its synthesis; the
+ * output does not depend on what `memo` holds.
  */
+QuantumCircuit translate_to_basis(const QuantumCircuit &qc, SynthMemo &memo);
+
+/** As above with a memo local to this call. */
 QuantumCircuit translate_to_basis(const QuantumCircuit &qc);
 
 /** True if every gate is in the IBM basis or non-unitary. */

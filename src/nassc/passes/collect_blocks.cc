@@ -31,27 +31,34 @@ struct Builder
     }
 };
 
-/** Fold one key word into a block hash: a word at a time, where Fnv1a
- *  takes a byte at a time, since every block key is hashed. */
-std::uint64_t
-mix_word(std::uint64_t h, std::uint64_t w)
-{
-    h ^= w;
-    h *= 0x9e3779b97f4a7c15ull;
-    return h ^ (h >> 32);
-}
-
-/** Key word of one member gate of the block on (q0, q1), followed in the
- *  key by the raw bits of each parameter. */
-std::uint64_t
-gate_key_word(const Gate &g, int q1)
-{
-    std::uint64_t code = g.qubits[0] == q1 ? 1 : 0;
-    return static_cast<std::uint64_t>(g.kind) | code << 8 |
-           static_cast<std::uint64_t>(g.params.size()) << 16;
-}
-
 } // namespace
+
+std::uint64_t
+SynthMemo::hash(const std::uint64_t *key, std::size_t len)
+{
+    // A word at a time, where Fnv1a takes a byte at a time, since every
+    // lookup hashes its key.
+    std::uint64_t h = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+        h ^= key[i];
+        h *= 0x9e3779b97f4a7c15ull;
+        h ^= h >> 32;
+    }
+    return h;
+}
+
+void
+SynthMemo::append_gate_key(std::vector<std::uint64_t> &key, const Gate &g,
+                           std::uint64_t operand_code)
+{
+    key.push_back(static_cast<std::uint64_t>(g.kind) | operand_code << 8 |
+                  static_cast<std::uint64_t>(g.params.size()) << 16);
+    for (double p : g.params) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &p, sizeof(bits));
+        key.push_back(bits);
+    }
+}
 
 const SynthMemo::Entry *
 SynthMemo::find(const std::uint64_t *key, std::size_t len,
@@ -74,15 +81,14 @@ SynthMemo::find(const std::uint64_t *key, std::size_t len,
     return nullptr;
 }
 
-void
-SynthMemo::insert(const std::uint64_t *key, std::size_t len,
-                  std::uint64_t hash, bool replace, int new_cost,
-                  const std::vector<Gate> &gates)
+SynthMemo::Entry *
+SynthMemo::add(const std::uint64_t *words, std::size_t n_words,
+               std::size_t key_len, std::uint64_t hash, const Gate *gates,
+               std::size_t n_gates)
 {
-    std::size_t n_gates = replace ? gates.size() : 0;
-    if (len > kMaxKeyWords || n_gates > kMaxGates)
-        return;
-    if (keys_.size() + len > kMaxKeyWords ||
+    if (n_words > kMaxKeyWords || n_gates > kMaxGates)
+        return nullptr;
+    if (keys_.size() + n_words > kMaxKeyWords ||
         gates_.size() + n_gates > kMaxGates)
         clear();
     if ((slots_.size() + 1) * 2 > index_.size())
@@ -91,13 +97,11 @@ SynthMemo::insert(const std::uint64_t *key, std::size_t len,
     Entry e;
     e.hash = hash;
     e.key_begin = static_cast<std::uint32_t>(keys_.size());
-    e.key_len = static_cast<std::uint32_t>(len);
+    e.key_len = static_cast<std::uint32_t>(key_len);
     e.gates_begin = static_cast<std::uint32_t>(gates_.size());
     e.gates_len = static_cast<std::uint32_t>(n_gates);
-    e.new_cost = new_cost;
-    e.replace = replace;
-    keys_.insert(keys_.end(), key, key + len);
-    gates_.insert(gates_.end(), gates.begin(), gates.begin() + n_gates);
+    keys_.insert(keys_.end(), words, words + n_words);
+    gates_.insert(gates_.end(), gates, gates + n_gates);
     slots_.push_back(e);
 
     std::size_t mask = index_.size() - 1;
@@ -105,6 +109,19 @@ SynthMemo::insert(const std::uint64_t *key, std::size_t len,
     while (index_[i] != 0)
         i = (i + 1) & mask;
     index_[i] = static_cast<std::uint32_t>(slots_.size());
+    return &slots_.back();
+}
+
+void
+SynthMemo::insert(const std::uint64_t *key, std::size_t len,
+                  std::uint64_t hash, bool replace, int new_cost,
+                  const std::vector<Gate> &gates)
+{
+    if (Entry *e = add(key, len, len, hash, gates.data(),
+                       replace ? gates.size() : 0)) {
+        e->new_cost = new_cost;
+        e->replace = replace;
+    }
 }
 
 void
@@ -117,6 +134,41 @@ SynthMemo::append_gates(const Entry &e, int q0, int q1,
         for (int &q : out.back().qubits)
             q = wire[q];
     }
+}
+
+bool
+SynthMemo::append_1q(const std::uint64_t *key, std::size_t len,
+                     std::uint64_t hash, int q, std::vector<Gate> &out)
+{
+    const Entry *e = find(key, len, hash);
+    if (e == nullptr)
+        return false;
+    // Decode what append_gate_key() wrote for each gate.
+    const std::uint64_t *w = keys_.data() + e->key_begin + e->key_len;
+    for (std::uint32_t k = 0; k < e->gates_len; ++k) {
+        Gate &g = out.emplace_back();
+        g.kind = static_cast<OpKind>(*w & 0xff);
+        g.qubits.push_back(q);
+        for (std::uint64_t n = *w++ >> 16; n > 0; --n) {
+            double p;
+            std::memcpy(&p, w++, sizeof(p));
+            g.params.push_back(p);
+        }
+    }
+    return true;
+}
+
+void
+SynthMemo::insert_1q(const std::uint64_t *key, std::size_t len,
+                     std::uint64_t hash, const std::vector<Gate> &out,
+                     std::size_t from)
+{
+    scratch_.assign(key, key + len);
+    for (std::size_t k = from; k < out.size(); ++k)
+        append_gate_key(scratch_, out[k], 0);
+    if (Entry *e = add(scratch_.data(), scratch_.size(), len, hash, nullptr,
+                       0))
+        e->gates_len = static_cast<std::uint32_t>(out.size() - from);
 }
 
 void
@@ -248,22 +300,14 @@ consolidate_2q_blocks(QuantumCircuit &qc, Basis1q basis, SynthMemo &memo)
         // Old cost and memo key in one pass over the members.
         int old_cost = 0;
         int old_total = static_cast<int>(blk.gate_indices.size());
-        key.clear();
-        key.push_back(static_cast<std::uint64_t>(basis));
+        key.assign({SynthMemo::kBlock2q, static_cast<std::uint64_t>(basis)});
         for (int idx : blk.gate_indices) {
             const Gate &g = qc.gate(idx);
             old_cost += cx_equivalent_cost(g);
-            key.push_back(gate_key_word(g, blk.q1));
-            for (double p : g.params) {
-                std::uint64_t bits;
-                std::memcpy(&bits, &p, sizeof(bits));
-                key.push_back(bits);
-            }
+            SynthMemo::append_gate_key(key, g, g.qubits[0] == blk.q1);
         }
         stats.cx_before += old_cost;
-        std::uint64_t hash = 0;
-        for (std::uint64_t w : key)
-            hash = mix_word(hash, w);
+        const std::uint64_t hash = SynthMemo::hash(key.data(), key.size());
 
         std::vector<Gate> &slot = anchored[blk.gate_indices.back()];
         bool better;

@@ -1,11 +1,13 @@
 #include "nassc/route/nassc_router.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
 #include "nassc/ir/matrices.h"
 #include "nassc/math/weyl.h"
+#include "nassc/passes/collect_blocks.h"
 #include "nassc/passes/commutation.h"
 #include "nassc/synth/kak2q.h"
 
@@ -213,7 +215,9 @@ OptAwareTracker::memory_bytes() const
                         dirty_.capacity() / 8 +
                         touched_.capacity() * sizeof(int) +
                         wire_version_.capacity() * sizeof(std::uint64_t) +
-                        eval_cache_.capacity() * sizeof(CachedEval);
+                        eval_cache_.capacity() * sizeof(CachedEval) +
+                        c2q_costs_.capacity() * sizeof(C2qCost) +
+                        c2q_index_.capacity() * sizeof(std::uint32_t);
     for (const auto &recs : {&window_, &trailing_})
         for (const std::vector<Rec> &r : *recs)
             bytes += r.capacity() * sizeof(Rec);
@@ -239,6 +243,54 @@ OptAwareTracker::evaluate_swap(int p, int q) const
     return slot.red;
 }
 
+std::pair<int, int>
+OptAwareTracker::c2q_costs(const Mat4 &u) const
+{
+    std::uint64_t bits[32];
+    static_assert(sizeof(bits) == sizeof(u.v));
+    std::memcpy(bits, u.v.data(), sizeof(bits));
+    const std::uint64_t hash = SynthMemo::hash(bits, 32);
+    std::size_t mask = c2q_index_.size() - 1;
+    if (!c2q_index_.empty()) {
+        for (std::size_t i = hash & mask; c2q_index_[i] != 0;
+             i = (i + 1) & mask) {
+            const C2qCost &c = c2q_costs_[c2q_index_[i] - 1];
+            if (c.hash == hash &&
+                std::memcmp(c.u.v.data(), bits, sizeof(bits)) == 0)
+                return {c.k_old, c.m_new};
+        }
+    }
+
+    C2qCost c;
+    c.u = u;
+    c.hash = hash;
+    c.k_old = cnot_cost(u);
+    c.m_new = cnot_cost(mul(swap_mat(), u));
+    if (c2q_costs_.size() == kMaxC2qCosts) {
+        c2q_costs_.clear();
+        std::fill(c2q_index_.begin(), c2q_index_.end(), 0u);
+    }
+    c2q_costs_.push_back(c);
+    if (c2q_costs_.size() * 2 > c2q_index_.size()) {
+        // Grow to keep the load at most 1/2 and re-file every entry.
+        c2q_index_.assign(std::max<std::size_t>(256, 2 * c2q_index_.size()),
+                          0u);
+        mask = c2q_index_.size() - 1;
+        for (std::size_t s = 0; s < c2q_costs_.size(); ++s) {
+            std::size_t i = c2q_costs_[s].hash & mask;
+            while (c2q_index_[i] != 0)
+                i = (i + 1) & mask;
+            c2q_index_[i] = static_cast<std::uint32_t>(s + 1);
+        }
+    } else {
+        std::size_t i = hash & mask;
+        while (c2q_index_[i] != 0)
+            i = (i + 1) & mask;
+        c2q_index_[i] = static_cast<std::uint32_t>(c2q_costs_.size());
+    }
+    return {c.k_old, c.m_new};
+}
+
 SwapReduction
 OptAwareTracker::evaluate_swap_uncached(int p, int q) const
 {
@@ -247,10 +299,7 @@ OptAwareTracker::evaluate_swap_uncached(int p, int q) const
     // --- C2q: SWAP joins the active block on (p, q) ------------------------
     if (opts_.enable_c2q && partner_[p] == q) {
         int mn = std::min(p, q);
-        const Mat4 &u = block_u_[mn];
-        int k_old = cnot_cost(u);
-        Mat4 merged = mul(swap_mat(), u);
-        int m_new = cnot_cost(merged);
+        const auto [k_old, m_new] = c2q_costs(block_u_[mn]);
         int saved = 3 + k_old - m_new;
         saved = std::clamp(saved, 0, 3);
         if (saved > 0) {

@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "nassc/ir/gate.h"
@@ -104,7 +105,15 @@ class OptAwareTracker
      */
     void take_trailing_1q(int p, std::vector<int> &out);
 
-    /** Heap bytes held: O(qubits + coupling edges), never O(qubits^2). */
+    /**
+     * {cnot_cost(u), cnot_cost(SWAP·u)}: the C2q term's two block costs.
+     * Within a route most blocks recur, so the pair is memoized under
+     * all of u's raw bits, and a hit returns what cnot_cost() would.
+     */
+    std::pair<int, int> c2q_costs(const Mat4 &u) const;
+
+    /** Heap bytes held: O(qubits + coupling edges), never O(qubits^2);
+     *  the C2q cost memo adds at most ~1 MiB. */
     std::size_t memory_bytes() const;
 
   private:
@@ -161,6 +170,22 @@ class OptAwareTracker
     std::vector<std::uint64_t> wire_version_;
     /** Slot 2*e + (p > q) for coupling edge e = edge_index(p, q). */
     mutable std::vector<CachedEval> eval_cache_;
+
+    // --- C2q cost memo (see c2q_costs) ---
+    /** One block unitary's two CNOT costs.  The key is all of `u`'s
+     *  bits, so a hit is the value cnot_cost() would return.  Entries
+     *  outlive reset(); the table is cleared when it would pass
+     *  kMaxC2qCosts entries (~1 MiB). */
+    struct C2qCost
+    {
+        Mat4 u;
+        std::uint64_t hash = 0;
+        int k_old = 0; ///< cnot_cost(u)
+        int m_new = 0; ///< cnot_cost(SWAP·u)
+    };
+    static constexpr std::size_t kMaxC2qCosts = 4096;
+    mutable std::vector<C2qCost> c2q_costs_;
+    mutable std::vector<std::uint32_t> c2q_index_; ///< slot + 1; 0 = empty
 };
 
 } // namespace nassc

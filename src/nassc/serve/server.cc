@@ -101,10 +101,12 @@ append_service_rows(std::string &out, const TranspileService &service)
         {"counter", "transpiles_failed", "Transpiles failed",
          s.transpiles_failed},
         {"counter", "synth_memo_hits",
-         "Block resyntheses answered by a pooled SynthMemo",
+         "Block, 1q-run and 1q-translate resyntheses answered by a "
+         "pooled SynthMemo",
          s.synth_memo_hits},
         {"counter", "synth_memo_misses",
-         "Block resyntheses a pooled SynthMemo had to synthesize",
+         "Block, 1q-run and 1q-translate resyntheses a pooled SynthMemo "
+         "had to synthesize",
          s.synth_memo_misses},
         {"gauge", "synth_memos", "SynthMemos in the service's pool",
          s.synth_memos},

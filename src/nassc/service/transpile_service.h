@@ -294,8 +294,9 @@ struct ServiceStats
     std::uint64_t transpiles_ok = 0;
     /** Transpiles that threw anything OTHER than a deadline miss. */
     std::uint64_t transpiles_failed = 0;
-    /** Block resyntheses answered, and not answered, by the SynthMemo
-     *  a transpile leased from the pool; added when it returns it. */
+    /** Local resyntheses (two-qubit blocks, 1q runs and translated 1q
+     *  gates) answered, and not answered, by the SynthMemo a transpile
+     *  leased from the pool; added when it returns it. */
     std::uint64_t synth_memo_hits = 0;
     std::uint64_t synth_memo_misses = 0;
     /** SynthMemos in the pool, leased or free: the peak number of

@@ -23,12 +23,12 @@ optimization_loop(QuantumCircuit &qc, int rounds, SynthMemo &memo)
 {
     int last_size = -1;
     for (int r = 0; r < rounds; ++r) {
-        run_optimize_1q(qc, Basis1q::kZsx);
+        run_optimize_1q(qc, Basis1q::kZsx, memo);
         run_commutative_cancellation_to_fixpoint(qc);
         consolidate_2q_blocks(qc, Basis1q::kZsx, memo);
         // Consolidation can emit non-basis 1q gates; normalize.
-        qc = translate_to_basis(qc);
-        run_optimize_1q(qc, Basis1q::kZsx);
+        qc = translate_to_basis(qc, memo);
+        run_optimize_1q(qc, Basis1q::kZsx, memo);
         int size = static_cast<int>(qc.size());
         if (size == last_size)
             break;
@@ -102,7 +102,7 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
 
     // 2. Pre-routing optimization: canonicalize 1q runs and 2q blocks so
     //    the router's C2q estimates see concise block unitaries.
-    run_optimize_1q(c, Basis1q::kUGate);
+    run_optimize_1q(c, Basis1q::kUGate, memo);
     consolidate_2q_blocks(c, Basis1q::kUGate, memo);
 
     // 3. Distances: plain hops, or the HA noise-aware variant, shared
@@ -153,7 +153,7 @@ transpile(const QuantumCircuit &qc, const Backend &backend,
                               opts.orientation_aware_decomposition);
 
     // 7. Basis translation + optimization loop.
-    phys = translate_to_basis(phys);
+    phys = translate_to_basis(phys, memo);
     optimization_loop(phys, opts.opt_loop_rounds, memo);
 
     auto t1 = std::chrono::steady_clock::now();
@@ -191,9 +191,9 @@ optimize_only(const QuantumCircuit &qc, const TranspileOptions &opts)
 
     SynthMemo memo;
     QuantumCircuit c = decompose_to_2q(qc);
-    run_optimize_1q(c, Basis1q::kUGate);
+    run_optimize_1q(c, Basis1q::kUGate, memo);
     consolidate_2q_blocks(c, Basis1q::kUGate, memo);
-    c = translate_to_basis(c);
+    c = translate_to_basis(c, memo);
     // Same optimization-loop budget as the routed pipeline, so a
     // CNOT_add ablation under non-default opt_loop_rounds compares the
     // routed circuit against a baseline built with the same effort.

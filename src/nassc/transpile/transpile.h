@@ -17,12 +17,13 @@
  *   after cancellation has removed the CX pairs the SWAP flags line up.
  *
  * Each transpile() or optimize_only() call passes one SynthMemo (see
- * passes/collect_blocks.h) to every block consolidation it runs —
- * pre-routing and each loop round — so a recurring block is
- * synthesized once per call.  The caller owns the
- * memo: a TranspileService leases one from its pool for each request,
- * so blocks synthesized by earlier requests are hits, and the other
- * overloads keep one on the call's stack.  A memo has one user at a
+ * passes/collect_blocks.h) to every local resynthesis it runs: each
+ * block consolidation (pre-routing and each loop round), each
+ * Optimize1qGates pass and each basis translation.  So a recurring
+ * block, 1q run or translated 1q gate is synthesized once per call.
+ * The caller owns the memo: a TranspileService leases one from its pool
+ * for each request, so what earlier requests synthesized is a hit, and
+ * the other overloads keep one on the call's stack.  A memo has one user at a
  * time, so concurrent calls share nothing, and the output is the same
  * whatever the memo holds.
  *
@@ -165,7 +166,7 @@ TranspileResult transpile(const QuantumCircuit &qc, const Backend &backend,
 /**
  * As above, for a caller that already holds `backend_key` ==
  * backend.cache_key(), which is O(device) to hash (the service hashes
- * each backend object once and passes its key down), consolidating
+ * each backend object once and passes its key down), resynthesizing
  * through the caller's `memo`, which may hold earlier calls' syntheses
  * and gains this call's; the output does not depend on what `memo`
  * holds.  `deadline` is the request's absolute budget (max() = none),

@@ -19,6 +19,7 @@
 #include "nassc/passes/optimize_1q.h"
 #include "nassc/sim/unitary.h"
 #include "nassc/synth/kak2q.h"
+#include "synth_memo_oracle.h"
 
 namespace nassc {
 namespace {
@@ -360,10 +361,10 @@ TEST(SynthMemo, HashMatchAloneIsNotAHit)
 
 TEST(SynthMemo, OverflowingTheBoundsClearsWithoutChangingOutput)
 {
-    // 12,500 distinct blocks of 12 key words each (basis word, 7 gate
-    // words, 4 parameters): 150,000 words, past the 128 Ki bound.  A
+    // 25,000 distinct blocks of 13 key words each (tag and basis words,
+    // 7 gate words, 4 parameters): 325,000 words, past the 256 Ki bound.  A
     // fourth cx makes every block a replace, whose gates fill the pool.
-    const int kBlocks = 12500;
+    const int kBlocks = 25000;
     for (bool replaced : {false, true}) {
         QuantumCircuit qc(3);
         for (int k = 0; k < kBlocks; ++k) {
@@ -397,6 +398,143 @@ TEST(SynthMemo, OverflowingTheBoundsClearsWithoutChangingOutput)
             EXPECT_LE(memo.key_words(), SynthMemo::kMaxKeyWords);
             EXPECT_LT(memo.size(), static_cast<size_t>(kBlocks));
             expect_same_bits(out, fresh);
+        }
+    }
+}
+
+/**
+ * Seeded random circuit built to probe the 1q memo's key: rz(+0.0) and
+ * rz(-0.0), rz(2*pi), angles one ULP apart, u gates beside rz/sx runs
+ * of similar unitaries, and cx breaks, drawn from small pools so runs
+ * recur within and across circuits.
+ */
+QuantumCircuit
+memo_probe_circuit(std::mt19937 &rng, int n, int gates)
+{
+    const double a = 0.7853981633974483; // pi/4
+    const double angles[] = {0.0,
+                             -0.0,
+                             2.0 * M_PI,
+                             -2.0 * M_PI,
+                             a,
+                             std::nextafter(a, 1.0),
+                             std::nextafter(a, 0.0),
+                             M_PI,
+                             -M_PI / 2.0,
+                             1.234};
+    auto pick = [&](int k) {
+        return std::uniform_int_distribution<int>(0, k - 1)(rng);
+    };
+    auto angle = [&] { return angles[pick(std::size(angles))]; };
+    QuantumCircuit qc(n);
+    for (int k = 0; k < gates; ++k) {
+        const int q = pick(n);
+        switch (pick(9)) {
+          case 0: qc.rz(angle(), q); break;
+          case 1: qc.sx(q); break;
+          case 2: qc.x(q); break;
+          case 3: qc.u(angle(), angle(), angle(), q); break;
+          case 4: qc.h(q); break;
+          case 5: qc.ry(angle(), q); break;
+          case 6: qc.append(Gate::one_q(OpKind::kT, q)); break;
+          case 7: qc.rz(angle(), q); qc.sx(q); qc.rz(angle(), q); break;
+          default: {
+            const int r = (q + 1 + pick(n - 1)) % n;
+            qc.cx(q, r);
+          }
+        }
+    }
+    return qc;
+}
+
+TEST(SynthMemo, OneQubitPassesMatchLegacyOnRandomCircuits)
+{
+    std::mt19937 rng(20221);
+    SynthMemo warm;
+    for (int c = 0; c < 300; ++c) {
+        const QuantumCircuit qc =
+            memo_probe_circuit(rng, 2 + c % 3, 4 + c % 40);
+        expect_1q_memo_exact(qc, warm, "circuit " + std::to_string(c));
+    }
+    EXPECT_GT(warm.hits(), warm.misses());
+}
+
+TEST(SynthMemo, SignedZeroAndOneUlpAnglesAreDistinctEntries)
+{
+    const double a = 0.4;
+    for (double b : {-0.0, std::nextafter(a, 1.0)}) {
+        const double first = b == 0.0 ? 0.0 : a;
+        SynthMemo memo;
+        QuantumCircuit x(1), y(1);
+        x.rz(first, 0);
+        y.rz(b, 0);
+        for (const QuantumCircuit *qc : {&x, &y}) {
+            QuantumCircuit out = *qc;
+            run_optimize_1q(out, Basis1q::kUGate, memo);
+            QuantumCircuit want = *qc;
+            legacy::optimize_1q_runs(want.mutable_gates(), 1,
+                                     Basis1q::kUGate);
+            same_bytes(out, want, "rz");
+        }
+        EXPECT_EQ(memo.size(), 2u);
+        EXPECT_EQ(memo.hits(), 0u);
+    }
+}
+
+TEST(SynthMemo, OneGateRunAndTranslateDoNotShareAnEntry)
+{
+    // The same rz as a one-gate Optimize1qGates run and as a translated
+    // gate, both in the {rz, sx, x} basis: two entries, and each later
+    // call hits its own.
+    QuantumCircuit qc(2);
+    qc.rz(0.3, 1);
+    SynthMemo memo;
+    QuantumCircuit run = qc;
+    run_optimize_1q(run, Basis1q::kZsx, memo);
+    EXPECT_EQ(memo.size(), 1u);
+    translate_to_basis(qc, memo);
+    EXPECT_EQ(memo.size(), 2u);
+    EXPECT_EQ(memo.hits(), 0u);
+    run = qc;
+    run_optimize_1q(run, Basis1q::kZsx, memo);
+    same_bytes(translate_to_basis(qc, memo), legacy::translate_to_basis(qc),
+               "translate");
+    EXPECT_EQ(memo.size(), 2u);
+    EXPECT_EQ(memo.hits(), 2u);
+}
+
+TEST(SynthMemo, OneQubitOverflowClearsWithoutChangingOutput)
+{
+    // A 1q entry keeps its key and its synthesis in the key arena.  An
+    // rz run takes 6 words (tag, basis, gate word, angle; then rz and its
+    // angle): 50,000 distinct runs pass the 256 Ki-word bound.  A
+    // generic u run takes 14 (6 of key, then rz sx rz sx rz): 20,000 pass
+    // it.  Each run is closed by a cx, so every gate is its own run.
+    const std::size_t kRzRuns = 50000, kURuns = 20000;
+    for (bool generic : {false, true}) {
+        const std::size_t runs = generic ? kURuns : kRzRuns;
+        QuantumCircuit qc(2);
+        for (std::size_t k = 0; k < runs; ++k) {
+            const double t = 0.1 + 1e-5 * static_cast<double>(k);
+            if (generic)
+                qc.u(t, 0.2 + t, 0.3 - t, 0);
+            else
+                qc.rz(t, 0);
+            qc.cx(0, 1);
+        }
+        QuantumCircuit want = qc;
+        legacy::optimize_1q_runs(want.mutable_gates(), 2, Basis1q::kZsx);
+        const QuantumCircuit want_translated = legacy::translate_to_basis(qc);
+        SynthMemo memo;
+        for (int pass = 0; pass < 2; ++pass) {
+            QuantumCircuit got = qc;
+            run_optimize_1q(got, Basis1q::kZsx, memo);
+            same_bytes(got, want, "opt1q pass " + std::to_string(pass));
+            same_bytes(translate_to_basis(qc, memo), want_translated,
+                       "translate pass " + std::to_string(pass));
+            EXPECT_LE(memo.key_words(), SynthMemo::kMaxKeyWords);
+            EXPECT_EQ(memo.pooled_gates(), 0u);
+            EXPECT_LT(memo.size(), runs);
         }
     }
 }

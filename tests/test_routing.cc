@@ -7,11 +7,13 @@
 
 #include "nassc/circuits/library.h"
 #include "nassc/ir/dag.h"
+#include "nassc/math/weyl.h"
 #include "nassc/passes/basis_translation.h"
 #include "nassc/passes/decompose_swaps.h"
 #include "nassc/route/nassc_router.h"
 #include "nassc/route/sabre.h"
 #include "nassc/sim/unitary.h"
+#include "nassc/synth/kak2q.h"
 #include "nassc/topo/backends.h"
 
 namespace nassc {
@@ -422,6 +424,56 @@ TEST(Nassc, TrackerResetMatchesFreshTracker)
         }
         reused.reset();
     }
+}
+
+TEST(Nassc, MemoizedC2qCostsEqualDirectCnotCosts)
+{
+    // Blocks of each CNOT class, a signed zero, and enough random blocks
+    // to clear the table: the tracker's pair equals a direct cnot_cost
+    // pair on the miss, on the hit that follows and across a reset.
+    const Backend dev = linear_backend(3);
+    RoutingOptions opts;
+    opts.algorithm = RoutingAlgorithm::kNassc;
+    OptAwareTracker tracker(dev.coupling, opts);
+    auto block = [](std::vector<Gate> gates) {
+        return unitary_of_2q_gates(gates, 0, 1);
+    };
+    const Gate cx01 = Gate::two_q(OpKind::kCX, 0, 1);
+    const Gate cx10 = Gate::two_q(OpKind::kCX, 1, 0);
+    std::vector<Mat4> blocks = {
+        Mat4::identity(),
+        block({cx01}),
+        block({cx01, cx10}),
+        swap_mat(),
+        block({Gate::two_q(OpKind::kCRZ, 0, 1, 0.3)}),
+        block({cx01, Gate::one_q(OpKind::kRY, 0, 0.4), cx10,
+               Gate::one_q(OpKind::kRZ, 1, 0.7)}),
+    };
+    Mat4 signed_zero = Mat4::identity();
+    signed_zero(0, 1) = Cx(-0.0, -0.0);
+    blocks.push_back(signed_zero);
+    std::mt19937 rng(11);
+    std::uniform_real_distribution<double> angle(-M_PI, M_PI);
+    for (int k = 0; k < 4500; ++k) {
+        std::vector<Gate> gates;
+        for (int layer = 0; layer < 1 + k % 3; ++layer) {
+            gates.push_back(Gate::u(0, angle(rng), angle(rng), angle(rng)));
+            gates.push_back(Gate::u(1, angle(rng), angle(rng), angle(rng)));
+            gates.push_back(layer % 2 ? cx10 : cx01);
+        }
+        blocks.push_back(block(gates));
+    }
+    for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t i = 0; i < blocks.size(); ++i) {
+            const Mat4 &u = blocks[i];
+            const std::pair<int, int> want{cnot_cost(u),
+                                           cnot_cost(mul(swap_mat(), u))};
+            EXPECT_EQ(tracker.c2q_costs(u), want) << "block " << i;
+            EXPECT_EQ(tracker.c2q_costs(u), want) << "block " << i;
+        }
+        tracker.reset();
+    }
+    EXPECT_LT(tracker.memory_bytes(), std::size_t{2} << 20);
 }
 
 TEST(NasscScale, TrackerBytesFollowEdgesNotQubitsSquared)

@@ -9,8 +9,10 @@
 
 #include "nassc/circuits/library.h"
 #include "nassc/passes/basis_translation.h"
+#include "nassc/passes/cancellation.h"
 #include "nassc/sim/unitary.h"
 #include "nassc/transpile/transpile.h"
+#include "synth_memo_oracle.h"
 
 namespace nassc {
 namespace {
@@ -240,6 +242,54 @@ TEST(Transpile, NonFiniteExtendedWeightIsRejected)
             }
         }
     }
+}
+
+TEST(Transpile, SynthMemoMatchesLegacy1qPassesOnTableILoopInputs)
+{
+    // Every input of a loop round's Optimize1qGates and basis
+    // translation on the Table I workload: the circuit transpile()
+    // hands its loop (opt_loop_rounds = 0), then the loop step by step.
+    // One warmed memo sees every input, as a service's pooled memo
+    // would; the end of the steps must be transpile()'s own output, so
+    // the checked inputs are the real ones.
+    const Backend dev = montreal_backend();
+    DistanceCache cache;
+    SynthMemo warm;
+    for (const BenchmarkCase &bench : table_benchmarks()) {
+        for (RoutingAlgorithm router :
+             {RoutingAlgorithm::kSabre, RoutingAlgorithm::kNassc}) {
+            const std::string tag =
+                bench.name +
+                (router == RoutingAlgorithm::kSabre ? "/sabre" : "/nassc");
+            TranspileOptions opts;
+            opts.router = router;
+            TranspileOptions no_loop = opts;
+            no_loop.opt_loop_rounds = 0;
+            QuantumCircuit c =
+                transpile(bench.circuit, dev, no_loop, cache).circuit;
+            int last_size = -1;
+            for (int r = 0; r < opts.opt_loop_rounds; ++r) {
+                const std::string rtag = tag + " round " + std::to_string(r);
+                expect_1q_memo_exact(c, warm, rtag + " first");
+                run_optimize_1q(c, Basis1q::kZsx);
+                run_commutative_cancellation_to_fixpoint(c);
+                consolidate_2q_blocks(c, Basis1q::kZsx);
+                expect_1q_memo_exact(c, warm, rtag + " consolidated");
+                c = translate_to_basis(c);
+                expect_1q_memo_exact(c, warm, rtag + " translated");
+                run_optimize_1q(c, Basis1q::kZsx);
+                const int size = static_cast<int>(c.size());
+                if (size == last_size)
+                    break;
+                last_size = size;
+            }
+            EXPECT_EQ(c.fingerprint(),
+                      transpile(bench.circuit, dev, opts, cache)
+                          .circuit.fingerprint())
+                << tag << ": the step-by-step loop left transpile()";
+        }
+    }
+    EXPECT_GT(warm.hits(), warm.misses());
 }
 
 } // namespace
