@@ -250,8 +250,8 @@ OptAwareTracker::c2q_costs(const Mat4 &u) const
     static_assert(sizeof(bits) == sizeof(u.v));
     std::memcpy(bits, u.v.data(), sizeof(bits));
     const std::uint64_t hash = SynthMemo::hash(bits, 32);
-    std::size_t mask = c2q_index_.size() - 1;
     if (!c2q_index_.empty()) {
+        const std::size_t mask = c2q_index_.size() - 1;
         for (std::size_t i = hash & mask; c2q_index_[i] != 0;
              i = (i + 1) & mask) {
             const C2qCost &c = c2q_costs_[c2q_index_[i] - 1];
@@ -270,23 +270,21 @@ OptAwareTracker::c2q_costs(const Mat4 &u) const
         c2q_costs_.clear();
         std::fill(c2q_index_.begin(), c2q_index_.end(), 0u);
     }
-    c2q_costs_.push_back(c);
-    if (c2q_costs_.size() * 2 > c2q_index_.size()) {
-        // Grow to keep the load at most 1/2 and re-file every entry.
+    // File the new entry; when the load would pass 1/2, grow the index
+    // and re-file every entry.
+    std::size_t first = c2q_costs_.size();
+    if ((first + 1) * 2 > c2q_index_.size()) {
         c2q_index_.assign(std::max<std::size_t>(256, 2 * c2q_index_.size()),
                           0u);
-        mask = c2q_index_.size() - 1;
-        for (std::size_t s = 0; s < c2q_costs_.size(); ++s) {
-            std::size_t i = c2q_costs_[s].hash & mask;
-            while (c2q_index_[i] != 0)
-                i = (i + 1) & mask;
-            c2q_index_[i] = static_cast<std::uint32_t>(s + 1);
-        }
-    } else {
-        std::size_t i = hash & mask;
+        first = 0;
+    }
+    c2q_costs_.push_back(c);
+    const std::size_t mask = c2q_index_.size() - 1;
+    for (std::size_t s = first; s < c2q_costs_.size(); ++s) {
+        std::size_t i = c2q_costs_[s].hash & mask;
         while (c2q_index_[i] != 0)
             i = (i + 1) & mask;
-        c2q_index_[i] = static_cast<std::uint32_t>(c2q_costs_.size());
+        c2q_index_[i] = static_cast<std::uint32_t>(s + 1);
     }
     return {c.k_old, c.m_new};
 }
