@@ -82,10 +82,11 @@ SynthMemo::find(const std::uint64_t *key, std::size_t len,
 }
 
 SynthMemo::Entry *
-SynthMemo::add(const std::uint64_t *words, std::size_t n_words,
-               std::size_t key_len, std::uint64_t hash, const Gate *gates,
-               std::size_t n_gates)
+SynthMemo::add(const std::uint64_t *key, std::size_t key_len,
+               const std::uint64_t *value, std::size_t n_value,
+               std::uint64_t hash, const Gate *gates, std::size_t n_gates)
 {
+    const std::size_t n_words = key_len + n_value;
     if (n_words > kMaxKeyWords || n_gates > kMaxGates)
         return nullptr;
     if (keys_.size() + n_words > kMaxKeyWords ||
@@ -100,7 +101,8 @@ SynthMemo::add(const std::uint64_t *words, std::size_t n_words,
     e.key_len = static_cast<std::uint32_t>(key_len);
     e.gates_begin = static_cast<std::uint32_t>(gates_.size());
     e.gates_len = static_cast<std::uint32_t>(n_gates);
-    keys_.insert(keys_.end(), words, words + n_words);
+    keys_.insert(keys_.end(), key, key + key_len);
+    keys_.insert(keys_.end(), value, value + n_value);
     gates_.insert(gates_.end(), gates, gates + n_gates);
     slots_.push_back(e);
 
@@ -117,7 +119,7 @@ SynthMemo::insert(const std::uint64_t *key, std::size_t len,
                   std::uint64_t hash, bool replace, int new_cost,
                   const std::vector<Gate> &gates)
 {
-    if (Entry *e = add(key, len, len, hash, gates.data(),
+    if (Entry *e = add(key, len, nullptr, 0, hash, gates.data(),
                        replace ? gates.size() : 0)) {
         e->new_cost = new_cost;
         e->replace = replace;
@@ -163,12 +165,37 @@ SynthMemo::insert_1q(const std::uint64_t *key, std::size_t len,
                      std::uint64_t hash, const std::vector<Gate> &out,
                      std::size_t from)
 {
-    scratch_.assign(key, key + len);
+    scratch_.clear();
     for (std::size_t k = from; k < out.size(); ++k)
         append_gate_key(scratch_, out[k], 0);
-    if (Entry *e = add(scratch_.data(), scratch_.size(), len, hash, nullptr,
-                       0))
+    if (Entry *e = add(key, len, scratch_.data(), scratch_.size(), hash,
+                       nullptr, 0))
         e->gates_len = static_cast<std::uint32_t>(out.size() - from);
+}
+
+const std::uint64_t *
+SynthMemo::find_words(const std::uint64_t *key, std::size_t len,
+                      std::uint64_t hash)
+{
+    const Entry *e = find(key, len, hash);
+    return e == nullptr ? nullptr : keys_.data() + e->key_begin + len;
+}
+
+void
+SynthMemo::insert_words(const std::uint64_t *key, std::size_t len,
+                        std::uint64_t hash, const std::uint64_t *value,
+                        std::size_t n)
+{
+    add(key, len, value, n, hash, nullptr, 0);
+}
+
+std::size_t
+SynthMemo::memory_bytes() const
+{
+    return (keys_.capacity() + scratch_.capacity()) * sizeof(std::uint64_t) +
+           gates_.capacity() * sizeof(Gate) +
+           slots_.capacity() * sizeof(Entry) +
+           index_.capacity() * sizeof(std::uint32_t);
 }
 
 void

@@ -61,8 +61,8 @@ struct ConsolidateStats
  * recur across requests; a free call keeps one on its stack.  Either
  * way a memo has one user at a time.
  *
- * A key opens with a tag word that keeps its three kinds of entry
- * apart, then the Basis1q:
+ * A key opens with a tag word that keeps its kinds of entry apart.
+ * The three resynthesis tags then hold the Basis1q:
  *
  *  - kBlock2q, a two-qubit block relative to its wire pair (q0, q1):
  *    per member gate in circuit order its OpKind, its operands as
@@ -83,6 +83,9 @@ struct ConsolidateStats
  *    translated gate do not share an entry: the run multiplies its
  *    matrices onto the identity first, which can flip the sign of a
  *    zero entry, and so of an angle.
+ *  - kC2qCost, a block unitary whose CNOT costs NASSC's router
+ *    weighs: the raw bits of its 32 doubles, with the two costs kept
+ *    after the key (see OptAwareTracker::c2q_costs).
  *
  * Synthesis on (q0, q1) or q is synthesis on (0, 1) or 0 relabelled,
  * and parameters are kept as raw bits, so a hit is bit-identical to a
@@ -91,17 +94,22 @@ struct ConsolidateStats
  * Storage is flat: one key arena, one gate pool, one slot array and one
  * open-addressing index, with no allocation per entry.  A 64-bit hash
  * picks the slot and a full-key compare decides the hit.  The memo is
- * cleared whenever the key arena would pass kMaxKeyWords (2 MiB) or the
+ * cleared whenever the key arena would pass kMaxKeyWords (1 MiB) or the
  * gate pool kMaxGates (1 MiB of 64-byte gates).  Not thread-safe.
  */
 class SynthMemo
 {
   public:
-    static constexpr std::size_t kMaxKeyWords = std::size_t{1} << 18;
+    static constexpr std::size_t kMaxKeyWords = std::size_t{1} << 17;
     static constexpr std::size_t kMaxGates = std::size_t{1} << 14;
 
-    /** First word of every key: which resynthesis the entry answers. */
-    enum Tag : std::uint64_t { kBlock2q = 0, kRun1q = 1, kTranslate1q = 2 };
+    /** First word of every key: which outcome the entry answers. */
+    enum Tag : std::uint64_t {
+        kBlock2q = 0,
+        kRun1q = 1,
+        kTranslate1q = 2,
+        kC2qCost = 3
+    };
 
     /** One memoized outcome. */
     struct Entry
@@ -109,7 +117,8 @@ class SynthMemo
         std::uint64_t hash = 0;
         std::uint32_t key_begin = 0, key_len = 0;
         /** kBlock2q: the synthesis in the gate pool.  1q: gates_len
-         *  gates, encoded in the key arena after the key. */
+         *  gates, encoded in the key arena after the key (the words
+         *  there are a kC2qCost entry's costs). */
         std::uint32_t gates_begin = 0, gates_len = 0;
         int new_cost = 0; ///< kBlock2q: CX-equivalent cost of the synthesis
         bool replace = false; ///< kBlock2q: the block is resynthesized
@@ -154,6 +163,16 @@ class SynthMemo
                    std::uint64_t hash, const std::vector<Gate> &out,
                    std::size_t from);
 
+    /** The words stored after the key by insert_words(), or nullptr,
+     *  counted as a hit or a miss.  Valid until the next insert. */
+    const std::uint64_t *find_words(const std::uint64_t *key,
+                                    std::size_t len, std::uint64_t hash);
+
+    /** Store value[0, n) after the key.  Bounded like insert(). */
+    void insert_words(const std::uint64_t *key, std::size_t len,
+                      std::uint64_t hash, const std::uint64_t *value,
+                      std::size_t n);
+
     std::size_t size() const { return slots_.size(); }
     std::size_t key_words() const { return keys_.size(); }
     /** Gates in the pool: kBlock2q syntheses only. */
@@ -162,13 +181,15 @@ class SynthMemo
      *  construction. */
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
+    /** Heap bytes held. */
+    std::size_t memory_bytes() const;
 
   private:
-    /** Store words[0, n_words) in the key arena, the first key_len of
-     *  them the key, and n_gates pooled gates. */
-    Entry *add(const std::uint64_t *words, std::size_t n_words,
-               std::size_t key_len, std::uint64_t hash, const Gate *gates,
-               std::size_t n_gates);
+    /** Store the key, then value[0, n_value), in the key arena, and
+     *  n_gates pooled gates. */
+    Entry *add(const std::uint64_t *key, std::size_t key_len,
+               const std::uint64_t *value, std::size_t n_value,
+               std::uint64_t hash, const Gate *gates, std::size_t n_gates);
     void clear();
     void grow_index();
 
@@ -176,7 +197,7 @@ class SynthMemo
     std::vector<Gate> gates_;
     std::vector<Entry> slots_;
     std::vector<std::uint32_t> index_; ///< slot + 1; 0 = empty
-    std::vector<std::uint64_t> scratch_; ///< insert_1q's key and value
+    std::vector<std::uint64_t> scratch_; ///< insert_1q's encoded gates
     std::uint64_t hits_ = 0, misses_ = 0;
 };
 

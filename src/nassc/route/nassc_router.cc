@@ -7,7 +7,6 @@
 
 #include "nassc/ir/matrices.h"
 #include "nassc/math/weyl.h"
-#include "nassc/passes/collect_blocks.h"
 #include "nassc/passes/commutation.h"
 #include "nassc/synth/kak2q.h"
 
@@ -216,8 +215,7 @@ OptAwareTracker::memory_bytes() const
                         touched_.capacity() * sizeof(int) +
                         wire_version_.capacity() * sizeof(std::uint64_t) +
                         eval_cache_.capacity() * sizeof(CachedEval) +
-                        c2q_costs_.capacity() * sizeof(C2qCost) +
-                        c2q_index_.capacity() * sizeof(std::uint32_t);
+                        c2q_memo_.memory_bytes();
     for (const auto &recs : {&window_, &trailing_})
         for (const std::vector<Rec> &r : *recs)
             bytes += r.capacity() * sizeof(Rec);
@@ -246,47 +244,18 @@ OptAwareTracker::evaluate_swap(int p, int q) const
 std::pair<int, int>
 OptAwareTracker::c2q_costs(const Mat4 &u) const
 {
-    std::uint64_t bits[32];
-    static_assert(sizeof(bits) == sizeof(u.v));
-    std::memcpy(bits, u.v.data(), sizeof(bits));
-    const std::uint64_t hash = SynthMemo::hash(bits, 32);
-    if (!c2q_index_.empty()) {
-        const std::size_t mask = c2q_index_.size() - 1;
-        for (std::size_t i = hash & mask; c2q_index_[i] != 0;
-             i = (i + 1) & mask) {
-            const C2qCost &c = c2q_costs_[c2q_index_[i] - 1];
-            if (c.hash == hash &&
-                std::memcmp(c.u.v.data(), bits, sizeof(bits)) == 0)
-                return {c.k_old, c.m_new};
-        }
-    }
-
-    C2qCost c;
-    c.u = u;
-    c.hash = hash;
-    c.k_old = cnot_cost(u);
-    c.m_new = cnot_cost(mul(swap_mat(), u));
-    if (c2q_costs_.size() == kMaxC2qCosts) {
-        c2q_costs_.clear();
-        std::fill(c2q_index_.begin(), c2q_index_.end(), 0u);
-    }
-    // File the new entry; when the load would pass 1/2, grow the index
-    // and re-file every entry.
-    std::size_t first = c2q_costs_.size();
-    if ((first + 1) * 2 > c2q_index_.size()) {
-        c2q_index_.assign(std::max<std::size_t>(256, 2 * c2q_index_.size()),
-                          0u);
-        first = 0;
-    }
-    c2q_costs_.push_back(c);
-    const std::size_t mask = c2q_index_.size() - 1;
-    for (std::size_t s = first; s < c2q_costs_.size(); ++s) {
-        std::size_t i = c2q_costs_[s].hash & mask;
-        while (c2q_index_[i] != 0)
-            i = (i + 1) & mask;
-        c2q_index_[i] = static_cast<std::uint32_t>(s + 1);
-    }
-    return {c.k_old, c.m_new};
+    std::uint64_t key[33] = {SynthMemo::kC2qCost};
+    static_assert(sizeof(key) - sizeof(key[0]) == sizeof(u.v));
+    std::memcpy(key + 1, u.v.data(), sizeof(u.v));
+    const std::uint64_t hash = SynthMemo::hash(key, 33);
+    if (const std::uint64_t *c = c2q_memo_.find_words(key, 33, hash))
+        return {static_cast<int>(c[0]), static_cast<int>(c[1])};
+    const int k_old = cnot_cost(u);
+    const int m_new = cnot_cost(mul(swap_mat(), u));
+    const std::uint64_t costs[2] = {static_cast<std::uint64_t>(k_old),
+                                    static_cast<std::uint64_t>(m_new)};
+    c2q_memo_.insert_words(key, 33, hash, costs, 2);
+    return {k_old, m_new};
 }
 
 SwapReduction

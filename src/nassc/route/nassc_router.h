@@ -28,6 +28,7 @@
 
 #include "nassc/ir/gate.h"
 #include "nassc/math/complex_mat.h"
+#include "nassc/passes/collect_blocks.h"
 #include "nassc/route/sabre.h"
 #include "nassc/topo/coupling_map.h"
 
@@ -108,12 +109,13 @@ class OptAwareTracker
     /**
      * {cnot_cost(u), cnot_cost(SWAP·u)}: the C2q term's two block costs.
      * Within a route most blocks recur, so the pair is memoized under
-     * all of u's raw bits, and a hit returns what cnot_cost() would.
+     * all of u's raw bits in a router-owned SynthMemo, and a hit
+     * returns what cnot_cost() would.
      */
     std::pair<int, int> c2q_costs(const Mat4 &u) const;
 
     /** Heap bytes held: O(qubits + coupling edges), never O(qubits^2);
-     *  the C2q cost memo adds at most ~1 MiB. */
+     *  the C2q cost memo adds at most ~1.3 MiB. */
     std::size_t memory_bytes() const;
 
   private:
@@ -171,21 +173,10 @@ class OptAwareTracker
     /** Slot 2*e + (p > q) for coupling edge e = edge_index(p, q). */
     mutable std::vector<CachedEval> eval_cache_;
 
-    // --- C2q cost memo (see c2q_costs) ---
-    /** One block unitary's two CNOT costs.  The key is all of `u`'s
-     *  bits, so a hit is the value cnot_cost() would return.  Entries
-     *  outlive reset(); the table is cleared when it would pass
-     *  kMaxC2qCosts entries (~1 MiB). */
-    struct C2qCost
-    {
-        Mat4 u;
-        std::uint64_t hash = 0;
-        int k_old = 0; ///< cnot_cost(u)
-        int m_new = 0; ///< cnot_cost(SWAP·u)
-    };
-    static constexpr std::size_t kMaxC2qCosts = 4096;
-    mutable std::vector<C2qCost> c2q_costs_;
-    mutable std::vector<std::uint32_t> c2q_index_; ///< slot + 1; 0 = empty
+    /** c2q_costs()' answers under kC2qCost keys.  Entries outlive
+     *  reset(); the memo clears itself at its key-arena bound (1 MiB,
+     *  ~3,700 blocks). */
+    mutable SynthMemo c2q_memo_;
 };
 
 } // namespace nassc

@@ -1,9 +1,10 @@
 #ifndef NASSC_TESTS_SYNTH_MEMO_ORACLE_H
 #define NASSC_TESTS_SYNTH_MEMO_ORACLE_H
 
-// Test helper: the 1q resynthesis passes before they took a SynthMemo,
-// kept verbatim, and a check that the memoized passes match them bit
-// for bit through a fresh memo and through a warmed one.
+// Test helper: translate_to_basis() before it took a SynthMemo, kept
+// verbatim, and a check that the memoized 1q passes match it and
+// optimize_1q_runs() (the memo-less Optimize1qGates, still in the
+// library) bit for bit through a fresh memo and through a warmed one.
 
 #include <cstring>
 #include <stdexcept>
@@ -22,46 +23,7 @@
 namespace nassc {
 namespace legacy {
 
-/** optimize_1q_runs() as run_optimize_1q() called it before the memo. */
-inline int
-optimize_1q_runs(std::vector<Gate> &gates, int num_qubits, Basis1q basis,
-                 double tol = 1e-10)
-{
-    std::vector<Gate> out;
-    out.reserve(gates.size());
-
-    // Pending accumulated unitary per wire; identity when inactive.
-    std::vector<Mat2> pending(num_qubits, Mat2::identity());
-    std::vector<bool> active(num_qubits, false);
-    int before = static_cast<int>(gates.size());
-
-    auto flush = [&](int q) {
-        if (!active[q])
-            return;
-        synth_1q_into(out, pending[q], q, basis, tol);
-        pending[q] = Mat2::identity();
-        active[q] = false;
-    };
-
-    for (Gate &g : gates) {
-        if (is_one_qubit(g.kind)) {
-            int q = g.qubits[0];
-            pending[q] = mul(gate_matrix1(g), pending[q]);
-            active[q] = true;
-            continue;
-        }
-        for (int q : g.qubits)
-            flush(q);
-        out.push_back(std::move(g));
-    }
-    for (int q = 0; q < num_qubits; ++q)
-        flush(q);
-
-    int removed = before - static_cast<int>(out.size());
-    gates = std::move(out);
-    return removed;
-}
-
+/** translate_to_basis() before it took a SynthMemo. */
 inline QuantumCircuit
 translate_to_basis(const QuantumCircuit &qc)
 {
@@ -122,7 +84,7 @@ same_bytes(const QuantumCircuit &a, const QuantumCircuit &b,
 /**
  * run_optimize_1q() in both bases and translate_to_basis() on `in`: a
  * fresh memo, `warm` (twice, so the second call is answered from it)
- * and the legacy pass give the same bytes.  `warm` keeps what it
+ * and the memo-less pass give the same bytes.  `warm` keeps what it
  * learns, so a caller that passes one memo to every input checks hits
  * carried over from earlier inputs too.
  */
@@ -134,8 +96,8 @@ expect_1q_memo_exact(const QuantumCircuit &in, SynthMemo &warm,
         const std::string btag =
             tag + (basis == Basis1q::kUGate ? " opt1q/u" : " opt1q/zsx");
         QuantumCircuit want = in;
-        const int removed = legacy::optimize_1q_runs(
-            want.mutable_gates(), want.num_qubits(), basis);
+        const int removed =
+            optimize_1q_runs(want.mutable_gates(), want.num_qubits(), basis);
         QuantumCircuit fresh = in;
         SynthMemo memo;
         EXPECT_EQ(run_optimize_1q(fresh, basis, memo), removed) << btag;

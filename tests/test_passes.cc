@@ -361,10 +361,10 @@ TEST(SynthMemo, HashMatchAloneIsNotAHit)
 
 TEST(SynthMemo, OverflowingTheBoundsClearsWithoutChangingOutput)
 {
-    // 25,000 distinct blocks of 13 key words each (tag and basis words,
-    // 7 gate words, 4 parameters): 325,000 words, past the 256 Ki bound.  A
-    // fourth cx makes every block a replace, whose gates fill the pool.
-    const int kBlocks = 25000;
+    // 12,500 distinct blocks of 13 key words each (tag and basis words,
+    // 7 gate words, 4 parameters): 162,500 words, past the 128 Ki bound.
+    // A fourth cx makes every block a replace, whose gates fill the pool.
+    const int kBlocks = 12500;
     for (bool replaced : {false, true}) {
         QuantumCircuit qc(3);
         for (int k = 0; k < kBlocks; ++k) {
@@ -472,8 +472,7 @@ TEST(SynthMemo, SignedZeroAndOneUlpAnglesAreDistinctEntries)
             QuantumCircuit out = *qc;
             run_optimize_1q(out, Basis1q::kUGate, memo);
             QuantumCircuit want = *qc;
-            legacy::optimize_1q_runs(want.mutable_gates(), 1,
-                                     Basis1q::kUGate);
+            optimize_1q_runs(want.mutable_gates(), 1, Basis1q::kUGate);
             same_bytes(out, want, "rz");
         }
         EXPECT_EQ(memo.size(), 2u);
@@ -507,10 +506,10 @@ TEST(SynthMemo, OneQubitOverflowClearsWithoutChangingOutput)
 {
     // A 1q entry keeps its key and its synthesis in the key arena.  An
     // rz run takes 6 words (tag, basis, gate word, angle; then rz and its
-    // angle): 50,000 distinct runs pass the 256 Ki-word bound.  A
-    // generic u run takes 14 (6 of key, then rz sx rz sx rz): 20,000 pass
+    // angle): 25,000 distinct runs pass the 128 Ki-word bound.  A
+    // generic u run takes 14 (6 of key, then rz sx rz sx rz): 10,000 pass
     // it.  Each run is closed by a cx, so every gate is its own run.
-    const std::size_t kRzRuns = 50000, kURuns = 20000;
+    const std::size_t kRzRuns = 25000, kURuns = 10000;
     for (bool generic : {false, true}) {
         const std::size_t runs = generic ? kURuns : kRzRuns;
         QuantumCircuit qc(2);
@@ -523,7 +522,7 @@ TEST(SynthMemo, OneQubitOverflowClearsWithoutChangingOutput)
             qc.cx(0, 1);
         }
         QuantumCircuit want = qc;
-        legacy::optimize_1q_runs(want.mutable_gates(), 2, Basis1q::kZsx);
+        optimize_1q_runs(want.mutable_gates(), 2, Basis1q::kZsx);
         const QuantumCircuit want_translated = legacy::translate_to_basis(qc);
         SynthMemo memo;
         for (int pass = 0; pass < 2; ++pass) {

@@ -429,8 +429,9 @@ TEST(Nassc, TrackerResetMatchesFreshTracker)
 TEST(Nassc, MemoizedC2qCostsEqualDirectCnotCosts)
 {
     // Blocks of each CNOT class, a signed zero, and enough random blocks
-    // to clear the table: the tracker's pair equals a direct cnot_cost
-    // pair on the miss, on the hit that follows and across a reset.
+    // (35 key words each) to clear the tracker's memo at its 128 Ki-word
+    // bound: the tracker's pair equals a direct cnot_cost pair on the
+    // miss, on the hit that follows and across a reset.
     const Backend dev = linear_backend(3);
     RoutingOptions opts;
     opts.algorithm = RoutingAlgorithm::kNassc;
